@@ -1,483 +1,17 @@
-//! The iteration-scaled benchmark grid: the Figure 4 matrix grown until
-//! the loop compiler's throughput — and the parallel runner's speedup —
-//! are measurable.
+//! The iteration scale of the benchmark grid.
 //!
 //! The paper-default suite is deliberately small (it reproduces tables,
-//! not load), so per-scenario setup dominates and neither the compiled
-//! replay path nor `--jobs` fan-out has anything to chew on. This grid
-//! runs the same nine workloads on the four measured hypervisors with
-//! every mix's iteration count multiplied by [`DEFAULT_SCALE`]
-//! ([`Mix::scaled`]): identical steady-state loops, run long enough
-//! that the interpreter would take minutes while compiled replay
-//! finishes in under a second.
+//! not load), so per-scenario setup dominates and neither compiled
+//! replay nor worker fan-out has anything to chew on. The benchmark in
+//! `perfbench/` therefore runs the Figure 4 matrix (plus consolidation
+//! and rack cells) with every mix's iteration count multiplied by
+//! [`DEFAULT_SCALE`] ([`Mix::scaled`]), and keys its golden results on
+//! that scale.
 //!
-//! [`run`] measures two passes over the 36 cells — serial, then a
-//! work-stealing parallel pass — and asserts cycle-exact identity
-//! between them, so the benchmark doubles as a determinism check.
-//! `transitions_per_sec` (simulated [`Machine::charge`] calls per
-//! serial wall-second) is the headline number the perf-smoke gate
-//! tracks.
-//!
-//! [`Machine::charge`]: hvx_engine::Machine::charge
 //! [`Mix::scaled`]: crate::workloads::Mix::scaled
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
-
-use hvx_core::{SimBuilder, VirqPolicy};
-use serde::Serialize;
-
-use crate::consolidation;
-use crate::paper;
-use crate::rack;
-use crate::workloads::{self, catalog};
-use hvx_core::SchedPolicy;
 
 /// Default iteration multiplier. Chosen so the serial pass simulates
 /// well past 10^8 transitions in roughly a second of host time: small
 /// enough for CI, large enough that setup cost vanishes and the
 /// parallel pass has real work per cell.
 pub const DEFAULT_SCALE: u32 = 2_000;
-
-/// One grid cell: a (workload, hypervisor) pair at the grid scale.
-#[derive(Debug, Clone, Serialize)]
-pub struct GridCell {
-    /// Figure 4 workload name.
-    pub workload: &'static str,
-    /// Hypervisor column, as printed in Figure 4.
-    pub column: String,
-    /// Makespan in simulated cycles; `None` if the mix was rejected
-    /// (kept as a marked cell so both passes must reject identically).
-    pub makespan_cycles: Option<u64>,
-    /// Simulated transitions this cell charged.
-    pub transitions: u64,
-}
-
-/// The measured grid: cells, totals, and the serial/parallel split.
-#[derive(Debug, Clone, Serialize)]
-pub struct GridReport {
-    /// Iteration multiplier applied to every mix.
-    pub scale: u32,
-    /// Worker threads requested (`--jobs`).
-    pub requested_jobs: usize,
-    /// Worker threads the parallel pass actually used, after clamping
-    /// to hardware parallelism and the cell count. On a 1-core box
-    /// this is 1 even when `--jobs 4` was requested — and then
-    /// [`GridReport::parallel_speedup`] is `None`, because serial-vs-
-    /// serial noise is not a speedup.
-    pub jobs: usize,
-    /// All cells — the Figure 4 block in catalog × column order, then
-    /// the consolidation block in column × ratio order (from the serial
-    /// pass; the parallel pass is asserted identical).
-    pub cells: Vec<GridCell>,
-    /// Total simulated transitions across the grid (one pass).
-    pub transitions: u64,
-    /// Wall-clock of the serial pass, seconds.
-    pub serial_seconds: f64,
-    /// Wall-clock of the parallel pass, seconds. Equal to
-    /// `serial_seconds` when `jobs == 1` (the pass is skipped).
-    pub parallel_seconds: f64,
-    /// Figure 4 transitions per serial wall-second — the headline
-    /// throughput the perf-smoke gate tracks.
-    pub grid_transitions_per_sec: f64,
-    /// `serial_seconds / parallel_seconds`, or `None` when the
-    /// parallel pass ran with one worker (nothing was parallel, so the
-    /// ratio would be measurement noise polluting the perf trajectory).
-    pub parallel_speedup: Option<f64>,
-    /// Transitions charged by the consolidation-sweep segment alone.
-    pub consolidation_transitions: u64,
-    /// Serial wall-clock of the consolidation segment, seconds.
-    pub consolidation_serial_seconds: f64,
-    /// Consolidation-sweep transitions per serial wall-second — the
-    /// scheduler/SMP path's own throughput number.
-    pub sweep_transitions_per_sec: f64,
-    /// Hosts in the rack bench scenario.
-    pub rack_hosts: u32,
-    /// VMs per host in the rack bench scenario.
-    pub rack_vms_per_host: u32,
-    /// Shard workers the rack's parallel execution used (clamped like
-    /// [`GridReport::jobs`], additionally to the host count).
-    pub rack_jobs: usize,
-    /// Transitions charged by the rack scenario (serial execution).
-    pub rack_transitions: u64,
-    /// Wall-clock of the rack scenario's serial execution, seconds.
-    pub rack_serial_seconds: f64,
-    /// Wall-clock of the same scenario on the sharded parallel
-    /// executor, seconds (equal to serial when `rack_jobs == 1`).
-    pub rack_parallel_seconds: f64,
-    /// Rack serial/parallel ratio — the single-scenario speedup the
-    /// conservative-PDES sharding buys. `None` when `rack_jobs == 1`.
-    pub rack_parallel_speedup: Option<f64>,
-    /// Rack transitions per serial wall-second.
-    pub rack_transitions_per_sec: f64,
-    /// Conservative windows the rack scenario executed.
-    pub rack_windows: u64,
-    /// Host-shards found stalled (no event inside the lookahead
-    /// horizon) summed over all windows — the sharding's idle tax.
-    pub rack_lookahead_stalls: u64,
-    /// Median events per window (power-of-two bucket upper bound).
-    pub rack_window_events_p50: u64,
-    /// 99th-percentile events per window.
-    pub rack_window_events_p99: u64,
-    /// 95th-percentile per-window spread between the busiest and
-    /// idlest host — how unevenly work lands across shards.
-    pub rack_imbalance_p95: u64,
-}
-
-/// One measured cell: makespan in cycles (`None` if rejected) and
-/// transitions charged.
-type CellMeasure = (Option<u64>, u64);
-
-/// One unit of grid work: a Figure 4 cell or a consolidation cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GridItem {
-    /// `catalog()[workload]` on `paper::COLUMNS[column]`, scaled.
-    Fig4 { workload: usize, column: usize },
-    /// `paper::COLUMNS[column]` at `ratio`:1 under the credit
-    /// scheduler, transaction count scaled.
-    Consol { column: usize, ratio: u32 },
-}
-
-/// Consolidation ratios the grid samples (the endpoints plus the knee;
-/// the full [`consolidation::RATIOS`] sweep belongs to the artifact).
-const GRID_RATIOS: [u32; 3] = [1, 4, 16];
-
-/// Runs one cell on a fresh machine and returns `(makespan,
-/// transitions charged)`. Honors the ambient `HVX_COMPILE` toggle, so
-/// `HVX_COMPILE=off hvx-repro bench` measures the interpreter.
-fn run_cell(item: GridItem, scale: u32) -> CellMeasure {
-    let before = hvx_engine::thread_transitions();
-    let makespan = match item {
-        GridItem::Fig4 { workload, column } => {
-            let mix = catalog()[workload].mix.scaled(scale);
-            let kind = paper::COLUMNS[column];
-            SimBuilder::new(kind)
-                .build()
-                .ok()
-                .map(|sim| sim.into_inner())
-                .and_then(|mut hv| {
-                    workloads::run(hv.as_mut(), mix, VirqPolicy::Vcpu0)
-                        .ok()
-                        .map(|c| c.as_u64())
-                })
-        }
-        GridItem::Consol { column, ratio } => consolidation::run_cell(
-            paper::COLUMNS[column],
-            ratio,
-            SchedPolicy::Credit,
-            consol_txns(scale),
-            workloads::compile_enabled(),
-        )
-        .ok()
-        .map(|c| c.makespan_cycles),
-    };
-    (makespan, hvx_engine::thread_transitions() - before)
-}
-
-/// Transactions per VM for grid consolidation cells, scaled like the
-/// Figure 4 iteration counts.
-fn consol_txns(scale: u32) -> u32 {
-    (scale * 2).max(consolidation::TRANSACTIONS_PER_VM)
-}
-
-/// Hosts in the rack bench scenario — wide enough that `--jobs 4`
-/// leaves every shard worker two hosts per window.
-const RACK_BENCH_HOSTS: u32 = 8;
-
-/// VMs per host in the rack bench scenario. Far past the artifact's
-/// [`rack::VMS_PER_HOST`]: each conservative window must carry enough
-/// events per host to amortize the per-window thread fan-out, or the
-/// sharded executor measures spawn overhead instead of simulation.
-const RACK_BENCH_VMS: u32 = 192;
-
-/// Ring laps for the rack bench scenario, scaled like the grid.
-fn rack_rounds(scale: u32) -> u32 {
-    (scale / 40).max(4)
-}
-
-fn rack_bench_config(scale: u32, jobs: usize) -> rack::CellConfig {
-    rack::CellConfig {
-        composition: rack::Composition::Mixed,
-        hosts: RACK_BENCH_HOSTS,
-        vms_per_host: RACK_BENCH_VMS,
-        rounds: rack_rounds(scale),
-        jobs,
-        fault: None,
-    }
-}
-
-/// Measures the grid: serial pass, parallel pass (when `jobs > 1`),
-/// identity check, report.
-///
-/// # Panics
-///
-/// Panics if the parallel pass produces any cell whose makespan or
-/// transition count differs from the serial pass — that would mean the
-/// simulation is not deterministic, and no benchmark number from such
-/// a build can be trusted.
-pub fn run(jobs: usize, scale: u32) -> GridReport {
-    run_inner(jobs, scale, true)
-}
-
-/// [`run`] with the hardware-parallelism clamp optional, so tests can
-/// force the worker pool (and its identity check) on any host.
-fn run_inner(jobs: usize, scale: u32, clamp_to_hw: bool) -> GridReport {
-    let mut items: Vec<GridItem> = (0..catalog().len())
-        .flat_map(|w| {
-            (0..paper::COLUMNS.len()).map(move |c| GridItem::Fig4 {
-                workload: w,
-                column: c,
-            })
-        })
-        .collect();
-    let fig4_items = items.len();
-    for column in 0..paper::COLUMNS.len() {
-        for ratio in GRID_RATIOS {
-            items.push(GridItem::Consol { column, ratio });
-        }
-    }
-
-    // Serial pass: the Figure 4 segment and the consolidation segment
-    // are timed separately so each path gets its own throughput number.
-    let serial_start = Instant::now();
-    let mut serial: Vec<CellMeasure> = items[..fig4_items]
-        .iter()
-        .map(|&item| run_cell(item, scale))
-        .collect();
-    let fig4_seconds = serial_start.elapsed().as_secs_f64();
-    let consol_start = Instant::now();
-    serial.extend(
-        items[fig4_items..]
-            .iter()
-            .map(|&item| run_cell(item, scale)),
-    );
-    let consolidation_serial_seconds = consol_start.elapsed().as_secs_f64();
-    let serial_seconds = serial_start.elapsed().as_secs_f64();
-
-    // More workers than hardware threads is pure oversubscription —
-    // context switches with zero extra throughput — so `--jobs 4` on a
-    // small box degrades to break-even instead of a slowdown.
-    let hw = if clamp_to_hw {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        usize::MAX
-    };
-    let workers = jobs.min(items.len()).min(hw);
-    let (parallel_seconds, parallel) = if workers > 1 {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CellMeasure>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&item) = items.get(idx) else { break };
-                    let cell = run_cell(item, scale);
-                    *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) = Some(cell);
-                });
-            }
-        });
-        let elapsed = start.elapsed().as_secs_f64();
-        let results: Vec<CellMeasure> = slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("scoped workers drain every slot")
-            })
-            .collect();
-        (elapsed, Some(results))
-    } else {
-        (serial_seconds, None)
-    };
-
-    if let Some(parallel) = &parallel {
-        for (i, (s, p)) in serial.iter().zip(parallel).enumerate() {
-            assert_eq!(
-                s, p,
-                "grid cell {:?} diverged between serial and parallel passes",
-                items[i]
-            );
-        }
-    }
-
-    let cells: Vec<GridCell> = items
-        .iter()
-        .zip(&serial)
-        .map(|(&item, &(makespan_cycles, transitions))| match item {
-            GridItem::Fig4 { workload, column } => GridCell {
-                workload: catalog()[workload].name,
-                column: paper::COLUMNS[column].to_string(),
-                makespan_cycles,
-                transitions,
-            },
-            GridItem::Consol { column, ratio } => GridCell {
-                workload: "Consolidation",
-                column: format!("{} {ratio}:1", paper::COLUMNS[column]),
-                makespan_cycles,
-                transitions,
-            },
-        })
-        .collect();
-    // Rack segment: one ≥8-host scenario run twice on the sharded
-    // executor — serial reference, then window-parallel — timing both
-    // and asserting the results are byte-identical. This is the
-    // single-scenario speedup the PDES sharding exists for; the grid
-    // passes above only parallelize *across* scenarios.
-    let rack_start = Instant::now();
-    let before = hvx_engine::thread_transitions();
-    let rack_serial = rack::run_cell_with(&rack_bench_config(scale, 1))
-        .expect("rack bench cell runs on measured hypervisors");
-    let rack_transitions = hvx_engine::thread_transitions() - before;
-    let rack_serial_seconds = rack_start.elapsed().as_secs_f64();
-    let rack_jobs = jobs.min(RACK_BENCH_HOSTS as usize).min(hw);
-    let (rack_parallel_seconds, rack_parallel_speedup) = if rack_jobs > 1 {
-        let start = Instant::now();
-        let rack_parallel = rack::run_cell_with(&rack_bench_config(scale, rack_jobs))
-            .expect("rack bench cell runs on measured hypervisors");
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(
-            rack_serial, rack_parallel,
-            "rack scenario diverged between serial and sharded-parallel execution"
-        );
-        (secs, Some(rack_serial_seconds / secs.max(1e-9)))
-    } else {
-        (rack_serial_seconds, None)
-    };
-
-    let transitions: u64 = cells.iter().map(|c| c.transitions).sum();
-    let consolidation_transitions: u64 = cells[fig4_items..].iter().map(|c| c.transitions).sum();
-    let fig4_transitions = transitions - consolidation_transitions;
-    GridReport {
-        scale,
-        requested_jobs: jobs,
-        jobs: workers,
-        cells,
-        transitions,
-        serial_seconds,
-        parallel_seconds,
-        grid_transitions_per_sec: fig4_transitions as f64 / fig4_seconds.max(1e-9),
-        parallel_speedup: (workers > 1).then(|| serial_seconds / parallel_seconds.max(1e-9)),
-        consolidation_transitions,
-        consolidation_serial_seconds,
-        sweep_transitions_per_sec: consolidation_transitions as f64
-            / consolidation_serial_seconds.max(1e-9),
-        rack_hosts: RACK_BENCH_HOSTS,
-        rack_vms_per_host: RACK_BENCH_VMS,
-        rack_jobs,
-        rack_transitions,
-        rack_serial_seconds,
-        rack_parallel_seconds,
-        rack_parallel_speedup,
-        rack_transitions_per_sec: rack_transitions as f64 / rack_serial_seconds.max(1e-9),
-        rack_windows: rack_serial.windows,
-        rack_lookahead_stalls: rack_serial.lookahead_stalls,
-        rack_window_events_p50: rack_serial.window_events_p50,
-        rack_window_events_p99: rack_serial.window_events_p99,
-        rack_imbalance_p95: rack_serial.imbalance_p95,
-    }
-}
-
-/// Renders the report as the `hvx-repro bench` grid section.
-pub fn render(r: &GridReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "benchmark grid: {} cells at scale {} ({} transitions)\n",
-        r.cells.len(),
-        r.scale,
-        r.transitions
-    ));
-    out.push_str(&format!(
-        "  serial   {:>8.3}s  {:>12.0} transitions/sec\n",
-        r.serial_seconds, r.grid_transitions_per_sec
-    ));
-    match r.parallel_speedup {
-        Some(speedup) => out.push_str(&format!(
-            "  parallel {:>8.3}s  {:.2}x with {} jobs\n",
-            r.parallel_seconds, speedup, r.jobs
-        )),
-        None => out.push_str(&format!(
-            "  parallel       skipped (1 effective worker, {} requested)\n",
-            r.requested_jobs
-        )),
-    }
-    out.push_str(&format!(
-        "  sweep    {:>8.3}s  {:>12.0} transitions/sec ({} consolidation transitions)\n",
-        r.consolidation_serial_seconds, r.sweep_transitions_per_sec, r.consolidation_transitions
-    ));
-    match r.rack_parallel_speedup {
-        Some(speedup) => out.push_str(&format!(
-            "  rack     {:>8.3}s  {:>12.0} transitions/sec, {:.2}x sharded with {} workers\n",
-            r.rack_serial_seconds, r.rack_transitions_per_sec, speedup, r.rack_jobs
-        )),
-        None => out.push_str(&format!(
-            "  rack     {:>8.3}s  {:>12.0} transitions/sec (sharded pass skipped: 1 worker)\n",
-            r.rack_serial_seconds, r.rack_transitions_per_sec
-        )),
-    }
-    out.push_str(&format!(
-        "  rack windows: {} ({} stalls), events/window p50 {} p99 {}, imbalance p95 {}\n",
-        r.rack_windows,
-        r.rack_lookahead_stalls,
-        r.rack_window_events_p50,
-        r.rack_window_events_p99,
-        r.rack_imbalance_p95
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A scale small enough for tests while still compiling every loop.
-    const TEST_SCALE: u32 = 20;
-
-    #[test]
-    fn grid_cells_are_deterministic_and_nonempty() {
-        let a = run(1, TEST_SCALE);
-        let b = run(1, TEST_SCALE);
-        assert_eq!(
-            a.cells.len(),
-            catalog().len() * paper::COLUMNS.len() + GRID_RATIOS.len() * paper::COLUMNS.len()
-        );
-        assert!(a.transitions > 0);
-        assert!(a.consolidation_transitions > 0);
-        assert!(a.transitions > a.consolidation_transitions);
-        for (x, y) in a.cells.iter().zip(&b.cells) {
-            assert_eq!(
-                x.makespan_cycles, y.makespan_cycles,
-                "{} {}",
-                x.workload, x.column
-            );
-            assert_eq!(x.transitions, y.transitions, "{} {}", x.workload, x.column);
-        }
-    }
-
-    #[test]
-    fn parallel_pass_matches_serial_pass() {
-        // run_inner() itself asserts per-cell identity between the
-        // passes; bypass the hardware clamp so the pool actually spins
-        // up even on a single-core CI box.
-        let r = run_inner(4, TEST_SCALE, false);
-        assert_eq!(r.jobs, 4);
-        assert!(r.parallel_seconds > 0.0);
-        assert!(r.grid_transitions_per_sec > 0.0);
-        assert!(r.sweep_transitions_per_sec > 0.0);
-        assert!(render(&r).contains("benchmark grid"));
-    }
-
-    #[test]
-    fn scaled_cells_charge_proportionally_more() {
-        let small = run(1, 5);
-        let big = run(1, 50);
-        // 10x iterations => ~10x transitions (setup amortizes away).
-        // Compare the Figure 4 segment: consolidation transaction
-        // counts clamp to the artifact floor at these tiny scales.
-        let small_fig4 = small.transitions - small.consolidation_transitions;
-        let big_fig4 = big.transitions - big.consolidation_transitions;
-        assert!(big_fig4 > small_fig4 * 5);
-    }
-}

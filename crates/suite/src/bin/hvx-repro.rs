@@ -3,11 +3,10 @@
 //! instrumentation-driven profiler.
 //!
 //! ```text
-//! hvx-repro run [--json DIR] [--jobs N] [--timing] [--bench FILE]
+//! hvx-repro run [--json DIR] [--jobs N] [--timing]
 //!           [--fault-plan SPEC] [--fault-seed N] [--keep-going]
 //!           [--cycle-budget N] [--livelock-limit N] [--wall-timeout SECS]
 //!           [--chaos KIND] [--spec FILE] [ARTIFACT...]
-//! hvx-repro bench --out FILE [--jobs N]
 //! hvx-repro profile [--scenario NAME]... [--jobs N] [--json DIR]
 //!           [--fault-plan SPEC] [--fault-seed N]
 //! hvx-repro trace <scenario> [--hypervisor HV] [--out FILE] [--ring N]
@@ -25,7 +24,6 @@
 //! hvx-repro serve metrics --addr A
 //! hvx-repro serve trace --addr A FINGERPRINT [--top K]
 //! hvx-repro serve drain --addr A
-//! hvx-repro serve bench [--out FILE]
 //! hvx-repro list-scenarios
 //!
 //! ARTIFACTs: table2 table3 table5 fig4 irq vhe zerocopy link vapic
@@ -49,10 +47,10 @@
 //! describes instead of an artifact matrix. `--jobs N` fans
 //! independent scenarios across N OS threads; output is byte-identical
 //! to `--jobs 1`.
-//! `--timing` reports per-artifact wall-clock on stderr. `--bench FILE`
-//! (or the `bench` subcommand) times the full suite serial then
-//! parallel, checks the outputs match byte-for-byte, and writes the
-//! measurements to the named file.
+//! `--timing` reports per-artifact wall-clock on stderr. Throughput and
+//! per-layer timing are measured by the benchmark package in
+//! `perfbench/` (`BENCHMARK.json` declares its workloads and metrics),
+//! not by this binary.
 //!
 //! `profile` runs scenarios with the observability layer enabled and
 //! prints a Table-3-style cycle-attribution breakdown per scenario; the
@@ -79,22 +77,20 @@
 //! sheds overload, quarantines failing fingerprints, and journals
 //! every acceptance for exactly-once crash recovery. The `serve
 //! submit/sweep/poll/stats/drain` subcommands are a built-in client
-//! (responses print as JSON envelopes carrying the HTTP `status`);
-//! `serve bench` measures cold/warm round-trip latency and the shed
-//! threshold, writing `BENCH_serve.json`. `run --out json` switches
-//! stdout to the structured [`RunReport`](hvx_core::report::RunReport)
-//! (one record per scenario: typed failure kind, retry count, content
-//! fingerprint) instead of rendered artifact text.
+//! (responses print as JSON envelopes carrying the HTTP `status`).
+//! `run --out json` switches stdout to the structured
+//! [`RunReport`](hvx_core::report::RunReport) (one record per scenario:
+//! typed failure kind, retry count, content fingerprint) instead of
+//! rendered artifact text.
 
 use hvx_core::Error;
 use hvx_engine::{FaultPlan, Watchdog};
 use hvx_serve::{client as serve_client, Server, ServerConfig};
-use hvx_suite::bench_grid;
 use hvx_suite::cache::ResultCache;
 use hvx_suite::diff;
 use hvx_suite::profile::{self, ProfileScenario};
 use hvx_suite::runner::{self, ArtifactId, ChaosKind, RunnerConfig};
-use hvx_suite::service::{self, SuiteExecutor};
+use hvx_suite::service::SuiteExecutor;
 use hvx_suite::spec_run;
 use hvx_suite::trace::{self, TraceScenario};
 use serde::{Serialize, Value};
@@ -106,7 +102,6 @@ struct RunArgs {
     json_dir: Option<PathBuf>,
     jobs: usize,
     timing: bool,
-    bench: Option<PathBuf>,
     artifacts: Vec<ArtifactId>,
     cfg: RunnerConfig,
     keep_going: bool,
@@ -153,10 +148,9 @@ struct TraceQueryArgs {
 fn usage() -> String {
     let names: Vec<&str> = ArtifactId::ALL.iter().map(|a| a.cli_name()).collect();
     format!(
-        "usage: hvx-repro run [--json DIR] [--jobs N] [--timing] [--bench FILE]\n\
+        "usage: hvx-repro run [--json DIR] [--jobs N] [--timing]\n\
          \x20               [--cache DIR] [--spec FILE] [ARTIFACT...]\n\
          \x20               (no arguments at all: same as 'run all')\n\
-         \x20      hvx-repro bench --out FILE [--jobs N]\n\
          \x20      hvx-repro profile [--scenario NAME]... [--jobs N] [--json DIR]\n\
          \x20      hvx-repro trace SCENARIO [--hypervisor HV] [--out FILE] [--ring N]\n\
          \x20      hvx-repro trace query FILE [--transition NAME] [--track pcpuN]\n\
@@ -174,7 +168,6 @@ fn usage() -> String {
          \x20      hvx-repro serve stats --addr A | serve drain --addr A\n\
          \x20      hvx-repro serve metrics --addr A\n\
          \x20      hvx-repro serve trace --addr A FINGERPRINT [--top K]\n\
-         \x20      hvx-repro serve bench [--out FILE]\n\
          \x20      hvx-repro list-scenarios\n\
          run/profile fault options:\n\
          \x20 --fault-plan SPEC    inject faults, e.g. 'wire_drop=0.02,grant_copy_fail=0.01'\n\
@@ -199,6 +192,9 @@ fn usage() -> String {
          \x20                      accepted before or after any subcommand)\n\
          \x20 GET /metrics         a running 'serve' exports Prometheus text; /trace/FP\n\
          \x20                      serves ranked critical chains from the warm cache\n\
+         performance: cargo run --release --manifest-path perfbench/Cargo.toml --\n\
+         \x20            --workload scaled-grid|serve-mix --seed N --seconds S --trace 0|1\n\
+         \x20            (workloads and metrics are declared in BENCHMARK.json)\n\
          caching / baselines:\n\
          \x20 --cache DIR          content-addressed result cache; warm reruns skip\n\
          \x20                      unchanged scenarios (bypassed when HVX_COST_PERTURB is set)\n\
@@ -252,16 +248,12 @@ enum ServeCmd {
     Drain {
         addr: String,
     },
-    Bench {
-        out: PathBuf,
-    },
 }
 
 enum Parsed {
     Run(RunArgs),
     SpecRun { path: PathBuf, out_json: bool },
     Serve(ServeCmd),
-    Bench { out: PathBuf, jobs: usize },
     Profile(ProfileArgs),
     TraceRun(TraceRunArgs),
     TraceQuery(TraceQueryArgs),
@@ -304,7 +296,6 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
     let mut spec = None;
     let mut jobs = default_jobs();
     let mut timing = false;
-    let mut bench = None;
     let mut requested = Vec::new();
     let mut fault_spec: Option<String> = None;
     let mut fault_seed = 42u64;
@@ -339,10 +330,6 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
             }
             "--jobs" => jobs = parse_jobs(it)?,
             "--timing" => timing = true,
-            "--bench" => {
-                let file = it.next().ok_or("--bench requires an output file")?;
-                bench = Some(PathBuf::from(file));
-            }
             "--fault-plan" => {
                 let spec = it.next().ok_or("--fault-plan requires a spec")?;
                 fault_spec = Some(spec);
@@ -385,9 +372,6 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
         }
         if timing {
             extra.push("--timing");
-        }
-        if bench.is_some() {
-            extra.push("--bench");
         }
         if fault_spec.is_some() {
             extra.push("--fault-plan");
@@ -444,7 +428,6 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
         json_dir,
         jobs,
         timing,
-        bench,
         artifacts,
         cfg,
         keep_going,
@@ -454,7 +437,8 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
 }
 
 /// Parses the `serve` subcommand family: bare `serve` starts the
-/// server; `serve submit|sweep|poll|stats|drain|bench` are clients.
+/// server; `serve submit|sweep|poll|stats|metrics|trace|drain` are
+/// clients.
 fn parse_serve(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
     let mut it = it.peekable();
     match it.peek().map(String::as_str) {
@@ -491,25 +475,6 @@ fn parse_serve(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> 
             Ok(Parsed::Serve(ServeCmd::Drain {
                 addr: parse_addr_only(&mut it, "serve drain")?,
             }))
-        }
-        Some("bench") => {
-            it.next();
-            let mut out = PathBuf::from("BENCH_serve.json");
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--out" => {
-                        let file = it.next().ok_or("--out requires an output file")?;
-                        out = PathBuf::from(file);
-                    }
-                    "--help" | "-h" => return Ok(Parsed::Help),
-                    other => {
-                        return Err(format!(
-                            "serve bench: unexpected argument '{other}'; try --help"
-                        ))
-                    }
-                }
-            }
-            Ok(Parsed::Serve(ServeCmd::Bench { out }))
         }
         _ => parse_serve_run(&mut it),
     }
@@ -741,24 +706,6 @@ fn parse_baseline(
     }))
 }
 
-fn parse_bench(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut out = None;
-    let mut jobs = default_jobs();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                let file = it.next().ok_or("--out requires an output file")?;
-                out = Some(PathBuf::from(file));
-            }
-            "--jobs" => jobs = parse_jobs(it)?,
-            "--help" | "-h" => return Ok(Parsed::Help),
-            other => return Err(format!("bench: unexpected argument '{other}'; try --help")),
-        }
-    }
-    let out = out.ok_or("bench requires --out FILE")?;
-    Ok(Parsed::Bench { out, jobs })
-}
-
 fn parse_profile(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
     let mut scenarios = Vec::new();
     let mut jobs = default_jobs();
@@ -933,10 +880,6 @@ fn parse_args() -> Result<Parsed, String> {
             it.next();
             parse_run(&mut it)
         }
-        Some("bench") => {
-            it.next();
-            parse_bench(&mut it)
-        }
         Some("profile") => {
             it.next();
             parse_profile(&mut it)
@@ -982,150 +925,6 @@ fn parse_args() -> Result<Parsed, String> {
              use 'hvx-repro run {other} ...' instead (try --help)"
         )),
     }
-}
-
-#[derive(Serialize)]
-struct BenchArtifact {
-    name: &'static str,
-    serial_seconds: f64,
-    parallel_seconds: f64,
-    transitions: u64,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    /// `--jobs` as requested (or the host's reported parallelism).
-    requested_jobs: usize,
-    /// Workers the parallel pass can actually use: the requested count
-    /// clamped to hardware parallelism. On a 1-core box this is 1 no
-    /// matter what was requested, and `speedup` is then omitted —
-    /// serial-vs-serial noise must not pollute the perf trajectory.
-    jobs: usize,
-    serial_seconds: f64,
-    parallel_seconds: f64,
-    /// `serial_seconds / parallel_seconds`; `null` when `jobs == 1`.
-    speedup: Option<f64>,
-    transitions: u64,
-    transitions_per_sec: f64,
-    /// Parallel-pass worker utilization: busy worker-seconds over
-    /// available worker-seconds, percent — the number `--timing`
-    /// prints, recorded so the perf trajectory keeps it.
-    worker_utilization_pct: f64,
-    /// Cacheable scenarios that ran live during a cold pass over a
-    /// fresh result cache.
-    cache_cold_misses: u64,
-    /// Lookups served from disk when the same suite immediately
-    /// re-ran warm.
-    cache_warm_hits: u64,
-    artifacts: Vec<BenchArtifact>,
-    grid: bench_grid::GridReport,
-}
-
-/// Runs the full suite serial then parallel, asserts the outputs are
-/// byte-identical, runs the iteration-scaled benchmark grid, and
-/// writes the wall-clock comparison to `path`.
-fn bench(path: &PathBuf, jobs: usize) -> Result<(), Error> {
-    let artifacts = ArtifactId::ALL;
-    // What the parallel pass can actually use. `jobs` defaults to
-    // `default_jobs()`, but recording that verbatim makes a 1-core box
-    // write `"jobs": 4` next to a meaningless speedup.
-    let effective_jobs = jobs
-        .min(std::thread::available_parallelism().map_or(1, |n| n.get()))
-        .max(1);
-    // The whole paper suite takes single-digit milliseconds, so one
-    // sample is mostly allocator/scheduler noise; best-of-3 is the
-    // usual cure and keeps the speedup field meaningful.
-    let best_of_3 = |jobs: usize| -> Result<(Vec<runner::ArtifactReport>, f64), Error> {
-        let mut best: Option<(Vec<runner::ArtifactReport>, f64)> = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let reports = runner::run_artifacts(&artifacts, jobs)?;
-            let secs = t.elapsed().as_secs_f64();
-            if best.as_ref().is_none_or(|(_, b)| secs < *b) {
-                best = Some((reports, secs));
-            }
-        }
-        Ok(best.expect("three runs happened"))
-    };
-    eprintln!("bench: running full suite with --jobs 1 ...");
-    let (serial, serial_seconds) = best_of_3(1)?;
-    eprintln!("bench: running full suite with --jobs {effective_jobs} ...");
-    let (parallel, parallel_seconds) = best_of_3(effective_jobs)?;
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.text, p.text, "{} text diverged", s.id.cli_name());
-        assert_eq!(s.json, p.json, "{} JSON diverged", s.id.cli_name());
-    }
-    // Cold/warm cache passes over a fresh temp cache: the same
-    // hit/miss telemetry `--timing` prints, made part of the recorded
-    // perf trajectory.
-    eprintln!("bench: cold + warm cached pass ...");
-    let cache_dir = std::env::temp_dir().join(format!("hvx-bench-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let bench_cache = Arc::new(ResultCache::open(&cache_dir)?);
-    let cached_cfg = RunnerConfig {
-        cache: Some(Arc::clone(&bench_cache)),
-        ..RunnerConfig::default()
-    };
-    runner::run_artifacts_with(&artifacts, effective_jobs, &cached_cfg)?;
-    let cold = bench_cache.stats();
-    runner::run_artifacts_with(&artifacts, effective_jobs, &cached_cfg)?;
-    let total_stats = bench_cache.stats();
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let cache_cold_misses = cold.misses;
-    let cache_warm_hits = total_stats.hits - cold.hits;
-
-    eprintln!(
-        "bench: running the scale-{} grid with --jobs {jobs} ...",
-        bench_grid::DEFAULT_SCALE
-    );
-    let grid = bench_grid::run(jobs, bench_grid::DEFAULT_SCALE);
-    eprint!("{}", bench_grid::render(&grid));
-    let transitions: u64 = serial.iter().map(|r| r.transitions).sum();
-    let parallel_busy: f64 = parallel.iter().map(|r| r.wall.as_secs_f64()).sum();
-    let worker_utilization_pct =
-        100.0 * parallel_busy / (effective_jobs as f64 * parallel_seconds.max(1e-9));
-    let report = BenchReport {
-        requested_jobs: jobs,
-        jobs: effective_jobs,
-        serial_seconds,
-        parallel_seconds,
-        speedup: (effective_jobs > 1).then(|| serial_seconds / parallel_seconds),
-        transitions,
-        transitions_per_sec: transitions as f64 / serial_seconds.max(1e-9),
-        worker_utilization_pct,
-        cache_cold_misses,
-        cache_warm_hits,
-        artifacts: serial
-            .iter()
-            .zip(&parallel)
-            .map(|(s, p)| BenchArtifact {
-                name: s.id.cli_name(),
-                serial_seconds: s.wall.as_secs_f64(),
-                parallel_seconds: p.wall.as_secs_f64(),
-                transitions: s.transitions,
-            })
-            .collect(),
-        grid,
-    };
-    let data = serde_json::to_string_pretty(&report).map_err(|e| Error::Serialize {
-        what: "bench report",
-        detail: e.to_string(),
-    })?;
-    std::fs::write(path, data)?;
-    let speedup = match report.speedup {
-        Some(s) => format!("{s:.2}x, outputs byte-identical"),
-        None => "1 effective worker, speedup omitted".to_string(),
-    };
-    eprintln!(
-        "bench: serial {serial_seconds:.3}s, parallel {parallel_seconds:.3}s \
-         ({speedup}), wrote {}",
-        path.display()
-    );
-    eprintln!(
-        "bench: worker utilization {worker_utilization_pct:.1}%, cache cold \
-         {cache_cold_misses} misses / warm {cache_warm_hits} hits"
-    );
-    Ok(())
 }
 
 /// Opens the result cache named by `--cache`, or bypasses it (with a
@@ -1188,10 +987,6 @@ fn check(args: &BaselineArgs) -> Result<(), Error> {
 }
 
 fn run(args: &RunArgs) -> Result<(), Error> {
-    if let Some(path) = &args.bench {
-        return bench(path, args.jobs);
-    }
-
     if !args.out_json {
         println!("hvx — reproducing \"ARM Virtualization: Performance and Architectural");
         println!("Implications\" (ISCA 2016) on the simulator. Paper values in parentheses.\n");
@@ -1426,34 +1221,6 @@ fn serve_cmd(cmd: &ServeCmd) -> Result<(), Error> {
                 Value::Object(vec![("draining".into(), Value::Bool(true))]),
             )
         }
-        ServeCmd::Bench { out } => {
-            eprintln!("serve bench: in-process server, cold + warm round trip, shed burst ...");
-            let report = service::bench()?;
-            let data = serde_json::to_string_pretty(&report).map_err(|e| Error::Serialize {
-                what: "serve bench report",
-                detail: e.to_string(),
-            })?;
-            std::fs::write(out, data)?;
-            eprintln!(
-                "serve bench: cold {}us, warm {}us ({:.1}x), shed after {} of weight bound {}, \
-                 wrote {}",
-                report.cold_us,
-                report.warm_us,
-                report.warm_speedup,
-                report.accepted_before_shed,
-                report.max_queue_weight,
-                out.display()
-            );
-            eprintln!(
-                "serve bench: scrape {}us, warm submit {}us plain vs {}us scraped \
-                 ({:.1}% overhead)",
-                report.scrape_us,
-                report.warm_plain_us,
-                report.warm_scraped_us,
-                report.scrape_overhead_pct
-            );
-            Ok(())
-        }
     }
 }
 
@@ -1558,7 +1325,6 @@ fn main() {
         Parsed::Run(args) => run(args),
         Parsed::SpecRun { path, out_json } => run_spec_file(path, *out_json),
         Parsed::Serve(cmd) => serve_cmd(cmd),
-        Parsed::Bench { out, jobs } => bench(out, *jobs),
         Parsed::Profile(args) => run_profile(args),
         Parsed::TraceRun(args) => trace_run(args),
         Parsed::TraceQuery(args) => trace_query(args),

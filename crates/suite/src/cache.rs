@@ -14,7 +14,9 @@
 //! Entries are written to a unique temp file and renamed into place, so
 //! concurrent `--jobs N` workers (or concurrent processes) populate the
 //! cache race-free: a rename either installs a complete entry or loses
-//! to an identical one.
+//! to an identical one. A write that fails is logged
+//! (`cache_store_failed`) and counted ([`ResultCache::store_errors`]);
+//! the run carries on and the next one re-simulates the cell.
 //!
 //! Bump [`SCHEMA_VERSION`] whenever charging logic, trace labels, or
 //! the serialized payload shapes change meaning without changing the
@@ -38,6 +40,7 @@ use crate::runner::{Output, RunnerConfig, Scenario};
 use crate::{paper, workloads};
 use hvx_core::{CostModel, Error};
 use hvx_engine::{Fingerprint, FingerprintHasher, Topology};
+use hvx_obs::LogValue;
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -213,6 +216,7 @@ pub struct ResultCache {
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
+    store_errors: AtomicU64,
     tmp_seq: AtomicU64,
 }
 
@@ -235,6 +239,7 @@ impl ResultCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
+            store_errors: AtomicU64::new(0),
             tmp_seq: AtomicU64::new(0),
         })
     }
@@ -244,8 +249,8 @@ impl ResultCache {
         &self.dir
     }
 
-    fn entry_path(&self, fp: Fingerprint) -> PathBuf {
-        self.dir.join(format!("{}.json", fp.to_hex()))
+    fn entry_path(&self, key: &str) -> PathBuf {
+        self.dir.join(format!("{key}.json"))
     }
 
     /// Looks up the stored result for `scenario` under `cfg`. Counts a
@@ -267,7 +272,7 @@ impl ResultCache {
     }
 
     fn read_entry(&self, fp: Fingerprint) -> Option<Output> {
-        let text = std::fs::read_to_string(self.entry_path(fp)).ok()?;
+        let text = std::fs::read_to_string(self.entry_path(&fp.to_hex())).ok()?;
         let entry = serde_json::parse_value(&text).ok()?;
         if entry.get("schema")?.as_u64()? != u64::from(SCHEMA_VERSION) {
             return None;
@@ -278,9 +283,10 @@ impl ResultCache {
         decode_output(entry.get("kind")?.as_str()?, entry.get("payload")?)
     }
 
-    /// Stores a clean result. Best-effort: I/O failures drop the entry
-    /// silently (the next run simply re-simulates). Chaos scenarios and
-    /// failed outcomes are never stored.
+    /// Stores a clean result. Best-effort: an I/O failure is logged and
+    /// counted ([`ResultCache::store_errors`]) but never fails the run
+    /// (the next run simply re-simulates). Chaos scenarios and failed
+    /// outcomes are never stored.
     pub fn store(&self, scenario: Scenario, cfg: &RunnerConfig, output: &Output) {
         let Some(fp) = scenario_fingerprint(scenario, cfg) else {
             return;
@@ -295,24 +301,44 @@ impl ResultCache {
             ("kind".to_string(), Value::Str(tag.to_string())),
             ("payload".to_string(), payload),
         ]);
-        let Ok(text) = serde_json::to_string_pretty(&entry) else {
-            return;
-        };
-        // Unique temp name per (process, handle, write): concurrent
-        // workers never collide, and rename-into-place means readers
-        // only ever see complete entries. Content addressing makes the
-        // race benign — both writers install identical bytes.
+        self.write_entry(&fp.to_hex(), &entry);
+    }
+
+    /// Installs `entry` as `<key>.json`. Unique temp name per (process,
+    /// handle, write): concurrent workers never collide, and
+    /// rename-into-place means readers only ever see complete entries.
+    /// Content addressing makes the race benign — both writers install
+    /// identical bytes.
+    fn write_entry(&self, key: &str, entry: &Value) {
+        let dst = self.entry_path(key);
         let tmp = self.dir.join(format!(
-            "{}.{}.{}.tmp",
-            fp.to_hex(),
+            "{key}.{}.{}.tmp",
             std::process::id(),
             self.tmp_seq.fetch_add(1, Ordering::Relaxed),
         ));
-        if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, self.entry_path(fp)).is_ok()
-        {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
+        let written = serde_json::to_string_pretty(entry)
+            .map_err(|e| e.to_string())
+            .and_then(|text| {
+                std::fs::write(&tmp, text)
+                    .and_then(|()| std::fs::rename(&tmp, &dst))
+                    .map_err(|e| e.to_string())
+            });
+        match written {
+            Ok(()) => {
+                self.stores.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(detail) => {
+                let _ = std::fs::remove_file(&tmp);
+                self.store_errors.fetch_add(1, Ordering::Relaxed);
+                hvx_obs::log::error(
+                    "cache",
+                    "cache_store_failed",
+                    &[
+                        ("path", LogValue::from(dst.display().to_string())),
+                        ("detail", LogValue::from(detail)),
+                    ],
+                );
+            }
         }
     }
 
@@ -323,9 +349,8 @@ impl ResultCache {
     /// entries (schema, fingerprint, and kind must all match; anything
     /// else is a miss).
     pub fn lookup_raw(&self, fp_hex: &str, kind: &str) -> Option<Value> {
-        let path = self.dir.join(format!("{fp_hex}.json"));
         let found = (|| {
-            let text = std::fs::read_to_string(path).ok()?;
+            let text = std::fs::read_to_string(self.entry_path(fp_hex)).ok()?;
             let entry = serde_json::parse_value(&text).ok()?;
             if entry.get("schema")?.as_u64()? != u64::from(SCHEMA_VERSION) {
                 return None;
@@ -359,20 +384,13 @@ impl ResultCache {
             ("kind".to_string(), Value::Str(kind.to_string())),
             ("payload".to_string(), payload),
         ]);
-        let Ok(text) = serde_json::to_string_pretty(&entry) else {
-            return;
-        };
-        let tmp = self.dir.join(format!(
-            "{fp_hex}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
-        ));
-        let dst = self.dir.join(format!("{fp_hex}.json"));
-        if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, dst).is_ok() {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        self.write_entry(fp_hex, &entry);
+    }
+
+    /// Entries this handle failed to write (each one logged as
+    /// `cache_store_failed`) since [`ResultCache::open`].
+    pub fn store_errors(&self) -> u64 {
+        self.store_errors.load(Ordering::Relaxed)
     }
 
     /// Counters accumulated by this handle since [`ResultCache::open`].
@@ -510,6 +528,25 @@ mod tests {
     }
 
     #[test]
+    fn failed_writes_are_counted_not_dropped() {
+        let dir = tmpdir("store-errors");
+        let cache = ResultCache::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let cell = Scenario::Fig4Cell {
+            workload: 0,
+            column: 0,
+        };
+        cache.store(
+            cell,
+            &RunnerConfig::default(),
+            &Output::Fig4Cell(Some(1.25)),
+        );
+        cache.store_raw("abc123", "spec-result", Value::Null);
+        assert_eq!(cache.store_errors(), 2);
+        assert_eq!(cache.stats().stores, 0);
+    }
+
+    #[test]
     fn spec_fingerprints_track_every_spec_field() {
         let spec: hvx_core::ScenarioSpec =
             serde_json::from_str(include_str!("../../../specs/consolidation-8to1.json")).unwrap();
@@ -526,7 +563,7 @@ mod tests {
         let cache = ResultCache::open(&dir).unwrap();
         let cfg = RunnerConfig::default();
         let fp = scenario_fingerprint(Scenario::Table3, &cfg).unwrap();
-        std::fs::write(cache.entry_path(fp), "{ not json").unwrap();
+        std::fs::write(cache.entry_path(&fp.to_hex()), "{ not json").unwrap();
         assert!(cache.lookup(Scenario::Table3, &cfg).is_none());
         assert_eq!(cache.stats().misses, 1);
         let _ = std::fs::remove_dir_all(&dir);

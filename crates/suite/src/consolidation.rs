@@ -128,8 +128,6 @@ pub struct CellResult {
     pub ipis_resent: u64,
     /// Global makespan of the cell, cycles.
     pub makespan_cycles: u64,
-    /// Iterations the loop compiler replayed (0 under contention).
-    pub iters_replayed: u64,
 }
 
 impl CellResult {
@@ -923,7 +921,6 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
         ipis_dropped: cell.n.ipis_dropped,
         ipis_resent: cell.n.ipis_resent,
         makespan_cycles: m.global_now().as_u64(),
-        iters_replayed: m.iters_replayed(),
     };
     Ok((result, hv))
 }
@@ -973,6 +970,22 @@ mod tests {
     use hvx_core::SchedPolicy;
 
     const T: u32 = 12;
+
+    /// Runs a clean cell and returns its result together with the
+    /// iterations the loop compiler replayed on its machine.
+    fn run_replayed(kind: HvKind, ratio: u32, policy: SchedPolicy, txns: u32) -> (CellResult, u64) {
+        let (r, hv) = run_cell_machine(CellConfig {
+            kind,
+            ratio,
+            policy,
+            txns_per_vm: txns,
+            compile: true,
+            profiling: false,
+            fault: None,
+        })
+        .unwrap();
+        (r, hv.machine().iters_replayed())
+    }
 
     #[test]
     fn cells_are_deterministic() {
@@ -1030,24 +1043,20 @@ mod tests {
     #[test]
     fn compiled_one_to_one_cell_replays_and_matches_interpretation() {
         for kind in [HvKind::KvmArm, HvKind::XenX86] {
-            let compiled = run_cell(kind, 1, SchedPolicy::Credit, 64, true).unwrap();
+            let (compiled, replayed) = run_replayed(kind, 1, SchedPolicy::Credit, 64);
             let interpreted = run_cell(kind, 1, SchedPolicy::Credit, 64, false).unwrap();
             assert!(
-                compiled.iters_replayed > 0,
+                replayed > 0,
                 "{kind:?}: 1:1 cell never engaged the compiler"
             );
-            let strip = |mut c: CellResult| {
-                c.iters_replayed = 0;
-                c
-            };
-            assert_eq!(strip(compiled), strip(interpreted), "{kind:?}");
+            assert_eq!(compiled, interpreted, "{kind:?}");
         }
     }
 
     #[test]
     fn contended_cells_fall_back_to_interpretation() {
-        let c = run_cell(HvKind::KvmArm, 2, SchedPolicy::Cfs, T, true).unwrap();
-        assert_eq!(c.iters_replayed, 0);
+        let (c, replayed) = run_replayed(HvKind::KvmArm, 2, SchedPolicy::Cfs, T);
+        assert_eq!(replayed, 0);
         let i = run_cell(HvKind::KvmArm, 2, SchedPolicy::Cfs, T, false).unwrap();
         assert_eq!(c, i);
     }
@@ -1064,8 +1073,8 @@ mod tests {
             fault: None,
         })
         .unwrap();
-        assert_eq!(r.iters_replayed, 0);
         let m = hv.machine();
+        assert_eq!(m.iters_replayed(), 0);
         m.assert_conservation();
         let spans = m.spans().expect("profiled");
         assert!(spans.exclusive(TransitionId::SchedTimer) > 0);
@@ -1124,9 +1133,10 @@ mod tests {
 
     #[test]
     fn fault_armed_cells_interpret_never_compile() {
-        let c = run_cell_with(faulted_cfg(1, 0.2, true)).unwrap();
+        let (c, hv) = run_cell_machine(faulted_cfg(1, 0.2, true)).unwrap();
         assert_eq!(
-            c.iters_replayed, 0,
+            hv.machine().iters_replayed(),
+            0,
             "a fault-armed 1:1 cell must decline the loop compiler"
         );
         // And it is the same result the interpreter produces directly.

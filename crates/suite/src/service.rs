@@ -25,12 +25,11 @@ use crate::spec_run;
 use crate::trace::{ParsedTrace, TraceScenario};
 use hvx_core::report::CellReport;
 use hvx_core::Workload;
-use hvx_core::{Error, ScenarioFailureKind, ScenarioSpec, SchedPolicy, SpecShape, TopologySpec};
+use hvx_core::{ScenarioFailureKind, ScenarioSpec, SchedPolicy, SpecShape, TopologySpec};
 use hvx_engine::{fault, Watchdog};
-use hvx_serve::{client, JobExecutor, JobFailure, JobOutput, PreparedJob, Server, ServerConfig};
+use hvx_serve::{JobExecutor, JobFailure, JobOutput, PreparedJob};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Cache entry tag for spec-run results (`{"report", "cell"}` payloads).
 const SPEC_RESULT_KIND: &str = "spec-result";
@@ -353,156 +352,6 @@ fn run_chaos(kind: ChaosKind) -> Result<JobOutput, JobFailure> {
             detail: f.detail.clone(),
         }),
     }
-}
-
-/// What `hvx-repro serve bench` measured: admission-path latencies and
-/// the shed threshold of a default-tuned in-process server.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServeBench {
-    /// Cold submit→done latency (the cell actually simulated), in
-    /// microseconds of host wall clock.
-    pub cold_us: u64,
-    /// Warm submit latency for the same spec (answered from the cache
-    /// at admission, no worker involved), in microseconds.
-    pub warm_us: u64,
-    /// Cold/warm speedup (×).
-    pub warm_speedup: f64,
-    /// Jobs accepted before the first 429 shed under a burst of
-    /// distinct heavy submissions.
-    pub accepted_before_shed: u64,
-    /// The queue-weight bound the shed fired against.
-    pub max_queue_weight: u64,
-    /// Mean `GET /metrics` scrape latency, microseconds.
-    pub scrape_us: u64,
-    /// Mean warm-submit latency with no scraper running, microseconds.
-    pub warm_plain_us: u64,
-    /// Mean warm-submit latency while a concurrent scraper hammers
-    /// `/metrics` in a loop, microseconds.
-    pub warm_scraped_us: u64,
-    /// Relative slowdown the scraper imposed on the serving path,
-    /// percent (0 when scraping measured faster — noise floor).
-    pub scrape_overhead_pct: f64,
-}
-
-/// Benchmarks the serving path end to end: binds an in-process server
-/// on an ephemeral port over a temporary cache, measures a cold and a
-/// warm round trip for the same consolidation spec, then bursts
-/// distinct submissions until admission sheds.
-///
-/// # Errors
-///
-/// [`Error::Serve`] for server/transport failures during the bench.
-pub fn bench() -> Result<ServeBench, Error> {
-    let dir = std::env::temp_dir().join(format!("hvx-serve-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = Arc::new(ResultCache::open(&dir.join("cache"))?);
-    let cfg = ServerConfig {
-        workers: 2,
-        max_queue_weight: 60,
-        client_inflight_cap: 64,
-        journal: Some(dir.join("journal.jsonl")),
-        ..ServerConfig::default()
-    };
-    let max_queue_weight = cfg.max_queue_weight;
-    let server = Server::bind(cfg, Arc::new(SuiteExecutor::new(Some(cache))))?;
-    let addr = server.local_addr().to_string();
-    let running = std::thread::spawn(move || server.run());
-
-    let serve_err = |detail: String| Error::Serve { detail };
-    // Heavy enough that the worker run dominates the cold round trip;
-    // the warm resubmission skips it entirely at admission.
-    let mut spec = ScenarioSpec::consolidation(hvx_core::HvKind::KvmArm, 16, SchedPolicy::Credit);
-    spec.transactions = Some(4_000);
-    let body = serde_json::to_string(Serialize::serialize(&spec)).expect("spec serializes");
-
-    let round_trip = |tag: &str| -> Result<u64, Error> {
-        let start = Instant::now();
-        let (status, v) = client::submit(&addr, "bench", &body).map_err(serve_err)?;
-        if status != 200 && status != 202 {
-            return Err(serve_err(format!("{tag} submit: status {status}")));
-        }
-        let id = v
-            .get("job")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| serve_err(format!("{tag} submit: no job id")))?;
-        client::wait(&addr, id, Duration::from_secs(60)).map_err(serve_err)?;
-        Ok(start.elapsed().as_micros() as u64)
-    };
-    let cold_us = round_trip("cold")?;
-    let warm_us = round_trip("warm")?.max(1);
-
-    // Scrape cost and scrape-on overhead: mean warm-submit latency with
-    // and without a concurrent scraper looping over /metrics. Warm
-    // submissions never touch a worker, so this isolates the admission
-    // path — the lock the scraper contends on.
-    let scrape_us = {
-        let reps = 20u32;
-        let start = Instant::now();
-        for _ in 0..reps {
-            client::metrics(&addr).map_err(serve_err)?;
-        }
-        (start.elapsed().as_micros() as u64 / u64::from(reps)).max(1)
-    };
-    let warm_burst = |reps: u32| -> Result<u64, Error> {
-        let start = Instant::now();
-        for _ in 0..reps {
-            let (status, _) = client::submit(&addr, "bench", &body).map_err(serve_err)?;
-            if status != 200 {
-                return Err(serve_err(format!("warm burst: status {status}")));
-            }
-        }
-        Ok((start.elapsed().as_micros() as u64 / u64::from(reps)).max(1))
-    };
-    let reps = 30u32;
-    let warm_plain_us = warm_burst(reps)?;
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scraper = {
-        let stop = Arc::clone(&stop);
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let _ = client::metrics(&addr);
-            }
-        })
-    };
-    let warm_scraped_us = warm_burst(reps)?;
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let _ = scraper.join();
-    let scrape_overhead_pct =
-        ((warm_scraped_us as f64 - warm_plain_us as f64) / warm_plain_us as f64 * 100.0).max(0.0);
-
-    // Burst: distinct heavy cells (transaction counts never repeat, so
-    // nothing dedupes) until the weight bound sheds.
-    let mut accepted_before_shed = 0u64;
-    for txns in 0..200u32 {
-        let mut s = spec.clone();
-        s.topology = TopologySpec::consolidation(16);
-        s.transactions = Some(1_000 + txns);
-        let b = serde_json::to_string(Serialize::serialize(&s)).expect("spec serializes");
-        let (status, _) = client::submit(&addr, "bench", &b).map_err(serve_err)?;
-        match status {
-            202 => accepted_before_shed += 1,
-            429 => break,
-            other => return Err(serve_err(format!("burst: unexpected status {other}"))),
-        }
-    }
-
-    client::drain(&addr).map_err(serve_err)?;
-    running
-        .join()
-        .map_err(|_| serve_err("server thread panicked".into()))??;
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(ServeBench {
-        cold_us,
-        warm_us,
-        warm_speedup: cold_us as f64 / warm_us as f64,
-        accepted_before_shed,
-        max_queue_weight,
-        scrape_us,
-        warm_plain_us,
-        warm_scraped_us,
-        scrape_overhead_pct,
-    })
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 //! * **Consolidation** shape → [`consolidation::run_cell`], the SMP
 //!   oversubscription cell with the spec's vCPU scheduler.
 //!
-//! The rendered report deliberately omits loop-compiler internals
-//! (`iters_replayed`), so output is byte-identical whether the engine
-//! compiled the steady state or interpreted it — the differential tests
-//! already pin the numbers themselves together.
+//! Neither the rendered report nor the cell result records loop-compiler
+//! internals, so output is byte-identical whether the engine compiled
+//! the steady state or interpreted it — the differential tests already
+//! pin the numbers themselves together.
 
 use crate::consolidation::{self, TRANSACTIONS_PER_VM};
 use crate::profile::mix_for;

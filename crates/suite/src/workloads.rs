@@ -1125,9 +1125,16 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let mix = small_request_mix();
-        let a = run(&mut XenArm::new(), mix, VirqPolicy::Vcpu0).unwrap();
-        let b = run(&mut XenArm::new(), mix, VirqPolicy::Vcpu0).unwrap();
-        assert_eq!(a, b);
+        // Reruns agree at the calibrated size and scaled up, and a 10x
+        // mix charges about 10x the transitions (setup amortizes away).
+        let mut charged = Vec::new();
+        for mix in [small_request_mix(), small_request_mix().scaled(10)] {
+            let before = hvx_engine::thread_transitions();
+            let a = run(&mut XenArm::new(), mix, VirqPolicy::Vcpu0).unwrap();
+            charged.push(hvx_engine::thread_transitions() - before);
+            let b = run(&mut XenArm::new(), mix, VirqPolicy::Vcpu0).unwrap();
+            assert_eq!(a, b);
+        }
+        assert!(charged[0] > 0 && charged[1] > charged[0] * 5, "{charged:?}");
     }
 }

@@ -24,15 +24,24 @@ fn help_exits_zero_with_usage_on_stdout() {
 }
 
 /// Unknown artifacts are still a usage error: message on stderr, exit 2.
+/// So are `bench`, `run --bench` and `serve bench`: benchmarking lives
+/// in `perfbench/`, and these reach the ordinary parse errors.
 #[test]
 fn unknown_artifact_exits_two() {
-    let out = hvx_repro()
-        .args(["run", "not-a-thing"])
-        .output()
-        .expect("run hvx-repro");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("unknown artifact"));
+    for (args, message) in [
+        (
+            &["run", "not-a-thing"][..],
+            "unknown artifact 'not-a-thing'",
+        ),
+        (&["run", "--bench", "b.json"], "unknown artifact '--bench'"),
+        (&["bench", "--out", "b.json"], "no-subcommand interface"),
+        (&["serve", "bench"], "unexpected argument 'bench'"),
+    ] {
+        let out = hvx_repro().args(args).output().expect("run hvx-repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
 }
 
 /// Bad `--jobs` values are rejected up front.

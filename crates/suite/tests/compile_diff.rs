@@ -149,24 +149,30 @@ fn env_gating_disables_compilation() {
 }
 
 /// Runs one consolidation cell compiled and interpreted and returns
-/// both results with their replay counters intact.
+/// both results plus the iterations the compiled run replayed.
 fn run_cell_both(
     kind: HvKind,
     ratio: u32,
     policy: SchedPolicy,
     txns: u32,
-) -> (consolidation::CellResult, consolidation::CellResult) {
-    let c = consolidation::run_cell(kind, ratio, policy, txns, true).expect("compiled cell");
-    let i = consolidation::run_cell(kind, ratio, policy, txns, false).expect("interpreted cell");
-    assert_eq!(i.iters_replayed, 0, "interpreter must never replay");
-    (c, i)
-}
-
-/// Strips the compile-path-only counter so the rest of the struct can
-/// be compared field-for-field.
-fn strip(mut r: consolidation::CellResult) -> consolidation::CellResult {
-    r.iters_replayed = 0;
-    r
+) -> (consolidation::CellResult, consolidation::CellResult, u64) {
+    let run = |compile| {
+        let (r, hv) = consolidation::run_cell_machine(consolidation::CellConfig {
+            kind,
+            ratio,
+            policy,
+            txns_per_vm: txns,
+            compile,
+            profiling: false,
+            fault: None,
+        })
+        .expect("consolidation cell");
+        (r, hv.machine().iters_replayed())
+    };
+    let (c, replayed) = run(true);
+    let (i, interpreted_replays) = run(false);
+    assert_eq!(interpreted_replays, 0, "interpreter must never replay");
+    (c, i, replayed)
 }
 
 proptest! {
@@ -185,20 +191,20 @@ proptest! {
         let kind = hvx_suite::paper::COLUMNS[kind_idx];
         let policy = SchedPolicy::ALL[sched_idx];
         let ratio = consolidation::RATIOS[ratio_idx];
-        let (c, i) = run_cell_both(kind, ratio, policy, txns);
+        let (c, i, replayed) = run_cell_both(kind, ratio, policy, txns);
         if ratio > 1 {
-            prop_assert_eq!(c.iters_replayed, 0, "contended cells must interpret");
+            prop_assert_eq!(replayed, 0, "contended cells must interpret");
         }
-        prop_assert_eq!(strip(c), strip(i));
+        prop_assert_eq!(c, i);
     }
 
     /// Long uncontended cells must actually exercise the compiled
     /// path, not silently fall back.
     #[test]
     fn long_uncontended_cells_replay(txns in 64u32..128) {
-        let (c, i) = run_cell_both(HvKind::KvmArm, 1, SchedPolicy::Credit, txns);
-        prop_assert!(c.iters_replayed > 0, "compiler never engaged at {} txns", txns);
-        prop_assert_eq!(strip(c), strip(i));
+        let (c, i, replayed) = run_cell_both(HvKind::KvmArm, 1, SchedPolicy::Credit, txns);
+        prop_assert!(replayed > 0, "compiler never engaged at {} txns", txns);
+        prop_assert_eq!(c, i);
     }
 
     /// Random loop lengths around the compiler's confirm/give-up

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Golden-baseline regression gate: a clean `check` against the committed
-# baseline, a cache-smoke pass proving warm reruns skip every cell, and
-# a drift drill proving a perturbed cost model is caught with a span
-# delta report. Run from the repository root.
+# baseline (with the loop compiler on and off), a cache-smoke pass
+# proving warm reruns skip every cell, and a drift drill proving a
+# perturbed cost model is caught with a span delta report. Run from the
+# repository root.
 set -eu
 
 cargo build -q --release -p hvx-suite
@@ -12,6 +13,9 @@ rm -rf "$cache_dir"
 
 echo "== check against the committed baseline (cold cache) =="
 "$repro" check --cache "$cache_dir"
+
+echo "== check with the loop compiler off: results must not depend on the tier =="
+HVX_COMPILE=off "$repro" check
 
 echo "== cache smoke: a warm check serves every cell from the cache =="
 err=$("$repro" check --cache "$cache_dir" 2>&1 >/dev/null)

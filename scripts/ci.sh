@@ -18,6 +18,9 @@ cargo clippy --workspace -- -D warnings
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+echo "== profile smoke =="
+sh scripts/profile_smoke.sh
+
 echo "== fault smoke =="
 sh scripts/fault_smoke.sh
 

@@ -1,50 +1,55 @@
 #!/bin/sh
-# Perf regression gate: reruns the iteration-scaled benchmark grid and
-# fails if simulated-transition throughput dropped more than 30% below
-# the committed BENCH_runner.json. Catches accidental de-optimization of
-# the loop compiler (a disabled compile path shows up as a ~10x drop,
-# far past the gate).
+# Perf gate on the benchmark package in perfbench/: builds it, runs its
+# self-test, then one short traced scaled-grid run, and fails unless
+# that run passed its correctness checks and interpretation costs at
+# least 4x compiled replay per simulated transition. Both figures come
+# from the same run on the same host, so the ratio does not depend on
+# host speed; with the loop compiler off (HVX_COMPILE=off) both layers
+# interpret, the ratio falls to about 1x, and the gate fails. General
+# slowdowns are caught by running the benchmark (BENCHMARK.json) on a
+# change and its parent side by side.
 #
-# Escape hatch for known-slow machines: HVX_PERF_SMOKE_SKIP=1 skips the
-# comparison (the grid still runs, so correctness checks still bite).
-#
-# usage: scripts/perf_smoke.sh [JOBS]
+# usage: sh scripts/perf_smoke.sh   (from the repository root)
 set -eu
 
-JOBS="${1:-$(nproc 2>/dev/null || echo 4)}"
-COMMITTED="BENCH_runner.json"
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
+MIN_RATIO=4
 
-grid_tps() {
-    sed -n 's/.*"grid_transitions_per_sec": \([0-9.eE+-]*\).*/\1/p' "$1" | head -n 1
+perfbench() {
+    cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- "$@"
 }
 
-cargo build --release -p hvx-suite
-./target/release/hvx-repro run --bench "$TMP/bench.json" --jobs "$JOBS"
-NEW_TPS="$(grid_tps "$TMP/bench.json")"
+echo "== build perfbench =="
+cargo build --release --manifest-path perfbench/Cargo.toml
 
-if [ "${HVX_PERF_SMOKE_SKIP:-0}" = "1" ]; then
-    echo "perf-smoke: HVX_PERF_SMOKE_SKIP=1, skipping throughput comparison"
-    echo "perf-smoke: measured $NEW_TPS transitions/sec"
-    exit 0
-fi
+echo "== perfbench self-test =="
+perfbench --selftest
 
-if [ ! -f "$COMMITTED" ]; then
-    echo "perf-smoke: no committed $COMMITTED; run scripts/bench_runner.sh first" >&2
+echo "== traced scaled-grid run =="
+last="$(perfbench --workload scaled-grid --seed 1 --seconds 3 --trace 1 | tail -n 1)"
+case "$last" in
+'{"correct": true,'*) ;;
+*)
+    echo "perf-smoke: FAIL — the traced grid run did not pass its correctness checks" >&2
+    echo "$last" >&2
+    exit 1
+    ;;
+esac
+
+metric() {
+    printf '%s\n' "$last" | sed -n "s/.*\"$1\": {\"value\": \([^,}]*\).*/\1/p"
+}
+interp="$(metric 'workloads\.interp_ns_per_transition')"
+replay="$(metric 'workloads\.replay_ns_per_transition')"
+if [ -z "$interp" ] || [ -z "$replay" ]; then
+    echo "perf-smoke: could not read the ns-per-transition layers" >&2
     exit 1
 fi
-OLD_TPS="$(grid_tps "$COMMITTED")"
-if [ -z "$OLD_TPS" ] || [ -z "$NEW_TPS" ]; then
-    echo "perf-smoke: could not read grid_transitions_per_sec" >&2
-    exit 1
-fi
 
-awk -v old="$OLD_TPS" -v new="$NEW_TPS" 'BEGIN {
-    pct = (new - old) / old * 100
-    printf "perf-smoke: grid %.0f -> %.0f transitions/sec (%+.1f%%)\n", old, new, pct
-    if (new < old * 0.70) {
-        printf "perf-smoke: FAIL — throughput dropped more than 30%% below the committed baseline\n"
+awk -v i="$interp" -v r="$replay" -v min="$MIN_RATIO" 'BEGIN {
+    ratio = (r > 0) ? i / r : 0
+    printf "perf-smoke: interpreted %.2f ns vs compiled replay %.2f ns per transition (%.1fx)\n", i, r, ratio
+    if (ratio < min) {
+        printf "perf-smoke: FAIL — interpretation is less than %dx the cost of compiled replay\n", min
         exit 1
     }
 }'
