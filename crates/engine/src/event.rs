@@ -282,7 +282,7 @@ mod tests {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 33) as u64
+            state >> 33
         };
         let mut q = EventQueue::new();
         let mut expected: Vec<(u64, usize)> = Vec::new();

@@ -33,6 +33,13 @@ pub fn thread_transitions() -> u64 {
     TRANSITIONS.with(Cell::get)
 }
 
+/// Adds `transitions` executed on another thread to the calling
+/// thread's count: a sharded run credits its workers' transitions to
+/// the thread that asked for the run.
+pub(crate) fn credit_thread_transitions(transitions: u64) {
+    TRANSITIONS.with(|t| t.set(t.get().wrapping_add(transitions)));
+}
+
 /// The machine's optional observability state: a span tracer fed by
 /// every [`Machine::charge`] plus a metrics registry. Boxed so a
 /// non-profiling machine pays one pointer of space and a single branch
@@ -1267,7 +1274,7 @@ mod tests {
     #[test]
     fn loop_replay_handles_period_two() {
         let body = |m: &mut Machine, i: u64| {
-            let cost = if i % 2 == 0 { 700 } else { 900 };
+            let cost = if i.is_multiple_of(2) { 700 } else { 900 };
             m.charge(CoreId::new(0), "alt", TraceKind::Guest, Cycles::new(cost));
             ping_pong(m, i);
         };

@@ -29,10 +29,41 @@
 //! parallel execution **byte-identical** to the serial one: delivery
 //! order into each destination queue — and therefore the FIFO sequence
 //! numbers that break timestamp ties — is a pure function of (sender
-//! index, emission order), never of thread completion order.
-//! [`ShardSim::run`] and [`ShardSim::run_parallel`] share every line of
-//! the window algorithm; they differ only in whether step 3's loop body
-//! runs on one thread or many.
+//! index, emission order), never of thread completion order. The
+//! window statistics are built from the canonical per-host event
+//! counts, so they match too. [`ShardSim::run`] and
+//! [`ShardSim::run_parallel`] share one function per step; they differ
+//! only in whether step 3's loop runs on one thread or many.
+//!
+//! # Parallel execution
+//!
+//! [`ShardSim::run_parallel`] opens one [`std::thread::scope`] for the
+//! whole run. The shards are split into fixed, contiguous chunks, one
+//! per participant: the calling thread owns the first chunk and
+//! `workers - 1` spawned threads own the rest until the run ends. No
+//! thread is spawned or joined per window. A reusable barrier separates
+//! the phases of each window:
+//!
+//! * the caller closes the previous window (step 4) and opens the next
+//!   (steps 1–2) while every worker waits at the barrier;
+//! * every participant, the caller included, drains its own chunk
+//!   (step 3) and waits until the last one arrives.
+//!
+//! A window holds microseconds of work, so a waiter first spins for a
+//! bounded number of iterations; only a longer wait falls back to
+//! yielding the CPU, which lets a straggler run on a host with fewer
+//! cores than participants.
+//!
+//! A panic in a host model on any thread, the caller's included,
+//! unwinds out of `run_parallel` with the model's own payload. The
+//! unwinding participant poisons the barrier on its way out, so its
+//! peers stop waiting for an arrival that will never come instead of
+//! hanging.
+//!
+//! Each worker counts simulated transitions in its own thread-local
+//! counter. At the end of the run their counts are credited to the
+//! calling thread, so [`thread_transitions`] advances by the same
+//! amount as after [`ShardSim::run`].
 //!
 //! # Example
 //!
@@ -67,8 +98,11 @@
 //! assert_eq!(sim.host(0).served + sim.host(1).served, 4);
 //! ```
 
+use crate::machine::{credit_thread_transitions, thread_transitions};
 use crate::{Cycles, EventQueue};
 use hvx_obs::HistogramSketch;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Per-host behaviour plugged into a [`ShardSim`].
 ///
@@ -93,9 +127,6 @@ struct Outgoing<E> {
     arrival: Cycles,
     payload: E,
 }
-
-/// One host's drained window: `(host index, outbox, events drained)`.
-type Drained<E> = (usize, Vec<Outgoing<E>>, u64);
 
 /// The scheduling surface a [`HostModel`] sees while handling an event.
 #[derive(Debug)]
@@ -178,10 +209,17 @@ impl<E> HostCtx<'_, E> {
     }
 }
 
-/// One host's shard: its model and its private calendar.
+/// One host's shard: its model, its private calendar, and the buffers
+/// a window's drain fills, kept and reused from window to window.
 struct Shard<M: HostModel> {
     model: M,
     queue: EventQueue<M::Event>,
+    /// Cross-host sends of the window being drained, in emission order.
+    outbox: Vec<Outgoing<M::Event>>,
+    /// Local follow-ups of the event being handled, in emission order.
+    local: Vec<(Cycles, M::Event)>,
+    /// Events handled in the window last drained.
+    drained: u64,
 }
 
 impl<M: HostModel> std::fmt::Debug for Shard<M> {
@@ -222,18 +260,21 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Folds one completed window into the stats: `per_host` holds the
-    /// events each host drained this window, in host-index order. Both
-    /// executors call this with identical inputs — the counts are a
-    /// pure function of the window, never of thread scheduling.
-    fn record_window(&mut self, per_host: &[u64]) {
+    /// Folds one completed window into the stats: `per_host` yields
+    /// the events each host drained this window, in host-index order.
+    /// Both executors call this with identical inputs — the counts are
+    /// a pure function of the window, never of thread scheduling.
+    fn record_window(&mut self, per_host: impl Iterator<Item = u64>) {
+        let (mut total, mut max, mut min) = (0, 0, u64::MAX);
+        for events in per_host {
+            total += events;
+            max = max.max(events);
+            min = min.min(events);
+        }
         self.windows += 1;
-        let total: u64 = per_host.iter().sum();
         self.events += total;
         self.window_events.record(total);
-        let max = per_host.iter().copied().max().unwrap_or(0);
-        let min = per_host.iter().copied().min().unwrap_or(0);
-        self.host_imbalance.record(max - min);
+        self.host_imbalance.record(max.saturating_sub(min));
     }
 }
 
@@ -275,6 +316,9 @@ impl<M: HostModel> ShardSim<M> {
         self.shards.push(Shard {
             model,
             queue: EventQueue::new(),
+            outbox: Vec::new(),
+            local: Vec::new(),
+            drained: 0,
         });
         self.shards.len() - 1
     }
@@ -329,146 +373,322 @@ impl<M: HostModel> ShardSim<M> {
     }
 
     /// Runs to completion on the calling thread — the serial reference
-    /// execution. Uses the exact window/delivery algorithm of
+    /// execution. Uses the exact window/delivery steps of
     /// [`ShardSim::run_parallel`], so both produce identical state.
     pub fn run(&mut self) -> ShardStats {
+        let (hosts, lookahead) = (self.shards.len(), self.lookahead);
+        let mut shards: Vec<&mut Shard<M>> = self.shards.iter_mut().collect();
         let mut stats = ShardStats::default();
-        let lookahead = self.lookahead;
-        let hosts = self.shards.len();
-        while let Some(start) = self.next_event() {
-            let horizon = start + lookahead;
-            stats.lookahead_stalls += self.stalled_hosts(horizon);
-            let mut outboxes: Vec<Vec<Outgoing<M::Event>>> = Vec::with_capacity(hosts);
-            let mut per_host = Vec::with_capacity(hosts);
-            for (idx, shard) in self.shards.iter_mut().enumerate() {
-                let (outbox, events) = drain_window(shard, idx, hosts, horizon, lookahead);
-                per_host.push(events);
-                outboxes.push(outbox);
+        while let Some(horizon) = open_window(&shards, lookahead, &mut stats) {
+            for (host, shard) in shards.iter_mut().enumerate() {
+                drain_window(shard, host, hosts, horizon, lookahead);
             }
-            stats.record_window(&per_host);
-            stats.wires += self.deliver(outboxes);
+            close_window(&mut shards, &mut stats);
         }
         stats
     }
 
-    /// Runs to completion with each window's step 3 fanned out over up
-    /// to `jobs` OS threads. Shards are statically partitioned per
-    /// window; every shard is touched by exactly one thread, and the
-    /// barrier delivery runs single-threaded in sender order, so the
-    /// final state is byte-identical to [`ShardSim::run`].
+    /// Runs to completion on up to `jobs` threads: the calling thread
+    /// plus `workers - 1` spawned ones, each owning a fixed chunk of
+    /// shards for the whole run (see the [module docs](self)). Every
+    /// shard is drained by exactly one thread, and delivery runs on the
+    /// calling thread in sender order, so the final state and stats are
+    /// byte-identical to [`ShardSim::run`]. The workers' simulated
+    /// transitions are credited to the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of a host model, whichever thread it
+    /// happened on, after every worker has stopped.
     pub fn run_parallel(&mut self, jobs: usize) -> ShardStats
     where
         M: Send,
         M::Event: Send,
     {
-        let hosts = self.shards.len();
+        let (hosts, lookahead) = (self.shards.len(), self.lookahead);
         let workers = jobs.min(hosts).max(1);
         if workers <= 1 {
             return self.run();
         }
+        let size = hosts.div_ceil(workers);
+        let chunks: Vec<Mutex<Chunk<'_, M>>> = self
+            .shards
+            .chunks_mut(size)
+            .enumerate()
+            .map(|(i, shards)| {
+                Mutex::new(Chunk {
+                    first: i * size,
+                    shards,
+                    horizon: None,
+                })
+            })
+            .collect();
+        let barrier = WindowBarrier::new(chunks.len());
         let mut stats = ShardStats::default();
-        let lookahead = self.lookahead;
-        while let Some(start) = self.next_event() {
-            let horizon = start + lookahead;
-            stats.lookahead_stalls += self.stalled_hosts(horizon);
-            let chunk = hosts.div_ceil(workers);
-            // (host index, outbox, events) triples, collected per chunk
-            // and re-sorted into host order below: completion order of
-            // the worker threads never reaches the delivery step.
-            let mut drained: Vec<Drained<M::Event>> = Vec::with_capacity(hosts);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for (ci, shard_chunk) in self.shards.chunks_mut(chunk).enumerate() {
-                    handles.push(scope.spawn(move || {
-                        let mut out = Vec::with_capacity(shard_chunk.len());
-                        for (j, shard) in shard_chunk.iter_mut().enumerate() {
-                            let idx = ci * chunk + j;
-                            let (outbox, events) =
-                                drain_window(shard, idx, hosts, horizon, lookahead);
-                            out.push((idx, outbox, events));
-                        }
-                        out
-                    }));
+        std::thread::scope(|scope| {
+            // Armed before the first spawn, so a failed spawn releases
+            // the workers already waiting, too.
+            let _poison = PoisonOnUnwind(&barrier);
+            let crew: Vec<_> = chunks[1..]
+                .iter()
+                .map(|chunk| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let _poison = PoisonOnUnwind(barrier);
+                        let before = thread_transitions();
+                        while let Ok(true) = take_turn(chunk, barrier, hosts, lookahead) {}
+                        thread_transitions().wrapping_sub(before)
+                    })
+                })
+                .collect();
+            let led = lead(&chunks, &barrier, hosts, lookahead, &mut stats);
+            let mut panicked = None;
+            for worker in crew {
+                match worker.join() {
+                    Ok(transitions) => credit_thread_transitions(transitions),
+                    Err(payload) => {
+                        panicked.get_or_insert(payload);
+                    }
                 }
-                for handle in handles {
-                    drained.extend(handle.join().expect("shard worker panicked"));
-                }
-            });
-            drained.sort_by_key(|(idx, ..)| *idx);
-            let mut outboxes = Vec::with_capacity(hosts);
-            let mut per_host = Vec::with_capacity(hosts);
-            for (_, outbox, events) in drained {
-                per_host.push(events);
-                outboxes.push(outbox);
             }
-            stats.record_window(&per_host);
-            stats.wires += self.deliver(outboxes);
-        }
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
+            }
+            led.expect("only an unwinding thread poisons the barrier");
+        });
         stats
-    }
-
-    /// Hosts whose calendars are non-empty but whose next event lies at
-    /// or beyond `horizon`: they stall this window, waiting out the
-    /// lookahead bound. Evaluated at the window start (before any
-    /// drain), so serial and parallel runs count identically.
-    fn stalled_hosts(&self, horizon: Cycles) -> u64 {
-        self.shards
-            .iter()
-            .filter(|s| s.queue.peek_when().is_some_and(|w| w >= horizon))
-            .count() as u64
-    }
-
-    /// Step 4: the single-threaded delivery barrier. Outboxes arrive in
-    /// sender-index order and are drained in emission order, so the
-    /// insertion sequence into every destination queue — and with it
-    /// the FIFO tie-break among equal arrival instants — is canonical.
-    fn deliver(&mut self, outboxes: Vec<Vec<Outgoing<M::Event>>>) -> u64 {
-        let mut wires = 0;
-        for outbox in outboxes {
-            for wire in outbox {
-                self.shards[wire.to]
-                    .queue
-                    .schedule(wire.arrival, wire.payload);
-                wires += 1;
-            }
-        }
-        wires
     }
 }
 
+/// Steps 1–2 over every shard, in host order: returns the next
+/// window's horizon, or `None` once every calendar is empty. Also
+/// counts the hosts that stall in it — calendar non-empty but nothing
+/// below the horizon. Evaluated before any drain, so both executors
+/// count identically.
+fn open_window<M: HostModel>(
+    shards: &[&mut Shard<M>],
+    lookahead: Cycles,
+    stats: &mut ShardStats,
+) -> Option<Cycles> {
+    let start = shards.iter().filter_map(|s| s.queue.peek_when()).min()?;
+    let horizon = start + lookahead;
+    stats.lookahead_stalls += shards
+        .iter()
+        .filter(|s| s.queue.peek_when().is_some_and(|w| w >= horizon))
+        .count() as u64;
+    Some(horizon)
+}
+
 /// Step 3 for one shard: drain every local event below `horizon`
-/// (follow-ups included), accumulating cross-host sends. Shared by the
-/// serial and parallel executors — this function *is* the semantics.
+/// (follow-ups included) into the shard's outbox. Shared by the serial
+/// and parallel executors — this function *is* the semantics.
 fn drain_window<M: HostModel>(
     shard: &mut Shard<M>,
     host: usize,
     hosts: usize,
     horizon: Cycles,
     lookahead: Cycles,
-) -> (Vec<Outgoing<M::Event>>, u64) {
-    let mut outbox = Vec::new();
-    let mut local = Vec::new();
+) {
+    let Shard {
+        model,
+        queue,
+        outbox,
+        local,
+        drained,
+    } = shard;
     let mut events = 0;
-    while shard.queue.peek_when().is_some_and(|when| when < horizon) {
-        let (when, event) = shard.queue.pop().expect("peeked event exists");
+    while queue.peek_when().is_some_and(|when| when < horizon) {
+        let (when, event) = queue.pop().expect("peeked event exists");
         events += 1;
         let mut ctx = HostCtx {
             now: when,
             host,
             hosts,
             lookahead,
-            local: &mut local,
-            sends: &mut outbox,
+            local,
+            sends: outbox,
         };
-        shard.model.handle(when, event, &mut ctx);
+        model.handle(when, event, &mut ctx);
         // Emission order feeds the queue's FIFO sequence numbers, so
         // follow-ups among equal instants replay in the order the
         // model produced them.
         for (at, ev) in local.drain(..) {
-            shard.queue.schedule(at, ev);
+            queue.schedule(at, ev);
         }
     }
-    (outbox, events)
+    *drained = events;
+}
+
+/// Step 4, on one thread: records the window just drained, then
+/// delivers every outbox in sender-index order, each in emission
+/// order, so the insertion sequence into every destination queue — and
+/// with it the FIFO tie-break among equal arrival instants — is
+/// canonical.
+fn close_window<M: HostModel>(shards: &mut [&mut Shard<M>], stats: &mut ShardStats) {
+    stats.record_window(shards.iter().map(|s| s.drained));
+    for from in 0..shards.len() {
+        let mut outbox = std::mem::take(&mut shards[from].outbox);
+        stats.wires += outbox.len() as u64;
+        for wire in outbox.drain(..) {
+            shards[wire.to].queue.schedule(wire.arrival, wire.payload);
+        }
+        shards[from].outbox = outbox;
+    }
+}
+
+/// One participant's fixed share of a parallel run: a contiguous run
+/// of shards starting at host `first`, and the horizon of the window
+/// to drain next (`None` once the run is over). It sits behind a mutex
+/// only so the caller can reach every shard between windows; the
+/// barrier orders every lock, so none is ever contended.
+struct Chunk<'a, M: HostModel> {
+    first: usize,
+    shards: &'a mut [Shard<M>],
+    horizon: Option<Cycles>,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A poisoned lock means its holder panicked mid-drain; that panic
+    // is re-raised by `run_parallel`, and the barrier keeps everyone
+    // else from touching the chunk again.
+    mutex.lock().expect("shard chunk lock poisoned")
+}
+
+/// The calling thread's part in a parallel run: the serial steps
+/// between windows, and its own chunk's turn in each.
+fn lead<M: HostModel>(
+    chunks: &[Mutex<Chunk<'_, M>>],
+    barrier: &WindowBarrier,
+    hosts: usize,
+    lookahead: Cycles,
+    stats: &mut ShardStats,
+) -> Result<(), Poisoned> {
+    between_windows(chunks, lookahead, stats, false);
+    while take_turn(&chunks[0], barrier, hosts, lookahead)? {
+        between_windows(chunks, lookahead, stats, true);
+    }
+    Ok(())
+}
+
+/// The serial section between windows, run by the caller while every
+/// worker waits at the barrier: closes the window just drained (step 4,
+/// when `close`), then opens the next one (steps 1–2) on every chunk.
+fn between_windows<M: HostModel>(
+    chunks: &[Mutex<Chunk<'_, M>>],
+    lookahead: Cycles,
+    stats: &mut ShardStats,
+    close: bool,
+) {
+    let mut guards: Vec<_> = chunks.iter().map(lock).collect();
+    let mut shards: Vec<&mut Shard<M>> = guards
+        .iter_mut()
+        .flat_map(|chunk| chunk.shards.iter_mut())
+        .collect();
+    if close {
+        close_window(&mut shards, stats);
+    }
+    let horizon = open_window(&shards, lookahead, stats);
+    for chunk in &mut guards {
+        chunk.horizon = horizon;
+    }
+}
+
+/// One participant's turn in a window: wait for the caller to open it,
+/// drain the chunk (step 3), and wait for every other chunk to finish.
+/// Returns `Ok(false)` once the run is over.
+fn take_turn<M: HostModel>(
+    chunk: &Mutex<Chunk<'_, M>>,
+    barrier: &WindowBarrier,
+    hosts: usize,
+    lookahead: Cycles,
+) -> Result<bool, Poisoned> {
+    barrier.wait()?;
+    {
+        let mut chunk = lock(chunk);
+        let Some(horizon) = chunk.horizon else {
+            return Ok(false);
+        };
+        let first = chunk.first;
+        for (i, shard) in chunk.shards.iter_mut().enumerate() {
+            drain_window(shard, first + i, hosts, horizon, lookahead);
+        }
+    }
+    barrier.wait()?;
+    Ok(true)
+}
+
+/// Iterations a waiter spins at the barrier before it starts yielding
+/// the CPU. A window's work is a few microseconds, so most waits end
+/// inside the spin; on a host with fewer cores than participants the
+/// yield lets the straggler run.
+const SPIN_LIMIT: u32 = 1 << 10;
+
+/// A peer unwound while this participant waited: the run is over, and
+/// the peer's panic is the one to report.
+#[derive(Debug)]
+struct Poisoned;
+
+/// The reusable barrier between window phases: the last of `parties`
+/// arrivals resets the count and bumps the generation every waiter
+/// watches. Waiters spin up to [`SPIN_LIMIT`] times, then yield.
+struct WindowBarrier {
+    parties: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    poisoned: AtomicBool,
+}
+
+impl WindowBarrier {
+    fn new(parties: usize) -> WindowBarrier {
+        WindowBarrier {
+            parties,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+        }
+    }
+
+    /// Blocks until every party has arrived, or fails once a party has
+    /// unwound instead of arriving.
+    ///
+    /// Ordering: each arrival's `AcqRel` add releases its writes, and
+    /// the last arrival's add acquires them all; its `Release` store
+    /// of the new generation then publishes them, and the count reset,
+    /// to every waiter's `Acquire` load.
+    fn wait(&self) -> Result<(), Poisoned> {
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation
+                .store(generation.wrapping_add(1), Ordering::Release);
+            return Ok(());
+        }
+        let mut spins = 0;
+        while self.generation.load(Ordering::Acquire) == generation {
+            if self.poisoned.load(Ordering::Acquire) {
+                return Err(Poisoned);
+            }
+            if spins < SPIN_LIMIT {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Poisons the barrier if its holder unwinds, so no peer waits for a
+/// participant that will never arrive.
+struct PoisonOnUnwind<'a>(&'a WindowBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -689,5 +909,53 @@ mod tests {
         let mut b = ring_sim(8, 700);
         seed(&mut b, 6, 9);
         assert_eq!(a.run(), b.run_parallel(4));
+    }
+
+    /// A ring host that fails, mid-run, on the tenth hop it handles
+    /// when it is host `failing`.
+    struct Failing {
+        failing: usize,
+    }
+
+    impl HostModel for Failing {
+        type Event = u32; // remaining hops
+
+        fn handle(&mut self, when: Cycles, hops: u32, ctx: &mut HostCtx<'_, u32>) {
+            assert!(
+                ctx.host() != self.failing || hops > 10,
+                "host {} failed",
+                ctx.host()
+            );
+            if hops > 0 {
+                let to = (ctx.host() + 1) % ctx.hosts();
+                ctx.send(to, when, ctx.lookahead(), hops - 1);
+            }
+        }
+    }
+
+    /// Eight hosts over four participants: chunks of two, so host 0
+    /// belongs to the calling thread and host 7 to the last spawned
+    /// worker.
+    fn run_failing(failing: usize) {
+        let mut sim = ShardSim::new(Cycles::new(1_000));
+        for _ in 0..8 {
+            sim.add_host(Failing { failing });
+        }
+        for host in 0..8 {
+            sim.schedule(host, Cycles::ZERO, 20);
+        }
+        sim.run_parallel(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "host 7 failed")]
+    fn a_panic_in_a_workers_chunk_surfaces_instead_of_hanging() {
+        run_failing(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "host 0 failed")]
+    fn a_panic_in_the_callers_chunk_surfaces_instead_of_hanging() {
+        run_failing(0);
     }
 }

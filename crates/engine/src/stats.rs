@@ -494,7 +494,7 @@ mod tests {
 
     #[test]
     fn streaming_is_exact_for_degenerate_distributions() {
-        let streamed: Streaming = std::iter::repeat(Cycles::new(6500)).take(50).collect();
+        let streamed: Streaming = std::iter::repeat_n(Cycles::new(6500), 50).collect();
         let sum = streamed.summary();
         assert_eq!(sum.median, Cycles::new(6500));
         assert_eq!(sum.p95, Cycles::new(6500));

@@ -137,6 +137,16 @@ pub trait JobExecutor: Send + Sync {
     fn trace(&self, _fingerprint: &str) -> Option<String> {
         None
     }
+
+    /// Result-cache writes that failed since the executor was built,
+    /// exported as `cache_store_errors` in `/stats` and
+    /// `hvx_serve_cache_store_errors_total` in `/metrics`. A failed
+    /// write never fails its job, so this count is how a cache that
+    /// has stopped persisting shows up. The default implementation
+    /// has no cache and reports 0.
+    fn cache_store_errors(&self) -> u64 {
+        0
+    }
 }
 
 #[cfg(test)]

@@ -766,6 +766,11 @@ fn metrics_body(shared: &Shared) -> String {
         c.journal_errors.load(Ordering::Relaxed),
     );
     t.counter(
+        "hvx_serve_cache_store_errors_total",
+        "Result-cache write failures (results not persisted)",
+        shared.exec.cache_store_errors(),
+    );
+    t.counter(
         "hvx_serve_breaker_opened_total",
         "Circuit-breaker open transitions",
         c.breaker_opened.load(Ordering::Relaxed),
@@ -895,6 +900,10 @@ fn stats_body(shared: &Shared) -> String {
         (
             "journal_errors",
             Value::U64(shared.counters.journal_errors.load(Ordering::Relaxed)),
+        ),
+        (
+            "cache_store_errors",
+            Value::U64(shared.exec.cache_store_errors()),
         ),
         (
             "uptime_seconds",

@@ -503,6 +503,7 @@ fn torn_terminal_write_costs_one_cached_replay_not_duplicate_work() {
     let stats = client::stats(&addr).unwrap();
     assert_eq!(u64_of(&stats, "recovered_total"), 1);
     assert_eq!(u64_of(&stats, "journal_errors"), 0);
+    assert_eq!(u64_of(&stats, "cache_store_errors"), 0);
     stop(&addr, handle);
 
     // The re-written terminal record sticks: a second recovery finds
@@ -559,6 +560,7 @@ fn metrics_exposition_has_stable_families_and_parses() {
         "hvx_serve_retries_total",
         "hvx_serve_breaker_opened_total",
         "hvx_serve_journal_errors_total",
+        "hvx_serve_cache_store_errors_total",
         "hvx_serve_queue_depth",
         "hvx_serve_running",
         "hvx_serve_workers",

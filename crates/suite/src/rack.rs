@@ -107,9 +107,9 @@ pub struct CellConfig {
     pub vms_per_host: u32,
     /// Laps each token makes around the ring.
     pub rounds: u32,
-    /// Worker threads for the shard executor; `<= 1` runs the serial
-    /// reference execution (the artifact path, so the thread-local
-    /// transition accounting the runner relies on stays intact).
+    /// Worker threads for the shard executor, the calling thread
+    /// included; `<= 1` runs the serial reference execution (the
+    /// artifact path). Results are byte-identical either way.
     pub jobs: usize,
     /// Explicit fault plan for every host machine. `None` inherits the
     /// thread's ambient plan at machine construction, which is how the
@@ -295,8 +295,9 @@ impl HostModel for RackHost {
 }
 
 /// Runs one rack cell. `cfg.jobs <= 1` is the serial reference
-/// execution; any larger value fans each conservative window across
-/// worker threads — with byte-identical results, which
+/// execution; any larger value splits the hosts across that many
+/// threads for the whole run — with byte-identical results and the
+/// same transitions charged to the calling thread, which
 /// `tests/rack_diff.rs` pins.
 pub fn run_cell_with(cfg: &CellConfig) -> Result<CellResult, Error> {
     assert!(cfg.hosts >= 1, "a rack needs at least one host");

@@ -269,6 +269,10 @@ impl JobExecutor for SuiteExecutor {
         serde_json::to_string(&payload).ok()
     }
 
+    fn cache_store_errors(&self) -> u64 {
+        self.cache.as_ref().map_or(0, |cache| cache.store_errors())
+    }
+
     fn expand(&self, body: &str) -> Result<Vec<String>, String> {
         let v = serde_json::parse_value(body.trim()).map_err(|e| format!("sweep: {e}"))?;
         let Some(sweep) = v.get("sweep") else {

@@ -3,23 +3,32 @@
 //! across compositions, host counts (including the degenerate
 //! one-host ring), fault plans, and worker counts. Identity is
 //! compared on the serialized JSON, so field order, every counter, and
-//! the per-host clock vector all participate.
+//! the per-host clock vector all participate. The calling thread's
+//! transition count (`hvx_engine::thread_transitions`) must advance by
+//! the same amount in both modes: a sharded run credits its workers'
+//! transitions to the thread that asked for it.
 
 use hvx_engine::{FaultPlan, FaultPoint};
 use hvx_suite::rack::{self, CellConfig, Composition};
 use proptest::prelude::*;
 
-/// Runs `cfg` serially and with `jobs` workers and returns both
-/// results as serialized JSON.
-fn run_both(mut cfg: CellConfig, jobs: usize) -> (String, String) {
+/// One run of a cell: its serialized JSON and the transitions the
+/// calling thread's counter advanced by.
+type Run = (String, u64);
+
+/// Runs `cfg` serially and with `jobs` workers and returns both runs.
+fn run_both(mut cfg: CellConfig, jobs: usize) -> (Run, Run) {
+    let run = |cfg: &CellConfig| {
+        let before = hvx_engine::thread_transitions();
+        let cell = rack::run_cell_with(cfg).expect("rack cell");
+        let transitions = hvx_engine::thread_transitions().wrapping_sub(before);
+        let json = serde_json::to_string(&cell).expect("serializes");
+        (json, transitions)
+    };
     cfg.jobs = 1;
-    let serial = rack::run_cell_with(&cfg).expect("serial rack cell");
+    let serial = run(&cfg);
     cfg.jobs = jobs;
-    let parallel = rack::run_cell_with(&cfg).expect("parallel rack cell");
-    (
-        serde_json::to_string(&serial).expect("serializes"),
-        serde_json::to_string(&parallel).expect("serializes"),
-    )
+    (serial, run(&cfg))
 }
 
 #[test]
@@ -52,7 +61,7 @@ fn one_host_ring_is_identical_and_self_sends_work() {
     };
     let (serial, parallel) = run_both(cfg, 3);
     assert_eq!(serial, parallel);
-    let cell: rack::CellResult = serde_json::from_str(&serial).expect("round-trips");
+    let cell: rack::CellResult = serde_json::from_str(&serial.0).expect("round-trips");
     // 3 tokens, each served rounds * hosts + 1 = 5 times.
     assert_eq!(cell.requests, 15);
     assert_eq!(cell.wire_hops, 12);
@@ -69,9 +78,10 @@ fn oversubscribed_worker_counts_change_nothing() {
 proptest! {
     /// The tentpole invariant, fuzzed: any (composition, hosts, vms,
     /// rounds, fault plan, worker count) cell produces the same bytes
-    /// serially and sharded. Wire drops make this sharp — a fault
-    /// consultation happening in a different order on a worker thread
-    /// would flip which tokens die.
+    /// serially and sharded, and charges the calling thread the same
+    /// transitions. Wire drops make this sharp — a fault consultation
+    /// happening in a different order on a worker thread would flip
+    /// which tokens die.
     #[test]
     fn rack_cells_identical_across_the_shard_boundary(
         comp_idx in 0usize..3,
@@ -93,8 +103,11 @@ proptest! {
             jobs: 1,
             fault,
         };
-        let (serial, parallel) = run_both(cfg, jobs);
+        let ((serial, serial_transitions), (parallel, parallel_transitions)) =
+            run_both(cfg, jobs);
         prop_assert_eq!(serial, parallel);
+        prop_assert!(serial_transitions > 0, "the cell charged no transitions");
+        prop_assert_eq!(serial_transitions, parallel_transitions);
     }
 
     /// Serial reruns of the same cell are byte-stable — the baseline

@@ -7,7 +7,9 @@
 //! * a warm resubmission is answered from the cache at admission time
 //!   (the job is born `done`, no worker runs);
 //! * a panicking chaos probe becomes a typed failure and quarantines
-//!   its fingerprint while the server keeps answering.
+//!   its fingerprint while the server keeps answering;
+//! * a result the cache fails to store is counted in `/stats` and
+//!   `/metrics` while its job still succeeds.
 
 use hvx_core::{HvKind, ScenarioSpec, SchedPolicy};
 use hvx_serve::{client, BreakerConfig, Server, ServerConfig};
@@ -166,6 +168,34 @@ fn chaos_panic_is_typed_quarantined_and_leaves_the_server_alive() {
     let id = v.get("job").and_then(Value::as_u64).unwrap();
     let done = client::wait(&r.addr, id, Duration::from_secs(60)).unwrap();
     assert_eq!(str_of(&done, "state"), "done");
+
+    stop(r);
+}
+
+#[test]
+fn cache_store_failures_are_counted_in_stats_and_metrics() {
+    let dir = temp_dir("store-errors");
+    let cache = Arc::new(ResultCache::open(&dir.join("cache")).unwrap());
+    let r = start(ServerConfig::default(), Some(cache));
+
+    // Pull the cache directory out from under the running server: the
+    // cold cell below still runs, but its result cannot be stored.
+    std::fs::remove_dir_all(dir.join("cache")).unwrap();
+    let (status, v) = client::submit(&r.addr, "it", &spec_body(2, 6)).unwrap();
+    assert_eq!(status, 202, "{v:?}");
+    let id = v.get("job").and_then(Value::as_u64).unwrap();
+    let done = client::wait(&r.addr, id, Duration::from_secs(60)).unwrap();
+    assert_eq!(str_of(&done, "state"), "done", "a lost write fails no job");
+
+    let stats = client::stats(&r.addr).unwrap();
+    let in_stats = stats.get("cache_store_errors").and_then(Value::as_u64);
+    assert!(in_stats >= Some(1), "stats: {stats:?}");
+    let metrics = client::metrics(&r.addr).unwrap();
+    let in_metrics = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("hvx_serve_cache_store_errors_total "))
+        .and_then(|n| n.trim().parse::<f64>().ok());
+    assert!(in_metrics >= Some(1.0), "metrics:\n{metrics}");
 
     stop(r);
 }

@@ -12,8 +12,8 @@ cargo build --release
 echo "== cargo test -q (workspace) =="
 cargo test -q --workspace
 
-echo "== cargo clippy (warnings denied) =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy, test code included (warnings denied) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
