@@ -147,12 +147,12 @@ pub struct SimBuilder {
     /// only from it (plus the observability knobs, which are not part
     /// of a scenario's identity).
     spec: ScenarioSpec,
+    /// What the machine's trace log keeps of each charge.
     trace: TraceMode,
-    trace_enabled: bool,
     profiling: bool,
     cost: Option<CostModel>,
+    /// Flow tracing, with the log keeping every charge record.
     event_tracing: bool,
-    event_ring: Option<usize>,
 }
 
 impl SimBuilder {
@@ -170,11 +170,9 @@ impl SimBuilder {
         SimBuilder {
             spec,
             trace: TraceMode::Full,
-            trace_enabled: true,
             profiling: false,
             cost: None,
             event_tracing: false,
-            event_ring: None,
         }
     }
 
@@ -211,14 +209,13 @@ impl SimBuilder {
     /// path allocation-free; [`TraceMode::Full`] stores every event).
     pub fn tracing(mut self, mode: TraceMode) -> SimBuilder {
         self.trace = mode;
-        self.trace_enabled = true;
         self
     }
 
-    /// Disables the step trace entirely (bulk workload runs).
-    pub fn without_tracing(mut self) -> SimBuilder {
-        self.trace_enabled = false;
-        self
+    /// Disables the step trace entirely (bulk workload runs):
+    /// shorthand for [`TraceMode::Off`].
+    pub fn without_tracing(self) -> SimBuilder {
+        self.tracing(TraceMode::Off)
     }
 
     /// Enables span-based cycle attribution and the metrics registry
@@ -253,23 +250,23 @@ impl SimBuilder {
     }
 
     /// Enables causal event tracing
-    /// ([`hvx_engine::Machine::enable_event_tracing`]): timestamped
-    /// slices on per-core tracks plus cross-machine flow chains,
-    /// exportable as Chrome trace-event JSON. Off by default — when
-    /// off, the built machine is byte-identical to one without this
-    /// call.
+    /// ([`hvx_engine::Machine::enable_event_tracing`]): cross-machine
+    /// flow chains, with the trace log keeping every charge record (the
+    /// timeline's slices) whatever [`SimBuilder::tracing`] selected —
+    /// or the newest `N` after [`SimBuilder::event_ring`]. Exportable as
+    /// Chrome trace-event JSON. Off by default — when off, the built
+    /// machine is byte-identical to one without this call.
     pub fn event_tracing(mut self, on: bool) -> SimBuilder {
         self.event_tracing = on;
         self
     }
 
-    /// Bounds the event tracer to a ring of `slots` retained slices and
-    /// flow points (oldest overwritten first). Implies
-    /// [`SimBuilder::event_tracing`]`(true)`.
+    /// Enables event tracing bounded to rings of `slots` charge
+    /// records ([`TraceMode::Ring`]) and `slots` flow points, oldest
+    /// overwritten first.
     pub fn event_ring(mut self, slots: usize) -> SimBuilder {
         self.event_tracing = true;
-        self.event_ring = Some(slots);
-        self
+        self.tracing(TraceMode::Ring(slots))
     }
 
     /// Installs a deterministic fault plan
@@ -330,12 +327,11 @@ impl SimBuilder {
         };
         let machine = hv.machine_mut();
         machine.trace_mut().set_mode(self.trace);
-        machine.trace_mut().set_enabled(self.trace_enabled);
         if self.profiling {
             machine.enable_profiling();
         }
         if self.event_tracing {
-            machine.enable_event_tracing(self.event_ring);
+            machine.enable_event_tracing();
         }
         if let Some(plan) = fault_plan {
             machine.set_fault_plan(plan);
@@ -445,8 +441,23 @@ mod tests {
             .without_tracing()
             .build()
             .unwrap();
-        assert!(!sim.machine().trace().is_enabled());
+        assert_eq!(sim.machine().trace().mode(), TraceMode::Off);
         assert!(!sim.machine().profiling());
+
+        let sim = SimBuilder::new(HvKind::KvmArm)
+            .tracing(TraceMode::Aggregate)
+            .event_tracing(true)
+            .build()
+            .unwrap();
+        assert_eq!(sim.machine().trace().mode(), TraceMode::Full);
+        assert!(sim.machine().event_tracing());
+
+        let sim = SimBuilder::new(HvKind::KvmArm)
+            .event_ring(64)
+            .build()
+            .unwrap();
+        assert_eq!(sim.machine().trace().mode(), TraceMode::Ring(64));
+        assert_eq!(sim.machine().event_tracer().unwrap().capacity(), Some(64));
     }
 
     #[test]

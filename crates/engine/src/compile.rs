@@ -3,10 +3,10 @@
 //! Every scenario in the suite spends almost all of its time in one
 //! iteration loop whose per-iteration transition sequence is *steady*:
 //! the same charges with the same costs, the same signal/wait pairs,
-//! the same span and metric activity, block after block. Interpreting
-//! that loop pays per-transition dispatch (cost-model lookup, tracer
-//! branching, enum matching) millions of times for work that is fully
-//! determined after a handful of iterations.
+//! block after block. Interpreting that loop pays per-transition
+//! dispatch (cost-model lookup, tracer branching, enum matching)
+//! millions of times for work that is fully determined after a handful
+//! of iterations.
 //!
 //! This module compiles such loops. While a loop session is open
 //! ([`crate::Machine::loop_begin`]), the machine records each
@@ -31,17 +31,16 @@
 //! always correct, compiling is only ever an optimization.
 //!
 //! The compiled [`Program`] is a flat op array replayed block-at-once
-//! with branch-light straight-line code: clocks advance in place,
-//! busy/charged/transition totals are applied as `delta × blocks`,
-//! and (for profiled machines that opted in) one block's span/metric
-//! delta is folded in via `merge_scaled`. Before a program is
-//! accepted, the compiler replays the final recorded block from its
-//! recorded start clocks and requires the result to equal the
-//! machine's current clocks exactly — a self-check that catches any
-//! misclassification before a single iteration is skipped.
+//! with branch-light straight-line code: clocks advance in place and
+//! busy/charged/transition totals are applied as `delta × blocks`.
+//! Machines whose charges feed anything else (a trace log, spans,
+//! flows) never open a session. Before a program is accepted, the
+//! compiler replays the final recorded block from its recorded start
+//! clocks and requires the result to equal the machine's current clocks
+//! exactly — a self-check that catches any misclassification before a
+//! single iteration is skipped.
 
 use crate::TraceKind;
-use hvx_obs::{MetricsRegistry, SpanTracer, TransitionId};
 
 /// Longest iteration period (in iterations) the detector considers.
 /// Covers per-iteration round-robin vCPU rotation (period = #vCPUs)
@@ -79,14 +78,6 @@ pub(crate) enum RawOp {
         target: u64,
         clocks: Box<[u64]>,
     },
-    /// Span entry (recorded only on profiled sessions).
-    SpanEnter(TransitionId),
-    /// Span exit (recorded only on profiled sessions).
-    SpanExit(TransitionId),
-    /// Counter bump (recorded only on profiled sessions).
-    Bump { name: &'static str, n: u64 },
-    /// Histogram observation (recorded only on profiled sessions).
-    Observe { name: &'static str, value: u64 },
     /// Suite-side loop register update, with a clock snapshot.
     Reg {
         idx: u8,
@@ -126,18 +117,6 @@ fn congruent(a: &RawOp, b: &RawOp) -> bool {
             },
         ) => f1 == f2 && t1 == t2 && l1 == l2,
         (Wait { core: c1, .. }, Wait { core: c2, .. }) => c1 == c2,
-        (SpanEnter(x), SpanEnter(y)) | (SpanExit(x), SpanExit(y)) => x == y,
-        (Bump { name: n1, n: v1 }, Bump { name: n2, n: v2 }) => n1 == n2 && v1 == v2,
-        (
-            Observe {
-                name: n1,
-                value: v1,
-            },
-            Observe {
-                name: n2,
-                value: v2,
-            },
-        ) => n1 == n2 && v1 == v2,
         (Reg { idx: i1, .. }, Reg { idx: i2, .. }) => i1 == i2,
         _ => false,
     }
@@ -165,14 +144,6 @@ enum Op {
     RegLin { idx: u8, lin: u16, step: u64 },
 }
 
-/// Batched span/metric delta for one steady-state block, applied via
-/// `merge_scaled(×blocks)` on replay.
-#[derive(Debug, Clone)]
-pub(crate) struct ProfileDelta {
-    pub(crate) spans: SpanTracer,
-    pub(crate) metrics: MetricsRegistry,
-}
-
 /// A compiled steady-state loop: the flat op array plus its live
 /// state (signal slots, linear accumulators, loop registers) and the
 /// per-block aggregates replay charges in bulk.
@@ -197,8 +168,6 @@ pub(crate) struct Program {
     pub(crate) tail_zero_run: u64,
     /// True when the block has charges and all of them are zero-cost.
     pub(crate) all_zero: bool,
-    /// Span/metric delta per block (profiled sessions only).
-    pub(crate) profile_delta: Option<Box<ProfileDelta>>,
 }
 
 impl Program {
@@ -260,17 +229,9 @@ pub(crate) struct Recorder {
     starts: Vec<Box<[u64]>>,
     cur: Vec<RawOp>,
     pub(crate) iter_open: bool,
-    pub(crate) profiled: bool,
 }
 
 impl Recorder {
-    pub(crate) fn new(profiled: bool) -> Recorder {
-        Recorder {
-            profiled,
-            ..Recorder::default()
-        }
-    }
-
     /// Records one op. Returns `false` (→ abort the session) when an
     /// op arrives outside an open iteration: the loop body is then not
     /// the only thing charging the machine and skipping is unsound.
@@ -438,10 +399,6 @@ impl Recorder {
         let mut lin_seed: Vec<(u64, u64)> = Vec::new();
         let mut max_reg = 0usize;
         let mut has_reg = false;
-        let mut profile = self.profiled.then(|| ProfileDelta {
-            spans: SpanTracer::new(),
-            metrics: MetricsRegistry::new(),
-        });
         let mut busy_delta = vec![0u64; current.len()];
         let mut charged_delta = 0u64;
         let mut charges = 0u64;
@@ -467,9 +424,6 @@ impl Recorder {
                     } else {
                         tail_zero = 0;
                         any_nonzero = true;
-                    }
-                    if let Some(pd) = &mut profile {
-                        pd.spans.charge(*cost);
                     }
                 }
                 RawOp::Signal { from, latency, .. } => {
@@ -505,22 +459,6 @@ impl Recorder {
                         }),
                     }
                 }
-                RawOp::SpanEnter(id) => {
-                    let pd = profile.as_mut()?;
-                    pd.spans.enter(*id);
-                }
-                RawOp::SpanExit(id) => {
-                    let pd = profile.as_mut()?;
-                    pd.spans.exit(*id);
-                }
-                RawOp::Bump { name, n } => {
-                    let pd = profile.as_mut()?;
-                    pd.metrics.bump(name, *n);
-                }
-                RawOp::Observe { name, value } => {
-                    let pd = profile.as_mut()?;
-                    pd.metrics.observe(name, *value);
-                }
                 RawOp::Reg { idx, .. } => {
                     let targets = |b: usize| match block[b][k] {
                         RawOp::Reg { value, .. } => *value,
@@ -550,14 +488,6 @@ impl Recorder {
                 }
             }
         }
-        // A profiled block must leave the span stack balanced, or the
-        // batched delta cannot be merged.
-        if let Some(pd) = &profile {
-            if pd.spans.depth() != 0 {
-                return None;
-            }
-        }
-
         // Live state seeded from the *second-to-last* block so the
         // self-check replay of the last block starts from truth.
         let start = |b: usize| &self.starts[base + b * p];
@@ -582,7 +512,6 @@ impl Recorder {
             charges_per_block: charges,
             tail_zero_run: tail_zero,
             all_zero: charges > 0 && !any_nonzero,
-            profile_delta: profile.map(Box::new),
         };
         // Self-check: replay the last recorded block and require exact
         // clock agreement with the machine.

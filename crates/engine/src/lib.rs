@@ -11,8 +11,11 @@
 //! * [`CoreId`] / [`Topology`] — the 8-core, pinned-VCPU machine layout of
 //!   the paper's experimental design (§III);
 //! * [`Machine`] — per-core clocks, cost charging, cross-core signals;
-//! * [`TraceLog`] — the per-step decomposition that regenerates the paper's
-//!   breakdown tables and lets tests assert exact transition sequences;
+//! * [`TraceLog`] — the per-step decomposition: one [`TraceEvent`] per
+//!   charge, kept per [`TraceMode`] (off, per-label totals, every record,
+//!   or a ring of the newest), which regenerates the paper's breakdown
+//!   tables, lets tests assert exact transition sequences, and exports
+//!   Chrome trace-event timelines;
 //! * [`EventQueue`] — a deterministic calendar for workload simulations;
 //! * [`shard`] — conservative-PDES sharding: per-host calendars with a
 //!   wire-latency lookahead bound, byte-identical serial and parallel
@@ -23,7 +26,8 @@
 //! * [`Samples`] / [`Summary`] — iteration statistics;
 //! * re-exported [`TransitionId`] spans and [`MetricsRegistry`] metrics
 //!   (from `hvx-obs`) — opt-in cycle attribution behind
-//!   [`Machine::enable_profiling`].
+//!   [`Machine::enable_profiling`] — and the flow-only [`EventTracer`]
+//!   behind [`Machine::enable_event_tracing`].
 //!
 //! Higher layers (architectural state, interrupt controller, memory, I/O,
 //! the hypervisor models themselves) all express their costs through
@@ -67,9 +71,9 @@ pub use fingerprint::{Fingerprint, FingerprintHasher};
 pub use hvx_obs::{
     render_span_deltas, span_deltas, CounterSnapshot, EventTracer, FlowChain, FlowId, FlowKind,
     FlowPhase, FlowPoint, HistogramSketch, HistogramSnapshot, MetricsRegistry, ProfileSnapshot,
-    SliceEvent, SpanDelta, SpanRow, SpanSnapshotRow, SpanTracer, TransitionId,
+    SpanDelta, SpanRow, SpanSnapshotRow, SpanTracer, TransitionId,
 };
 pub use machine::{thread_transitions, Machine};
 pub use stats::{Histogram, Samples, Streaming, Summary};
 pub use topology::{CoreId, Topology};
-pub use trace::{TraceEvent, TraceKind, TraceLog, TraceMode};
+pub use trace::{TraceEvent, TraceKind, TraceLog, TraceMode, SIGNAL_LABEL};

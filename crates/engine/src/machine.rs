@@ -14,7 +14,7 @@ use crate::compile::{LoopState, Program, RawOp, Recorder, GIVE_UP_ITERS};
 use crate::fault::{
     self, CycleBudgetExceeded, FaultPlan, FaultPoint, FaultState, Livelocked, Watchdog,
 };
-use crate::{CoreId, Cycles, Topology, TraceEvent, TraceKind, TraceLog};
+use crate::{CoreId, Cycles, Topology, TraceEvent, TraceKind, TraceLog, TraceMode, SIGNAL_LABEL};
 use hvx_obs::{EventTracer, FlowId, FlowKind, MetricsRegistry, SpanTracer, TransitionId};
 use std::cell::Cell;
 
@@ -75,6 +75,7 @@ pub struct Machine {
     /// Cycles each core spent doing charged work (clock time minus time
     /// skipped by [`Machine::wait_until`] — i.e. minus idle waiting).
     busy: Vec<Cycles>,
+    /// The one per-charge record store (see [`TraceMode`]).
     trace: TraceLog,
     /// `Some` once profiling is enabled; `None` keeps the charge hot
     /// path identical to the pre-observability engine.
@@ -82,9 +83,9 @@ pub struct Machine {
     /// `Some` once a non-empty [`FaultPlan`] is installed; `None`
     /// keeps every fault consult a single branch.
     faults: Option<Box<FaultState>>,
-    /// `Some` once causal event tracing is enabled; `None` keeps the
-    /// charge hot path and every flow hook a single branch, so an
-    /// untraced run is byte-identical to the pre-tracing engine.
+    /// `Some` once causal event tracing is enabled; `None` keeps every
+    /// flow hook a single branch, so an untraced run is byte-identical
+    /// to the pre-tracing engine.
     events: Option<Box<EventTracer>>,
     /// Cycle-budget ceiling enforced in [`Machine::charge`]
     /// (`u64::MAX` = unlimited, so the hot-path check is one compare).
@@ -137,7 +138,7 @@ impl Machine {
     /// Creates a machine with tracing disabled (bulk workload runs).
     pub fn without_tracing(topology: Topology) -> Self {
         let mut m = Machine::new(topology);
-        m.trace = TraceLog::disabled();
+        m.trace.set_mode(TraceMode::Off);
         m
     }
 
@@ -146,7 +147,7 @@ impl Machine {
     /// never allocates per step (microbenchmark iteration loops).
     pub fn with_aggregate_trace(topology: Topology) -> Self {
         let mut m = Machine::new(topology);
-        m.trace = TraceLog::aggregate();
+        m.trace.set_mode(TraceMode::Aggregate);
         m
     }
 
@@ -197,7 +198,7 @@ impl Machine {
     }
 
     /// Spends `cost` cycles of labelled work on `core`, advancing its clock
-    /// and recording a trace event.
+    /// and offering one [`TraceEvent`] to the trace log.
     ///
     /// Zero-cost charges still record an event (they mark a causal step,
     /// e.g. a register write that is free but architecturally significant).
@@ -228,18 +229,11 @@ impl Machine {
             duration: cost,
             kind,
             label,
+            transition,
+            fault: false,
         });
         if let Some(p) = &mut self.profiler {
             p.spans.charge(cost.as_u64());
-        }
-        if let Some(ev) = &mut self.events {
-            ev.record_slice(
-                core.index() as u8,
-                start.as_u64(),
-                cost.as_u64(),
-                label,
-                transition,
-            );
         }
         let end = start + cost;
         self.clocks[core.index()] = end;
@@ -333,12 +327,14 @@ impl Machine {
                 arrival: arrival.as_u64(),
             });
         }
-        self.trace.record(TraceEvent {
+        self.trace.record_signal(TraceEvent {
             core: to,
             start: depart,
             duration: latency,
             kind: TraceKind::Ipi,
-            label: "signal:in-flight",
+            label: SIGNAL_LABEL,
+            transition: None,
+            fault: false,
         });
         arrival
     }
@@ -417,7 +413,8 @@ impl Machine {
     /// Consults the fault plan at `point`. Returns `false` (one
     /// branch, no other work) when no plan is installed; otherwise
     /// advances the point's occurrence counter, bumps the
-    /// `fault.<point>` metric on injection, and returns the decision.
+    /// `fault.<point>` metric on injection, marks the next kept charge
+    /// record as a recovery head, and returns the decision.
     #[inline]
     pub fn fault(&mut self, point: FaultPoint) -> bool {
         let Some(f) = &mut self.faults else {
@@ -428,10 +425,7 @@ impl Machine {
             if let Some(p) = &mut self.profiler {
                 p.metrics.bump(point.metric(), 1);
             }
-            if let Some(ev) = &mut self.events {
-                // The next charged slice is the recovery path's head.
-                ev.note_fault();
-            }
+            self.trace.note_fault();
         }
         hit
     }
@@ -479,9 +473,6 @@ impl Machine {
     pub fn span_enter(&mut self, id: TransitionId) {
         let Some(p) = &mut self.profiler else { return };
         p.spans.enter(id);
-        if self.loop_state.is_some() {
-            self.loop_record(RawOp::SpanEnter(id));
-        }
     }
 
     /// Closes the innermost span, which must be `id`.
@@ -494,9 +485,6 @@ impl Machine {
     pub fn span_exit(&mut self, id: TransitionId) {
         let Some(p) = &mut self.profiler else { return };
         p.spans.exit(id);
-        if self.loop_state.is_some() {
-            self.loop_record(RawOp::SpanExit(id));
-        }
     }
 
     /// Adds `n` to the named counter. No-op while profiling is
@@ -505,9 +493,6 @@ impl Machine {
     pub fn bump(&mut self, name: &'static str, n: u64) {
         let Some(p) = &mut self.profiler else { return };
         p.metrics.bump(name, n);
-        if self.loop_state.is_some() {
-            self.loop_record(RawOp::Bump { name, n });
-        }
     }
 
     /// Records one histogram observation. No-op while profiling is
@@ -516,9 +501,6 @@ impl Machine {
     pub fn observe(&mut self, name: &'static str, value: u64) {
         let Some(p) = &mut self.profiler else { return };
         p.metrics.observe(name, value);
-        if self.loop_state.is_some() {
-            self.loop_record(RawOp::Observe { name, value });
-        }
     }
 
     /// The span tracer, if profiling is enabled.
@@ -546,48 +528,28 @@ impl Machine {
     /// block in bulk, skipping iterations wholesale.
     ///
     /// Returns `false` (and records nothing) when the machine is not
-    /// eligible: tracing enabled, profiling enabled (see
-    /// [`Machine::loop_begin_profiled`]), a fault plan installed,
-    /// event tracing on, or a finite watchdog — in every such case the
-    /// per-transition machinery observes state a bulk replay cannot
-    /// reproduce, so the loop stays interpreted. All other `loop_*`
-    /// calls are cheap no-ops after a `false` here, so drivers need no
-    /// separate code path.
+    /// eligible: the trace log not [`TraceMode::Off`], profiling
+    /// enabled, a fault plan installed, event tracing on, or a finite
+    /// watchdog — in every such case the per-transition machinery
+    /// observes state a bulk replay cannot reproduce, so the loop stays
+    /// interpreted. All other `loop_*` calls are cheap no-ops after a
+    /// `false` here, so drivers need no separate code path.
     pub fn loop_begin(&mut self) -> bool {
-        self.loop_begin_inner(false)
-    }
-
-    /// Like [`Machine::loop_begin`] but also eligible on a profiled
-    /// machine with no open span: the compiled block then carries a
-    /// batched span/metric delta applied via `merge_scaled` per
-    /// replayed block. Only sound when nothing samples model-side
-    /// lifetime counters into the registry mid-loop (the suite's
-    /// profiling harness does, so it never opts in).
-    pub fn loop_begin_profiled(&mut self) -> bool {
-        self.loop_begin_inner(true)
-    }
-
-    fn loop_begin_inner(&mut self, allow_profiled: bool) -> bool {
         if self.loop_state.is_some() {
             // Nested sessions are unsupported; drop the outer one
             // rather than corrupt its iteration structure.
             self.loop_state = None;
             return false;
         }
-        let profiled = self.profiler.is_some();
-        let profile_ok = match &self.profiler {
-            None => true,
-            Some(p) => allow_profiled && p.spans.depth() == 0,
-        };
-        let eligible = !self.trace.is_enabled()
+        let eligible = self.trace.mode() == TraceMode::Off
+            && self.profiler.is_none()
             && self.faults.is_none()
             && self.events.is_none()
             && self.cycle_budget == u64::MAX
             && self.livelock_limit == u64::MAX
-            && self.clocks.len() <= usize::from(u8::MAX) + 1
-            && profile_ok;
+            && self.clocks.len() <= usize::from(u8::MAX) + 1;
         if eligible {
-            self.loop_state = Some(Box::new(LoopState::Recording(Recorder::new(profiled))));
+            self.loop_state = Some(Box::new(LoopState::Recording(Recorder::default())));
         }
         eligible
     }
@@ -730,12 +692,6 @@ impl Machine {
             }
         }
         TRANSITIONS.with(|t| t.set(t.get().wrapping_add(charges)));
-        if let Some(delta) = &program.profile_delta {
-            if let Some(p) = &mut self.profiler {
-                p.spans.merge_scaled(&delta.spans, blocks);
-                p.metrics.merge_scaled(&delta.metrics, blocks);
-            }
-        }
         let skipped = blocks * program.period;
         self.iters_replayed += skipped;
         skipped
@@ -743,18 +699,24 @@ impl Machine {
 
     // --- causal event tracing -------------------------------------------
 
-    /// Turns on causal event tracing: from now on every charge records
-    /// a timestamped slice on its core's track, and the flow hooks
-    /// below stitch cross-core chains. `ring` bounds the kept events
-    /// (`None` = unbounded). Tracing reads clocks but never advances
-    /// them, so an identical run with tracing off charges identical
-    /// cycles.
-    pub fn enable_event_tracing(&mut self, ring: Option<usize>) {
+    /// Turns on causal event tracing: the flow hooks below start
+    /// stitching cross-core chains, and the trace log keeps a record of
+    /// every charge — the slices of the exported timeline
+    /// ([`TraceLog::chrome_trace`]). A log in [`TraceMode::Ring`] keeps
+    /// its ring, and the flow points get a ring of the same size; any
+    /// other mode switches to [`TraceMode::Full`]. Tracing reads clocks
+    /// but never advances them, so an identical run with tracing off
+    /// charges identical cycles.
+    pub fn enable_event_tracing(&mut self) {
         self.loop_state = None;
-        self.events = Some(Box::new(match ring {
-            Some(n) => EventTracer::with_capacity(n),
-            None => EventTracer::new(),
-        }));
+        let tracer = match self.trace.mode() {
+            TraceMode::Ring(n) => EventTracer::with_capacity(n),
+            _ => {
+                self.trace.set_mode(TraceMode::Full);
+                EventTracer::new()
+            }
+        };
+        self.events = Some(Box::new(tracer));
     }
 
     /// Whether causal event tracing is enabled.
@@ -769,7 +731,8 @@ impl Machine {
     }
 
     /// Takes the event tracer out of the machine (export/derivation
-    /// time), disabling further recording.
+    /// time), disabling further flow recording; the trace log keeps its
+    /// mode and records.
     pub fn take_event_tracer(&mut self) -> Option<EventTracer> {
         self.events.take().map(|b| *b)
     }
@@ -1105,8 +1068,9 @@ mod tests {
 
     #[test]
     fn event_tracing_records_slices_and_flows_without_advancing_time() {
-        let mut m = two_core_machine();
-        m.enable_event_tracing(None);
+        let mut m = Machine::without_tracing(Topology::split(2, 1));
+        m.enable_event_tracing();
+        assert_eq!(m.trace().mode(), TraceMode::Full, "traced charges are kept");
         assert!(m.event_tracing());
         let (a, b) = (CoreId::new(0), CoreId::new(1));
         m.charge_as(
@@ -1141,11 +1105,12 @@ mod tests {
 
         let tracer = m.take_event_tracer().unwrap();
         assert!(!m.event_tracing(), "taking the tracer disables tracing");
-        let slices = tracer.slices();
-        assert_eq!(slices.len(), 2);
-        assert_eq!(slices[0].transition, Some(TransitionId::VhostKick));
-        assert_eq!(slices[1].track, 1);
-        assert_eq!(slices[1].start, 500);
+        let slices: Vec<(u64, &TraceEvent)> = m.trace().charges().collect();
+        assert_eq!(slices.len(), 2, "the signal marker is not a charge");
+        assert_eq!(slices[0].1.transition, Some(TransitionId::VhostKick));
+        assert_eq!(slices[1].0, 1);
+        assert_eq!(slices[1].1.core, b);
+        assert_eq!(slices[1].1.start, Cycles::new(500));
         let chains = tracer.chains();
         assert_eq!(chains.len(), 1);
         assert!(chains[0].complete);
@@ -1168,27 +1133,29 @@ mod tests {
     fn fault_injection_marks_the_next_traced_slice() {
         use crate::FaultPlan;
         let mut m = two_core_machine();
-        m.enable_event_tracing(None);
+        m.enable_event_tracing();
         m.set_fault_plan(FaultPlan::new(1).with_rate(FaultPoint::VirqDrop, 1.0));
         m.charge(CoreId::new(0), "ok", TraceKind::Guest, Cycles::new(10));
         assert!(m.fault(FaultPoint::VirqDrop));
+        m.signal(CoreId::new(0), CoreId::new(1), Cycles::new(5));
         m.charge(CoreId::new(0), "recover", TraceKind::Host, Cycles::new(20));
-        let slices = m.event_tracer().unwrap().slices();
-        assert!(!slices[0].fault);
-        assert!(slices[1].fault);
+        let faults: Vec<bool> = m.trace().charges().map(|(_, e)| e.fault).collect();
+        assert_eq!(faults, [false, true]);
     }
 
     #[test]
     fn ring_mode_caps_kept_slices() {
         let mut m = two_core_machine();
-        m.enable_event_tracing(Some(3));
+        m.trace_mut().set_mode(TraceMode::Ring(3));
+        m.enable_event_tracing();
+        assert_eq!(m.trace().mode(), TraceMode::Ring(3), "the ring survives");
         for _ in 0..10 {
             m.charge(CoreId::new(0), "w", TraceKind::Guest, Cycles::new(5));
         }
-        let t = m.event_tracer().unwrap();
-        assert_eq!(t.slices().len(), 3);
-        assert_eq!(t.recorded(), 10);
-        assert_eq!(t.dropped_slices(), 7);
+        assert_eq!(m.trace().len(), 3);
+        assert_eq!(m.trace().recorded(), 10);
+        assert_eq!(m.trace().dropped(), 7);
+        assert_eq!(m.event_tracer().unwrap().capacity(), Some(3));
     }
 
     #[test]
@@ -1213,12 +1180,8 @@ mod tests {
 
     /// Runs `iters` iterations of `body` under a loop session, the way
     /// suite drivers do.
-    fn drive(m: &mut Machine, iters: u64, profiled: bool, mut body: impl FnMut(&mut Machine, u64)) {
-        if profiled {
-            m.loop_begin_profiled();
-        } else {
-            m.loop_begin();
-        }
+    fn drive(m: &mut Machine, iters: u64, mut body: impl FnMut(&mut Machine, u64)) {
+        m.loop_begin();
         let mut i = 0;
         while i < iters {
             let skipped = m.loop_replay(iters - i);
@@ -1263,7 +1226,7 @@ mod tests {
     fn loop_replay_is_identical_to_interpretation() {
         let mut compiled = Machine::without_tracing(Topology::split(2, 1));
         let mut interpreted = Machine::without_tracing(Topology::split(2, 1));
-        drive(&mut compiled, 500, false, ping_pong);
+        drive(&mut compiled, 500, ping_pong);
         for i in 0..500 {
             ping_pong(&mut interpreted, i);
         }
@@ -1280,7 +1243,7 @@ mod tests {
         };
         let mut compiled = Machine::without_tracing(Topology::split(2, 1));
         let mut interpreted = Machine::without_tracing(Topology::split(2, 1));
-        drive(&mut compiled, 501, false, body);
+        drive(&mut compiled, 501, body);
         for i in 0..501 {
             body(&mut interpreted, i);
         }
@@ -1300,7 +1263,7 @@ mod tests {
         };
         let mut compiled = Machine::without_tracing(Topology::split(2, 1));
         let mut interpreted = Machine::without_tracing(Topology::split(2, 1));
-        drive(&mut compiled, 400, false, body);
+        drive(&mut compiled, 400, body);
         for i in 0..400 {
             body(&mut interpreted, i);
         }
@@ -1348,57 +1311,11 @@ mod tests {
     }
 
     #[test]
-    fn profiled_loop_replay_matches_interpreted_observability() {
-        let body = |m: &mut Machine, _i: u64| {
-            m.charge_as(
-                CoreId::new(0),
-                "vm:hypercall",
-                TraceKind::Trap,
-                Cycles::new(520),
-                TransitionId::Eret,
-            );
-            m.bump("loop.iters", 1);
-            m.observe("loop.cost", 520);
-            m.charge(CoreId::new(0), "guest", TraceKind::Guest, Cycles::new(80));
-        };
-        let mk = || {
-            let mut m = Machine::without_tracing(Topology::split(2, 1));
-            m.enable_profiling();
-            m
-        };
-        let mut compiled = mk();
-        let mut interpreted = mk();
-        drive(&mut compiled, 300, true, body);
-        for i in 0..300 {
-            body(&mut interpreted, i);
-        }
-        assert!(compiled.iters_replayed() > 200);
-        assert_replay_matches(&compiled, &interpreted);
-        let (cs, is) = (compiled.spans().unwrap(), interpreted.spans().unwrap());
-        assert_eq!(cs.total(), is.total());
-        assert_eq!(cs.unattributed(), is.unattributed());
-        assert_eq!(
-            cs.exclusive(TransitionId::Eret),
-            is.exclusive(TransitionId::Eret)
-        );
-        assert_eq!(cs.count(TransitionId::Eret), is.count(TransitionId::Eret));
-        assert_eq!(cs.folded("run"), is.folded("run"));
-        let (cm, im) = (compiled.metrics().unwrap(), interpreted.metrics().unwrap());
-        assert_eq!(cm.counter("loop.iters"), im.counter("loop.iters"));
-        let (ch, ih) = (
-            cm.histogram("loop.cost").unwrap(),
-            im.histogram("loop.cost").unwrap(),
-        );
-        assert_eq!(ch.count(), ih.count());
-        assert_eq!(ch.sum(), ih.sum());
-    }
-
-    #[test]
-    fn plain_loop_begin_refuses_profiled_machines() {
+    fn loop_begin_refuses_profiled_machines() {
         let mut m = Machine::without_tracing(Topology::split(2, 1));
         m.enable_profiling();
         assert!(!m.loop_begin());
-        drive(&mut m, 100, false, ping_pong);
+        drive(&mut m, 100, ping_pong);
         assert_eq!(m.iters_replayed(), 0);
     }
 
@@ -1418,17 +1335,20 @@ mod tests {
             livelock_threshold: None,
         });
         assert!(!m.loop_begin());
+        // Aggregate trace log.
+        let mut m = Machine::with_aggregate_trace(Topology::split(2, 1));
+        assert!(!m.loop_begin());
         // Event tracing on.
         let mut m = Machine::without_tracing(Topology::split(2, 1));
-        m.enable_event_tracing(None);
+        m.enable_event_tracing();
         assert!(!m.loop_begin());
         // Even with a session refused, the loop still runs correctly.
         let mut refused = Machine::without_tracing(Topology::split(2, 1));
-        refused.enable_event_tracing(None);
-        drive(&mut refused, 50, false, ping_pong);
+        refused.enable_event_tracing();
+        drive(&mut refused, 50, ping_pong);
         assert_eq!(refused.iters_replayed(), 0);
         let mut interpreted = Machine::without_tracing(Topology::split(2, 1));
-        interpreted.enable_event_tracing(None);
+        interpreted.enable_event_tracing();
         for i in 0..50 {
             ping_pong(&mut interpreted, i);
         }
@@ -1463,7 +1383,7 @@ mod tests {
         };
         let mut compiled = Machine::without_tracing(Topology::split(2, 1));
         let mut interpreted = Machine::without_tracing(Topology::split(2, 1));
-        drive(&mut compiled, 200, false, body);
+        drive(&mut compiled, 200, body);
         for i in 0..200 {
             body(&mut interpreted, i);
         }
@@ -1476,7 +1396,7 @@ mod tests {
     fn thread_transitions_counts_interpreted_and_replayed_alike() {
         let before = thread_transitions();
         let mut m = Machine::without_tracing(Topology::split(2, 1));
-        drive(&mut m, 500, false, ping_pong);
+        drive(&mut m, 500, ping_pong);
         let counted = thread_transitions().wrapping_sub(before);
         // Two charges per iteration, whether interpreted or replayed.
         assert_eq!(counted, 1000);

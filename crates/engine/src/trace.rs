@@ -5,14 +5,29 @@
 //! primitive steps (Table III decomposes the KVM ARM hypercall into
 //! per-register-class save/restore costs; Table V decomposes a netperf
 //! transaction into five segments). The engine makes the same decomposition
-//! a first-class artifact: every cost a hypervisor model charges is recorded
-//! as a [`TraceEvent`] in a [`TraceLog`], so tests can assert *which* steps
-//! executed in *which order* on *which core*, and harnesses can aggregate
-//! per-step totals to regenerate the paper's breakdown tables.
+//! a first-class artifact: every cost a hypervisor model charges becomes
+//! one [`TraceEvent`] — core, start, cost, label, kind, the
+//! [`TransitionId`] it was charged as, and a fault mark — offered to a
+//! single [`TraceLog`]. The log's [`TraceMode`] decides what is kept:
+//! nothing, per-label totals, every record, or a ring of the newest
+//! records. Tests assert *which* steps executed in *which order* on
+//! *which core*, harnesses aggregate per-step totals to regenerate the
+//! paper's breakdown tables, and [`TraceLog::chrome_trace`] exports the
+//! kept records with an [`EventTracer`]'s flow points as a Chrome
+//! trace-event timeline.
 
 use crate::{CoreId, Cycles};
+use hvx_obs::{EventTracer, FlowPhase, TransitionId};
+use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Label of the in-flight marker [`crate::Machine::signal`] records for
+/// every cross-core signal. The `signal:` namespace is reserved for it:
+/// a marker is kept beside the charges in [`TraceMode::Full`] and folded
+/// in [`TraceMode::Aggregate`], but it is not a charge — it takes no
+/// fault mark, no sequence number, and no ring slot.
+pub const SIGNAL_LABEL: &str = "signal:in-flight";
 
 /// Broad classification of a traced step, used for coarse aggregation
 /// (e.g. "how much of this hypercall was context switching?").
@@ -71,7 +86,7 @@ impl fmt::Display for TraceKind {
 }
 
 /// One traced step: a labelled, cycle-stamped interval on a core.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Core the step executed on.
     pub core: CoreId,
@@ -84,6 +99,13 @@ pub struct TraceEvent {
     /// Stable, machine-readable step label, e.g. `"save:vgic"` or
     /// `"xen:signal-dom0"`. Labels are namespaced with `:`.
     pub label: &'static str,
+    /// The transition the step was charged as
+    /// ([`crate::Machine::charge_as`]), if any.
+    pub transition: Option<TransitionId>,
+    /// Whether a fault-plan injection fired immediately before this
+    /// step (the step heads a charged recovery path). Set by the log
+    /// when it keeps the record.
+    pub fault: bool,
 }
 
 impl TraceEvent {
@@ -94,28 +116,30 @@ impl TraceEvent {
     }
 }
 
-/// How a [`TraceLog`] stores what it is told.
+/// What a [`TraceLog`] keeps of the records it is offered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
-    /// Every [`TraceEvent`] is stored in order (assertable sequences,
-    /// timeline rendering, instant extraction).
-    #[default]
-    Full,
+    /// Nothing: recording is a single branch (bulk workload runs, and
+    /// the precondition for loop compilation).
+    Off,
     /// Only per-`(kind, label)` duration totals are folded into a small
-    /// flat map; no event is ever stored, so the simulation hot path
+    /// flat map; no record is ever stored, so the simulation hot path
     /// performs **zero allocations** per charged step. Label/kind totals
     /// match [`TraceMode::Full`] exactly; ordering queries see an empty
     /// log.
     Aggregate,
+    /// Every record is stored in order (assertable sequences, timeline
+    /// rendering, instant extraction, trace export).
+    #[default]
+    Full,
+    /// The newest `n` charge records are kept, oldest overwritten first
+    /// (flight-recorder mode); [`TraceLog::dropped`] counts the
+    /// casualties. Signal markers are not kept.
+    Ring(usize),
 }
 
-/// An append-only log of [`TraceEvent`]s.
-///
-/// Recording can be disabled ([`TraceLog::disabled`]) for bulk workload
-/// simulations where only aggregate time matters; charging costs then skips
-/// the per-event allocation entirely. Between the extremes sits
-/// [`TraceLog::aggregate`]: per-`(kind, label)` totals are kept (enough for
-/// the paper's breakdown tables) without storing any event.
+/// The log every charge is offered to: one [`TraceEvent`] per charge,
+/// kept according to its [`TraceMode`].
 ///
 /// # Examples
 ///
@@ -129,46 +153,41 @@ pub enum TraceMode {
 ///     duration: Cycles::new(152),
 ///     kind: TraceKind::ContextSave,
 ///     label: "save:gp",
+///     transition: None,
+///     fault: false,
 /// });
 /// assert_eq!(log.total_by_label("save:gp"), Cycles::new(152));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
+    /// Stored records. In ring mode up to `2n` are held and the newest
+    /// `n` are visible (see [`TraceLog::events`]): trimming the oldest
+    /// half at once keeps every push amortized O(1) and the visible
+    /// window one contiguous, ordered slice.
     events: Vec<TraceEvent>,
     /// Per-`(kind, label)` duration totals, only fed in aggregate mode.
     /// A flat vec beats a map here: breakdowns have a few dozen distinct
     /// labels and the hot path usually re-hits the most recent ones.
     totals: Vec<(TraceKind, &'static str, Cycles)>,
     mode: TraceMode,
-    enabled: bool,
+    /// Charge records offered in full or ring mode (ring overwrites do
+    /// not rewind this).
+    recorded: u64,
+    /// Set by [`TraceLog::note_fault`]; consumed by the next charge.
+    pending_fault: bool,
 }
 
 impl TraceLog {
-    /// Creates an enabled, empty log storing full events.
+    /// Creates an empty log storing every record ([`TraceMode::Full`]).
     pub fn new() -> Self {
-        TraceLog {
-            events: Vec::new(),
-            totals: Vec::new(),
-            mode: TraceMode::Full,
-            enabled: true,
-        }
+        TraceLog::default()
     }
 
-    /// Creates a log that drops every event (for bulk simulations).
-    pub fn disabled() -> Self {
+    /// Creates an empty log in `mode`.
+    pub fn with_mode(mode: TraceMode) -> Self {
         TraceLog {
-            enabled: false,
-            ..TraceLog::new()
-        }
-    }
-
-    /// Creates a log that keeps only per-`(kind, label)` totals —
-    /// allocation-free per recorded step once the small totals table has
-    /// seen every distinct label.
-    pub fn aggregate() -> Self {
-        TraceLog {
-            mode: TraceMode::Aggregate,
-            ..TraceLog::new()
+            mode,
+            ..TraceLog::default()
         }
     }
 
@@ -178,113 +197,158 @@ impl TraceLog {
         self.mode
     }
 
-    /// Switches storage mode. Already-accumulated events/totals are kept;
-    /// only future [`TraceLog::record`] calls are affected.
+    /// Switches storage mode. Already-kept records and totals stay;
+    /// only future records are affected.
     pub fn set_mode(&mut self, mode: TraceMode) {
         self.mode = mode;
     }
 
-    /// Returns `true` if events are being recorded.
+    /// Offers one charge record: dropped ([`TraceMode::Off`]), folded
+    /// into the `(kind, label)` totals ([`TraceMode::Aggregate`]), or
+    /// kept, taking the fault mark a just-injected fault left pending.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Enables or disables recording (already-recorded events are kept).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Appends an event (no-op when disabled). In aggregate mode the
-    /// event itself is discarded after folding its duration into the
-    /// `(kind, label)` totals.
-    #[inline]
-    pub fn record(&mut self, ev: TraceEvent) {
-        if !self.enabled {
-            return;
-        }
+    pub fn record(&mut self, mut ev: TraceEvent) {
         match self.mode {
-            TraceMode::Full => self.events.push(ev),
-            TraceMode::Aggregate => {
-                // Pointer comparison first: labels are `&'static str`
-                // literals, so the same call site always re-hits its slot
-                // without a byte-wise compare. Two distinct literals with
-                // equal contents may occupy two slots; every query below
-                // sums all content-equal slots, so totals stay exact.
-                if let Some(slot) = self.totals.iter_mut().find(|(k, l, _)| {
-                    *k == ev.kind && (std::ptr::eq(*l, ev.label) || *l == ev.label)
-                }) {
-                    slot.2 += ev.duration;
-                } else {
-                    self.totals.push((ev.kind, ev.label, ev.duration));
+            TraceMode::Off => return,
+            TraceMode::Aggregate => return self.fold(&ev),
+            TraceMode::Full => {}
+            TraceMode::Ring(cap) => {
+                if self.events.len() >= 2 * cap.max(1) {
+                    self.events.drain(..self.events.len() - cap);
                 }
             }
         }
+        ev.fault |= std::mem::take(&mut self.pending_fault);
+        self.recorded += 1;
+        self.events.push(ev);
     }
 
-    /// All recorded events in recording order.
+    /// Offers one in-flight marker (label [`SIGNAL_LABEL`]): kept in
+    /// full mode and folded in aggregate mode like a charge, but never
+    /// counted as one, never fault-marked, and not kept by a ring.
+    #[inline]
+    pub(crate) fn record_signal(&mut self, ev: TraceEvent) {
+        match self.mode {
+            TraceMode::Aggregate => self.fold(&ev),
+            TraceMode::Full => self.events.push(ev),
+            TraceMode::Off | TraceMode::Ring(_) => {}
+        }
+    }
+
+    fn fold(&mut self, ev: &TraceEvent) {
+        // Pointer comparison first: labels are `&'static str` literals,
+        // so the same call site always re-hits its slot without a
+        // byte-wise compare. Two distinct literals with equal contents
+        // may occupy two slots; every query below sums all
+        // content-equal slots, so totals stay exact.
+        if let Some(slot) = self
+            .totals
+            .iter_mut()
+            .find(|(k, l, _)| *k == ev.kind && (std::ptr::eq(*l, ev.label) || *l == ev.label))
+        {
+            slot.2 += ev.duration;
+        } else {
+            self.totals.push((ev.kind, ev.label, ev.duration));
+        }
+    }
+
+    /// Marks that a fault was just injected: the next charge record is
+    /// flagged as the head of its recovery path. A no-op unless the log
+    /// keeps records (full or ring mode).
+    #[inline]
+    pub(crate) fn note_fault(&mut self) {
+        if matches!(self.mode, TraceMode::Full | TraceMode::Ring(_)) {
+            self.pending_fault = true;
+        }
+    }
+
+    /// The kept records in recording order (in ring mode, the newest
+    /// `n` charges).
     #[inline]
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        match self.mode {
+            TraceMode::Ring(cap) => &self.events[self.events.len().saturating_sub(cap)..],
+            _ => &self.events,
+        }
     }
 
-    /// Number of **stored** events. Always 0 in aggregate mode — the
+    /// The kept charge records (signal markers skipped), oldest first,
+    /// each paired with its sequence number: its index among every
+    /// charge this log was offered, so numbering survives ring
+    /// overwrites.
+    pub(crate) fn charges(&self) -> impl Iterator<Item = (u64, &TraceEvent)> {
+        (self.dropped()..).zip(self.events().iter().filter(|e| e.label != SIGNAL_LABEL))
+    }
+
+    /// Charge records offered in full or ring mode, including any a
+    /// ring overwrote.
+    #[inline]
+    pub fn recorded(&self) -> u64 {
+        self.recorded
+    }
+
+    /// Charge records lost to ring overwrites (0 outside ring mode).
+    pub fn dropped(&self) -> u64 {
+        match self.mode {
+            TraceMode::Ring(_) => self.recorded.saturating_sub(self.events().len() as u64),
+            _ => 0,
+        }
+    }
+
+    /// Number of **kept** records. Always 0 in aggregate mode — the
     /// whole point is that nothing is stored per step.
     #[inline]
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events().len()
     }
 
-    /// Returns `true` if no events are stored (always `true` in
+    /// Returns `true` if no records are kept (always `true` in
     /// aggregate mode).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events().is_empty()
     }
 
-    /// Discards all recorded events and totals, keeping allocations.
+    /// Discards all kept records, totals, and counts, keeping the mode
+    /// and allocations.
     pub fn clear(&mut self) {
         self.events.clear();
         self.totals.clear();
+        self.recorded = 0;
+        self.pending_fault = false;
     }
 
-    /// The labels of all events, in order — convenient for asserting the
-    /// exact step sequence of a code path.
+    /// The labels of all kept records, in order — convenient for
+    /// asserting the exact step sequence of a code path.
     pub fn labels(&self) -> Vec<&'static str> {
-        self.events.iter().map(|e| e.label).collect()
+        self.events().iter().map(|e| e.label).collect()
     }
 
-    /// Sum of durations of all events with the given label. Exact in
+    /// Sum of durations of all records with the given label. Exact in
     /// both full and aggregate mode.
     pub fn total_by_label(&self, label: &str) -> Cycles {
-        let stored: Cycles = self
-            .events
-            .iter()
-            .filter(|e| e.label == label)
-            .map(|e| e.duration)
-            .sum();
-        let folded: Cycles = self
-            .totals
-            .iter()
-            .filter(|(_, l, _)| *l == label)
-            .map(|(_, _, d)| *d)
-            .sum();
-        stored + folded
+        self.total_where(|_, l| l == label)
     }
 
-    /// Sum of durations of all events of the given kind. Exact in both
+    /// Sum of durations of all records of the given kind. Exact in both
     /// full and aggregate mode.
     pub fn total_by_kind(&self, kind: TraceKind) -> Cycles {
+        self.total_where(|k, _| k == kind)
+    }
+
+    /// Sums the kept records and folded totals whose `(kind, label)`
+    /// satisfy `keep`.
+    fn total_where(&self, keep: impl Fn(TraceKind, &str) -> bool) -> Cycles {
         let stored: Cycles = self
-            .events
+            .events()
             .iter()
-            .filter(|e| e.kind == kind)
+            .filter(|e| keep(e.kind, e.label))
             .map(|e| e.duration)
             .sum();
         let folded: Cycles = self
             .totals
             .iter()
-            .filter(|(k, _, _)| *k == kind)
+            .filter(|(k, l, _)| keep(*k, l))
             .map(|(_, _, d)| *d)
             .sum();
         stored + folded
@@ -294,7 +358,7 @@ impl TraceLog {
     /// the paper's Table III. Exact in both full and aggregate mode.
     pub fn totals_by_label(&self) -> BTreeMap<&'static str, Cycles> {
         let mut out: BTreeMap<&'static str, Cycles> = BTreeMap::new();
-        for e in &self.events {
+        for e in self.events() {
             *out.entry(e.label).or_insert(Cycles::ZERO) += e.duration;
         }
         for (_, label, d) in &self.totals {
@@ -303,9 +367,9 @@ impl TraceLog {
         out
     }
 
-    /// Returns the events that executed on `core`, in order.
+    /// Returns the kept records that executed on `core`, in order.
     pub fn events_on(&self, core: CoreId) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.core == core)
+        self.events().iter().filter(move |e| e.core == core)
     }
 
     /// Returns `true` if `needle` occurs as a (not necessarily contiguous)
@@ -318,7 +382,7 @@ impl TraceLog {
             Some(w) => *w,
             None => return true,
         };
-        for e in &self.events {
+        for e in self.events() {
             if e.label == want {
                 match it.next() {
                     Some(w) => want = *w,
@@ -328,6 +392,117 @@ impl TraceLog {
         }
         false
     }
+
+    /// Exports the kept charges plus `flows`' flow points as a Chrome
+    /// trace-event JSON value (`{"traceEvents": [...], ...}`), loadable
+    /// in Perfetto and `chrome://tracing`.
+    ///
+    /// Every charge becomes a complete event (`ph:"X"`) whose args carry
+    /// its cost, sequence number, transition, and fault mark; flow
+    /// points become flow events (`ph:"s"/"t"/"f"`). Timestamps are raw
+    /// simulated cycles presented as microseconds (the viewers require
+    /// *some* time unit; relative magnitudes are what matter for a
+    /// simulation). Tracks are core indices under a single process;
+    /// `track_names[track]` supplies the thread names, with `track<N>`
+    /// as the fallback.
+    pub fn chrome_trace(
+        &self,
+        process_name: &str,
+        track_names: &[String],
+        flows: &EventTracer,
+    ) -> Value {
+        let mut events: Vec<Value> = Vec::new();
+        events.push(obj(vec![
+            ("name", Value::Str("process_name".into())),
+            ("ph", Value::Str("M".into())),
+            ("pid", Value::U64(0)),
+            ("tid", Value::U64(0)),
+            (
+                "args",
+                obj(vec![("name", Value::Str(process_name.to_string()))]),
+            ),
+        ]));
+        let points = flows.flow_points();
+        let mut tracks: Vec<u64> = self
+            .charges()
+            .map(|(_, e)| e.core.index() as u64)
+            .chain(points.iter().map(|p| u64::from(p.track)))
+            .collect();
+        tracks.sort_unstable();
+        tracks.dedup();
+        for t in tracks {
+            let name = track_names
+                .get(t as usize)
+                .cloned()
+                .unwrap_or_else(|| format!("track{t}"));
+            events.push(obj(vec![
+                ("name", Value::Str("thread_name".into())),
+                ("ph", Value::Str("M".into())),
+                ("pid", Value::U64(0)),
+                ("tid", Value::U64(t)),
+                ("args", obj(vec![("name", Value::Str(name))])),
+            ]));
+        }
+        for (seq, e) in self.charges() {
+            let mut args = vec![
+                ("cycles", Value::U64(e.duration.as_u64())),
+                ("seq", Value::U64(seq)),
+            ];
+            if let Some(id) = e.transition {
+                args.push(("transition", Value::Str(id.name().to_string())));
+            }
+            if e.fault {
+                args.push(("fault", Value::Bool(true)));
+            }
+            events.push(obj(vec![
+                ("name", Value::Str(e.label.to_string())),
+                ("ph", Value::Str("X".into())),
+                ("ts", Value::U64(e.start.as_u64())),
+                ("dur", Value::U64(e.duration.as_u64())),
+                ("pid", Value::U64(0)),
+                ("tid", Value::U64(e.core.index() as u64)),
+                ("args", obj(args)),
+            ]));
+        }
+        for p in &points {
+            let mut fields = vec![
+                ("name", Value::Str(p.kind.name().to_string())),
+                ("cat", Value::Str("flow".into())),
+                ("ph", Value::Str(p.phase.chrome_ph().to_string())),
+                ("id", Value::U64(p.id.raw())),
+                ("ts", Value::U64(p.ts)),
+                ("pid", Value::U64(0)),
+                ("tid", Value::U64(u64::from(p.track))),
+                ("args", obj(vec![("hop", Value::Str(p.label.to_string()))])),
+            ];
+            if p.phase == FlowPhase::End {
+                // Bind the arrow head to the enclosing slice.
+                fields.push(("bp", Value::Str("e".into())));
+            }
+            events.push(obj(fields));
+        }
+        obj(vec![
+            ("traceEvents", Value::Array(events)),
+            ("displayTimeUnit", Value::Str("ns".into())),
+            (
+                "otherData",
+                obj(vec![
+                    ("events_recorded", Value::U64(self.recorded)),
+                    ("events_dropped", Value::U64(self.dropped())),
+                    ("flow_points", Value::U64(points.len() as u64)),
+                ]),
+            ),
+        ])
+    }
+}
+
+fn obj(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -341,6 +516,8 @@ mod tests {
             duration: Cycles::new(dur),
             kind,
             label,
+            transition: None,
+            fault: false,
         }
     }
 
@@ -372,12 +549,15 @@ mod tests {
 
     #[test]
     fn disabled_log_drops_events() {
-        let mut log = TraceLog::disabled();
+        let mut log = TraceLog::with_mode(TraceMode::Off);
         log.record(ev("x", TraceKind::Other, 1));
+        log.note_fault();
         assert!(log.is_empty());
-        log.set_enabled(true);
+        assert_eq!(log.recorded(), 0);
+        log.set_mode(TraceMode::Full);
         log.record(ev("x", TraceKind::Other, 1));
         assert_eq!(log.len(), 1);
+        assert!(!log.events()[0].fault, "an off log notes no fault");
     }
 
     #[test]
@@ -413,6 +593,8 @@ mod tests {
             duration: Cycles::new(50),
             kind: TraceKind::Guest,
             label: "guest:run",
+            transition: None,
+            fault: false,
         };
         assert_eq!(e.end(), Cycles::new(150));
     }
@@ -423,7 +605,8 @@ mod tests {
         log.record(ev("a", TraceKind::Other, 1));
         log.clear();
         assert!(log.is_empty());
-        assert!(log.is_enabled());
+        assert_eq!(log.recorded(), 0);
+        assert_eq!(log.mode(), TraceMode::Full);
     }
 
     #[test]
@@ -436,7 +619,7 @@ mod tests {
             ("save:gp", TraceKind::ContextSave, 152),
         ];
         let mut full = TraceLog::new();
-        let mut agg = TraceLog::aggregate();
+        let mut agg = TraceLog::with_mode(TraceMode::Aggregate);
         for (l, k, d) in steps {
             full.record(ev(l, k, d));
             agg.record(ev(l, k, d));
@@ -456,7 +639,7 @@ mod tests {
 
     #[test]
     fn aggregate_clear_resets_totals() {
-        let mut agg = TraceLog::aggregate();
+        let mut agg = TraceLog::with_mode(TraceMode::Aggregate);
         agg.record(ev("x", TraceKind::Other, 9));
         agg.clear();
         assert_eq!(agg.total_by_label("x"), Cycles::ZERO);
@@ -465,9 +648,95 @@ mod tests {
 
     #[test]
     fn disabled_aggregate_drops_everything() {
-        let mut agg = TraceLog::aggregate();
-        agg.set_enabled(false);
+        let mut agg = TraceLog::with_mode(TraceMode::Aggregate);
+        agg.set_mode(TraceMode::Off);
         agg.record(ev("x", TraceKind::Other, 9));
         assert_eq!(agg.total_by_label("x"), Cycles::ZERO);
+    }
+
+    #[test]
+    fn fault_mark_attaches_to_the_next_charge_only() {
+        let mut log = TraceLog::new();
+        log.record(ev("a", TraceKind::Guest, 10));
+        log.note_fault();
+        log.record_signal(ev(SIGNAL_LABEL, TraceKind::Ipi, 5));
+        log.record(ev("b", TraceKind::Host, 20));
+        log.record(ev("c", TraceKind::Host, 5));
+        let faults: Vec<bool> = log.events().iter().map(|e| e.fault).collect();
+        assert_eq!(faults, [false, false, true, false], "signals skip the mark");
+    }
+
+    #[test]
+    fn charges_skip_signal_markers_and_number_from_zero() {
+        let mut log = TraceLog::new();
+        log.record(ev("a", TraceKind::Guest, 10));
+        log.record_signal(ev(SIGNAL_LABEL, TraceKind::Ipi, 400));
+        log.record(ev("b", TraceKind::Host, 20));
+        assert_eq!(log.labels(), ["a", SIGNAL_LABEL, "b"]);
+        let charges: Vec<(u64, &str)> = log.charges().map(|(seq, e)| (seq, e.label)).collect();
+        assert_eq!(charges, [(0, "a"), (1, "b")]);
+        assert_eq!(log.recorded(), 2);
+        assert_eq!(log.dropped(), 0);
+        // Aggregate mode folds markers like charges, as it always has.
+        let mut agg = TraceLog::with_mode(TraceMode::Aggregate);
+        agg.record_signal(ev(SIGNAL_LABEL, TraceKind::Ipi, 400));
+        assert_eq!(agg.total_by_kind(TraceKind::Ipi), Cycles::new(400));
+    }
+
+    #[test]
+    fn ring_keeps_the_newest_charges_and_counts_drops() {
+        let mut log = TraceLog::with_mode(TraceMode::Ring(2));
+        for i in 0..5u64 {
+            log.record(TraceEvent {
+                start: Cycles::new(i * 10),
+                ..ev("s", TraceKind::Guest, 1)
+            });
+            log.record_signal(ev(SIGNAL_LABEL, TraceKind::Ipi, 1));
+        }
+        let starts: Vec<u64> = log.events().iter().map(|e| e.start.as_u64()).collect();
+        assert_eq!(starts, [30, 40], "oldest surviving first, no markers");
+        let seqs: Vec<u64> = log.charges().map(|(seq, _)| seq).collect();
+        assert_eq!(seqs, [3, 4], "numbering survives the wrap");
+        assert_eq!(log.recorded(), 5);
+        assert_eq!(log.dropped(), 3);
+        let mut empty = TraceLog::with_mode(TraceMode::Ring(0));
+        empty.record(ev("s", TraceKind::Guest, 1));
+        empty.record(ev("s", TraceKind::Guest, 1));
+        empty.record(ev("s", TraceKind::Guest, 1));
+        assert!(empty.is_empty());
+        assert_eq!(empty.dropped(), 3);
+    }
+
+    #[test]
+    fn chrome_trace_shape_is_valid() {
+        let mut log = TraceLog::new();
+        log.record(TraceEvent {
+            transition: Some(TransitionId::VhostKick),
+            ..ev("guest:kick", TraceKind::Emulation, 100)
+        });
+        log.record_signal(ev(SIGNAL_LABEL, TraceKind::Ipi, 400));
+        let mut flows = EventTracer::new();
+        let f = flows.flow_begin(hvx_obs::FlowKind::VirtioKick, 0, 100, "kick");
+        flows.flow_end(f, 4, 900, "dma");
+        let v = log.chrome_trace("hvx kvm-arm", &["pcpu0".to_string()], &flows);
+        let events = v.get("traceEvents").unwrap().as_array().unwrap();
+        // process_name + 2 thread_names + 1 slice + 2 flow points: the
+        // signal marker is not a slice.
+        assert_eq!(events.len(), 6);
+        assert_eq!(events[0]["ph"].as_str(), Some("M"));
+        assert_eq!(events[1]["args"]["name"].as_str(), Some("pcpu0"));
+        assert_eq!(events[2]["args"]["name"].as_str(), Some("track4"));
+        let slice = &events[3];
+        assert_eq!(slice["ph"].as_str(), Some("X"));
+        assert_eq!(slice["dur"].as_u64(), Some(100));
+        assert_eq!(slice["args"]["seq"].as_u64(), Some(0));
+        assert_eq!(slice["args"]["transition"].as_str(), Some("vhost_kick"));
+        let begin = &events[4];
+        assert_eq!(begin["ph"].as_str(), Some("s"));
+        assert_eq!(begin["id"].as_u64(), Some(0));
+        let end = &events[5];
+        assert_eq!(end["ph"].as_str(), Some("f"));
+        assert_eq!(end["bp"].as_str(), Some("e"));
+        assert_eq!(v["otherData"]["events_recorded"].as_u64(), Some(1));
     }
 }

@@ -12,10 +12,11 @@
 //! * [`MetricsRegistry`] / [`HistogramSketch`] — named counters and
 //!   power-of-two histograms, lock-free in steady state, with a
 //!   deterministic cross-thread merge;
-//! * [`EventTracer`] — causal event tracing: timestamped slices on
-//!   per-core tracks plus [`FlowKind`] chains stitching causally-linked
-//!   work across machines, with Chrome trace-event export and a
-//!   derivation pass folding end-to-end latencies into the registry;
+//! * [`EventTracer`] — causal flow tracing: [`FlowKind`] chains of flow
+//!   points stitching causally-linked work across machines, with a
+//!   derivation pass folding end-to-end latencies into the registry
+//!   (the per-charge slices of a trace are the engine's trace-log
+//!   records, not kept here);
 //! * [`ProfileSnapshot`] and [`SpanTracer::folded`] — exporters: JSON
 //!   (via the in-tree serde shim) and folded-stack flamegraph text;
 //! * [`log`] — a leveled JSON-lines logger (off by default, `HVX_LOG`
@@ -46,4 +47,4 @@ pub use log::{LogLevel, LogValue};
 pub use metrics::{HistogramSketch, MetricsRegistry};
 pub use prom::{parse_exposition, sanitize_metric_name, PromSample, PromText};
 pub use span::{SpanRow, SpanTracer, TransitionId};
-pub use tracing::{EventTracer, FlowChain, FlowId, FlowKind, FlowPhase, FlowPoint, SliceEvent};
+pub use tracing::{EventTracer, FlowChain, FlowId, FlowKind, FlowPhase, FlowPoint};

@@ -140,22 +140,6 @@ impl HistogramSketch {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Folds `other` into `self` `k` times at once: equivalent to `k`
-    /// calls to [`HistogramSketch::merge`]. Used by compiled loop
-    /// replay to apply one steady-state block's observations for every
-    /// skipped block.
-    pub fn merge_scaled(&mut self, other: &HistogramSketch, k: u64) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b * k;
-        }
-        self.count += other.count * k;
-        self.sum += other.sum * k;
-        if k > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
 }
 
 /// The metrics registry: named counters plus named histograms.
@@ -264,25 +248,6 @@ impl MetricsRegistry {
             }
         }
     }
-
-    /// Folds `other` into `self` `k` times at once: equivalent to `k`
-    /// calls to [`MetricsRegistry::merge`]. Compiled loop replay uses
-    /// this to charge one block's metric delta for every skipped block.
-    pub fn merge_scaled(&mut self, other: &MetricsRegistry, k: u64) {
-        for (name, v) in &other.counters {
-            self.bump(name, *v * k);
-        }
-        for (name, h) in &other.histograms {
-            match find(&self.histograms, name) {
-                Some(i) => self.histograms[i].1.merge_scaled(h, k),
-                None => {
-                    let mut fresh = HistogramSketch::new();
-                    fresh.merge_scaled(h, k);
-                    self.histograms.push((name, fresh));
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -335,31 +300,6 @@ mod tests {
             ba.histogram("lat").unwrap().sum()
         );
         assert_eq!(ab.counters_sorted(), ba.counters_sorted());
-    }
-
-    #[test]
-    fn merge_scaled_matches_repeated_merge() {
-        let mut delta = MetricsRegistry::new();
-        delta.bump("kvm.traps", 3);
-        delta.observe("rr.latency_cycles", 180);
-        delta.observe("rr.latency_cycles", 12);
-
-        let mut scaled = MetricsRegistry::new();
-        scaled.bump("kvm.traps", 100);
-        scaled.merge_scaled(&delta, 7);
-        let mut repeated = MetricsRegistry::new();
-        repeated.bump("kvm.traps", 100);
-        for _ in 0..7 {
-            repeated.merge(&delta);
-        }
-        assert_eq!(scaled.counter("kvm.traps"), repeated.counter("kvm.traps"));
-        let hs = scaled.histogram("rr.latency_cycles").unwrap();
-        let hr = repeated.histogram("rr.latency_cycles").unwrap();
-        assert_eq!(hs.count(), hr.count());
-        assert_eq!(hs.sum(), hr.sum());
-        assert_eq!(hs.min(), hr.min());
-        assert_eq!(hs.max(), hr.max());
-        assert_eq!(hs.approx_quantile(0.5), hr.approx_quantile(0.5));
     }
 
     #[test]

@@ -423,37 +423,6 @@ impl SpanTracer {
         self.cur_slot = NO_SLOT;
     }
 
-    /// Folds `other` into `self` `k` times at once — the batched form
-    /// of [`SpanTracer::merge`] used by compiled loop replay, where one
-    /// steady-state block's span delta is applied for every skipped
-    /// block without re-walking the span stream. Equivalent to calling
-    /// `merge(other)` `k` times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tracer still has open spans.
-    pub fn merge_scaled(&mut self, other: &SpanTracer, k: u64) {
-        assert!(
-            self.stack.is_empty() && other.stack.is_empty(),
-            "merging tracers with open spans"
-        );
-        for i in 0..TransitionId::COUNT {
-            self.excl[i] += other.excl[i] * k;
-            self.incl[i] += other.incl[i] * k;
-            self.counts[i] += other.counts[i] * k;
-        }
-        self.unattributed += other.unattributed * k;
-        self.total += other.total * k;
-        for (path, cycles) in &other.folded {
-            if let Some(pos) = self.folded.iter().position(|(p, _)| p == path) {
-                self.folded[pos].1 += cycles * k;
-            } else {
-                self.folded.push((path.clone(), cycles * k));
-            }
-        }
-        self.cur_slot = NO_SLOT;
-    }
-
     /// Renders the folded-stack flamegraph text: one line per unique
     /// span path, `root;outer;inner <exclusive cycles>`, with
     /// zero-cycle frames dropped deterministically and parents emitted
@@ -653,33 +622,6 @@ mod tests {
         assert_eq!(a.unattributed(), 8);
         assert_eq!(a.total(), 50);
         assert_eq!(a.folded("r"), "r 8\nr;eret 42\n");
-    }
-
-    #[test]
-    fn merge_scaled_matches_repeated_merge() {
-        let mut delta = SpanTracer::new();
-        delta.enter(TransitionId::Eret);
-        delta.charge(10);
-        delta.enter(TransitionId::GicAccess);
-        delta.charge(3);
-        delta.exit(TransitionId::GicAccess);
-        delta.exit(TransitionId::Eret);
-        delta.charge(7);
-
-        let mut scaled = SpanTracer::new();
-        scaled.merge_scaled(&delta, 5);
-        let mut repeated = SpanTracer::new();
-        for _ in 0..5 {
-            repeated.merge(&delta);
-        }
-        assert_eq!(scaled.total(), repeated.total());
-        assert_eq!(scaled.unattributed(), repeated.unattributed());
-        for id in TransitionId::ALL {
-            assert_eq!(scaled.exclusive(id), repeated.exclusive(id));
-            assert_eq!(scaled.inclusive(id), repeated.inclusive(id));
-            assert_eq!(scaled.count(id), repeated.count(id));
-        }
-        assert_eq!(scaled.folded("r"), repeated.folded("r"));
     }
 
     #[test]

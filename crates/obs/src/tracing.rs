@@ -1,13 +1,13 @@
-//! Causal event tracing: per-track timelines with cross-machine flows.
+//! Causal flow tracing: cross-machine chains stitched from flow points.
 //!
 //! Where spans ([`crate::SpanTracer`]) answer *where did cycles go in
-//! aggregate*, the event tracer answers *what happened, when, and what
-//! caused it*: every charge becomes a timestamped **slice** on a
-//! per-core track, and causally-linked slices on different cores are
-//! stitched together by **flow points** (the paper's guest kick →
-//! vhost/Dom0 handling → vIRQ delivery chains). The result exports to
-//! Chrome trace-event JSON, which loads directly in Perfetto or
-//! `chrome://tracing`.
+//! aggregate*, flows answer *what caused what*: causally-linked work on
+//! different cores is stitched together by **flow points** that share
+//! one [`FlowId`] (the paper's guest kick → vhost/Dom0 handling → vIRQ
+//! delivery chains). The per-charge timeline is not kept here: the
+//! engine's trace log holds one record per charge, and its Chrome
+//! trace-event export pairs those records with this tracer's flow
+//! points.
 //!
 //! The tracer is substrate-free: tracks are plain `u8` ids and
 //! timestamps are raw cycle counts. The engine maps cores to tracks and
@@ -16,14 +16,13 @@
 //!
 //! # Ring-buffer mode
 //!
-//! With a capacity installed ([`EventTracer::with_capacity`]) the slice
-//! and flow stores become fixed-size rings: the newest events overwrite
-//! the oldest and [`EventTracer::dropped_slices`] counts the casualties.
-//! Full traces of large scenarios stay memory-capped; chains whose
-//! beginnings were overwritten simply surface as incomplete.
+//! With a capacity installed ([`EventTracer::with_capacity`]) the flow
+//! store becomes a fixed-size ring: the newest points overwrite the
+//! oldest and [`EventTracer::dropped_flow_points`] counts the
+//! casualties. Chains whose beginnings were overwritten simply surface
+//! as incomplete.
 
-use crate::{MetricsRegistry, TransitionId};
-use serde::Value;
+use crate::MetricsRegistry;
 
 /// Identity of one causal flow: every point of a chain carries the same
 /// id, which becomes the Chrome trace-event `id` binding the arrows.
@@ -114,29 +113,6 @@ impl FlowPhase {
             FlowPhase::End => "f",
         }
     }
-}
-
-/// One timestamped interval of charged work on a track — a Chrome
-/// complete event (`ph:"X"`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SliceEvent {
-    /// Track the work ran on (the engine uses the physical core index).
-    pub track: u8,
-    /// Start instant in cycles.
-    pub start: u64,
-    /// Duration in cycles (zero-cost charges still record: they mark
-    /// causal steps).
-    pub duration: u64,
-    /// The charge label (e.g. `kvm:vgic-inject`).
-    pub label: &'static str,
-    /// The transition the charge was attributed to, if charged through
-    /// a span (`charge_as`).
-    pub transition: Option<TransitionId>,
-    /// Whether a fault-plan injection fired immediately before this
-    /// slice (the slice is the start of a charged recovery path).
-    pub fault: bool,
-    /// Global record sequence number (monotone; survives ring wrap).
-    pub seq: u64,
 }
 
 /// One point of a causal flow chain.
@@ -231,25 +207,19 @@ impl<T: Copy> Ring<T> {
             out
         }
     }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
 }
 
-/// The structured event tracer: slices plus flow points, exportable to
-/// Chrome trace-event JSON.
+/// The flow tracer: causal chains of flow points, with an optional
+/// ring bound.
 ///
 /// # Examples
 ///
 /// ```
-/// use hvx_obs::{EventTracer, FlowKind, TransitionId};
+/// use hvx_obs::{EventTracer, FlowKind};
 ///
 /// let mut t = EventTracer::new();
-/// t.record_slice(0, 0, 100, "guest:kick", Some(TransitionId::VhostKick));
 /// let flow = t.flow_begin(FlowKind::VirtioKick, 0, 100, "virtio:kick");
 /// t.flow_step(flow, 4, 700, "vhost:wake");
-/// t.record_slice(4, 700, 2_000, "kvm:vhost-tx", Some(TransitionId::VhostBackend));
 /// t.flow_end(flow, 4, 2_700, "nic:dma");
 /// let chains = t.chains();
 /// assert_eq!(chains.len(), 1);
@@ -258,13 +228,8 @@ impl<T: Copy> Ring<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventTracer {
-    slices: Ring<SliceEvent>,
     flows: Ring<FlowPoint>,
-    /// Total slices ever recorded (ring wrap does not rewind this).
-    seq: u64,
     next_flow: u64,
-    /// Set by [`EventTracer::note_fault`]; consumed by the next slice.
-    pending_fault: bool,
 }
 
 impl Default for EventTracer {
@@ -274,60 +239,26 @@ impl Default for EventTracer {
 }
 
 impl EventTracer {
-    /// An unbounded tracer: every event is kept.
+    /// An unbounded tracer: every flow point is kept.
     pub fn new() -> Self {
         EventTracer::build(None)
     }
 
-    /// A ring-buffered tracer keeping at most `capacity` slices and
-    /// `capacity` flow points.
+    /// A ring-buffered tracer keeping at most `capacity` flow points.
     pub fn with_capacity(capacity: usize) -> Self {
         EventTracer::build(Some(capacity))
     }
 
     fn build(cap: Option<usize>) -> Self {
         EventTracer {
-            slices: Ring::new(cap),
             flows: Ring::new(cap),
-            seq: 0,
             next_flow: 0,
-            pending_fault: false,
         }
     }
 
     /// The installed ring capacity (`None` = unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        self.slices.cap
-    }
-
-    /// Records one slice of charged work. Consumes a pending fault mark
-    /// (see [`EventTracer::note_fault`]) into the slice's `fault` flag.
-    pub fn record_slice(
-        &mut self,
-        track: u8,
-        start: u64,
-        duration: u64,
-        label: &'static str,
-        transition: Option<TransitionId>,
-    ) {
-        let fault = std::mem::take(&mut self.pending_fault);
-        let seq = self.seq;
-        self.seq += 1;
-        self.slices.push(SliceEvent {
-            track,
-            start,
-            duration,
-            label,
-            transition,
-            fault,
-            seq,
-        });
-    }
-
-    /// Marks that a fault was just injected: the next recorded slice is
-    /// flagged as the head of its charged recovery path.
-    pub fn note_fault(&mut self) {
-        self.pending_fault = true;
+        self.flows.cap
     }
 
     /// Opens a new causal chain at `(track, ts)` and returns its id.
@@ -389,24 +320,9 @@ impl EventTracer {
         });
     }
 
-    /// Surviving slices, oldest first.
-    pub fn slices(&self) -> Vec<SliceEvent> {
-        self.slices.in_order()
-    }
-
     /// Surviving flow points, oldest first.
     pub fn flow_points(&self) -> Vec<FlowPoint> {
         self.flows.in_order()
-    }
-
-    /// Total slices ever recorded (including any the ring overwrote).
-    pub fn recorded(&self) -> u64 {
-        self.seq
-    }
-
-    /// Slices lost to ring overwrites.
-    pub fn dropped_slices(&self) -> u64 {
-        self.slices.dropped
     }
 
     /// Flow points lost to ring overwrites.
@@ -461,11 +377,8 @@ impl EventTracer {
     ///   Fig. 4 asymmetry quantity);
     /// * `trace.latency.grant_copy`, `trace.latency.fault_recovery`;
     /// * `trace.chain_len` — points per complete chain;
-    /// * `trace.events`, `trace.events_dropped`, `trace.flows_complete`,
-    ///   `trace.flows_incomplete` counters.
+    /// * `trace.flows_complete`, `trace.flows_incomplete` counters.
     pub fn derive_metrics(&self, metrics: &mut MetricsRegistry) {
-        metrics.bump("trace.events", self.seq);
-        metrics.bump("trace.events_dropped", self.slices.dropped);
         for c in self.chains() {
             if c.complete {
                 metrics.bump("trace.flows_complete", 1);
@@ -476,147 +389,11 @@ impl EventTracer {
             }
         }
     }
-
-    /// Exports the trace as a Chrome trace-event JSON value
-    /// (`{"traceEvents": [...], ...}`), loadable in Perfetto and
-    /// `chrome://tracing`.
-    ///
-    /// Timestamps are raw simulated cycles presented as microseconds
-    /// (the viewers require *some* time unit; relative magnitudes are
-    /// what matter for a simulation). Tracks map to thread ids under a
-    /// single process; `track_names[track]` supplies the thread names,
-    /// with `track<N>` as the fallback.
-    pub fn chrome_trace(&self, process_name: &str, track_names: &[String]) -> Value {
-        let mut events: Vec<Value> = Vec::new();
-        events.push(obj(vec![
-            ("name", Value::Str("process_name".into())),
-            ("ph", Value::Str("M".into())),
-            ("pid", Value::U64(0)),
-            ("tid", Value::U64(0)),
-            (
-                "args",
-                obj(vec![("name", Value::Str(process_name.to_string()))]),
-            ),
-        ]));
-        let slices = self.slices.in_order();
-        let points = self.flows.in_order();
-        let mut tracks: Vec<u8> = slices
-            .iter()
-            .map(|s| s.track)
-            .chain(points.iter().map(|p| p.track))
-            .collect();
-        tracks.sort_unstable();
-        tracks.dedup();
-        for t in &tracks {
-            let name = track_names
-                .get(*t as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("track{t}"));
-            events.push(obj(vec![
-                ("name", Value::Str("thread_name".into())),
-                ("ph", Value::Str("M".into())),
-                ("pid", Value::U64(0)),
-                ("tid", Value::U64(u64::from(*t))),
-                ("args", obj(vec![("name", Value::Str(name))])),
-            ]));
-        }
-        for s in &slices {
-            let mut args = vec![
-                ("cycles", Value::U64(s.duration)),
-                ("seq", Value::U64(s.seq)),
-            ];
-            if let Some(id) = s.transition {
-                args.push(("transition", Value::Str(id.name().to_string())));
-            }
-            if s.fault {
-                args.push(("fault", Value::Bool(true)));
-            }
-            events.push(obj(vec![
-                ("name", Value::Str(s.label.to_string())),
-                ("ph", Value::Str("X".into())),
-                ("ts", Value::U64(s.start)),
-                ("dur", Value::U64(s.duration)),
-                ("pid", Value::U64(0)),
-                ("tid", Value::U64(u64::from(s.track))),
-                ("args", obj(args)),
-            ]));
-        }
-        for p in &points {
-            let mut fields = vec![
-                ("name", Value::Str(p.kind.name().to_string())),
-                ("cat", Value::Str("flow".into())),
-                ("ph", Value::Str(p.phase.chrome_ph().to_string())),
-                ("id", Value::U64(p.id.raw())),
-                ("ts", Value::U64(p.ts)),
-                ("pid", Value::U64(0)),
-                ("tid", Value::U64(u64::from(p.track))),
-                ("args", obj(vec![("hop", Value::Str(p.label.to_string()))])),
-            ];
-            if p.phase == FlowPhase::End {
-                // Bind the arrow head to the enclosing slice.
-                fields.push(("bp", Value::Str("e".into())));
-            }
-            events.push(obj(fields));
-        }
-        obj(vec![
-            ("traceEvents", Value::Array(events)),
-            ("displayTimeUnit", Value::Str("ns".into())),
-            (
-                "otherData",
-                obj(vec![
-                    ("events_recorded", Value::U64(self.seq)),
-                    ("events_dropped", Value::U64(self.slices.dropped)),
-                    ("flow_points", Value::U64(self.flows.len() as u64)),
-                ]),
-            ),
-        ])
-    }
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slices_record_in_order_with_fault_marks() {
-        let mut t = EventTracer::new();
-        t.record_slice(0, 0, 10, "a", None);
-        t.note_fault();
-        t.record_slice(1, 10, 20, "b", Some(TransitionId::GrantRetry));
-        t.record_slice(1, 30, 5, "c", None);
-        let s = t.slices();
-        assert_eq!(s.len(), 3);
-        assert!(!s[0].fault);
-        assert!(s[1].fault, "fault mark attaches to the next slice");
-        assert!(!s[2].fault, "fault mark is consumed");
-        assert_eq!(s[1].transition, Some(TransitionId::GrantRetry));
-        assert_eq!(s.iter().map(|s| s.seq).collect::<Vec<_>>(), [0, 1, 2]);
-        assert_eq!(t.recorded(), 3);
-        assert_eq!(t.dropped_slices(), 0);
-    }
-
-    #[test]
-    fn ring_keeps_newest_and_counts_drops() {
-        let mut t = EventTracer::with_capacity(2);
-        for i in 0..5u64 {
-            t.record_slice(0, i * 10, 1, "s", None);
-        }
-        let s = t.slices();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].start, 30, "oldest surviving first");
-        assert_eq!(s[1].start, 40);
-        assert_eq!(t.recorded(), 5);
-        assert_eq!(t.dropped_slices(), 3);
-    }
 
     #[test]
     fn chains_reassemble_interleaved_flows() {
@@ -644,6 +421,8 @@ mod tests {
         let a = t.flow_begin(FlowKind::EvtchnSignal, 0, 10, "send");
         t.flow_step(a, 5, 50, "wake");
         t.flow_end(a, 5, 90, "wire"); // overwrites the begin
+        assert_eq!(t.flow_points().len(), 2, "the ring keeps the newest points");
+        assert_eq!(t.dropped_flow_points(), 1);
         let chains = t.chains();
         assert_eq!(chains.len(), 1);
         assert!(!chains[0].complete);
@@ -669,10 +448,8 @@ mod tests {
         let b = t.flow_begin(FlowKind::VirtioKick, 0, 100, "kick");
         t.flow_end(b, 5, 2_100, "dma");
         let _c = t.flow_begin(FlowKind::GrantCopy, 5, 50, "copy"); // never ends
-        t.record_slice(0, 0, 10, "s", None);
         let mut m = MetricsRegistry::new();
         t.derive_metrics(&mut m);
-        assert_eq!(m.counter("trace.events"), 1);
         assert_eq!(m.counter("trace.flows_complete"), 2);
         assert_eq!(m.counter("trace.flows_incomplete"), 1);
         let irq = m.histogram("trace.latency.irq_delivery").unwrap();
@@ -681,32 +458,6 @@ mod tests {
         let kick = m.histogram("trace.latency.io_kick").unwrap();
         assert_eq!(kick.sum(), 2_000);
         assert_eq!(m.histogram("trace.chain_len").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn chrome_trace_shape_is_valid() {
-        let mut t = EventTracer::new();
-        t.record_slice(0, 0, 100, "guest:kick", Some(TransitionId::VhostKick));
-        let f = t.flow_begin(FlowKind::VirtioKick, 0, 100, "kick");
-        t.flow_end(f, 4, 900, "dma");
-        let v = t.chrome_trace("hvx kvm-arm", &["pcpu0".to_string()]);
-        let events = v.get("traceEvents").unwrap().as_array().unwrap();
-        // process_name + 2 thread_names + 1 slice + 2 flow points.
-        assert_eq!(events.len(), 6);
-        assert_eq!(events[0]["ph"].as_str(), Some("M"));
-        assert_eq!(events[1]["args"]["name"].as_str(), Some("pcpu0"));
-        assert_eq!(events[2]["args"]["name"].as_str(), Some("track4"));
-        let slice = &events[3];
-        assert_eq!(slice["ph"].as_str(), Some("X"));
-        assert_eq!(slice["dur"].as_u64(), Some(100));
-        assert_eq!(slice["args"]["transition"].as_str(), Some("vhost_kick"));
-        let begin = &events[4];
-        assert_eq!(begin["ph"].as_str(), Some("s"));
-        assert_eq!(begin["id"].as_u64(), Some(0));
-        let end = &events[5];
-        assert_eq!(end["ph"].as_str(), Some("f"));
-        assert_eq!(end["bp"].as_str(), Some("e"));
-        assert_eq!(v["otherData"]["events_recorded"].as_u64(), Some(1));
     }
 
     #[test]

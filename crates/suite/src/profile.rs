@@ -21,7 +21,7 @@
 
 use crate::workloads::{self, Mix};
 use hvx_core::{Error, HvKind, SimBuilder, VirqPolicy, Workload};
-use hvx_engine::{fault, FaultPlan, ProfileSnapshot, TraceMode, TransitionId, Watchdog};
+use hvx_engine::{fault, FaultPlan, ProfileSnapshot, TransitionId, Watchdog};
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -154,7 +154,7 @@ pub fn run_profile(scenario: ProfileScenario) -> Result<ProfileReport, Error> {
     let mix = mix_for(scenario.workload)?;
     let mut sim = SimBuilder::new(scenario.kind)
         .workload(scenario.workload)
-        .tracing(TraceMode::Aggregate)
+        .without_tracing()
         .profiling(true)
         .build()?;
     let makespan = workloads::run(sim.as_dyn_mut(), mix, VirqPolicy::Vcpu0)?;

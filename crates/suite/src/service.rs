@@ -22,11 +22,11 @@
 use crate::cache::{self, ResultCache};
 use crate::runner::{self, ChaosKind, RunnerConfig, Scenario};
 use crate::spec_run;
-use crate::trace::{ParsedTrace, TraceScenario};
+use crate::trace::TraceScenario;
 use hvx_core::report::CellReport;
 use hvx_core::Workload;
 use hvx_core::{ScenarioFailureKind, ScenarioSpec, SchedPolicy, SpecShape, TopologySpec};
-use hvx_engine::{fault, Watchdog};
+use hvx_engine::{fault, Fingerprint, Watchdog};
 use hvx_serve::{JobExecutor, JobFailure, JobOutput, PreparedJob};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -74,8 +74,10 @@ impl SuiteExecutor {
     /// Stores ranked critical chains for a just-completed cold
     /// paper-shape run, so `GET /trace/<fp>` answers from the warm
     /// cache without re-running anything. Best-effort: a trace that
-    /// fails to run or parse simply leaves no stored trace (the
-    /// endpoint 404s), never failing the job itself.
+    /// fails to run simply leaves no stored trace (the endpoint 404s),
+    /// never failing the job itself. The chains come straight from the
+    /// run's flow tracer, ranked as `trace query` ranks an exported
+    /// file's.
     fn store_trace(&self, fingerprint: &str, spec: &ScenarioSpec) {
         let Some(cache) = &self.cache else { return };
         if spec.shape().ok() != Some(SpecShape::Paper) {
@@ -86,13 +88,9 @@ impl SuiteExecutor {
             kind: spec.hypervisor,
             ring: None,
         };
-        let Ok(report) = crate::trace::run_trace(scenario) else {
+        let Ok(mut chains) = crate::trace::traced_chains(scenario) else {
             return;
         };
-        let Ok(parsed) = ParsedTrace::parse(&report.json) else {
-            return;
-        };
-        let mut chains = parsed.chains();
         // The query ranking: longest end-to-end latency first, chain id
         // as the deterministic tiebreak.
         chains.sort_by(|a, b| b.latency.cmp(&a.latency).then(a.id.cmp(&b.id)));
@@ -101,21 +99,21 @@ impl SuiteExecutor {
             .iter()
             .map(|c| {
                 Value::Object(vec![
-                    ("kind".into(), Value::Str(c.kind.clone())),
-                    ("id".into(), Value::U64(c.id)),
+                    ("kind".into(), Value::Str(c.kind.name().into())),
+                    ("id".into(), Value::U64(c.id.raw())),
                     ("complete".into(), Value::Bool(c.complete)),
                     ("latency_cycles".into(), Value::U64(c.latency)),
                     (
                         "hops".into(),
                         Value::Array(
-                            c.hops
+                            c.points
                                 .iter()
-                                .map(|h| {
+                                .map(|p| {
                                     Value::Object(vec![
-                                        ("ph".into(), Value::Str(h.ph.clone())),
-                                        ("ts".into(), Value::U64(h.ts)),
-                                        ("tid".into(), Value::U64(h.tid)),
-                                        ("hop".into(), Value::Str(h.hop.clone())),
+                                        ("ph".into(), Value::Str(p.phase.chrome_ph().into())),
+                                        ("ts".into(), Value::U64(p.ts)),
+                                        ("tid".into(), Value::U64(u64::from(p.track))),
+                                        ("hop".into(), Value::Str(p.label.into())),
                                     ])
                                 })
                                 .collect(),
@@ -264,6 +262,12 @@ impl JobExecutor for SuiteExecutor {
     }
 
     fn trace(&self, fingerprint: &str) -> Option<String> {
+        // Only a canonical fingerprint names a cache entry: the cache
+        // joins the key onto its directory, so an absolute or `../`
+        // path would reach files outside it.
+        if Fingerprint::parse_hex(fingerprint)?.to_hex() != fingerprint {
+            return None;
+        }
         let cache = self.cache.as_ref()?;
         let payload = cache.lookup_raw(&trace_key(fingerprint), TRACE_RESULT_KIND)?;
         serde_json::to_string(&payload).ok()
@@ -361,7 +365,110 @@ fn run_chaos(kind: ChaosKind) -> Result<JobOutput, JobFailure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{run_trace, ParsedTrace};
     use hvx_core::HvKind;
+
+    fn scratch_dir(tag: u32) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("hvx-service-test-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn stored_trace_matches_the_exported_trace_derivation() {
+        // The stored chains come from the in-memory flow tracer; they
+        // must equal what `trace query` derives from the exported file.
+        let dir = scratch_dir(line!());
+        let exec = SuiteExecutor::new(Some(Arc::new(ResultCache::open(&dir).unwrap())));
+        for (kind, total) in [(HvKind::KvmArm, 80), (HvKind::XenArm, 160)] {
+            let mut spec = ScenarioSpec::paper(kind);
+            spec.workload = Some(Workload::TcpRr);
+            let fp = cache::spec_fingerprint(&spec).to_hex();
+            exec.store_trace(&fp, &spec);
+            let stored = serde_json::parse_value(&exec.trace(&fp).expect("stored")).unwrap();
+
+            let scenario = TraceScenario {
+                workload: Workload::TcpRr,
+                kind,
+                ring: None,
+            };
+            let parsed = ParsedTrace::parse(&run_trace(scenario).unwrap().json).unwrap();
+            let mut chains = parsed.chains();
+            assert_eq!(chains.len(), total, "{kind}");
+            chains.sort_by(|a, b| b.latency.cmp(&a.latency).then(a.id.cmp(&b.id)));
+            chains.truncate(MAX_STORED_CHAINS);
+            let hop = |h: &crate::trace::QFlowPoint| {
+                Value::Object(vec![
+                    ("ph".into(), Value::Str(h.ph.clone())),
+                    ("ts".into(), Value::U64(h.ts)),
+                    ("tid".into(), Value::U64(h.tid)),
+                    ("hop".into(), Value::Str(h.hop.clone())),
+                ])
+            };
+            let expected: Vec<Value> = chains
+                .iter()
+                .map(|c| {
+                    Value::Object(vec![
+                        ("kind".into(), Value::Str(c.kind.clone())),
+                        ("id".into(), Value::U64(c.id)),
+                        ("complete".into(), Value::Bool(c.complete)),
+                        ("latency_cycles".into(), Value::U64(c.latency)),
+                        (
+                            "hops".into(),
+                            Value::Array(c.hops.iter().map(hop).collect()),
+                        ),
+                    ])
+                })
+                .collect();
+            assert_eq!(stored["chains"], Value::Array(expected), "{kind}");
+            assert_eq!(stored["scenario"], scenario.name().as_str());
+            assert_eq!(stored["fingerprint"], fp.as_str());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trace_lookup_refuses_keys_that_leave_the_cache() {
+        let root = scratch_dir(line!());
+        let outside = root.join("outside");
+        std::fs::create_dir_all(&outside).unwrap();
+        let cache = Arc::new(ResultCache::open(&root.join("cache")).unwrap());
+        let exec = SuiteExecutor::new(Some(Arc::clone(&cache)));
+        // Valid-looking stored traces planted beside, not inside, the
+        // cache directory: one reached by an absolute path, one by `..`.
+        let absolute = outside.join("evil").to_string_lossy().into_owned();
+        for (key, file) in [
+            (absolute.as_str(), "evil-trace.json"),
+            ("../outside/rel", "rel-trace.json"),
+        ] {
+            let entry = Value::Object(vec![
+                (
+                    "schema".into(),
+                    Value::U64(u64::from(cache::SCHEMA_VERSION)),
+                ),
+                ("fingerprint".into(), Value::Str(trace_key(key))),
+                ("kind".into(), Value::Str(TRACE_RESULT_KIND.into())),
+                (
+                    "payload".into(),
+                    Value::Object(vec![("chains".into(), Value::Array(vec![]))]),
+                ),
+            ]);
+            std::fs::write(outside.join(file), serde_json::to_string(&entry).unwrap()).unwrap();
+            assert!(exec.trace(key).is_none(), "{key} escaped the cache");
+        }
+        // A canonical fingerprint inside the cache still answers; a
+        // non-canonical spelling of it does not.
+        let fp = "0123456789abcdef0123456789abcdef";
+        cache.store_raw(
+            &trace_key(fp),
+            TRACE_RESULT_KIND,
+            Value::Object(vec![("chains".into(), Value::Array(vec![]))]),
+        );
+        assert!(exec.trace(fp).is_some());
+        assert!(exec.trace(&fp.to_uppercase()).is_none());
+        let _ = std::fs::remove_dir_all(&root);
+    }
 
     fn spec_body(ratio: u32, txns: u32) -> String {
         let mut spec = ScenarioSpec::consolidation(HvKind::KvmArm, ratio, SchedPolicy::Credit);

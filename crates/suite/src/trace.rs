@@ -3,13 +3,14 @@
 //! the tracing-overhead benchmark.
 //!
 //! Where [`crate::profile`] aggregates *where cycles went*, a traced
-//! run keeps *what happened, when, and what caused it*: every charge
-//! becomes a slice on a per-core track and the cross-machine causal
-//! chains (guest kick → vhost/Dom0 handling → vIRQ delivery) are
-//! stitched with Chrome flow events. The export loads directly in
-//! Perfetto or `chrome://tracing`; the derivation pass folds each
-//! chain's end-to-end latency into the machine's [`MetricsRegistry`]
-//! so the Fig. 4 asymmetry quantities are queryable without a viewer.
+//! run keeps *what happened, when, and what caused it*: every charge's
+//! trace-log record becomes a slice on a per-core track and the
+//! cross-machine causal chains (guest kick → vhost/Dom0 handling → vIRQ
+//! delivery) are stitched with Chrome flow events. The export loads
+//! directly in Perfetto or `chrome://tracing`; the derivation pass
+//! folds each chain's end-to-end latency into the machine's
+//! [`MetricsRegistry`] so the Fig. 4 asymmetry quantities are queryable
+//! without a viewer.
 //!
 //! ```
 //! use hvx_suite::trace::TraceScenario;
@@ -24,20 +25,21 @@
 
 use crate::profile::{self, ProfileScenario};
 use crate::workloads;
-use hvx_core::{Error, HvKind, SimBuilder, VirqPolicy, Workload};
-use hvx_engine::TraceMode;
+use hvx_core::{Error, HvKind, Sim, SimBuilder, VirqPolicy, Workload};
+use hvx_engine::{Cycles, EventTracer, FlowChain};
 use serde::{Serialize, Value};
 use std::time::Instant;
 
 /// One traced scenario: a Figure 4 workload on one configuration, with
-/// an optional ring-buffer cap on the event stores.
+/// an optional ring-buffer cap on the kept charge records and flow
+/// points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TraceScenario {
     /// The workload whose operation mix is run.
     pub workload: Workload,
     /// The configuration under trace.
     pub kind: HvKind,
-    /// Ring-buffer capacity in events (`None` = unbounded).
+    /// Ring-buffer capacity in records (`None` = unbounded).
     pub ring: Option<usize>,
 }
 
@@ -109,9 +111,9 @@ pub struct TraceReport {
     pub ring: Option<usize>,
     /// The run's makespan in cycles.
     pub makespan_cycles: u64,
-    /// Slices ever recorded (including ring casualties).
+    /// Charges ever recorded (including ring casualties).
     pub events_recorded: u64,
-    /// Slices lost to ring overwrites.
+    /// Charge records lost to ring overwrites.
     pub events_dropped: u64,
     /// Complete flow chains (begin and end both survived).
     pub flows_complete: u64,
@@ -126,6 +128,52 @@ pub struct TraceReport {
     pub json: String,
 }
 
+/// A finished event-traced run: the simulation, whose trace log holds
+/// the charge records, and the flow tracer taken out of it.
+struct TracedRun {
+    sim: Sim,
+    tracer: EventTracer,
+    makespan: Cycles,
+}
+
+/// Runs `scenario` with event tracing and profiling on, then derives
+/// the chain latencies into the machine's metrics registry.
+fn traced_run(scenario: TraceScenario) -> Result<TracedRun, Error> {
+    let mix = profile::mix_for(scenario.workload)?;
+    let builder = SimBuilder::new(scenario.kind)
+        .workload(scenario.workload)
+        .profiling(true);
+    let builder = match scenario.ring {
+        Some(slots) => builder.event_ring(slots),
+        None => builder.event_tracing(true),
+    };
+    let mut sim = builder.build()?;
+    let makespan = workloads::run(sim.as_dyn_mut(), mix, VirqPolicy::Vcpu0)?;
+    sim.sample_metrics();
+    let tracer = sim
+        .machine_mut()
+        .take_event_tracer()
+        .expect("event tracing was enabled by the builder");
+    if let Some(metrics) = sim.machine_mut().metrics_mut() {
+        tracer.derive_metrics(metrics);
+    }
+    Ok(TracedRun {
+        sim,
+        tracer,
+        makespan,
+    })
+}
+
+/// The causal chains of one traced run, straight from the in-memory
+/// flow tracer (no export round trip).
+///
+/// # Errors
+///
+/// As for [`run_trace`].
+pub(crate) fn traced_chains(scenario: TraceScenario) -> Result<Vec<FlowChain>, Error> {
+    Ok(traced_run(scenario)?.tracer.chains())
+}
+
 /// Runs one scenario with event tracing enabled and exports the trace.
 ///
 /// The derivation pass runs before export: the chain latencies land in
@@ -138,27 +186,11 @@ pub struct TraceReport {
 /// [`Error::UnknownWorkload`], ...); [`Error::Serialize`] if the trace
 /// JSON fails to render.
 pub fn run_trace(scenario: TraceScenario) -> Result<TraceReport, Error> {
-    let mix = profile::mix_for(scenario.workload)?;
-    let mut builder = SimBuilder::new(scenario.kind)
-        .workload(scenario.workload)
-        .tracing(TraceMode::Aggregate)
-        .profiling(true);
-    builder = match scenario.ring {
-        Some(slots) => builder.event_ring(slots),
-        None => builder.event_tracing(true),
-    };
-    let mut sim = builder.build()?;
-    let makespan = workloads::run(sim.as_dyn_mut(), mix, VirqPolicy::Vcpu0)?;
-    sim.sample_metrics();
-
-    let tracer = sim
-        .machine_mut()
-        .take_event_tracer()
-        .expect("event tracing was enabled by the builder");
-    if let Some(metrics) = sim.machine_mut().metrics_mut() {
-        tracer.derive_metrics(metrics);
-    }
-
+    let TracedRun {
+        sim,
+        tracer,
+        makespan,
+    } = traced_run(scenario)?;
     let machine = sim.machine();
     let tracks: Vec<String> = machine
         .topology()
@@ -166,20 +198,15 @@ pub fn run_trace(scenario: TraceScenario) -> Result<TraceReport, Error> {
         .map(|c| c.to_string())
         .collect();
     let name = scenario.name();
-    let trace = tracer.chrome_trace(&name, &tracks);
+    let log = machine.trace();
+    let trace = log.chrome_trace(&name, &tracks, &tracer);
     let json = serde_json::to_string_pretty(&trace).map_err(|e| Error::Serialize {
         what: "chrome trace",
         detail: e.to_string(),
     })?;
 
-    let (mut complete, mut incomplete) = (0u64, 0u64);
-    for c in tracer.chains() {
-        if c.complete {
-            complete += 1;
-        } else {
-            incomplete += 1;
-        }
-    }
+    let chains = tracer.chains();
+    let complete = chains.iter().filter(|c| c.complete).count() as u64;
     let metrics = machine
         .metrics()
         .expect("profiling was enabled by the builder");
@@ -188,10 +215,10 @@ pub fn run_trace(scenario: TraceScenario) -> Result<TraceReport, Error> {
         scenario: name,
         ring: scenario.ring,
         makespan_cycles: makespan.as_u64(),
-        events_recorded: tracer.recorded(),
-        events_dropped: tracer.dropped_slices(),
+        events_recorded: log.recorded(),
+        events_dropped: log.dropped(),
         flows_complete: complete,
-        flows_incomplete: incomplete,
+        flows_incomplete: chains.len() as u64 - complete,
         irq_delivery_mean: mean("trace.latency.irq_delivery"),
         io_kick_mean: mean("trace.latency.io_kick"),
         json,

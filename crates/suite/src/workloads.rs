@@ -13,7 +13,7 @@
 //! documented character (Table IV).
 
 use hvx_core::{Error, HvType, Hypervisor, VirqPolicy};
-use hvx_engine::{Cycles, TransitionId};
+use hvx_engine::{Cycles, TraceMode, TransitionId};
 use serde::{Deserialize, Serialize};
 
 /// Storage device class of the paper's testbeds (§III).
@@ -422,7 +422,11 @@ pub fn run_with(
     compile: bool,
 ) -> Result<Cycles, Error> {
     hv.set_virq_policy(policy);
-    hv.machine_mut().trace_mut().set_enabled(false);
+    // The step trace is dropped so the loop compiler can engage — except
+    // on an event-traced machine, whose log records are its timeline.
+    if !hv.machine().event_tracing() {
+        hv.machine_mut().trace_mut().set_mode(TraceMode::Off);
+    }
     let start = hv.machine_mut().barrier();
     if compile {
         // May refuse (tracing/faults/profiling/watchdog); every loop_*

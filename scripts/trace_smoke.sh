@@ -14,7 +14,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 echo "== traced TCP_RR exports a valid Chrome trace on both ARM hypervisors =="
 for hv in kvm-arm xen-arm; do
-    "$repro" trace tcp_rr --hypervisor "$hv" --out "$tmp/$hv.json" >/dev/null
+    "$repro" trace tcp_rr --hypervisor "$hv" --out "$tmp/$hv.json" >"$tmp/$hv.txt"
     out=$("$repro" trace query "$tmp/$hv.json" --validate)
     echo "$hv: $out"
     case "$out" in
@@ -36,14 +36,35 @@ if [ "$xen_irq" -le "$kvm_irq" ]; then
 fi
 
 echo "== ring mode bounds the buffer and reports drops =="
+# The summary's events line reads "events: R recorded, D dropped (MODE)".
 out=$("$repro" trace tcp_rr --hypervisor kvm-arm --ring 64 --out "$tmp/ring.json")
+echo "$out" | grep '^events:'
+full_recorded=$(awk '/^events:/ {print $2}' "$tmp/kvm-arm.txt")
+ring_recorded=$(echo "$out" | awk '/^events:/ {print $2}')
+ring_dropped=$(echo "$out" | awk '/^events:/ {print $4}')
 case "$out" in
 *"dropped (ring, 64 slots)"*) ;;
 *)
-    echo "trace_smoke: ring mode reported no drops" >&2
+    echo "trace_smoke: ring mode did not report its 64-slot ring" >&2
     exit 1
     ;;
 esac
+case "$ring_dropped" in
+'' | *[!0-9]* | 0)
+    echo "trace_smoke: a 64-slot ring dropped nothing (dropped: '$ring_dropped')" >&2
+    exit 1
+    ;;
+esac
+case "$full_recorded" in
+'' | *[!0-9]* | 0)
+    echo "trace_smoke: unbounded run recorded no charges ('$full_recorded')" >&2
+    exit 1
+    ;;
+esac
+if [ "$ring_recorded" != "$full_recorded" ]; then
+    echo "trace_smoke: ring recorded '$ring_recorded' charges, unbounded run $full_recorded" >&2
+    exit 1
+fi
 
 echo "== a corrupted trace is rejected with exit 1 =="
 sed 's/"ph": "f"/"ph": "zz"/g' "$tmp/kvm-arm.json" >"$tmp/broken.json"
