@@ -241,9 +241,11 @@ impl SimBuilder {
         self
     }
 
-    /// Overrides the calibrated cost model (ablations, what-if studies).
-    /// Ignored by the x86 models, which carry their own platform
-    /// calibration, and by [`HvKind::KvmArmVhe`]'s VHE flag.
+    /// Overrides the calibrated cost model (ablations, what-if studies)
+    /// on every configuration. The defaults are [`CostModel::arm`] for
+    /// the ARM kinds and native, and [`CostModel::x86`] for the x86
+    /// kinds, so derive an x86 override from the latter.
+    /// [`HvKind::KvmArmVhe`] stays VHE whatever the model.
     pub fn cost_model(mut self, cost: CostModel) -> SimBuilder {
         self.cost = Some(cost);
         self
@@ -297,9 +299,9 @@ impl SimBuilder {
         // Drift drill: `HVX_COST_PERTURB` mutates the *effective*
         // charging constants without touching the pinned `CostModel`
         // consts that scenario fingerprints hash — the exact condition
-        // the baseline gate must classify as drift. The x86 models
-        // ignore cost overrides, so perturbation reaches the ARM and
-        // native paths (all Figure 4 columns the gate profiles).
+        // the baseline gate must classify as drift. Every model takes
+        // the perturbed costs, so the drill reaches all four measured
+        // columns as well as VHE and native.
         let kind = self.spec.hypervisor;
         let cost = match std::env::var("HVX_COST_PERTURB") {
             Ok(spec) if !spec.trim().is_empty() => {
@@ -320,8 +322,10 @@ impl SimBuilder {
             (HvKind::KvmArmVhe, None) => Box::new(KvmArm::new_vhe()),
             (HvKind::XenArm, Some(c)) => Box::new(XenArm::with_cost(c)),
             (HvKind::XenArm, None) => Box::new(XenArm::new()),
-            (HvKind::KvmX86, _) => Box::new(KvmX86::new()),
-            (HvKind::XenX86, _) => Box::new(XenX86::new()),
+            (HvKind::KvmX86, Some(c)) => Box::new(KvmX86::with_cost(c)),
+            (HvKind::KvmX86, None) => Box::new(KvmX86::new()),
+            (HvKind::XenX86, Some(c)) => Box::new(XenX86::with_cost(c)),
+            (HvKind::XenX86, None) => Box::new(XenX86::new()),
             (HvKind::Native, Some(c)) => Box::new(Native::with_cost(c)),
             (HvKind::Native, None) => Box::new(Native::new()),
         };
@@ -472,6 +476,35 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(kvm_p.hypercall(0).as_u64(), 6_500);
+    }
+
+    #[test]
+    fn x86_cost_models_reach_the_x86_configurations() {
+        use crate::{KvmX86, XenX86};
+        use hvx_engine::Cycles;
+        // An explicit x86 model reproduces the default construction.
+        let mut explicit = SimBuilder::new(HvKind::KvmX86)
+            .cost_model(CostModel::x86())
+            .build()
+            .unwrap();
+        let mut default = KvmX86::new();
+        assert_eq!(explicit.hypercall(0), default.hypercall(0));
+        assert_eq!(explicit.gicd_trap(1), default.gicd_trap(1));
+        assert_eq!(explicit.virtual_ipi(0, 1), default.virtual_ipi(0, 1));
+        assert_eq!(explicit.io_latency_out(2), default.io_latency_out(2));
+        assert_eq!(
+            explicit.machine().total_busy(),
+            default.machine().total_busy()
+        );
+        // A raised x86-only field moves both x86 hypercalls: each
+        // takes one VM exit.
+        let mut raised = CostModel::x86();
+        raised.vmexit += Cycles::new(100);
+        let baseline = [KvmX86::new().hypercall(0), XenX86::new().hypercall(0)];
+        for (kind, base) in [HvKind::KvmX86, HvKind::XenX86].into_iter().zip(baseline) {
+            let mut sim = SimBuilder::new(kind).cost_model(raised).build().unwrap();
+            assert_eq!(sim.hypercall(0), base + Cycles::new(100), "{kind:?}");
+        }
     }
 
     #[test]

@@ -56,7 +56,13 @@ impl KvmX86 {
     /// Creates the KVM x86 configuration.
     #[allow(clippy::new_ret_no_self)] // KvmX86/XenX86 are constructors-as-types
     pub fn new() -> X86Hv {
-        X86Hv::build(HvKind::KvmX86, CostModel::x86(), false)
+        Self::with_cost(CostModel::x86())
+    }
+
+    /// Creates KVM x86 with an explicit cost model (ablations, what-if
+    /// studies); [`KvmX86::new`] uses [`CostModel::x86`].
+    pub fn with_cost(cost: CostModel) -> X86Hv {
+        X86Hv::build(HvKind::KvmX86, cost, false)
     }
 
     /// Creates KVM x86 with hardware vAPIC (the §IV "newer x86 hardware"
@@ -70,7 +76,13 @@ impl XenX86 {
     /// Creates the Xen x86 configuration.
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> X86Hv {
-        X86Hv::build(HvKind::XenX86, CostModel::x86(), false)
+        Self::with_cost(CostModel::x86())
+    }
+
+    /// Creates Xen x86 with an explicit cost model (ablations, what-if
+    /// studies); [`XenX86::new`] uses [`CostModel::x86`].
+    pub fn with_cost(cost: CostModel) -> X86Hv {
+        X86Hv::build(HvKind::XenX86, cost, false)
     }
 }
 

@@ -30,17 +30,45 @@
 //! fails the compile and the loop stays interpreted — falling back is
 //! always correct, compiling is only ever an optimization.
 //!
-//! The compiled [`Program`] is a flat op array replayed block-at-once
-//! with branch-light straight-line code: clocks advance in place and
-//! busy/charged/transition totals are applied as `delta × blocks`.
-//! Machines whose charges feed anything else (a trace log, spans,
-//! flows) never open a session. Before a program is accepted, the
-//! compiler replays the final recorded block from its recorded start
-//! clocks and requires the result to equal the machine's current clocks
-//! exactly — a self-check that catches any misclassification before a
-//! single iteration is skipped.
+//! The compiled [`Program`] is a flat op array. Busy, charged and
+//! transition totals are applied as `delta × blocks`, and the clocks
+//! and the program's live state advance in closed form (below), so a
+//! replay costs in proportion to the steady regimes a loop passes
+//! through, not to its iteration count. Machines whose charges feed
+//! anything else (a trace log, spans, flows) never open a session.
+//! Before a program is accepted, the compiler steps the final recorded
+//! block from its recorded start clocks and requires the result to
+//! equal the machine's current clocks exactly — a self-check that
+//! catches any misclassification before a single iteration is skipped.
+//!
+//! # Closed-form replay
+//!
+//! Every op is `v := u + c` (charges, signals, registers, linear
+//! accumulators) or `v := max(v, u + c)` (the three waits). One block
+//! is therefore a max-plus affine map of the state: the clocks, the
+//! signal slots, the linear accumulators and the registers. Replay
+//! steps two blocks op by op, recording both operands of every wait.
+//! Suppose both blocks pick the same winner at every wait (a tie counts
+//! for either side) and move every state value by the same `Δ`. With
+//! the winners fixed, the block is `x ↦ x∘π + b`, so `Δ₂ = Δ₁∘π`, and
+//! equal observed deltas give `Δ∘π = Δ`: each later block moves the
+//! state by exactly `Δ`, for as long as every wait keeps its winner. A
+//! wait's margin (target minus clock) changes by a constant slope per
+//! block, so a shrinking margin keeps its sign for another
+//! `⌊|margin| / |slope|⌋` blocks. Replay jumps `J` blocks at once: the
+//! least of those bounds, the blocks remaining, and the blocks before
+//! any value (or wait operand) would leave `u64`. All arithmetic is
+//! exact, so every simulated cycle is the interpreter's.
+//!
+//! After a jump, replay steps again where the next regime begins. When
+//! the two blocks disagree, it steps on and tries again later; each
+//! attempt that jumps fewer blocks than it stepped doubles the number
+//! of plain steps before the next one, so a loop that never settles
+//! pays next to nothing for the attempts. Fewer than three remaining
+//! blocks are always stepped.
 
 use crate::TraceKind;
+use std::cmp::Ordering;
 
 /// Longest iteration period (in iterations) the detector considers.
 /// Covers per-iteration round-robin vCPU rotation (period = #vCPUs)
@@ -144,20 +172,21 @@ enum Op {
     RegLin { idx: u8, lin: u16, step: u64 },
 }
 
-/// A compiled steady-state loop: the flat op array plus its live
-/// state (signal slots, linear accumulators, loop registers) and the
-/// per-block aggregates replay charges in bulk.
+/// A compiled steady-state loop: the flat op array, its live state,
+/// and the per-block aggregates replay charges in bulk.
+///
+/// [`Program::run_blocks`] replays in closed form (see the module
+/// doc). It steps a block op by op only to observe a regime (two
+/// blocks per attempt), while fewer than three blocks remain, or
+/// while backing off after an attempt that jumped fewer blocks than it
+/// stepped. A jump covers every other block.
 #[derive(Debug, Clone)]
 pub(crate) struct Program {
     /// Iterations per block.
     pub(crate) period: u64,
     ops: Vec<Op>,
-    /// Live signal-arrival slots (cross-block pipelining state).
-    slots: Vec<u64>,
-    /// Live linear accumulators (one per `WaitLin`/`RegLin` op).
-    lin: Vec<u64>,
-    /// Live loop-register values, readable via `Machine::loop_reg`.
-    pub(crate) regs: Vec<u64>,
+    /// The state besides the clocks.
+    pub(crate) live: Live,
     /// Per-core busy-cycle delta per block.
     pub(crate) busy_delta: Vec<u64>,
     /// Total charged cycles per block.
@@ -168,55 +197,223 @@ pub(crate) struct Program {
     pub(crate) tail_zero_run: u64,
     /// True when the block has charges and all of them are zero-cost.
     pub(crate) all_zero: bool,
+    /// What the last jump attempt saw; sized at build, so replay
+    /// allocates nothing.
+    seen: Observed,
+    /// Blocks to step before the next jump attempt.
+    backoff: u64,
+    /// `backoff` after the next attempt that does not pay: it doubles
+    /// on every such attempt and resets on one that does.
+    next_backoff: u64,
+}
+
+/// A program's live state besides the clocks.
+#[derive(Debug, Clone)]
+pub(crate) struct Live {
+    /// Signal-arrival slots (cross-block pipelining state).
+    slots: Vec<u64>,
+    /// Linear accumulators (one per `WaitLin`/`RegLin` op).
+    lin: Vec<u64>,
+    /// Loop-register values, readable via `Machine::loop_reg`.
+    pub(crate) regs: Vec<u64>,
+}
+
+impl Live {
+    fn values(&self) -> impl Iterator<Item = &u64> {
+        self.slots.iter().chain(&self.lin).chain(&self.regs)
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.slots
+            .iter_mut()
+            .chain(&mut self.lin)
+            .chain(&mut self.regs)
+    }
+}
+
+/// Two consecutive blocks as a jump attempt saw them. A state is the
+/// clocks followed by [`Live::values`].
+#[derive(Debug, Clone)]
+struct Observed {
+    /// The state before the first block.
+    start: Vec<u64>,
+    /// The state between the two blocks.
+    mid: Vec<u64>,
+    /// `(clock, target)` at every wait: the first block's, then the
+    /// second's.
+    waits: Vec<(u64, u64)>,
+}
+
+/// Steps `blocks` blocks op by op, passing each wait's operands (the
+/// waiting clock, then the target) to `observe`.
+#[inline]
+fn step_blocks(
+    ops: &[Op],
+    live: &mut Live,
+    clocks: &mut [u64],
+    blocks: u64,
+    mut observe: impl FnMut(u64, u64),
+) {
+    for _ in 0..blocks {
+        for op in ops {
+            match *op {
+                Op::Charge { core, cost } => clocks[core as usize] += cost,
+                Op::Signal {
+                    slot,
+                    from,
+                    latency,
+                } => live.slots[slot as usize] = clocks[from as usize] + latency,
+                Op::WaitSlot { core, slot } => {
+                    let t = live.slots[slot as usize];
+                    let c = &mut clocks[core as usize];
+                    observe(*c, t);
+                    if t > *c {
+                        *c = t;
+                    }
+                }
+                Op::WaitNow { core, src, offset } => {
+                    let t = clocks[src as usize].wrapping_add(offset);
+                    let c = &mut clocks[core as usize];
+                    observe(*c, t);
+                    if t > *c {
+                        *c = t;
+                    }
+                }
+                Op::WaitLin { core, lin, step } => {
+                    let t = live.lin[lin as usize].wrapping_add(step);
+                    live.lin[lin as usize] = t;
+                    let c = &mut clocks[core as usize];
+                    observe(*c, t);
+                    if t > *c {
+                        *c = t;
+                    }
+                }
+                Op::RegNow { idx, src, offset } => {
+                    live.regs[idx as usize] = clocks[src as usize].wrapping_add(offset);
+                }
+                Op::RegLin { idx, lin, step } => {
+                    let v = live.lin[lin as usize].wrapping_add(step);
+                    live.lin[lin as usize] = v;
+                    live.regs[idx as usize] = v;
+                }
+            }
+        }
+    }
+}
+
+/// Blocks a value that moved from `prev` to `cur` in one block can keep
+/// moving at that rate without leaving `u64`.
+fn headroom(prev: u64, cur: u64) -> u64 {
+    match cur.cmp(&prev) {
+        Ordering::Greater => (u64::MAX - cur) / (cur - prev),
+        Ordering::Less => cur / (prev - cur),
+        Ordering::Equal => u64::MAX,
+    }
 }
 
 impl Program {
     /// Replays `blocks` blocks in place over `clocks`, advancing the
-    /// program's live slot/linear/register state.
-    pub(crate) fn run_blocks(&mut self, clocks: &mut [u64], blocks: u64) {
-        for _ in 0..blocks {
-            for op in &self.ops {
-                match *op {
-                    Op::Charge { core, cost } => clocks[core as usize] += cost,
-                    Op::Signal {
-                        slot,
-                        from,
-                        latency,
-                    } => {
-                        self.slots[slot as usize] = clocks[from as usize] + latency;
-                    }
-                    Op::WaitSlot { core, slot } => {
-                        let t = self.slots[slot as usize];
-                        let c = &mut clocks[core as usize];
-                        if t > *c {
-                            *c = t;
-                        }
-                    }
-                    Op::WaitNow { core, src, offset } => {
-                        let t = clocks[src as usize].wrapping_add(offset);
-                        let c = &mut clocks[core as usize];
-                        if t > *c {
-                            *c = t;
-                        }
-                    }
-                    Op::WaitLin { core, lin, step } => {
-                        let v = self.lin[lin as usize].wrapping_add(step);
-                        self.lin[lin as usize] = v;
-                        let c = &mut clocks[core as usize];
-                        if v > *c {
-                            *c = v;
-                        }
-                    }
-                    Op::RegNow { idx, src, offset } => {
-                        self.regs[idx as usize] = clocks[src as usize].wrapping_add(offset);
-                    }
-                    Op::RegLin { idx, lin, step } => {
-                        let v = self.lin[lin as usize].wrapping_add(step);
-                        self.lin[lin as usize] = v;
-                        self.regs[idx as usize] = v;
-                    }
-                }
+    /// live state. Returns how many of them were stepped op by op; a
+    /// jump covered the rest.
+    pub(crate) fn run_blocks(&mut self, clocks: &mut [u64], blocks: u64) -> u64 {
+        let mut left = blocks;
+        let mut stepped = 0;
+        while left > 0 {
+            if left < 3 || self.backoff > 0 {
+                let n = if left < 3 {
+                    left
+                } else {
+                    self.backoff.min(left)
+                };
+                step_blocks(&self.ops, &mut self.live, clocks, n, |_, _| {});
+                self.backoff = self.backoff.saturating_sub(n);
+                left -= n;
+                stepped += n;
+                continue;
             }
+            self.observe_two(clocks);
+            left -= 2;
+            stepped += 2;
+            let jump = self.jump_len(clocks, left);
+            self.jump(clocks, jump);
+            left -= jump;
+            if jump >= 2 {
+                self.next_backoff = 1;
+            } else {
+                self.backoff = self.next_backoff;
+                self.next_backoff = self.next_backoff.saturating_mul(2);
+            }
+        }
+        stepped
+    }
+
+    /// Steps two blocks, recording the state before, between and
+    /// (left in place) after them, and the operands of every wait.
+    fn observe_two(&mut self, clocks: &mut [u64]) {
+        let seen = &mut self.seen;
+        seen.waits.clear();
+        seen.start.clear();
+        seen.start.extend(clocks.iter().chain(self.live.values()));
+        step_blocks(&self.ops, &mut self.live, clocks, 1, |c, t| {
+            seen.waits.push((c, t));
+        });
+        seen.mid.clear();
+        seen.mid.extend(clocks.iter().chain(self.live.values()));
+        step_blocks(&self.ops, &mut self.live, clocks, 1, |c, t| {
+            seen.waits.push((c, t));
+        });
+    }
+
+    /// How many more blocks the regime the last two blocks observed
+    /// provably lasts, at most `left`: 0 unless both blocks chose the
+    /// same winner at every wait (a tie counts for either side) and
+    /// moved every state value by the same delta. Then every wait's
+    /// margin (target minus clock) moves by a constant slope per block,
+    /// and the winners hold for `⌊|margin| / |slope|⌋` more blocks of a
+    /// shrinking margin. The result also keeps every value, and every
+    /// wait operand, within `u64`.
+    fn jump_len(&self, clocks: &[u64], left: u64) -> u64 {
+        let seen = &self.seen;
+        let (first, second) = seen.waits.split_at(seen.waits.len() / 2);
+        let mut jump = left;
+        for (&(c1, t1), &(c2, t2)) in first.iter().zip(second) {
+            let m1 = i128::from(t1) - i128::from(c1);
+            let m2 = i128::from(t2) - i128::from(c2);
+            if m1.signum() * m2.signum() < 0 {
+                return 0;
+            }
+            let slope = m2 - m1;
+            if slope != 0 && slope.signum() != m2.signum() {
+                let blocks = m2.unsigned_abs() / slope.unsigned_abs();
+                jump = jump.min(u64::try_from(blocks).unwrap_or(u64::MAX));
+            }
+            jump = jump.min(headroom(c1, c2)).min(headroom(t1, t2));
+        }
+        let now = clocks.iter().chain(self.live.values());
+        for ((&x0, &x1), &x2) in seen.start.iter().zip(&seen.mid).zip(now) {
+            if i128::from(x1) - i128::from(x0) != i128::from(x2) - i128::from(x1) {
+                return 0;
+            }
+            jump = jump.min(headroom(x1, x2));
+        }
+        jump
+    }
+
+    /// Advances the state by `blocks` blocks of the regime the last two
+    /// blocks observed: every value moves by `blocks` times its delta
+    /// over the second block. `blocks` comes from
+    /// [`Program::jump_len`], so no value leaves `u64`.
+    fn jump(&mut self, clocks: &mut [u64], blocks: u64) {
+        if blocks == 0 {
+            return;
+        }
+        let now = clocks.iter_mut().chain(self.live.values_mut());
+        for (x, &prev) in now.zip(&self.seen.mid) {
+            *x = if *x >= prev {
+                *x + blocks * (*x - prev)
+            } else {
+                *x - blocks * (prev - *x)
+            };
         }
     }
 }
@@ -501,32 +698,53 @@ impl Recorder {
             }
             regs
         };
-        let mut check = Program {
-            period: p as u64,
-            ops,
+        let live = Live {
             slots: slots_at(w - 2),
             lin: lin_seed.iter().map(|&(v, _)| v).collect(),
             regs: regs_at(w - 2),
+        };
+        let state_len = cores + live.values().count();
+        let waits = ops
+            .iter()
+            .filter(|op| {
+                matches!(
+                    op,
+                    Op::WaitSlot { .. } | Op::WaitNow { .. } | Op::WaitLin { .. }
+                )
+            })
+            .count();
+        let mut check = Program {
+            period: p as u64,
+            ops,
+            live,
             busy_delta,
             charged_delta,
             charges_per_block: charges,
             tail_zero_run: tail_zero,
             all_zero: charges > 0 && !any_nonzero,
+            seen: Observed {
+                start: Vec::with_capacity(state_len),
+                mid: Vec::with_capacity(state_len),
+                waits: Vec::with_capacity(2 * waits),
+            },
+            backoff: 0,
+            next_backoff: 1,
         };
-        // Self-check: replay the last recorded block and require exact
-        // clock agreement with the machine.
+        // Self-check: step the last recorded block (a single block is
+        // always stepped) and require exact clock agreement with the
+        // machine.
         let mut clocks: Vec<u64> = start(w - 1).to_vec();
         check.run_blocks(&mut clocks, 1);
         if clocks != current {
             return None;
         }
-        // The check replay stepped lin/slots/regs to the last block's
-        // values, which is exactly the live state replay must resume
-        // from — but recompute from the record to stay obviously
-        // correct even if the replayer drifts.
-        check.slots = slots_at(w - 1);
-        check.regs = regs_at(w - 1);
-        check.lin = lin_seed
+        // The check stepped lin/slots/regs to the last block's values,
+        // which is exactly the live state replay must resume from — but
+        // recompute from the record to stay obviously correct even if
+        // the stepper drifts.
+        check.live.slots = slots_at(w - 1);
+        check.live.regs = regs_at(w - 1);
+        check.live.lin = lin_seed
             .iter()
             .map(|&(v, step)| v.wrapping_add(step))
             .collect();

@@ -73,7 +73,7 @@ pub use hvx_obs::{
     FlowPhase, FlowPoint, HistogramSketch, HistogramSnapshot, MetricsRegistry, ProfileSnapshot,
     SpanDelta, SpanRow, SpanSnapshotRow, SpanTracer, TransitionId,
 };
-pub use machine::{thread_transitions, Machine};
+pub use machine::{thread_replayed_transitions, thread_transitions, Machine};
 pub use stats::{Histogram, Samples, Streaming, Summary};
 pub use topology::{CoreId, Topology};
 pub use trace::{TraceEvent, TraceKind, TraceLog, TraceMode, SIGNAL_LABEL};

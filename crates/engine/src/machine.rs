@@ -24,6 +24,8 @@ thread_local! {
     /// needs no atomics on the charge hot path and parallel runner
     /// workers count independently.
     static TRANSITIONS: Cell<u64> = const { Cell::new(0) };
+    /// The part of `TRANSITIONS` compiled replay applied.
+    static REPLAYED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Total simulated transitions executed by the calling thread since it
@@ -31,6 +33,15 @@ thread_local! {
 /// report per-artifact transition counts and throughput.
 pub fn thread_transitions() -> u64 {
     TRANSITIONS.with(Cell::get)
+}
+
+/// The part of [`thread_transitions`] that compiled loop replay applied
+/// rather than the interpreter (wrapping). Sampled around a run, the
+/// two counters split its transitions between the tiers. A sharded run
+/// credits its workers' transitions to the caller but not this split,
+/// which holds while shard hosts never open a loop session.
+pub fn thread_replayed_transitions() -> u64 {
+    REPLAYED.with(Cell::get)
 }
 
 /// Adds `transitions` executed on another thread to the calling
@@ -102,6 +113,8 @@ pub struct Machine {
     loop_state: Option<Box<LoopState>>,
     /// Iterations skipped by compiled replay since construction.
     iters_replayed: u64,
+    /// Of those, the blocks replay stepped op by op instead of jumping.
+    blocks_stepped: u64,
 }
 
 impl Machine {
@@ -127,6 +140,7 @@ impl Machine {
             zero_streak: 0,
             loop_state: None,
             iters_replayed: 0,
+            blocks_stepped: 0,
         };
         if let Some(plan) = plan {
             m.set_fault_plan(plan);
@@ -625,7 +639,7 @@ impl Machine {
     /// already current).
     pub fn loop_reg(&self, idx: usize) -> Option<Cycles> {
         match self.loop_state.as_deref() {
-            Some(LoopState::Ready(p)) => p.regs.get(idx).copied().map(Cycles::new),
+            Some(LoopState::Ready(p)) => p.live.regs.get(idx).copied().map(Cycles::new),
             _ => None,
         }
     }
@@ -673,7 +687,7 @@ impl Machine {
             return 0;
         }
         let mut clocks: Vec<u64> = self.clocks.iter().map(|c| c.as_u64()).collect();
-        program.run_blocks(&mut clocks, blocks);
+        self.blocks_stepped += program.run_blocks(&mut clocks, blocks);
         for (c, v) in self.clocks.iter_mut().zip(&clocks) {
             *c = Cycles::new(*v);
         }
@@ -692,6 +706,7 @@ impl Machine {
             }
         }
         TRANSITIONS.with(|t| t.set(t.get().wrapping_add(charges)));
+        REPLAYED.with(|t| t.set(t.get().wrapping_add(charges)));
         let skipped = blocks * program.period;
         self.iters_replayed += skipped;
         skipped
@@ -1271,6 +1286,150 @@ mod tests {
         assert_replay_matches(&compiled, &interpreted);
     }
 
+    /// Runs `body` for `iters` iterations on two fresh machines of
+    /// `cores` cores, after `setup` — compiled on one, interpreted on
+    /// the other — asserts they match, and returns the compiled one.
+    fn replay_vs_interpretation(
+        cores: u16,
+        setup: impl Fn(&mut Machine),
+        iters: u64,
+        mut body: impl FnMut(&mut Machine, u64),
+        mut reference: impl FnMut(&mut Machine, u64),
+    ) -> Machine {
+        let fresh = || {
+            let mut m = Machine::without_tracing(Topology::split(cores, 1));
+            setup(&mut m);
+            m
+        };
+        let mut compiled = fresh();
+        drive(&mut compiled, iters, &mut body);
+        let mut interpreted = fresh();
+        for i in 0..iters {
+            reference(&mut interpreted, i);
+        }
+        assert_replay_matches(&compiled, &interpreted);
+        compiled
+    }
+
+    /// Core 1 starts `head` cycles ahead of a paced receive loop whose
+    /// arrivals start at `lead` and stride by `stride`; each receive
+    /// costs `work`.
+    fn paced_receive(head: u64, lead: u64, stride: u64, work: u64, iters: u64) -> Machine {
+        let body = move |m: &mut Machine, i: u64| {
+            m.wait_until(CoreId::new(1), Cycles::new(lead + i * stride));
+            m.charge(CoreId::new(1), "rx", TraceKind::Io, Cycles::new(work));
+        };
+        let setup = move |m: &mut Machine| {
+            m.charge(CoreId::new(1), "head", TraceKind::Guest, Cycles::new(head));
+        };
+        replay_vs_interpretation(2, setup, iters, body, body)
+    }
+
+    #[test]
+    fn loop_replay_jumps_across_a_linear_target_overtaking_a_head_start() {
+        // The arrivals gain 1 cycle per iteration on a core 300,000
+        // cycles ahead: the wait starts binding after ~300k iterations,
+        // mid-replay.
+        let m = paced_receive(300_000, 1_000, 2_501, 2_500, 1_000_000);
+        assert!(m.iters_replayed() > 999_000);
+        assert!(m.blocks_stepped < 20, "stepped {}", m.blocks_stepped);
+    }
+
+    /// Core 2 waits on arrivals from cores 0 and 1. Core 0 starts
+    /// `head` cycles ahead, so its arrival binds until core 1's, which
+    /// gains 3 cycles per iteration, overtakes it.
+    fn overtaken_arrival(head: u64, iters: u64) -> Machine {
+        let (c0, c1, c2) = (CoreId::new(0), CoreId::new(1), CoreId::new(2));
+        let body = move |m: &mut Machine, _i: u64| {
+            m.charge(c0, "tx", TraceKind::Guest, Cycles::new(2_000));
+            let a = m.signal(c0, c2, Cycles::new(400));
+            m.charge(c1, "tx", TraceKind::Guest, Cycles::new(2_003));
+            let b = m.signal(c1, c2, Cycles::new(400));
+            m.wait_until(c2, a);
+            m.wait_until(c2, b);
+            m.charge(c2, "rx", TraceKind::Io, Cycles::new(500));
+        };
+        let setup = move |m: &mut Machine| {
+            m.charge(c0, "head", TraceKind::Guest, Cycles::new(head));
+        };
+        replay_vs_interpretation(3, setup, iters, body, body)
+    }
+
+    #[test]
+    fn loop_replay_jumps_across_a_binding_wait_that_stops_binding() {
+        let m = overtaken_arrival(300_000, 400_000);
+        assert!(m.iters_replayed() > 399_000);
+        assert!(m.blocks_stepped < 20, "stepped {}", m.blocks_stepped);
+    }
+
+    #[test]
+    fn loop_replay_lands_a_jump_on_a_zero_margin() {
+        // Each margin starts at a multiple of its slope and reaches 0
+        // around iteration 40,000, so the first jump ends exactly on
+        // the tie. Ending the loop on either side of it leaves no later
+        // block to hide a jump that overshoots the tie.
+        for iters in 39_999..40_004 {
+            // A paced target gains 7 cycles per iteration on core 1.
+            let m = paced_receive(7 * 40_000 + 1_000, 1_000, 2_507, 2_500, iters);
+            assert!(m.blocks_stepped < 20, "stepped {}", m.blocks_stepped);
+            // Core 1's arrival gains 3 cycles per iteration on core 0's.
+            let m = overtaken_arrival(3 * 40_000, iters);
+            assert!(m.blocks_stepped < 20, "stepped {}", m.blocks_stepped);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn closed_form_replay_matches_interpretation(
+            head in 0u64..400_000,
+            lead in 0u64..400_000,
+            stride in 1u64..5_000,
+            work in 1u64..5_000,
+            iters in 1u64..1_000_001,
+        ) {
+            let m = paced_receive(head, lead, stride, work, iters);
+            proptest::prop_assert!(m.blocks_stepped <= 40, "stepped {}", m.blocks_stepped);
+        }
+    }
+
+    /// Two cores that each wait on the other's arrival from the
+    /// previous iteration, then on a paced target that always wins.
+    /// The arrivals trade places every iteration, so their deltas
+    /// alternate while both clocks advance by the pace: the loop
+    /// compiles at period 1, but no two consecutive blocks ever prove
+    /// a regime.
+    fn trading_arrivals() -> impl FnMut(&mut Machine, u64) {
+        const PACE: u64 = 10_000;
+        let (c0, c1) = (CoreId::new(0), CoreId::new(1));
+        let mut at0 = Cycles::new(3_000);
+        let mut at1 = Cycles::new(5_000);
+        move |m, i| {
+            m.wait_until(c0, at0);
+            m.wait_until(c1, at1);
+            at1 = m.signal(c0, c1, Cycles::new(PACE));
+            at0 = m.signal(c1, c0, Cycles::new(PACE));
+            let paced = Cycles::new(PACE * (i + 1));
+            m.wait_until(c0, paced);
+            m.charge(c0, "work", TraceKind::Guest, Cycles::new(1_000));
+            m.wait_until(c1, paced);
+            m.charge(c1, "work", TraceKind::Guest, Cycles::new(1_000));
+        }
+    }
+
+    #[test]
+    fn loop_replay_that_never_proves_a_regime_stays_exact() {
+        let m = replay_vs_interpretation(2, |_| {}, 20_000, trading_arrivals(), trading_arrivals());
+        assert!(m.iters_replayed() > 19_000);
+        assert_eq!(m.blocks_stepped, m.iters_replayed(), "every block steps");
+    }
+
+    #[test]
+    fn a_million_iteration_loop_steps_a_handful_of_blocks() {
+        let m = replay_vs_interpretation(2, |_| {}, 1_000_000, ping_pong, ping_pong);
+        assert!(m.iters_replayed() > 999_000);
+        assert!(m.blocks_stepped <= 4, "stepped {}", m.blocks_stepped);
+    }
+
     #[test]
     fn loop_registers_reconstruct_loop_carried_values() {
         // A TCP_RR-style loop carrying the next send instant.
@@ -1395,11 +1554,24 @@ mod tests {
     #[test]
     fn thread_transitions_counts_interpreted_and_replayed_alike() {
         let before = thread_transitions();
+        let replayed_before = thread_replayed_transitions();
         let mut m = Machine::without_tracing(Topology::split(2, 1));
         drive(&mut m, 500, ping_pong);
         let counted = thread_transitions().wrapping_sub(before);
         // Two charges per iteration, whether interpreted or replayed.
         assert_eq!(counted, 1000);
         assert!(m.iters_replayed() > 400);
+        // The replayed share is exactly the skipped iterations' charges.
+        let replayed = thread_replayed_transitions().wrapping_sub(replayed_before);
+        assert_eq!(replayed, 2 * m.iters_replayed());
+        // An interpreted run adds to the total only.
+        let before = thread_transitions();
+        let replayed_before = thread_replayed_transitions();
+        let mut m = Machine::without_tracing(Topology::split(2, 1));
+        for i in 0..500 {
+            ping_pong(&mut m, i);
+        }
+        assert_eq!(thread_transitions().wrapping_sub(before), 1000);
+        assert_eq!(thread_replayed_transitions(), replayed_before);
     }
 }

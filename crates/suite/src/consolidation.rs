@@ -30,7 +30,8 @@
 //!
 //! At ratio 1:1 the cell is periodic: every transaction replays the
 //! same op stream, so the driver opens a loop-compiler session and the
-//! machine replays steady-state transactions in O(1). Under contention
+//! machine replays the steady state in closed form, at a cost set by
+//! its regimes rather than its transaction count. Under contention
 //! (ratio > 1) the interleaving of `2×ratio` vCPUs across two shared
 //! clocks is aperiodic at the transaction level, so the driver runs
 //! fully interpreted — the transparent fallback the differential tests

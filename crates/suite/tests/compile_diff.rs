@@ -29,13 +29,34 @@ fn build(kind: HvKind) -> Box<dyn Hypervisor> {
 
 /// Runs `mix` twice on fresh machines — compiled and interpreted — and
 /// returns `(compiled makespan, interpreted makespan, iters replayed)`.
+/// Both runs must count the same transitions, and the interpreted one
+/// must count none as replayed.
 fn run_both(kind: HvKind, mix: Mix, policy: VirqPolicy) -> Result<(Cycles, Cycles, u64), Error> {
+    let counted = || {
+        (
+            hvx_engine::thread_transitions(),
+            hvx_engine::thread_replayed_transitions(),
+        )
+    };
     let mut compiled = build(kind);
+    let before = counted();
     let c = workloads::run_with(compiled.as_mut(), mix, policy, true)?;
+    let compiled_transitions = counted().0.wrapping_sub(before.0);
     let replayed = compiled.machine().iters_replayed();
     let mut interpreted = build(kind);
+    let before = counted();
     let i = workloads::run_with(interpreted.as_mut(), mix, policy, false)?;
+    let after = counted();
     assert_eq!(interpreted.machine().iters_replayed(), 0);
+    assert_eq!(
+        after.0.wrapping_sub(before.0),
+        compiled_transitions,
+        "compiled and interpreted runs counted different transitions"
+    );
+    assert_eq!(
+        after.1, before.1,
+        "an interpreted run counted replayed transitions"
+    );
     Ok((c, i, replayed))
 }
 
@@ -124,28 +145,6 @@ fn profiled_machines_interpret_under_plain_run() {
     let mut plain = build(HvKind::XenArm);
     let q = workloads::run_with(plain.as_mut(), mix, VirqPolicy::Vcpu0, false).expect("runs");
     assert_eq!(p, q);
-}
-
-#[test]
-fn env_gating_disables_compilation() {
-    // This test owns the two env vars; every other test in this binary
-    // passes the compile flag explicitly and never reads them.
-    std::env::set_var("HVX_COMPILE", "off");
-    assert!(!workloads::compile_enabled());
-    std::env::set_var("HVX_COMPILE", "0");
-    assert!(!workloads::compile_enabled());
-    std::env::set_var("HVX_COMPILE", "FALSE");
-    assert!(!workloads::compile_enabled());
-    std::env::set_var("HVX_COMPILE", "1");
-    assert!(workloads::compile_enabled());
-    std::env::remove_var("HVX_COMPILE");
-    assert!(workloads::compile_enabled());
-    std::env::set_var("HVX_COST_PERTURB", "0.01");
-    assert!(!workloads::compile_enabled());
-    std::env::set_var("HVX_COST_PERTURB", "  ");
-    assert!(workloads::compile_enabled());
-    std::env::remove_var("HVX_COST_PERTURB");
-    assert!(workloads::compile_enabled());
 }
 
 /// Runs one consolidation cell compiled and interpreted and returns
