@@ -134,40 +134,3 @@ pub trait Hypervisor {
     /// the last byte.
     fn transmit_burst(&mut self, vcpu: usize, chunks: usize, chunk_len: usize) -> Cycles;
 }
-
-/// Blanket helpers available on every `Hypervisor`.
-pub trait HypervisorExt: Hypervisor {
-    /// Runs a microbenchmark `iters` times and returns per-iteration
-    /// samples, with a [`Machine::barrier`] between iterations as the
-    /// measurement framework of §IV prescribes.
-    fn sample<F>(&mut self, iters: usize, mut op: F) -> hvx_engine::Samples
-    where
-        F: FnMut(&mut Self) -> Cycles,
-    {
-        let mut samples = hvx_engine::Samples::new();
-        for _ in 0..iters {
-            self.machine_mut().barrier();
-            samples.push(op(self));
-        }
-        samples
-    }
-
-    /// Like [`HypervisorExt::sample`] but folds iterations into a
-    /// constant-space [`hvx_engine::Streaming`] accumulator instead of
-    /// storing every sample — the allocation-free path used by the
-    /// artifact runner's microbenchmark sweeps. The summary's mean is
-    /// bit-identical to the stored-samples mean.
-    fn sample_streaming<F>(&mut self, iters: usize, mut op: F) -> hvx_engine::Streaming
-    where
-        F: FnMut(&mut Self) -> Cycles,
-    {
-        let mut stream = hvx_engine::Streaming::new();
-        for _ in 0..iters {
-            self.machine_mut().barrier();
-            stream.record(op(self));
-        }
-        stream
-    }
-}
-
-impl<T: Hypervisor + ?Sized> HypervisorExt for T {}

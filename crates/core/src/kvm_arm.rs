@@ -1321,7 +1321,6 @@ impl Hypervisor for KvmArm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HypervisorExt;
 
     #[test]
     fn hypercall_composes_to_table_ii() {
@@ -1492,15 +1491,5 @@ mod tests {
             vhe_cost.as_u64() * 3 < cost.as_u64(),
             "{cost} vs {vhe_cost}"
         );
-    }
-
-    #[test]
-    fn sample_helper_collects_deterministic_iterations() {
-        let mut kvm = KvmArm::new();
-        let samples = kvm.sample(10, |h| h.hypercall(0));
-        let s = samples.summary();
-        assert_eq!(s.count, 10);
-        assert_eq!(s.min, s.max, "deterministic microbenchmark");
-        assert_eq!(s.mean_cycles(), Cycles::new(6500));
     }
 }

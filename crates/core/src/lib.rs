@@ -65,7 +65,7 @@ mod xen_arm;
 pub use context::{ArmGuestContext, ArmHostContext};
 pub use cost::{ClassCosts, CostModel};
 pub use error::{Error, ScenarioFailureKind};
-pub use hypervisor::{Hypervisor, HypervisorExt};
+pub use hypervisor::Hypervisor;
 pub use kind::{HvKind, HvType, Platform, VirqPolicy};
 pub use kvm_arm::{
     KvmArm, GICD_IPA, GUEST_IPI_SGI, GUEST_RAM_IPA, GUEST_RAM_PAGES, HOST_KICK_SGI, NIC_SPI,

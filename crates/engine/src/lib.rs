@@ -23,7 +23,6 @@
 //! * [`FaultPlan`] / [`Watchdog`] — seeded deterministic fault
 //!   injection plus in-simulation cycle-budget and livelock watchdogs
 //!   (the [`fault`] module);
-//! * [`Samples`] / [`Summary`] — iteration statistics;
 //! * re-exported [`TransitionId`] spans and [`MetricsRegistry`] metrics
 //!   (from `hvx-obs`) — opt-in cycle attribution behind
 //!   [`Machine::enable_profiling`] — and the flow-only [`EventTracer`]
@@ -57,7 +56,6 @@ pub mod fault;
 pub mod fingerprint;
 mod machine;
 pub mod shard;
-mod stats;
 pub mod timeline;
 mod topology;
 mod trace;
@@ -74,6 +72,5 @@ pub use hvx_obs::{
     SpanDelta, SpanRow, SpanSnapshotRow, SpanTracer, TransitionId,
 };
 pub use machine::{thread_replayed_transitions, thread_transitions, Machine};
-pub use stats::{Histogram, Samples, Streaming, Summary};
 pub use topology::{CoreId, Topology};
 pub use trace::{TraceEvent, TraceKind, TraceLog, TraceMode, SIGNAL_LABEL};

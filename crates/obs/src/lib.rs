@@ -6,12 +6,13 @@
 //! the same from instrumentation instead of from summed cost constants:
 //!
 //! * [`TransitionId`] / [`SpanTracer`] — nested spans keyed by static
-//!   transition identities; cycles are charged to the innermost open
-//!   span, so exclusive totals are exact and, with the unattributed
-//!   remainder, sum to the run total (conservation);
+//!   transition identities, kept as one tree of call paths; each cycle
+//!   is charged to the node of the open stack, so exclusive totals and
+//!   the unattributed remainder sum to the run total by construction
+//!   (conservation);
 //! * [`MetricsRegistry`] / [`HistogramSketch`] — named counters and
-//!   power-of-two histograms, lock-free in steady state, with a
-//!   deterministic cross-thread merge;
+//!   power-of-two histograms, lock-free in steady state, one registry
+//!   per scenario;
 //! * [`EventTracer`] — causal flow tracing: [`FlowKind`] chains of flow
 //!   points stitching causally-linked work across machines, with a
 //!   derivation pass folding end-to-end latencies into the registry

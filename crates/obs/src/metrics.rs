@@ -9,8 +9,8 @@
 //! str`, lookup is a pointer-equality scan first (string comparison only
 //! on first sight of a name), and after every metric has been touched
 //! once no path allocates or synchronizes. Each scenario owns a private
-//! registry; the parallel runner merges them **in plan order**, so the
-//! merged result is identical no matter how many worker threads ran.
+//! registry, so the parallel profile runner shares nothing between
+//! threads and its output is identical no matter how many ran.
 
 /// Power-of-two bucketed histogram: bucket `b` holds values whose
 /// `ilog2` is `b - 1` (bucket 0 holds zeros). Covers the full `u64`
@@ -129,17 +129,6 @@ impl HistogramSketch {
             (bound, n)
         })
     }
-
-    /// Folds `other`'s observations into `self`.
-    pub fn merge(&mut self, other: &HistogramSketch) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// The metrics registry: named counters plus named histograms.
@@ -233,21 +222,6 @@ impl MetricsRegistry {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()
     }
-
-    /// Folds `other` into `self`. Merging is associative and — because
-    /// every per-scenario registry is itself deterministic — merging in
-    /// plan order yields identical results for any worker count.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, v) in &other.counters {
-            self.bump(name, *v);
-        }
-        for (name, h) in &other.histograms {
-            match find(&self.histograms, name) {
-                Some(i) => self.histograms[i].1.merge(h),
-                None => self.histograms.push((name, h.clone())),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -276,30 +250,6 @@ mod tests {
         assert_eq!(h.max(), Some(1000));
         assert!(h.approx_quantile(0.5).unwrap() >= 2);
         assert!(h.approx_quantile(1.0).unwrap() >= 1000);
-    }
-
-    #[test]
-    fn merge_is_order_insensitive_for_totals() {
-        let mut a = MetricsRegistry::new();
-        a.bump("traps", 3);
-        a.observe("lat", 10);
-        let mut b = MetricsRegistry::new();
-        b.bump("traps", 4);
-        b.bump("exits", 1);
-        b.observe("lat", 20);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.counter("traps"), 7);
-        assert_eq!(ab.counter("traps"), ba.counter("traps"));
-        assert_eq!(ab.counter("exits"), ba.counter("exits"));
-        assert_eq!(
-            ab.histogram("lat").unwrap().sum(),
-            ba.histogram("lat").unwrap().sum()
-        );
-        assert_eq!(ab.counters_sorted(), ba.counters_sorted());
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Span-based cycle attribution.
 //!
 //! Every architecturally interesting hypervisor transition opens a
-//! **span** keyed by a static [`TransitionId`]. Spans nest; the engine
-//! charges every cycle to the *innermost* open span, so per-transition
-//! exclusive totals are exact and — together with the
-//! [`SpanTracer::unattributed`] remainder — sum to the run total. That
-//! conservation property is what lets the profile table reproduce the
-//! paper's Table III breakdown from instrumentation instead of from
-//! summed cost constants.
+//! **span** keyed by a static [`TransitionId`]. Spans nest, and the
+//! tracer keeps one tree of call paths: every charged cycle lands on
+//! the node of the stack open at the time. Exclusive, inclusive and
+//! folded-stack totals are all read off that tree, so the exclusive
+//! totals and the [`SpanTracer::unattributed`] remainder sum to the run
+//! total by construction. That conservation property is what lets the
+//! profile table reproduce the paper's Table III breakdown from
+//! instrumentation instead of from summed cost constants.
 
 use std::fmt;
 
@@ -203,27 +204,61 @@ pub struct SpanRow {
     pub inclusive: u64,
 }
 
-/// Sentinel for "no folded-path slot cached" (empty span stack).
-const NO_SLOT: usize = usize::MAX;
+/// Index of the root node: the empty stack, whose cycles are the
+/// unattributed remainder. No node has the root as a child, so a zero
+/// child slot means "that path has not appeared yet".
+const ROOT: usize = 0;
 
-/// The span tracer: a stack of open transitions plus per-transition
-/// exclusive/inclusive totals and folded-stack path accumulation.
+// `SpanTracer::per_transition` keeps each path's open set in a `u64`.
+const _: () = assert!(TransitionId::COUNT <= u64::BITS as usize);
+
+/// One call path: the stack of spans open while its cycles were
+/// charged.
+#[derive(Debug, Clone)]
+struct Node {
+    /// The path's innermost transition (unused on the root).
+    id: TransitionId,
+    /// The path one span shorter (the root is its own parent).
+    parent: u32,
+    /// Cycles charged while this path was the open stack.
+    cycles: u64,
+    /// The path one span longer, per transition; [`ROOT`] if unseen.
+    children: [u32; TransitionId::COUNT],
+}
+
+impl Node {
+    /// A childless node under `parent`, which is below `u32::MAX` like
+    /// every index already in the table.
+    fn new(id: TransitionId, parent: usize) -> Node {
+        Node {
+            id,
+            parent: parent as u32,
+            cycles: 0,
+            children: [ROOT as u32; TransitionId::COUNT],
+        }
+    }
+}
+
+/// The span tracer: one tree of call paths, a cursor on the node of
+/// the open stack, and per-transition enter counts.
 ///
-/// The charge hot path is allocation-free: folded-path slots are
-/// resolved once per [`SpanTracer::enter`]/[`SpanTracer::exit`] and
-/// cached, so [`SpanTracer::charge`] is a few array additions.
+/// [`SpanTracer::enter`] moves the cursor to a child node and
+/// [`SpanTracer::exit`] back to its parent; a path allocates only the
+/// first time it appears. [`SpanTracer::charge`] is one addition on the
+/// cursor's node. Every total is derived from the tree when read.
 ///
 /// # Conservation
 ///
-/// For any sequence of balanced `enter`/`exit` pairs interleaved with
-/// `charge` calls:
+/// For any sequence of `enter`/`exit`/`charge` calls:
 ///
 /// ```text
 /// Σ exclusive(id) + unattributed() == total()
 /// ```
 ///
-/// holds exactly — the engine asserts the same identity against the
-/// machine's per-core busy totals.
+/// holds by construction: every cycle lands on exactly one node, and
+/// the root plus the nodes of each transition partition the tree. The
+/// engine checks [`SpanTracer::total`] against the machine's per-core
+/// busy totals.
 ///
 /// # Examples
 ///
@@ -245,20 +280,12 @@ const NO_SLOT: usize = usize::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpanTracer {
-    /// Open spans, innermost last: `(id index, inclusive accumulator)`.
-    stack: Vec<(u8, u64)>,
-    /// How many times each id is currently on the stack (recursion guard
-    /// for inclusive totals).
-    on_stack: [u32; TransitionId::COUNT],
-    excl: [u64; TransitionId::COUNT],
-    incl: [u64; TransitionId::COUNT],
+    /// Every call path seen, each after its parent; [`ROOT`] first.
+    nodes: Vec<Node>,
+    /// The node of the open stack.
+    cursor: usize,
+    /// Times each transition was entered.
     counts: [u64; TransitionId::COUNT],
-    unattributed: u64,
-    total: u64,
-    /// Folded call paths (outermost first) and their exclusive cycles.
-    folded: Vec<(Vec<u8>, u64)>,
-    /// Cached index into `folded` for the current stack.
-    cur_slot: usize,
 }
 
 impl Default for SpanTracer {
@@ -271,15 +298,9 @@ impl SpanTracer {
     /// Creates an empty tracer.
     pub fn new() -> Self {
         SpanTracer {
-            stack: Vec::with_capacity(8),
-            on_stack: [0; TransitionId::COUNT],
-            excl: [0; TransitionId::COUNT],
-            incl: [0; TransitionId::COUNT],
+            nodes: vec![Node::new(TransitionId::GuestRun, ROOT)],
+            cursor: ROOT,
             counts: [0; TransitionId::COUNT],
-            unattributed: 0,
-            total: 0,
-            folded: Vec::new(),
-            cur_slot: NO_SLOT,
         }
     }
 
@@ -288,9 +309,16 @@ impl SpanTracer {
     pub fn enter(&mut self, id: TransitionId) {
         let i = id.index();
         self.counts[i] += 1;
-        self.on_stack[i] += 1;
-        self.stack.push((i as u8, 0));
-        self.cur_slot = self.slot_for_current_path();
+        let child = self.nodes[self.cursor].children[i] as usize;
+        self.cursor = if child == ROOT {
+            let new = self.nodes.len();
+            let slot = u32::try_from(new).expect("fewer than 2^32 call paths");
+            self.nodes.push(Node::new(id, self.cursor));
+            self.nodes[self.cursor].children[i] = slot;
+            new
+        } else {
+            child
+        };
     }
 
     /// Closes the innermost span, which must be `id`.
@@ -300,64 +328,59 @@ impl SpanTracer {
     /// Panics if `id` is not the innermost open span (unbalanced
     /// instrumentation is a bug, not a runtime condition).
     pub fn exit(&mut self, id: TransitionId) {
-        let (top, acc) = self
-            .stack
-            .pop()
-            .unwrap_or_else(|| panic!("span_exit({}) with no open span", id.name()));
+        assert!(
+            self.cursor != ROOT,
+            "span_exit({}) with no open span",
+            id.name()
+        );
+        let node = &self.nodes[self.cursor];
         assert_eq!(
-            top as usize,
+            node.id.index(),
             id.index(),
             "span_exit({}) but innermost open span is {}",
             id.name(),
-            TransitionId::ALL[top as usize].name()
+            node.id.name()
         );
-        let i = id.index();
-        self.on_stack[i] -= 1;
-        // Inclusive: count each cycle once per id even under recursion.
-        if self.on_stack[i] == 0 {
-            self.incl[i] += acc;
-        }
-        if let Some((_, parent_acc)) = self.stack.last_mut() {
-            *parent_acc += acc;
-            self.cur_slot = self.slot_for_current_path();
-        } else {
-            self.cur_slot = NO_SLOT;
-        }
+        self.cursor = node.parent as usize;
     }
 
     /// Attributes `cycles` to the innermost open span (or to the
     /// unattributed bucket if none is open). Allocation-free.
     #[inline]
     pub fn charge(&mut self, cycles: u64) {
-        self.total += cycles;
-        match self.stack.last_mut() {
-            Some((i, acc)) => {
-                self.excl[*i as usize] += cycles;
-                *acc += cycles;
-                self.folded[self.cur_slot].1 += cycles;
-            }
-            None => self.unattributed += cycles,
-        }
+        self.nodes[self.cursor].cycles += cycles;
     }
 
-    fn slot_for_current_path(&mut self) -> usize {
-        let path: Vec<u8> = self.stack.iter().map(|(i, _)| *i).collect();
-        if let Some(pos) = self.folded.iter().position(|(p, _)| *p == path) {
-            return pos;
+    /// Per-transition `(exclusive, inclusive)` cycles. Each node is
+    /// visited once with the set of transitions open on its path;
+    /// parents precede children, so that set is the parent's plus the
+    /// node's own, and a recursive span's cycles count once.
+    fn per_transition(&self) -> ([u64; TransitionId::COUNT], [u64; TransitionId::COUNT]) {
+        let mut excl = [0; TransitionId::COUNT];
+        let mut incl = [0; TransitionId::COUNT];
+        let mut open = vec![0u64; self.nodes.len()];
+        for (n, node) in self.nodes.iter().enumerate().skip(1) {
+            let i = node.id.index();
+            open[n] = open[node.parent as usize] | 1 << i;
+            excl[i] += node.cycles;
+            let mut bits = open[n];
+            while bits != 0 {
+                incl[bits.trailing_zeros() as usize] += node.cycles;
+                bits &= bits - 1;
+            }
         }
-        self.folded.push((path, 0));
-        self.folded.len() - 1
+        (excl, incl)
     }
 
     /// Cycles charged while `id` was the innermost open span.
     pub fn exclusive(&self, id: TransitionId) -> u64 {
-        self.excl[id.index()]
+        self.per_transition().0[id.index()]
     }
 
-    /// Cycles charged while `id` was open anywhere on the stack.
-    /// Only complete (exited) spans contribute.
+    /// Cycles charged while `id` was open anywhere on the stack,
+    /// including a span still open now; read it after the run.
     pub fn inclusive(&self, id: TransitionId) -> u64 {
-        self.incl[id.index()]
+        self.per_transition().1[id.index()]
     }
 
     /// Times `id` was entered.
@@ -367,60 +390,28 @@ impl SpanTracer {
 
     /// Cycles charged with no span open.
     pub fn unattributed(&self) -> u64 {
-        self.unattributed
+        self.nodes[ROOT].cycles
     }
 
     /// Every cycle ever charged through this tracer.
     pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Current nesting depth (0 = no open span).
-    pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.nodes.iter().map(|n| n.cycles).sum()
     }
 
     /// The active breakdown rows, in [`TransitionId::ALL`] order,
     /// skipping transitions that never ran.
     pub fn rows(&self) -> Vec<SpanRow> {
+        let (excl, incl) = self.per_transition();
         TransitionId::ALL
             .into_iter()
-            .filter(|id| self.counts[id.index()] > 0 || self.excl[id.index()] > 0)
+            .filter(|id| self.counts[id.index()] > 0 || excl[id.index()] > 0)
             .map(|id| SpanRow {
                 id,
                 count: self.counts[id.index()],
-                exclusive: self.excl[id.index()],
-                inclusive: self.incl[id.index()],
+                exclusive: excl[id.index()],
+                inclusive: incl[id.index()],
             })
             .collect()
-    }
-
-    /// Folds `other` into `self` (cross-thread scenario merge). Both
-    /// tracers must have no open spans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tracer still has open spans.
-    pub fn merge(&mut self, other: &SpanTracer) {
-        assert!(
-            self.stack.is_empty() && other.stack.is_empty(),
-            "merging tracers with open spans"
-        );
-        for i in 0..TransitionId::COUNT {
-            self.excl[i] += other.excl[i];
-            self.incl[i] += other.incl[i];
-            self.counts[i] += other.counts[i];
-        }
-        self.unattributed += other.unattributed;
-        self.total += other.total;
-        for (path, cycles) in &other.folded {
-            if let Some(pos) = self.folded.iter().position(|(p, _)| p == path) {
-                self.folded[pos].1 += cycles;
-            } else {
-                self.folded.push((path.clone(), *cycles));
-            }
-        }
-        self.cur_slot = NO_SLOT;
     }
 
     /// Renders the folded-stack flamegraph text: one line per unique
@@ -432,61 +423,33 @@ impl SpanTracer {
     /// count. Unattributed cycles fold into the bare `root` frame,
     /// which — when present — always leads.
     pub fn folded(&self, root: &str) -> String {
-        /// One frame of the reassembled call tree.
-        struct Node {
-            name: &'static str,
-            exclusive: u64,
-            subtree: u64,
-            children: Vec<Node>,
-        }
-        fn insert(node: &mut Node, path: &[u8], cycles: u64) {
-            node.subtree += cycles;
-            let Some((head, rest)) = path.split_first() else {
-                node.exclusive += cycles;
-                return;
-            };
-            let name = TransitionId::ALL[*head as usize].name();
-            let child = match node.children.iter_mut().position(|c| c.name == name) {
-                Some(i) => &mut node.children[i],
-                None => {
-                    node.children.push(Node {
-                        name,
-                        exclusive: 0,
-                        subtree: 0,
-                        children: Vec::new(),
-                    });
-                    node.children.last_mut().expect("just pushed")
-                }
-            };
-            insert(child, rest, cycles);
-        }
-        fn emit(node: &Node, prefix: &str, out: &mut String) {
-            if node.exclusive > 0 {
-                out.push_str(prefix);
-                out.push(' ');
-                out.push_str(&node.exclusive.to_string());
-                out.push('\n');
-            }
-            let mut order: Vec<&Node> = node.children.iter().collect();
-            order.sort_by(|a, b| b.subtree.cmp(&a.subtree).then_with(|| a.name.cmp(b.name)));
-            for child in order {
-                emit(child, &format!("{prefix};{}", child.name), out);
-            }
-        }
-        let mut tree = Node {
-            name: "",
-            exclusive: self.unattributed,
-            subtree: self.unattributed,
-            children: Vec::new(),
-        };
-        for (path, cycles) in &self.folded {
-            if *cycles > 0 {
-                insert(&mut tree, path, *cycles);
-            }
+        // Children follow their parents, so one backward pass folds
+        // every subtree total into its parent.
+        let mut subtree: Vec<u64> = self.nodes.iter().map(|n| n.cycles).collect();
+        for n in (1..self.nodes.len()).rev() {
+            subtree[self.nodes[n].parent as usize] += subtree[n];
         }
         let mut out = String::new();
-        emit(&tree, root, &mut out);
+        self.emit_folded(ROOT, root, &subtree, &mut out);
         out
+    }
+
+    fn emit_folded(&self, n: usize, prefix: &str, subtree: &[u64], out: &mut String) {
+        let node = &self.nodes[n];
+        if node.cycles > 0 {
+            out.push_str(&format!("{prefix} {}\n", node.cycles));
+        }
+        let name = |c: usize| self.nodes[c].id.name();
+        let mut children: Vec<usize> = node
+            .children
+            .iter()
+            .map(|&c| c as usize)
+            .filter(|&c| c != ROOT && subtree[c] > 0)
+            .collect();
+        children.sort_by_key(|&c| (std::cmp::Reverse(subtree[c]), name(c)));
+        for c in children {
+            self.emit_folded(c, &format!("{prefix};{}", name(c)), subtree, out);
+        }
     }
 }
 
@@ -606,25 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_everything() {
-        let mut a = SpanTracer::new();
-        a.enter(TransitionId::Eret);
-        a.charge(10);
-        a.exit(TransitionId::Eret);
-        let mut b = SpanTracer::new();
-        b.enter(TransitionId::Eret);
-        b.charge(32);
-        b.exit(TransitionId::Eret);
-        b.charge(8);
-        a.merge(&b);
-        assert_eq!(a.exclusive(TransitionId::Eret), 42);
-        assert_eq!(a.count(TransitionId::Eret), 2);
-        assert_eq!(a.unattributed(), 8);
-        assert_eq!(a.total(), 50);
-        assert_eq!(a.folded("r"), "r 8\nr;eret 42\n");
-    }
-
-    #[test]
     fn rows_skip_idle_transitions() {
         let mut t = SpanTracer::new();
         t.enter(TransitionId::GrantCopy);
@@ -634,5 +578,40 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].id, TransitionId::GrantCopy);
         assert_eq!(rows[0].exclusive, 9);
+    }
+
+    #[test]
+    fn repeated_paths_reuse_their_node() {
+        let mut t = SpanTracer::new();
+        let round = |t: &mut SpanTracer| {
+            t.enter(TransitionId::TrapToEl2);
+            t.enter(TransitionId::ContextSave);
+            t.charge(3);
+            t.exit(TransitionId::ContextSave);
+            t.exit(TransitionId::TrapToEl2);
+        };
+        round(&mut t);
+        let nodes = t.nodes.len();
+        for _ in 0..100 {
+            round(&mut t);
+        }
+        assert_eq!(t.nodes.len(), nodes, "a seen path allocates nothing");
+        assert_eq!(t.exclusive(TransitionId::ContextSave), 303);
+        assert_eq!(t.count(TransitionId::TrapToEl2), 101);
+    }
+
+    #[test]
+    fn inclusive_counts_an_open_span() {
+        let mut t = SpanTracer::new();
+        t.enter(TransitionId::Sched);
+        t.charge(4);
+        assert_eq!(t.inclusive(TransitionId::Sched), 4);
+        assert_eq!(t.exclusive(TransitionId::Sched), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "with no open span")]
+    fn exit_with_nothing_open_panics() {
+        SpanTracer::new().exit(TransitionId::Eret);
     }
 }

@@ -5,8 +5,9 @@
 //! the input [`Fingerprint`] of every scenario that produced them and
 //! per-cell span profiles for the Figure 4 matrix. `hvx-repro check`
 //! re-runs the same artifacts (cache-accelerated when a [`ResultCache`]
-//! is supplied), byte-compares against the snapshot, and classifies
-//! every divergence:
+//! is supplied), byte-compares against the snapshot — Figure 4's span
+//! profiles included, re-profiled every time — and classifies every
+//! divergence:
 //!
 //! * **schema-bump** — the stored fingerprints no longer match the
 //!   current input closure (a cost table, topology, workload mix, or
@@ -15,8 +16,9 @@
 //! * **drift** — fingerprints are unchanged but bytes differ: charging
 //!   behaviour moved without its declared inputs moving. The check
 //!   fails with [`Error::BaselineDrift`] (CLI exit code 4) and, for
-//!   Figure 4, a per-cell span-delta report pinpointing which
-//!   transitions absorbed the change.
+//!   Figure 4, a per-cell span-delta report naming every cell whose
+//!   overhead or span profile moved and the transitions that absorbed
+//!   the change.
 //!
 //! [`Fingerprint`]: hvx_engine::Fingerprint
 //! [`ResultCache`]: crate::cache::ResultCache
@@ -34,11 +36,6 @@ use std::sync::Arc;
 
 /// The conventional in-repo baseline directory.
 pub const DEFAULT_DIR: &str = "baselines";
-
-/// At most this many drifted Figure 4 cells are re-profiled for the
-/// span-delta report; the rest are listed without a breakdown so a
-/// wholesale drift doesn't trigger 30+ profiling runs.
-const MAX_SPAN_DRILLDOWNS: usize = 6;
 
 fn baseline_err(what: impl Into<String>, detail: impl Into<String>) -> Error {
     Error::Baseline {
@@ -87,6 +84,27 @@ fn artifact_paths(dir: &Path, id: ArtifactId) -> (PathBuf, PathBuf) {
 
 fn span_path(dir: &Path, scenario: &ProfileScenario) -> PathBuf {
     dir.join("spans").join(format!("{}.json", scenario.name()))
+}
+
+/// Profiles every Figure 4 cell, in [`span_profile_cells`] order, as
+/// the stored span-profile bytes.
+fn profile_span_cells(
+    jobs: usize,
+) -> Result<Vec<(ProfileScenario, ProfileSnapshot, String)>, Error> {
+    let cells = span_profile_cells();
+    let reports = profile::run_profiles(&cells, jobs)?;
+    cells
+        .into_iter()
+        .zip(reports)
+        .map(|(cell, report)| {
+            let json =
+                serde_json::to_string_pretty(&report.snapshot).map_err(|e| Error::Serialize {
+                    what: "span profile",
+                    detail: e.to_string(),
+                })?;
+            Ok((cell, report.snapshot, json))
+        })
+        .collect()
 }
 
 /// The parsed `manifest.json` of a baseline directory.
@@ -235,15 +253,9 @@ pub fn write_baseline(
         std::fs::create_dir_all(&spans_dir).map_err(|e| {
             baseline_err(format!("directory {}", spans_dir.display()), e.to_string())
         })?;
-        for cell in span_profile_cells() {
-            let report = profile::run_profile(cell)?;
-            let data =
-                serde_json::to_string_pretty(&report.snapshot).map_err(|e| Error::Serialize {
-                    what: "span profile",
-                    detail: e.to_string(),
-                })?;
+        for (cell, _, json) in profile_span_cells(jobs)? {
             let path = span_path(dir, &cell);
-            std::fs::write(&path, data)
+            std::fs::write(&path, json)
                 .map_err(|e| baseline_err(path.display().to_string(), e.to_string()))?;
             span_profiles += 1;
         }
@@ -317,75 +329,80 @@ impl CheckReport {
     }
 }
 
+/// Re-profiles every Figure 4 cell and returns those whose span
+/// profile no longer matches its stored bytes, each with its rendered
+/// span deltas.
+fn span_changes(dir: &Path, jobs: usize) -> Result<Vec<(ProfileScenario, String)>, Error> {
+    let mut changes = Vec::new();
+    for (scenario, current, json) in profile_span_cells(jobs)? {
+        let stored = std::fs::read_to_string(span_path(dir, &scenario)).ok();
+        if stored.as_deref() == Some(json.as_str()) {
+            continue;
+        }
+        let stored: Option<ProfileSnapshot> = stored.and_then(|t| serde_json::from_str(&t).ok());
+        let rendered = match stored.map(|s| hvx_engine::span_deltas(&s, &current)) {
+            None => "    (no stored span profile for this cell)\n".to_string(),
+            Some(d) if d.is_empty() => {
+                "    (exclusive cycles unchanged; other profile fields differ)\n".to_string()
+            }
+            Some(d) => hvx_engine::render_span_deltas(&d),
+        };
+        changes.push((scenario, rendered));
+    }
+    Ok(changes)
+}
+
 /// Builds the per-cell span-delta section for a drifted Figure 4
-/// artifact: parses both JSON snapshots, finds the cells whose measured
-/// overhead moved, and re-profiles each (up to [`MAX_SPAN_DRILLDOWNS`])
-/// against the baseline's stored span profile.
-fn fig4_drilldown(dir: &Path, baseline_json: &str, current_json: &str) -> String {
+/// artifact: every cell whose measured overhead moved (parsed from both
+/// JSON snapshots), then every other cell whose span profile changed,
+/// each with its per-transition span deltas.
+fn fig4_drilldown(
+    baseline_json: &str,
+    current_json: &str,
+    spans: &[(ProfileScenario, String)],
+) -> String {
     let parse = |text: &str| -> Option<fig4::Figure4> {
         fig4::Figure4::deserialize(&serde_json::parse_value(text).ok()?).ok()
     };
-    let (Some(base), Some(cur)) = (parse(baseline_json), parse(current_json)) else {
-        return "    (fig4 JSON unparsable; no per-cell breakdown)\n".to_string();
-    };
+    let mut out = String::new();
     let mut moved = Vec::new();
-    for (bg, cg) in base.groups.iter().zip(&cur.groups) {
-        for (bb, cb) in bg.bars.iter().zip(&cg.bars) {
-            if bb.measured != cb.measured {
-                moved.push((bg.workload.name, bb.hv, bb.measured, cb.measured));
+    if let (Some(base), Some(cur)) = (parse(baseline_json), parse(current_json)) {
+        for (bg, cg) in base.groups.iter().zip(&cur.groups) {
+            for (bb, cb) in bg.bars.iter().zip(&cg.bars) {
+                if bb.measured != cb.measured {
+                    moved.push((bg.workload.name, bb.hv, bb.measured, cb.measured));
+                }
             }
         }
+    } else {
+        out.push_str("    (fig4 JSON unparsable; no per-cell overhead comparison)\n");
     }
-    if moved.is_empty() {
-        return "    (no per-cell overhead change; divergence is outside the cell values)\n"
-            .to_string();
-    }
-    let mut out = String::new();
-    for (i, (workload, kind, was, now)) in moved.iter().enumerate() {
-        let fmt = |v: &Option<f64>| v.map_or("n/a".to_string(), |x| format!("{x:.4}"));
+    let fmt = |v: &Option<f64>| v.map_or("n/a".to_string(), |x| format!("{x:.4}"));
+    let is_cell = |sc: &ProfileScenario, workload: &str, kind: HvKind| {
+        sc.workload.catalog_name() == workload && sc.kind == kind
+    };
+    for (workload, kind, was, now) in &moved {
         out.push_str(&format!(
             "  fig4[{workload}/{kind}]: overhead {} -> {}\n",
             fmt(was),
             fmt(now)
         ));
-        if i >= MAX_SPAN_DRILLDOWNS {
-            continue;
-        }
-        let Some(scenario) = hvx_core::Workload::ALL
-            .into_iter()
-            .find(|w| w.catalog_name() == *workload)
-            .map(|w| ProfileScenario {
-                workload: w,
-                kind: *kind,
-            })
-        else {
-            continue;
-        };
-        let path = span_path(dir, &scenario);
-        let stored: Option<ProfileSnapshot> = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|t| serde_json::from_str(&t).ok());
-        let Some(stored) = stored else {
-            out.push_str("    (no stored span profile for this cell)\n");
-            continue;
-        };
-        match profile::run_profile(scenario) {
-            Ok(report) => {
-                let deltas = hvx_engine::span_deltas(&stored, &report.snapshot);
-                if deltas.is_empty() {
-                    out.push_str("    (span breakdown unchanged)\n");
-                } else {
-                    out.push_str(&hvx_engine::render_span_deltas(&deltas));
-                }
-            }
-            Err(e) => out.push_str(&format!("    (re-profile failed: {e})\n")),
+        match spans.iter().find(|(sc, _)| is_cell(sc, workload, *kind)) {
+            Some((_, deltas)) => out.push_str(deltas),
+            None => out.push_str("    (span breakdown unchanged)\n"),
         }
     }
-    let skipped = moved.len().saturating_sub(MAX_SPAN_DRILLDOWNS);
-    if skipped > 0 {
-        out.push_str(&format!(
-            "  ({skipped} more drifted cell(s) not re-profiled; cap is {MAX_SPAN_DRILLDOWNS})\n"
-        ));
+    for (sc, deltas) in spans {
+        if !moved.iter().any(|(w, k, ..)| is_cell(sc, w, *k)) {
+            out.push_str(&format!(
+                "  fig4[{}/{}]: overhead unchanged, span profile changed\n{deltas}",
+                sc.workload.catalog_name(),
+                sc.kind
+            ));
+        }
+    }
+    if out.is_empty() {
+        out.push_str("    (no per-cell overhead change; divergence is outside the cell values)\n");
     }
     out
 }
@@ -443,6 +460,13 @@ pub fn check_baseline(
     let schema_bump = manifest.schema != SCHEMA_VERSION || fingerprints_moved;
 
     let outcome = runner::run_artifacts_with(&artifacts, jobs, &cfg)?;
+    // Figure 4's span profiles are part of its artifact, so a changed
+    // attribution diverges even when every rendered byte stays.
+    let changed_spans = if artifacts.contains(&ArtifactId::Fig4) {
+        span_changes(dir, jobs)?
+    } else {
+        Vec::new()
+    };
     let mut verdicts = Vec::new();
     let mut rendered = String::new();
     let mut drill = String::new();
@@ -452,7 +476,9 @@ pub fn check_baseline(
             .map_err(|e| baseline_err(json_path.display().to_string(), e.to_string()))?;
         let stored_text = std::fs::read_to_string(&text_path)
             .map_err(|e| baseline_err(text_path.display().to_string(), e.to_string()))?;
-        let identical = stored_json == report.json && stored_text == report.text;
+        let identical = stored_json == report.json
+            && stored_text == report.text
+            && (report.id != ArtifactId::Fig4 || changed_spans.is_empty());
         let verdict = if identical {
             ArtifactVerdict::Clean
         } else if schema_bump {
@@ -471,7 +497,7 @@ pub fn check_baseline(
             }
         ));
         if verdict == ArtifactVerdict::Drift && report.id == ArtifactId::Fig4 {
-            drill.push_str(&fig4_drilldown(dir, &stored_json, &report.json));
+            drill.push_str(&fig4_drilldown(&stored_json, &report.json, &changed_spans));
         }
         verdicts.push((report.id, verdict));
     }

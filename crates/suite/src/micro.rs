@@ -1,7 +1,7 @@
 //! The Table I microbenchmark suite and the Table II runner.
 
 use crate::paper;
-use hvx_core::{Error, HvKind, Hypervisor, HypervisorExt, SimBuilder};
+use hvx_core::{Error, HvKind, Hypervisor, SimBuilder};
 use hvx_engine::Cycles;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -93,14 +93,22 @@ impl Micro {
         }
     }
 
-    /// Runs `iters` iterations with barriers between them and returns the
-    /// mean (the framework of §IV). Iterations fold into a streaming
-    /// accumulator — no per-sample storage — and the streaming mean is
-    /// bit-identical to the stored-samples mean.
+    /// Runs `iters` iterations, each after a [`hvx_engine::Machine::barrier`],
+    /// and returns their mean rounded to the nearest whole cycle (the
+    /// framework of §IV). The iterations sum exactly into a `u128`; no
+    /// sample is stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iters` is zero.
     pub fn run(self, hv: &mut dyn Hypervisor, iters: usize) -> Cycles {
-        hv.sample_streaming(iters, |h| self.run_once(h))
-            .summary()
-            .mean_cycles()
+        assert!(iters > 0, "cannot summarize zero samples");
+        let mut sum: u128 = 0;
+        for _ in 0..iters {
+            hv.machine_mut().barrier();
+            sum += u128::from(self.run_once(hv).as_u64());
+        }
+        Cycles::new((sum as f64 / iters as f64).round() as u64)
     }
 }
 

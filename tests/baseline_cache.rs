@@ -135,3 +135,47 @@ fn tampered_baseline_bytes_are_drift() {
 
     let _ = fs::remove_dir_all(&baseline_dir);
 }
+
+/// Figure 4's span profiles are part of its artifact: editing one
+/// stored profile while every rendered byte stays is drift, and the
+/// report names the cell and the transition whose cycles moved.
+#[test]
+fn tampered_span_profile_is_drift() {
+    let baseline_dir = tmpdir("gate-span-drift");
+    let artifacts = vec![ArtifactId::Fig4];
+    let report = diff::write_baseline(&baseline_dir, &artifacts, 2, None).unwrap();
+    assert_eq!(report.span_profiles, 35);
+
+    let path = baseline_dir.join("spans").join("tcp_rr-xen-arm.json");
+    let text = fs::read_to_string(&path).unwrap();
+    let tampered = text.replacen(
+        "\"exclusive_cycles\": 48000,",
+        "\"exclusive_cycles\": 48001,",
+        1,
+    );
+    assert_ne!(tampered, text, "the stored profile has the edited row");
+    fs::write(&path, tampered).unwrap();
+
+    let check = diff::check_baseline(&baseline_dir, &[], 2, None).unwrap();
+    assert_eq!(
+        check.drifted(),
+        vec![ArtifactId::Fig4],
+        "{}",
+        check.rendered
+    );
+    assert!(
+        check
+            .rendered
+            .contains("fig4[TCP_RR/Xen ARM]: overhead unchanged, span profile changed"),
+        "{}",
+        check.rendered
+    );
+    assert!(check.rendered.contains("guest_run"), "{}", check.rendered);
+    let err = check.into_result().unwrap_err();
+    assert!(
+        matches!(err, hvx::Error::BaselineDrift { drifted: 1 }),
+        "unexpected error: {err}"
+    );
+
+    let _ = fs::remove_dir_all(&baseline_dir);
+}

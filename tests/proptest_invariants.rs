@@ -3,11 +3,12 @@
 
 use hvx::arch::{resolve, ArchVersion, ArmCpu, ExceptionLevel, PhysReg, SysReg, TrapCause};
 use hvx::core::sched::CreditScheduler;
-use hvx::engine::{timeline, Cycles, EventQueue, Histogram, Samples};
+use hvx::engine::{timeline, Cycles, EventQueue, SpanRow, SpanTracer, TransitionId};
 use hvx::gic::{Distributor, IntId, VgicCpuInterface, NUM_LRS};
 use hvx::mem::{Access, DomId, GrantTable, Ipa, Pa, PhysMemory, S2Perms, Stage2Tables, PAGE_SIZE};
 use hvx::vio::{Descriptor, Virtqueue};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 proptest! {
     // ------------------------------------------------------------------
@@ -63,18 +64,74 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
-    /// Summary statistics are order-invariant and bounded by min/max.
+    /// The span tracer's call-path tree agrees with a naive reference
+    /// that keeps an explicit stack and credits every open span on each
+    /// charge: random balanced programs (depth <= 6, four transitions,
+    /// so recursion and repeated paths occur) yield the same exclusive,
+    /// inclusive, count, unattributed, total, rows and folded stacks.
     #[test]
-    fn summary_is_permutation_invariant(mut vals in prop::collection::vec(0u64..1_000_000, 1..100)) {
-        let s1: Samples = vals.iter().copied().map(Cycles::new).collect();
-        vals.reverse();
-        let s2: Samples = vals.iter().copied().map(Cycles::new).collect();
-        let (a, b) = (s1.summary(), s2.summary());
-        prop_assert_eq!(a.min, b.min);
-        prop_assert_eq!(a.max, b.max);
-        prop_assert!((a.mean - b.mean).abs() < 1e-6);
-        prop_assert!(a.min.as_f64() <= a.mean && a.mean <= a.max.as_f64());
-        prop_assert!(a.min <= a.median && a.median <= a.max);
+    fn span_tracer_matches_a_naive_stack(
+        ops in prop::collection::vec((0u8..3, 0usize..4, 0u64..8), 0..300),
+    ) {
+        const IDS: [TransitionId; 4] = [
+            TransitionId::TrapToEl2,
+            TransitionId::ContextSave,
+            TransitionId::VgicLrSave,
+            TransitionId::Eret,
+        ];
+        const N: usize = TransitionId::COUNT;
+        let mut tracer = SpanTracer::new();
+        let mut stack: Vec<TransitionId> = Vec::new();
+        let (mut excl, mut incl, mut count) = ([0u64; N], [0u64; N], [0u64; N]);
+        let (mut unattributed, mut total) = (0u64, 0u64);
+        let mut paths = BTreeMap::<Vec<TransitionId>, u64>::new();
+        for (op, which, cycles) in ops {
+            let id = IDS[which];
+            match op {
+                0 if stack.len() < 6 => {
+                    tracer.enter(id);
+                    count[id as usize] += 1;
+                    stack.push(id);
+                }
+                1 if !stack.is_empty() => tracer.exit(stack.pop().unwrap()),
+                _ => {
+                    let cycles = cycles * 10;
+                    tracer.charge(cycles);
+                    total += cycles;
+                    *paths.entry(stack.clone()).or_default() += cycles;
+                    let Some(&top) = stack.last() else {
+                        unattributed += cycles;
+                        continue;
+                    };
+                    excl[top as usize] += cycles;
+                    for id in TransitionId::ALL.into_iter().filter(|id| stack.contains(id)) {
+                        incl[id as usize] += cycles;
+                    }
+                }
+            }
+        }
+        while let Some(top) = stack.pop() {
+            tracer.exit(top);
+        }
+        let rows: Vec<SpanRow> = TransitionId::ALL
+            .into_iter()
+            .filter(|&id| count[id as usize] > 0 || excl[id as usize] > 0)
+            .map(|id| SpanRow {
+                id,
+                count: count[id as usize],
+                exclusive: excl[id as usize],
+                inclusive: incl[id as usize],
+            })
+            .collect();
+        for id in TransitionId::ALL {
+            prop_assert_eq!(tracer.exclusive(id), excl[id as usize], "exclusive {}", id);
+            prop_assert_eq!(tracer.inclusive(id), incl[id as usize], "inclusive {}", id);
+            prop_assert_eq!(tracer.count(id), count[id as usize], "count {}", id);
+        }
+        prop_assert_eq!(tracer.unattributed(), unattributed);
+        prop_assert_eq!(tracer.total(), total);
+        prop_assert_eq!(tracer.rows(), rows);
+        prop_assert_eq!(tracer.folded("r"), naive_folded("r", &[], &paths));
     }
 
     // ------------------------------------------------------------------
@@ -385,26 +442,6 @@ proptest! {
         }
     }
 
-    /// Histogram percentiles are monotone in the percentile and bound
-    /// the mean's bucket.
-    #[test]
-    fn histogram_percentiles_are_monotone(vals in prop::collection::vec(1u64..1u64 << 40, 1..200)) {
-        let mut h = Histogram::new();
-        for v in &vals {
-            h.record(Cycles::new(*v));
-        }
-        prop_assert_eq!(h.count(), vals.len() as u64);
-        let mut last = Cycles::ZERO;
-        for pct in [1.0, 25.0, 50.0, 75.0, 99.0, 100.0] {
-            let p = h.approx_percentile(pct);
-            prop_assert!(p >= last, "percentiles monotone");
-            last = p;
-        }
-        // The max sample is within the top bucket bound.
-        let max = vals.iter().max().unwrap();
-        prop_assert!(h.approx_percentile(100.0).as_u64() >= *max / 2);
-    }
-
     /// Equal-weight CPU-bound VCPUs get equal schedule shares under the
     /// credit scheduler (fairness property).
     #[test]
@@ -446,4 +483,41 @@ proptest! {
         prop_assert_eq!(cpu.gp.pc, pc);
         prop_assert_eq!(cpu.gp.pstate, pstate_before);
     }
+}
+
+/// Folded stacks from a map of call paths (the empty path holds the
+/// unattributed cycles): `path`'s own line, then each child path by
+/// (subtree cycles descending, name ascending), skipping empty subtrees.
+fn naive_folded(
+    line: &str,
+    path: &[TransitionId],
+    paths: &BTreeMap<Vec<TransitionId>, u64>,
+) -> String {
+    let own = paths.get(path).copied().unwrap_or(0);
+    let mut out = if own > 0 {
+        format!("{line} {own}\n")
+    } else {
+        String::new()
+    };
+    let subtree = |p: &[TransitionId]| -> u64 {
+        paths
+            .iter()
+            .filter(|(q, _)| q.starts_with(p))
+            .map(|(_, c)| c)
+            .sum()
+    };
+    let mut children: Vec<(u64, TransitionId)> = TransitionId::ALL
+        .into_iter()
+        .map(|id| (subtree(&[path, &[id]].concat()), id))
+        .filter(|(cycles, _)| *cycles > 0)
+        .collect();
+    children.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.name().cmp(b.1.name())));
+    for (_, id) in children {
+        out += &naive_folded(
+            &format!("{line};{}", id.name()),
+            &[path, &[id]].concat(),
+            paths,
+        );
+    }
+    out
 }
