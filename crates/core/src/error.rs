@@ -17,9 +17,11 @@ use hvx_vio::VioError;
 /// # Examples
 ///
 /// ```
-/// use hvx_core::{Error, SimBuilder, HvKind};
+/// use hvx_core::{Error, HvKind, ScenarioSpec, SimBuilder};
 ///
-/// let err = SimBuilder::new(HvKind::KvmArm).cpus(64).build().unwrap_err();
+/// let mut spec = ScenarioSpec::paper(HvKind::KvmArm);
+/// spec.topology.vcpus_per_vm = 64;
+/// let err = SimBuilder::from_spec(spec).build().unwrap_err();
 /// assert!(matches!(err, Error::InvalidCpus { requested: 64, .. }));
 /// assert!(err.to_string().contains("64"));
 /// ```

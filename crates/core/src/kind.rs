@@ -67,6 +67,34 @@ impl HvKind {
         HvKind::KvmX86,
         HvKind::XenX86,
     ];
+
+    /// Every configuration, in declaration order.
+    pub const ALL: [HvKind; 6] = [
+        HvKind::KvmArm,
+        HvKind::XenArm,
+        HvKind::KvmX86,
+        HvKind::XenX86,
+        HvKind::KvmArmVhe,
+        HvKind::Native,
+    ];
+
+    /// The configuration's CLI name (`kvm-arm`, `kvm-arm-vhe`, ...): the
+    /// hypervisor half of a `<workload>-<hypervisor>` scenario name.
+    pub fn slug(self) -> &'static str {
+        match self {
+            HvKind::KvmArm => "kvm-arm",
+            HvKind::XenArm => "xen-arm",
+            HvKind::KvmX86 => "kvm-x86",
+            HvKind::XenX86 => "xen-x86",
+            HvKind::KvmArmVhe => "kvm-arm-vhe",
+            HvKind::Native => "native",
+        }
+    }
+
+    /// The configuration whose [`HvKind::slug`] is `slug`, if any.
+    pub fn from_slug(slug: &str) -> Option<HvKind> {
+        HvKind::ALL.into_iter().find(|k| k.slug() == slug)
+    }
 }
 
 impl fmt::Display for HvKind {
@@ -118,6 +146,14 @@ mod tests {
         assert_eq!(HvKind::MEASURED.len(), 4);
         assert_eq!(HvKind::MEASURED[0].to_string(), "KVM ARM");
         assert_eq!(HvKind::MEASURED[3].to_string(), "Xen x86");
+    }
+
+    #[test]
+    fn slugs_round_trip() {
+        for kind in HvKind::ALL {
+            assert_eq!(HvKind::from_slug(kind.slug()), Some(kind));
+        }
+        assert_eq!(HvKind::from_slug("riscv"), None);
     }
 
     #[test]

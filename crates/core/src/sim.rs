@@ -3,11 +3,11 @@
 //! Every consumer of the workspace — the artifact runner, the examples,
 //! external callers of the `hvx` facade — previously assembled hypervisor
 //! models through per-model constructors and ad-hoc machine fiddling.
-//! [`SimBuilder`] is the single documented way in: pick a configuration,
-//! set the knobs the paper's experimental design exposes (VCPU count,
-//! trace mode, cycle-attribution profiling, virtual-interrupt policy,
-//! cost model), and [`SimBuilder::build`] validates the combination and
-//! returns a ready [`Sim`].
+//! [`SimBuilder`] is the single documented way in: pick a configuration
+//! (or a whole [`ScenarioSpec`]), set the knobs the paper's experimental
+//! design exposes (trace mode, cycle-attribution profiling,
+//! virtual-interrupt policy, cost model), and [`SimBuilder::build`]
+//! validates the combination and returns a ready [`Sim`].
 
 use crate::spec::{ScenarioSpec, TopologySpec};
 use crate::{
@@ -66,6 +66,24 @@ impl Workload {
         Workload::Mysql,
     ];
 
+    /// The workload's CLI name (`netperf`, `tcp_rr`, `specjvm2008`,
+    /// ...): the workload half of a `<workload>-<hypervisor>` scenario
+    /// name. [`Workload::parse`] reads it back.
+    pub fn slug(self) -> &'static str {
+        match self {
+            Workload::Netperf => "netperf",
+            Workload::Kernbench => "kernbench",
+            Workload::Hackbench => "hackbench",
+            Workload::SpecJvm2008 => "specjvm2008",
+            Workload::TcpRr => "tcp_rr",
+            Workload::TcpStream => "tcp_stream",
+            Workload::TcpMaerts => "tcp_maerts",
+            Workload::Apache => "apache",
+            Workload::Memcached => "memcached",
+            Workload::Mysql => "mysql",
+        }
+    }
+
     /// The workload's name in the Figure 4 catalog.
     pub fn catalog_name(self) -> &'static str {
         match self {
@@ -122,9 +140,8 @@ impl fmt::Display for Workload {
 /// use hvx_engine::TraceMode;
 ///
 /// let mut sim = SimBuilder::new(HvKind::KvmArm)
-///     .cpus(4)
 ///     .workload(Workload::Netperf)
-///     .tracing(TraceMode::Aggregate)
+///     .tracing(TraceMode::Off)
 ///     .build()
 ///     .expect("paper configuration is valid");
 /// // Table II, row 1: a KVM ARM hypercall costs 6,500 cycles.
@@ -134,9 +151,11 @@ impl fmt::Display for Workload {
 /// Invalid combinations are rejected instead of panicking:
 ///
 /// ```
-/// use hvx_core::{Error, HvKind, SimBuilder};
+/// use hvx_core::{Error, HvKind, ScenarioSpec, SchedPolicy, SimBuilder};
 ///
-/// let err = SimBuilder::new(HvKind::XenArm).cpus(2).build().unwrap_err();
+/// // A consolidation topology is not the paper's pinned 4-vCPU VM.
+/// let spec = ScenarioSpec::consolidation(HvKind::XenArm, 2, SchedPolicy::Credit);
+/// let err = SimBuilder::from_spec(spec).build().unwrap_err();
 /// assert!(matches!(err, Error::InvalidCpus { requested: 2, .. }));
 /// ```
 #[derive(Debug, Clone)]
@@ -156,8 +175,9 @@ pub struct SimBuilder {
 }
 
 impl SimBuilder {
-    /// Starts a builder for `kind` with the paper's defaults: 4 VCPUs,
-    /// full tracing, profiling off, interrupts to VCPU0.
+    /// Starts a builder for `kind` with the paper's defaults: the pinned
+    /// [`PAPER_VCPUS`]-way SMP VM, full tracing, profiling off,
+    /// interrupts to VCPU0.
     pub fn new(kind: HvKind) -> SimBuilder {
         SimBuilder::from_spec(ScenarioSpec::paper(kind))
     }
@@ -183,20 +203,6 @@ impl SimBuilder {
         &self.spec
     }
 
-    /// Requests `cpus` VCPUs. The models implement exactly the paper's
-    /// pinned [`PAPER_VCPUS`]-way SMP configuration; any other value is
-    /// rejected by [`SimBuilder::build`].
-    pub fn cpus(mut self, cpus: usize) -> SimBuilder {
-        let n = u32::try_from(cpus).unwrap_or(u32::MAX);
-        self.spec.topology = TopologySpec {
-            hosts: 1,
-            pcpus: n,
-            vms: 1,
-            vcpus_per_vm: n,
-        };
-        self
-    }
-
     /// Names the workload this simulation is being built for. Purely an
     /// annotation on the [`Sim`] — the suite's workload engine reads it
     /// back via [`Sim::workload`] to pick the operation mix.
@@ -205,8 +211,8 @@ impl SimBuilder {
         self
     }
 
-    /// Selects the trace mode ([`TraceMode::Aggregate`] keeps the hot
-    /// path allocation-free; [`TraceMode::Full`] stores every event).
+    /// Selects the trace mode ([`TraceMode::Off`] keeps the hot path
+    /// record-free; [`TraceMode::Full`] stores every event).
     pub fn tracing(mut self, mode: TraceMode) -> SimBuilder {
         self.trace = mode;
         self
@@ -245,7 +251,9 @@ impl SimBuilder {
     /// on every configuration. The defaults are [`CostModel::arm`] for
     /// the ARM kinds and native, and [`CostModel::x86`] for the x86
     /// kinds, so derive an x86 override from the latter.
-    /// [`HvKind::KvmArmVhe`] stays VHE whatever the model.
+    /// [`HvKind::KvmArmVhe`] stays VHE whatever the model. Derive an
+    /// override from a default, not from [`SimBuilder::resolved_cost`]:
+    /// `HVX_COST_PERTURB` applies once, on top of the override.
     pub fn cost_model(mut self, cost: CostModel) -> SimBuilder {
         self.cost = Some(cost);
         self
@@ -281,13 +289,46 @@ impl SimBuilder {
         self
     }
 
+    /// The cost model [`SimBuilder::build`] charges with: the
+    /// [`SimBuilder::cost_model`] override, else the calibrated default
+    /// for the configuration's platform, with `HVX_COST_PERTURB` applied
+    /// on top. A model without an [`HvKind`] of its own (the §IV vAPIC
+    /// projection) takes its costs from here, so a perturbation reaches
+    /// it too.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Perturbation`] when `HVX_COST_PERTURB` does not parse.
+    pub fn resolved_cost(&self) -> Result<CostModel, Error> {
+        let mut cost = self
+            .cost
+            .unwrap_or_else(|| match self.spec.hypervisor.platform() {
+                Platform::X86 => CostModel::x86(),
+                Platform::Arm | Platform::ArmVhe => CostModel::arm(),
+            });
+        // Drift drill: `HVX_COST_PERTURB` mutates the *effective*
+        // charging constants without touching the pinned `CostModel`
+        // consts that scenario fingerprints hash — the exact condition
+        // the baseline gate must classify as drift.
+        if let Ok(perturb) = std::env::var("HVX_COST_PERTURB") {
+            if !perturb.trim().is_empty() {
+                cost.apply_perturbation(&perturb)
+                    .map_err(|detail| Error::Perturbation { detail })?;
+            }
+        }
+        Ok(cost)
+    }
+
     /// Validates the configuration and constructs the simulation.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidCpus`] if the VCPU count is not [`PAPER_VCPUS`]
-    /// (consolidation topologies are run by `hvx-suite`'s consolidation
-    /// module, not through `build`).
+    /// [`Error::InvalidCpus`] unless the spec's topology is the paper's
+    /// pinned [`PAPER_VCPUS`]-way VM (consolidation and rack topologies
+    /// are run by `hvx-suite`'s own engines, not through `build`);
+    /// [`Error::InvalidSpec`] for a stored fault plan that does not
+    /// parse; [`Error::Perturbation`] as for
+    /// [`SimBuilder::resolved_cost`].
     pub fn build(self) -> Result<Sim, Error> {
         if self.spec.topology != TopologySpec::paper() {
             return Err(Error::InvalidCpus {
@@ -296,38 +337,14 @@ impl SimBuilder {
             });
         }
         let fault_plan = self.spec.fault_plan()?;
-        // Drift drill: `HVX_COST_PERTURB` mutates the *effective*
-        // charging constants without touching the pinned `CostModel`
-        // consts that scenario fingerprints hash — the exact condition
-        // the baseline gate must classify as drift. Every model takes
-        // the perturbed costs, so the drill reaches all four measured
-        // columns as well as VHE and native.
-        let kind = self.spec.hypervisor;
-        let cost = match std::env::var("HVX_COST_PERTURB") {
-            Ok(spec) if !spec.trim().is_empty() => {
-                let mut c = self.cost.unwrap_or_else(|| match kind.platform() {
-                    Platform::X86 => CostModel::x86(),
-                    _ => CostModel::arm(),
-                });
-                c.apply_perturbation(&spec)
-                    .map_err(|detail| Error::Perturbation { detail })?;
-                Some(c)
-            }
-            _ => self.cost,
-        };
-        let mut hv: Box<dyn Hypervisor> = match (kind, cost) {
-            (HvKind::KvmArm, Some(c)) => Box::new(KvmArm::with_cost(c, false)),
-            (HvKind::KvmArm, None) => Box::new(KvmArm::new()),
-            (HvKind::KvmArmVhe, Some(c)) => Box::new(KvmArm::with_cost(c, true)),
-            (HvKind::KvmArmVhe, None) => Box::new(KvmArm::new_vhe()),
-            (HvKind::XenArm, Some(c)) => Box::new(XenArm::with_cost(c)),
-            (HvKind::XenArm, None) => Box::new(XenArm::new()),
-            (HvKind::KvmX86, Some(c)) => Box::new(KvmX86::with_cost(c)),
-            (HvKind::KvmX86, None) => Box::new(KvmX86::new()),
-            (HvKind::XenX86, Some(c)) => Box::new(XenX86::with_cost(c)),
-            (HvKind::XenX86, None) => Box::new(XenX86::new()),
-            (HvKind::Native, Some(c)) => Box::new(Native::with_cost(c)),
-            (HvKind::Native, None) => Box::new(Native::new()),
+        let cost = self.resolved_cost()?;
+        let mut hv: Box<dyn Hypervisor> = match self.spec.hypervisor {
+            HvKind::KvmArm => Box::new(KvmArm::with_cost(cost, false)),
+            HvKind::KvmArmVhe => Box::new(KvmArm::with_cost(cost, true)),
+            HvKind::XenArm => Box::new(XenArm::with_cost(cost)),
+            HvKind::KvmX86 => Box::new(KvmX86::with_cost(cost)),
+            HvKind::XenX86 => Box::new(XenX86::with_cost(cost)),
+            HvKind::Native => Box::new(Native::with_cost(cost)),
         };
         let machine = hv.machine_mut();
         machine.trace_mut().set_mode(self.trace);
@@ -423,22 +440,27 @@ mod tests {
     #[test]
     fn invalid_cpu_count_is_rejected_not_panicked() {
         for n in [0, 1, 3, 5, 64] {
-            let err = SimBuilder::new(HvKind::KvmArm).cpus(n).build().unwrap_err();
+            let mut spec = ScenarioSpec::paper(HvKind::KvmArm);
+            spec.topology.pcpus = n;
+            spec.topology.vcpus_per_vm = n;
+            let err = SimBuilder::from_spec(spec).build().unwrap_err();
             assert!(
-                matches!(err, Error::InvalidCpus { requested, supported: 4 } if requested == n)
+                matches!(err, Error::InvalidCpus { requested, supported: 4 } if requested == n as usize)
             );
         }
-        assert!(SimBuilder::new(HvKind::KvmArm).cpus(4).build().is_ok());
+        assert!(SimBuilder::from_spec(ScenarioSpec::paper(HvKind::KvmArm))
+            .build()
+            .is_ok());
     }
 
     #[test]
     fn builder_knobs_reach_the_machine() {
         let sim = SimBuilder::new(HvKind::KvmArm)
-            .tracing(TraceMode::Aggregate)
+            .tracing(TraceMode::Off)
             .profiling(true)
             .build()
             .unwrap();
-        assert_eq!(sim.machine().trace().mode(), TraceMode::Aggregate);
+        assert_eq!(sim.machine().trace().mode(), TraceMode::Off);
         assert!(sim.machine().profiling());
 
         let sim = SimBuilder::new(HvKind::XenArm)
@@ -449,7 +471,7 @@ mod tests {
         assert!(!sim.machine().profiling());
 
         let sim = SimBuilder::new(HvKind::KvmArm)
-            .tracing(TraceMode::Aggregate)
+            .tracing(TraceMode::Off)
             .event_tracing(true)
             .build()
             .unwrap();
@@ -527,7 +549,12 @@ mod tests {
     fn workload_names_round_trip() {
         for w in Workload::ALL {
             assert_eq!(Workload::parse(w.catalog_name()).unwrap(), w);
+            assert_eq!(Workload::parse(w.slug()).unwrap(), w);
         }
+        assert_eq!(
+            Workload::parse(Workload::Netperf.slug()).unwrap(),
+            Workload::Netperf
+        );
         assert_eq!(Workload::parse("netperf").unwrap(), Workload::Netperf);
         assert_eq!(
             Workload::Netperf.catalog_name(),

@@ -66,9 +66,11 @@ impl KvmX86 {
     }
 
     /// Creates KVM x86 with hardware vAPIC (the §IV "newer x86 hardware"
-    /// ablation: no EOI exits).
-    pub fn new_with_vapic() -> X86Hv {
-        X86Hv::build(HvKind::KvmX86, CostModel::x86(), true)
+    /// ablation: no EOI exits) and an explicit cost model. The
+    /// configuration has no [`HvKind`] of its own, so callers pass the
+    /// cost model `SimBuilder` resolves for [`HvKind::KvmX86`].
+    pub fn with_vapic(cost: CostModel) -> X86Hv {
+        X86Hv::build(HvKind::KvmX86, cost, true)
     }
 }
 
@@ -1120,7 +1122,7 @@ mod tests {
 
     #[test]
     fn vapic_removes_the_eoi_exit() {
-        let mut vapic = KvmX86::new_with_vapic();
+        let mut vapic = KvmX86::with_vapic(CostModel::x86());
         let c = vapic.virq_complete(0);
         assert!(
             c < Cycles::new(200),

@@ -12,8 +12,8 @@
 //!   the paper's experimental design (§III);
 //! * [`Machine`] — per-core clocks, cost charging, cross-core signals;
 //! * [`TraceLog`] — the per-step decomposition: one [`TraceEvent`] per
-//!   charge, kept per [`TraceMode`] (off, per-label totals, every record,
-//!   or a ring of the newest), which regenerates the paper's breakdown
+//!   charge, kept per [`TraceMode`] (off, every record, or a ring of
+//!   the newest), which regenerates the paper's breakdown
 //!   tables, lets tests assert exact transition sequences, and exports
 //!   Chrome trace-event timelines;
 //! * [`EventQueue`] — a deterministic calendar for workload simulations;

@@ -156,15 +156,6 @@ impl Machine {
         m
     }
 
-    /// Creates a machine whose trace keeps only per-`(kind, label)`
-    /// totals — breakdown tables stay exact while [`Machine::charge`]
-    /// never allocates per step (microbenchmark iteration loops).
-    pub fn with_aggregate_trace(topology: Topology) -> Self {
-        let mut m = Machine::new(topology);
-        m.trace.set_mode(TraceMode::Aggregate);
-        m
-    }
-
     /// The machine's core topology.
     #[inline]
     pub fn topology(&self) -> &Topology {
@@ -1484,9 +1475,6 @@ mod tests {
             cycle_budget: Some(u64::MAX - 1),
             livelock_threshold: None,
         });
-        assert!(!m.loop_begin());
-        // Aggregate trace log.
-        let mut m = Machine::with_aggregate_trace(Topology::split(2, 1));
         assert!(!m.loop_begin());
         // Event tracing on.
         let mut m = Machine::without_tracing(Topology::split(2, 1));

@@ -9,24 +9,23 @@
 //! one [`TraceEvent`] — core, start, cost, label, kind, the
 //! [`TransitionId`] it was charged as, and a fault mark — offered to a
 //! single [`TraceLog`]. The log's [`TraceMode`] decides what is kept:
-//! nothing, per-label totals, every record, or a ring of the newest
-//! records. Tests assert *which* steps executed in *which order* on
-//! *which core*, harnesses aggregate per-step totals to regenerate the
-//! paper's breakdown tables, and [`TraceLog::chrome_trace`] exports the
+//! nothing, every record, or a ring of the newest records. Tests assert
+//! *which* steps executed in *which order* on *which core*, harnesses
+//! sum per-label totals to regenerate the paper's breakdown tables, and
+//! [`TraceLog::chrome_trace`] exports the
 //! kept records with an [`EventTracer`]'s flow points as a Chrome
 //! trace-event timeline.
 
 use crate::{CoreId, Cycles};
 use hvx_obs::{EventTracer, FlowPhase, TransitionId};
 use serde::Value;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Label of the in-flight marker [`crate::Machine::signal`] records for
 /// every cross-core signal. The `signal:` namespace is reserved for it:
-/// a marker is kept beside the charges in [`TraceMode::Full`] and folded
-/// in [`TraceMode::Aggregate`], but it is not a charge — it takes no
-/// fault mark, no sequence number, and no ring slot.
+/// a marker is kept beside the charges in [`TraceMode::Full`], but it is
+/// not a charge — it takes no fault mark, no sequence number, and no
+/// ring slot.
 pub const SIGNAL_LABEL: &str = "signal:in-flight";
 
 /// Broad classification of a traced step, used for coarse aggregation
@@ -122,12 +121,6 @@ pub enum TraceMode {
     /// Nothing: recording is a single branch (bulk workload runs, and
     /// the precondition for loop compilation).
     Off,
-    /// Only per-`(kind, label)` duration totals are folded into a small
-    /// flat map; no record is ever stored, so the simulation hot path
-    /// performs **zero allocations** per charged step. Label/kind totals
-    /// match [`TraceMode::Full`] exactly; ordering queries see an empty
-    /// log.
-    Aggregate,
     /// Every record is stored in order (assertable sequences, timeline
     /// rendering, instant extraction, trace export).
     #[default]
@@ -165,10 +158,6 @@ pub struct TraceLog {
     /// half at once keeps every push amortized O(1) and the visible
     /// window one contiguous, ordered slice.
     events: Vec<TraceEvent>,
-    /// Per-`(kind, label)` duration totals, only fed in aggregate mode.
-    /// A flat vec beats a map here: breakdowns have a few dozen distinct
-    /// labels and the hot path usually re-hits the most recent ones.
-    totals: Vec<(TraceKind, &'static str, Cycles)>,
     mode: TraceMode,
     /// Charge records offered in full or ring mode (ring overwrites do
     /// not rewind this).
@@ -197,20 +186,18 @@ impl TraceLog {
         self.mode
     }
 
-    /// Switches storage mode. Already-kept records and totals stay;
-    /// only future records are affected.
+    /// Switches storage mode. Already-kept records stay; only future
+    /// records are affected.
     pub fn set_mode(&mut self, mode: TraceMode) {
         self.mode = mode;
     }
 
-    /// Offers one charge record: dropped ([`TraceMode::Off`]), folded
-    /// into the `(kind, label)` totals ([`TraceMode::Aggregate`]), or
-    /// kept, taking the fault mark a just-injected fault left pending.
+    /// Offers one charge record: dropped ([`TraceMode::Off`]) or kept,
+    /// taking the fault mark a just-injected fault left pending.
     #[inline]
     pub fn record(&mut self, mut ev: TraceEvent) {
         match self.mode {
             TraceMode::Off => return,
-            TraceMode::Aggregate => return self.fold(&ev),
             TraceMode::Full => {}
             TraceMode::Ring(cap) => {
                 if self.events.len() >= 2 * cap.max(1) {
@@ -224,31 +211,12 @@ impl TraceLog {
     }
 
     /// Offers one in-flight marker (label [`SIGNAL_LABEL`]): kept in
-    /// full mode and folded in aggregate mode like a charge, but never
-    /// counted as one, never fault-marked, and not kept by a ring.
+    /// full mode, but never counted as a charge, never fault-marked, and
+    /// not kept by a ring.
     #[inline]
     pub(crate) fn record_signal(&mut self, ev: TraceEvent) {
-        match self.mode {
-            TraceMode::Aggregate => self.fold(&ev),
-            TraceMode::Full => self.events.push(ev),
-            TraceMode::Off | TraceMode::Ring(_) => {}
-        }
-    }
-
-    fn fold(&mut self, ev: &TraceEvent) {
-        // Pointer comparison first: labels are `&'static str` literals,
-        // so the same call site always re-hits its slot without a
-        // byte-wise compare. Two distinct literals with equal contents
-        // may occupy two slots; every query below sums all
-        // content-equal slots, so totals stay exact.
-        if let Some(slot) = self
-            .totals
-            .iter_mut()
-            .find(|(k, l, _)| *k == ev.kind && (std::ptr::eq(*l, ev.label) || *l == ev.label))
-        {
-            slot.2 += ev.duration;
-        } else {
-            self.totals.push((ev.kind, ev.label, ev.duration));
+        if self.mode == TraceMode::Full {
+            self.events.push(ev);
         }
     }
 
@@ -295,25 +263,22 @@ impl TraceLog {
         }
     }
 
-    /// Number of **kept** records. Always 0 in aggregate mode — the
-    /// whole point is that nothing is stored per step.
+    /// Number of **kept** records.
     #[inline]
     pub fn len(&self) -> usize {
         self.events().len()
     }
 
-    /// Returns `true` if no records are kept (always `true` in
-    /// aggregate mode).
+    /// Returns `true` if no records are kept.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.events().is_empty()
     }
 
-    /// Discards all kept records, totals, and counts, keeping the mode
-    /// and allocations.
+    /// Discards all kept records and counts, keeping the mode and
+    /// allocations.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.totals.clear();
         self.recorded = 0;
         self.pending_fault = false;
     }
@@ -324,47 +289,13 @@ impl TraceLog {
         self.events().iter().map(|e| e.label).collect()
     }
 
-    /// Sum of durations of all records with the given label. Exact in
-    /// both full and aggregate mode.
+    /// Sum of durations of all kept records with the given label.
     pub fn total_by_label(&self, label: &str) -> Cycles {
-        self.total_where(|_, l| l == label)
-    }
-
-    /// Sum of durations of all records of the given kind. Exact in both
-    /// full and aggregate mode.
-    pub fn total_by_kind(&self, kind: TraceKind) -> Cycles {
-        self.total_where(|k, _| k == kind)
-    }
-
-    /// Sums the kept records and folded totals whose `(kind, label)`
-    /// satisfy `keep`.
-    fn total_where(&self, keep: impl Fn(TraceKind, &str) -> bool) -> Cycles {
-        let stored: Cycles = self
-            .events()
+        self.events()
             .iter()
-            .filter(|e| keep(e.kind, e.label))
+            .filter(|e| e.label == label)
             .map(|e| e.duration)
-            .sum();
-        let folded: Cycles = self
-            .totals
-            .iter()
-            .filter(|(k, l, _)| keep(*k, l))
-            .map(|(_, _, d)| *d)
-            .sum();
-        stored + folded
-    }
-
-    /// Aggregates total duration per label, sorted by label — the shape of
-    /// the paper's Table III. Exact in both full and aggregate mode.
-    pub fn totals_by_label(&self) -> BTreeMap<&'static str, Cycles> {
-        let mut out: BTreeMap<&'static str, Cycles> = BTreeMap::new();
-        for e in self.events() {
-            *out.entry(e.label).or_insert(Cycles::ZERO) += e.duration;
-        }
-        for (_, label, d) in &self.totals {
-            *out.entry(label).or_insert(Cycles::ZERO) += *d;
-        }
-        out
+            .sum()
     }
 
     /// Returns the kept records that executed on `core`, in order.
@@ -531,20 +462,6 @@ mod tests {
         assert_eq!(log.total_by_label("save:gp"), Cycles::new(304));
         assert_eq!(log.total_by_label("save:vgic"), Cycles::new(3250));
         assert_eq!(log.total_by_label("missing"), Cycles::ZERO);
-        let totals = log.totals_by_label();
-        assert_eq!(totals["save:gp"], Cycles::new(304));
-        assert_eq!(totals.len(), 2);
-    }
-
-    #[test]
-    fn aggregate_by_kind() {
-        let mut log = TraceLog::new();
-        log.record(ev("trap:el2", TraceKind::Trap, 160));
-        log.record(ev("save:gp", TraceKind::ContextSave, 152));
-        log.record(ev("restore:gp", TraceKind::ContextRestore, 184));
-        assert_eq!(log.total_by_kind(TraceKind::ContextSave), Cycles::new(152));
-        assert_eq!(log.total_by_kind(TraceKind::Trap), Cycles::new(160));
-        assert_eq!(log.total_by_kind(TraceKind::Wire), Cycles::ZERO);
     }
 
     #[test]
@@ -610,51 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_mode_stores_nothing_but_totals_match_full() {
-        let steps = [
-            ("save:gp", TraceKind::ContextSave, 152u64),
-            ("save:vgic", TraceKind::ContextSave, 3250),
-            ("save:gp", TraceKind::ContextSave, 152),
-            ("trap:el2", TraceKind::Trap, 160),
-            ("save:gp", TraceKind::ContextSave, 152),
-        ];
-        let mut full = TraceLog::new();
-        let mut agg = TraceLog::with_mode(TraceMode::Aggregate);
-        for (l, k, d) in steps {
-            full.record(ev(l, k, d));
-            agg.record(ev(l, k, d));
-        }
-        assert_eq!(agg.mode(), TraceMode::Aggregate);
-        assert_eq!(agg.len(), 0, "aggregate mode must not store events");
-        assert!(agg.is_empty());
-        assert_eq!(full.len(), 5);
-        assert_eq!(agg.totals_by_label(), full.totals_by_label());
-        for label in ["save:gp", "save:vgic", "trap:el2", "missing"] {
-            assert_eq!(agg.total_by_label(label), full.total_by_label(label));
-        }
-        for kind in [TraceKind::ContextSave, TraceKind::Trap, TraceKind::Wire] {
-            assert_eq!(agg.total_by_kind(kind), full.total_by_kind(kind));
-        }
-    }
-
-    #[test]
-    fn aggregate_clear_resets_totals() {
-        let mut agg = TraceLog::with_mode(TraceMode::Aggregate);
-        agg.record(ev("x", TraceKind::Other, 9));
-        agg.clear();
-        assert_eq!(agg.total_by_label("x"), Cycles::ZERO);
-        assert!(agg.totals_by_label().is_empty());
-    }
-
-    #[test]
-    fn disabled_aggregate_drops_everything() {
-        let mut agg = TraceLog::with_mode(TraceMode::Aggregate);
-        agg.set_mode(TraceMode::Off);
-        agg.record(ev("x", TraceKind::Other, 9));
-        assert_eq!(agg.total_by_label("x"), Cycles::ZERO);
-    }
-
-    #[test]
     fn fault_mark_attaches_to_the_next_charge_only() {
         let mut log = TraceLog::new();
         log.record(ev("a", TraceKind::Guest, 10));
@@ -677,10 +549,6 @@ mod tests {
         assert_eq!(charges, [(0, "a"), (1, "b")]);
         assert_eq!(log.recorded(), 2);
         assert_eq!(log.dropped(), 0);
-        // Aggregate mode folds markers like charges, as it always has.
-        let mut agg = TraceLog::with_mode(TraceMode::Aggregate);
-        agg.record_signal(ev(SIGNAL_LABEL, TraceKind::Ipi, 400));
-        assert_eq!(agg.total_by_kind(TraceKind::Ipi), Cycles::new(400));
     }
 
     #[test]

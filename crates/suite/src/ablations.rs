@@ -10,13 +10,41 @@
 //! * [`zero_copy`] — §V: why Xen copies instead of mapping (x86 TLB
 //!   shootdowns beat the copy), and the open ARM question (hardware
 //!   broadcast TLBI could make mapping cheap).
+//!
+//! Every model is built through [`SimBuilder`], so a cost override or
+//! `HVX_COST_PERTURB` reaches each ablation as it reaches the tables.
 
 use crate::netperf::{self, RrFaultStats};
 use crate::workloads::{self, DiskDevice, Mix};
-use hvx_core::{Error, HvKind, Hypervisor, KvmArm, Native, SimBuilder, VirqPolicy, XenArm};
+use hvx_core::{CostModel, Error, HvKind, Hypervisor, KvmX86, Sim, SimBuilder, VirqPolicy};
 use hvx_engine::{Cycles, FaultPlan, FaultPoint, Frequency, TransitionId};
 use hvx_mem::{Ipa, ShootdownMethod, TlbModel};
 use serde::{Deserialize, Serialize};
+
+/// Builds `kind` with the default paper configuration.
+fn sim(kind: HvKind) -> Result<Sim, Error> {
+    SimBuilder::new(kind).build()
+}
+
+/// The Figure 4 normalized overhead of `mix` on `hv` against the ARM
+/// native baseline.
+fn overhead(hv: SimBuilder, mix: Mix, policy: VirqPolicy) -> Result<f64, Error> {
+    workloads::overhead(
+        hv.build()?.as_dyn_mut(),
+        sim(HvKind::Native)?.as_dyn_mut(),
+        mix,
+        policy,
+    )
+}
+
+/// [`overhead`] on the ARM pair every I/O ablation compares: (KVM ARM,
+/// Xen ARM).
+fn arm_overheads(mix: Mix) -> Result<(f64, f64), Error> {
+    Ok((
+        overhead(SimBuilder::new(HvKind::KvmArm), mix, VirqPolicy::Vcpu0)?,
+        overhead(SimBuilder::new(HvKind::XenArm), mix, VirqPolicy::Vcpu0)?,
+    ))
+}
 
 // ---------------------------------------------------------------------
 // Interrupt distribution
@@ -42,24 +70,9 @@ pub struct IrqDistributionRow {
 pub fn irq_distribution() -> Result<Vec<IrqDistributionRow>, Error> {
     let mut rows = Vec::new();
     for (workload, hv_kind, before, after) in crate::paper::IRQ_DISTRIBUTION {
-        let mix = workloads::catalog()
-            .into_iter()
-            .find(|w| w.name == workload)
-            .ok_or_else(|| Error::UnknownWorkload {
-                name: workload.to_string(),
-            })?
-            .mix;
+        let mix = workloads::mix_named(workload)?;
         let run = |policy: VirqPolicy| -> Result<f64, Error> {
-            let mut native = Native::new();
-            Ok(match hv_kind {
-                HvKind::KvmArm => {
-                    workloads::overhead(&mut KvmArm::new(), &mut native, mix, policy)? - 1.0
-                }
-                HvKind::XenArm => {
-                    workloads::overhead(&mut XenArm::new(), &mut native, mix, policy)? - 1.0
-                }
-                _ => unreachable!("ablation is ARM-only"),
-            })
+            Ok(overhead(SimBuilder::new(hv_kind), mix, policy)? - 1.0)
         };
         rows.push(IrqDistributionRow {
             workload,
@@ -124,9 +137,9 @@ pub fn vhe() -> Result<VheProjection, Error> {
     ];
     let mut micro = Vec::new();
     for m in micro_set {
-        let classic = m.run(&mut KvmArm::new(), 3).as_u64();
-        let vhe = m.run(&mut KvmArm::new_vhe(), 3).as_u64();
-        let xen = m.run(&mut XenArm::new(), 3).as_u64();
+        let classic = m.run(sim(HvKind::KvmArm)?.as_dyn_mut(), 3).as_u64();
+        let vhe = m.run(sim(HvKind::KvmArmVhe)?.as_dyn_mut(), 3).as_u64();
+        let xen = m.run(sim(HvKind::XenArm)?.as_dyn_mut(), 3).as_u64();
         let name = match m {
             Micro::Hypercall => "Hypercall",
             Micro::InterruptControllerTrap => "Interrupt Controller Trap",
@@ -140,29 +153,9 @@ pub fn vhe() -> Result<VheProjection, Error> {
     let io_workloads = ["TCP_RR", "Apache", "Memcached", "TCP_STREAM"];
     let mut wl = Vec::new();
     for name in io_workloads {
-        let mix = workloads::catalog()
-            .into_iter()
-            .find(|w| w.name == name)
-            .ok_or_else(|| Error::UnknownWorkload { name: name.into() })?
-            .mix;
-        let classic = workloads::overhead(
-            &mut KvmArm::new(),
-            &mut Native::new(),
-            mix,
-            VirqPolicy::Vcpu0,
-        )?;
-        let vhe = workloads::overhead(
-            &mut KvmArm::new_vhe(),
-            &mut Native::new(),
-            mix,
-            VirqPolicy::Vcpu0,
-        )?;
-        let xen = workloads::overhead(
-            &mut XenArm::new(),
-            &mut Native::new(),
-            mix,
-            VirqPolicy::Vcpu0,
-        )?;
+        let mix = workloads::mix_named(name)?;
+        let (classic, xen) = arm_overheads(mix)?;
+        let vhe = overhead(SimBuilder::new(HvKind::KvmArmVhe), mix, VirqPolicy::Vcpu0)?;
         wl.push((name, classic, vhe, xen));
     }
     Ok(VheProjection {
@@ -228,7 +221,7 @@ pub struct ZeroCopyAnalysis {
 /// against [`TlbModel`] shootdown plans on both architectures, and its
 /// projected effect on TCP_STREAM.
 pub fn zero_copy() -> Result<ZeroCopyAnalysis, Error> {
-    let cost = *XenArm::new().cost();
+    let cost = SimBuilder::new(HvKind::XenArm).resolved_cost()?;
     let cores = 8;
     // Mapping path: grant map + unmap bookkeeping plus the TLB
     // maintenance the unmap requires.
@@ -250,17 +243,13 @@ pub fn zero_copy() -> Result<ZeroCopyAnalysis, Error> {
         bursts: 24,
         link_mbit: 10_000,
     };
-    let stream_copy = workloads::overhead(
-        &mut XenArm::new(),
-        &mut Native::new(),
-        mix,
-        VirqPolicy::Vcpu0,
-    )?;
-    let mut mapped_cost = cost;
+    let stream_copy = overhead(SimBuilder::new(HvKind::XenArm), mix, VirqPolicy::Vcpu0)?;
+    // The override derives from the calibrated default; the builder
+    // applies any perturbation on top of it.
+    let mut mapped_cost = CostModel::arm();
     mapped_cost.xen_grant_copy = bcast_cost;
-    let mut mapped_xen = XenArm::with_cost(mapped_cost);
-    let stream_mapped =
-        workloads::overhead(&mut mapped_xen, &mut Native::new(), mix, VirqPolicy::Vcpu0)?;
+    let mapped_xen = SimBuilder::new(HvKind::XenArm).cost_model(mapped_cost);
+    let stream_mapped = overhead(mapped_xen, mix, VirqPolicy::Vcpu0)?;
 
     Ok(ZeroCopyAnalysis {
         copy: cost.xen_grant_copy.as_u64(),
@@ -315,27 +304,13 @@ pub struct LinkSpeedAblation {
 /// became the bottleneck" (§III): even Xen's per-packet grant copies
 /// hide behind the slow wire and every overhead collapses toward 1.0.
 pub fn link_speed() -> Result<LinkSpeedAblation, Error> {
-    let run = |link_mbit: u64| -> Result<(f64, f64), Error> {
-        let mix = Mix::StreamRx {
+    let run = |link_mbit: u64| {
+        arm_overheads(Mix::StreamRx {
             chunks: 44,
             chunk_len: 1_490,
             bursts: 24,
             link_mbit,
-        };
-        Ok((
-            workloads::overhead(
-                &mut KvmArm::new(),
-                &mut Native::new(),
-                mix,
-                VirqPolicy::Vcpu0,
-            )?,
-            workloads::overhead(
-                &mut XenArm::new(),
-                &mut Native::new(),
-                mix,
-                VirqPolicy::Vcpu0,
-            )?,
-        ))
+        })
     };
     Ok(LinkSpeedAblation {
         ten_gbe: run(10_000)?,
@@ -383,14 +358,20 @@ pub struct VapicAblation {
 /// Measures §IV's forward-looking note: "vAPIC support has been added to
 /// x86 with similar functionality to avoid the need to trap ... so that
 /// newer x86 hardware with vAPIC support should perform more comparably
-/// to ARM".
-pub fn vapic() -> VapicAblation {
-    use hvx_core::KvmX86;
-    VapicAblation {
-        x86_classic: KvmX86::new().virq_complete(0).as_u64(),
-        x86_vapic: KvmX86::new_with_vapic().virq_complete(0).as_u64(),
-        arm: KvmArm::new().virq_complete(0).as_u64(),
-    }
+/// to ARM". The vAPIC model has no [`HvKind`] of its own, so it takes
+/// the cost model [`SimBuilder`] resolves for KVM x86.
+///
+/// # Errors
+///
+/// [`Error::Perturbation`] for a malformed `HVX_COST_PERTURB`.
+pub fn vapic() -> Result<VapicAblation, Error> {
+    let x86 = SimBuilder::new(HvKind::KvmX86);
+    let mut with_vapic = KvmX86::with_vapic(x86.resolved_cost()?);
+    Ok(VapicAblation {
+        x86_classic: x86.build()?.virq_complete(0).as_u64(),
+        x86_vapic: with_vapic.virq_complete(0).as_u64(),
+        arm: sim(HvKind::KvmArm)?.virq_complete(0).as_u64(),
+    })
 }
 
 /// Renders the vAPIC ablation.
@@ -423,16 +404,18 @@ pub struct OversubscriptionAblation {
 }
 
 /// Sweeps oversubscription ratio and timeslice, pricing switches at the
-/// four hypervisors' measured VM Switch costs — the "central cost when
+/// four hypervisors' Table II VM Switch costs — the "central cost when
 /// oversubscribing physical CPUs" of Table I made concrete.
 pub fn oversubscription() -> OversubscriptionAblation {
     use hvx_core::sched::oversubscription_point;
-    let costs = [
-        Cycles::new(10_387), // KVM ARM (Table II)
-        Cycles::new(8_799),  // Xen ARM
-        Cycles::new(4_812),  // KVM x86
-        Cycles::new(10_534), // Xen x86
-    ];
+    // Table II's columns are the four measured configurations, in
+    // `paper::COLUMNS` order.
+    let costs = crate::paper::TABLE2
+        .iter()
+        .find(|(row, _)| *row == "VM Switch")
+        .expect("Table II has a VM Switch row")
+        .1
+        .map(Cycles::new);
     let mut points = Vec::new();
     for (vms, ts_us) in [(2u32, 1_000.0f64), (2, 100.0), (4, 1_000.0), (4, 100.0)] {
         let ts = Cycles::new((ts_us * 2_400.0) as u64);
@@ -485,26 +468,12 @@ pub struct StorageAblation {
 /// the paravirtual block stack, a fast SSD exposes it (and Xen's extra
 /// grant copy).
 pub fn storage() -> Result<StorageAblation, Error> {
-    let run = |device: DiskDevice, requests: u32| -> Result<(f64, f64), Error> {
-        let mix = Mix::DiskIo {
+    let run = |device: DiskDevice, requests: u32| {
+        arm_overheads(Mix::DiskIo {
             requests,
             sectors: 8,
             device,
-        };
-        Ok((
-            workloads::overhead(
-                &mut KvmArm::new(),
-                &mut Native::new(),
-                mix,
-                VirqPolicy::Vcpu0,
-            )?,
-            workloads::overhead(
-                &mut XenArm::new(),
-                &mut Native::new(),
-                mix,
-                VirqPolicy::Vcpu0,
-            )?,
-        ))
+        })
     };
     Ok(StorageAblation {
         ssd: run(DiskDevice::Ssd, 32)?,
@@ -726,7 +695,7 @@ mod tests {
 
     #[test]
     fn vapic_brings_x86_near_arm() {
-        let v = vapic();
+        let v = vapic().unwrap();
         assert!(v.x86_classic > 20 * v.arm);
         assert!(v.x86_vapic < 3 * v.arm, "{} vs {}", v.x86_vapic, v.arm);
     }

@@ -43,7 +43,7 @@
 //! (`hvx-repro table2 --jobs 2` and friends) is retired: any first
 //! token that is not a subcommand exits 2 with a pointer to the
 //! equivalent `run` invocation. `run --spec FILE` runs the single
-//! scenario a JSON [`ScenarioSpec`](hvx_core::ScenarioSpec) file
+//! scenario a JSON [`ScenarioSpec`] file
 //! describes instead of an artifact matrix. `--jobs N` fans
 //! independent scenarios across N OS threads; output is byte-identical
 //! to `--jobs 1`.
@@ -52,14 +52,17 @@
 //! `perfbench/` (`BENCHMARK.json` declares its workloads and metrics),
 //! not by this binary.
 //!
-//! `profile` runs scenarios with the observability layer enabled and
-//! prints a Table-3-style cycle-attribution breakdown per scenario; the
-//! per-transition exclusive cycles sum exactly to the run's total busy
-//! cycles (conservation), and output is byte-identical across `--jobs`.
+//! `profile` runs paper-shape scenarios, named `<workload>-<hypervisor>`,
+//! with the observability layer enabled and prints a Table-3-style
+//! cycle-attribution breakdown per scenario; the per-transition
+//! exclusive cycles sum exactly to the run's total busy cycles
+//! (conservation), and output is byte-identical across `--jobs`. Its
+//! `--fault-plan` rides in each scenario's spec.
 //!
-//! `trace` runs one scenario with the causal event tracer on and writes
-//! Chrome trace-event JSON (open it in <https://ui.perfetto.dev> or
-//! `chrome://tracing`); `trace query` filters an exported trace, ranks
+//! `trace` runs one paper-shape scenario with the causal event tracer on
+//! and writes Chrome trace-event JSON (open it in
+//! <https://ui.perfetto.dev> or `chrome://tracing`); `trace query`
+//! filters an exported trace, ranks
 //! critical chains, and (with `--validate`) gates on its structural
 //! invariants; `trace bench` measures tracing overhead over the Fig. 4
 //! sweep.
@@ -83,16 +86,16 @@
 //! typed failure kind, retry count, content fingerprint) instead of
 //! rendered artifact text.
 
-use hvx_core::Error;
+use hvx_core::{Error, HvKind, ScenarioSpec, Workload};
 use hvx_engine::{FaultPlan, Watchdog};
 use hvx_serve::{client as serve_client, Server, ServerConfig};
 use hvx_suite::cache::ResultCache;
 use hvx_suite::diff;
-use hvx_suite::profile::{self, ProfileScenario};
+use hvx_suite::profile;
 use hvx_suite::runner::{self, ArtifactId, ChaosKind, RunnerConfig};
 use hvx_suite::service::SuiteExecutor;
 use hvx_suite::spec_run;
-use hvx_suite::trace::{self, TraceScenario};
+use hvx_suite::trace;
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -128,14 +131,14 @@ struct BaselineArgs {
 }
 
 struct ProfileArgs {
-    scenarios: Vec<ProfileScenario>,
+    specs: Vec<ScenarioSpec>,
     jobs: usize,
     json_dir: Option<PathBuf>,
-    fault_plan: Option<FaultPlan>,
 }
 
 struct TraceRunArgs {
-    scenario: TraceScenario,
+    spec: ScenarioSpec,
+    ring: Option<usize>,
     out: Option<PathBuf>,
 }
 
@@ -251,7 +254,7 @@ enum ServeCmd {
 }
 
 enum Parsed {
-    Run(RunArgs),
+    Run(Box<RunArgs>),
     SpecRun { path: PathBuf, out_json: bool },
     Serve(ServeCmd),
     Profile(ProfileArgs),
@@ -424,7 +427,7 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
         cache: None,
         retry: runner::RetryPolicy::default(),
     };
-    Ok(Parsed::Run(RunArgs {
+    Ok(Parsed::Run(Box::new(RunArgs {
         json_dir,
         jobs,
         timing,
@@ -433,7 +436,7 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
         keep_going,
         cache_dir,
         out_json,
-    }))
+    })))
 }
 
 /// Parses the `serve` subcommand family: bare `serve` starts the
@@ -707,7 +710,7 @@ fn parse_baseline(
 }
 
 fn parse_profile(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut scenarios = Vec::new();
+    let mut specs = Vec::new();
     let mut jobs = default_jobs();
     let mut json_dir = None;
     let mut fault_spec: Option<String> = None;
@@ -716,7 +719,7 @@ fn parse_profile(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String
         match arg.as_str() {
             "--scenario" => {
                 let name = it.next().ok_or("--scenario requires a name")?;
-                scenarios.push(ProfileScenario::parse(&name).map_err(|e| e.to_string())?);
+                specs.push(spec_run::parse_paper_name(&name).map_err(|e| e.to_string())?);
             }
             "--jobs" => jobs = parse_jobs(it)?,
             "--json" => {
@@ -736,14 +739,18 @@ fn parse_profile(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String
             }
         }
     }
-    if scenarios.is_empty() {
-        scenarios = ProfileScenario::default_set();
+    if specs.is_empty() {
+        specs = profile::default_set();
+    }
+    if let Some(plan) = build_fault_plan(fault_spec.as_deref(), fault_seed)? {
+        for spec in &mut specs {
+            spec.set_fault_plan(&plan);
+        }
     }
     Ok(Parsed::Profile(ProfileArgs {
-        scenarios,
+        specs,
         jobs,
         json_dir,
-        fault_plan: build_fault_plan(fault_spec.as_deref(), fault_seed)?,
     }))
 }
 
@@ -790,9 +797,18 @@ fn parse_trace_run(
             other => return Err(format!("trace: unexpected argument '{other}'; try --help")),
         }
     }
-    let scenario = TraceScenario::resolve(&scenario, hypervisor.as_deref(), ring)
-        .map_err(|e| format!("trace: {e}"))?;
-    Ok(Parsed::TraceRun(TraceRunArgs { scenario, out }))
+    let spec = trace_spec(&scenario, hypervisor).map_err(|e| format!("trace: {e}"))?;
+    Ok(Parsed::TraceRun(TraceRunArgs { spec, ring, out }))
+}
+
+/// Resolves `trace`'s two forms: `<workload> --hypervisor <hv>`, or the
+/// combined `<workload>-<hypervisor>` name `profile` takes.
+fn trace_spec(scenario: &str, hypervisor: Option<String>) -> Result<ScenarioSpec, Error> {
+    let Some(slug) = hypervisor else {
+        return spec_run::parse_paper_name(scenario);
+    };
+    let kind = HvKind::from_slug(&slug).ok_or(Error::UnknownScenario { name: slug })?;
+    Ok(ScenarioSpec::paper(kind).with_workload(Workload::parse(scenario)?))
 }
 
 fn parse_trace_query(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
@@ -1225,7 +1241,7 @@ fn serve_cmd(cmd: &ServeCmd) -> Result<(), Error> {
 }
 
 fn run_profile(args: &ProfileArgs) -> Result<(), Error> {
-    let reports = profile::run_profiles_with(&args.scenarios, args.jobs, args.fault_plan.as_ref())?;
+    let reports = profile::run_profiles(&args.specs, args.jobs)?;
     print!("{}", profile::render_profiles(&reports));
     if let Some(dir) = &args.json_dir {
         std::fs::create_dir_all(dir)?;
@@ -1243,7 +1259,7 @@ fn run_profile(args: &ProfileArgs) -> Result<(), Error> {
 }
 
 fn trace_run(args: &TraceRunArgs) -> Result<(), Error> {
-    let report = trace::run_trace(args.scenario)?;
+    let report = trace::run_trace(&args.spec, args.ring)?;
     print!("{}", report.render());
     let path = args
         .out
@@ -1295,14 +1311,27 @@ fn list_scenarios() {
     }
     println!("\nprofile scenarios (profile --scenario NAME):");
     println!("  default set:");
-    for s in ProfileScenario::default_set() {
-        println!("    {}", s.name());
+    for spec in profile::default_set() {
+        println!("    {}", spec_run::paper_name(&spec));
     }
     println!("  (trace SCENARIO accepts the same names, or <workload> --hypervisor <hv>)");
     println!("  any <workload>-<hypervisor> combination, e.g. mysql-xen-arm;");
-    println!("  workloads: kernbench hackbench specjvm2008 netperf tcp_rr");
-    println!("             tcp_stream tcp_maerts apache memcached mysql");
-    println!("  hypervisors: kvm-arm xen-arm kvm-x86 xen-x86 kvm-arm-vhe native");
+    // `netperf` names TCP_RR too; it is listed just before `tcp_rr`.
+    let workloads: Vec<&str> = Workload::ALL
+        .into_iter()
+        .flat_map(|w| {
+            (w == Workload::TcpRr)
+                .then_some(Workload::Netperf)
+                .into_iter()
+                .chain([w])
+        })
+        .map(Workload::slug)
+        .collect();
+    let (first, rest) = workloads.split_at(5);
+    println!("  workloads: {}", first.join(" "));
+    println!("             {}", rest.join(" "));
+    let kinds: Vec<&str> = HvKind::ALL.into_iter().map(HvKind::slug).collect();
+    println!("  hypervisors: {}", kinds.join(" "));
 }
 
 fn main() {

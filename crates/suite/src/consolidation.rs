@@ -926,16 +926,6 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
     Ok((result, hv))
 }
 
-/// The full sweep for one scheduler policy: every measured hypervisor ×
-/// every ratio in [`RATIOS`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepReport {
-    /// Scheduler policy name.
-    pub sched: String,
-    /// Cells in column-major order (hypervisor outer, ratio inner).
-    pub cells: Vec<CellResult>,
-}
-
 /// Renders consolidation cells as the oversubscription sweep table.
 /// `cells` must be grouped per hypervisor in [`RATIOS`] order (the
 /// runner's plan order); missing cells were degraded by the hardened

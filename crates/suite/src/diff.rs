@@ -25,10 +25,10 @@
 //! [`SCHEMA_VERSION`]: crate::cache::SCHEMA_VERSION
 
 use crate::cache::{scenario_fingerprint, ResultCache, SCHEMA_VERSION};
-use crate::profile::{self, ProfileScenario};
 use crate::runner::{self, ArtifactId, RunnerConfig};
-use crate::{fig4, paper};
-use hvx_core::{Error, HvKind};
+use crate::spec_run::{paper_name, paper_workload};
+use crate::{fig4, paper, profile};
+use hvx_core::{Error, HvKind, ScenarioSpec};
 use hvx_engine::ProfileSnapshot;
 use serde::{Deserialize, Value};
 use std::path::{Path, PathBuf};
@@ -55,17 +55,15 @@ fn runner_config(cache: Option<Arc<ResultCache>>) -> RunnerConfig {
 }
 
 /// The Figure 4 cells that get a span profile in the baseline: every
-/// (workload, measured column) pair the paper can run.
-fn span_profile_cells() -> Vec<ProfileScenario> {
+/// (workload, measured column) pair the paper can run, as paper-shape
+/// specs.
+fn span_profile_cells() -> Vec<ScenarioSpec> {
     let mut out = Vec::new();
     for workload in hvx_core::Workload::ALL {
         for kind in paper::COLUMNS {
-            // The paper's missing bar (§V): Apache on Xen x86 does not
-            // run, so there is nothing to profile.
-            if workload.catalog_name() == "Apache" && kind == HvKind::XenX86 {
-                continue;
+            if fig4::runs(workload.catalog_name(), kind) {
+                out.push(ScenarioSpec::paper(kind).with_workload(workload));
             }
-            out.push(ProfileScenario { workload, kind });
         }
     }
     out
@@ -82,15 +80,13 @@ fn artifact_paths(dir: &Path, id: ArtifactId) -> (PathBuf, PathBuf) {
     )
 }
 
-fn span_path(dir: &Path, scenario: &ProfileScenario) -> PathBuf {
-    dir.join("spans").join(format!("{}.json", scenario.name()))
+fn span_path(dir: &Path, spec: &ScenarioSpec) -> PathBuf {
+    dir.join("spans").join(format!("{}.json", paper_name(spec)))
 }
 
 /// Profiles every Figure 4 cell, in [`span_profile_cells`] order, as
 /// the stored span-profile bytes.
-fn profile_span_cells(
-    jobs: usize,
-) -> Result<Vec<(ProfileScenario, ProfileSnapshot, String)>, Error> {
+fn profile_span_cells(jobs: usize) -> Result<Vec<(ScenarioSpec, ProfileSnapshot, String)>, Error> {
     let cells = span_profile_cells();
     let reports = profile::run_profiles(&cells, jobs)?;
     cells
@@ -332,7 +328,7 @@ impl CheckReport {
 /// Re-profiles every Figure 4 cell and returns those whose span
 /// profile no longer matches its stored bytes, each with its rendered
 /// span deltas.
-fn span_changes(dir: &Path, jobs: usize) -> Result<Vec<(ProfileScenario, String)>, Error> {
+fn span_changes(dir: &Path, jobs: usize) -> Result<Vec<(ScenarioSpec, String)>, Error> {
     let mut changes = Vec::new();
     for (scenario, current, json) in profile_span_cells(jobs)? {
         let stored = std::fs::read_to_string(span_path(dir, &scenario)).ok();
@@ -359,7 +355,7 @@ fn span_changes(dir: &Path, jobs: usize) -> Result<Vec<(ProfileScenario, String)
 fn fig4_drilldown(
     baseline_json: &str,
     current_json: &str,
-    spans: &[(ProfileScenario, String)],
+    spans: &[(ScenarioSpec, String)],
 ) -> String {
     let parse = |text: &str| -> Option<fig4::Figure4> {
         fig4::Figure4::deserialize(&serde_json::parse_value(text).ok()?).ok()
@@ -378,8 +374,8 @@ fn fig4_drilldown(
         out.push_str("    (fig4 JSON unparsable; no per-cell overhead comparison)\n");
     }
     let fmt = |v: &Option<f64>| v.map_or("n/a".to_string(), |x| format!("{x:.4}"));
-    let is_cell = |sc: &ProfileScenario, workload: &str, kind: HvKind| {
-        sc.workload.catalog_name() == workload && sc.kind == kind
+    let is_cell = |spec: &ScenarioSpec, workload: &str, kind: HvKind| {
+        paper_workload(spec).catalog_name() == workload && spec.hypervisor == kind
     };
     for (workload, kind, was, now) in &moved {
         out.push_str(&format!(
@@ -392,12 +388,12 @@ fn fig4_drilldown(
             None => out.push_str("    (span breakdown unchanged)\n"),
         }
     }
-    for (sc, deltas) in spans {
-        if !moved.iter().any(|(w, k, ..)| is_cell(sc, w, *k)) {
+    for (spec, deltas) in spans {
+        if !moved.iter().any(|(w, k, ..)| is_cell(spec, w, *k)) {
             out.push_str(&format!(
                 "  fig4[{}/{}]: overhead unchanged, span profile changed\n{deltas}",
-                sc.workload.catalog_name(),
-                sc.kind
+                paper_workload(spec).catalog_name(),
+                spec.hypervisor
             ));
         }
     }

@@ -48,6 +48,13 @@ fn native_for(kind: HvKind) -> Result<Sim, Error> {
     .build()
 }
 
+/// Whether the paper has a bar for `workload` (its catalog name) on
+/// `kind`: every combination runs except Apache on Xen x86, whose Dom0
+/// kernel panicked (§V).
+pub(crate) fn runs(workload: &str, kind: HvKind) -> bool {
+    !(workload == "Apache" && kind == HvKind::XenX86)
+}
+
 /// Measures one workload on one configuration (against its platform's
 /// native baseline). Returns `Ok(None)` for the paper's unrunnable
 /// combination (Apache on Xen x86 — Dom0 kernel panic, §V).
@@ -61,7 +68,7 @@ pub fn measure_bar(
     kind: HvKind,
     policy: VirqPolicy,
 ) -> Result<Option<f64>, Error> {
-    if workload.name == "Apache" && kind == HvKind::XenX86 {
+    if !runs(workload.name, kind) {
         return Ok(None);
     }
     let mut hv = build(kind)?;

@@ -20,6 +20,9 @@
 //!   matrix across OS threads with byte-identical output to a serial run;
 //! * [`service`] — the sweep-server executor: `hvx-serve`'s domain hooks
 //!   wired to the spec runner and the content-addressed result cache;
+//! * [`spec_run`] — runs a JSON `ScenarioSpec`; its paper-shape path
+//!   ([`spec_run::run_paper_sim`]) and `<workload>-<hypervisor>` name
+//!   codec serve `profile`, `trace` and the server's stored traces too;
 //! * [`profile`] — workload profiling via the observability layer's span
 //!   tracer: conservation-checked Table-3-style breakdowns per scenario;
 //! * [`trace`] — causal event tracing: Chrome-trace/Perfetto exports of

@@ -156,15 +156,13 @@ impl Table2 {
     /// Propagates configuration failures (e.g. a rejected cost
     /// perturbation) so the runner can degrade the artifact.
     pub fn measure(iters: usize) -> Result<Table2, Error> {
-        // Thousands of iterations × dozens of charged steps each: keep
-        // only (kind, label) totals instead of storing every TraceEvent.
-        // Breakdown queries stay exact; the charge hot path stops
-        // allocating.
+        // Thousands of iterations × dozens of charged steps each, and
+        // only the cycle counts are read: keep no trace records.
         let mut hvs: Vec<Box<dyn Hypervisor>> = Vec::with_capacity(paper::COLUMNS.len());
         for kind in paper::COLUMNS {
             hvs.push(
                 SimBuilder::new(kind)
-                    .tracing(hvx_engine::TraceMode::Aggregate)
+                    .without_tracing()
                     .build()?
                     .into_inner(),
             );

@@ -299,7 +299,7 @@ impl Scenario {
             Scenario::Ablation(ArtifactId::Vhe) => Output::Vhe(ablations::vhe()?),
             Scenario::Ablation(ArtifactId::ZeroCopy) => Output::ZeroCopy(ablations::zero_copy()?),
             Scenario::Ablation(ArtifactId::Link) => Output::Link(ablations::link_speed()?),
-            Scenario::Ablation(ArtifactId::Vapic) => Output::Vapic(ablations::vapic()),
+            Scenario::Ablation(ArtifactId::Vapic) => Output::Vapic(ablations::vapic()?),
             Scenario::Ablation(ArtifactId::Storage) => Output::Storage(ablations::storage()?),
             Scenario::Ablation(ArtifactId::Oversub) => {
                 Output::Oversub(ablations::oversubscription())

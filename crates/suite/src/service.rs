@@ -22,11 +22,9 @@
 use crate::cache::{self, ResultCache};
 use crate::runner::{self, ChaosKind, RunnerConfig, Scenario};
 use crate::spec_run;
-use crate::trace::TraceScenario;
 use hvx_core::report::CellReport;
-use hvx_core::Workload;
 use hvx_core::{ScenarioFailureKind, ScenarioSpec, SchedPolicy, SpecShape, TopologySpec};
-use hvx_engine::{fault, Fingerprint, Watchdog};
+use hvx_engine::{fault, Fingerprint, FlowChain, FlowPoint, Watchdog};
 use hvx_serve::{JobExecutor, JobFailure, JobOutput, PreparedJob};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -73,29 +71,52 @@ impl SuiteExecutor {
 
     /// Stores ranked critical chains for a just-completed cold
     /// paper-shape run, so `GET /trace/<fp>` answers from the warm
-    /// cache without re-running anything. Best-effort: a trace that
-    /// fails to run simply leaves no stored trace (the endpoint 404s),
-    /// never failing the job itself. The chains come straight from the
+    /// cache without re-running anything. The chains come from a
+    /// separate traced run of the served spec — its fault plan,
+    /// interrupt policy and watchdog included — straight from that
     /// run's flow tracer, ranked as `trace query` ranks an exported
-    /// file's.
+    /// file's. Best-effort: a trace that fails to run simply leaves no
+    /// stored trace (the endpoint 404s), never failing the job itself.
     fn store_trace(&self, fingerprint: &str, spec: &ScenarioSpec) {
         let Some(cache) = &self.cache else { return };
         if spec.shape().ok() != Some(SpecShape::Paper) {
             return;
         }
-        let scenario = TraceScenario {
-            workload: spec.workload.unwrap_or(Workload::Netperf),
-            kind: spec.hypervisor,
-            ring: None,
-        };
-        let Ok(mut chains) = crate::trace::traced_chains(scenario) else {
+        // The served run passed the spec's watchdog, and tracing adds no
+        // charges; should the traced run trip it anyway, the panic must
+        // not escape to the worker.
+        let traced = std::panic::catch_unwind(|| crate::trace::traced_chains(spec));
+        let Ok(Ok(chains)) = traced else {
             return;
         };
-        // The query ranking: longest end-to-end latency first, chain id
-        // as the deterministic tiebreak.
-        chains.sort_by(|a, b| b.latency.cmp(&a.latency).then(a.id.cmp(&b.id)));
-        chains.truncate(MAX_STORED_CHAINS);
-        let chains_json: Vec<Value> = chains
+        cache.store_raw(
+            &trace_key(fingerprint),
+            TRACE_RESULT_KIND,
+            Value::Object(vec![
+                ("scenario".into(), Value::Str(spec_run::paper_name(spec))),
+                ("fingerprint".into(), Value::Str(fingerprint.to_string())),
+                ("chains".into(), ranked_chains(chains)),
+            ]),
+        );
+    }
+}
+
+/// The stored form of a run's chains: the query ranking (longest
+/// end-to-end latency first, chain id as the deterministic tiebreak),
+/// cut to [`MAX_STORED_CHAINS`].
+fn ranked_chains(mut chains: Vec<FlowChain>) -> Value {
+    chains.sort_by(|a, b| b.latency.cmp(&a.latency).then(a.id.cmp(&b.id)));
+    chains.truncate(MAX_STORED_CHAINS);
+    let hop = |p: &FlowPoint| {
+        Value::Object(vec![
+            ("ph".into(), Value::Str(p.phase.chrome_ph().into())),
+            ("ts".into(), Value::U64(p.ts)),
+            ("tid".into(), Value::U64(u64::from(p.track))),
+            ("hop".into(), Value::Str(p.label.into())),
+        ])
+    };
+    Value::Array(
+        chains
             .iter()
             .map(|c| {
                 Value::Object(vec![
@@ -105,33 +126,12 @@ impl SuiteExecutor {
                     ("latency_cycles".into(), Value::U64(c.latency)),
                     (
                         "hops".into(),
-                        Value::Array(
-                            c.points
-                                .iter()
-                                .map(|p| {
-                                    Value::Object(vec![
-                                        ("ph".into(), Value::Str(p.phase.chrome_ph().into())),
-                                        ("ts".into(), Value::U64(p.ts)),
-                                        ("tid".into(), Value::U64(u64::from(p.track))),
-                                        ("hop".into(), Value::Str(p.label.into())),
-                                    ])
-                                })
-                                .collect(),
-                        ),
+                        Value::Array(c.points.iter().map(hop).collect()),
                     ),
                 ])
             })
-            .collect();
-        cache.store_raw(
-            &trace_key(fingerprint),
-            TRACE_RESULT_KIND,
-            Value::Object(vec![
-                ("scenario".into(), Value::Str(scenario.name())),
-                ("fingerprint".into(), Value::Str(fingerprint.to_string())),
-                ("chains".into(), Value::Array(chains_json)),
-            ]),
-        );
-    }
+            .collect(),
+    )
 }
 
 /// Parses a chaos probe body (`{"chaos": "panic" | "spin" |
@@ -365,8 +365,9 @@ fn run_chaos(kind: ChaosKind) -> Result<JobOutput, JobFailure> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{run_trace, ParsedTrace};
-    use hvx_core::HvKind;
+    use crate::trace::{run_trace, traced_chains, ParsedTrace};
+    use hvx_core::{HvKind, Workload};
+    use hvx_engine::{FaultPlan, FaultPoint};
 
     fn scratch_dir(tag: u32) -> std::path::PathBuf {
         let dir =
@@ -388,12 +389,7 @@ mod tests {
             exec.store_trace(&fp, &spec);
             let stored = serde_json::parse_value(&exec.trace(&fp).expect("stored")).unwrap();
 
-            let scenario = TraceScenario {
-                workload: Workload::TcpRr,
-                kind,
-                ring: None,
-            };
-            let parsed = ParsedTrace::parse(&run_trace(scenario).unwrap().json).unwrap();
+            let parsed = ParsedTrace::parse(&run_trace(&spec, None).unwrap().json).unwrap();
             let mut chains = parsed.chains();
             assert_eq!(chains.len(), total, "{kind}");
             chains.sort_by(|a, b| b.latency.cmp(&a.latency).then(a.id.cmp(&b.id)));
@@ -422,9 +418,34 @@ mod tests {
                 })
                 .collect();
             assert_eq!(stored["chains"], Value::Array(expected), "{kind}");
-            assert_eq!(stored["scenario"], scenario.name().as_str());
+            assert_eq!(stored["scenario"], spec_run::paper_name(&spec).as_str());
             assert_eq!(stored["fingerprint"], fp.as_str());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_trace_runs_the_served_spec() {
+        // A fault-armed spec served through the executor stores the
+        // chains of a traced run of that spec, wire drops included.
+        let dir = scratch_dir(line!());
+        let exec = SuiteExecutor::new(Some(Arc::new(ResultCache::open(&dir).unwrap())));
+        let clean = ScenarioSpec::paper(HvKind::KvmArm).with_workload(Workload::TcpRr);
+        let mut spec = clean.clone();
+        spec.set_fault_plan(&FaultPlan::new(7).with_rate(FaultPoint::WireDrop, 0.2));
+        let job = exec
+            .prepare(&serde_json::to_string(Serialize::serialize(&spec)).unwrap())
+            .unwrap();
+        exec.run(&job).unwrap();
+        let stored =
+            serde_json::parse_value(&exec.trace(&job.fingerprint).expect("stored")).unwrap();
+        let faulted = ranked_chains(traced_chains(&spec).unwrap());
+        assert_eq!(stored["chains"], faulted);
+        assert_ne!(
+            faulted,
+            ranked_chains(traced_chains(&clean).unwrap()),
+            "wire drops must show in the chains"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

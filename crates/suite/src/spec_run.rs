@@ -4,10 +4,13 @@
 //! validates its topology shape, and dispatches it to the engine that
 //! implements that shape:
 //!
-//! * **Paper** shape → [`SimBuilder::from_spec`] plus the Figure 4
-//!   workload engine ([`workloads::run`]) — exactly the path a
-//!   builder-constructed run takes, so the output is byte-identical to
-//!   the equivalent fluent-API invocation.
+//! * **Paper** shape → [`run_paper_sim`]: [`SimBuilder::from_spec`]
+//!   plus the Figure 4 workload engine ([`workloads::run`]) — exactly
+//!   the path a builder-constructed run takes, so the output is
+//!   byte-identical to the equivalent fluent-API invocation. `profile`,
+//!   `trace`, the sweep server's stored trace and `trace bench` run
+//!   their paper-shape specs through the same function, and name them
+//!   with [`paper_name`].
 //! * **Consolidation** shape → [`consolidation::run_cell`], the SMP
 //!   oversubscription cell with the spec's vCPU scheduler.
 //!
@@ -17,11 +20,11 @@
 //! pin the numbers themselves together.
 
 use crate::consolidation::{self, TRANSACTIONS_PER_VM};
-use crate::profile::mix_for;
 use crate::rack;
 use crate::workloads;
 use hvx_core::report::CellReport;
-use hvx_core::{Error, ScenarioSpec, SimBuilder, SpecShape, Workload};
+use hvx_core::{Error, HvKind, ScenarioSpec, Sim, SimBuilder, SpecShape, Workload};
+use hvx_engine::Cycles;
 use std::path::Path;
 
 /// Reads and deserializes a spec file.
@@ -126,11 +129,68 @@ pub fn run_spec_report(spec: &ScenarioSpec) -> Result<SpecRun, Error> {
     })
 }
 
-fn run_paper(spec: &ScenarioSpec) -> Result<String, Error> {
-    let workload = spec.workload.unwrap_or(Workload::Netperf);
-    let mix = mix_for(workload)?;
-    let mut sim = SimBuilder::from_spec(spec.clone()).build()?;
+/// The workload a paper-shape spec runs: the one it names, else
+/// netperf (TCP_RR), the paper's canonical latency workload.
+pub(crate) fn paper_workload(spec: &ScenarioSpec) -> Workload {
+    spec.workload.unwrap_or(Workload::Netperf)
+}
+
+/// The `<workload>-<hypervisor>` name of a paper-shape spec
+/// (`netperf-kvm-arm`, `mysql-kvm-arm-vhe`). `profile` and `trace` take
+/// it on the command line and print it in their report headers, and
+/// `baselines/spans/` names each span profile by it. Only the workload
+/// and the hypervisor are named; [`parse_paper_name`] reads it back.
+pub fn paper_name(spec: &ScenarioSpec) -> String {
+    format!("{}-{}", paper_workload(spec).slug(), spec.hypervisor.slug())
+}
+
+/// Parses a `<workload>-<hypervisor>` name into the paper-shape spec
+/// it names, with every other field at its default.
+///
+/// # Errors
+///
+/// [`Error::UnknownScenario`] when the name does not end in a
+/// hypervisor slug after a workload; [`Error::UnknownWorkload`] when
+/// the rest names no Figure 4 workload.
+pub fn parse_paper_name(name: &str) -> Result<ScenarioSpec, Error> {
+    let (workload, kind) = HvKind::ALL
+        .into_iter()
+        .find_map(|kind| {
+            let workload = name.strip_suffix(kind.slug())?.strip_suffix('-')?;
+            (!workload.is_empty()).then_some((workload, kind))
+        })
+        .ok_or_else(|| Error::UnknownScenario { name: name.into() })?;
+    Ok(ScenarioSpec::paper(kind).with_workload(Workload::parse(workload)?))
+}
+
+/// Builds a paper-shape spec with [`SimBuilder::from_spec`] and runs its
+/// workload's mix under `spec.virq_policy`, returning the finished
+/// simulation and its makespan. `observe` sets the observability knobs
+/// a spec does not carry (trace mode, profiling, event tracing); the
+/// fault plan and the watchdog come from the spec.
+///
+/// # Errors
+///
+/// [`Error::InvalidSpec`] for a spec that is not paper-shape; build and
+/// workload errors pass through.
+pub fn run_paper_sim(
+    spec: &ScenarioSpec,
+    observe: impl FnOnce(SimBuilder) -> SimBuilder,
+) -> Result<(Sim, Cycles), Error> {
+    if spec.shape()? != SpecShape::Paper {
+        return Err(Error::InvalidSpec {
+            detail: format!("{} is not a paper-shape spec", label(spec)),
+        });
+    }
+    let mix = workloads::mix_named(paper_workload(spec).catalog_name())?;
+    let mut sim = observe(SimBuilder::from_spec(spec.clone())).build()?;
     let makespan = workloads::run(sim.as_dyn_mut(), mix, spec.virq_policy)?;
+    Ok((sim, makespan))
+}
+
+fn run_paper(spec: &ScenarioSpec) -> Result<String, Error> {
+    let workload = paper_workload(spec);
+    let (_, makespan) = run_paper_sim(spec, |builder| builder)?;
     let mut out = String::new();
     out.push_str("== scenario spec run ==\n");
     out.push_str(&format!("hypervisor:   {}\n", spec.hypervisor));
@@ -215,8 +275,8 @@ fn run_rack(spec: &ScenarioSpec, hosts: u32, vms_per_host: u32) -> Result<String
         }
     }
     let composition = match spec.hypervisor {
-        hvx_core::HvKind::KvmArm => rack::Composition::AllKvm,
-        hvx_core::HvKind::XenArm => rack::Composition::AllXen,
+        HvKind::KvmArm => rack::Composition::AllKvm,
+        HvKind::XenArm => rack::Composition::AllXen,
         other => {
             return Err(Error::InvalidSpec {
                 detail: format!("rack cells model ARM hypervisors; got '{other}'"),
@@ -257,7 +317,7 @@ fn run_rack(spec: &ScenarioSpec, hosts: u32, vms_per_host: u32) -> Result<String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hvx_core::{HvKind, SchedPolicy, VirqPolicy};
+    use hvx_core::{SchedPolicy, VirqPolicy};
 
     #[test]
     fn spec_json_round_trips_losslessly() {
@@ -281,13 +341,49 @@ mod tests {
             .unwrap();
         let makespan = workloads::run(
             sim.as_dyn_mut(),
-            mix_for(Workload::TcpRr).unwrap(),
+            workloads::mix_named("TCP_RR").unwrap(),
             VirqPolicy::Vcpu0,
         )
         .unwrap();
         assert!(via_spec.contains(&format!("makespan:     {} cycles", makespan.as_u64())));
         // Re-running the spec reproduces the exact bytes.
         assert_eq!(run_spec(&spec).unwrap(), via_spec);
+    }
+
+    #[test]
+    fn paper_names_round_trip() {
+        for kind in HvKind::ALL {
+            for workload in Workload::ALL.into_iter().chain([Workload::Netperf]) {
+                let spec = ScenarioSpec::paper(kind).with_workload(workload);
+                assert_eq!(parse_paper_name(&paper_name(&spec)).unwrap(), spec);
+            }
+        }
+        let spec = parse_paper_name("mysql-kvm-arm-vhe").unwrap();
+        assert_eq!(spec.hypervisor, HvKind::KvmArmVhe);
+        assert_eq!(spec.workload, Some(Workload::Mysql));
+        // A spec naming no workload runs, and is named for, netperf.
+        assert_eq!(
+            paper_name(&ScenarioSpec::paper(HvKind::XenX86)),
+            "netperf-xen-x86"
+        );
+        for (name, unknown_scenario) in [
+            ("netperf-riscv", true),
+            ("kvm-arm", true),
+            ("-kvm-arm", true),
+            ("doom-kvm-arm", false),
+        ] {
+            let err = parse_paper_name(name).unwrap_err();
+            assert_eq!(
+                matches!(err, Error::UnknownScenario { .. }),
+                unknown_scenario,
+                "{name}: {err}"
+            );
+            assert_eq!(
+                matches!(err, Error::UnknownWorkload { .. }),
+                !unknown_scenario,
+                "{name}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -10,102 +10,32 @@
 //! directly in Perfetto or `chrome://tracing`; the derivation pass
 //! folds each chain's end-to-end latency into the machine's
 //! [`MetricsRegistry`] so the Fig. 4 asymmetry quantities are queryable
-//! without a viewer.
+//! without a viewer. A traced run is a paper-shape [`ScenarioSpec`] run
+//! through [`spec_run::run_paper_sim`], so it runs the spec's fault
+//! plan, interrupt policy and watchdog too.
 //!
 //! ```
-//! use hvx_suite::trace::TraceScenario;
+//! use hvx_suite::{spec_run, trace};
 //!
-//! let sc = TraceScenario::resolve("tcp_rr", Some("kvm-arm"), None).unwrap();
-//! let report = hvx_suite::trace::run_trace(sc).unwrap();
-//! let parsed = hvx_suite::trace::ParsedTrace::parse(&report.json).unwrap();
-//! assert!(hvx_suite::trace::validate(&parsed).is_ok());
+//! let spec = spec_run::parse_paper_name("tcp_rr-kvm-arm").unwrap();
+//! let report = trace::run_trace(&spec, None).unwrap();
+//! let parsed = trace::ParsedTrace::parse(&report.json).unwrap();
+//! assert!(trace::validate(&parsed).is_ok());
 //! ```
 //!
 //! [`MetricsRegistry`]: hvx_engine::MetricsRegistry
 
-use crate::profile::{self, ProfileScenario};
-use crate::workloads;
-use hvx_core::{Error, HvKind, Sim, SimBuilder, VirqPolicy, Workload};
+use crate::spec_run;
+use hvx_core::{Error, HvKind, ScenarioSpec, Sim, SimBuilder, Workload};
 use hvx_engine::{Cycles, EventTracer, FlowChain};
 use serde::{Serialize, Value};
 use std::time::Instant;
-
-/// One traced scenario: a Figure 4 workload on one configuration, with
-/// an optional ring-buffer cap on the kept charge records and flow
-/// points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct TraceScenario {
-    /// The workload whose operation mix is run.
-    pub workload: Workload,
-    /// The configuration under trace.
-    pub kind: HvKind,
-    /// Ring-buffer capacity in records (`None` = unbounded).
-    pub ring: Option<usize>,
-}
-
-/// Parses a hypervisor CLI slug (`kvm-arm`, `xen-arm`, ...).
-pub fn parse_hypervisor(slug: &str) -> Option<HvKind> {
-    [
-        HvKind::KvmArm,
-        HvKind::XenArm,
-        HvKind::KvmX86,
-        HvKind::XenX86,
-        HvKind::KvmArmVhe,
-        HvKind::Native,
-    ]
-    .into_iter()
-    .find(|k| profile::kind_slug(*k) == slug)
-}
-
-impl TraceScenario {
-    /// Resolves the CLI form: either `trace <workload> --hypervisor
-    /// <hv>` or the combined `<workload>-<hv>` scenario name the
-    /// profiler uses.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownScenario`] when the hypervisor slug (or combined
-    /// name) does not resolve; [`Error::UnknownWorkload`] for an
-    /// unknown workload prefix.
-    pub fn resolve(
-        scenario: &str,
-        hypervisor: Option<&str>,
-        ring: Option<usize>,
-    ) -> Result<TraceScenario, Error> {
-        let (workload, kind) = match hypervisor {
-            Some(slug) => {
-                let kind = parse_hypervisor(slug).ok_or_else(|| Error::UnknownScenario {
-                    name: slug.to_string(),
-                })?;
-                (Workload::parse(scenario)?, kind)
-            }
-            None => {
-                let sc = ProfileScenario::parse(scenario)?;
-                (sc.workload, sc.kind)
-            }
-        };
-        Ok(TraceScenario {
-            workload,
-            kind,
-            ring,
-        })
-    }
-
-    /// The scenario's CLI name, `<workload>-<kind>`.
-    pub fn name(&self) -> String {
-        ProfileScenario {
-            workload: self.workload,
-            kind: self.kind,
-        }
-        .name()
-    }
-}
 
 /// One traced run: the Chrome trace-event JSON plus the headline
 /// numbers the CLI prints.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
-    /// The scenario's CLI name.
+    /// The scenario's `<workload>-<hypervisor>` name.
     pub scenario: String,
     /// Ring capacity the run used (`None` = unbounded).
     pub ring: Option<usize>,
@@ -128,6 +58,14 @@ pub struct TraceReport {
     pub json: String,
 }
 
+/// Event tracing, unbounded (`None`) or in rings of `slots` records.
+fn event_tracing(builder: SimBuilder, ring: Option<usize>) -> SimBuilder {
+    match ring {
+        Some(slots) => builder.event_ring(slots),
+        None => builder.event_tracing(true),
+    }
+}
+
 /// A finished event-traced run: the simulation, whose trace log holds
 /// the charge records, and the flow tracer taken out of it.
 struct TracedRun {
@@ -136,19 +74,11 @@ struct TracedRun {
     makespan: Cycles,
 }
 
-/// Runs `scenario` with event tracing and profiling on, then derives
-/// the chain latencies into the machine's metrics registry.
-fn traced_run(scenario: TraceScenario) -> Result<TracedRun, Error> {
-    let mix = profile::mix_for(scenario.workload)?;
-    let builder = SimBuilder::new(scenario.kind)
-        .workload(scenario.workload)
-        .profiling(true);
-    let builder = match scenario.ring {
-        Some(slots) => builder.event_ring(slots),
-        None => builder.event_tracing(true),
-    };
-    let mut sim = builder.build()?;
-    let makespan = workloads::run(sim.as_dyn_mut(), mix, VirqPolicy::Vcpu0)?;
+/// Runs `spec` with event tracing and profiling on, then derives the
+/// chain latencies into the machine's metrics registry.
+fn traced_run(spec: &ScenarioSpec, ring: Option<usize>) -> Result<TracedRun, Error> {
+    let (mut sim, makespan) =
+        spec_run::run_paper_sim(spec, |builder| event_tracing(builder.profiling(true), ring))?;
     sim.sample_metrics();
     let tracer = sim
         .machine_mut()
@@ -164,17 +94,18 @@ fn traced_run(scenario: TraceScenario) -> Result<TracedRun, Error> {
     })
 }
 
-/// The causal chains of one traced run, straight from the in-memory
-/// flow tracer (no export round trip).
+/// The causal chains of one unbounded traced run of `spec`, straight
+/// from the in-memory flow tracer (no export round trip).
 ///
 /// # Errors
 ///
 /// As for [`run_trace`].
-pub(crate) fn traced_chains(scenario: TraceScenario) -> Result<Vec<FlowChain>, Error> {
-    Ok(traced_run(scenario)?.tracer.chains())
+pub(crate) fn traced_chains(spec: &ScenarioSpec) -> Result<Vec<FlowChain>, Error> {
+    Ok(traced_run(spec, None)?.tracer.chains())
 }
 
-/// Runs one scenario with event tracing enabled and exports the trace.
+/// Runs one paper-shape spec with event tracing enabled (in rings of
+/// `ring` records, or unbounded) and exports the trace.
 ///
 /// The derivation pass runs before export: the chain latencies land in
 /// the machine's metrics registry, so the report's means come from the
@@ -182,22 +113,22 @@ pub(crate) fn traced_chains(scenario: TraceScenario) -> Result<Vec<FlowChain>, E
 ///
 /// # Errors
 ///
-/// Build/run errors from the simulation ([`Error::InvalidCpus`],
-/// [`Error::UnknownWorkload`], ...); [`Error::Serialize`] if the trace
-/// JSON fails to render.
-pub fn run_trace(scenario: TraceScenario) -> Result<TraceReport, Error> {
+/// [`Error::InvalidSpec`] for a spec that is not paper-shape; build/run
+/// errors from the simulation; [`Error::Serialize`] if the trace JSON
+/// fails to render.
+pub fn run_trace(spec: &ScenarioSpec, ring: Option<usize>) -> Result<TraceReport, Error> {
     let TracedRun {
         sim,
         tracer,
         makespan,
-    } = traced_run(scenario)?;
+    } = traced_run(spec, ring)?;
     let machine = sim.machine();
     let tracks: Vec<String> = machine
         .topology()
         .all_cores()
         .map(|c| c.to_string())
         .collect();
-    let name = scenario.name();
+    let name = spec_run::paper_name(spec);
     let log = machine.trace();
     let trace = log.chrome_trace(&name, &tracks, &tracer);
     let json = serde_json::to_string_pretty(&trace).map_err(|e| Error::Serialize {
@@ -213,7 +144,7 @@ pub fn run_trace(scenario: TraceScenario) -> Result<TraceReport, Error> {
     let mean = |h: &str| metrics.histogram(h).map_or(0.0, |h| h.mean());
     Ok(TraceReport {
         scenario: name,
-        ring: scenario.ring,
+        ring,
         makespan_cycles: makespan.as_u64(),
         events_recorded: log.recorded(),
         events_dropped: log.dropped(),
@@ -695,19 +626,6 @@ pub fn validate(trace: &ParsedTrace) -> Result<String, Error> {
 // Tracing-overhead benchmark (BENCH_trace.json)
 // ---------------------------------------------------------------------------
 
-/// The nine Figure 4 workloads, in catalog order.
-pub const FIG4_WORKLOADS: [Workload; 9] = [
-    Workload::Kernbench,
-    Workload::Hackbench,
-    Workload::SpecJvm2008,
-    Workload::TcpRr,
-    Workload::TcpStream,
-    Workload::TcpMaerts,
-    Workload::Apache,
-    Workload::Memcached,
-    Workload::Mysql,
-];
-
 /// Wall time of one Fig. 4 cell under one tracing mode.
 #[derive(Debug, Clone, Serialize)]
 pub struct TraceBenchCell {
@@ -740,17 +658,15 @@ pub struct TraceBench {
     pub cells: Vec<TraceBenchCell>,
 }
 
-fn bench_cell(workload: Workload, kind: HvKind, ring: Option<Option<usize>>) -> Result<f64, Error> {
-    let mix = profile::mix_for(workload)?;
-    let mut builder = SimBuilder::new(kind).workload(workload);
-    builder = match ring {
-        None => builder,
-        Some(None) => builder.event_tracing(true),
-        Some(Some(slots)) => builder.event_ring(slots),
-    };
+/// Wall seconds to build and run `spec`: untraced (`tracing: None`),
+/// or event-traced unbounded (`Some(None)`) or in rings
+/// (`Some(Some(slots))`).
+fn bench_cell(spec: &ScenarioSpec, tracing: Option<Option<usize>>) -> Result<f64, Error> {
     let start = Instant::now();
-    let mut sim = builder.build()?;
-    workloads::run(sim.as_dyn_mut(), mix, VirqPolicy::Vcpu0)?;
+    spec_run::run_paper_sim(spec, |builder| match tracing {
+        None => builder,
+        Some(ring) => event_tracing(builder, ring),
+    })?;
     Ok(start.elapsed().as_secs_f64())
 }
 
@@ -766,17 +682,17 @@ fn bench_cell(workload: Workload, kind: HvKind, ring: Option<Option<usize>>) -> 
 pub fn run_trace_bench(ring_slots: usize) -> Result<TraceBench, Error> {
     let mut cells = Vec::new();
     let (mut off, mut on, mut ring) = (0.0, 0.0, 0.0);
-    for workload in FIG4_WORKLOADS {
+    for workload in Workload::ALL {
         for kind in HvKind::MEASURED {
-            let name = ProfileScenario { workload, kind }.name();
-            let off_s = bench_cell(workload, kind, None)?;
-            let on_s = bench_cell(workload, kind, Some(None))?;
-            let ring_s = bench_cell(workload, kind, Some(Some(ring_slots)))?;
+            let spec = ScenarioSpec::paper(kind).with_workload(workload);
+            let off_s = bench_cell(&spec, None)?;
+            let on_s = bench_cell(&spec, Some(None))?;
+            let ring_s = bench_cell(&spec, Some(Some(ring_slots)))?;
             off += off_s;
             on += on_s;
             ring += ring_s;
             cells.push(TraceBenchCell {
-                scenario: name,
+                scenario: spec_run::paper_name(&spec),
                 off_seconds: off_s,
                 on_seconds: on_s,
                 ring_seconds: ring_s,
@@ -798,24 +714,25 @@ pub fn run_trace_bench(ring_slots: usize) -> Result<TraceBench, Error> {
 mod tests {
     use super::*;
 
+    fn tcp_rr(kind: HvKind) -> ScenarioSpec {
+        ScenarioSpec::paper(kind).with_workload(Workload::TcpRr)
+    }
+
     #[test]
-    fn scenario_resolution_covers_both_cli_forms() {
-        let a = TraceScenario::resolve("tcp_rr", Some("kvm-arm"), None).unwrap();
-        let b = TraceScenario::resolve("tcp_rr-kvm-arm", None, Some(64)).unwrap();
-        assert_eq!(a.workload, Workload::TcpRr);
-        assert_eq!(a.kind, HvKind::KvmArm);
-        assert_eq!(b.kind, HvKind::KvmArm);
-        assert_eq!(b.ring, Some(64));
-        assert_eq!(a.name(), "tcp_rr-kvm-arm");
-        assert!(TraceScenario::resolve("tcp_rr", Some("riscv"), None).is_err());
-        assert!(TraceScenario::resolve("doom", Some("kvm-arm"), None).is_err());
+    fn only_paper_shape_specs_trace() {
+        let mut spec = tcp_rr(HvKind::KvmArm);
+        spec.topology = hvx_core::TopologySpec::rack(2, 1);
+        assert!(matches!(
+            run_trace(&spec, None),
+            Err(Error::InvalidSpec { .. })
+        ));
     }
 
     #[test]
     fn traced_tcp_rr_round_trips_and_validates_on_both_arms() {
-        for hv in ["kvm-arm", "xen-arm"] {
-            let sc = TraceScenario::resolve("tcp_rr", Some(hv), None).unwrap();
-            let report = run_trace(sc).unwrap();
+        for kind in [HvKind::KvmArm, HvKind::XenArm] {
+            let hv = kind.slug();
+            let report = run_trace(&tcp_rr(kind), None).unwrap();
             assert!(report.events_recorded > 0, "{hv} recorded nothing");
             assert_eq!(report.events_dropped, 0, "{hv} dropped unbounded events");
             assert!(report.flows_complete > 0, "{hv} completed no chains");
@@ -832,17 +749,13 @@ mod tests {
     fn xen_delivery_latency_exceeds_kvm_in_the_export() {
         // The Fig. 4 direction must survive the full export → parse →
         // reassemble round trip, not just the in-memory tracer.
-        let mean = |hv: &str| {
-            let sc = TraceScenario::resolve("tcp_rr", Some(hv), None).unwrap();
-            run_trace(sc).unwrap().irq_delivery_mean
-        };
-        assert!(mean("xen-arm") > mean("kvm-arm"));
+        let mean = |kind| run_trace(&tcp_rr(kind), None).unwrap().irq_delivery_mean;
+        assert!(mean(HvKind::XenArm) > mean(HvKind::KvmArm));
     }
 
     #[test]
     fn ring_mode_caps_events_and_surfaces_drops() {
-        let sc = TraceScenario::resolve("tcp_rr-kvm-arm", None, Some(32)).unwrap();
-        let report = run_trace(sc).unwrap();
+        let report = run_trace(&tcp_rr(HvKind::KvmArm), Some(32)).unwrap();
         assert!(report.events_dropped > 0, "a 32-slot ring must overwrite");
         assert!(report.events_recorded > report.events_dropped);
         let parsed = ParsedTrace::parse(&report.json).unwrap();
@@ -851,8 +764,7 @@ mod tests {
 
     #[test]
     fn query_filters_and_ranks_chains() {
-        let sc = TraceScenario::resolve("tcp_rr-kvm-arm", None, None).unwrap();
-        let report = run_trace(sc).unwrap();
+        let report = run_trace(&tcp_rr(HvKind::KvmArm), None).unwrap();
         let parsed = ParsedTrace::parse(&report.json).unwrap();
         let all = render_query(&parsed, &Query::default(), "t.json");
         assert!(all.contains("complete chains by latency"));

@@ -337,6 +337,20 @@ pub fn catalog() -> Vec<Workload> {
     ]
 }
 
+/// The operation mix of the catalog workload named `name` (its
+/// Figure 4 catalog spelling, e.g. `TCP_RR`).
+///
+/// # Errors
+///
+/// [`Error::UnknownWorkload`] when no catalog entry has that name.
+pub fn mix_named(name: &str) -> Result<Mix, Error> {
+    catalog()
+        .into_iter()
+        .find(|w| w.name == name)
+        .map(|w| w.mix)
+        .ok_or_else(|| Error::UnknownWorkload { name: name.into() })
+}
+
 /// Renders Table IV: the application benchmark descriptions.
 pub fn render_table4() -> String {
     let mut out = String::new();
@@ -349,26 +363,14 @@ pub fn render_table4() -> String {
     out
 }
 
-/// Decides compile gating from the two relevant environment values.
-/// Perturbed cost models are steady too, but the perturbation drill
-/// explicitly exercises the interpreted engine, so it opts out.
-fn compile_mode(compile: Option<&str>, perturb: Option<&str>) -> bool {
-    let off = compile.is_some_and(|v| {
+/// Whether [`run`] compiles steady-state loops: yes unless
+/// `HVX_COMPILE=off|0|false`. Read fresh on every call so tests and
+/// drills need no process restart.
+pub fn compile_enabled() -> bool {
+    !std::env::var("HVX_COMPILE").is_ok_and(|v| {
         let v = v.trim();
         v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false")
-    });
-    let perturbed = perturb.is_some_and(|v| !v.trim().is_empty());
-    !off && !perturbed
-}
-
-/// Whether [`run`] compiles steady-state loops: yes unless
-/// `HVX_COMPILE=off|0|false` or `HVX_COST_PERTURB` is set. Read fresh
-/// on every call so tests and drills need no process restart.
-pub fn compile_enabled() -> bool {
-    compile_mode(
-        std::env::var("HVX_COMPILE").ok().as_deref(),
-        std::env::var("HVX_COST_PERTURB").ok().as_deref(),
-    )
+    })
 }
 
 /// Runs `iters` iterations of `body` under the machine's loop compile

@@ -230,3 +230,35 @@ fn unknown_profile_scenario_exits_two() {
         .expect("run hvx-repro");
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// A cost perturbation touching ARM and x86 fields reaches every
+/// artifact: each one's `run` output moves. The variable is set on the
+/// child process only, so sibling tests never see it.
+#[test]
+fn cost_perturbation_reaches_every_artifact() {
+    let run = |artifact: &str, perturb: Option<&str>| {
+        let mut cmd = hvx_repro();
+        cmd.args(["run", "--jobs", "2", artifact]);
+        match perturb {
+            Some(spec) => cmd.env("HVX_COST_PERTURB", spec),
+            None => cmd.env_remove("HVX_COST_PERTURB"),
+        };
+        let out = cmd.output().expect("run hvx-repro");
+        assert!(
+            out.status.success(),
+            "{artifact}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let perturb = "hw_trap=+50,vmexit=+50,xen_grant_copy=+2000";
+    let artifacts = hvx_suite::runner::ArtifactId::ALL;
+    assert_eq!(artifacts.len(), 13);
+    for artifact in artifacts.map(|a| a.cli_name()) {
+        assert_ne!(
+            run(artifact, None),
+            run(artifact, Some(perturb)),
+            "{artifact} ignores {perturb}"
+        );
+    }
+}

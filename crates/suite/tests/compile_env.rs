@@ -1,14 +1,17 @@
-//! The loop compiler's environment gates (`HVX_COMPILE`,
-//! `HVX_COST_PERTURB`). Setting them changes the whole process, and
-//! `SimBuilder::build` reads `HVX_COST_PERTURB`, so this test has a
-//! test binary, and therefore a process, to itself.
+//! The loop compiler's environment gate (`HVX_COMPILE`), and a cost
+//! perturbation (`HVX_COST_PERTURB`) leaving it alone. Setting them
+//! changes the whole process, and `SimBuilder::build` reads
+//! `HVX_COST_PERTURB`, so this test has a test binary, and therefore a
+//! process, to itself.
 
-use hvx_suite::workloads;
+use hvx_core::{HvKind, VirqPolicy};
+use hvx_engine::thread_replayed_transitions;
+use hvx_suite::{fig4, workloads};
 
 #[test]
-fn env_gating_disables_compilation() {
-    // This test owns the two env vars; every other test in this binary
-    // passes the compile flag explicitly and never reads them.
+fn only_hvx_compile_disables_compilation() {
+    // This test owns the two env vars; nothing else in this binary
+    // reads them.
     std::env::set_var("HVX_COMPILE", "off");
     assert!(!workloads::compile_enabled());
     std::env::set_var("HVX_COMPILE", "0");
@@ -19,10 +22,28 @@ fn env_gating_disables_compilation() {
     assert!(workloads::compile_enabled());
     std::env::remove_var("HVX_COMPILE");
     assert!(workloads::compile_enabled());
-    std::env::set_var("HVX_COST_PERTURB", "0.01");
-    assert!(!workloads::compile_enabled());
-    std::env::set_var("HVX_COST_PERTURB", "  ");
+
+    // A perturbed cost model is as steady as the calibrated one: a
+    // perturbed Figure 4 cell still replays its steady state, and the
+    // perturbation still reaches its number.
+    let tcp_rr = workloads::catalog()
+        .into_iter()
+        .find(|w| w.name == "TCP_RR")
+        .unwrap();
+    let cell = || {
+        fig4::measure_bar(&tcp_rr, HvKind::KvmArm, VirqPolicy::Vcpu0)
+            .unwrap()
+            .unwrap()
+    };
+    let clean = cell();
+    std::env::set_var("HVX_COST_PERTURB", "hw_trap=+50");
     assert!(workloads::compile_enabled());
+    let before = thread_replayed_transitions();
+    let perturbed = cell();
+    assert!(
+        thread_replayed_transitions() > before,
+        "a perturbed Fig. 4 cell must replay"
+    );
+    assert_ne!(perturbed, clean, "the perturbation must reach the cell");
     std::env::remove_var("HVX_COST_PERTURB");
-    assert!(workloads::compile_enabled());
 }

@@ -102,11 +102,14 @@ fn an_empty_plan_leaves_pinned_artifacts_byte_identical() {
 #[test]
 fn a_heavy_plan_still_conserves_cycles_in_profiles() {
     let plan = lossy_plan(7, 150);
-    let scenarios = hvx_suite::profile::ProfileScenario::default_set();
-    // run_profiles_with asserts conservation internally per scenario;
-    // reaching Ok proves every faulted profile still attributes every
-    // busy cycle.
-    let reports = hvx_suite::profile::run_profiles_with(&scenarios, 4, Some(&plan)).unwrap();
+    let mut specs = hvx_suite::profile::default_set();
+    for spec in &mut specs {
+        spec.set_fault_plan(&plan);
+    }
+    // run_profiles asserts conservation internally per spec; reaching
+    // Ok proves every faulted profile still attributes every busy
+    // cycle.
+    let reports = hvx_suite::profile::run_profiles(&specs, 4).unwrap();
     assert!(reports
         .iter()
         .all(|r| { r.snapshot.accounted_cycles() == r.snapshot.total_cycles }));

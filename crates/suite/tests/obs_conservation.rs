@@ -11,8 +11,8 @@
 //!   (the Table II KVM ARM hypercall) is an exact snapshot: the span
 //!   structure of the world switch is part of the public surface.
 
-use hvx_core::{HvKind, SimBuilder, Workload};
-use hvx_suite::profile::{self, ProfileScenario};
+use hvx_core::{HvKind, ScenarioSpec, SimBuilder, Workload};
+use hvx_suite::{profile, spec_run};
 
 /// Every Figure 4 cell profiles conservation-exact with a non-empty
 /// breakdown. This is the paper's Table 3 methodology — attribute every
@@ -21,8 +21,9 @@ use hvx_suite::profile::{self, ProfileScenario};
 fn every_fig4_cell_is_conservation_exact() {
     for workload in Workload::ALL {
         for kind in HvKind::MEASURED {
-            let sc = ProfileScenario { workload, kind };
-            let r = profile::run_profile(sc).unwrap_or_else(|e| panic!("{}: {e}", sc.name()));
+            let sc = ScenarioSpec::paper(kind).with_workload(workload);
+            let r = profile::run_profile(&sc)
+                .unwrap_or_else(|e| panic!("{}: {e}", spec_run::paper_name(&sc)));
             assert_eq!(
                 r.snapshot.accounted_cycles(),
                 r.snapshot.total_cycles,
@@ -46,15 +47,9 @@ fn every_fig4_cell_is_conservation_exact() {
 /// merge deterministically into per-slot results read back in order.
 #[test]
 fn profile_reports_are_identical_across_job_counts() {
-    let mut set = ProfileScenario::default_set();
-    set.push(ProfileScenario {
-        workload: Workload::Mysql,
-        kind: HvKind::XenArm,
-    });
-    set.push(ProfileScenario {
-        workload: Workload::Hackbench,
-        kind: HvKind::KvmArm,
-    });
+    let mut set = profile::default_set();
+    set.push(ScenarioSpec::paper(HvKind::XenArm).with_workload(Workload::Mysql));
+    set.push(ScenarioSpec::paper(HvKind::KvmArm).with_workload(Workload::Hackbench));
     let serial = profile::run_profiles(&set, 1).unwrap();
     let parallel = profile::run_profiles(&set, 8).unwrap();
     assert_eq!(
@@ -81,7 +76,7 @@ fn profile_reports_are_identical_across_job_counts() {
 #[test]
 fn hypercall_folded_stack_snapshot() {
     let mut sim = SimBuilder::new(HvKind::KvmArm)
-        .tracing(hvx_engine::TraceMode::Aggregate)
+        .without_tracing()
         .profiling(true)
         .build()
         .unwrap();

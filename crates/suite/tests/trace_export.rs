@@ -9,11 +9,12 @@
 //! 0.5–0.6 MB each, are pinned by a content digest.
 
 use hvx_engine::FingerprintHasher;
-use hvx_suite::trace::{run_trace, TraceScenario};
+use hvx_suite::spec_run::parse_paper_name;
+use hvx_suite::trace::run_trace;
 
 fn export(scenario: &str, ring: Option<usize>) -> String {
-    let sc = TraceScenario::resolve(scenario, None, ring).expect("known scenario");
-    run_trace(sc).expect("traced run").json
+    let sc = parse_paper_name(scenario).expect("known scenario");
+    run_trace(&sc, ring).expect("traced run").json
 }
 
 fn digest(json: &str) -> String {

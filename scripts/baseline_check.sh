@@ -42,6 +42,11 @@ case "$out" in
     exit 1
     ;;
 esac
+# zerocopy prints the grant-copy cost itself, so it must drift too.
+if ! echo "$out" | grep -q '^zerocopy  *DRIFT'; then
+    echo "baseline_check: drift drill did not name zerocopy" >&2
+    exit 1
+fi
 case "$out" in
 *"per-cell span deltas"*grant_copy*) ;;
 *)

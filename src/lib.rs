@@ -31,9 +31,8 @@
 //! use hvx::engine::TraceMode;
 //!
 //! let mut kvm = SimBuilder::new(HvKind::KvmArm)
-//!     .cpus(4)
 //!     .workload(Workload::Netperf)
-//!     .tracing(TraceMode::Aggregate)
+//!     .tracing(TraceMode::Off)
 //!     .build()?;
 //! let mut xen = SimBuilder::new(HvKind::XenArm).build()?;
 //! // Table II's first row, mechanistically: 6,500 vs 376 cycles.

@@ -39,7 +39,7 @@ fn write_only_reports_serialize() {
     assert_eq!(v["rows"][3]["class"], "VGIC Regs");
     assert_eq!(v["rows"][3]["save"], 3_250);
 
-    let vapic = ablations::vapic();
+    let vapic = ablations::vapic().unwrap();
     let v: serde_json::Value = serde_json::to_value(vapic).unwrap();
     assert_eq!(v["arm"], 71);
 
