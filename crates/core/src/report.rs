@@ -41,13 +41,20 @@ impl CellReport {
     }
 }
 
-/// The typed failure half of a degraded [`CellReport`].
+/// The typed failure half of a degraded [`CellReport`]. Displays as
+/// `kind: detail`, the form the `!!` lines of a degraded artifact print.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FailureReport {
     /// The failure class.
     pub kind: ScenarioFailureKind,
     /// Human-readable detail (panic message, tripped budget, ...).
     pub detail: String,
+}
+
+impl std::fmt::Display for FailureReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.kind, self.detail)
+    }
 }
 
 /// A whole run's structured report: one [`CellReport`] per scenario,

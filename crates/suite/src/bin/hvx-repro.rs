@@ -1,34 +1,7 @@
 //! `hvx-repro` — one-command reproduction of every artifact in the
 //! paper, with optional JSON export, a parallel scenario runner, and an
-//! instrumentation-driven profiler.
-//!
-//! ```text
-//! hvx-repro run [--json DIR] [--jobs N] [--timing]
-//!           [--fault-plan SPEC] [--fault-seed N] [--keep-going]
-//!           [--cycle-budget N] [--livelock-limit N] [--wall-timeout SECS]
-//!           [--chaos KIND] [--spec FILE] [ARTIFACT...]
-//! hvx-repro profile [--scenario NAME]... [--jobs N] [--json DIR]
-//!           [--fault-plan SPEC] [--fault-seed N]
-//! hvx-repro trace <scenario> [--hypervisor HV] [--out FILE] [--ring N]
-//! hvx-repro trace query FILE [--transition NAME] [--track pcpuN]
-//!           [--from CYC] [--to CYC] [--top K] [--validate]
-//! hvx-repro trace bench [--out FILE] [--ring N]
-//! hvx-repro serve [--addr HOST:PORT] [--workers N] [--cache DIR]
-//!           [--journal FILE] [--max-queue-weight N] [--client-cap N]
-//!           [--max-results N] [--retries N]
-//! hvx-repro serve submit --addr A (--spec FILE | --chaos KIND)
-//!           [--client NAME] [--wait SECS]
-//! hvx-repro serve sweep --addr A --template FILE [--client NAME]
-//! hvx-repro serve poll --addr A JOBID
-//! hvx-repro serve stats --addr A
-//! hvx-repro serve metrics --addr A
-//! hvx-repro serve trace --addr A FINGERPRINT [--top K]
-//! hvx-repro serve drain --addr A
-//! hvx-repro list-scenarios
-//!
-//! ARTIFACTs: table2 table3 table5 fig4 irq vhe zerocopy link vapic
-//!            oversub storage faultrec rack all   (default: all)
-//! ```
+//! instrumentation-driven profiler. `hvx-repro --help` prints every
+//! subcommand's synopsis and options; this text describes what they do.
 //!
 //! `--fault-plan` installs a seeded deterministic fault plan (wire
 //! drops, vIRQ loss, grant-copy failures, ...) that every scenario
@@ -113,14 +86,8 @@ struct RunArgs {
 }
 
 struct ServeArgs {
-    addr: String,
-    workers: usize,
+    cfg: ServerConfig,
     cache_dir: Option<PathBuf>,
-    journal: Option<PathBuf>,
-    max_queue_weight: u64,
-    client_cap: usize,
-    max_results: usize,
-    retries: u32,
 }
 
 struct BaselineArgs {
@@ -162,8 +129,8 @@ fn usage() -> String {
          \x20      hvx-repro baseline write [--dir DIR] [--jobs N] [--cache DIR] [ARTIFACT...]\n\
          \x20      hvx-repro check [--baseline DIR] [--jobs N] [--cache DIR] [ARTIFACT...]\n\
          \x20      hvx-repro serve [--addr HOST:PORT] [--workers N] [--cache DIR]\n\
-         \x20                [--journal FILE] [--max-queue-weight N] [--client-cap N]\n\
-         \x20                [--max-results N] [--retries N]\n\
+         \x20                [--journal FILE | --no-journal] [--max-queue-weight N]\n\
+         \x20                [--client-cap N] [--max-results N] [--retries N]\n\
          \x20      hvx-repro serve submit --addr A (--spec FILE | --chaos KIND)\n\
          \x20                [--client NAME] [--wait SECS]\n\
          \x20      hvx-repro serve sweep --addr A --template FILE [--client NAME]\n\
@@ -177,7 +144,7 @@ fn usage() -> String {
          \x20 --fault-seed N       seed for the fault plan's deterministic RNG (default 42)\n\
          run spec option:\n\
          \x20 --spec FILE          run the one scenario a JSON ScenarioSpec file\n\
-         \x20                      describes (paper or consolidation shape) and print\n\
+         \x20                      describes (paper, consolidation or rack shape) and print\n\
          \x20                      its report; combines with no other run options\n\
          run output option:\n\
          \x20 --out json|text      'json' prints the structured RunReport (one record per\n\
@@ -483,43 +450,45 @@ fn parse_serve(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> 
     }
 }
 
+/// Parses `serve` flags straight into a [`ServerConfig`], so every
+/// default lives in `ServerConfig::default()`; only the journal path
+/// defaults here, because the server itself runs journal-less unless
+/// given one.
 fn parse_serve_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
     let mut args = ServeArgs {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
+        cfg: ServerConfig {
+            journal: Some(PathBuf::from("hvx-serve.journal.jsonl")),
+            ..ServerConfig::default()
+        },
         cache_dir: None,
-        journal: Some(PathBuf::from("hvx-serve.journal.jsonl")),
-        max_queue_weight: 120,
-        client_cap: 8,
-        max_results: 256,
-        retries: 2,
     };
+    let cfg = &mut args.cfg;
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--addr" => args.addr = it.next().ok_or("--addr requires HOST:PORT")?,
-            "--workers" => args.workers = parse_jobs(it)?,
+            "--addr" => cfg.addr = it.next().ok_or("--addr requires HOST:PORT")?,
+            "--workers" => cfg.workers = parse_jobs(it)?,
             "--cache" => {
                 let dir = it.next().ok_or("--cache requires a directory")?;
                 args.cache_dir = Some(PathBuf::from(dir));
             }
             "--journal" => {
                 let file = it.next().ok_or("--journal requires a file")?;
-                args.journal = Some(PathBuf::from(file));
+                cfg.journal = Some(PathBuf::from(file));
             }
-            "--no-journal" => args.journal = None,
+            "--no-journal" => cfg.journal = None,
             "--max-queue-weight" => {
-                args.max_queue_weight = parse_u64("--max-queue-weight", it)?;
+                cfg.max_queue_weight = parse_u64("--max-queue-weight", it)?;
             }
             "--client-cap" => {
-                args.client_cap = usize::try_from(parse_u64("--client-cap", it)?)
+                cfg.client_inflight_cap = usize::try_from(parse_u64("--client-cap", it)?)
                     .map_err(|_| "--client-cap out of range".to_string())?;
             }
             "--max-results" => {
-                args.max_results = usize::try_from(parse_u64("--max-results", it)?)
+                cfg.max_results = usize::try_from(parse_u64("--max-results", it)?)
                     .map_err(|_| "--max-results out of range".to_string())?;
             }
             "--retries" => {
-                args.retries = u32::try_from(parse_u64("--retries", it)?)
+                cfg.max_retries = u32::try_from(parse_u64("--retries", it)?)
                     .map_err(|_| "--retries out of range".to_string())?;
             }
             "--help" | "-h" => return Ok(Parsed::Help),
@@ -1149,17 +1118,7 @@ fn serve_err(detail: String) -> Error {
 /// drain completes.
 fn serve_run(args: &ServeArgs) -> Result<(), Error> {
     let cache = open_cache(args.cache_dir.as_ref())?;
-    let cfg = ServerConfig {
-        addr: args.addr.clone(),
-        workers: args.workers,
-        max_queue_weight: args.max_queue_weight,
-        client_inflight_cap: args.client_cap,
-        max_results: args.max_results,
-        max_retries: args.retries,
-        journal: args.journal.clone(),
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(cfg, Arc::new(SuiteExecutor::new(cache)))?;
+    let server = Server::bind(args.cfg.clone(), Arc::new(SuiteExecutor::new(cache)))?;
     // The resolved address goes to stdout (scripts capture it to learn
     // an ephemeral port); progress chatter stays on stderr.
     println!("hvx-serve: listening on {}", server.local_addr());
@@ -1167,7 +1126,8 @@ fn serve_run(args: &ServeArgs) -> Result<(), Error> {
     let _ = std::io::stdout().flush();
     eprintln!(
         "hvx-serve: journal {}, cache {}",
-        args.journal
+        args.cfg
+            .journal
             .as_ref()
             .map_or("disabled".to_string(), |p| p.display().to_string()),
         args.cache_dir

@@ -259,28 +259,54 @@ impl ResultCache {
     /// fingerprint, undecodable payload — all treated as misses).
     pub fn lookup(&self, scenario: Scenario, cfg: &RunnerConfig) -> Option<Output> {
         let fp = scenario_fingerprint(scenario, cfg)?;
-        match self.read_entry(fp) {
-            Some(output) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(output)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.counted(
+            self.read_entry(&fp.to_hex())
+                .and_then(|(kind, payload)| decode_output(&kind, &payload)),
+        )
     }
 
-    fn read_entry(&self, fp: Fingerprint) -> Option<Output> {
-        let text = std::fs::read_to_string(self.entry_path(&fp.to_hex())).ok()?;
+    /// Looks up a raw entry by hex fingerprint and kind tag — the
+    /// server-facing face of the cache, where keys are spec
+    /// fingerprints ([`spec_fingerprint`]) rather than [`Scenario`]s.
+    /// Returns the stored payload, validated the same way as scenario
+    /// entries, with the kind required to match too; anything else is a
+    /// miss.
+    pub fn lookup_raw(&self, fp_hex: &str, kind: &str) -> Option<Value> {
+        self.counted(
+            self.read_entry(fp_hex)
+                .filter(|(stored, _)| stored == kind)
+                .map(|(_, payload)| payload),
+        )
+    }
+
+    /// Counts a lookup's outcome as a hit or a miss.
+    fn counted<T>(&self, found: Option<T>) -> Option<T> {
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// The one entry reader: the `(kind, payload)` stored under `key`,
+    /// or `None` unless the file parses, carries this
+    /// [`SCHEMA_VERSION`], and names `key` as its fingerprint.
+    fn read_entry(&self, key: &str) -> Option<(String, Value)> {
+        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let entry = serde_json::parse_value(&text).ok()?;
-        if entry.get("schema")?.as_u64()? != u64::from(SCHEMA_VERSION) {
+        if entry.get("schema")?.as_u64()? != u64::from(SCHEMA_VERSION)
+            || entry.get("fingerprint")?.as_str()? != key
+        {
             return None;
         }
-        if entry.get("fingerprint")?.as_str()? != fp.to_hex() {
+        let kind = entry.get("kind")?.as_str()?.to_string();
+        let Value::Object(fields) = entry else {
             return None;
-        }
-        decode_output(entry.get("kind")?.as_str()?, entry.get("payload")?)
+        };
+        let (_, payload) = fields.into_iter().find(|(k, _)| k == "payload")?;
+        Some((kind, payload))
     }
 
     /// Stores a clean result. Best-effort: an I/O failure is logged and
@@ -291,32 +317,40 @@ impl ResultCache {
         let Some(fp) = scenario_fingerprint(scenario, cfg) else {
             return;
         };
-        let Some((tag, payload)) = encode_output(output) else {
+        let Some((kind, payload)) = encode_output(output) else {
             return;
         };
-        let entry = Value::Object(vec![
-            ("schema".to_string(), Value::U64(u64::from(SCHEMA_VERSION))),
-            ("fingerprint".to_string(), Value::Str(fp.to_hex())),
-            ("scenario".to_string(), Value::Str(scenario.label())),
-            ("kind".to_string(), Value::Str(tag.to_string())),
-            ("payload".to_string(), payload),
-        ]);
-        self.write_entry(&fp.to_hex(), &entry);
+        self.write_entry(&fp.to_hex(), Some(scenario.label()), kind, payload);
     }
 
-    /// Installs `entry` as `<key>.json`. Unique temp name per (process,
-    /// handle, write): concurrent workers never collide, and
+    /// Stores a raw entry under a hex fingerprint. Same atomicity and
+    /// best-effort semantics as [`ResultCache::store`].
+    pub fn store_raw(&self, fp_hex: &str, kind: &str, payload: Value) {
+        self.write_entry(fp_hex, None, kind, payload);
+    }
+
+    /// The one entry writer: installs `<key>.json` carrying the schema
+    /// version, `key` as its fingerprint, the scenario label of a typed
+    /// entry, the kind tag and the payload. Unique temp name per
+    /// (process, handle, write): concurrent workers never collide, and
     /// rename-into-place means readers only ever see complete entries.
     /// Content addressing makes the race benign — both writers install
     /// identical bytes.
-    fn write_entry(&self, key: &str, entry: &Value) {
+    fn write_entry(&self, key: &str, scenario: Option<String>, kind: &str, payload: Value) {
+        let mut fields = vec![
+            ("schema".to_string(), Value::U64(u64::from(SCHEMA_VERSION))),
+            ("fingerprint".to_string(), Value::Str(key.to_string())),
+        ];
+        fields.extend(scenario.map(|label| ("scenario".to_string(), Value::Str(label))));
+        fields.push(("kind".to_string(), Value::Str(kind.to_string())));
+        fields.push(("payload".to_string(), payload));
         let dst = self.entry_path(key);
         let tmp = self.dir.join(format!(
             "{key}.{}.{}.tmp",
             std::process::id(),
             self.tmp_seq.fetch_add(1, Ordering::Relaxed),
         ));
-        let written = serde_json::to_string_pretty(entry)
+        let written = serde_json::to_string_pretty(Value::Object(fields))
             .map_err(|e| e.to_string())
             .and_then(|text| {
                 std::fs::write(&tmp, text)
@@ -340,51 +374,6 @@ impl ResultCache {
                 );
             }
         }
-    }
-
-    /// Looks up a raw entry by hex fingerprint and kind tag — the
-    /// server-facing face of the cache, where keys are spec
-    /// fingerprints ([`spec_fingerprint`]) rather than [`Scenario`]s.
-    /// Returns the stored payload, validated the same way as scenario
-    /// entries (schema, fingerprint, and kind must all match; anything
-    /// else is a miss).
-    pub fn lookup_raw(&self, fp_hex: &str, kind: &str) -> Option<Value> {
-        let found = (|| {
-            let text = std::fs::read_to_string(self.entry_path(fp_hex)).ok()?;
-            let entry = serde_json::parse_value(&text).ok()?;
-            if entry.get("schema")?.as_u64()? != u64::from(SCHEMA_VERSION) {
-                return None;
-            }
-            if entry.get("fingerprint")?.as_str()? != fp_hex {
-                return None;
-            }
-            if entry.get("kind")?.as_str()? != kind {
-                return None;
-            }
-            Some(entry.get("payload")?.clone())
-        })();
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores a raw entry under a hex fingerprint. Same atomicity and
-    /// best-effort semantics as [`ResultCache::store`].
-    pub fn store_raw(&self, fp_hex: &str, kind: &str, payload: Value) {
-        let entry = Value::Object(vec![
-            ("schema".to_string(), Value::U64(u64::from(SCHEMA_VERSION))),
-            ("fingerprint".to_string(), Value::Str(fp_hex.to_string())),
-            ("kind".to_string(), Value::Str(kind.to_string())),
-            ("payload".to_string(), payload),
-        ]);
-        self.write_entry(fp_hex, &entry);
     }
 
     /// Entries this handle failed to write (each one logged as

@@ -13,6 +13,11 @@
 //! unattributed remainder must equal the machine's total busy cycles,
 //! or [`Error::Conservation`] is returned.
 //!
+//! [`run_profiles`] fans a batch out over the runner's worker pool, the
+//! one `hvx-repro run` uses, so `hvx-repro profile --jobs N` and the 35
+//! Figure 4 span profiles of `baseline write` and `check` read the same
+//! at any job count.
+//!
 //! ```
 //! use hvx_suite::{profile, spec_run};
 //!
@@ -23,12 +28,10 @@
 //!
 //! [`SimBuilder::profiling`]: hvx_core::SimBuilder::profiling
 
-use crate::spec_run;
+use crate::{runner, spec_run};
 use hvx_core::{Error, HvKind, ScenarioSpec, Workload};
 use hvx_engine::ProfileSnapshot;
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// The default profile set: the paper's canonical netperf workload on
 /// all four measured configurations, in Table II column order.
@@ -97,44 +100,22 @@ pub fn run_profile(spec: &ScenarioSpec) -> Result<ProfileReport, Error> {
     })
 }
 
-/// Runs every spec on up to `jobs` OS threads, returning reports **in
-/// spec order**. Each run is independently deterministic and lands in a
-/// slot indexed by its position, so the result — and any rendering of
-/// it — is byte-identical regardless of `jobs`.
+/// Runs every spec on up to `jobs` OS threads of the [`runner`]'s worker
+/// pool, returning reports **in spec order**. Each run is independently
+/// deterministic and lands in a slot indexed by its position, so the
+/// result — and any rendering of it — is byte-identical regardless of
+/// `jobs`. Unlike a runner scenario, a profile runs without the
+/// runner's isolation guard: a panic propagates to the caller.
 ///
 /// # Errors
 ///
 /// [`Error::InvalidJobs`] for `jobs == 0`; otherwise the first run
 /// error in spec order, if any.
 pub fn run_profiles(specs: &[ScenarioSpec], jobs: usize) -> Result<Vec<ProfileReport>, Error> {
-    if jobs == 0 {
-        return Err(Error::InvalidJobs { jobs });
-    }
-    if jobs == 1 || specs.len() <= 1 {
-        return specs.iter().map(run_profile).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<ProfileReport, Error>>>> =
-        specs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(specs.len()) {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= specs.len() {
-                    break;
-                }
-                *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) =
-                    Some(run_profile(&specs[idx]));
-            });
-        }
-    });
-    slots
+    // Every spec is one paper-shape workload run: equal weights keep the
+    // pool's queue in spec order.
+    runner::pool(specs, jobs, |_| 1, run_profile)?
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every scheduled scenario ran")
-        })
         .collect()
 }
 

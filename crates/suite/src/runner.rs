@@ -10,6 +10,17 @@
 //! guarantees this structurally: results land in per-scenario slots
 //! indexed by plan position, and assembly reads the slots in plan order.
 //!
+//! Three mechanisms live here once for the whole harness:
+//! * `isolate`, the guard every scenario (and every sweep-server job)
+//!   runs under: ambient fault plan and watchdog, `catch_unwind`, and a
+//!   typed [`ScenarioFailure`] for panics, watchdog trips and errors;
+//! * the worker pool, heaviest first with results in input order, that
+//!   fans out runner scenarios and `hvx-repro profile` runs alike;
+//! * the fold [`assemble`] applies to each artifact's slice of results.
+//!   It sums wall time and transitions, and degrades a failed scenario
+//!   to an n/a gap (or an unavailable artifact) plus `!!` warning lines
+//!   instead of aborting the artifact.
+//!
 //! ```
 //! use hvx_suite::runner::{self, ArtifactId};
 //!
@@ -82,47 +93,45 @@ impl ArtifactId {
 
     /// The CLI name (`hvx-repro [ARTIFACT...]`).
     pub fn cli_name(self) -> &'static str {
-        match self {
-            ArtifactId::Table2 => "table2",
-            ArtifactId::Table3 => "table3",
-            ArtifactId::Table5 => "table5",
-            ArtifactId::Fig4 => "fig4",
-            ArtifactId::Irq => "irq",
-            ArtifactId::Vhe => "vhe",
-            ArtifactId::ZeroCopy => "zerocopy",
-            ArtifactId::Link => "link",
-            ArtifactId::Vapic => "vapic",
-            ArtifactId::Storage => "storage",
-            ArtifactId::Oversub => "oversub",
-            ArtifactId::FaultRec => "faultrec",
-            ArtifactId::Rack => "rack",
-        }
+        NAMES[self as usize][0]
     }
 
     /// The JSON export file stem (`<stem>.json`).
     pub fn json_name(self) -> &'static str {
-        match self {
-            ArtifactId::Table2 => "table2",
-            ArtifactId::Table3 => "table3",
-            ArtifactId::Table5 => "table5",
-            ArtifactId::Fig4 => "fig4",
-            ArtifactId::Irq => "irq_distribution",
-            ArtifactId::Vhe => "vhe",
-            ArtifactId::ZeroCopy => "zero_copy",
-            ArtifactId::Link => "link_speed",
-            ArtifactId::Vapic => "vapic",
-            ArtifactId::Storage => "storage",
-            ArtifactId::Oversub => "oversubscription",
-            ArtifactId::FaultRec => "fault_recovery",
-            ArtifactId::Rack => "rack",
-        }
+        NAMES[self as usize][1]
     }
 
     /// Parses a CLI artifact name.
     pub fn parse(s: &str) -> Option<ArtifactId> {
         ArtifactId::ALL.into_iter().find(|a| a.cli_name() == s)
     }
+
+    /// The artifact's text section: banner, blank line, `body`, blank
+    /// line.
+    fn section(self, body: &str) -> String {
+        format!("{}\n\n{body}\n", NAMES[self as usize][2])
+    }
 }
+
+/// Each artifact's names, in declaration (= [`ArtifactId::ALL`]) order:
+/// its CLI token, its JSON export stem, and the `== ... ==` banner its
+/// text section opens with.
+#[rustfmt::skip]
+const NAMES: [[&str; 3]; 13] = [
+    ["table2",   "table2",           "== Table II: microbenchmark cycle counts =="],
+    ["table3",   "table3",           "== Table III: KVM ARM hypercall breakdown =="],
+    ["table5",   "table5",           "== Table V: netperf TCP_RR decomposition =="],
+    ["fig4",     "fig4",             "== Figure 4: application benchmarks =="],
+    ["irq",      "irq_distribution", "== Section V: interrupt-distribution ablation =="],
+    ["vhe",      "vhe",              "== Section VI: VHE projection =="],
+    ["zerocopy", "zero_copy",        "== Section V: zero-copy trade =="],
+    ["link",     "link_speed",       "== Section III: link-speed observation =="],
+    ["vapic",    "vapic",            "== Section IV: vAPIC note =="],
+    ["storage",  "storage",          "== Section III devices: storage ablation =="],
+    ["oversub",  "oversubscription", "== Table I motivation: oversubscription sweep =="],
+    ["faultrec", "fault_recovery",   "== Ablation: fault injection & recovery =="],
+    ["rack",     "rack",             "== Rack: multi-host TCP_RR on the sharded engine =="],
+];
 
 /// One independent unit of measurement work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -367,20 +376,10 @@ pub enum Output {
     Chaos,
 }
 
-/// Why a scenario failed instead of producing an [`Output`].
-#[derive(Debug, Clone)]
-pub struct ScenarioFailure {
-    /// The failure class (panic, timeout, livelock).
-    pub kind: ScenarioFailureKind,
-    /// Human-readable detail (panic message, tripped budget, ...).
-    pub detail: String,
-}
-
-impl std::fmt::Display for ScenarioFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.kind, self.detail)
-    }
-}
+/// Why a scenario failed instead of producing an [`Output`]: the same
+/// typed record a [`CellReport`](hvx_core::report::CellReport) carries
+/// on the wire.
+pub use hvx_core::report::FailureReport as ScenarioFailure;
 
 /// A completed scenario with its wall-clock cost.
 #[derive(Debug, Clone)]
@@ -420,14 +419,7 @@ impl ScenarioResult {
             fingerprint: self.fingerprint.map(hvx_engine::Fingerprint::to_hex),
             retries: self.retries,
             cached: self.cached,
-            failure: self
-                .outcome
-                .as_ref()
-                .err()
-                .map(|f| hvx_core::report::FailureReport {
-                    kind: f.kind,
-                    detail: f.detail.clone(),
-                }),
+            failure: self.outcome.as_ref().err().cloned(),
         }
     }
 }
@@ -534,73 +526,78 @@ pub fn plan(artifacts: &[ArtifactId]) -> Vec<Scenario> {
 
 /// Maps a caught panic payload to a typed failure: the watchdog's
 /// typed payloads classify as timeouts/livelocks, everything else as a
-/// panic with its message. Public so every `catch_unwind` boundary in
-/// the workspace (this runner, the sweep server's job executor)
-/// classifies identically.
-pub fn classify_panic(payload: &(dyn std::any::Any + Send)) -> ScenarioFailure {
-    if let Some(e) = payload.downcast_ref::<fault::CycleBudgetExceeded>() {
-        ScenarioFailure {
-            kind: ScenarioFailureKind::TimedOut,
-            detail: e.to_string(),
-        }
+/// panic with its message.
+fn classify_panic(payload: &(dyn std::any::Any + Send)) -> ScenarioFailure {
+    let (kind, detail) = if let Some(e) = payload.downcast_ref::<fault::CycleBudgetExceeded>() {
+        (ScenarioFailureKind::TimedOut, e.to_string())
     } else if let Some(e) = payload.downcast_ref::<fault::Livelocked>() {
-        ScenarioFailure {
-            kind: ScenarioFailureKind::Livelocked,
-            detail: e.to_string(),
-        }
+        (ScenarioFailureKind::Livelocked, e.to_string())
     } else if let Some(s) = payload.downcast_ref::<&'static str>() {
-        ScenarioFailure {
-            kind: ScenarioFailureKind::Panicked,
-            detail: (*s).to_string(),
-        }
+        (ScenarioFailureKind::Panicked, (*s).to_string())
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        ScenarioFailure {
-            kind: ScenarioFailureKind::Panicked,
-            detail: s.clone(),
-        }
+        (ScenarioFailureKind::Panicked, s.clone())
     } else {
-        ScenarioFailure {
-            kind: ScenarioFailureKind::Panicked,
-            detail: "non-string panic payload".to_string(),
-        }
+        (
+            ScenarioFailureKind::Panicked,
+            "non-string panic payload".to_string(),
+        )
+    };
+    ScenarioFailure { kind, detail }
+}
+
+/// The harness's one isolation guard. Runs `f` with `fault_plan` and
+/// `watchdog` ambient, so machines built anywhere inside it pick them
+/// up, and under `catch_unwind`. A panic comes back classified (a
+/// watchdog trip as timed out or livelocked, anything else as
+/// panicked) and a typed error as [`ScenarioFailureKind::Failed`]. The
+/// ambient guard restores on unwind, so a tripped run cannot leak its
+/// plan into the next one on the same thread. Every runner scenario and
+/// every sweep-server job ([`crate::service`]) runs through it.
+pub(crate) fn isolate<T>(
+    fault_plan: Option<FaultPlan>,
+    watchdog: Watchdog,
+    f: impl FnOnce() -> Result<T, Error>,
+) -> Result<T, ScenarioFailure> {
+    let _ambient = fault::install_ambient(fault_plan, watchdog);
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(e)) => Err(ScenarioFailure {
+            kind: ScenarioFailureKind::Failed,
+            detail: e.to_string(),
+        }),
+        Err(payload) => Err(classify_panic(payload.as_ref())),
     }
 }
 
 fn run_one(scenario: Scenario, cfg: &RunnerConfig) -> ScenarioResult {
     let start = Instant::now();
     let fingerprint = crate::cache::scenario_fingerprint(scenario, cfg);
-    if let Some(cache) = &cfg.cache {
-        if let Some(output) = cache.lookup(scenario, cfg) {
-            return ScenarioResult {
-                scenario,
-                outcome: Ok(output),
-                wall: start.elapsed(),
-                transitions: 0,
-                retries: 0,
-                fingerprint,
-                cached: true,
-            };
-        }
+    if let Some(output) = cfg.cache.as_ref().and_then(|c| c.lookup(scenario, cfg)) {
+        return ScenarioResult {
+            scenario,
+            outcome: Ok(output),
+            wall: start.elapsed(),
+            transitions: 0,
+            retries: 0,
+            fingerprint,
+            cached: true,
+        };
     }
     let mut retries = 0u32;
     loop {
         let before = hvx_engine::thread_transitions();
-        let outcome = {
-            // Ambient so machines built deep inside scenario code pick the
-            // plan and watchdog up; the guard restores on unwind, so a
-            // tripped scenario cannot leak its plan into the next one this
-            // worker runs.
-            let _ambient = fault::install_ambient(cfg.fault_plan.clone(), cfg.watchdog);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scenario.execute()))
-                .map_err(|payload| classify_panic(payload.as_ref()))
-        };
+        let outcome = isolate(cfg.fault_plan.clone(), cfg.watchdog, || scenario.execute());
         // Wall is cumulative across attempts (backoff included): it
         // answers "what did this cell cost the run", not "how fast was
         // the last attempt".
         let wall = start.elapsed();
         let transitions = hvx_engine::thread_transitions() - before;
-        let outcome = match (outcome, cfg.wall_timeout) {
-            (Ok(_), Some(limit)) if wall > limit => Err(ScenarioFailure {
+        // A scenario that returned (a value or a typed error) rather than
+        // unwound, but past the wall budget, is classified as timed out
+        // after the fact.
+        let unwound = matches!(&outcome, Err(f) if f.kind != ScenarioFailureKind::Failed);
+        let outcome = match cfg.wall_timeout {
+            Some(limit) if !unwound && wall > limit => Err(ScenarioFailure {
                 kind: ScenarioFailureKind::TimedOut,
                 detail: format!(
                     "wall clock {:.3}s exceeded the {:.3}s budget",
@@ -608,14 +605,7 @@ fn run_one(scenario: Scenario, cfg: &RunnerConfig) -> ScenarioResult {
                     limit.as_secs_f64()
                 ),
             }),
-            // A typed error from inside the scenario degrades to a failed
-            // cell, exactly like a caught panic — siblings keep running.
-            (Ok(Err(e)), _) => Err(ScenarioFailure {
-                kind: ScenarioFailureKind::Failed,
-                detail: e.to_string(),
-            }),
-            (Ok(Ok(output)), _) => Ok(output),
-            (Err(failure), _) => Err(failure),
+            _ => outcome,
         };
         if let Err(failure) = &outcome {
             if matches!(
@@ -674,11 +664,10 @@ fn run_one(scenario: Scenario, cfg: &RunnerConfig) -> ScenarioResult {
 /// Runs every scenario in `plan` on up to `jobs` OS threads and returns
 /// the results **in plan order**, with the default (inert) config.
 ///
-/// `jobs == 1` runs inline on the caller's thread (no pool, no locks).
-/// With more jobs, workers pull from a shared heaviest-first queue and
-/// write into the slot matching the scenario's plan index, so the
-/// returned vector — and everything assembled from it — is identical to
-/// a serial run regardless of completion order.
+/// Scenarios fan out through the harness's one worker pool, which
+/// writes each result into the slot of its plan index, so the returned
+/// vector — and everything assembled from it — is identical to a serial
+/// run regardless of completion order.
 ///
 /// # Errors
 ///
@@ -689,7 +678,9 @@ pub fn run_scenarios(plan: &[Scenario], jobs: usize) -> Result<Vec<ScenarioResul
     run_scenarios_with(plan, jobs, &RunnerConfig::default())
 }
 
-/// [`run_scenarios`] with an explicit [`RunnerConfig`].
+/// [`run_scenarios`] with an explicit [`RunnerConfig`]. Each scenario
+/// runs under the runner's isolation guard, with the config's fault
+/// plan and watchdog ambient.
 ///
 /// # Errors
 ///
@@ -699,9 +690,6 @@ pub fn run_scenarios_with(
     jobs: usize,
     cfg: &RunnerConfig,
 ) -> Result<Vec<ScenarioResult>, Error> {
-    if jobs == 0 {
-        return Err(Error::InvalidJobs { jobs });
-    }
     // Thread spawn + queue/slot locking costs real time; a plan lighter
     // than this runs faster inline than fanned out, so `--jobs N` on a
     // small plan is break-even instead of a regression. The full paper
@@ -709,62 +697,72 @@ pub fn run_scenarios_with(
     // where parallelism pays) weighs well past this cutoff.
     const PARALLEL_MIN_WEIGHT: u64 = 4_000;
     let total_weight: u64 = plan.iter().map(|s| s.weight()).sum();
-    if jobs == 1 || plan.len() <= 1 || total_weight < PARALLEL_MIN_WEIGHT {
-        return Ok(plan.iter().map(|s| run_one(*s, cfg)).collect());
-    }
-    Ok(run_scenarios_pooled(plan, jobs, cfg))
+    let jobs = if total_weight < PARALLEL_MIN_WEIGHT {
+        jobs.min(1)
+    } else {
+        jobs
+    };
+    pool(plan, jobs, |s| s.weight(), |s| run_one(*s, cfg))
 }
 
-/// The worker-pool path of [`run_scenarios_with`], with no serial
-/// short-circuit: always spawns up to `jobs` threads. Tests target this
-/// directly so small plans still exercise the pool machinery.
-fn run_scenarios_pooled(plan: &[Scenario], jobs: usize, cfg: &RunnerConfig) -> Vec<ScenarioResult> {
+/// The harness's one worker pool: runs `run` on every item on up to
+/// `jobs` OS threads and returns the results **in item order**.
+///
+/// `jobs == 1` (or a single item) runs inline on the caller's thread:
+/// no threads, no locks. Otherwise workers pull from a shared queue,
+/// heaviest `weight` first and FIFO among equals, so stragglers don't
+/// serialize the tail, and write into the slot matching the item's
+/// index. The result is therefore the same whatever order the workers
+/// finish in. The pool isolates nothing: a panic in `run` propagates to
+/// the caller (the runner isolates each scenario inside `run`).
+///
+/// # Errors
+///
+/// [`Error::InvalidJobs`] if `jobs == 0`.
+pub(crate) fn pool<T: Sync, R: Send>(
+    items: &[T],
+    jobs: usize,
+    weight: impl Fn(&T) -> u64,
+    run: impl Fn(&T) -> R + Sync,
+) -> Result<Vec<R>, Error> {
+    if jobs == 0 {
+        return Err(Error::InvalidJobs { jobs });
+    }
+    if jobs == 1 || items.len() <= 1 {
+        return Ok(items.iter().map(run).collect());
+    }
     // The work queue is the engine's own EventQueue: it pops the smallest
     // (when, seq) key, so scheduling at `MAX - weight` makes heavier
-    // scenarios come out first, FIFO among equals.
-    let mut queue = EventQueue::with_capacity(plan.len());
-    for (idx, s) in plan.iter().enumerate() {
-        queue.schedule(Cycles::new(u64::MAX - s.weight()), idx);
+    // items come out first, FIFO among equals.
+    let mut queue = EventQueue::with_capacity(items.len());
+    for (idx, item) in items.iter().enumerate() {
+        queue.schedule(Cycles::new(u64::MAX - weight(item)), idx);
     }
     let queue = Mutex::new(queue);
-    let slots: Vec<Mutex<Option<ScenarioResult>>> = plan.iter().map(|_| Mutex::new(None)).collect();
-
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..jobs.min(plan.len()) {
+        for _ in 0..jobs.min(items.len()) {
             scope.spawn(|| loop {
-                // Scenario panics are caught inside run_one, but a
-                // poisoned lock (from a defect in the runner itself)
-                // must not cascade: the queue and slots hold plain
-                // data that is valid at every instant, so recover the
-                // guard and keep draining.
+                // The queue and slots hold plain data that is valid at
+                // every instant, so a poisoned lock is recovered rather
+                // than cascaded.
                 let next = queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
                 let Some((_, idx)) = next else { break };
-                let result = run_one(plan[idx], cfg);
+                let result = run(&items[idx]);
                 *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
             });
         }
     });
-
-    slots
+    // The scope joined every worker, and re-raised the panic of any
+    // worker that died, so every slot is filled here.
+    Ok(slots
         .into_iter()
-        .enumerate()
-        .map(|(idx, slot)| {
+        .map(|slot| {
             slot.into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| ScenarioResult {
-                    scenario: plan[idx],
-                    outcome: Err(ScenarioFailure {
-                        kind: ScenarioFailureKind::Panicked,
-                        detail: "worker thread died before recording a result".to_string(),
-                    }),
-                    wall: Duration::ZERO,
-                    transitions: 0,
-                    retries: 0,
-                    fingerprint: None,
-                    cached: false,
-                })
+                .expect("every queued item ran")
         })
-        .collect()
+        .collect())
 }
 
 /// One assembled artifact: the exact text `hvx-repro` prints and the
@@ -821,30 +819,202 @@ struct OversubArtifact {
     cells: Vec<Option<consolidation::CellResult>>,
 }
 
-/// The artifact's `== ... ==` banner, used when the artifact cannot
-/// render because its scenario failed. Must match the success-path
-/// headers byte-for-byte.
-fn artifact_header(id: ArtifactId) -> &'static str {
-    match id {
-        ArtifactId::Table2 => "== Table II: microbenchmark cycle counts ==",
-        ArtifactId::Table3 => "== Table III: KVM ARM hypercall breakdown ==",
-        ArtifactId::Table5 => "== Table V: netperf TCP_RR decomposition ==",
-        ArtifactId::Fig4 => "== Figure 4: application benchmarks ==",
-        ArtifactId::Irq => "== Section V: interrupt-distribution ablation ==",
-        ArtifactId::Vhe => "== Section VI: VHE projection ==",
-        ArtifactId::ZeroCopy => "== Section V: zero-copy trade ==",
-        ArtifactId::Link => "== Section III: link-speed observation ==",
-        ArtifactId::Vapic => "== Section IV: vAPIC note ==",
-        ArtifactId::Storage => "== Section III devices: storage ablation ==",
-        ArtifactId::Oversub => "== Table I motivation: oversubscription sweep ==",
-        ArtifactId::FaultRec => "== Ablation: fault injection & recovery ==",
-        ArtifactId::Rack => "== Rack: multi-host TCP_RR on the sharded engine ==",
+/// One artifact's slice of scenario results, folded once: each
+/// scenario's output (`None` where it failed), the summed wall time and
+/// transitions, and the failures with their labels.
+struct Folded<'a> {
+    outputs: Vec<Option<&'a Output>>,
+    wall: Duration,
+    transitions: u64,
+    failures: Vec<(String, ScenarioFailure)>,
+}
+
+impl<'a> Folded<'a> {
+    fn new(results: &'a [ScenarioResult]) -> Folded<'a> {
+        let mut folded = Folded {
+            outputs: Vec::with_capacity(results.len()),
+            wall: Duration::ZERO,
+            transitions: 0,
+            failures: Vec::new(),
+        };
+        for r in results {
+            folded.outputs.push(r.outcome.as_ref().ok());
+            folded.wall += r.wall;
+            folded.transitions += r.transitions;
+            if let Err(f) = &r.outcome {
+                folded.failures.push((r.scenario.label(), f.clone()));
+            }
+        }
+        folded
     }
+
+    /// Each output as the payload `want` accepts (`None` where the
+    /// scenario failed). An output `want` rejects means the results do
+    /// not follow the plan.
+    fn cells<T>(
+        outputs: &[Option<&'a Output>],
+        want: impl Fn(&'a Output) -> Option<T>,
+    ) -> Result<Vec<Option<T>>, Error> {
+        outputs
+            .iter()
+            .enumerate()
+            .map(|(got, o)| {
+                o.map(|o| {
+                    want(o).ok_or(Error::PlanMismatch {
+                        expected: outputs.len(),
+                        got,
+                    })
+                })
+                .transpose()
+            })
+            .collect()
+    }
+
+    /// The `!!` lines that close a degraded multi-scenario artifact: the
+    /// failed count in the artifact's own `wording`, then one line per
+    /// failure. Empty when nothing failed.
+    fn warnings(&self, wording: &str) -> String {
+        if self.failures.is_empty() {
+            return String::new();
+        }
+        let mut out = format!(
+            "!! {} of {} {wording}:\n",
+            self.failures.len(),
+            self.outputs.len()
+        );
+        for (label, failure) in &self.failures {
+            out.push_str(&format!("!!   {label}: {failure}\n"));
+        }
+        out.push('\n');
+        out
+    }
+}
+
+/// Renders one artifact from its folded results as `(text, json)`. A
+/// failed Figure 4, consolidation or rack cell degrades to a gap and a
+/// `!!` line; a failed single-scenario artifact renders as unavailable.
+fn render(id: ArtifactId, folded: &Folded) -> Result<(String, String), Error> {
+    let outputs = folded.outputs.as_slice();
+    Ok(match id {
+        ArtifactId::Fig4 => {
+            // A failed cell renders as the same n/a marker the paper's
+            // missing Apache/Xen-x86 bar uses.
+            let cells: Vec<Option<f64>> = Folded::cells(outputs, |o| match o {
+                Output::Fig4Cell(c) => Some(*c),
+                _ => None,
+            })?
+            .into_iter()
+            .map(Option::flatten)
+            .collect();
+            let f = fig4::Figure4::from_cells(&cells);
+            let text = format!(
+                "{}\n{}{}",
+                workloads::render_table4(),
+                id.section(&f.render()),
+                folded.warnings("cells failed and render as n/a")
+            );
+            (text, to_json(&f)?)
+        }
+        ArtifactId::Oversub => {
+            // The analytic sweep, then the simulated consolidation grid:
+            // scheduler × hypervisor × ratio, in plan order.
+            let (analytic, grid) = outputs.split_at(1);
+            let analytic = Folded::cells(analytic, |o| match o {
+                Output::Oversub(a) => Some(a.clone()),
+                _ => None,
+            })?
+            .remove(0);
+            let cells = Folded::cells(grid, |o| match o {
+                Output::Consolidation(c) => Some(c.clone()),
+                _ => None,
+            })?;
+            let mut body = match &analytic {
+                Some(a) => format!("{}\n", ablations::render_oversubscription(a)),
+                None => "!! analytic sweep unavailable this run\n\n".to_string(),
+            };
+            body.push_str(&format!(
+                "-- simulated consolidation: 2 pCPUs, N two-vCPU VMs, TCP_RR \
+                 ({} txns/VM) --\n\n",
+                consolidation::TRANSACTIONS_PER_VM
+            ));
+            let per_sched = cells.len() / SchedPolicy::ALL.len();
+            let sweeps: Vec<String> = SchedPolicy::ALL
+                .iter()
+                .zip(cells.chunks(per_sched))
+                .map(|(sched, slice)| consolidation::render_sweep(sched.name(), slice))
+                .collect();
+            body.push_str(&sweeps.join("\n"));
+            let text = id.section(&body) + &folded.warnings("scenarios failed and render as n/a");
+            (text, to_json(&OversubArtifact { analytic, cells })?)
+        }
+        ArtifactId::Rack => {
+            let cells = Folded::cells(outputs, |o| match o {
+                Output::Rack(c) => Some(c.clone()),
+                _ => None,
+            })?;
+            let ok: Vec<rack::CellResult> = cells.iter().flatten().cloned().collect();
+            let text = id.section(&rack::render_sweep(&ok))
+                + &folded.warnings("cells failed and are omitted");
+            (text, to_json(&RackArtifact { cells })?)
+        }
+        _ => match (outputs, folded.failures.first()) {
+            ([Some(output)], _) => {
+                let (body, json) = match output {
+                    Output::Table2(t) => (
+                        format!(
+                            "{}\nworst residual: {:.1}%\n",
+                            t.render(),
+                            t.worst_error() * 100.0
+                        ),
+                        to_json(t)?,
+                    ),
+                    Output::Table3(t) => (t.render(), to_json(t)?),
+                    Output::Table5(t) => (t.render(), to_json(t.as_ref())?),
+                    Output::Irq(rows) => (ablations::render_irq_distribution(rows), to_json(rows)?),
+                    Output::Vhe(p) => (ablations::render_vhe(p), to_json(p)?),
+                    Output::ZeroCopy(z) => (ablations::render_zero_copy(z), to_json(z)?),
+                    Output::Link(l) => (ablations::render_link_speed(l), to_json(l)?),
+                    Output::Vapic(v) => (ablations::render_vapic(v), to_json(v)?),
+                    Output::Storage(s) => (ablations::render_storage(s), to_json(s)?),
+                    Output::FaultRec(f) => (ablations::render_fault_recovery(f), to_json(f)?),
+                    Output::Fig4Cell(_)
+                    | Output::Oversub(_)
+                    | Output::Consolidation(_)
+                    | Output::Rack(_)
+                    | Output::Chaos => {
+                        return Err(Error::PlanMismatch {
+                            expected: 1,
+                            got: 0,
+                        })
+                    }
+                };
+                (id.section(&body), json)
+            }
+            ([None], Some((label, f))) => (
+                id.section(&format!(
+                    "!! scenario '{label}' {f}\n!! artifact unavailable this run\n"
+                )),
+                to_json(&FailedArtifact {
+                    scenario: label.clone(),
+                    failed: f.kind.to_string(),
+                    error: f.detail.clone(),
+                })?,
+            ),
+            _ => {
+                return Err(Error::PlanMismatch {
+                    expected: 1,
+                    got: outputs.len(),
+                })
+            }
+        },
+    })
 }
 
 /// Folds scenario results back into per-artifact reports. `artifacts`
 /// must be the same list (same order) that produced the plan; results
-/// must be in plan order, as returned by [`run_scenarios`].
+/// must be in plan order, as returned by [`run_scenarios`]. Each
+/// artifact's slice of the results is folded once, by one helper, into
+/// its outputs, summed costs and `!!` failure lines.
 ///
 /// # Errors
 ///
@@ -854,318 +1024,33 @@ pub fn assemble(
     artifacts: &[ArtifactId],
     results: &[ScenarioResult],
 ) -> Result<Vec<ArtifactReport>, Error> {
-    let expected = plan(artifacts).len();
+    let sizes: Vec<usize> = artifacts.iter().map(|a| plan(&[*a]).len()).collect();
+    let expected = sizes.iter().sum();
     if results.len() != expected {
         return Err(Error::PlanMismatch {
             expected,
             got: results.len(),
         });
     }
-    let mut reports = Vec::new();
-    let mut it = results.iter();
-    let mut next = || it.next().expect("length checked against the plan");
-    for id in artifacts {
-        let report = match id {
-            ArtifactId::Fig4 => {
-                let n_cells = workloads::catalog().len() * paper::COLUMNS.len();
-                let mut cells = Vec::with_capacity(n_cells);
-                let mut wall = Duration::ZERO;
-                let mut transitions = 0u64;
-                let mut failures = Vec::new();
-                for _ in 0..n_cells {
-                    let r = next();
-                    match &r.outcome {
-                        Ok(Output::Fig4Cell(cell)) => cells.push(*cell),
-                        Ok(_) => {
-                            return Err(Error::PlanMismatch {
-                                expected: n_cells,
-                                got: cells.len(),
-                            });
-                        }
-                        // Degrade, don't abort: the failed cell renders
-                        // as the same n/a marker the paper's missing
-                        // Apache/Xen-x86 bar uses, and the warning
-                        // lines below say why.
-                        Err(f) => {
-                            cells.push(None);
-                            failures.push((r.scenario.label(), f.clone()));
-                        }
-                    }
-                    wall += r.wall;
-                    transitions += r.transitions;
-                }
-                let f = fig4::Figure4::from_cells(&cells);
-                let mut text = format!(
-                    "{}\n== Figure 4: application benchmarks ==\n\n{}\n",
-                    workloads::render_table4(),
-                    f.render()
-                );
-                if !failures.is_empty() {
-                    text.push_str(&format!(
-                        "!! {} of {n_cells} cells failed and render as n/a:\n",
-                        failures.len()
-                    ));
-                    for (label, failure) in &failures {
-                        text.push_str(&format!("!!   {label}: {failure}\n"));
-                    }
-                    text.push('\n');
-                }
-                ArtifactReport {
-                    id: *id,
-                    text,
-                    json: to_json(&f)?,
-                    wall,
-                    transitions,
-                    failures,
-                }
-            }
-            ArtifactId::Oversub => {
-                // Fan-in: the analytic sweep plus the simulated
-                // consolidation grid, all degradable per-cell.
-                let n_cells =
-                    SchedPolicy::ALL.len() * paper::COLUMNS.len() * consolidation::RATIOS.len();
-                let mut wall = Duration::ZERO;
-                let mut transitions = 0u64;
-                let mut failures = Vec::new();
-                let r = next();
-                let analytic = match &r.outcome {
-                    Ok(Output::Oversub(o)) => Some(o.clone()),
-                    Ok(_) => {
-                        return Err(Error::PlanMismatch {
-                            expected: n_cells + 1,
-                            got: 0,
-                        });
-                    }
-                    Err(f) => {
-                        failures.push((r.scenario.label(), f.clone()));
-                        None
-                    }
-                };
-                wall += r.wall;
-                transitions += r.transitions;
-                let mut cells: Vec<Option<consolidation::CellResult>> = Vec::with_capacity(n_cells);
-                for _ in 0..n_cells {
-                    let r = next();
-                    match &r.outcome {
-                        Ok(Output::Consolidation(c)) => cells.push(Some(c.clone())),
-                        Ok(_) => {
-                            return Err(Error::PlanMismatch {
-                                expected: n_cells + 1,
-                                got: cells.len() + 1,
-                            });
-                        }
-                        Err(f) => {
-                            cells.push(None);
-                            failures.push((r.scenario.label(), f.clone()));
-                        }
-                    }
-                    wall += r.wall;
-                    transitions += r.transitions;
-                }
-                let mut text = String::from("== Table I motivation: oversubscription sweep ==\n\n");
-                match &analytic {
-                    Some(o) => {
-                        text.push_str(&ablations::render_oversubscription(o));
-                        text.push('\n');
-                    }
-                    None => text.push_str("!! analytic sweep unavailable this run\n\n"),
-                }
-                text.push_str(&format!(
-                    "-- simulated consolidation: 2 pCPUs, N two-vCPU VMs, TCP_RR \
-                     ({} txns/VM) --\n\n",
-                    consolidation::TRANSACTIONS_PER_VM
-                ));
-                let per_sched = paper::COLUMNS.len() * consolidation::RATIOS.len();
-                for (i, sched) in SchedPolicy::ALL.iter().enumerate() {
-                    let slice = &cells[i * per_sched..(i + 1) * per_sched];
-                    text.push_str(&consolidation::render_sweep(sched.name(), slice));
-                    text.push('\n');
-                }
-                if !failures.is_empty() {
-                    text.push_str(&format!(
-                        "!! {} of {} scenarios failed and render as n/a:\n",
-                        failures.len(),
-                        n_cells + 1
-                    ));
-                    for (label, failure) in &failures {
-                        text.push_str(&format!("!!   {label}: {failure}\n"));
-                    }
-                    text.push('\n');
-                }
-                let artifact = OversubArtifact { analytic, cells };
-                ArtifactReport {
-                    id: *id,
-                    text,
-                    json: to_json(&artifact)?,
-                    wall,
-                    transitions,
-                    failures,
-                }
-            }
-            ArtifactId::Rack => {
-                let n_cells = rack::HOST_COUNTS.len() * rack::Composition::ALL.len();
-                let mut cells: Vec<Option<rack::CellResult>> = Vec::with_capacity(n_cells);
-                let mut wall = Duration::ZERO;
-                let mut transitions = 0u64;
-                let mut failures = Vec::new();
-                for _ in 0..n_cells {
-                    let r = next();
-                    match &r.outcome {
-                        Ok(Output::Rack(c)) => cells.push(Some(c.clone())),
-                        Ok(_) => {
-                            return Err(Error::PlanMismatch {
-                                expected: n_cells,
-                                got: cells.len(),
-                            });
-                        }
-                        Err(f) => {
-                            cells.push(None);
-                            failures.push((r.scenario.label(), f.clone()));
-                        }
-                    }
-                    wall += r.wall;
-                    transitions += r.transitions;
-                }
-                let mut text =
-                    String::from("== Rack: multi-host TCP_RR on the sharded engine ==\n\n");
-                let ok: Vec<rack::CellResult> = cells.iter().flatten().cloned().collect();
-                text.push_str(&rack::render_sweep(&ok));
-                text.push('\n');
-                if !failures.is_empty() {
-                    text.push_str(&format!(
-                        "!! {} of {n_cells} cells failed and are omitted:\n",
-                        failures.len()
-                    ));
-                    for (label, failure) in &failures {
-                        text.push_str(&format!("!!   {label}: {failure}\n"));
-                    }
-                    text.push('\n');
-                }
-                let artifact = RackArtifact { cells };
-                ArtifactReport {
-                    id: *id,
-                    text,
-                    json: to_json(&artifact)?,
-                    wall,
-                    transitions,
-                    failures,
-                }
-            }
-            _ => {
-                let r = next();
-                let output = match &r.outcome {
-                    Ok(output) => output,
-                    Err(f) => {
-                        let label = r.scenario.label();
-                        reports.push(ArtifactReport {
-                            id: *id,
-                            text: format!(
-                                "{}\n\n!! scenario '{label}' {f}\n!! artifact unavailable this run\n\n",
-                                artifact_header(*id)
-                            ),
-                            json: to_json(&FailedArtifact {
-                                scenario: label.clone(),
-                                failed: f.kind.to_string(),
-                                error: f.detail.clone(),
-                            })?,
-                            wall: r.wall,
-                            transitions: r.transitions,
-                            failures: vec![(label.clone(), f.clone())],
-                        });
-                        continue;
-                    }
-                };
-                let (text, json) = match output {
-                    Output::Table2(t) => (
-                        format!(
-                            "== Table II: microbenchmark cycle counts ==\n\n{}\nworst residual: {:.1}%\n\n",
-                            t.render(),
-                            t.worst_error() * 100.0
-                        ),
-                        to_json(t)?,
-                    ),
-                    Output::Table3(t) => (
-                        format!("== Table III: KVM ARM hypercall breakdown ==\n\n{}\n", t.render()),
-                        to_json(t)?,
-                    ),
-                    Output::Table5(t) => (
-                        format!("== Table V: netperf TCP_RR decomposition ==\n\n{}\n", t.render()),
-                        to_json(t.as_ref())?,
-                    ),
-                    Output::Irq(rows) => (
-                        format!(
-                            "== Section V: interrupt-distribution ablation ==\n\n{}\n",
-                            ablations::render_irq_distribution(rows)
-                        ),
-                        to_json(rows)?,
-                    ),
-                    Output::Vhe(p) => (
-                        format!("== Section VI: VHE projection ==\n\n{}\n", ablations::render_vhe(p)),
-                        to_json(p)?,
-                    ),
-                    Output::ZeroCopy(z) => (
-                        format!(
-                            "== Section V: zero-copy trade ==\n\n{}\n",
-                            ablations::render_zero_copy(z)
-                        ),
-                        to_json(z)?,
-                    ),
-                    Output::Link(l) => (
-                        format!(
-                            "== Section III: link-speed observation ==\n\n{}\n",
-                            ablations::render_link_speed(l)
-                        ),
-                        to_json(l)?,
-                    ),
-                    Output::Vapic(v) => (
-                        format!("== Section IV: vAPIC note ==\n\n{}\n", ablations::render_vapic(v)),
-                        to_json(v)?,
-                    ),
-                    Output::Storage(s) => (
-                        format!(
-                            "== Section III devices: storage ablation ==\n\n{}\n",
-                            ablations::render_storage(s)
-                        ),
-                        to_json(s)?,
-                    ),
-                    Output::Oversub(o) => (
-                        format!(
-                            "== Table I motivation: oversubscription sweep ==\n\n{}\n",
-                            ablations::render_oversubscription(o)
-                        ),
-                        to_json(o)?,
-                    ),
-                    Output::FaultRec(f) => (
-                        format!(
-                            "== Ablation: fault injection & recovery ==\n\n{}\n",
-                            ablations::render_fault_recovery(f)
-                        ),
-                        to_json(f)?,
-                    ),
-                    Output::Fig4Cell(_)
-                    | Output::Consolidation(_)
-                    | Output::Rack(_)
-                    | Output::Chaos => {
-                        return Err(Error::PlanMismatch {
-                            expected: 1,
-                            got: 0,
-                        });
-                    }
-                };
-                ArtifactReport {
-                    id: *id,
-                    text,
-                    json,
-                    wall: r.wall,
-                    transitions: r.transitions,
-                    failures: Vec::new(),
-                }
-            }
-        };
-        reports.push(report);
-    }
-    debug_assert!(it.next().is_none(), "length checked against the plan");
-    Ok(reports)
+    let mut rest = results;
+    artifacts
+        .iter()
+        .zip(sizes)
+        .map(|(&id, n)| {
+            let (slice, tail) = rest.split_at(n);
+            rest = tail;
+            let folded = Folded::new(slice);
+            let (text, json) = render(id, &folded)?;
+            Ok(ArtifactReport {
+                id,
+                text,
+                json,
+                wall: folded.wall,
+                transitions: folded.transitions,
+                failures: folded.failures,
+            })
+        })
+        .collect()
 }
 
 /// Convenience wrapper: plan, run with `jobs` workers, assemble.
@@ -1263,7 +1148,8 @@ mod tests {
 
     #[test]
     fn artifact_names_round_trip() {
-        for a in ArtifactId::ALL {
+        for (i, a) in ArtifactId::ALL.into_iter().enumerate() {
+            assert_eq!(a as usize, i, "NAMES is indexed in declaration order");
             assert_eq!(ArtifactId::parse(a.cli_name()), Some(a));
             assert!(!a.json_name().is_empty());
         }
@@ -1278,11 +1164,9 @@ mod tests {
         // This plan is light enough that run_scenarios(.., 3) would
         // short-circuit to the inline path; call the pool directly so
         // the worker machinery stays covered.
-        let pooled = assemble(
-            &artifacts,
-            &run_scenarios_pooled(&p, 3, &RunnerConfig::default()),
-        )
-        .unwrap();
+        let cfg = RunnerConfig::default();
+        let results = pool(&p, 3, |s| s.weight(), |s| run_one(*s, &cfg)).unwrap();
+        let pooled = assemble(&artifacts, &results).unwrap();
         for (s, q) in serial.iter().zip(&pooled) {
             assert_eq!(s.json, q.json, "{:?} diverged", s.id);
             assert_eq!(s.text, q.text, "{:?} text diverged", s.id);

@@ -10,21 +10,21 @@
 //! * **lookup** consults the [`ResultCache`] by spec fingerprint, so
 //!   warm submissions are answered at admission time without touching
 //!   the worker pool;
-//! * **run** executes one attempt through the same `catch_unwind` +
-//!   ambient-watchdog isolation the parallel runner uses, classifying
-//!   panics with [`runner::classify_panic`] so a poisoned spec becomes
-//!   a typed [`JobFailure`] instead of a dead worker;
+//! * **run** executes one attempt through the runner's isolation guard
+//!   (`runner::isolate`: ambient watchdog plus `catch_unwind`), so a
+//!   poisoned spec becomes a typed [`JobFailure`] instead of a dead
+//!   worker;
 //! * **expand** turns a sweep template into individual spec bodies for
 //!   all-or-nothing batched admission.
 //!
 //! [`ScenarioSpec`]: hvx_core::ScenarioSpec
 
 use crate::cache::{self, ResultCache};
-use crate::runner::{self, ChaosKind, RunnerConfig, Scenario};
+use crate::runner::{self, ChaosKind, RunnerConfig, Scenario, ScenarioFailure};
 use crate::spec_run;
 use hvx_core::report::CellReport;
 use hvx_core::{ScenarioFailureKind, ScenarioSpec, SchedPolicy, SpecShape, TopologySpec};
-use hvx_engine::{fault, Fingerprint, FlowChain, FlowPoint, Watchdog};
+use hvx_engine::{Fingerprint, FlowChain, FlowPoint, Watchdog};
 use hvx_serve::{JobExecutor, JobFailure, JobOutput, PreparedJob};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -83,10 +83,10 @@ impl SuiteExecutor {
             return;
         }
         // The served run passed the spec's watchdog, and tracing adds no
-        // charges; should the traced run trip it anyway, the panic must
-        // not escape to the worker.
-        let traced = std::panic::catch_unwind(|| crate::trace::traced_chains(spec));
-        let Ok(Ok(chains)) = traced else {
+        // charges; should the traced run trip it anyway, the guard keeps
+        // the panic from escaping to the worker.
+        let Ok(chains) = runner::isolate(None, spec.watchdog, || crate::trace::traced_chains(spec))
+        else {
             return;
         };
         cache.store_raw(
@@ -212,53 +212,29 @@ impl JobExecutor for SuiteExecutor {
             detail: e.to_string(),
             transient: false,
         })?;
-        let outcome = {
-            // The spec's own watchdog guards the run; the ambient fault
-            // plan stays empty because spec faults are applied by the
-            // engine the spec dispatches to (run_consolidation installs
-            // them on the cell machine directly).
-            let _ambient = fault::install_ambient(None, spec.watchdog);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                spec_run::run_spec_report(&spec)
-            }))
-        };
-        match outcome {
-            Err(payload) => {
-                let f = runner::classify_panic(payload.as_ref());
-                Err(JobFailure {
-                    // Panics are plausibly transient (a host-side
-                    // resource blip); watchdog trips are deterministic
-                    // under a fixed spec and must fail fast.
-                    transient: f.kind == ScenarioFailureKind::Panicked,
-                    kind: f.kind,
-                    detail: f.detail,
-                })
+        // The spec's own watchdog guards the run; the ambient fault plan
+        // stays empty because spec faults are applied by the engine the
+        // spec dispatches to (run_consolidation installs them on the
+        // cell machine directly).
+        let run = runner::isolate(None, spec.watchdog, || spec_run::run_spec_report(&spec))
+            .map_err(job_failure)?;
+        if job.cacheable {
+            if let Some(cache) = &self.cache {
+                cache.store_raw(
+                    &job.fingerprint,
+                    SPEC_RESULT_KIND,
+                    Value::Object(vec![
+                        ("report".into(), Value::Str(run.report.clone())),
+                        ("cell".into(), Serialize::serialize(&run.cell)),
+                    ]),
+                );
             }
-            Ok(Err(e)) => Err(JobFailure {
-                kind: ScenarioFailureKind::Failed,
-                detail: e.to_string(),
-                transient: false,
-            }),
-            Ok(Ok(run)) => {
-                if job.cacheable {
-                    if let Some(cache) = &self.cache {
-                        cache.store_raw(
-                            &job.fingerprint,
-                            SPEC_RESULT_KIND,
-                            Value::Object(vec![
-                                ("report".into(), Value::Str(run.report.clone())),
-                                ("cell".into(), Serialize::serialize(&run.cell)),
-                            ]),
-                        );
-                    }
-                    self.store_trace(&job.fingerprint, &spec);
-                }
-                Ok(JobOutput {
-                    report: run.report,
-                    cell: run.cell,
-                })
-            }
+            self.store_trace(&job.fingerprint, &spec);
         }
+        Ok(JobOutput {
+            report: run.report,
+            cell: run.cell,
+        })
     }
 
     fn trace(&self, fingerprint: &str) -> Option<String> {
@@ -339,27 +315,32 @@ impl JobExecutor for SuiteExecutor {
     }
 }
 
-/// Runs one chaos probe through the hardened runner (which owns the
-/// `catch_unwind`) and maps the classified outcome to a job result.
+/// A failed attempt as the server classifies it. Panics are plausibly
+/// transient (a host-side resource blip) and retry; watchdog trips and
+/// typed errors are deterministic under a fixed spec and fail fast.
+fn job_failure(f: ScenarioFailure) -> JobFailure {
+    JobFailure {
+        transient: f.kind == ScenarioFailureKind::Panicked,
+        kind: f.kind,
+        detail: f.detail,
+    }
+}
+
+/// Runs one chaos probe as a runner scenario and maps the classified
+/// outcome to a job result.
 fn run_chaos(kind: ChaosKind) -> Result<JobOutput, JobFailure> {
     let cfg = RunnerConfig {
         watchdog: CHAOS_WATCHDOG,
         ..RunnerConfig::default()
     };
-    let results = runner::run_scenarios_with(&[Scenario::Chaos(kind)], 1, &cfg)
+    let mut results = runner::run_scenarios_with(&[Scenario::Chaos(kind)], 1, &cfg)
         .expect("one job is a valid job count");
-    let result = &results[0];
-    match &result.outcome {
-        Ok(_) => Ok(JobOutput {
-            report: format!("chaos-{} survived its run\n", kind.name()),
-            cell: result.cell_report(),
-        }),
-        Err(f) => Err(JobFailure {
-            transient: f.kind == ScenarioFailureKind::Panicked,
-            kind: f.kind,
-            detail: f.detail.clone(),
-        }),
-    }
+    let result = results.remove(0);
+    let cell = result.cell_report();
+    result.outcome.map_err(job_failure).map(|_| JobOutput {
+        report: format!("chaos-{} survived its run\n", kind.name()),
+        cell,
+    })
 }
 
 #[cfg(test)]

@@ -374,24 +374,45 @@ pub fn compile_enabled() -> bool {
 }
 
 /// Runs `iters` iterations of `body` under the machine's loop compile
-/// session. While the machine records (or after it declined the
-/// session), every call is a cheap no-op and `body` runs interpreted;
-/// once the loop compiles, whole blocks are skipped at once.
-fn steady_loop<F>(hv: &mut dyn Hypervisor, iters: u64, mut body: F)
+/// session; every driver's loop goes through here. While the machine
+/// records (or after it declined the session), every call is a cheap
+/// no-op and `body` runs interpreted; once the loop compiles, whole
+/// blocks are skipped at once.
+///
+/// `regs` are the loop-carried values (a next send instant, a wire-free
+/// instant). The body reads and updates them; after each iteration they
+/// are published as loop registers `0..`, and after a skip they are
+/// restored from the replayed registers. A body error ends the loop and
+/// is returned.
+fn steady_loop<F>(
+    hv: &mut dyn Hypervisor,
+    iters: u64,
+    regs: &mut [Cycles],
+    mut body: F,
+) -> Result<(), Error>
 where
-    F: FnMut(&mut dyn Hypervisor, u64),
+    F: FnMut(&mut dyn Hypervisor, u64, &mut [Cycles]) -> Result<(), Error>,
 {
     let mut i = 0u64;
     while i < iters {
         let skipped = hv.machine_mut().loop_replay(iters - i);
         if skipped > 0 {
             i += skipped;
+            for (idx, reg) in regs.iter_mut().enumerate() {
+                if let Some(value) = hv.machine_mut().loop_reg(idx) {
+                    *reg = value;
+                }
+            }
             continue;
         }
         hv.machine_mut().loop_iter_begin();
-        body(hv, i);
+        body(hv, i, regs)?;
+        for (idx, reg) in regs.iter().enumerate() {
+            hv.machine_mut().loop_set_reg(idx, *reg);
+        }
         i += 1;
     }
+    Ok(())
 }
 
 /// Runs `mix` on `hv` under `policy` and returns the makespan in cycles.
@@ -442,63 +463,56 @@ pub fn run_with(
             ticks_per_unit,
             units,
         } => {
-            steady_loop(hv, u64::from(units), |hv, u| {
+            steady_loop(hv, u64::from(units), &mut [], |hv, u, _| {
                 let vcpu = u as usize % vcpus;
                 hv.guest_compute(vcpu, Cycles::new(unit_work));
                 for _ in 0..ticks_per_unit {
                     hv.deliver_virq(vcpu);
                 }
-            });
+                Ok(())
+            })?;
         }
         Mix::IpiBound {
             unit_work,
             ipis_per_unit,
             units,
         } => {
-            steady_loop(hv, u64::from(units), |hv, u| {
+            steady_loop(hv, u64::from(units), &mut [], |hv, u, _| {
                 let from = u as usize % vcpus;
                 let to = (from + 1) % vcpus;
                 hv.guest_compute(from, Cycles::new(unit_work));
                 for _ in 0..ipis_per_unit {
                     hv.virtual_ipi(from, to);
                 }
-            });
+                Ok(())
+            })?;
         }
         Mix::NetRr { transactions } => {
             let client_rtt = Cycles::from_micros(
                 crate::netperf::CLIENT_RTT_US,
                 hvx_engine::Frequency::ARM_M400,
             );
-            // The next send instant is loop-carried: published as loop
-            // register 0 so compiled replay reconstructs it across
-            // skipped transactions.
-            let mut t_send = start;
-            let n = u64::from(transactions);
-            let mut i = 0u64;
-            while i < n {
-                let skipped = hv.machine_mut().loop_replay(n - i);
-                if skipped > 0 {
-                    i += skipped;
-                    if let Some(t) = hv.machine_mut().loop_reg(0) {
-                        t_send = t;
-                    }
-                    continue;
-                }
-                hv.machine_mut().loop_iter_begin();
-                let arrival = t_send + client_rtt;
-                let (_, vcpu) = hv.receive(1, arrival);
-                hv.guest_compute(vcpu, crate::netperf::APP_WORK);
-                let sent = hv.transmit(vcpu, 1);
-                t_send = crate::netperf::tcp_reply_with_retransmits(
-                    hv,
-                    vcpu,
-                    sent,
-                    hvx_engine::Frequency::ARM_M400,
-                    None,
-                );
-                hv.machine_mut().loop_set_reg(0, t_send);
-                i += 1;
-            }
+            // The next send instant is loop-carried (register 0), so
+            // compiled replay reconstructs it across skipped transactions.
+            steady_loop(
+                hv,
+                u64::from(transactions),
+                &mut [start],
+                |hv, _, t_send| {
+                    let arrival = t_send[0] + client_rtt;
+                    let (_, vcpu) = hv.receive(1, arrival);
+                    hv.guest_compute(vcpu, crate::netperf::APP_WORK);
+                    let sent = hv.transmit(vcpu, 1);
+                    t_send[0] = crate::netperf::tcp_reply_with_retransmits(
+                        hv,
+                        vcpu,
+                        sent,
+                        hvx_engine::Frequency::ARM_M400,
+                        None,
+                    );
+                    Ok(())
+                },
+            )?;
         }
         Mix::StreamRx {
             chunks,
@@ -511,10 +525,11 @@ pub fn run_with(
             let burst_bytes = chunks as u64 * chunk_len as u64;
             let wire = hvx_vio::Wire::from_link(link_mbit, 10.0, hvx_engine::Frequency::ARM_M400);
             let spacing = Cycles::new((burst_bytes as f64 * wire.cycles_per_byte).round() as u64);
-            steady_loop(hv, u64::from(bursts), |hv, b| {
+            steady_loop(hv, u64::from(bursts), &mut [], |hv, b, _| {
                 let arrival = start + spacing * b;
                 hv.receive_burst(chunks as usize, chunk_len as usize, arrival);
-            });
+                Ok(())
+            })?;
         }
         Mix::StreamTx {
             chunks,
@@ -542,28 +557,21 @@ pub fn run_with(
                 (per_burst as f64 * chunk_len as f64 * wire.cycles_per_byte).round() as u64,
             );
             // The wire-free instant is loop-carried (register 0).
-            let mut wire_free = start;
-            let n = u64::from(n_bursts);
-            let mut i = 0u64;
-            while i < n {
-                let skipped = hv.machine_mut().loop_replay(n - i);
-                if skipped > 0 {
-                    i += skipped;
-                    if let Some(v) = hv.machine_mut().loop_reg(0) {
-                        wire_free = v;
-                    }
-                    continue;
-                }
-                hv.machine_mut().loop_iter_begin();
-                let handoff = hv.transmit_burst(0, per_burst as usize, chunk_len as usize);
-                wire_free = wire_free.max(handoff) + burst_wire;
-                hv.machine_mut().loop_set_reg(0, wire_free);
-                i += 1;
-            }
+            let mut wire_free = [start];
+            steady_loop(
+                hv,
+                u64::from(n_bursts),
+                &mut wire_free,
+                |hv, _, wire_free| {
+                    let handoff = hv.transmit_burst(0, per_burst as usize, chunk_len as usize);
+                    wire_free[0] = wire_free[0].max(handoff) + burst_wire;
+                    Ok(())
+                },
+            )?;
             hv.machine_mut().loop_end();
             // The run ends when the wire finishes draining.
             let backend = hv.machine().topology().backend_core();
-            hv.machine_mut().wait_until(backend, wire_free);
+            hv.machine_mut().wait_until(backend, wire_free[0]);
         }
         Mix::DiskIo {
             requests,
@@ -593,7 +601,7 @@ pub fn run_with(
                 stack_scale_pct,
                 type1_extra_events_x2,
                 requests,
-            );
+            )?;
         }
     }
     hv.machine_mut().loop_end();
@@ -654,15 +662,7 @@ fn run_disk_io(
     // many requests the mix issues.
     let wrap = capacity - span + 1;
     let io_core = hv.machine().topology().io_core();
-    let n = u64::from(requests);
-    let mut r = 0u64;
-    while r < n {
-        let skipped = hv.machine_mut().loop_replay(n - r);
-        if skipped > 0 {
-            r += skipped;
-            continue;
-        }
-        hv.machine_mut().loop_iter_begin();
+    steady_loop(hv, u64::from(requests), &mut [], |hv, r, _| {
         let vcpu = 0;
         // Guest block layer + driver. Single-threaded closed loop (fio
         // numjobs=1, iodepth=1): the issuing thread blocks on every
@@ -733,9 +733,8 @@ fn run_disk_io(
             m.wait_until(core, done);
             hv.deliver_virq_blocked(vcpu);
         }
-        r += 1;
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// The RequestServer engine — see [`Mix::RequestServer`] for the model.
@@ -750,7 +749,7 @@ fn run_request_server(
     stack_scale_pct: u32,
     type1_extra_events_x2: u32,
     requests: u32,
-) {
+) -> Result<(), Error> {
     use hvx_core::HvKind;
     use hvx_engine::TraceKind;
     let c = *hv.cost();
@@ -780,15 +779,7 @@ fn run_request_server(
     // accumulator stays correct across compiled skips without a loop
     // register.
     let mut event_acc = 0u32;
-    let n = u64::from(requests);
-    let mut r = 0u64;
-    while r < n {
-        let skipped = hv.machine_mut().loop_replay(n - r);
-        if skipped > 0 {
-            r += skipped;
-            continue;
-        }
-        hv.machine_mut().loop_iter_begin();
+    steady_loop(hv, u64::from(requests), &mut [], |hv, r, _| {
         // --- device events (the virtualization-sensitive part) ---
         event_acc += events_x2;
         if type1 {
@@ -905,8 +896,8 @@ fn run_request_server(
                 TransitionId::NicDma,
             );
         }
-        r += 1;
-    }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

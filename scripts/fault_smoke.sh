@@ -1,6 +1,7 @@
 #!/bin/sh
 # Fault-injection smoke test: the loss-sweep ablation, a faulted
-# profile, scenario-failure exit codes, and empty-plan byte-identity.
+# profile, scenario-failure exit codes, degraded-run byte-identity across
+# --jobs, and empty-plan byte-identity.
 # Run from the repository root.
 set -eu
 
@@ -68,6 +69,25 @@ case "$err" in
     exit 1
     ;;
 esac
+
+echo "== a degraded run prints the same bytes at --jobs 1 and --jobs 2 =="
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for jobs in 1 2; do
+    "$repro" run fig4 oversub rack --cycle-budget 10000000 --keep-going \
+        --jobs "$jobs" >"$tmp/jobs$jobs.txt" 2>/dev/null
+done
+if ! cmp -s "$tmp/jobs1.txt" "$tmp/jobs2.txt"; then
+    echo "fault_smoke: degraded output differs between --jobs 1 and --jobs 2" >&2
+    exit 1
+fi
+for line in '!! 27 of 36 cells failed' '!! 26 of 41 scenarios failed' \
+    '!! 2 of 9 cells failed'; do
+    if ! grep -q "^$line" "$tmp/jobs1.txt"; then
+        echo "fault_smoke: degraded run printed no '$line' line" >&2
+        exit 1
+    fi
+done
 
 echo "== an empty plan leaves pinned artifacts byte-identical =="
 plain=$("$repro" run table2 table3 --jobs 1)

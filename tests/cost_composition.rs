@@ -149,6 +149,19 @@ fn x86_exit_is_about_forty_percent_of_the_hypercall() {
 }
 
 #[test]
+fn demand_fault_costs_are_the_section_v_figures() {
+    // The §V "one-time page fault" aside, one demand Stage-2/EPT fault
+    // per design: split-mode KVM ARM pays a lazy-FP world switch plus
+    // the allocation, Xen ARM stays in EL2, x86 pays one VMCS round
+    // trip, and VHE collapses the KVM ARM switch.
+    assert_eq!(KvmArm::new().stage2_fault(0), Cycles::new(7_408));
+    assert_eq!(XenArm::new().stage2_fault(0), Cycles::new(1_876));
+    assert_eq!(KvmX86::new().ept_fault(0), Cycles::new(2_800));
+    assert_eq!(XenX86::new().ept_fault(0), Cycles::new(2_728));
+    assert_eq!(KvmArm::new_vhe().stage2_fault(0), Cycles::new(2_156));
+}
+
+#[test]
 fn uncalibrated_model_still_drives_every_path() {
     // The mechanism works with any constants — run the full suite on the
     // round-number model and check structural relations only.
