@@ -42,11 +42,6 @@ pub enum Error {
         /// The unrecognized name.
         name: String,
     },
-    /// An artifact name passed to the runner is not in the matrix.
-    UnknownArtifact {
-        /// The unrecognized name.
-        name: String,
-    },
     /// A workload name did not match the Figure 4 catalog.
     UnknownWorkload {
         /// The unrecognized name.
@@ -195,7 +190,6 @@ impl fmt::Display for Error {
                  has exactly {supported} VCPUs"
             ),
             Error::UnknownScenario { name } => write!(f, "unknown scenario '{name}'"),
-            Error::UnknownArtifact { name } => write!(f, "unknown artifact '{name}'"),
             Error::UnknownWorkload { name } => write!(f, "unknown workload '{name}'"),
             Error::UnknownScheduler { name } => {
                 write!(f, "unknown scheduler '{name}' (expected 'credit' or 'cfs')")

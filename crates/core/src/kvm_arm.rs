@@ -253,7 +253,7 @@ impl KvmArm {
             TransitionId::TrapToEl2,
         );
         let to = self.cpus[core.index()].take_exception(cause);
-        debug_assert_eq!(to, ExceptionLevel::El2, "guest traps route to EL2");
+        debug_assert_eq!(to, ExceptionLevel::El2, "traps land in the lowvisor (EL2)");
     }
 
     /// World-switch out: lowvisor saves the guest context, installs the
@@ -370,16 +370,8 @@ impl KvmArm {
             self.guest_loaded[core.index()] = Some(vcpu);
             return;
         }
-        self.machine.bump("kvm.traps", 1);
-        self.machine.charge_as(
-            core,
-            "hw:trap-el2",
-            TraceKind::Trap,
-            c.hw_trap,
-            TransitionId::TrapToEl2,
-        );
+        self.trap_to_el2(core, TrapCause::HYPERCALL); // host -> lowvisor
         let idx = core.index();
-        self.cpus[idx].take_exception(TrapCause::HYPERCALL); // host -> lowvisor
         let m = &mut self.machine;
         m.span_enter(TransitionId::ContextRestore);
         m.charge(core, "restore:gp", TraceKind::ContextRestore, c.gp.restore);
@@ -447,20 +439,12 @@ impl KvmArm {
         self.guest_loaded[idx] = Some(vcpu);
     }
 
-    /// The full guest-MMIO-trap prologue: Stage-2 abort, switch out,
-    /// host-side MMIO decode. Returns after the host has identified the
-    /// device.
-    fn mmio_trap(&mut self, core: CoreId, vcpu: usize, ipa: u64, write: bool) {
-        // The access really has no Stage-2 mapping:
-        debug_assert!(self
-            .vm
-            .s2
-            .translate(Ipa::new(ipa), hvx_mem::Access::Read)
-            .is_err());
-        self.trap_to_el2(core, TrapCause::Sync(Syndrome::DataAbort { ipa, write }));
-        self.switch_out(core, vcpu, true);
-        // Every exit passes through the vcpu_run dispatch loop before the
-        // MMIO emulation proper.
+    /// A guest exit into the host: the trap to EL2, the world switch
+    /// out (`lazy_fp` on the interrupt and I/O fast paths) and the
+    /// `vcpu_run` dispatch loop every exit passes through.
+    fn exit_to_host(&mut self, core: CoreId, vcpu: usize, cause: TrapCause, lazy_fp: bool) {
+        self.trap_to_el2(core, cause);
+        self.switch_out(core, vcpu, lazy_fp);
         self.machine.charge_as(
             core,
             "kvm:host-dispatch",
@@ -468,12 +452,40 @@ impl KvmArm {
             self.cost.kvm_host_dispatch,
             TransitionId::HostDispatch,
         );
+    }
+
+    /// The full guest-MMIO-trap prologue: Stage-2 abort, exit to the
+    /// host, host-side MMIO decode. Returns after the host has
+    /// identified the device.
+    fn mmio_trap(&mut self, core: CoreId, vcpu: usize, ipa: u64, write: bool, lazy_fp: bool) {
+        // The access really has no Stage-2 mapping:
+        debug_assert!(self
+            .vm
+            .s2
+            .translate(Ipa::new(ipa), hvx_mem::Access::Read)
+            .is_err());
+        let cause = TrapCause::Sync(Syndrome::DataAbort { ipa, write });
+        self.exit_to_host(core, vcpu, cause, lazy_fp);
         self.machine.charge_as(
             core,
             "kvm:mmio-decode",
             TraceKind::Emulation,
             self.cost.kvm_mmio_decode,
             TransitionId::MmioDecode,
+        );
+    }
+
+    /// A trapped access to the emulated GIC distributor register `reg`:
+    /// the MMIO trap, then the host's distributor emulation. The caller
+    /// performs the access and resumes the guest.
+    fn gicd_access(&mut self, core: CoreId, vcpu: usize, reg: u64, write: bool, lazy_fp: bool) {
+        self.mmio_trap(core, vcpu, GICD_IPA + reg, write, lazy_fp);
+        self.machine.charge_as(
+            core,
+            "kvm:gicd-emulate",
+            TraceKind::Emulation,
+            self.cost.kvm_gicd_emulate,
+            TransitionId::GicdEmulate,
         );
     }
 
@@ -491,21 +503,11 @@ impl KvmArm {
         let ipa = Ipa::new(GUEST_RAM_IPA + self.vm.s2.mapped_pages() * PAGE_SIZE);
         debug_assert!(self.vm.s2.translate(ipa, hvx_mem::Access::Write).is_err());
         let t0 = self.machine.now(core);
-        self.trap_to_el2(
-            core,
-            TrapCause::Sync(Syndrome::DataAbort {
-                ipa: ipa.value(),
-                write: true,
-            }),
-        );
-        self.switch_out(core, vcpu, true);
-        self.machine.charge_as(
-            core,
-            "kvm:host-dispatch",
-            TraceKind::Host,
-            self.cost.kvm_host_dispatch,
-            TransitionId::HostDispatch,
-        );
+        let cause = TrapCause::Sync(Syndrome::DataAbort {
+            ipa: ipa.value(),
+            write: true,
+        });
+        self.exit_to_host(core, vcpu, cause, true);
         self.machine.charge_as(
             core,
             "kvm:page-alloc",
@@ -552,14 +554,8 @@ impl KvmArm {
     }
 
     /// Injects a virtual interrupt into a VCPU currently running in guest
-    /// mode on its core: physical kick IPI, world switch out, LR
-    /// programming, world switch in, guest acknowledge. Returns the
-    /// completion instant on the target core. `from` is the core that
-    /// initiates the kick; `signal_at` lets callers account an in-flight
-    /// wire before the kick.
-    /// `flow` (when tracing) links this injection into the causal chain
-    /// that triggered it — e.g. the IRQ-delivery chain opened by
-    /// [`KvmArm::receive`] when the physical NIC interrupt lands.
+    /// mode on its core and completes it: [`KvmArm::inject_to_ack`], then
+    /// the guest's EOI. Returns the completion instant on the target core.
     fn inject_virq_running(
         &mut self,
         from: CoreId,
@@ -567,6 +563,35 @@ impl KvmArm {
         virq: IntId,
         flow: Option<FlowId>,
     ) -> Cycles {
+        let target_core = self.inject_to_ack(from, target_vcpu, virq, flow);
+        // Completion happens in the guest later; keep the LR active until
+        // `virq_complete`-style EOI. For workload paths we complete
+        // immediately at vIF cost.
+        self.machine.charge_as(
+            target_core,
+            "gic:vif-eoi",
+            TraceKind::Guest,
+            self.cost.gic_vif_access,
+            TransitionId::GicAccess,
+        );
+        let _ = self.vgics[target_core.index()].guest_eoi(virq.raw());
+        self.machine.now(target_core)
+    }
+
+    /// The injection path up to the guest's acknowledge: physical kick
+    /// IPI from `from`, world switch out, LR programming, world switch
+    /// in, guest ack. Leaves the interrupt active in the guest's vIF and
+    /// returns the target core.
+    /// `flow` (when tracing) links this injection into the causal chain
+    /// that triggered it — e.g. the IRQ-delivery chain opened by
+    /// [`KvmArm::receive`] when the physical NIC interrupt lands.
+    fn inject_to_ack(
+        &mut self,
+        from: CoreId,
+        target_vcpu: usize,
+        virq: IntId,
+        flow: Option<FlowId>,
+    ) -> CoreId {
         let c = self.cost;
         let target_core = self.machine.topology().guest_core(target_vcpu);
         // Kick: physical SGI to the target PCPU.
@@ -630,18 +655,44 @@ impl KvmArm {
             Some(virq.raw())
         );
         self.machine.flow_end(flow, target_core, "guest:ack");
-        // Completion happens in the guest later; keep the LR active until
-        // `virq_complete`-style EOI. For workload paths we complete
-        // immediately at vIF cost.
+        target_core
+    }
+
+    /// The guest's virtio doorbell: the queue-notify write traps as MMIO,
+    /// the host signals vhost's ioeventfd and resumes the guest, and the
+    /// kick reaches the backend core. Returns the kick's flow chain,
+    /// which the caller continues (or, for I/O Latency Out, ends) at
+    /// vhost's wake. I/O Latency Out is this plus [`KvmArm::vhost_wake`].
+    fn kick_vhost(&mut self, core: CoreId, vcpu: usize, backend: CoreId) -> Option<FlowId> {
+        self.mmio_trap(core, vcpu, VIRTIO_IPA + VIRTIO_QUEUE_NOTIFY, true, true);
+        self.machine.bump("kvm.vhost_kicks", 1);
+        self.vm.vhost.note_kick();
+        let flow = self
+            .machine
+            .flow_begin(FlowKind::VirtioKick, core, "virtio:kick");
         self.machine.charge_as(
-            target_core,
-            "gic:vif-eoi",
-            TraceKind::Guest,
-            c.gic_vif_access,
-            TransitionId::GicAccess,
+            core,
+            "kvm:ioeventfd",
+            TraceKind::Io,
+            self.cost.kvm_ioeventfd,
+            TransitionId::VhostKick,
         );
-        let _ = self.vgics[target_core.index()].guest_eoi(virq.raw());
-        self.machine.now(target_core)
+        let arrival = self.machine.signal(core, backend, self.cost.ipi_wire);
+        // Sender resumes, off the critical path.
+        self.switch_in(core, vcpu, true);
+        self.machine.wait_until(backend, arrival);
+        flow
+    }
+
+    /// vhost's worker wakes on `backend` to service a kick.
+    fn vhost_wake(&mut self, backend: CoreId) {
+        self.machine.charge_as(
+            backend,
+            "kvm:vhost-wake",
+            TraceKind::Io,
+            self.cost.kvm_vhost_wake,
+            TransitionId::VhostBackend,
+        );
     }
 }
 
@@ -716,15 +767,7 @@ impl Hypervisor for KvmArm {
         self.ensure_primary();
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.trap_to_el2(core, TrapCause::HYPERCALL);
-        self.switch_out(core, vcpu, false);
-        self.machine.charge_as(
-            core,
-            "kvm:host-dispatch",
-            TraceKind::Host,
-            self.cost.kvm_host_dispatch,
-            TransitionId::HostDispatch,
-        );
+        self.exit_to_host(core, vcpu, TrapCause::HYPERCALL, false);
         self.switch_in(core, vcpu, false);
         self.machine.now(core) - t0
     }
@@ -733,35 +776,9 @@ impl Hypervisor for KvmArm {
         self.ensure_primary();
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.trap_to_el2(
-            core,
-            TrapCause::Sync(Syndrome::DataAbort {
-                ipa: GICD_IPA + dist_reg::GICD_ISENABLER,
-                write: false,
-            }),
-        );
-        self.switch_out(core, vcpu, false);
-        self.machine.charge_as(
-            core,
-            "kvm:host-dispatch",
-            TraceKind::Host,
-            self.cost.kvm_host_dispatch,
-            TransitionId::HostDispatch,
-        );
-        self.machine.charge_as(
-            core,
-            "kvm:mmio-decode",
-            TraceKind::Emulation,
-            self.cost.kvm_mmio_decode,
-            TransitionId::MmioDecode,
-        );
-        self.machine.charge_as(
-            core,
-            "kvm:gicd-emulate",
-            TraceKind::Emulation,
-            self.cost.kvm_gicd_emulate,
-            TransitionId::GicdEmulate,
-        );
+        // A read that moves FP like the hypercall: Table II's ICT is the
+        // hypercall plus decode and emulation.
+        self.gicd_access(core, vcpu, dist_reg::GICD_ISENABLER, false, false);
         let _ = self
             .vm
             .dist
@@ -778,14 +795,7 @@ impl Hypervisor for KvmArm {
         let t0 = self.machine.now(from_core);
         // Sender: GICD_SGIR write traps (MMIO), host emulates the
         // distributor and discovers the SGI fan-out.
-        self.mmio_trap(from_core, from, GICD_IPA + dist_reg::GICD_SGIR, true);
-        self.machine.charge_as(
-            from_core,
-            "kvm:gicd-emulate",
-            TraceKind::Emulation,
-            self.cost.kvm_gicd_emulate,
-            TransitionId::GicdEmulate,
-        );
+        self.gicd_access(from_core, from, dist_reg::GICD_SGIR, true, true);
         let effect = self
             .vm
             .dist
@@ -849,33 +859,15 @@ impl Hypervisor for KvmArm {
         let core = self.machine.topology().guest_core(vcpu);
         let backend = self.machine.topology().backend_core();
         let t0 = self.machine.now(core);
-        self.mmio_trap(core, vcpu, VIRTIO_IPA + VIRTIO_QUEUE_NOTIFY, true);
-        self.machine.bump("kvm.vhost_kicks", 1);
-        self.machine.charge_as(
-            core,
-            "kvm:ioeventfd",
-            TraceKind::Io,
-            self.cost.kvm_ioeventfd,
-            TransitionId::VhostKick,
-        );
-        let arrival = self.machine.signal(core, backend, self.cost.ipi_wire);
-        // Sender resumes, off the critical path.
-        self.switch_in(core, vcpu, true);
-        self.machine.wait_until(backend, arrival);
-        self.machine.charge_as(
-            backend,
-            "kvm:vhost-wake",
-            TraceKind::Io,
-            self.cost.kvm_vhost_wake,
-            TransitionId::VhostBackend,
-        );
+        let flow = self.kick_vhost(core, vcpu, backend);
+        self.machine.flow_end(flow, backend, "vhost:wake");
+        self.vhost_wake(backend);
         self.machine.now(backend) - t0
     }
 
     fn io_latency_in(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
         let backend = self.machine.topology().backend_core();
-        let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(backend);
         // vhost signals the irqfd and must wake/kick the VCPU thread —
         // the heavyweight host-side path §IV attributes the asymmetry to.
@@ -893,44 +885,7 @@ impl Hypervisor for KvmArm {
             self.cost.kvm_io_in_host,
             TransitionId::HostDispatch,
         );
-        let arrival = self.machine.signal(backend, core, self.cost.ipi_wire);
-        self.machine.wait_until(core, arrival);
-        self.trap_to_el2(core, TrapCause::Irq);
-        self.switch_out(core, vcpu, true);
-        self.machine.charge_as(
-            core,
-            "gic:phys-ack",
-            TraceKind::Host,
-            self.cost.gic_phys_access,
-            TransitionId::GicAccess,
-        );
-        self.machine.bump("kvm.virq_injections", 1);
-        self.machine.charge_as(
-            core,
-            "kvm:vgic-inject",
-            TraceKind::Emulation,
-            self.cost.kvm_vgic_inject,
-            TransitionId::VirqInject,
-        );
-        if self.vhe {
-            let _ = self.vgics[core.index()].inject(VIRTIO_NET_VIRQ.raw(), 0x80);
-        } else {
-            let mut vgic_tmp = VgicCpuInterface::new();
-            vgic_tmp.restore(self.vm.ctxs[vcpu].vgic);
-            let _ = vgic_tmp.inject(VIRTIO_NET_VIRQ.raw(), 0x80);
-            self.vm.ctxs[vcpu].vgic = vgic_tmp.save();
-            self.vgics[core.index()].absorb_counters(&vgic_tmp);
-        }
-        self.switch_in(core, vcpu, true);
-        self.machine.charge_as(
-            core,
-            "gic:vif-ack",
-            TraceKind::Guest,
-            self.cost.gic_vif_access,
-            TransitionId::GicAccess,
-        );
-        let acked = self.vgics[core.index()].guest_ack();
-        debug_assert_eq!(acked, Some(VIRTIO_NET_VIRQ.raw()));
+        let core = self.inject_to_ack(backend, vcpu, VIRTIO_NET_VIRQ, None);
         let t1 = self.machine.now(core);
         // Clean up the LR so repeated runs start fresh.
         let _ = self.vgics[core.index()].guest_eoi(VIRTIO_NET_VIRQ.raw());
@@ -979,24 +934,8 @@ impl Hypervisor for KvmArm {
                 device_writes: false,
             }])
             .expect("TX queue has room");
-        // Kick.
-        self.mmio_trap(core, vcpu, VIRTIO_IPA + VIRTIO_QUEUE_NOTIFY, true);
-        self.machine.bump("kvm.vhost_kicks", 1);
-        self.vm.vhost.note_kick();
-        let flow = self
-            .machine
-            .flow_begin(FlowKind::VirtioKick, core, "virtio:kick");
-        self.machine.charge_as(
-            core,
-            "kvm:ioeventfd",
-            TraceKind::Io,
-            c.kvm_ioeventfd,
-            TransitionId::VhostKick,
-        );
-        let arrival = self.machine.signal(core, backend, c.ipi_wire);
-        self.switch_in(core, vcpu, true);
+        let flow = self.kick_vhost(core, vcpu, backend);
         // vhost drains the ring with direct guest-memory access.
-        self.machine.wait_until(backend, arrival);
         if self.machine.fault(FaultPoint::VhostDelay) {
             // Fault: the vhost worker is preempted before servicing the
             // kick. The virtio driver's TX watchdog fires and re-kicks
@@ -1021,13 +960,7 @@ impl Hypervisor for KvmArm {
             self.machine.flow_end(rec, core, "virtio:tx-rekick");
         }
         self.machine.flow_step(flow, backend, "vhost:wake");
-        self.machine.charge_as(
-            backend,
-            "kvm:vhost-wake",
-            TraceKind::Io,
-            c.kvm_vhost_wake,
-            TransitionId::VhostBackend,
-        );
+        self.vhost_wake(backend);
         self.machine.charge_as(
             backend,
             "kvm:vhost-tx",
@@ -1268,30 +1201,9 @@ impl Hypervisor for KvmArm {
             TransitionId::GuestStack,
         );
         // One kick for the whole burst.
-        self.mmio_trap(core, vcpu, VIRTIO_IPA + VIRTIO_QUEUE_NOTIFY, true);
-        self.machine.bump("kvm.vhost_kicks", 1);
-        self.vm.vhost.note_kick();
-        let flow = self
-            .machine
-            .flow_begin(FlowKind::VirtioKick, core, "virtio:kick");
-        self.machine.charge_as(
-            core,
-            "kvm:ioeventfd",
-            TraceKind::Io,
-            c.kvm_ioeventfd,
-            TransitionId::VhostKick,
-        );
-        let arrival = self.machine.signal(core, backend, c.ipi_wire);
-        self.switch_in(core, vcpu, true);
-        self.machine.wait_until(backend, arrival);
+        let flow = self.kick_vhost(core, vcpu, backend);
         self.machine.flow_step(flow, backend, "vhost:wake");
-        self.machine.charge_as(
-            backend,
-            "kvm:vhost-wake",
-            TraceKind::Io,
-            c.kvm_vhost_wake,
-            TransitionId::VhostBackend,
-        );
+        self.vhost_wake(backend);
         self.machine.charge_as(
             backend,
             "kvm:vhost-tx",

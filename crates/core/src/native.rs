@@ -254,62 +254,22 @@ impl Hypervisor for Native {
         self.deliver_virq(vcpu)
     }
 
+    /// One coalesced interrupt and one pass of the stack over the whole
+    /// burst (GRO; the NIC DMAs straight to kernel buffers): the receive
+    /// path at the burst's total length.
     fn receive_burst(
         &mut self,
         chunks: usize,
         chunk_len: usize,
         arrival: Cycles,
     ) -> (Cycles, usize) {
-        let c = self.cost;
-        let total = chunks * chunk_len;
-        let target = self.pick_irq_core();
-        let core = self.machine.topology().guest_core(target);
-        self.machine.wait_until(core, arrival);
-        // One coalesced interrupt; GRO folds the burst through the stack
-        // once. The NIC DMAs straight to kernel buffers.
-        self.machine.charge_as(
-            core,
-            "host:irq",
-            TraceKind::Host,
-            c.native_irq,
-            TransitionId::HostIrq,
-        );
-        self.machine.charge_as(
-            core,
-            "gic:phys-ack",
-            TraceKind::Host,
-            c.gic_phys_access,
-            TransitionId::GicAccess,
-        );
-        self.machine.charge_as(
-            core,
-            "native:net-stack-rx",
-            TraceKind::Guest,
-            c.stack_rx_per_packet + c.stack_bytes(total),
-            TransitionId::HostStack,
-        );
-        (self.machine.now(core), target)
+        self.receive(chunks * chunk_len, arrival)
     }
 
+    /// One stack pass (TSO) and one doorbell for the whole burst: the
+    /// transmit path at the burst's total length.
     fn transmit_burst(&mut self, vcpu: usize, chunks: usize, chunk_len: usize) -> Cycles {
-        let c = self.cost;
-        let total = chunks * chunk_len;
-        let core = self.machine.topology().guest_core(vcpu);
-        self.machine.charge_as(
-            core,
-            "native:net-stack-tx",
-            TraceKind::Guest,
-            c.stack_tx_per_packet + c.stack_bytes(total),
-            TransitionId::HostStack,
-        );
-        self.machine.charge_as(
-            core,
-            "nic:dma",
-            TraceKind::Io,
-            c.nic_dma,
-            TransitionId::NicDma,
-        );
-        self.machine.now(core)
+        self.transmit(vcpu, chunks * chunk_len)
     }
 }
 

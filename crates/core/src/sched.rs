@@ -252,11 +252,6 @@ impl CfsScheduler {
             .find(|e| e.id == id)
             .unwrap_or_else(|| panic!("vcpu {id} not registered"))
     }
-
-    /// A vCPU's current virtual runtime (tests, reports).
-    pub fn vruntime_of(&self, id: usize) -> u64 {
-        self.entry(id).vruntime
-    }
 }
 
 impl VcpuScheduler for CfsScheduler {

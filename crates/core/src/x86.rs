@@ -137,14 +137,6 @@ impl X86Hv {
         self.kind == HvKind::KvmX86
     }
 
-    fn dispatch_cost(&self) -> Cycles {
-        if self.is_kvm() {
-            self.cost.kvm_x86_dispatch
-        } else {
-            self.cost.xen_x86_dispatch
-        }
-    }
-
     fn apic_emulate_cost(&self) -> Cycles {
         if self.is_kvm() {
             self.cost.kvm_x86_apic_emulate
@@ -158,6 +150,16 @@ impl X86Hv {
             self.cost.x86_inject
         } else {
             self.cost.xen_x86_inject
+        }
+    }
+
+    /// The guest driver's share of the paravirtual I/O cost on each
+    /// packet direction: half of virtio's (KVM) or netfront's (Xen).
+    fn driver_share(&self) -> Cycles {
+        if self.is_kvm() {
+            self.cost.kvm_guest_virtio / 2
+        } else {
+            self.cost.xen_guest_pv / 2
         }
     }
 
@@ -203,6 +205,54 @@ impl X86Hv {
             .expect("host was in root mode");
     }
 
+    /// A VM exit for `reason` followed by the hypervisor's exit-handler
+    /// dispatch: the head of the hypercall, the trapped APIC accesses,
+    /// the EPT fault and Xen's I/O Latency Out.
+    fn exit_to_dispatch(&mut self, core: CoreId, vcpu: usize, reason: ExitReason) {
+        self.exit(core, vcpu, reason);
+        let (label, cost) = if self.is_kvm() {
+            ("kvm:x86-dispatch", self.cost.kvm_x86_dispatch)
+        } else {
+            ("xen:x86-dispatch", self.cost.xen_x86_dispatch)
+        };
+        self.machine.charge_as(
+            core,
+            label,
+            TraceKind::Host,
+            cost,
+            TransitionId::HostDispatch,
+        );
+    }
+
+    /// The guest's port-I/O doorbell on the transmit path: the `OUT`
+    /// exits, KVM signals vhost's ioeventfd or Xen sends on the event
+    /// channel, the guest re-enters, and the kick reaches `backend`.
+    fn kick_backend(&mut self, core: CoreId, vcpu: usize, backend: CoreId) {
+        self.exit(core, vcpu, ExitReason::IoInstruction);
+        if self.is_kvm() {
+            self.machine.charge_as(
+                core,
+                "kvm:x86-ioeventfd",
+                TraceKind::Io,
+                self.cost.kvm_x86_ioeventfd,
+                TransitionId::VhostKick,
+            );
+        } else {
+            self.machine.charge_as(
+                core,
+                "xen:evtchn-send",
+                TraceKind::Emulation,
+                self.cost.xen_evtchn_send,
+                TransitionId::EventChannelSignal,
+            );
+        }
+        let arrival = self
+            .machine
+            .signal(core, backend, self.cost.x86_doorbell_wire);
+        self.enter(core, vcpu);
+        self.machine.wait_until(backend, arrival);
+    }
+
     /// Extension benchmark: an EPT violation (the x86 analog of a
     /// Stage-2 demand fault). The VMCS-mediated exit/entry makes it
     /// cheaper than split-mode KVM ARM's fault but dearer than Xen
@@ -211,18 +261,7 @@ impl X86Hv {
         self.ensure_primary();
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.exit(core, vcpu, ExitReason::EptViolation { gpa: 0x8000_0000 });
-        self.machine.charge_as(
-            core,
-            if self.is_kvm() {
-                "kvm:x86-dispatch"
-            } else {
-                "xen:x86-dispatch"
-            },
-            TraceKind::Host,
-            self.dispatch_cost(),
-            TransitionId::HostDispatch,
-        );
+        self.exit_to_dispatch(core, vcpu, ExitReason::EptViolation { gpa: 0x8000_0000 });
         self.machine.charge_as(
             core,
             "x86:page-alloc",
@@ -356,18 +395,7 @@ impl Hypervisor for X86Hv {
         self.ensure_primary();
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.exit(core, vcpu, ExitReason::Vmcall);
-        self.machine.charge_as(
-            core,
-            if self.is_kvm() {
-                "kvm:x86-dispatch"
-            } else {
-                "xen:x86-dispatch"
-            },
-            TraceKind::Host,
-            self.dispatch_cost(),
-            TransitionId::HostDispatch,
-        );
+        self.exit_to_dispatch(core, vcpu, ExitReason::Vmcall);
         self.enter(core, vcpu);
         self.machine.now(core) - t0
     }
@@ -377,24 +405,13 @@ impl Hypervisor for X86Hv {
         // The x86 analog: a trapped APIC-page access.
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.exit(
+        self.exit_to_dispatch(
             core,
             vcpu,
             ExitReason::ApicAccess {
                 offset: 0x20,
                 write: false,
             },
-        );
-        self.machine.charge_as(
-            core,
-            if self.is_kvm() {
-                "kvm:x86-dispatch"
-            } else {
-                "xen:x86-dispatch"
-            },
-            TraceKind::Host,
-            self.dispatch_cost(),
-            TransitionId::HostDispatch,
         );
         self.machine.charge_as(
             core,
@@ -424,18 +441,7 @@ impl Hypervisor for X86Hv {
         let from_core = self.machine.topology().guest_core(from);
         let t0 = self.machine.now(from_core);
         // Sender: trapped ICR write.
-        self.exit(from_core, from, ExitReason::MsrWrite { msr: 0x830 });
-        self.machine.charge_as(
-            from_core,
-            if self.is_kvm() {
-                "kvm:x86-dispatch"
-            } else {
-                "xen:x86-dispatch"
-            },
-            TraceKind::Host,
-            self.dispatch_cost(),
-            TransitionId::HostDispatch,
-        );
+        self.exit_to_dispatch(from_core, from, ExitReason::MsrWrite { msr: 0x830 });
         self.machine.charge_as(
             from_core,
             "x86:apic-icr-emulate",
@@ -493,10 +499,10 @@ impl Hypervisor for X86Hv {
         self.ensure_primary();
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.exit(core, vcpu, ExitReason::IoInstruction);
         if self.is_kvm() {
             // The ioeventfd is signalled right in the exit handler — the
             // 560-cycle row of Table II.
+            self.exit(core, vcpu, ExitReason::IoInstruction);
             self.machine.charge_as(
                 core,
                 "kvm:x86-ioeventfd",
@@ -510,13 +516,7 @@ impl Hypervisor for X86Hv {
         } else {
             // Xen: evtchn to Dom0 + idle-domain wake on the backend core.
             let backend = self.machine.topology().backend_core();
-            self.machine.charge_as(
-                core,
-                "xen:x86-dispatch",
-                TraceKind::Host,
-                self.cost.xen_x86_dispatch,
-                TransitionId::HostDispatch,
-            );
+            self.exit_to_dispatch(core, vcpu, ExitReason::IoInstruction);
             self.machine.charge_as(
                 core,
                 "xen:evtchn-send",
@@ -652,30 +652,15 @@ impl Hypervisor for X86Hv {
         let c = self.cost;
         let core = self.machine.topology().guest_core(vcpu);
         let backend = self.machine.topology().backend_core();
-        let driver_extra = if self.is_kvm() {
-            c.kvm_guest_virtio / 2
-        } else {
-            c.xen_guest_pv / 2
-        };
         self.machine.charge_as(
             core,
             "guest:net-stack-tx",
             TraceKind::Guest,
-            c.stack_tx_per_packet + c.stack_bytes(len) + driver_extra,
+            c.stack_tx_per_packet + c.stack_bytes(len) + self.driver_share(),
             TransitionId::GuestStack,
         );
-        self.exit(core, vcpu, ExitReason::IoInstruction);
+        self.kick_backend(core, vcpu, backend);
         if self.is_kvm() {
-            self.machine.charge_as(
-                core,
-                "kvm:x86-ioeventfd",
-                TraceKind::Io,
-                c.kvm_x86_ioeventfd,
-                TransitionId::VhostKick,
-            );
-            let arrival = self.machine.signal(core, backend, c.x86_doorbell_wire);
-            self.enter(core, vcpu);
-            self.machine.wait_until(backend, arrival);
             if self.machine.fault(FaultPoint::VhostDelay) {
                 // Fault: vhost worker preempted before the kick is
                 // serviced; the driver's TX watchdog re-kicks.
@@ -709,16 +694,6 @@ impl Hypervisor for X86Hv {
                 TransitionId::VhostBackend,
             );
         } else {
-            self.machine.charge_as(
-                core,
-                "xen:evtchn-send",
-                TraceKind::Emulation,
-                c.xen_evtchn_send,
-                TransitionId::EventChannelSignal,
-            );
-            let arrival = self.machine.signal(core, backend, c.x86_doorbell_wire);
-            self.enter(core, vcpu);
-            self.machine.wait_until(backend, arrival);
             self.machine.charge_as(
                 backend,
                 "xen:x86-wake-blocked",
@@ -860,16 +835,11 @@ impl Hypervisor for X86Hv {
                 TransitionId::VirqInject,
             );
         }
-        let driver_extra = if self.is_kvm() {
-            c.kvm_guest_virtio / 2
-        } else {
-            c.xen_guest_pv / 2
-        };
         self.machine.charge_as(
             core,
             "guest:net-stack-rx",
             TraceKind::Guest,
-            c.stack_rx_per_packet + c.stack_bytes(len) + driver_extra,
+            c.stack_rx_per_packet + c.stack_bytes(len) + self.driver_share(),
             TransitionId::GuestStack,
         );
         (self.machine.now(core), vcpu)
@@ -976,16 +946,11 @@ impl Hypervisor for X86Hv {
         self.inject_running(io, vcpu, VIRTIO_VECTOR, c.x86_doorbell_wire);
         self.guest_eoi(vcpu);
         let core = self.machine.topology().guest_core(vcpu);
-        let driver_extra = if self.is_kvm() {
-            c.kvm_guest_virtio / 2
-        } else {
-            c.xen_guest_pv / 2
-        };
         self.machine.charge_as(
             core,
             "guest:net-stack-rx",
             TraceKind::Guest,
-            c.stack_rx_per_packet + c.stack_bytes(total) + driver_extra,
+            c.stack_rx_per_packet + c.stack_bytes(total) + self.driver_share(),
             TransitionId::GuestStack,
         );
         (self.machine.now(core), vcpu)
@@ -997,30 +962,15 @@ impl Hypervisor for X86Hv {
         let total = chunks * chunk_len;
         let core = self.machine.topology().guest_core(vcpu);
         let backend = self.machine.topology().backend_core();
-        let driver_extra = if self.is_kvm() {
-            c.kvm_guest_virtio / 2
-        } else {
-            c.xen_guest_pv / 2
-        };
         self.machine.charge_as(
             core,
             "guest:net-stack-tx",
             TraceKind::Guest,
-            c.stack_tx_per_packet + c.stack_bytes(total) + driver_extra,
+            c.stack_tx_per_packet + c.stack_bytes(total) + self.driver_share(),
             TransitionId::GuestStack,
         );
-        self.exit(core, vcpu, ExitReason::IoInstruction);
+        self.kick_backend(core, vcpu, backend);
         if self.is_kvm() {
-            self.machine.charge_as(
-                core,
-                "kvm:x86-ioeventfd",
-                TraceKind::Io,
-                c.kvm_x86_ioeventfd,
-                TransitionId::VhostKick,
-            );
-            let arrival = self.machine.signal(core, backend, c.x86_doorbell_wire);
-            self.enter(core, vcpu);
-            self.machine.wait_until(backend, arrival);
             self.machine.charge_as(
                 backend,
                 "kvm:vhost-wake",
@@ -1036,16 +986,6 @@ impl Hypervisor for X86Hv {
                 TransitionId::VhostBackend,
             );
         } else {
-            self.machine.charge_as(
-                core,
-                "xen:evtchn-send",
-                TraceKind::Emulation,
-                c.xen_evtchn_send,
-                TransitionId::EventChannelSignal,
-            );
-            let arrival = self.machine.signal(core, backend, c.x86_doorbell_wire);
-            self.enter(core, vcpu);
-            self.machine.wait_until(backend, arrival);
             self.machine.charge_as(
                 backend,
                 "xen:x86-wake-blocked",

@@ -209,6 +209,20 @@ impl XenArm {
         );
     }
 
+    /// Traps into Xen and enters its handler dispatch: the head of the
+    /// hypercall, the trapped GICD access, the Stage-2 fault and every
+    /// event-channel send.
+    fn trap_to_dispatch(&mut self, core: CoreId, cause: TrapCause) {
+        self.xen_trap(core, cause);
+        self.machine.charge_as(
+            core,
+            "xen:dispatch",
+            TraceKind::Emulation,
+            self.cost.xen_dispatch,
+            TransitionId::HostDispatch,
+        );
+    }
+
     /// Pop the frame and return to the interrupted guest.
     fn xen_return(&mut self, core: CoreId) {
         self.machine.charge_as(
@@ -516,19 +530,12 @@ impl XenArm {
         let core = self.machine.topology().guest_core(vcpu);
         let ipa = Ipa::new(GUEST_RAM_IPA + self.domu.s2.mapped_pages() * PAGE_SIZE);
         let t0 = self.machine.now(core);
-        self.xen_trap(
+        self.trap_to_dispatch(
             core,
             TrapCause::Sync(Syndrome::DataAbort {
                 ipa: ipa.value(),
                 write: true,
             }),
-        );
-        self.machine.charge_as(
-            core,
-            "xen:dispatch",
-            TraceKind::Emulation,
-            self.cost.xen_dispatch,
-            TransitionId::HostDispatch,
         );
         self.machine.charge_as(
             core,
@@ -577,6 +584,111 @@ impl XenArm {
         let core = self.machine.topology().backend_core();
         let vcpu = core.index() - self.machine.topology().guest_cores().len();
         (core, vcpu)
+    }
+
+    /// The guest's event-channel doorbell: DomU's `EVTCHNOP_send`
+    /// hypercall notifies Dom0, and the physical IPI wakes Dom0 out of
+    /// the idle domain on the backend core unless it is already running
+    /// there. Returns the kick's flow chain, which the caller continues
+    /// (or, for I/O Latency Out, ends) at Dom0's wake. I/O Latency Out
+    /// is exactly this.
+    fn kick_dom0(&mut self, core: CoreId) -> Option<FlowId> {
+        let c = self.cost;
+        let (backend_core, b) = self.backend();
+        self.trap_to_dispatch(core, TrapCause::HYPERCALL);
+        let flow = self
+            .machine
+            .flow_begin(FlowKind::EvtchnSignal, core, "evtchn:send");
+        self.machine.charge_as(
+            core,
+            "xen:evtchn-send",
+            TraceKind::Emulation,
+            c.xen_evtchn_send,
+            TransitionId::EventChannelSignal,
+        );
+        let peer = self.evtchn.notify(self.io_port, DOMU).expect("bound port");
+        debug_assert_eq!(peer, DomId::DOM0);
+        let arrival = self.machine.signal(core, backend_core, c.ipi_wire);
+        self.xen_return(core);
+        self.machine.wait_until(backend_core, arrival);
+        if self.running[backend_core.index()] != Running::Dom0(b) {
+            self.wake_into(backend_core, Running::Dom0(b), true, true);
+        }
+        self.evtchn.clear_pending(DomId::DOM0, self.io_port);
+        flow
+    }
+
+    /// Dom0's `EVTCHNOP_send` hypercall to DomU on `core`, continuing
+    /// chain `flow`. Xen is left in EL2: the caller delivers the event
+    /// and returns to Dom0.
+    fn dom0_send(&mut self, core: CoreId, flow: Option<FlowId>) {
+        self.trap_to_dispatch(core, TrapCause::HYPERCALL);
+        self.machine.flow_step(flow, core, "evtchn:send");
+        self.machine.charge_as(
+            core,
+            "xen:evtchn-send",
+            TraceKind::Emulation,
+            self.cost.xen_evtchn_send,
+            TransitionId::EventChannelSignal,
+        );
+        self.evtchn
+            .notify(self.io_port, DomId::DOM0)
+            .expect("bound port");
+    }
+
+    /// Dom0's notification of DomU on the I/O core once netback has
+    /// filled the frame: `EVTCHNOP_send`, the event-channel injection
+    /// into the running DomU VCPU (continuing the IRQ-delivery chain
+    /// `flow`), and Dom0's return to idle.
+    fn notify_domu(&mut self, io: CoreId, vcpu: usize, flow: Option<FlowId>) {
+        self.dom0_send(io, flow);
+        self.inject_virq_running(io, vcpu, EVTCHN_VIRQ, flow);
+        self.xen_return(io);
+        self.evtchn.clear_pending(DOMU, self.io_port);
+        self.domain_switch_silent(io, Running::Idle);
+    }
+
+    /// Wakes DomU VCPU `vcpu`, blocked in WFI, on its own core: Xen had
+    /// switched the core to the idle domain, so the event goes through
+    /// the credit scheduler and a full idle→DomU switch (the
+    /// I/O-Latency-In receiver path of §IV).
+    fn wake_blocked_domu(&mut self, core: CoreId, vcpu: usize) {
+        self.domain_switch_silent(core, Running::Idle);
+        self.machine.charge_as(
+            core,
+            "xen:wake-blocked",
+            TraceKind::Sched,
+            self.cost.xen_wake_blocked,
+            TransitionId::Sched,
+        );
+        self.wake_into(core, Running::DomU(vcpu), false, false);
+    }
+
+    /// A trapped access to the emulated GIC distributor register `reg`:
+    /// the Stage-2 abort lands in EL2, where Xen decodes and emulates it
+    /// without leaving the hypervisor. The caller returns to the guest.
+    fn gicd_access(&mut self, core: CoreId, reg: u64, write: bool) {
+        self.trap_to_dispatch(
+            core,
+            TrapCause::Sync(Syndrome::DataAbort {
+                ipa: crate::GICD_IPA + reg,
+                write,
+            }),
+        );
+        self.machine.charge_as(
+            core,
+            "xen:mmio-decode",
+            TraceKind::Emulation,
+            self.cost.xen_mmio_decode,
+            TransitionId::MmioDecode,
+        );
+        self.machine.charge_as(
+            core,
+            "xen:gicd-emulate",
+            TraceKind::Emulation,
+            self.cost.xen_gicd_emulate,
+            TransitionId::GicdEmulate,
+        );
     }
 }
 
@@ -646,14 +758,7 @@ impl Hypervisor for XenArm {
         self.ensure_primary();
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.xen_trap(core, TrapCause::HYPERCALL);
-        self.machine.charge_as(
-            core,
-            "xen:dispatch",
-            TraceKind::Emulation,
-            self.cost.xen_dispatch,
-            TransitionId::HostDispatch,
-        );
+        self.trap_to_dispatch(core, TrapCause::HYPERCALL);
         self.xen_return(core);
         self.machine.now(core) - t0
     }
@@ -662,34 +767,7 @@ impl Hypervisor for XenArm {
         self.ensure_primary();
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.xen_trap(
-            core,
-            TrapCause::Sync(Syndrome::DataAbort {
-                ipa: crate::GICD_IPA + dist_reg::GICD_ISENABLER,
-                write: false,
-            }),
-        );
-        self.machine.charge_as(
-            core,
-            "xen:dispatch",
-            TraceKind::Emulation,
-            self.cost.xen_dispatch,
-            TransitionId::HostDispatch,
-        );
-        self.machine.charge_as(
-            core,
-            "xen:mmio-decode",
-            TraceKind::Emulation,
-            self.cost.xen_mmio_decode,
-            TransitionId::MmioDecode,
-        );
-        self.machine.charge_as(
-            core,
-            "xen:gicd-emulate",
-            TraceKind::Emulation,
-            self.cost.xen_gicd_emulate,
-            TransitionId::GicdEmulate,
-        );
+        self.gicd_access(core, dist_reg::GICD_ISENABLER, false);
         let _ = self
             .domu
             .dist
@@ -704,34 +782,7 @@ impl Hypervisor for XenArm {
         assert_ne!(from, to, "virtual IPI requires two VCPUs");
         let from_core = self.machine.topology().guest_core(from);
         let t0 = self.machine.now(from_core);
-        self.xen_trap(
-            from_core,
-            TrapCause::Sync(Syndrome::DataAbort {
-                ipa: crate::GICD_IPA + dist_reg::GICD_SGIR,
-                write: true,
-            }),
-        );
-        self.machine.charge_as(
-            from_core,
-            "xen:dispatch",
-            TraceKind::Emulation,
-            self.cost.xen_dispatch,
-            TransitionId::HostDispatch,
-        );
-        self.machine.charge_as(
-            from_core,
-            "xen:mmio-decode",
-            TraceKind::Emulation,
-            self.cost.xen_mmio_decode,
-            TransitionId::MmioDecode,
-        );
-        self.machine.charge_as(
-            from_core,
-            "xen:gicd-emulate",
-            TraceKind::Emulation,
-            self.cost.xen_gicd_emulate,
-            TransitionId::GicdEmulate,
-        );
+        self.gicd_access(from_core, dist_reg::GICD_SGIR, true);
         let effect = self
             .domu
             .dist
@@ -798,33 +849,10 @@ impl Hypervisor for XenArm {
     fn io_latency_out(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
         let core = self.machine.topology().guest_core(vcpu);
-        let (backend_core, _b) = self.backend();
+        let (backend_core, _) = self.backend();
         let t0 = self.machine.now(core);
-        // DomU: EVTCHNOP_send hypercall.
-        self.xen_trap(core, TrapCause::HYPERCALL);
-        self.machine.charge_as(
-            core,
-            "xen:dispatch",
-            TraceKind::Emulation,
-            self.cost.xen_dispatch,
-            TransitionId::HostDispatch,
-        );
-        self.machine.charge_as(
-            core,
-            "xen:evtchn-send",
-            TraceKind::Emulation,
-            self.cost.xen_evtchn_send,
-            TransitionId::EventChannelSignal,
-        );
-        let peer = self.evtchn.notify(self.io_port, DOMU).expect("bound port");
-        debug_assert_eq!(peer, DomId::DOM0);
-        // Dom0 idles on another PCPU: physical IPI + idle→Dom0 switch.
-        let arrival = self.machine.signal(core, backend_core, self.cost.ipi_wire);
-        self.xen_return(core);
-        self.machine.wait_until(backend_core, arrival);
-        let (_, b) = self.backend();
-        self.wake_into(backend_core, Running::Dom0(b), true, true);
-        self.evtchn.clear_pending(DomId::DOM0, self.io_port);
+        let flow = self.kick_dom0(core);
+        self.machine.flow_end(flow, backend_core, "dom0:wake");
         // Dom0 now returns to idle so the next iteration starts cold, as
         // in the benchmark (uncharged bookkeeping).
         let t1 = self.machine.now(backend_core);
@@ -839,39 +867,14 @@ impl Hypervisor for XenArm {
         // Dom0 runs the backend for this measurement.
         self.domain_switch_silent(backend_core, Running::Dom0(b));
         let t0 = self.machine.now(backend_core);
-        self.xen_trap(backend_core, TrapCause::HYPERCALL);
-        self.machine.charge_as(
-            backend_core,
-            "xen:dispatch",
-            TraceKind::Emulation,
-            self.cost.xen_dispatch,
-            TransitionId::HostDispatch,
-        );
-        self.machine.charge_as(
-            backend_core,
-            "xen:evtchn-send",
-            TraceKind::Emulation,
-            self.cost.xen_evtchn_send,
-            TransitionId::EventChannelSignal,
-        );
-        self.evtchn
-            .notify(self.io_port, DomId::DOM0)
-            .expect("bound port");
+        self.dom0_send(backend_core, None);
         let arrival = self.machine.signal(backend_core, core, self.cost.ipi_wire);
         self.xen_return(backend_core);
         // The receiving DomU VCPU blocked in WFI; Xen switched its core
         // to the idle domain ("switching from the idle domain to the
         // receiving VM in EL1", §IV).
         self.machine.wait_until(core, arrival);
-        self.domain_switch_silent(core, Running::Idle);
-        self.machine.charge_as(
-            core,
-            "xen:wake-blocked",
-            TraceKind::Sched,
-            self.cost.xen_wake_blocked,
-            TransitionId::Sched,
-        );
-        self.wake_into(core, Running::DomU(vcpu), false, false);
+        self.wake_blocked_domu(core, vcpu);
         self.evtchn.clear_pending(DOMU, self.io_port);
         self.machine.now(core) - t0
     }
@@ -891,7 +894,7 @@ impl Hypervisor for XenArm {
         self.ensure_primary();
         let c = self.cost;
         let core = self.machine.topology().guest_core(vcpu);
-        let (backend_core, b) = self.backend();
+        let (backend_core, _) = self.backend();
         // Guest stack + netfront (grant issue) — §V guest-side PV cost.
         self.machine.charge_as(
             core,
@@ -910,34 +913,9 @@ impl Hypervisor for XenArm {
                 &payload,
             )
             .expect("TX pool has room");
-        // Kick Dom0 through the event channel.
-        self.xen_trap(core, TrapCause::HYPERCALL);
-        self.machine.charge_as(
-            core,
-            "xen:dispatch",
-            TraceKind::Emulation,
-            c.xen_dispatch,
-            TransitionId::HostDispatch,
-        );
-        let flow = self
-            .machine
-            .flow_begin(FlowKind::EvtchnSignal, core, "evtchn:send");
-        self.machine.charge_as(
-            core,
-            "xen:evtchn-send",
-            TraceKind::Emulation,
-            c.xen_evtchn_send,
-            TransitionId::EventChannelSignal,
-        );
-        self.evtchn.notify(self.io_port, DOMU).expect("bound port");
-        let arrival = self.machine.signal(core, backend_core, c.ipi_wire);
-        self.xen_return(core);
-        // Dom0 wakes from idle, netback grant-copies and transmits.
-        self.machine.wait_until(backend_core, arrival);
-        if self.running[backend_core.index()] != Running::Dom0(b) {
-            self.wake_into(backend_core, Running::Dom0(b), true, true);
-        }
-        self.evtchn.clear_pending(DomId::DOM0, self.io_port);
+        // Kick Dom0 through the event channel; netback grant-copies and
+        // transmits.
+        let flow = self.kick_dom0(core);
         self.machine.flow_step(flow, backend_core, "dom0:wake");
         self.machine.charge_as(
             backend_core,
@@ -1048,31 +1026,8 @@ impl Hypervisor for XenArm {
         self.back
             .deliver_rx(&mut self.ring, &mut self.grants, &mut self.mem, &pkt)
             .expect("RX grant posted");
-        // Signal DomU.
-        self.xen_trap(io, TrapCause::HYPERCALL);
-        self.machine.charge_as(
-            io,
-            "xen:dispatch",
-            TraceKind::Emulation,
-            c.xen_dispatch,
-            TransitionId::HostDispatch,
-        );
-        self.machine.flow_step(flow, io, "evtchn:send");
-        self.machine.charge_as(
-            io,
-            "xen:evtchn-send",
-            TraceKind::Emulation,
-            c.xen_evtchn_send,
-            TransitionId::EventChannelSignal,
-        );
-        self.evtchn
-            .notify(self.io_port, DomId::DOM0)
-            .expect("bound port");
-        self.inject_virq_running(io, vcpu, EVTCHN_VIRQ, flow);
-        self.xen_return(io);
-        self.evtchn.clear_pending(DOMU, self.io_port);
-        // Dom0 returns to idle.
-        self.domain_switch_silent(io, Running::Idle);
+        // Signal DomU; Dom0 returns to idle.
+        self.notify_domu(io, vcpu, flow);
         // DomU: netfront reaps the filled frame; guest stack.
         let core = self.machine.topology().guest_core(vcpu);
         let got = self
@@ -1120,22 +1075,10 @@ impl Hypervisor for XenArm {
     }
 
     fn deliver_virq_blocked(&mut self, vcpu: usize) -> Cycles {
-        // The receiving VCPU blocked in WFI; Xen switched its core to
-        // the idle domain. The event must wake it through the credit
-        // scheduler and a full idle->DomU switch, all on the target
-        // core (the I/O-Latency-In receiver path of §IV).
         self.ensure_primary();
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.domain_switch_silent(core, Running::Idle);
-        self.machine.charge_as(
-            core,
-            "xen:wake-blocked",
-            TraceKind::Sched,
-            self.cost.xen_wake_blocked,
-            TransitionId::Sched,
-        );
-        self.wake_into(core, Running::DomU(vcpu), false, false);
+        self.wake_blocked_domu(core, vcpu);
         self.machine.now(core) - t0
     }
 
@@ -1193,29 +1136,7 @@ impl Hypervisor for XenArm {
                 TransitionId::GrantCopy,
             );
         }
-        self.xen_trap(io, TrapCause::HYPERCALL);
-        self.machine.charge_as(
-            io,
-            "xen:dispatch",
-            TraceKind::Emulation,
-            c.xen_dispatch,
-            TransitionId::HostDispatch,
-        );
-        self.machine.flow_step(flow, io, "evtchn:send");
-        self.machine.charge_as(
-            io,
-            "xen:evtchn-send",
-            TraceKind::Emulation,
-            c.xen_evtchn_send,
-            TransitionId::EventChannelSignal,
-        );
-        self.evtchn
-            .notify(self.io_port, DomId::DOM0)
-            .expect("bound port");
-        self.inject_virq_running(io, vcpu, EVTCHN_VIRQ, flow);
-        self.xen_return(io);
-        self.evtchn.clear_pending(DOMU, self.io_port);
-        self.domain_switch_silent(io, Running::Idle);
+        self.notify_domu(io, vcpu, flow);
         let core = self.machine.topology().guest_core(vcpu);
         self.machine.charge_as(
             core,
@@ -1232,7 +1153,7 @@ impl Hypervisor for XenArm {
         let c = self.cost;
         let total = chunks * chunk_len;
         let core = self.machine.topology().guest_core(vcpu);
-        let (backend_core, b) = self.backend();
+        let (backend_core, _) = self.backend();
         self.machine.charge_as(
             core,
             "guest:net-stack-tx",
@@ -1241,32 +1162,7 @@ impl Hypervisor for XenArm {
             TransitionId::GuestStack,
         );
         // One kick for the burst.
-        self.xen_trap(core, TrapCause::HYPERCALL);
-        self.machine.charge_as(
-            core,
-            "xen:dispatch",
-            TraceKind::Emulation,
-            c.xen_dispatch,
-            TransitionId::HostDispatch,
-        );
-        let flow = self
-            .machine
-            .flow_begin(FlowKind::EvtchnSignal, core, "evtchn:send");
-        self.machine.charge_as(
-            core,
-            "xen:evtchn-send",
-            TraceKind::Emulation,
-            c.xen_evtchn_send,
-            TransitionId::EventChannelSignal,
-        );
-        self.evtchn.notify(self.io_port, DOMU).expect("bound port");
-        let arrival = self.machine.signal(core, backend_core, c.ipi_wire);
-        self.xen_return(core);
-        self.machine.wait_until(backend_core, arrival);
-        if self.running[backend_core.index()] != Running::Dom0(b) {
-            self.wake_into(backend_core, Running::Dom0(b), true, true);
-        }
-        self.evtchn.clear_pending(DomId::DOM0, self.io_port);
+        let flow = self.kick_dom0(core);
         self.machine.flow_step(flow, backend_core, "dom0:wake");
         self.machine.charge_as(
             backend_core,

@@ -351,25 +351,10 @@ impl<M: HostModel> ShardSim<M> {
         &self.shards[host].model
     }
 
-    /// Exclusive access to a host's model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is out of range.
-    pub fn host_mut(&mut self, host: usize) -> &mut M {
-        &mut self.shards[host].model
-    }
-
     /// Consumes the executor, returning every host model in index
     /// order.
     pub fn into_models(self) -> Vec<M> {
         self.shards.into_iter().map(|s| s.model).collect()
-    }
-
-    /// The global virtual-time floor: the earliest pending event across
-    /// all hosts, or `None` when every calendar is empty.
-    pub fn next_event(&self) -> Option<Cycles> {
-        self.shards.iter().filter_map(|s| s.queue.peek_when()).min()
     }
 
     /// Runs to completion on the calling thread — the serial reference

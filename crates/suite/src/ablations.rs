@@ -140,15 +140,7 @@ pub fn vhe() -> Result<VheProjection, Error> {
         let classic = m.run(sim(HvKind::KvmArm)?.as_dyn_mut(), 3).as_u64();
         let vhe = m.run(sim(HvKind::KvmArmVhe)?.as_dyn_mut(), 3).as_u64();
         let xen = m.run(sim(HvKind::XenArm)?.as_dyn_mut(), 3).as_u64();
-        let name = match m {
-            Micro::Hypercall => "Hypercall",
-            Micro::InterruptControllerTrap => "Interrupt Controller Trap",
-            Micro::IoLatencyOut => "I/O Latency Out",
-            Micro::IoLatencyIn => "I/O Latency In",
-            Micro::VirtualIpi => "Virtual IPI",
-            _ => unreachable!(),
-        };
-        micro.push((name, classic, vhe, xen));
+        micro.push((m.name(), classic, vhe, xen));
     }
     let io_workloads = ["TCP_RR", "Apache", "Memcached", "TCP_STREAM"];
     let mut wl = Vec::new();

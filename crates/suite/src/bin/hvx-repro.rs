@@ -392,7 +392,6 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
         wall_timeout,
         chaos,
         cache: None,
-        retry: runner::RetryPolicy::default(),
     };
     Ok(Parsed::Run(Box::new(RunArgs {
         json_dir,

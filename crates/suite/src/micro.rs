@@ -38,6 +38,19 @@ impl Micro {
         Micro::IoLatencyIn,
     ];
 
+    /// The Table I/II row name, e.g. "I/O Latency Out".
+    pub fn name(self) -> &'static str {
+        match self {
+            Micro::Hypercall => "Hypercall",
+            Micro::InterruptControllerTrap => "Interrupt Controller Trap",
+            Micro::VirtualIpi => "Virtual IPI",
+            Micro::VirtualIrqCompletion => "Virtual IRQ Completion",
+            Micro::VmSwitch => "VM Switch",
+            Micro::IoLatencyOut => "I/O Latency Out",
+            Micro::IoLatencyIn => "I/O Latency In",
+        }
+    }
+
     /// The Table I description of this microbenchmark.
     pub fn description(self) -> &'static str {
         match self {
@@ -114,16 +127,7 @@ impl Micro {
 
 impl fmt::Display for Micro {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Micro::Hypercall => "Hypercall",
-            Micro::InterruptControllerTrap => "Interrupt Controller Trap",
-            Micro::VirtualIpi => "Virtual IPI",
-            Micro::VirtualIrqCompletion => "Virtual IRQ Completion",
-            Micro::VmSwitch => "VM Switch",
-            Micro::IoLatencyOut => "I/O Latency Out",
-            Micro::IoLatencyIn => "I/O Latency In",
-        };
-        f.pad(s)
+        f.pad(self.name())
     }
 }
 

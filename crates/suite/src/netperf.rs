@@ -283,10 +283,17 @@ impl Table5 {
 
     /// Renders in the paper's layout alongside the published numbers.
     pub fn render(&self) -> String {
-        /// One rendered row: label, the three measured cells, the three
-        /// paper cells.
-        type Row = (&'static str, Vec<Option<f64>>, [&'static str; 3]);
-        let cols = [&self.native, &self.kvm, &self.xen];
+        // Each row's measurement, in `paper::TABLE5`'s row order.
+        let rows: [fn(&RrColumn) -> Option<f64>; 8] = [
+            |c| Some(c.trans_per_s),
+            |c| Some(c.time_per_trans),
+            |c| c.overhead,
+            |c| Some(c.send_to_recv),
+            |c| Some(c.recv_to_send),
+            |c| c.recv_to_vm_recv,
+            |c| c.vm_recv_to_vm_send,
+            |c| c.vm_send_to_send,
+        ];
         let mut out = String::new();
         out.push_str(&format!(
             "{:<26}{:>12}{:>12}{:>12}   (paper: native/KVM/Xen)\n",
@@ -294,63 +301,29 @@ impl Table5 {
         ));
         out.push_str(&"-".repeat(92));
         out.push('\n');
-        let rows: Vec<Row> = vec![
-            (
-                "Trans/s",
-                cols.iter().map(|c| Some(c.trans_per_s)).collect(),
-                ["23911", "11591", "10253"],
-            ),
-            (
-                "Time/trans (us)",
-                cols.iter().map(|c| Some(c.time_per_trans)).collect(),
-                ["41.8", "86.3", "97.5"],
-            ),
-            (
-                "Overhead (us)",
-                cols.iter().map(|c| c.overhead).collect(),
-                ["-", "44.5", "55.7"],
-            ),
-            (
-                "send to recv (us)",
-                cols.iter().map(|c| Some(c.send_to_recv)).collect(),
-                ["29.7", "29.8", "33.9"],
-            ),
-            (
-                "recv to send (us)",
-                cols.iter().map(|c| Some(c.recv_to_send)).collect(),
-                ["14.5", "53.0", "64.6"],
-            ),
-            (
-                "recv to VM recv (us)",
-                cols.iter().map(|c| c.recv_to_vm_recv).collect(),
-                ["-", "21.1", "25.9"],
-            ),
-            (
-                "VM recv to VM send (us)",
-                cols.iter().map(|c| c.vm_recv_to_vm_send).collect(),
-                ["-", "16.9", "17.4"],
-            ),
-            (
-                "VM send to send (us)",
-                cols.iter().map(|c| c.vm_send_to_send).collect(),
-                ["-", "15.0", "21.4"],
-            ),
-        ];
-        for (label, vals, paper) in rows {
-            out.push_str(&format!("{label:<26}"));
-            for v in &vals {
-                match v {
-                    Some(x) if *x > 1000.0 => out.push_str(&format!("{x:>12.0}")),
-                    Some(x) => out.push_str(&format!("{x:>12.1}")),
-                    None => out.push_str(&format!("{:>12}", "-")),
-                }
+        for (paper, measure) in crate::paper::TABLE5.iter().zip(rows) {
+            out.push_str(&format!("{:<26}", paper.label));
+            for column in [&self.native, &self.kvm, &self.xen] {
+                out.push_str(&format!("{:>12}", cell(measure(column))));
             }
             out.push_str(&format!(
                 "   ({} / {} / {})\n",
-                paper[0], paper[1], paper[2]
+                cell(paper.native),
+                cell(paper.kvm),
+                cell(paper.xen)
             ));
         }
         out
+    }
+}
+
+/// One Table V cell as printed: rates above 1000 without decimals, the
+/// rest to one decimal, and `-` where the column has no such row.
+fn cell(value: Option<f64>) -> String {
+    match value {
+        Some(x) if x > 1000.0 => format!("{x:.0}"),
+        Some(x) => format!("{x:.1}"),
+        None => "-".to_string(),
     }
 }
 

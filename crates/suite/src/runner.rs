@@ -398,9 +398,10 @@ pub struct ScenarioResult {
     ///
     /// [`Machine::charge`]: hvx_engine::Machine::charge
     pub transitions: u64,
-    /// Transient-failure retries spent before this outcome settled
-    /// (0 = the first attempt stood). Only panicking scenarios are
-    /// retried, and only when [`RunnerConfig::retry`] allows it.
+    /// Always 0: the runner runs each scenario once (the sweep server
+    /// retries jobs itself and reports its own count). The field stays
+    /// only because the benchmark in `perfbench/` builds this literal; it
+    /// goes with the next change to that benchmark.
     pub retries: u32,
     /// Content fingerprint of the scenario's full input closure, or
     /// `None` for uncacheable scenarios (chaos injections).
@@ -422,26 +423,6 @@ impl ScenarioResult {
             failure: self.outcome.as_ref().err().cloned(),
         }
     }
-}
-
-/// Bounded retry-with-backoff for panicking scenarios. The default is
-/// zero retries — identical behaviour to the pre-retry runner. Retry
-/// policy never enters a scenario's cache [`Fingerprint`]: retrying
-/// changes how hard the runner tries, not what the scenario computes.
-///
-/// Only [`ScenarioFailureKind::Panicked`] failures are retried:
-/// timeouts and livelocks are deterministic under a fixed plan (the
-/// same budget trips at the same simulated cycle), and typed `Failed`
-/// errors are graceful rejections that will not change on a rerun.
-///
-/// [`Fingerprint`]: hvx_engine::Fingerprint
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RetryPolicy {
-    /// Additional attempts after the first failure (0 = never retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles each retry, capped at
-    /// one second.
-    pub backoff: Duration,
 }
 
 /// Shared configuration for one runner invocation: the fault plan and
@@ -467,8 +448,6 @@ pub struct RunnerConfig {
     ///
     /// [`Fingerprint`]: hvx_engine::Fingerprint
     pub cache: Option<std::sync::Arc<crate::cache::ResultCache>>,
-    /// Retry-with-backoff for panicking scenarios (default: none).
-    pub retry: RetryPolicy,
 }
 
 /// Expands the requested artifacts (in the given order) into the flat
@@ -583,81 +562,54 @@ fn run_one(scenario: Scenario, cfg: &RunnerConfig) -> ScenarioResult {
             cached: true,
         };
     }
-    let mut retries = 0u32;
-    loop {
-        let before = hvx_engine::thread_transitions();
-        let outcome = isolate(cfg.fault_plan.clone(), cfg.watchdog, || scenario.execute());
-        // Wall is cumulative across attempts (backoff included): it
-        // answers "what did this cell cost the run", not "how fast was
-        // the last attempt".
-        let wall = start.elapsed();
-        let transitions = hvx_engine::thread_transitions() - before;
-        // A scenario that returned (a value or a typed error) rather than
-        // unwound, but past the wall budget, is classified as timed out
-        // after the fact.
-        let unwound = matches!(&outcome, Err(f) if f.kind != ScenarioFailureKind::Failed);
-        let outcome = match cfg.wall_timeout {
-            Some(limit) if !unwound && wall > limit => Err(ScenarioFailure {
-                kind: ScenarioFailureKind::TimedOut,
-                detail: format!(
-                    "wall clock {:.3}s exceeded the {:.3}s budget",
-                    wall.as_secs_f64(),
-                    limit.as_secs_f64()
-                ),
-            }),
-            _ => outcome,
-        };
-        if let Err(failure) = &outcome {
-            if matches!(
-                failure.kind,
-                ScenarioFailureKind::TimedOut | ScenarioFailureKind::Livelocked
-            ) {
-                // Watchdog trips are deterministic under a fixed config:
-                // worth a structured record even though they never retry.
-                hvx_obs::log::error(
-                    "runner",
-                    "watchdog_tripped",
-                    &[
-                        ("scenario", hvx_obs::LogValue::from(scenario.label())),
-                        ("kind", hvx_obs::LogValue::from(failure.kind.to_string())),
-                        ("detail", hvx_obs::LogValue::from(failure.detail.as_str())),
-                    ],
-                );
-            }
-            if failure.kind == ScenarioFailureKind::Panicked && retries < cfg.retry.max_retries {
-                let delay = cfg
-                    .retry
-                    .backoff
-                    .saturating_mul(1u32 << retries.min(10))
-                    .min(Duration::from_secs(1));
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                retries += 1;
-                hvx_obs::log::info(
-                    "runner",
-                    "scenario_retry",
-                    &[
-                        ("scenario", hvx_obs::LogValue::from(scenario.label())),
-                        ("attempt", hvx_obs::LogValue::from(u64::from(retries))),
-                        ("detail", hvx_obs::LogValue::from(failure.detail.as_str())),
-                    ],
-                );
-                continue;
-            }
+    let before = hvx_engine::thread_transitions();
+    let outcome = isolate(cfg.fault_plan.clone(), cfg.watchdog, || scenario.execute());
+    let wall = start.elapsed();
+    let transitions = hvx_engine::thread_transitions() - before;
+    // A scenario that returned (a value or a typed error) rather than
+    // unwound, but past the wall budget, is classified as timed out
+    // after the fact.
+    let unwound = matches!(&outcome, Err(f) if f.kind != ScenarioFailureKind::Failed);
+    let outcome = match cfg.wall_timeout {
+        Some(limit) if !unwound && wall > limit => Err(ScenarioFailure {
+            kind: ScenarioFailureKind::TimedOut,
+            detail: format!(
+                "wall clock {:.3}s exceeded the {:.3}s budget",
+                wall.as_secs_f64(),
+                limit.as_secs_f64()
+            ),
+        }),
+        _ => outcome,
+    };
+    if let Err(failure) = &outcome {
+        if matches!(
+            failure.kind,
+            ScenarioFailureKind::TimedOut | ScenarioFailureKind::Livelocked
+        ) {
+            // Watchdog trips are deterministic under a fixed config:
+            // worth a structured record.
+            hvx_obs::log::error(
+                "runner",
+                "watchdog_tripped",
+                &[
+                    ("scenario", hvx_obs::LogValue::from(scenario.label())),
+                    ("kind", hvx_obs::LogValue::from(failure.kind.to_string())),
+                    ("detail", hvx_obs::LogValue::from(failure.detail.as_str())),
+                ],
+            );
         }
-        if let (Some(cache), Ok(output)) = (&cfg.cache, &outcome) {
-            cache.store(scenario, cfg, output);
-        }
-        return ScenarioResult {
-            scenario,
-            outcome,
-            wall,
-            transitions,
-            retries,
-            fingerprint,
-            cached: false,
-        };
+    }
+    if let (Some(cache), Ok(output)) = (&cfg.cache, &outcome) {
+        cache.store(scenario, cfg, output);
+    }
+    ScenarioResult {
+        scenario,
+        outcome,
+        wall,
+        transitions,
+        retries: 0,
+        fingerprint,
+        cached: false,
     }
 }
 
@@ -1327,46 +1279,6 @@ mod tests {
         assert_eq!(outcome.chaos_failures.len(), 1);
         assert_eq!(outcome.chaos_failures[0].0, "chaos-panic");
         assert_eq!(outcome.failures().len(), 1);
-    }
-
-    #[test]
-    fn panicked_scenarios_retry_up_to_the_policy_then_settle() {
-        let cfg = RunnerConfig {
-            retry: RetryPolicy {
-                max_retries: 2,
-                backoff: Duration::ZERO,
-            },
-            ..RunnerConfig::default()
-        };
-        // A chaos panic is deterministic, so every retry fails too: the
-        // runner must spend exactly max_retries extra attempts and then
-        // report the typed failure with the retry count attached.
-        let results = run_scenarios_with(&[Scenario::Chaos(ChaosKind::Panic)], 1, &cfg).unwrap();
-        assert_eq!(results[0].retries, 2);
-        let failure = results[0].outcome.as_ref().unwrap_err();
-        assert_eq!(failure.kind, ScenarioFailureKind::Panicked);
-
-        // A clean scenario never retries, even with the policy armed.
-        let results = run_scenarios_with(&[Scenario::Table3], 1, &cfg).unwrap();
-        assert_eq!(results[0].retries, 0);
-        assert!(results[0].outcome.is_ok());
-
-        // Typed (non-panic) failures are not retried: they are
-        // deterministic rejections, not transient crashes.
-        let timeout_cfg = RunnerConfig {
-            wall_timeout: Some(Duration::ZERO),
-            retry: RetryPolicy {
-                max_retries: 3,
-                backoff: Duration::ZERO,
-            },
-            ..RunnerConfig::default()
-        };
-        let results = run_scenarios_with(&[Scenario::Table3], 1, &timeout_cfg).unwrap();
-        assert_eq!(results[0].retries, 0);
-        assert_eq!(
-            results[0].outcome.as_ref().unwrap_err().kind,
-            ScenarioFailureKind::TimedOut
-        );
     }
 
     #[test]

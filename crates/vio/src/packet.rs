@@ -73,11 +73,6 @@ impl Wire {
         }
     }
 
-    /// The paper's 10 GbE testbed link, seen from the ARM server.
-    pub fn ten_gbe_arm() -> Self {
-        Wire::from_link(10_000, 10.0, Frequency::ARM_M400)
-    }
-
     /// One-way transfer time for a packet of `len` payload bytes.
     pub fn transfer_time(&self, len: usize) -> Cycles {
         self.latency + Cycles::new((len as f64 * self.cycles_per_byte).round() as u64)

@@ -2,8 +2,9 @@
 # Golden-baseline regression gate: a clean `check` against the committed
 # baseline (with the loop compiler on and off), a cache-smoke pass
 # proving warm reruns skip every cell, and a drift drill proving a
-# perturbed cost model is caught with a span delta report. Run from the
-# repository root.
+# perturbed cost model is caught with a span delta report, plus a
+# doorbell drill proving one cost field moves Table II and Figure 4
+# together. Run from the repository root.
 set -eu
 
 cargo build -q --release -p hvx-suite
@@ -63,8 +64,26 @@ case "$out" in
 esac
 echo "drift drill caught the perturbation (exit 4, span deltas rendered)"
 
+echo "== doorbell drill: one cost field reaches Table II and Figure 4 =="
+# kvm_ioeventfd is charged once, in KVM ARM's virtio doorbell, which
+# both I/O Latency Out and the transmit path run: a perturbation must
+# move the microbenchmark and the applications together.
+status=0
+out=$(HVX_COST_PERTURB=kvm_ioeventfd=+97 "$repro" check 2>&1) || status=$?
+if [ "$status" -ne 4 ]; then
+    echo "baseline_check: expected exit 4 under kvm_ioeventfd=+97, got $status" >&2
+    exit 1
+fi
+for artifact in table2 fig4; do
+    if ! echo "$out" | grep -q "^$artifact  *DRIFT"; then
+        echo "baseline_check: doorbell drill did not name $artifact" >&2
+        exit 1
+    fi
+done
+echo "doorbell drill moved table2 and fig4 together (exit 4)"
+
 echo "== the drill must not have poisoned the cache =="
 "$repro" check --cache "$cache_dir" >/dev/null
 
 rm -rf "$cache_dir"
-echo "baseline_check: gate, cache, and drift drill all pass"
+echo "baseline_check: gate, cache, drift and doorbell drills all pass"

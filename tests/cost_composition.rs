@@ -3,8 +3,8 @@
 //! cost model against silent drift — if a constant or a path changes,
 //! the identity that justified it fails by name.
 
-use hvx::core::{CostModel, Hypervisor, KvmArm, KvmX86, XenArm, XenX86};
-use hvx::engine::Cycles;
+use hvx::core::{CostModel, HvKind, Hypervisor, KvmArm, KvmX86, SimBuilder, XenArm, XenX86};
+use hvx::engine::{CoreId, Cycles, TraceMode};
 
 fn c() -> CostModel {
     CostModel::arm()
@@ -172,4 +172,104 @@ fn uncalibrated_model_still_drives_every_path() {
     let mut xen = XenArm::with_cost(CostModel::uncalibrated());
     assert!(xen.hypercall(0) < kvm.hypercall(0), "frame < full save");
     assert!(xen.io_latency_out(0) > xen.hypercall(0));
+}
+
+/// One trace record as the shared-sequence tests compare it.
+type Record = (&'static str, CoreId, Cycles);
+
+/// Runs `op` on a fresh `kind` machine with the log in full mode and
+/// returns the (label, core, cost) records it left, in order.
+fn records(kind: HvKind, op: impl FnOnce(&mut dyn Hypervisor)) -> Vec<Record> {
+    let mut sim = SimBuilder::new(kind)
+        .tracing(TraceMode::Full)
+        .build()
+        .expect("the paper configuration builds");
+    op(sim.as_dyn_mut());
+    sim.machine()
+        .trace()
+        .events()
+        .iter()
+        .map(|e| (e.label, e.core, e.duration))
+        .collect()
+}
+
+#[test]
+fn io_latency_out_is_the_doorbell_half_of_transmit() {
+    // Table I: I/O Latency Out is the guest signalling its backend. On
+    // the ARM designs that is exactly the kick inside the transmit path,
+    // from the doorbell's first charge through the backend's wake.
+    for (kind, wake) in [
+        (HvKind::KvmArm, "kvm:vhost-wake"),
+        (HvKind::KvmArmVhe, "kvm:vhost-wake"),
+        (HvKind::XenArm, "xen:wake-blocked"),
+    ] {
+        let out = records(kind, |hv| {
+            hv.io_latency_out(0);
+        });
+        let tx = records(kind, |hv| {
+            hv.transmit(0, 64);
+        });
+        assert_eq!(out.first().map(|r| r.0), Some("hw:trap-el2"), "{kind}");
+        assert_eq!(out.last().map(|r| r.0), Some(wake), "{kind}");
+        assert!(
+            tx.windows(out.len()).any(|run| run == out),
+            "{kind}: I/O Latency Out's {} records are not one run of transmit's {}",
+            out.len(),
+            tx.len()
+        );
+    }
+}
+
+#[test]
+fn kvm_arm_io_latency_in_is_the_backend_signal_plus_an_injection() {
+    // After vhost's two host-side charges, I/O Latency In is the same
+    // injection every other virtual interrupt takes, up to the guest's
+    // ack (the microbenchmark stops its clock there; no EOI is charged).
+    for kind in [HvKind::KvmArm, HvKind::KvmArmVhe] {
+        let io_in = records(kind, |hv| {
+            hv.io_latency_in(0);
+        });
+        let virq = records(kind, |hv| {
+            hv.deliver_virq(0);
+        });
+        let backend: Vec<&str> = io_in.iter().take(2).map(|r| r.0).collect();
+        assert_eq!(backend, ["kvm:irqfd-signal", "kvm:io-in-host"], "{kind}");
+        assert_eq!(virq.last().map(|r| r.0), Some("gic:vif-eoi"), "{kind}");
+        assert_eq!(io_in[2..], virq[..virq.len() - 1], "{kind}");
+    }
+}
+
+#[test]
+fn xen_arm_io_latency_in_ends_in_the_blocked_domu_wake() {
+    // §IV: the receiving DomU VCPU is blocked, so after Dom0's event
+    // send I/O Latency In pays exactly the wake that delivering any
+    // interrupt to a blocked VCPU pays.
+    let io_in = records(HvKind::XenArm, |hv| {
+        hv.io_latency_in(0);
+    });
+    let wake = records(HvKind::XenArm, |hv| {
+        hv.deliver_virq_blocked(0);
+    });
+    assert_eq!(wake.first().map(|r| r.0), Some("xen:wake-blocked"));
+    assert!(io_in.ends_with(&wake), "{io_in:?}");
+}
+
+#[test]
+fn native_bursts_charge_their_per_packet_paths() {
+    // Natively a burst is one interrupt (or one doorbell) and one pass
+    // of the stack over the whole burst: the per-packet path at the
+    // burst's total length.
+    let t = Cycles::new(1_000);
+    let (mut burst, mut single) = (None, None);
+    let burst_rx = records(HvKind::Native, |hv| {
+        burst = Some(hv.receive_burst(4, 1024, t))
+    });
+    let rx = records(HvKind::Native, |hv| single = Some(hv.receive(4096, t)));
+    assert_eq!((burst_rx, burst), (rx, single));
+    let (mut burst, mut single) = (None, None);
+    let burst_tx = records(HvKind::Native, |hv| {
+        burst = Some(hv.transmit_burst(0, 4, 1024))
+    });
+    let tx = records(HvKind::Native, |hv| single = Some(hv.transmit(0, 4096)));
+    assert_eq!((burst_tx, burst), (tx, single));
 }
