@@ -13,11 +13,15 @@
 //! (The calibrated `xen_sched` cycle cost in [`crate::CostModel`] prices
 //! one scheduling decision; this module decides *which* and *how many*
 //! decisions happen.)
+//!
+//! Both schedulers keep their runnable vCPUs in an indexed binary heap,
+//! so a decision costs O(log n) host time in the n vCPUs of a pCPU and
+//! a consolidation cell's host cost per transaction hardly grows with
+//! the ratio it simulates. Nothing allocates after registration.
 
 use crate::Error;
 use core::fmt;
 use hvx_engine::Cycles;
-use std::collections::VecDeque;
 
 /// Which hypervisor vCPU scheduler multiplexes vCPUs onto a physical
 /// CPU in the consolidation scenarios.
@@ -82,8 +86,9 @@ impl fmt::Display for SchedPolicy {
 /// it registers the vCPUs pinned there, then interleaves [`pick`],
 /// cycle charges, blocks (WFI), wakes, and periodic [`tick`]s exactly
 /// as the modelled hypervisor's scheduler would see them. All state is
-/// integer and all tie-breaks are by registration order, so the same
-/// call sequence always yields the same decisions.
+/// integer and every tie breaks on a unique key (credit: queue
+/// position; CFS: vCPU id), so the same call sequence always yields the
+/// same decisions.
 ///
 /// [`pick`]: VcpuScheduler::pick
 /// [`tick`]: VcpuScheduler::tick
@@ -196,12 +201,257 @@ pub const WAKEUP_BONUS: u64 = 3_000_000;
 /// cycles) — the anti-thrash hysteresis.
 pub const PREEMPT_GRANULARITY: u64 = 500_000;
 
+/// Heap slot of an id that is not in an [`IndexedHeap`].
+const ABSENT: u32 = u32::MAX;
+
+/// Packs `(major, minor)` into one key that orders as the pair does, so
+/// each heap comparison is a single branch-free integer compare.
+fn pack(major: u64, minor: u64) -> u128 {
+    (u128::from(major) << 64) | u128::from(minor)
+}
+
+/// An indexed binary min-heap of ids under `u128` keys.
+///
+/// Each id knows its heap slot, so removing an id or changing its key
+/// costs O(log n) and never scans. Capacity is reserved as ids
+/// register, so no operation after registration allocates. Keys must be
+/// unique per id: then the minimum is one id, whatever order the ids
+/// entered in.
+#[derive(Debug, Clone, Default)]
+struct IndexedHeap {
+    /// `(key, id)` pairs in heap order.
+    heap: Vec<(u128, u32)>,
+    /// Heap slot of each id, [`ABSENT`] when not in the heap.
+    slot: Vec<u32>,
+}
+
+impl IndexedHeap {
+    /// Makes room for `id`, and for `len` ids in the heap at once.
+    fn reserve(&mut self, id: usize, len: usize) {
+        if self.slot.len() <= id {
+            self.slot.resize(id + 1, ABSENT);
+        }
+        self.heap.reserve_exact(len.saturating_sub(self.heap.len()));
+    }
+
+    /// The smallest key and its id.
+    fn min(&self) -> Option<(u128, usize)> {
+        self.heap.first().map(|&(key, id)| (key, id as usize))
+    }
+
+    fn contains(&self, id: usize) -> bool {
+        self.slot[id] != ABSENT
+    }
+
+    /// Inserts `id` under `key`, or moves it there if present.
+    fn set(&mut self, id: usize, key: u128) {
+        match self.slot[id] {
+            ABSENT => {
+                let i = self.heap.len();
+                self.heap.push((key, id as u32));
+                self.slot[id] = i as u32;
+                self.sift_up(i);
+            }
+            i => {
+                self.heap[i as usize].0 = key;
+                self.restore(i as usize);
+            }
+        }
+    }
+
+    /// Takes `id` out of the heap, if it is there.
+    fn remove(&mut self, id: usize) {
+        let i = self.slot[id];
+        if i == ABSENT {
+            return;
+        }
+        self.slot[id] = ABSENT;
+        let last = self.heap.pop().expect("a present id is in the heap");
+        let i = i as usize;
+        if i < self.heap.len() {
+            self.heap[i] = last;
+            self.slot[last.1 as usize] = i as u32;
+            self.restore(i);
+        }
+    }
+
+    fn restore(&mut self, i: usize) {
+        if i > 0 && self.heap[i].0 < self.heap[(i - 1) / 2].0 {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent].0 <= self.heap[i].0 {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            let Some(&(left_key, _)) = self.heap.get(left) else {
+                break;
+            };
+            let child = match self.heap.get(left + 1) {
+                Some(&(right_key, _)) if right_key < left_key => left + 1,
+                _ => left,
+            };
+            if self.heap[i].0 <= self.heap[child].0 {
+                break;
+            }
+            self.swap(i, child);
+            i = child;
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.slot[self.heap[a].1 as usize] = a as u32;
+        self.slot[self.heap[b].1 as usize] = b as u32;
+    }
+}
+
+/// Per-vCPU scheduler state that a [`RunQueue`] orders.
+trait Queued {
+    /// This vCPU's current key (see [`pack`]): the runnable vCPU with
+    /// the smallest key runs next.
+    fn key(&self, id: usize) -> u128;
+}
+
+/// One physical CPU's vCPUs, indexed by id, and its runqueue.
+///
+/// The runnable vCPUs other than the one on the CPU wait in an
+/// [`IndexedHeap`], so a pick, block, wake, yield or re-key costs
+/// O(log n). The running vCPU is held outside the heap, as Linux's CFS
+/// holds its `curr`, so charging it costs O(1).
+#[derive(Debug, Clone)]
+struct RunQueue<E> {
+    /// Entries by vCPU id (`None`: an id that was never registered).
+    entries: Vec<Option<E>>,
+    /// Runnable vCPUs other than `current`.
+    queued: IndexedHeap,
+    /// The vCPU on the CPU. It is runnable, but not queued.
+    current: Option<usize>,
+    switches: u64,
+}
+
+impl<E> Default for RunQueue<E> {
+    fn default() -> Self {
+        RunQueue {
+            entries: Vec::new(),
+            queued: IndexedHeap::default(),
+            current: None,
+            switches: 0,
+        }
+    }
+}
+
+impl<E: Queued> RunQueue<E> {
+    /// Registers a runnable vCPU.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is already registered.
+    fn add(&mut self, id: usize, entry: E) {
+        if self.entries.len() <= id {
+            self.entries.resize_with(id + 1, || None);
+        }
+        assert!(self.entries[id].is_none(), "vcpu {id} already registered");
+        self.entries[id] = Some(entry);
+        self.queued.reserve(id, self.len());
+        self.push(id);
+    }
+
+    /// Registered vCPUs.
+    fn len(&self) -> usize {
+        self.entries.iter().flatten().count()
+    }
+
+    fn entry(&self, id: usize) -> &E {
+        self.entries
+            .get(id)
+            .and_then(Option::as_ref)
+            .unwrap_or_else(|| panic!("vcpu {id} not registered"))
+    }
+
+    fn entry_mut(&mut self, id: usize) -> &mut E {
+        self.entries
+            .get_mut(id)
+            .and_then(Option::as_mut)
+            .unwrap_or_else(|| panic!("vcpu {id} not registered"))
+    }
+
+    fn is_runnable(&self, id: usize) -> bool {
+        self.entry(id); // panics on an unregistered id
+        self.current == Some(id) || self.queued.contains(id)
+    }
+
+    /// Puts the runnable vCPU with the smallest key on the CPU and
+    /// returns it (`None`: nothing is runnable). Counts a switch when
+    /// that changes the running vCPU.
+    fn pick(&mut self) -> Option<usize> {
+        if let Some((key, id)) = self.queued.min() {
+            if self.current.is_none_or(|c| key < self.entry(c).key(c)) {
+                self.queued.remove(id);
+                if let Some(previous) = self.current.replace(id) {
+                    self.push(previous);
+                }
+                self.switches += 1;
+            }
+        }
+        self.current
+    }
+
+    /// The vCPU stops being runnable. If it was current, the CPU idles.
+    fn block(&mut self, id: usize) {
+        self.entry(id); // panics on an unregistered id
+        if self.current == Some(id) {
+            self.current = None;
+        } else {
+            self.queued.remove(id);
+        }
+    }
+
+    /// The current vCPU goes back among the runnable under its key.
+    fn yield_current(&mut self) {
+        if let Some(id) = self.current.take() {
+            self.push(id);
+        }
+    }
+
+    /// Queues a runnable vCPU that is not current under its key.
+    fn push(&mut self, id: usize) {
+        debug_assert!(!self.queued.contains(id) && self.current != Some(id));
+        self.queued.set(id, self.entry(id).key(id));
+    }
+
+    /// Restores queue order after `id`'s key changed. The running vCPU
+    /// and blocked ones are not queued, so this is a no-op for them.
+    fn requeue(&mut self, id: usize) {
+        if self.queued.contains(id) {
+            self.queued.set(id, self.entry(id).key(id));
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct CfsEntry {
-    id: usize,
     weight: u32,
     vruntime: u64,
-    runnable: bool,
+}
+
+impl Queued for CfsEntry {
+    fn key(&self, id: usize) -> u128 {
+        pack(self.vruntime, id as u64)
+    }
 }
 
 /// A KVM-style completely-fair scheduler over one physical CPU.
@@ -209,7 +459,10 @@ struct CfsEntry {
 /// Integer virtual runtime only: `vruntime += cycles × NICE0 / weight`,
 /// the runnable vCPU with the smallest `(vruntime, id)` runs next, and
 /// wake placement clamps sleepers to just below the queue's minimum
-/// vruntime. No floats, no randomness — decisions replay exactly.
+/// vruntime. No floats, no randomness — decisions replay exactly. The
+/// runnable vCPUs wait in a heap ordered by `(vruntime, id)`, with the
+/// running one held outside it, so charging the running vCPU is O(1)
+/// and every other operation O(log n).
 ///
 /// # Examples
 ///
@@ -226,9 +479,7 @@ struct CfsEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CfsScheduler {
-    entries: Vec<CfsEntry>,
-    current: Option<usize>,
-    switches: u64,
+    rq: RunQueue<CfsEntry>,
     /// Monotonic floor used for wake placement.
     min_vruntime: u64,
 }
@@ -238,83 +489,50 @@ impl CfsScheduler {
     pub fn new() -> Self {
         CfsScheduler::default()
     }
-
-    fn entry_mut(&mut self, id: usize) -> &mut CfsEntry {
-        self.entries
-            .iter_mut()
-            .find(|e| e.id == id)
-            .unwrap_or_else(|| panic!("vcpu {id} not registered"))
-    }
-
-    fn entry(&self, id: usize) -> &CfsEntry {
-        self.entries
-            .iter()
-            .find(|e| e.id == id)
-            .unwrap_or_else(|| panic!("vcpu {id} not registered"))
-    }
 }
 
 impl VcpuScheduler for CfsScheduler {
     fn add_vcpu(&mut self, id: usize, weight: u32) {
         assert!(weight > 0, "weight must be positive");
-        assert!(
-            self.entries.iter().all(|e| e.id != id),
-            "vcpu {id} already registered"
-        );
-        self.entries.push(CfsEntry {
-            id,
-            weight,
-            vruntime: self.min_vruntime,
-            runnable: true,
-        });
+        let vruntime = self.min_vruntime;
+        self.rq.add(id, CfsEntry { weight, vruntime });
     }
 
     fn current(&self) -> Option<usize> {
-        self.current
+        self.rq.current
     }
 
     fn pick(&mut self) -> Option<usize> {
-        let picked = self
-            .entries
-            .iter()
-            .filter(|e| e.runnable)
-            .min_by_key(|e| (e.vruntime, e.id))
-            .map(|e| e.id);
+        let picked = self.rq.pick();
         if let Some(id) = picked {
-            let v = self.entry(id).vruntime;
+            let v = self.rq.entry(id).vruntime;
             self.min_vruntime = self.min_vruntime.max(v);
         }
-        if picked != self.current {
-            self.switches += 1;
-        }
-        self.current = picked;
         picked
     }
 
     fn charge_cycles(&mut self, id: usize, cycles: u64) {
-        let e = self.entry_mut(id);
+        let e = self.rq.entry_mut(id);
         e.vruntime += cycles * NICE0_WEIGHT / u64::from(e.weight);
+        self.rq.requeue(id);
     }
 
     fn block(&mut self, id: usize) {
-        self.entry_mut(id).runnable = false;
-        if self.current == Some(id) {
-            self.current = None;
-        }
+        self.rq.block(id);
     }
 
     fn wake(&mut self, id: usize) -> bool {
-        let floor = self.min_vruntime.saturating_sub(WAKEUP_BONUS);
-        let current_v = self.current.map(|c| self.entry(c).vruntime);
-        let e = self.entry_mut(id);
-        if e.runnable {
+        if self.rq.is_runnable(id) {
             return false;
         }
-        e.runnable = true;
+        let floor = self.min_vruntime.saturating_sub(WAKEUP_BONUS);
+        let current_v = self.rq.current.map(|c| self.rq.entry(c).vruntime);
+        let e = self.rq.entry_mut(id);
         // Long sleepers re-enter near the front of the queue but never
         // with unbounded banked runtime.
         e.vruntime = e.vruntime.max(floor);
         let woken_v = e.vruntime;
+        self.rq.push(id);
         match current_v {
             None => true,
             Some(cv) => woken_v + PREEMPT_GRANULARITY < cv,
@@ -322,7 +540,7 @@ impl VcpuScheduler for CfsScheduler {
     }
 
     fn yield_current(&mut self) {
-        self.current = None;
+        self.rq.yield_current();
     }
 
     fn tick(&mut self) {
@@ -331,7 +549,7 @@ impl VcpuScheduler for CfsScheduler {
     }
 
     fn switch_count(&self) -> u64 {
-        self.switches
+        self.rq.switches
     }
 }
 
@@ -346,14 +564,79 @@ pub enum CreditPriority {
     Over,
 }
 
+impl CreditPriority {
+    /// The class that a balance of `credit` earns, outside BOOST.
+    fn of_credit(credit: i64) -> CreditPriority {
+        if credit > 0 {
+            CreditPriority::Under
+        } else {
+            CreditPriority::Over
+        }
+    }
+}
+
 /// One schedulable VCPU.
 #[derive(Debug, Clone)]
 struct Entry {
-    id: usize,
     weight: u32,
+    /// Credits each accounting pass grants: the weight's share of
+    /// [`CREDITS_PER_PERIOD`], re-derived whenever a VCPU registers.
+    share: i64,
+    /// The balance as of accounting pass `settled` (see
+    /// [`Entry::credit_at`]).
     credit: i64,
+    settled: u64,
     priority: CreditPriority,
-    runnable: bool,
+    /// Queue position: FIFO order within a priority class. A yield
+    /// restamps the VCPU behind every other; a block keeps its stamp.
+    stamp: u64,
+}
+
+impl Entry {
+    /// The balance after accounting pass `pass`. Each pass since
+    /// `settled` adds `share` and caps the balance at one period's
+    /// worth. For a share ≥ 0, capped additions compose, `min(min(c + s,
+    /// cap) + s, cap) = min(c + 2s, cap)`, so any number of passes
+    /// settles in one step.
+    fn credit_at(&self, pass: u64) -> i64 {
+        let passes = i64::try_from(pass - self.settled).unwrap_or(i64::MAX);
+        let credit = self
+            .credit
+            .saturating_add(passes.saturating_mul(self.share));
+        if passes == 0 {
+            credit
+        } else {
+            credit.min(CREDITS_PER_PERIOD)
+        }
+    }
+
+    fn settle(&mut self, pass: u64) {
+        self.credit = self.credit_at(pass);
+        self.settled = pass;
+    }
+
+    /// The accounting pass at which accounting alone will change this
+    /// VCPU's class, if any. Accounting leaves BOOST alone and never
+    /// lowers a balance, so it moves OVER to UNDER at the first pass
+    /// that makes the balance positive, and UNDER to OVER only at the
+    /// next pass, if that pass leaves the balance at or below zero (a
+    /// freshly registered VCPU with a zero share).
+    fn flip_pass(&self) -> Option<u64> {
+        let passes = match self.priority {
+            CreditPriority::Boost => None,
+            CreditPriority::Under => (self.credit.saturating_add(self.share) <= 0).then_some(1),
+            CreditPriority::Over if self.credit > 0 => Some(1),
+            CreditPriority::Over if self.share == 0 => None,
+            CreditPriority::Over => Some(self.credit.unsigned_abs() / self.share as u64 + 1),
+        };
+        passes.map(|n| self.settled + n)
+    }
+}
+
+impl Queued for Entry {
+    fn key(&self, _id: usize) -> u128 {
+        pack(self.priority as u64, self.stamp)
+    }
 }
 
 /// The 30 ms credit-refill period (in cycles at the ARM platform's
@@ -364,6 +647,12 @@ pub const ACCT_PERIOD: Cycles = Cycles::new(72_000_000);
 pub const CREDITS_PER_PERIOD: i64 = 300;
 
 /// A single physical CPU's credit-scheduler runqueue.
+///
+/// The runnable VCPUs wait in a heap ordered by (priority, queue
+/// stamp), with the running one held outside it: a pick, charge, block,
+/// wake or yield is O(log n). An accounting pass is O(1) plus O(log n)
+/// per VCPU whose class it changes: balances settle lazily, and the
+/// passes at which classes will change wait in a second heap.
 ///
 /// # Examples
 ///
@@ -381,10 +670,14 @@ pub const CREDITS_PER_PERIOD: i64 = 300;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CreditScheduler {
-    entries: Vec<Entry>,
-    queue: VecDeque<usize>,
-    current: Option<usize>,
-    switches: u64,
+    rq: RunQueue<Entry>,
+    /// Accounting passes so far.
+    passes: u64,
+    /// Every VCPU whose class a future accounting pass will change,
+    /// keyed by (that pass, id).
+    flips: IndexedHeap,
+    /// The stamp the next VCPU to join the back of the queue takes.
+    next_stamp: u64,
 }
 
 impl CreditScheduler {
@@ -400,86 +693,81 @@ impl CreditScheduler {
     /// Panics if `id` is already registered or `weight` is zero.
     pub fn add_vcpu(&mut self, id: usize, weight: u32) {
         assert!(weight > 0, "weight must be positive");
-        assert!(
-            self.entries.iter().all(|e| e.id != id),
-            "vcpu {id} already registered"
-        );
-        self.entries.push(Entry {
-            id,
+        let entry = Entry {
             weight,
+            share: 0,
             credit: 0,
+            settled: self.passes,
             priority: CreditPriority::Under,
-            runnable: true,
-        });
-        self.queue.push_back(id);
-    }
-
-    fn entry_mut(&mut self, id: usize) -> &mut Entry {
-        self.entries
-            .iter_mut()
-            .find(|e| e.id == id)
-            .unwrap_or_else(|| panic!("vcpu {id} not registered"))
-    }
-
-    fn entry(&self, id: usize) -> &Entry {
-        self.entries
+            stamp: self.next_stamp,
+        };
+        self.rq.add(id, entry);
+        self.next_stamp += 1;
+        self.flips.reserve(id, self.rq.len());
+        // Shares follow the total weight: settle every balance under
+        // the old shares, then re-derive them and each pending flip.
+        let total_weight: i64 = self
+            .rq
+            .entries
             .iter()
-            .find(|e| e.id == id)
-            .unwrap_or_else(|| panic!("vcpu {id} not registered"))
+            .flatten()
+            .map(|e| i64::from(e.weight))
+            .sum();
+        for e in self.rq.entries.iter_mut().flatten() {
+            e.settle(self.passes);
+            e.share = CREDITS_PER_PERIOD * i64::from(e.weight) / total_weight;
+        }
+        for id in 0..self.rq.entries.len() {
+            if self.rq.entries[id].is_some() {
+                self.schedule_flip(id);
+            }
+        }
+    }
+
+    /// Files (or withdraws) the accounting pass at which `id`'s class
+    /// will change.
+    fn schedule_flip(&mut self, id: usize) {
+        match self.rq.entry(id).flip_pass() {
+            Some(pass) => self.flips.set(id, pack(pass, id as u64)),
+            None => self.flips.remove(id),
+        }
     }
 
     /// The VCPU currently on the CPU, if any.
     pub fn current(&self) -> Option<usize> {
-        self.current
+        self.rq.current
     }
 
     /// Number of context switches performed so far.
     pub fn switch_count(&self) -> u64 {
-        self.switches
+        self.rq.switches
     }
 
     /// Picks the next VCPU to run: highest priority class first, FIFO
     /// within a class; `None` means the idle domain runs.
     pub fn pick(&mut self) -> Option<usize> {
-        let mut best: Option<(CreditPriority, usize, usize)> = None; // (prio, queue pos, id)
-        for (pos, id) in self.queue.iter().enumerate() {
-            let e = self.entry(*id);
-            if !e.runnable {
-                continue;
-            }
-            let key = (e.priority, pos);
-            match best {
-                Some((bp, bpos, _)) if (bp, bpos) <= key => {}
-                _ => best = Some((e.priority, pos, *id)),
-            }
-        }
-        let picked = best.map(|(_, _, id)| id);
-        if picked != self.current {
-            self.switches += 1;
-        }
-        self.current = picked;
-        picked
+        self.rq.pick()
     }
 
     /// Charges `credits` of runtime to a VCPU; it drops to OVER when its
     /// credit is exhausted (and loses any boost the moment it runs).
     pub fn charge(&mut self, id: usize, credits: i64) {
-        let e = self.entry_mut(id);
+        let pass = self.passes;
+        let e = self.rq.entry_mut(id);
+        e.settle(pass);
         e.credit -= credits;
-        e.priority = if e.credit > 0 {
-            CreditPriority::Under
-        } else {
-            CreditPriority::Over
-        };
+        let priority = CreditPriority::of_credit(e.credit);
+        if priority != e.priority {
+            e.priority = priority;
+            self.rq.requeue(id);
+        }
+        self.schedule_flip(id);
     }
 
     /// The VCPU blocks (WFI / waiting for I/O): it leaves the runqueue
     /// until woken. If it was current, the CPU goes idle.
     pub fn block(&mut self, id: usize) {
-        self.entry_mut(id).runnable = false;
-        if self.current == Some(id) {
-            self.current = None;
-        }
+        self.rq.block(id);
     }
 
     /// Wakes a blocked VCPU. A wake with credit grants BOOST — the
@@ -487,16 +775,19 @@ impl CreditScheduler {
     /// Dom0's behaviour in the paper's I/O paths. Returns `true` if the
     /// woken VCPU should preempt the current one.
     pub fn wake(&mut self, id: usize) -> bool {
-        let current_prio = self.current.map(|c| self.entry(c).priority);
-        let e = self.entry_mut(id);
-        if e.runnable {
+        if self.rq.is_runnable(id) {
             return false;
         }
-        e.runnable = true;
+        let current_prio = self.rq.current.map(|c| self.rq.entry(c).priority);
+        let pass = self.passes;
+        let e = self.rq.entry_mut(id);
+        e.settle(pass);
         if e.credit > 0 {
             e.priority = CreditPriority::Boost;
         }
         let woken_prio = e.priority;
+        self.rq.push(id);
+        self.schedule_flip(id);
         match current_prio {
             None => true,
             Some(cp) => woken_prio < cp,
@@ -506,44 +797,42 @@ impl CreditScheduler {
     /// The current VCPU voluntarily yields: it moves to the back of the
     /// queue.
     pub fn yield_current(&mut self) {
-        if let Some(id) = self.current.take() {
-            if let Some(pos) = self.queue.iter().position(|q| *q == id) {
-                self.queue.remove(pos);
-                self.queue.push_back(id);
-            }
+        if let Some(id) = self.rq.current {
+            self.rq.entry_mut(id).stamp = self.next_stamp;
+            self.next_stamp += 1;
+            self.rq.yield_current();
         }
     }
 
     /// The periodic accounting tick: distributes [`CREDITS_PER_PERIOD`]
     /// in proportion to weight, capping hoarded credit (Xen caps at one
     /// period's worth) and restoring UNDER to everyone with positive
-    /// credit.
+    /// credit. Balances settle lazily; only the VCPUs whose class this
+    /// pass changes are touched.
     pub fn account(&mut self) {
-        let total_weight: u64 = self.entries.iter().map(|e| u64::from(e.weight)).sum();
-        if total_weight == 0 {
-            return;
-        }
-        for e in &mut self.entries {
-            let share = CREDITS_PER_PERIOD * i64::from(e.weight) / total_weight as i64;
-            e.credit = (e.credit + share).min(CREDITS_PER_PERIOD);
-            if e.priority != CreditPriority::Boost {
-                e.priority = if e.credit > 0 {
-                    CreditPriority::Under
-                } else {
-                    CreditPriority::Over
-                };
+        self.passes += 1;
+        while let Some((key, id)) = self.flips.min() {
+            let flip_pass = key >> 64;
+            if flip_pass > u128::from(self.passes) {
+                break;
             }
+            let pass = self.passes;
+            let e = self.rq.entry_mut(id);
+            e.settle(pass);
+            e.priority = CreditPriority::of_credit(e.credit);
+            self.rq.requeue(id);
+            self.schedule_flip(id);
         }
     }
 
     /// Current credit of a VCPU (for tests and the ablation report).
     pub fn credit_of(&self, id: usize) -> i64 {
-        self.entry(id).credit
+        self.rq.entry(id).credit_at(self.passes)
     }
 
     /// Current priority class of a VCPU.
     pub fn priority_of(&self, id: usize) -> CreditPriority {
-        self.entry(id).priority
+        self.rq.entry(id).priority
     }
 }
 

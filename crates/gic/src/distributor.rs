@@ -30,12 +30,47 @@ struct IrqState {
 /// Result of a guest (or host) write to the distributor's MMIO space:
 /// side effects the caller — a hypervisor — must carry out on the
 /// simulated machine.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MmioEffect {
     /// SGIs that became pending on other CPUs and require a physical IPI
     /// (or, for an emulated distributor, a virtual-IPI injection) to each
     /// listed `(cpu, sgi)` pair.
-    pub sgi_targets: Vec<(usize, IntId)>,
+    pub sgi_targets: SgiTargets,
+}
+
+/// The `(cpu, sgi)` pairs one `GICD_SGIR` write made pending: a single
+/// SGI id and a mask of its target CPUs. GICv2 caps a distributor at
+/// eight CPUs, so the fan-out fits in a byte and sending an SGI
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SgiTargets {
+    sgi: u8,
+    cpus: u8,
+}
+
+impl SgiTargets {
+    /// Number of target CPUs.
+    pub fn len(self) -> usize {
+        self.cpus.count_ones() as usize
+    }
+
+    /// `true` when the write made nothing pending.
+    pub fn is_empty(self) -> bool {
+        self.cpus == 0
+    }
+
+    /// The `(cpu, sgi)` pairs in ascending CPU order.
+    pub fn iter(self) -> impl Iterator<Item = (usize, IntId)> {
+        let sgi = IntId::sgi(u32::from(self.sgi));
+        (0..8)
+            .filter(move |cpu| self.cpus & (1 << cpu) != 0)
+            .map(move |cpu| (cpu, sgi))
+    }
+
+    fn add(&mut self, cpu: usize, sgi: IntId) {
+        self.sgi = sgi.raw() as u8;
+        self.cpus |= 1 << cpu;
+    }
 }
 
 /// Errors from distributor operations.
@@ -434,7 +469,7 @@ impl Distributor {
                     };
                     if hit {
                         self.raise(sgi, cpu)?;
-                        effect.sgi_targets.push((cpu, sgi));
+                        effect.sgi_targets.add(cpu, sgi);
                     }
                 }
             }
@@ -569,7 +604,7 @@ mod tests {
             .mmio_write(dist_reg::GICD_SGIR, (5 << 24) | (0b1010 << 16), 0)
             .unwrap();
         assert_eq!(
-            effect.sgi_targets,
+            effect.sgi_targets.iter().collect::<Vec<_>>(),
             vec![(1, IntId::sgi(5)), (3, IntId::sgi(5))]
         );
         assert_eq!(g.highest_pending(1).unwrap(), Some(IntId::sgi(5)));
@@ -590,7 +625,7 @@ mod tests {
                 2,
             )
             .unwrap();
-        let targets: Vec<usize> = effect.sgi_targets.iter().map(|(c, _)| *c).collect();
+        let targets: Vec<usize> = effect.sgi_targets.iter().map(|(c, _)| c).collect();
         assert_eq!(targets, vec![0, 1, 3], "everyone but the sender");
     }
 
@@ -605,7 +640,10 @@ mod tests {
                 1,
             )
             .unwrap();
-        assert_eq!(effect.sgi_targets, vec![(1, IntId::sgi(2))]);
+        assert_eq!(
+            effect.sgi_targets.iter().collect::<Vec<_>>(),
+            vec![(1, IntId::sgi(2))]
+        );
         assert_eq!(g.highest_pending(1).unwrap(), Some(IntId::sgi(2)));
     }
 

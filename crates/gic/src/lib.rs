@@ -28,7 +28,7 @@ mod irq;
 mod lapic;
 mod vgic;
 
-pub use distributor::{dist_reg, Distributor, GicError, MmioEffect, SgiFilter};
+pub use distributor::{dist_reg, Distributor, GicError, MmioEffect, SgiFilter, SgiTargets};
 pub use irq::IntId;
 pub use lapic::{Lapic, LapicEffect, LapicError};
 pub use vgic::{

@@ -37,6 +37,20 @@
 //! fully interpreted — the transparent fallback the differential tests
 //! in `tests/compile_diff.rs` pin down byte-for-byte.
 //!
+//! ## Per-step host cost
+//!
+//! One step of the event loop costs the host the same at any ratio, or
+//! O(log ratio). Each pCPU keeps a count of its ready vCPUs and a FIFO
+//! of undelivered wakes, `(instant, vm)`: request arrivals on pCPU0,
+//! SGI wire arrivals on pCPU1. Both streams are stamped from pCPU0's
+//! monotone clock, so push order is time order and the next wake is
+//! the FIFO's front. The schedulers keep indexed runqueues
+//! ([`hvx_core::sched`]), and only the credit scheduler's accounting
+//! tick visits every vCPU of its pCPU. Once the queues have reached
+//! their working size, a step allocates nothing: the SGI fan-out of a
+//! `GICD_SGIR` write is a `Copy` value (`tests/alloc_steady_state.rs`
+//! counts).
+//!
 //! [`VcpuScheduler`]: hvx_core::VcpuScheduler
 //! [`SchedPolicy`]: hvx_core::SchedPolicy
 //! [`Distributor::mmio_write`]: hvx_gic::Distributor::mmio_write
@@ -53,7 +67,8 @@ use hvx_gic::{dist_reg, Distributor, VgicCpuInterface, VgicError};
 
 use serde::{Deserialize, Serialize};
 
-/// vCPU:pCPU ratios the sweep visits (1:1 .. 16:1).
+/// vCPU:pCPU ratios the sweep visits (1:1 .. 16:1). A `--spec` run
+/// accepts any ratio up to 64:1.
 pub const RATIOS: [u32; 5] = [1, 2, 4, 8, 16];
 
 /// Default transactions per VM for artifact cells: enough steady-state
@@ -140,7 +155,12 @@ impl CellResult {
         self.sum_latency_cycles as f64 / self.transactions as f64 / 2_400.0
     }
 
-    /// Steal share of the makespan across the two pCPUs, percent.
+    /// Every vCPU's steal, summed, as a percentage of the two pCPUs'
+    /// time (`steal_cycles / (2 × makespan)`). Each queued vCPU adds its
+    /// own wait, so this is the mean number of vCPUs waiting per pCPU,
+    /// times 100, not a share of time: it passes 100% as soon as more
+    /// than one vCPU waits per pCPU (a contended 16:1 cell reads several
+    /// hundred percent, a 64:1 cell thousands).
     pub fn steal_pct(&self) -> f64 {
         if self.makespan_cycles == 0 {
             return 0.0;
@@ -223,14 +243,10 @@ struct VmState {
     vgic_b: VgicCpuInterface,
     /// The sibling holds the guest kernel lock.
     lock_held: bool,
-    /// Next request arrival (`u64::MAX` = none outstanding / done).
-    arrival: u64,
     /// Arrival instant of the in-flight transaction (latency base).
     txn_started: u64,
     /// Transactions completed.
     done: u32,
-    /// Sent-but-undelivered SGI wire arrivals, in send order.
-    ipi_q: VecDeque<u64>,
     /// The last kick was dropped by the fault plan; the primary vCPU
     /// notices via its completion timeout at the top of the next
     /// transaction and re-sends.
@@ -243,15 +259,67 @@ struct Side {
     phase: Phase,
 }
 
-/// One physical CPU: its scheduler and dispatch state.
+/// One physical CPU: the vCPUs pinned to it, its scheduler, and its
+/// dispatch state.
 struct Pcpu {
     core: CoreId,
     sched: Box<dyn VcpuScheduler>,
+    /// Every VM's vCPU on this pCPU, by VM index: the primaries (A) on
+    /// pCPU0, the siblings (B) on pCPU1.
+    sides: Vec<Side>,
+    /// How many of `sides` are runnable but not running.
+    ready: usize,
+    /// Undelivered wakes as `(instant, vm)`, in time order: request
+    /// arrivals on pCPU0, SGI wire arrivals on pCPU1. Both are stamped
+    /// from pCPU0's monotone clock, so push order is time order.
+    wakes: VecDeque<(u64, usize)>,
     running: Option<usize>,
     /// Last vCPU (by VM index) that held the pCPU; `None` after idle,
     /// so a dispatch out of idle charges a world switch.
     last_ran: Option<usize>,
     quantum_left: u64,
+}
+
+impl Pcpu {
+    /// Earliest undelivered wake (`u64::MAX`: none).
+    fn next_wake(&self) -> u64 {
+        self.wakes.front().map_or(u64::MAX, |&(at, _)| at)
+    }
+
+    fn push_wake(&mut self, at: u64, vm: usize) {
+        debug_assert!(
+            self.wakes.back().is_none_or(|&(last, _)| last <= at),
+            "wake at {at} queued behind a later one"
+        );
+        self.wakes.push_back((at, vm));
+    }
+
+    /// Wakes VM `v`'s vCPU here at `at`. Returns `true` if the
+    /// scheduler wants it to preempt the running vCPU.
+    fn wake(&mut self, v: usize, at: u64) -> bool {
+        self.sides[v].vcpu.wake(at);
+        self.ready += 1;
+        self.sched.wake(v)
+    }
+
+    /// Takes the pCPU from its running vCPU at `now`, which stays
+    /// runnable. Returns `false` if nothing was running.
+    fn preempt(&mut self, now: u64) -> bool {
+        let Some(cur) = self.running.take() else {
+            return false;
+        };
+        self.sides[cur].vcpu.preempt(now);
+        self.ready += 1;
+        true
+    }
+
+    /// The running vCPU `v` executes WFI at `end`.
+    fn block_running(&mut self, v: usize, end: u64) {
+        self.sides[v].vcpu.block(end);
+        self.sides[v].phase = Phase::Idle;
+        self.sched.block(v);
+        self.running = None;
+    }
 }
 
 /// Mutable counters a cell accumulates (live + replayed).
@@ -295,8 +363,6 @@ impl Counters {
 
 struct Cell {
     vms: Vec<VmState>,
-    a: Vec<Side>,
-    b: Vec<Side>,
     p: [Pcpu; 2],
     costs: Costs,
     txns_per_vm: u32,
@@ -323,133 +389,90 @@ impl Cell {
                 dist,
                 vgic_b: VgicCpuInterface::new(),
                 lock_held: false,
-                arrival: 0, // every VM's first request arrives at t=0
                 txn_started: 0,
                 done: 0,
-                ipi_q: VecDeque::new(),
                 kick_lost: false,
             });
         }
-        let mk_pcpu = |core: CoreId| {
+        let mk_pcpu = |p: usize| {
             let mut sched = policy.make();
             for v in 0..r {
                 sched.add_vcpu(v, 256);
                 // Guests boot into WFI; the first request wakes them.
                 sched.block(v);
             }
+            let side = || Side {
+                vcpu: VCpu::new(p, p),
+                phase: Phase::Idle,
+            };
             Pcpu {
-                core,
+                core: topo[p],
                 sched,
+                sides: (0..r).map(|_| side()).collect(),
+                ready: 0,
+                wakes: VecDeque::with_capacity(r),
                 running: None,
                 last_ran: None,
                 quantum_left: QUANTUM,
             }
         };
+        let mut p = [mk_pcpu(0), mk_pcpu(1)];
+        for v in 0..r {
+            // Every VM's first request arrives at t=0.
+            p[0].push_wake(0, v);
+        }
         Cell {
             vms,
-            a: (0..r)
-                .map(|_| Side {
-                    vcpu: VCpu::new(0, 0),
-                    phase: Phase::Idle,
-                })
-                .collect(),
-            b: (0..r)
-                .map(|_| Side {
-                    vcpu: VCpu::new(1, 1),
-                    phase: Phase::Idle,
-                })
-                .collect(),
-            p: [mk_pcpu(topo[0]), mk_pcpu(topo[1])],
+            p,
             costs: kind_costs,
             txns_per_vm: txns,
             n: Counters::default(),
         }
     }
 
-    /// Earliest undelivered wake event for pCPU `p` (`u64::MAX` none).
-    fn next_wake(&self, p: usize) -> u64 {
-        let mut t = u64::MAX;
-        for (v, vm) in self.vms.iter().enumerate() {
-            if p == 0 {
-                if self.a[v].phase == Phase::Idle && vm.arrival != u64::MAX {
-                    t = t.min(vm.arrival);
-                }
-            } else if let Some(&arr) = vm.ipi_q.front() {
-                t = t.min(arr);
-            }
-        }
-        t
-    }
-
     /// When pCPU `p` can next do something (`u64::MAX` = never).
     fn actionable(&self, m: &Machine, p: usize) -> u64 {
-        let now = m.now(self.p[p].core).as_u64();
-        if self.p[p].running.is_some() {
+        let pcpu = &self.p[p];
+        let now = m.now(pcpu.core).as_u64();
+        if pcpu.running.is_some() || pcpu.ready > 0 {
             return now;
         }
-        let sides = if p == 0 { &self.a } else { &self.b };
-        if sides
-            .iter()
-            .any(|s| s.vcpu.state() == hvx_core::VcpuState::Runnable)
-        {
-            return now;
-        }
-        match self.next_wake(p) {
+        match pcpu.next_wake() {
             u64::MAX => u64::MAX,
             w => w.max(now),
         }
     }
 
-    /// Marks the running vCPU of `p` runnable again (wake preemption).
-    fn preempt_running(&mut self, m: &Machine, p: usize) {
-        if let Some(cur) = self.p[p].running.take() {
-            let now = m.now(self.p[p].core).as_u64();
-            let side = if p == 0 {
-                &mut self.a[cur]
-            } else {
-                &mut self.b[cur]
-            };
-            side.vcpu.preempt(now);
-            self.n.preemptions += 1;
-        }
-    }
-
-    /// Delivers due wake events on `p`: request arrivals (pCPU0) or
-    /// SGI wire arrivals → vGIC injection (pCPU1).
+    /// Delivers due wake events on `p`, in time order: request
+    /// arrivals (pCPU0) or SGI wire arrivals → vGIC injection (pCPU1).
+    /// Any order of the due wakes decides the same: each touches only
+    /// its own VM and vCPU, the scheduler state a wake consults besides
+    /// the woken vCPU (the current vCPU, CFS's `min_vruntime`) changes
+    /// only on a pick, and whichever wake preempts first takes the
+    /// running vCPU off the pCPU for all of them.
     fn deliver_wakes(&mut self, m: &mut Machine, p: usize) {
         let now = m.now(self.p[p].core).as_u64();
-        for v in 0..self.vms.len() {
+        while let Some(&(at, v)) = self.p[p].wakes.front() {
+            if at > now {
+                break;
+            }
+            self.p[p].wakes.pop_front();
             if p == 0 {
-                let vm = &mut self.vms[v];
-                if self.a[v].phase == Phase::Idle && vm.arrival != u64::MAX && vm.arrival <= now {
-                    let at = vm.arrival;
-                    vm.txn_started = at;
-                    vm.arrival = u64::MAX; // in flight
-                    self.a[v].vcpu.wake(at);
-                    self.a[v].phase = Phase::Lock;
-                    if self.p[0].sched.wake(v) {
-                        self.preempt_running(m, 0);
-                    }
-                }
+                self.vms[v].txn_started = at;
+                self.p[0].sides[v].phase = Phase::Lock;
             } else {
-                while let Some(&arr) = self.vms[v].ipi_q.front() {
-                    if arr > now {
-                        break;
-                    }
-                    self.vms[v].ipi_q.pop_front();
-                    match self.vms[v].vgic_b.inject(SGI, 0x80) {
-                        Ok(_) => {}
-                        Err(VgicError::AlreadyListed { .. }) => self.n.ipis_coalesced += 1,
-                        Err(e) => panic!("SGI injection failed: {e}"),
-                    }
-                    if self.b[v].phase == Phase::Idle {
-                        self.b[v].vcpu.wake(arr);
-                        self.b[v].phase = Phase::Ack;
-                        if self.p[1].sched.wake(v) {
-                            self.preempt_running(m, 1);
-                        }
-                    }
+                match self.vms[v].vgic_b.inject(SGI, 0x80) {
+                    Ok(_) => {}
+                    Err(VgicError::AlreadyListed { .. }) => self.n.ipis_coalesced += 1,
+                    Err(e) => panic!("SGI injection failed: {e}"),
                 }
+                if self.p[1].sides[v].phase != Phase::Idle {
+                    continue;
+                }
+                self.p[1].sides[v].phase = Phase::Ack;
+            }
+            if self.p[p].wake(v, at) && self.p[p].preempt(now) {
+                self.n.preemptions += 1;
             }
         }
     }
@@ -469,13 +492,7 @@ impl Cell {
             .as_u64();
         self.n.timer_fires += 1;
         self.p[p].sched.tick();
-        if let Some(cur) = self.p[p].running.take() {
-            let side = if p == 0 {
-                &mut self.a[cur]
-            } else {
-                &mut self.b[cur]
-            };
-            side.vcpu.preempt(end);
+        if self.p[p].preempt(end) {
             self.n.preemptions += 1;
             self.p[p].sched.yield_current();
         }
@@ -490,7 +507,7 @@ impl Cell {
         match self.p[p].sched.pick() {
             None => {
                 self.p[p].last_ran = None; // idle: next dispatch switches in
-                let w = self.next_wake(p);
+                let w = self.p[p].next_wake();
                 let now = m.now(core).as_u64();
                 if w != u64::MAX && w > now {
                     m.wait_until(core, Cycles::new(w));
@@ -512,15 +529,12 @@ impl Cell {
                     );
                     self.n.vm_switches += 1;
                 }
-                let side = if p == 0 {
-                    &mut self.a[v]
-                } else {
-                    &mut self.b[v]
-                };
-                side.vcpu.schedule_in(now);
-                self.p[p].running = Some(v);
-                self.p[p].last_ran = Some(v);
-                self.p[p].quantum_left = QUANTUM;
+                let pcpu = &mut self.p[p];
+                pcpu.sides[v].vcpu.schedule_in(now);
+                pcpu.ready -= 1;
+                pcpu.running = Some(v);
+                pcpu.last_ran = Some(v);
+                pcpu.quantum_left = QUANTUM;
                 true
             }
         }
@@ -563,12 +577,7 @@ impl Cell {
             return;
         }
         let quantum = self.p[p].quantum_left;
-        let phase = if p == 0 {
-            self.a[v].phase
-        } else {
-            self.b[v].phase
-        };
-        match phase {
+        match self.p[p].sides[v].phase {
             Phase::Idle => unreachable!("idle vcpu dispatched"),
             Phase::Lock => {
                 if self.vms[v].kick_lost {
@@ -601,7 +610,7 @@ impl Cell {
                         .expect("SGIR resend");
                     debug_assert_eq!(effect.sgi_targets.len(), 1);
                     let arrival = m.signal(self.p[0].core, self.p[1].core, Cycles::new(IPI_WIRE));
-                    self.vms[v].ipi_q.push_back(arrival.as_u64());
+                    self.p[1].push_wake(arrival.as_u64(), v);
                     self.vms[v].kick_lost = false;
                     self.n.ipis_resent += 1;
                 } else if self.vms[v].lock_held {
@@ -627,14 +636,14 @@ impl Cell {
                         LOCK_ACQ,
                         TransitionId::GuestRun,
                     );
-                    self.a[v].phase = Phase::Work(RR_WORK);
+                    self.p[p].sides[v].phase = Phase::Work(RR_WORK);
                 }
             }
             Phase::Work(left) => {
                 let chunk = left.min(quantum);
                 self.charge_guest(m, p, v, "guest:rr-work", chunk, TransitionId::GuestRun);
                 let left = left - chunk;
-                self.a[v].phase = if left == 0 {
+                self.p[p].sides[v].phase = if left == 0 {
                     Phase::Send
                 } else {
                     Phase::Work(left)
@@ -667,12 +676,12 @@ impl Cell {
                     self.vms[v].kick_lost = true;
                 } else {
                     let arrival = m.signal(self.p[0].core, self.p[1].core, Cycles::new(IPI_WIRE));
-                    self.vms[v].ipi_q.push_back(arrival.as_u64());
+                    self.p[1].push_wake(arrival.as_u64(), v);
                     if recording {
                         m.loop_set_reg(1, arrival);
                     }
                 }
-                self.a[v].phase = Phase::Finish;
+                self.p[p].sides[v].phase = Phase::Finish;
             }
             Phase::Finish => {
                 let end = self.charge_guest(
@@ -689,15 +698,13 @@ impl Cell {
                 self.n.transactions += 1;
                 self.n.sum_latency += latency;
                 if vm.done < self.txns_per_vm {
-                    vm.arrival = end + THINK;
+                    let arrival = end + THINK;
+                    self.p[0].push_wake(arrival, v);
                     if recording {
-                        m.loop_set_reg(0, Cycles::new(vm.arrival));
+                        m.loop_set_reg(0, Cycles::new(arrival));
                     }
                 }
-                self.a[v].vcpu.block(end);
-                self.a[v].phase = Phase::Idle;
-                self.p[0].sched.block(v);
-                self.p[0].running = None;
+                self.p[p].block_running(v, end);
             }
             Phase::Ack => {
                 self.charge_guest(
@@ -711,7 +718,7 @@ impl Cell {
                 let acked = self.vms[v].vgic_b.guest_ack();
                 debug_assert_eq!(acked, Some(SGI));
                 self.vms[v].lock_held = true;
-                self.b[v].phase = Phase::Locked(LOCKED_WORK);
+                self.p[p].sides[v].phase = Phase::Locked(LOCKED_WORK);
             }
             Phase::Locked(left) => {
                 let chunk = left.min(quantum);
@@ -724,18 +731,18 @@ impl Cell {
                     TransitionId::GuestRun,
                 );
                 let left = left - chunk;
-                if left == 0 {
+                self.p[p].sides[v].phase = if left == 0 {
                     self.vms[v].lock_held = false;
-                    self.b[v].phase = Phase::Tail(TAIL_WORK);
+                    Phase::Tail(TAIL_WORK)
                 } else {
-                    self.b[v].phase = Phase::Locked(left);
-                }
+                    Phase::Locked(left)
+                };
             }
             Phase::Tail(left) => {
                 let chunk = left.min(quantum);
                 self.charge_guest(m, p, v, "guest:softirq-tail", chunk, TransitionId::GuestRun);
                 let left = left - chunk;
-                self.b[v].phase = if left == 0 {
+                self.p[p].sides[v].phase = if left == 0 {
                     Phase::Eoi
                 } else {
                     Phase::Tail(left)
@@ -748,12 +755,9 @@ impl Cell {
                 if self.vms[v].vgic_b.pending_virq().is_some() {
                     // A coalesced kick is already pending: service it
                     // without returning to WFI.
-                    self.b[v].phase = Phase::Ack;
+                    self.p[p].sides[v].phase = Phase::Ack;
                 } else {
-                    self.b[v].vcpu.block(end);
-                    self.b[v].phase = Phase::Idle;
-                    self.p[1].sched.block(v);
-                    self.p[1].running = None;
+                    self.p[p].block_running(v, end);
                 }
             }
         }
@@ -778,12 +782,12 @@ impl Cell {
 
     /// Total vCPU steal, live bookkeeping plus replayed iterations.
     fn steal_total(&self) -> u64 {
-        self.a
-            .iter()
-            .chain(&self.b)
-            .map(|s| s.vcpu.steal_cycles())
-            .sum::<u64>()
-            + self.n.steal_replayed
+        self.sides().map(|s| s.vcpu.steal_cycles()).sum::<u64>() + self.n.steal_replayed
+    }
+
+    /// Every vCPU: pCPU0's primaries, then pCPU1's siblings.
+    fn sides(&self) -> impl Iterator<Item = &Side> {
+        self.p.iter().flat_map(|pcpu| &pcpu.sides)
     }
 }
 
@@ -870,14 +874,15 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
                 cell.n.extend_scaled(&snap, skipped);
                 cell.n.steal_replayed += steal_delta * skipped;
                 cell.vms[0].done += skipped as u32;
-                cell.vms[0].arrival = if cell.vms[0].done < cfg.txns_per_vm {
-                    m.loop_reg(0).map_or(u64::MAX, |c| c.as_u64())
-                } else {
-                    u64::MAX // run complete: nothing left to arrive
-                };
-                cell.vms[0].ipi_q.clear();
+                cell.p[0].wakes.clear();
+                if cell.vms[0].done < cfg.txns_per_vm {
+                    if let Some(arrival) = m.loop_reg(0) {
+                        cell.p[0].push_wake(arrival.as_u64(), 0);
+                    }
+                }
+                cell.p[1].wakes.clear();
                 if let Some(ipi) = m.loop_reg(1) {
-                    cell.vms[0].ipi_q.push_back(ipi.as_u64());
+                    cell.p[1].push_wake(ipi.as_u64(), 0);
                 }
                 continue;
             }
@@ -900,7 +905,7 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
         m.bump("consolidation.lock_spin_cycles", cell.n.lock_spin);
         m.bump("consolidation.vm_switches", cell.n.vm_switches);
         m.bump("consolidation.ipis_coalesced", cell.n.ipis_coalesced);
-        for side in cell.a.iter().chain(&cell.b) {
+        for side in cell.sides() {
             m.observe("consolidation.vcpu_steal", side.vcpu.steal_cycles());
             m.observe("consolidation.vcpu_ran", side.vcpu.ran_cycles());
         }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Scheduler/consolidation smoke test: the 1:1 and 8:1 sweep endpoints
-# via `run --spec`, steal monotonicity between them, and spec
-# round-trip identity. Run from the repository root.
+# via `run --spec`, steal monotonicity between them, the 64:1 endpoint
+# that specs accept under both schedulers, and spec round-trip
+# identity. Run from the repository root.
 set -eu
 
 cargo build -q --release -p hvx-suite
@@ -15,8 +16,8 @@ steal_of() {
 }
 
 make_spec() {
-    # $1 = vms
-    cat > "$tmp/spec-$1.json" <<EOF
+    # $1 = vms, $2 = scheduler (default Credit), $3 = file name suffix
+    cat > "$tmp/spec-$1${3:-}.json" <<EOF
 {
   "hypervisor": "KvmArm",
   "topology": {
@@ -25,7 +26,7 @@ make_spec() {
     "vms": $1,
     "vcpus_per_vm": 2
   },
-  "scheduler": "Credit",
+  "scheduler": "${2:-Credit}",
   "workload": "TcpRr",
   "virq_policy": "Vcpu0",
   "transactions": null,
@@ -64,6 +65,39 @@ case "$eight" in
     exit 1
     ;;
 esac
+
+echo "== 64:1 endpoint: more steal than 8:1, reproducible, both schedulers =="
+make_spec 8 Cfs -cfs
+eight_cfs=$("$repro" run --spec "$tmp/spec-8-cfs.json")
+make_spec 64 Credit
+make_spec 64 Cfs -cfs
+for sched in credit cfs; do
+    if [ "$sched" = credit ]; then
+        spec="$tmp/spec-64.json"
+        base=$steal_eight
+    else
+        spec="$tmp/spec-64-cfs.json"
+        base=$(steal_of "$eight_cfs")
+    fi
+    sixty_four=$("$repro" run --spec "$spec")
+    echo "$sixty_four"
+    case "$sixty_four" in
+    *"64 VMs x 2 vCPUs on 2 pCPUs, 64:1"*"scheduler:    $sched"*) ;;
+    *)
+        echo "sched_smoke: 64:1 $sched report missing its topology or scheduler line" >&2
+        exit 1
+        ;;
+    esac
+    steal_64=$(steal_of "$sixty_four")
+    if [ "$steal_64" -le "$base" ]; then
+        echo "sched_smoke: $sched steal not monotone: 8:1=$base, 64:1=$steal_64" >&2
+        exit 1
+    fi
+    if [ "$sixty_four" != "$("$repro" run --spec "$spec")" ]; then
+        echo "sched_smoke: two runs of the 64:1 $sched spec diverged" >&2
+        exit 1
+    fi
+done
 
 echo "== spec runs are reproducible and match the shipped example =="
 again=$("$repro" run --spec "$tmp/spec-8.json")

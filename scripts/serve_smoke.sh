@@ -115,6 +115,10 @@ fi
 echo "== flood sheds with 429, accept loop stays live =="
 # Distinct heavy 16:1 cells (transaction counts never repeat) flood a
 # freshly drained queue; the weight bound must shed some with 429.
+# "Heavy" means a cell runs far longer than one submission takes (about
+# 50 ms at 16 VMs x 8,000 transactions), or the two workers drain the
+# queue as fast as the flood fills it and nothing is left to recover
+# after the kill below.
 shed=0
 n=0
 while [ "$n" -lt 40 ]; do
@@ -126,7 +130,7 @@ while [ "$n" -lt 40 ]; do
   "scheduler": "Credit",
   "workload": "TcpRr",
   "virq_policy": "Vcpu0",
-  "transactions": $((2000 + n)),
+  "transactions": $((8000 + n)),
   "fault": null,
   "watchdog": {"cycle_budget": null, "livelock_threshold": null}
 }

@@ -60,7 +60,7 @@ fn sgir_filters_against_every_sender() {
             )
             .unwrap();
         assert_eq!(eff.sgi_targets.len(), 3);
-        assert!(eff.sgi_targets.iter().all(|(c, _)| *c != sender));
+        assert!(eff.sgi_targets.iter().all(|(c, _)| c != sender));
         let mut g2 = Distributor::new(4, 8);
         g2.enable(IntId::sgi(7), sender).unwrap();
         let eff = g2
@@ -70,7 +70,10 @@ fn sgir_filters_against_every_sender() {
                 sender,
             )
             .unwrap();
-        assert_eq!(eff.sgi_targets, vec![(sender, IntId::sgi(7))]);
+        assert_eq!(
+            eff.sgi_targets.iter().collect::<Vec<_>>(),
+            vec![(sender, IntId::sgi(7))]
+        );
     }
 }
 
