@@ -21,6 +21,7 @@
 //! [`crate::KvmArm`] / [`crate::XenArm`] / [`crate::KvmX86`] /
 //! [`crate::XenX86`].
 
+use crate::RegClass;
 use hvx_engine::Cycles;
 
 /// Per-register-class context-switch costs — Table III, paper-verbatim.
@@ -431,25 +432,13 @@ impl CostModel {
     /// Sum of all register-class save costs — the full KVM ARM
     /// switch-out (Table III save column).
     pub fn full_save(&self) -> Cycles {
-        self.gp.save
-            + self.fp.save
-            + self.el1_sys.save
-            + self.vgic.save
-            + self.timer.save
-            + self.el2_config.save
-            + self.el2_vm.save
+        RegClass::ALL.iter().map(|k| k.costs(self).save).sum()
     }
 
     /// Sum of all register-class restore costs (Table III restore
     /// column).
     pub fn full_restore(&self) -> Cycles {
-        self.gp.restore
-            + self.fp.restore
-            + self.el1_sys.restore
-            + self.vgic.restore
-            + self.timer.restore
-            + self.el2_config.restore
-            + self.el2_vm.restore
+        RegClass::ALL.iter().map(|k| k.costs(self).restore).sum()
     }
 
     /// Per-byte network-stack cost for `len` payload bytes.

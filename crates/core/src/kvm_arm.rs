@@ -15,6 +15,12 @@
 //!    which dominates the cost ("reading back the VGIC state is
 //!    expensive").
 //!
+//! The hardware steps (the trap, the ERET, the register classes, the
+//! vGIC accesses and the kick SGI) are the ARM layer's, shared with
+//! Xen ARM; the steps vhost shares with KVM x86 come from the shared
+//! step table. This file is the software: the world switch through the
+//! host, the `vcpu_run` loop, and the virtio/vhost I/O paths.
+//!
 //! [`KvmArm::new_vhe`] builds the ARMv8.1 variant: the host kernel runs in
 //! EL2 (`E2H` set), so a trap lands *in* the hypervisor-cum-host with the
 //! guest's EL1 state still live — no class save/restore, no toggles, no
@@ -28,37 +34,28 @@
 //!  EL2 | Xen hypervisor|         | Host kernel + KVM <-'   |
 //! ```
 
+use crate::arm::{ArmHw, Motion, GICD_IPA, GUEST_IPI_SGI, GUEST_RAM_IPA, GUEST_RAM_PAGES, NIC_SPI};
 use crate::context::{ArmGuestContext, ArmHostContext};
+use crate::steps::{guest_compute, guest_stack_rx, guest_stack_tx, nic_stall, recover};
+use crate::steps::{Recovery, Step};
 use crate::{CostModel, HvKind, Hypervisor, VirqPolicy};
-use hvx_arch::{ArchVersion, ArmCpu, ExceptionLevel, HcrEl2, Syndrome, TrapCause};
-use hvx_engine::{
-    CoreId, Cycles, FaultPoint, FlowId, FlowKind, Machine, Topology, TraceKind, TransitionId,
-};
+use hvx_arch::{ArchVersion, ExceptionLevel, HcrEl2, Syndrome, TrapCause};
+use hvx_engine::{CoreId, Cycles, FaultPoint, FlowId, FlowKind, Machine, TraceKind, TransitionId};
 use hvx_gic::{dist_reg, Distributor, IntId, VgicCpuInterface};
-use hvx_mem::{Ipa, Pa, PhysMemory, S2Perms, Stage2Tables, PAGE_SIZE};
-use hvx_vio::{Descriptor, Nic, VhostNet, Virtqueue};
+use hvx_mem::{Ipa, Pa, S2Perms, Stage2Tables, PAGE_SIZE};
+use hvx_vio::{Descriptor, VhostNet, Virtqueue};
 
-/// Guest-physical base of the VM's RAM.
-pub const GUEST_RAM_IPA: u64 = 0x8000_0000;
-/// Guest-physical base of the emulated GIC distributor (unmapped in
-/// Stage-2, so every access traps).
-pub const GICD_IPA: u64 = 0x0800_0000;
 /// Guest-physical base of the virtio-mmio transport.
 pub const VIRTIO_IPA: u64 = 0x0A00_0000;
 /// Offset of the virtio queue-notify ("kick") register.
 pub const VIRTIO_QUEUE_NOTIFY: u64 = 0x50;
-/// Pages of guest RAM in the model (enough for ring buffers; capacity is
-/// not the subject of study).
-pub const GUEST_RAM_PAGES: u64 = 512;
-
 /// The virtio-net virtual interrupt (SPI) presented to the guest.
 pub const VIRTIO_NET_VIRQ: IntId = IntId::spi(1);
-/// The SGI used for guest IPIs.
-pub const GUEST_IPI_SGI: IntId = IntId::sgi(5);
 /// The physical SGI KVM uses to kick a VCPU out of guest mode.
 pub const HOST_KICK_SGI: IntId = IntId::sgi(1);
-/// Physical NIC interrupt.
-pub const NIC_SPI: IntId = IntId::spi(43);
+
+/// KVM's trap counter.
+const TRAPS: &str = "kvm.traps";
 
 /// Per-VM state: Stage-2 tables, emulated distributor, saved VCPU
 /// contexts, and the virtio device pair.
@@ -133,13 +130,8 @@ impl VmState {
 /// The KVM ARM hypervisor model.
 #[derive(Debug)]
 pub struct KvmArm {
-    machine: Machine,
-    cost: CostModel,
+    hw: ArmHw,
     vhe: bool,
-    cpus: Vec<ArmCpu>,
-    vgics: Vec<VgicCpuInterface>,
-    phys_gic: Distributor,
-    mem: PhysMemory,
     vm: VmState,
     /// Second single-VCPU VM for the VM Switch microbenchmark, pinned to
     /// PCPU0 alongside the primary VM's VCPU0.
@@ -148,9 +140,6 @@ pub struct KvmArm {
     host_ctxs: Vec<ArmHostContext>,
     /// Which VM VCPU is installed on each PCPU (`None` = host context).
     guest_loaded: Vec<Option<usize>>,
-    nic: Nic,
-    policy: VirqPolicy,
-    rr_next: usize,
 }
 
 impl KvmArm {
@@ -172,17 +161,14 @@ impl KvmArm {
     }
 
     fn build(cost: CostModel, vhe: bool) -> Self {
-        let topo = Topology::paper_default();
-        let num_cores = topo.num_cores();
-        let num_vcpus = topo.guest_cores().len();
         let version = if vhe {
             ArchVersion::V8_1
         } else {
             ArchVersion::V8_0
         };
-        let mut cpus: Vec<ArmCpu> = (0..num_cores).map(|_| ArmCpu::new(version)).collect();
+        let mut hw = ArmHw::new(cost, version, HOST_KICK_SGI, 64 << 20);
         let mut host_ctxs = Vec::new();
-        for (i, cpu) in cpus.iter_mut().enumerate() {
+        for (i, cpu) in hw.cpus.iter_mut().enumerate() {
             if vhe {
                 cpu.enable_vhe().expect("v8.1 at EL2");
                 cpu.el2.hcr_el2.insert(HcrEl2::TGE);
@@ -192,68 +178,30 @@ impl KvmArm {
             }
             host_ctxs.push(ArmHostContext::pattern(0x9000 + i as u64));
         }
-        let mut phys_gic = Distributor::new(num_cores, 64);
-        for c in 0..num_cores {
-            phys_gic.enable(HOST_KICK_SGI, c).expect("core in range");
-            phys_gic.enable(GUEST_IPI_SGI, c).expect("core in range");
-        }
-        phys_gic.enable(NIC_SPI, 0).expect("spi");
-        phys_gic
-            .set_target(NIC_SPI, topo.io_core().index())
-            .expect("io core in range");
-
-        let vm = VmState::new(num_vcpus, 0x0100_0000);
-        let alt_vm = VmState::new(1, 0x0400_0000);
+        let num_vcpus = hw.machine.topology().guest_cores().len();
         let mut kvm = KvmArm {
-            machine: Machine::new(topo),
-            cost,
+            guest_loaded: vec![None; hw.cpus.len()],
+            hw,
             vhe,
-            cpus,
-            vgics: (0..num_cores).map(|_| VgicCpuInterface::new()).collect(),
-            phys_gic,
-            mem: PhysMemory::new(64 << 20),
-            vm,
-            alt_vm,
+            vm: VmState::new(num_vcpus, 0x0100_0000),
+            alt_vm: VmState::new(1, 0x0400_0000),
             alt_loaded: false,
             host_ctxs,
-            guest_loaded: vec![None; num_cores],
-            nic: Nic::new(NIC_SPI),
-            policy: VirqPolicy::Vcpu0,
-            rr_next: 0,
         };
         // Install each VCPU on its pinned core, running in the VM.
-        for vcpu in 0..kvm.num_vcpus() {
-            let core = kvm.machine.topology().guest_core(vcpu);
-            kvm.install_guest(core, vcpu);
+        for vcpu in 0..num_vcpus {
+            let core = kvm.hw.machine.topology().guest_core(vcpu);
+            let ctx = kvm.vm.ctxs[vcpu];
+            kvm.hw.install(core, &ctx);
+            if vhe {
+                // The VHE host keeps E2H; guest trap routing needs IMO etc.
+                let hcr = &mut kvm.hw.cpus[core.index()].el2.hcr_el2;
+                *hcr = HcrEl2::guest_running();
+                hcr.insert(HcrEl2::E2H);
+            }
+            kvm.guest_loaded[core.index()] = Some(vcpu);
         }
         kvm
-    }
-
-    fn install_guest(&mut self, core: CoreId, vcpu: usize) {
-        let ctx = self.vm.ctxs[vcpu];
-        let cpu = &mut self.cpus[core.index()];
-        ctx.install(cpu, &mut self.vgics[core.index()]);
-        if self.vhe {
-            // The VHE host keeps E2H; guest trap routing needs IMO etc.
-            cpu.el2.hcr_el2 = HcrEl2::guest_running();
-            cpu.el2.hcr_el2.insert(HcrEl2::E2H);
-        }
-        cpu.start_at(ExceptionLevel::El1);
-        self.guest_loaded[core.index()] = Some(vcpu);
-    }
-
-    /// Charges the hardware trap and takes the exception on `core`.
-    fn trap_to_el2(&mut self, core: CoreId, cause: TrapCause) {
-        self.machine.bump("kvm.traps", 1);
-        self.machine.charge_as(
-            core,
-            "hw:trap-el2",
-            TraceKind::Trap,
-            self.cost.hw_trap,
-            TransitionId::TrapToEl2,
-        );
-        let to = self.cpus[core.index()].take_exception(cause);
-        debug_assert_eq!(to, ExceptionLevel::El2, "traps land in the lowvisor (EL2)");
     }
 
     /// World-switch out: lowvisor saves the guest context, installs the
@@ -264,78 +212,46 @@ impl KvmArm {
     /// On VHE there is nothing to do beyond a trap-frame push: the host
     /// lives in EL2 and the guest's EL1 state can stay in the registers.
     fn switch_out(&mut self, core: CoreId, vcpu: usize, lazy_fp: bool) {
-        let c = self.cost;
-        let m = &mut self.machine;
+        let c = self.hw.cost;
+        let idx = core.index();
+        self.guest_loaded[idx] = None;
         if self.vhe {
-            m.charge_as(
+            // Host == hypervisor: already running in EL2; nothing else.
+            self.hw.machine.charge_as(
                 core,
                 "vhe:frame-save",
                 TraceKind::ContextSave,
                 c.xen_frame.save,
                 TransitionId::ContextSave,
             );
-            // Host == hypervisor: already running in EL2; nothing else.
-            self.guest_loaded[core.index()] = None;
             return;
         }
-        m.span_enter(TransitionId::ContextSave);
-        m.charge(core, "save:gp", TraceKind::ContextSave, c.gp.save);
-        if !lazy_fp {
-            m.charge(core, "save:fp", TraceKind::ContextSave, c.fp.save);
-        }
-        m.charge(core, "save:el1-sys", TraceKind::ContextSave, c.el1_sys.save);
-        // The VGIC window dominates Table III; span it separately so the
-        // profile can answer "how much of context save is VGIC?".
-        m.charge_as(
-            core,
-            "save:vgic",
-            TraceKind::ContextSave,
-            c.vgic.save,
-            TransitionId::VgicLrSave,
-        );
-        m.charge(core, "save:timer", TraceKind::ContextSave, c.timer.save);
-        m.charge(
-            core,
-            "save:el2-config",
-            TraceKind::ContextSave,
-            c.el2_config.save,
-        );
-        m.charge(core, "save:el2-vm", TraceKind::ContextSave, c.el2_vm.save);
-        m.span_exit(TransitionId::ContextSave);
-
+        self.hw.move_classes(core, Motion::Save, lazy_fp);
         // Capture the real context. The guest PC was banked into ELR_EL2
         // by the trap.
-        let idx = core.index();
-        let mut ctx = ArmGuestContext::capture(&self.cpus[idx], &self.vgics[idx]);
-        ctx.gp.pc = self.cpus[idx].el2.elr_el2;
-        let slot = self.current_vm_ctx_mut(idx, vcpu);
-        *slot = ctx;
+        let mut ctx = self.hw.capture(core);
+        ctx.gp.pc = self.hw.cpus[idx].el2.elr_el2;
+        *self.vm_ctx(idx, vcpu) = ctx;
 
         // Disable Stage-2 and traps so the host owns the hardware (§IV
         // overhead #3), then install the host and return to EL1.
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "kvm:disable-virt",
             TraceKind::Emulation,
             c.kvm_toggle_traps,
             TransitionId::VirtToggle,
         );
-        let cpu = &mut self.cpus[idx];
+        let cpu = &mut self.hw.cpus[idx];
         self.host_ctxs[idx].install(cpu);
         cpu.el2.spsr_el2 = 0b0101; // EL1h: return into the host kernel
         cpu.el2.elr_el2 = 0xFFFF_0000_0000_0000 + idx as u64; // host resume point
-        self.machine.charge_as(
-            core,
-            "hw:eret",
-            TraceKind::Return,
-            c.hw_eret,
-            TransitionId::Eret,
-        );
-        cpu.eret().expect("EL2 to EL1 host return is legal");
-        self.guest_loaded[idx] = None;
+        self.hw.eret(core);
     }
 
-    fn current_vm_ctx_mut(&mut self, core_idx: usize, vcpu: usize) -> &mut ArmGuestContext {
+    /// The saved context of `vcpu` on core `core_idx`: the alternate VM's
+    /// while a `vm_switch` has it on PCPU0.
+    fn vm_ctx(&mut self, core_idx: usize, vcpu: usize) -> &mut ArmGuestContext {
         if self.alt_loaded && core_idx == 0 {
             &mut self.alt_vm.ctxs[0]
         } else {
@@ -347,95 +263,33 @@ impl KvmArm {
     /// restores the guest context, re-enables the virtualization
     /// features, and ERETs into the VM.
     fn switch_in(&mut self, core: CoreId, vcpu: usize, lazy_fp: bool) {
-        let c = self.cost;
+        let c = self.hw.cost;
+        let idx = core.index();
         if self.vhe {
-            self.machine.charge_as(
+            self.hw.machine.charge_as(
                 core,
                 "vhe:frame-restore",
                 TraceKind::ContextRestore,
                 c.xen_frame.restore,
                 TransitionId::ContextRestore,
             );
-            self.machine.charge_as(
-                core,
-                "hw:eret",
-                TraceKind::Return,
-                c.hw_eret,
-                TransitionId::Eret,
-            );
-            let cpu = &mut self.cpus[core.index()];
+            let cpu = &mut self.hw.cpus[idx];
             cpu.el2.spsr_el2 = 0b0101;
             cpu.el2.elr_el2 = self.vm.ctxs[vcpu].gp.pc;
-            cpu.eret().expect("EL2 to EL1 guest return");
-            self.guest_loaded[core.index()] = Some(vcpu);
-            return;
-        }
-        self.trap_to_el2(core, TrapCause::HYPERCALL); // host -> lowvisor
-        let idx = core.index();
-        let m = &mut self.machine;
-        m.span_enter(TransitionId::ContextRestore);
-        m.charge(core, "restore:gp", TraceKind::ContextRestore, c.gp.restore);
-        if !lazy_fp {
-            m.charge(core, "restore:fp", TraceKind::ContextRestore, c.fp.restore);
-        }
-        m.charge(
-            core,
-            "restore:el1-sys",
-            TraceKind::ContextRestore,
-            c.el1_sys.restore,
-        );
-        m.charge_as(
-            core,
-            "restore:vgic",
-            TraceKind::ContextRestore,
-            c.vgic.restore,
-            TransitionId::VgicLrRestore,
-        );
-        m.charge(
-            core,
-            "restore:timer",
-            TraceKind::ContextRestore,
-            c.timer.restore,
-        );
-        m.charge(
-            core,
-            "restore:el2-config",
-            TraceKind::ContextRestore,
-            c.el2_config.restore,
-        );
-        m.charge(
-            core,
-            "restore:el2-vm",
-            TraceKind::ContextRestore,
-            c.el2_vm.restore,
-        );
-        m.span_exit(TransitionId::ContextRestore);
-        m.charge_as(
-            core,
-            "kvm:enable-virt",
-            TraceKind::Emulation,
-            c.kvm_toggle_traps,
-            TransitionId::VirtToggle,
-        );
-
-        let ctx = if self.alt_loaded && idx == 0 {
-            self.alt_vm.ctxs[0]
         } else {
-            self.vm.ctxs[vcpu]
-        };
-        ctx.install(&mut self.cpus[idx], &mut self.vgics[idx]);
-        let cpu = &mut self.cpus[idx];
-        cpu.start_at(ExceptionLevel::El2);
-        cpu.el2.spsr_el2 = 0b0101;
-        cpu.el2.elr_el2 = ctx.gp.pc;
-        self.machine.charge_as(
-            core,
-            "hw:eret",
-            TraceKind::Return,
-            c.hw_eret,
-            TransitionId::Eret,
-        );
-        cpu.eret().expect("EL2 to EL1 guest return");
+            self.hw.trap(core, TrapCause::HYPERCALL, TRAPS); // host -> lowvisor
+            self.hw.move_classes(core, Motion::Restore, lazy_fp);
+            self.hw.machine.charge_as(
+                core,
+                "kvm:enable-virt",
+                TraceKind::Emulation,
+                c.kvm_toggle_traps,
+                TransitionId::VirtToggle,
+            );
+            let ctx = *self.vm_ctx(idx, vcpu);
+            self.hw.load_for_eret(core, &ctx);
+        }
+        self.hw.eret(core);
         self.guest_loaded[idx] = Some(vcpu);
     }
 
@@ -443,13 +297,13 @@ impl KvmArm {
     /// out (`lazy_fp` on the interrupt and I/O fast paths) and the
     /// `vcpu_run` dispatch loop every exit passes through.
     fn exit_to_host(&mut self, core: CoreId, vcpu: usize, cause: TrapCause, lazy_fp: bool) {
-        self.trap_to_el2(core, cause);
+        self.hw.trap(core, cause, TRAPS);
         self.switch_out(core, vcpu, lazy_fp);
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "kvm:host-dispatch",
             TraceKind::Host,
-            self.cost.kvm_host_dispatch,
+            self.hw.cost.kvm_host_dispatch,
             TransitionId::HostDispatch,
         );
     }
@@ -466,11 +320,11 @@ impl KvmArm {
             .is_err());
         let cause = TrapCause::Sync(Syndrome::DataAbort { ipa, write });
         self.exit_to_host(core, vcpu, cause, lazy_fp);
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "kvm:mmio-decode",
             TraceKind::Emulation,
-            self.cost.kvm_mmio_decode,
+            self.hw.cost.kvm_mmio_decode,
             TransitionId::MmioDecode,
         );
     }
@@ -480,11 +334,11 @@ impl KvmArm {
     /// performs the access and resumes the guest.
     fn gicd_access(&mut self, core: CoreId, vcpu: usize, reg: u64, write: bool, lazy_fp: bool) {
         self.mmio_trap(core, vcpu, GICD_IPA + reg, write, lazy_fp);
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "kvm:gicd-emulate",
             TraceKind::Emulation,
-            self.cost.kvm_gicd_emulate,
+            self.hw.cost.kvm_gicd_emulate,
             TransitionId::GicdEmulate,
         );
     }
@@ -498,21 +352,21 @@ impl KvmArm {
     /// second touch of the same page takes no fault.
     pub fn stage2_fault(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
+        let core = self.hw.machine.topology().guest_core(vcpu);
         // Pick the next unmapped page past the initial RAM allocation.
         let ipa = Ipa::new(GUEST_RAM_IPA + self.vm.s2.mapped_pages() * PAGE_SIZE);
         debug_assert!(self.vm.s2.translate(ipa, hvx_mem::Access::Write).is_err());
-        let t0 = self.machine.now(core);
+        let t0 = self.hw.machine.now(core);
         let cause = TrapCause::Sync(Syndrome::DataAbort {
             ipa: ipa.value(),
             write: true,
         });
         self.exit_to_host(core, vcpu, cause, true);
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "kvm:page-alloc",
             TraceKind::Host,
-            self.cost.page_alloc,
+            self.hw.cost.page_alloc,
             TransitionId::HostDispatch,
         );
         let pa = Pa::new(0x0100_0000 + self.vm.s2.mapped_pages() * PAGE_SIZE);
@@ -522,7 +376,7 @@ impl KvmArm {
             .expect("fresh page maps");
         self.switch_in(core, vcpu, true);
         debug_assert!(self.vm.s2.translate(ipa, hvx_mem::Access::Write).is_ok());
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     /// Restores the primary VM onto PCPU0 if a `vm_switch` left the
@@ -531,25 +385,11 @@ impl KvmArm {
     fn ensure_primary(&mut self) {
         if self.alt_loaded {
             self.alt_loaded = false;
-            let core = self.machine.topology().guest_core(0);
-            let idx = core.index();
-            self.alt_vm.ctxs[0] = ArmGuestContext::capture(&self.cpus[idx], &self.vgics[idx]);
+            let core = self.hw.machine.topology().guest_core(0);
+            self.alt_vm.ctxs[0] = self.hw.capture(core);
             let ctx = self.vm.ctxs[0];
-            ctx.install(&mut self.cpus[idx], &mut self.vgics[idx]);
-            self.cpus[idx].start_at(ExceptionLevel::El1);
-            self.guest_loaded[idx] = Some(0);
-        }
-    }
-
-    /// Selects the VCPU that receives the next device interrupt.
-    fn pick_irq_vcpu(&mut self) -> usize {
-        match self.policy {
-            VirqPolicy::Vcpu0 => 0,
-            VirqPolicy::RoundRobin => {
-                let v = self.rr_next % self.num_vcpus();
-                self.rr_next += 1;
-                v
-            }
+            self.hw.install(core, &ctx);
+            self.guest_loaded[core.index()] = Some(0);
         }
     }
 
@@ -567,15 +407,8 @@ impl KvmArm {
         // Completion happens in the guest later; keep the LR active until
         // `virq_complete`-style EOI. For workload paths we complete
         // immediately at vIF cost.
-        self.machine.charge_as(
-            target_core,
-            "gic:vif-eoi",
-            TraceKind::Guest,
-            self.cost.gic_vif_access,
-            TransitionId::GicAccess,
-        );
-        let _ = self.vgics[target_core.index()].guest_eoi(virq.raw());
-        self.machine.now(target_core)
+        let _ = self.hw.vif_eoi(target_core, virq);
+        self.hw.machine.now(target_core)
     }
 
     /// The injection path up to the guest's acknowledge: physical kick
@@ -592,44 +425,28 @@ impl KvmArm {
         virq: IntId,
         flow: Option<FlowId>,
     ) -> CoreId {
-        let c = self.cost;
-        let target_core = self.machine.topology().guest_core(target_vcpu);
-        // Kick: physical SGI to the target PCPU.
-        self.phys_gic
-            .raise(HOST_KICK_SGI, target_core.index())
-            .expect("core in range");
-        let arrival = self.machine.signal(from, target_core, c.ipi_wire);
-        self.machine.wait_until(target_core, arrival);
-        // Physical IRQ while the VM runs: traps to EL2 (IMO).
-        self.trap_to_el2(target_core, TrapCause::Irq);
+        let target_core = self.hw.machine.topology().guest_core(target_vcpu);
+        let idx = target_core.index();
+        // Kick: physical SGI to the target PCPU. The physical IRQ while
+        // the VM runs traps to EL2 (IMO).
+        self.hw.kick(from, target_core);
+        self.hw.trap(target_core, TrapCause::Irq, TRAPS);
         self.switch_out(target_core, target_vcpu, true);
         // Host acks the SGI and programs a list register.
-        self.machine.charge_as(
-            target_core,
-            "gic:phys-ack",
-            TraceKind::Host,
-            c.gic_phys_access,
-            TransitionId::GicAccess,
-        );
-        self.phys_gic
-            .acknowledge(target_core.index())
-            .expect("core in range");
-        self.phys_gic
-            .complete(target_core.index(), HOST_KICK_SGI)
-            .expect("sgi active");
-        self.machine.bump("kvm.virq_injections", 1);
-        self.machine.flow_step(flow, target_core, "virq:inject");
-        self.machine.charge_as(
+        self.hw.phys_ack(target_core, Some(HOST_KICK_SGI));
+        self.hw.machine.bump("kvm.virq_injections", 1);
+        self.hw.machine.flow_step(flow, target_core, "virq:inject");
+        self.hw.machine.charge_as(
             target_core,
             "kvm:vgic-inject",
             TraceKind::Emulation,
-            c.kvm_vgic_inject,
+            self.hw.cost.kvm_vgic_inject,
             TransitionId::VirqInject,
         );
         if self.vhe {
             // The VHE host runs in EL2 and programs the list register
             // directly — no memory image round trip (§VI).
-            let _ = self.vgics[target_core.index()].inject(virq.raw(), 0x80);
+            let _ = self.hw.vgics[idx].inject(virq.raw(), 0x80);
         } else {
             // Program the LR through the saved context (the hypervisor
             // writes the memory image it will restore from).
@@ -637,24 +454,14 @@ impl KvmArm {
             vgic_tmp.restore(self.vm.ctxs[target_vcpu].vgic);
             let _ = vgic_tmp.inject(virq.raw(), 0x80);
             self.vm.ctxs[target_vcpu].vgic = vgic_tmp.save();
-            self.vgics[target_core.index()].absorb_counters(&vgic_tmp);
+            self.hw.vgics[idx].absorb_counters(&vgic_tmp);
         }
         self.switch_in(target_core, target_vcpu, true);
         // Guest sees and acknowledges the virtual interrupt — no trap.
-        self.machine.charge_as(
-            target_core,
-            "gic:vif-ack",
-            TraceKind::Guest,
-            c.gic_vif_access,
-            TransitionId::GicAccess,
-        );
-        let acked = self.vgics[target_core.index()].guest_ack();
+        let acked = self.hw.vif_ack(target_core);
         debug_assert_eq!(acked, Some(virq.raw()));
-        debug_assert_eq!(
-            self.vgics[target_core.index()].last_injected(),
-            Some(virq.raw())
-        );
-        self.machine.flow_end(flow, target_core, "guest:ack");
+        debug_assert_eq!(self.hw.vgics[idx].last_injected(), Some(virq.raw()));
+        self.hw.machine.flow_end(flow, target_core, "guest:ack");
         target_core
     }
 
@@ -662,37 +469,25 @@ impl KvmArm {
     /// the host signals vhost's ioeventfd and resumes the guest, and the
     /// kick reaches the backend core. Returns the kick's flow chain,
     /// which the caller continues (or, for I/O Latency Out, ends) at
-    /// vhost's wake. I/O Latency Out is this plus [`KvmArm::vhost_wake`].
+    /// vhost's wake. I/O Latency Out is this plus vhost's wake.
     fn kick_vhost(&mut self, core: CoreId, vcpu: usize, backend: CoreId) -> Option<FlowId> {
         self.mmio_trap(core, vcpu, VIRTIO_IPA + VIRTIO_QUEUE_NOTIFY, true, true);
-        self.machine.bump("kvm.vhost_kicks", 1);
         self.vm.vhost.note_kick();
-        let flow = self
-            .machine
-            .flow_begin(FlowKind::VirtioKick, core, "virtio:kick");
-        self.machine.charge_as(
+        let m = &mut self.hw.machine;
+        m.bump("kvm.vhost_kicks", 1);
+        let flow = m.flow_begin(FlowKind::VirtioKick, core, "virtio:kick");
+        m.charge_as(
             core,
             "kvm:ioeventfd",
             TraceKind::Io,
-            self.cost.kvm_ioeventfd,
+            self.hw.cost.kvm_ioeventfd,
             TransitionId::VhostKick,
         );
-        let arrival = self.machine.signal(core, backend, self.cost.ipi_wire);
+        let arrival = m.signal(core, backend, self.hw.cost.ipi_wire);
         // Sender resumes, off the critical path.
         self.switch_in(core, vcpu, true);
-        self.machine.wait_until(backend, arrival);
+        self.hw.machine.wait_until(backend, arrival);
         flow
-    }
-
-    /// vhost's worker wakes on `backend` to service a kick.
-    fn vhost_wake(&mut self, backend: CoreId) {
-        self.machine.charge_as(
-            backend,
-            "kvm:vhost-wake",
-            TraceKind::Io,
-            self.cost.kvm_vhost_wake,
-            TransitionId::VhostBackend,
-        );
     }
 }
 
@@ -712,70 +507,51 @@ impl Hypervisor for KvmArm {
     }
 
     fn machine(&self) -> &Machine {
-        &self.machine
+        &self.hw.machine
     }
 
     fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
+        &mut self.hw.machine
     }
 
     fn cost(&self) -> &CostModel {
-        &self.cost
+        &self.hw.cost
     }
 
     fn num_vcpus(&self) -> usize {
-        self.machine.topology().guest_cores().len()
+        self.hw.machine.topology().guest_cores().len()
     }
 
     fn set_virq_policy(&mut self, policy: VirqPolicy) {
-        self.policy = policy;
+        self.hw.irq.policy = policy;
     }
 
     fn sample_metrics(&mut self) {
-        let tx = self.vm.vhost.tx_packets();
-        let rx = self.vm.vhost.rx_packets();
-        let injected: u64 = self.vgics.iter().map(|v| v.injected_count()).sum();
-        let completed: u64 = self.vgics.iter().map(|v| v.completed_count()).sum();
-        self.machine.bump("vio.vhost_tx_packets", tx);
-        self.machine.bump("vio.vhost_rx_packets", rx);
-        self.machine.bump("gic.virq_injected", injected);
-        self.machine.bump("gic.virq_completed", completed);
-        // Fault-recovery counters register only when faults actually
-        // fired, keeping the fault-free profile output unchanged.
-        let stalls = self.nic.stall_count();
-        if stalls > 0 {
-            self.machine.bump("vio.nic_stalls", stalls);
-            self.machine
-                .bump("vio.nic_rekicks", self.nic.rekick_count());
-        }
+        let vhost = &self.vm.vhost;
+        let m = &mut self.hw.machine;
+        m.bump("vio.vhost_tx_packets", vhost.tx_packets());
+        m.bump("vio.vhost_rx_packets", vhost.rx_packets());
         // Device-side flow correlators register only under event tracing
         // so the committed baseline profiles stay byte-identical.
-        if self.machine.event_tracing() {
-            let kicks = self.vm.vhost.kick_count();
-            let irqs = self.nic.irq_count();
-            self.machine.bump("vio.vhost_kick_seq", kicks);
-            self.machine.bump("vio.nic_irq_seq", irqs);
-            let cores: Vec<CoreId> = self.machine.topology().all_cores().collect();
-            for core in cores {
-                let permille = (self.machine.utilization(core) * 1000.0).round() as u64;
-                self.machine.observe("machine.util_permille", permille);
-            }
+        if m.event_tracing() {
+            m.bump("vio.vhost_kick_seq", vhost.kick_count());
         }
+        self.hw.sample_metrics();
     }
 
     fn hypercall(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
-        let t0 = self.machine.now(core);
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let t0 = self.hw.machine.now(core);
         self.exit_to_host(core, vcpu, TrapCause::HYPERCALL, false);
         self.switch_in(core, vcpu, false);
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     fn gicd_trap(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
-        let t0 = self.machine.now(core);
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let t0 = self.hw.machine.now(core);
         // A read that moves FP like the hypercall: Table II's ICT is the
         // hypercall plus decode and emulation.
         self.gicd_access(core, vcpu, dist_reg::GICD_ISENABLER, false, false);
@@ -785,14 +561,14 @@ impl Hypervisor for KvmArm {
             .mmio_read(dist_reg::GICD_ISENABLER, vcpu)
             .expect("register modelled");
         self.switch_in(core, vcpu, false);
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     fn virtual_ipi(&mut self, from: usize, to: usize) -> Cycles {
         self.ensure_primary();
         assert_ne!(from, to, "virtual IPI requires two VCPUs");
-        let from_core = self.machine.topology().guest_core(from);
-        let t0 = self.machine.now(from_core);
+        let from_core = self.hw.machine.topology().guest_core(from);
+        let t0 = self.hw.machine.now(from_core);
         // Sender: GICD_SGIR write traps (MMIO), host emulates the
         // distributor and discovers the SGI fan-out.
         self.gicd_access(from_core, from, dist_reg::GICD_SGIR, true, true);
@@ -814,108 +590,79 @@ impl Hypervisor for KvmArm {
     }
 
     fn virq_complete(&mut self, vcpu: usize) -> Cycles {
-        let core = self.machine.topology().guest_core(vcpu);
-        // Stage an active interrupt directly in the live vIF.
-        let vgic = &mut self.vgics[core.index()];
-        vgic.inject(VIRTIO_NET_VIRQ.raw(), 0x80)
-            .expect("LR available");
-        vgic.guest_ack().expect("pending virq");
-        let t0 = self.machine.now(core);
-        self.machine.charge_as(
-            core,
-            "gic:vif-eoi",
-            TraceKind::Guest,
-            self.cost.gic_vif_access,
-            TransitionId::GicAccess,
-        );
-        self.vgics[core.index()]
-            .guest_eoi(VIRTIO_NET_VIRQ.raw())
-            .expect("active virq");
-        self.machine.now(core) - t0
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        self.hw.virq_complete(core, VIRTIO_NET_VIRQ)
     }
 
     fn vm_switch(&mut self) -> Cycles {
-        let core = self.machine.topology().guest_core(0);
-        let t0 = self.machine.now(core);
+        let core = self.hw.machine.topology().guest_core(0);
+        let t0 = self.hw.machine.now(core);
         // Both VMs pin their single benchmark VCPU to PCPU0; the
         // context selection happens inside switch_out/in via alt_loaded.
         let (out_vcpu, in_vcpu) = (0, 0);
-        self.trap_to_el2(core, TrapCause::HYPERCALL); // yield
+        self.hw.trap(core, TrapCause::HYPERCALL, TRAPS); // yield
         self.switch_out(core, out_vcpu, false);
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "kvm:sched",
             TraceKind::Sched,
-            self.cost.kvm_sched,
+            self.hw.cost.kvm_sched,
             TransitionId::Sched,
         );
         self.alt_loaded = !self.alt_loaded;
         self.switch_in(core, in_vcpu, false);
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     fn io_latency_out(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
-        let backend = self.machine.topology().backend_core();
-        let t0 = self.machine.now(core);
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let backend = self.hw.machine.topology().backend_core();
+        let t0 = self.hw.machine.now(core);
         let flow = self.kick_vhost(core, vcpu, backend);
-        self.machine.flow_end(flow, backend, "vhost:wake");
-        self.vhost_wake(backend);
-        self.machine.now(backend) - t0
+        self.hw.machine.flow_end(flow, backend, "vhost:wake");
+        self.hw.step(backend, Step::VhostWake);
+        self.hw.machine.now(backend) - t0
     }
 
     fn io_latency_in(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let backend = self.machine.topology().backend_core();
-        let t0 = self.machine.now(backend);
+        let backend = self.hw.machine.topology().backend_core();
+        let t0 = self.hw.machine.now(backend);
         // vhost signals the irqfd and must wake/kick the VCPU thread —
         // the heavyweight host-side path §IV attributes the asymmetry to.
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             backend,
             "kvm:irqfd-signal",
             TraceKind::Io,
-            self.cost.kvm_ioeventfd,
+            self.hw.cost.kvm_ioeventfd,
             TransitionId::VhostKick,
         );
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             backend,
             "kvm:io-in-host",
             TraceKind::Host,
-            self.cost.kvm_io_in_host,
+            self.hw.cost.kvm_io_in_host,
             TransitionId::HostDispatch,
         );
         let core = self.inject_to_ack(backend, vcpu, VIRTIO_NET_VIRQ, None);
-        let t1 = self.machine.now(core);
+        let t1 = self.hw.machine.now(core);
         // Clean up the LR so repeated runs start fresh.
-        let _ = self.vgics[core.index()].guest_eoi(VIRTIO_NET_VIRQ.raw());
+        let _ = self.hw.vgics[core.index()].guest_eoi(VIRTIO_NET_VIRQ.raw());
         t1 - t0
     }
 
     fn guest_compute(&mut self, vcpu: usize, work: Cycles) {
-        let core = self.machine.topology().guest_core(vcpu);
-        self.machine.charge_as(
-            core,
-            "guest:compute",
-            TraceKind::Guest,
-            work,
-            TransitionId::GuestRun,
-        );
+        guest_compute(&mut self.hw.machine, vcpu, work);
     }
 
     fn transmit(&mut self, vcpu: usize, len: usize) -> Cycles {
         self.ensure_primary();
-        let c = self.cost;
-        let core = self.machine.topology().guest_core(vcpu);
-        let backend = self.machine.topology().backend_core();
+        let c = self.hw.cost;
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let backend = self.hw.machine.topology().backend_core();
         // Guest stack + driver: build the frame in a guest buffer.
-        self.machine.charge_as(
-            core,
-            "guest:net-stack-tx",
-            TraceKind::Guest,
-            c.stack_tx_per_packet + c.stack_bytes(len) + c.kvm_guest_virtio / 2,
-            TransitionId::GuestStack,
-        );
+        guest_stack_tx(&mut self.hw.machine, &c, core, len, c.kvm_guest_virtio / 2);
         let buf = self.vm.tx_bufs[self.vm.next_tx_buf % self.vm.tx_bufs.len()];
         self.vm.next_tx_buf += 1;
         let pa = self
@@ -925,7 +672,7 @@ impl Hypervisor for KvmArm {
             .expect("TX buffer mapped")
             .pa;
         let payload = vec![0xABu8; len.min(PAGE_SIZE as usize)];
-        self.mem.write(pa, &payload).expect("guest RAM in range");
+        self.hw.mem.write(pa, &payload).expect("guest RAM in range");
         self.vm
             .tx_vq
             .add_chain(&[Descriptor {
@@ -936,129 +683,59 @@ impl Hypervisor for KvmArm {
             .expect("TX queue has room");
         let flow = self.kick_vhost(core, vcpu, backend);
         // vhost drains the ring with direct guest-memory access.
-        if self.machine.fault(FaultPoint::VhostDelay) {
+        let m = &mut self.hw.machine;
+        if m.fault(FaultPoint::VhostDelay) {
             // Fault: the vhost worker is preempted before servicing the
             // kick. The virtio driver's TX watchdog fires and re-kicks
             // the queue — a second doorbell charged as recovery.
-            let rec =
-                self.machine
-                    .flow_begin(FlowKind::FaultRecovery, backend, "fault:vhost-delay");
-            self.machine.charge_as(
-                backend,
-                "kvm:vhost-delay",
-                TraceKind::Sched,
-                c.kvm_sched * 2,
-                TransitionId::Sched,
-            );
-            self.machine.charge_as(
-                core,
-                "virtio:tx-rekick",
-                TraceKind::Io,
-                c.kvm_ioeventfd + c.kvm_mmio_decode,
-                TransitionId::VirtioRekick,
-            );
-            self.machine.flow_end(rec, core, "virtio:tx-rekick");
+            let rec = m.flow_begin(FlowKind::FaultRecovery, backend, "fault:vhost-delay");
+            recover(m, backend, Recovery::VhostDelay, c.kvm_sched * 2, None);
+            let rekick = c.kvm_ioeventfd + c.kvm_mmio_decode;
+            recover(m, core, Recovery::TxRekick, rekick, rec);
         }
-        self.machine.flow_step(flow, backend, "vhost:wake");
-        self.vhost_wake(backend);
-        self.machine.charge_as(
-            backend,
-            "kvm:vhost-tx",
-            TraceKind::Io,
-            c.kvm_vhost_per_packet,
-            TransitionId::VhostBackend,
-        );
+        m.flow_step(flow, backend, "vhost:wake");
+        self.hw.step(backend, Step::VhostWake);
+        self.hw.step(backend, Step::VhostTx);
         let pkts = self
             .vm
             .vhost
-            .process_tx(&mut self.vm.tx_vq, &self.vm.s2, &mut self.mem)
+            .process_tx(&mut self.vm.tx_vq, &self.vm.s2, &mut self.hw.mem)
             .expect("mapped TX chain");
         debug_assert_eq!(pkts.len(), 1);
-        self.machine.charge_as(
-            backend,
-            "host:net-stack-tx",
-            TraceKind::Host,
-            c.host_net_tx,
-            TransitionId::HostStack,
-        );
-        if self.machine.fault(FaultPoint::NicStall) {
-            self.nic.record_stall_and_rekick();
-            // Fault: the NIC misses the tail-pointer update and stalls
-            // before DMA. The driver times out and re-kicks the ring.
-            self.machine.charge_as(
-                backend,
-                "nic:stall-rekick",
-                TraceKind::Io,
-                c.nic_dma * 4 + c.kvm_ioeventfd,
-                TransitionId::VirtioRekick,
-            );
-        }
-        self.machine.charge_as(
-            backend,
-            "nic:dma",
-            TraceKind::Io,
-            c.nic_dma,
-            TransitionId::NicDma,
-        );
+        self.hw.step(backend, Step::HostStackTx);
+        let rekick = c.nic_dma * 4 + c.kvm_ioeventfd;
+        nic_stall(&mut self.hw.machine, &mut self.hw.nic, backend, rekick);
+        self.hw.nic_dma(backend, flow);
         for p in pkts {
-            self.nic.transmit(p);
+            self.hw.nic.transmit(p);
         }
-        self.machine.flow_end(flow, backend, "nic:dma");
         let _ = self.vm.tx_vq.take_used();
-        self.machine.now(backend)
+        self.hw.machine.now(backend)
     }
 
     fn receive(&mut self, len: usize, arrival: Cycles) -> (Cycles, usize) {
         self.ensure_primary();
-        let c = self.cost;
-        let vcpu = self.pick_irq_vcpu();
-        let io = self.machine.topology().io_core();
+        let c = self.hw.cost;
+        let vcpu = self.next_irq_vcpu();
+        let io = self.hw.machine.topology().io_core();
         // NIC interrupt lands on the host's IRQ core.
-        self.nic
+        self.hw
+            .nic
             .receive_from_wire(hvx_vio::Packet::new(0, vec![0xCDu8; len]));
-        self.phys_gic.raise(NIC_SPI, io.index()).expect("spi");
-        self.nic.note_irq();
-        self.machine.wait_until(io, arrival);
-        let flow = self
-            .machine
-            .flow_begin(FlowKind::IrqDelivery, io, "host:irq");
-        self.machine.charge_as(
-            io,
-            "host:irq",
-            TraceKind::Host,
-            c.native_irq,
-            TransitionId::HostIrq,
-        );
-        self.machine.charge_as(
-            io,
-            "gic:phys-ack",
-            TraceKind::Host,
-            c.gic_phys_access,
-            TransitionId::GicAccess,
-        );
-        self.phys_gic.acknowledge(io.index()).expect("core");
-        self.phys_gic.complete(io.index(), NIC_SPI).expect("active");
+        self.hw.phys_gic.raise(NIC_SPI, io.index()).expect("spi");
+        self.hw.nic.note_irq();
+        self.hw.machine.wait_until(io, arrival);
+        let flow = self.hw.nic_irq(io);
+        self.hw.phys_ack(io, Some(NIC_SPI));
         // Host stack up to the TAP device, then vhost writes straight
         // into the guest RX buffer (zero copy).
-        self.machine.charge_as(
-            io,
-            "host:net-stack-rx",
-            TraceKind::Host,
-            c.host_net_rx,
-            TransitionId::HostStack,
-        );
-        self.machine.flow_step(flow, io, "vhost:rx");
-        self.machine.charge_as(
-            io,
-            "kvm:vhost-rx",
-            TraceKind::Io,
-            c.kvm_vhost_per_packet,
-            TransitionId::VhostBackend,
-        );
-        let pkt = self.nic.take_rx().expect("packet queued");
+        self.hw.step(io, Step::HostStackRx);
+        self.hw.machine.flow_step(flow, io, "vhost:rx");
+        self.hw.step(io, Step::VhostRx);
+        let pkt = self.hw.nic.take_rx().expect("packet queued");
         self.vm
             .vhost
-            .deliver_rx(&mut self.vm.rx_vq, &self.vm.s2, &mut self.mem, &pkt)
+            .deliver_rx(&mut self.vm.rx_vq, &self.vm.s2, &mut self.hw.mem, &pkt)
             .expect("RX buffer posted");
         // Repost the consumed buffer (guest-side cost inside stack-rx).
         if let Ok(Some((_, _))) = self.vm.rx_vq.take_used() {
@@ -1070,26 +747,27 @@ impl Hypervisor for KvmArm {
                 device_writes: true,
             }]);
         }
-        if self.machine.fault(FaultPoint::VirqDrop) {
+        if self.hw.machine.fault(FaultPoint::VirqDrop) {
             // Fault: the virtio interrupt is lost before the guest sees
             // it. vhost's resample path notices the unhandled ring and
             // re-signals the irqfd — recovery charged before the real
             // injection below.
-            self.machine.charge_as(
+            let resignal = c.kvm_ioeventfd + c.kvm_vgic_inject;
+            recover(
+                &mut self.hw.machine,
                 io,
-                "kvm:irqfd-resignal",
-                TraceKind::Io,
-                c.kvm_ioeventfd + c.kvm_vgic_inject,
-                TransitionId::VirtioRekick,
+                Recovery::IrqfdResignal,
+                resignal,
+                None,
             );
         }
         // Inject the virtio interrupt into the running VCPU.
         self.inject_virq_running(io, vcpu, VIRTIO_NET_VIRQ, flow);
-        let core = self.machine.topology().guest_core(vcpu);
-        if self.machine.fault(FaultPoint::VirqSpurious) {
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        if self.hw.machine.fault(FaultPoint::VirqSpurious) {
             // Fault: a spurious virtio interrupt — the guest traps to
             // its handler, finds no work, acks and EOIs for nothing.
-            self.machine.charge_as(
+            self.hw.machine.charge_as(
                 core,
                 "guest:spurious-virq",
                 TraceKind::Guest,
@@ -1097,26 +775,21 @@ impl Hypervisor for KvmArm {
                 TransitionId::GicAccess,
             );
         }
-        self.machine.charge_as(
-            core,
-            "guest:net-stack-rx",
-            TraceKind::Guest,
-            c.stack_rx_per_packet + c.stack_bytes(len) + c.kvm_guest_virtio / 2,
-            TransitionId::GuestStack,
-        );
-        (self.machine.now(core), vcpu)
+        guest_stack_rx(&mut self.hw.machine, &c, core, len, c.kvm_guest_virtio / 2);
+        (self.hw.machine.now(core), vcpu)
     }
 
     fn deliver_virq(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
-        let t0 = self.machine.now(core);
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let t0 = self.hw.machine.now(core);
         self.inject_virq_running(core, vcpu, IntId::VTIMER, None);
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     fn next_irq_vcpu(&mut self) -> usize {
-        self.pick_irq_vcpu()
+        let vcpus = self.num_vcpus();
+        self.hw.irq.pick(vcpus)
     }
 
     fn deliver_virq_blocked(&mut self, vcpu: usize) -> Cycles {
@@ -1133,100 +806,54 @@ impl Hypervisor for KvmArm {
         arrival: Cycles,
     ) -> (Cycles, usize) {
         self.ensure_primary();
-        let c = self.cost;
-        let total = chunks * chunk_len;
-        let vcpu = self.pick_irq_vcpu();
-        let io = self.machine.topology().io_core();
-        self.machine.wait_until(io, arrival);
+        let c = self.hw.cost;
+        let vcpu = self.next_irq_vcpu();
+        let io = self.hw.machine.topology().io_core();
+        self.hw.machine.wait_until(io, arrival);
         // One coalesced interrupt; GRO folds the chunks through the host
         // stack once; vhost writes every chunk straight into guest
         // buffers (zero copy — no per-chunk charge beyond the byte cost
         // already in the guest stack term).
-        self.nic.note_irq();
-        let flow = self
-            .machine
-            .flow_begin(FlowKind::IrqDelivery, io, "host:irq");
-        self.machine.charge_as(
-            io,
-            "host:irq",
-            TraceKind::Host,
-            c.native_irq,
-            TransitionId::HostIrq,
-        );
-        self.machine.charge_as(
-            io,
-            "gic:phys-ack",
-            TraceKind::Host,
-            c.gic_phys_access,
-            TransitionId::GicAccess,
-        );
-        self.machine.charge_as(
-            io,
-            "host:net-stack-rx",
-            TraceKind::Host,
-            c.host_net_rx,
-            TransitionId::HostStack,
-        );
-        self.machine.charge_as(
-            io,
-            "kvm:vhost-rx",
-            TraceKind::Io,
-            c.kvm_vhost_per_packet,
-            TransitionId::VhostBackend,
-        );
-        self.machine.flow_step(flow, io, "vhost:rx");
+        self.hw.nic.note_irq();
+        let flow = self.hw.nic_irq(io);
+        self.hw.phys_ack(io, None);
+        self.hw.step(io, Step::HostStackRx);
+        self.hw.step(io, Step::VhostRx);
+        self.hw.machine.flow_step(flow, io, "vhost:rx");
         self.inject_virq_running(io, vcpu, VIRTIO_NET_VIRQ, flow);
-        let core = self.machine.topology().guest_core(vcpu);
-        self.machine.charge_as(
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let total = chunks * chunk_len;
+        guest_stack_rx(
+            &mut self.hw.machine,
+            &c,
             core,
-            "guest:net-stack-rx",
-            TraceKind::Guest,
-            c.stack_rx_per_packet + c.stack_bytes(total) + c.kvm_guest_virtio / 2,
-            TransitionId::GuestStack,
+            total,
+            c.kvm_guest_virtio / 2,
         );
-        (self.machine.now(core), vcpu)
+        (self.hw.machine.now(core), vcpu)
     }
 
     fn transmit_burst(&mut self, vcpu: usize, chunks: usize, chunk_len: usize) -> Cycles {
         self.ensure_primary();
-        let c = self.cost;
+        let c = self.hw.cost;
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let backend = self.hw.machine.topology().backend_core();
         let total = chunks * chunk_len;
-        let core = self.machine.topology().guest_core(vcpu);
-        let backend = self.machine.topology().backend_core();
-        self.machine.charge_as(
+        guest_stack_tx(
+            &mut self.hw.machine,
+            &c,
             core,
-            "guest:net-stack-tx",
-            TraceKind::Guest,
-            c.stack_tx_per_packet + c.stack_bytes(total) + c.kvm_guest_virtio / 2,
-            TransitionId::GuestStack,
+            total,
+            c.kvm_guest_virtio / 2,
         );
         // One kick for the whole burst.
         let flow = self.kick_vhost(core, vcpu, backend);
-        self.machine.flow_step(flow, backend, "vhost:wake");
-        self.vhost_wake(backend);
-        self.machine.charge_as(
-            backend,
-            "kvm:vhost-tx",
-            TraceKind::Io,
-            c.kvm_vhost_per_packet,
-            TransitionId::VhostBackend,
-        );
-        self.machine.charge_as(
-            backend,
-            "host:net-stack-tx",
-            TraceKind::Host,
-            c.host_net_tx,
-            TransitionId::HostStack,
-        );
-        self.machine.charge_as(
-            backend,
-            "nic:dma",
-            TraceKind::Io,
-            c.nic_dma,
-            TransitionId::NicDma,
-        );
-        self.machine.flow_end(flow, backend, "nic:dma");
-        self.machine.now(backend)
+        self.hw.machine.flow_step(flow, backend, "vhost:wake");
+        self.hw.step(backend, Step::VhostWake);
+        self.hw.step(backend, Step::VhostTx);
+        self.hw.step(backend, Step::HostStackTx);
+        self.hw.nic_dma(backend, flow);
+        self.hw.machine.now(backend)
     }
 }
 
@@ -1272,9 +899,10 @@ mod tests {
         // After the round trip the VCPU is back in guest mode with its
         // context re-installed; the saved copy equals the original
         // (modulo the PC, which the trap banked — same value here).
-        let core = kvm.machine.topology().guest_core(1);
+        let core = kvm.hw.machine.topology().guest_core(1);
         assert_eq!(kvm.guest_loaded[core.index()], Some(1));
-        let after = ArmGuestContext::capture(&kvm.cpus[core.index()], &kvm.vgics[core.index()]);
+        let after =
+            ArmGuestContext::capture(&kvm.hw.cpus[core.index()], &kvm.hw.vgics[core.index()]);
         assert_eq!(after.el1, before.el1);
         assert_eq!(after.fp, before.fp);
         assert_eq!(after.timer, before.timer);
@@ -1314,12 +942,12 @@ mod tests {
         let cost = kvm.vm_switch();
         // Table II target 10,387; exact composition checked here.
         let expected = Cycles::new(76) // trap
-            + kvm.cost.full_save()
+            + kvm.hw.cost.full_save()
             + Cycles::new(86) // disable
             + Cycles::new(64) // eret to host
-            + kvm.cost.kvm_sched
+            + kvm.hw.cost.kvm_sched
             + Cycles::new(76) // hvc
-            + kvm.cost.full_restore()
+            + kvm.hw.cost.full_restore()
             + Cycles::new(86)
             + Cycles::new(64);
         assert_eq!(cost, expected);
@@ -1380,7 +1008,7 @@ mod tests {
         let before = kvm.vm.vhost.tx_packets();
         kvm.transmit(0, 1400);
         assert_eq!(kvm.vm.vhost.tx_packets(), before + 1);
-        assert_eq!(kvm.nic.tx_count(), 1);
+        assert_eq!(kvm.hw.nic.tx_count(), 1);
         assert_eq!(kvm.vm.vhost.tx_bytes(), 1400);
     }
 

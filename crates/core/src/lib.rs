@@ -23,6 +23,29 @@
 //! ...), so the trace of every composite number decomposes into steps a
 //! test can assert.
 //!
+//! ## Hardware × software
+//!
+//! The paper explains its results along two axes taken separately: the
+//! hardware (ARM's EL2 against x86's VMX root mode) and the hypervisor
+//! software (Type 1 with I/O through Dom0, against Type 2 with I/O in
+//! the host kernel). The models factor the same way:
+//!
+//! - **one ARM hardware layer** that both ARM hypervisors own: the
+//!   machine, the CPUs, the GIC, memory and the NIC, and the steps that
+//!   cost the same whichever hypervisor takes them — the trap to EL2,
+//!   the ERET, Table III's register classes ([`RegClass`]), the
+//!   guest's vGIC ack and EOI, the physical ack and the kick SGI;
+//! - **one table of shared steps**, each declared once with its label,
+//!   trace kind, cost and transition: the host's interrupt entry and
+//!   network stack, the NIC's DMA, x86's VM exit and entry, vhost's
+//!   steps (KVM on both architectures), and netback's, the grant
+//!   copy's and the event channel's (Xen on both);
+//! - **the software**: each model says which of those steps its paths
+//!   take, in what order, and adds its own (KVM ARM's world switch
+//!   through the host, Xen's trap frame and domains). The Table II
+//!   hypercall gap is such a choice: split-mode KVM moves every
+//!   register class on each exit, Xen ARM only on a VM switch.
+//!
 //! ## Architecture (Figures 2 and 3 of the paper, as ASCII)
 //!
 //! ```text
@@ -47,6 +70,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod arm;
 mod context;
 mod cost;
 mod error;
@@ -58,19 +82,18 @@ pub mod report;
 pub mod sched;
 mod sim;
 pub mod spec;
+mod steps;
 pub mod vcpu;
 mod x86;
 mod xen_arm;
 
+pub use arm::{RegClass, GICD_IPA, GUEST_IPI_SGI, GUEST_RAM_IPA, GUEST_RAM_PAGES, NIC_SPI};
 pub use context::{ArmGuestContext, ArmHostContext};
 pub use cost::{ClassCosts, CostModel};
 pub use error::{Error, ScenarioFailureKind};
 pub use hypervisor::Hypervisor;
 pub use kind::{HvKind, HvType, Platform, VirqPolicy};
-pub use kvm_arm::{
-    KvmArm, GICD_IPA, GUEST_IPI_SGI, GUEST_RAM_IPA, GUEST_RAM_PAGES, HOST_KICK_SGI, NIC_SPI,
-    VIRTIO_IPA, VIRTIO_NET_VIRQ, VIRTIO_QUEUE_NOTIFY,
-};
+pub use kvm_arm::{KvmArm, HOST_KICK_SGI, VIRTIO_IPA, VIRTIO_NET_VIRQ, VIRTIO_QUEUE_NOTIFY};
 pub use native::Native;
 pub use sched::{CfsScheduler, CreditVcpuSched, SchedPolicy, VcpuScheduler};
 pub use sim::{Sim, SimBuilder, Workload, PAPER_VCPUS};

@@ -5,10 +5,13 @@
 //! model runs the same workload primitives with no hypervisor in the
 //! loop: physical interrupts go straight to the kernel, the network
 //! stack runs once (no host/Dom0 second stack), and there are no
-//! VM transitions at all.
+//! VM transitions at all. Its host interrupt, physical GIC ack and NIC
+//! DMA are the shared step table's, the same steps the hypervisors'
+//! hosts and Dom0 charge.
 
+use crate::steps::{charge_step, IrqTarget, Step};
 use crate::{CostModel, HvKind, Hypervisor, VirqPolicy};
-use hvx_engine::{Cycles, Machine, Topology, TraceKind, TransitionId};
+use hvx_engine::{CoreId, Cycles, Machine, Topology, TraceKind, TransitionId};
 
 /// Bare-metal Linux on the paper's server topology (capped at 4 cores +
 /// 12 GB like every configuration, §III).
@@ -16,8 +19,7 @@ use hvx_engine::{Cycles, Machine, Topology, TraceKind, TransitionId};
 pub struct Native {
     machine: Machine,
     cost: CostModel,
-    policy: VirqPolicy,
-    rr_next: usize,
+    irq: IrqTarget,
 }
 
 impl Native {
@@ -32,20 +34,20 @@ impl Native {
         Native {
             machine: Machine::new(Topology::paper_default()),
             cost,
-            policy: VirqPolicy::Vcpu0,
-            rr_next: 0,
+            irq: IrqTarget::default(),
         }
     }
 
-    fn pick_irq_core(&mut self) -> usize {
-        match self.policy {
-            VirqPolicy::Vcpu0 => 0,
-            VirqPolicy::RoundRobin => {
-                let v = self.rr_next % self.num_vcpus();
-                self.rr_next += 1;
-                v
-            }
-        }
+    /// Charges `step` on `core`.
+    fn step(&mut self, core: CoreId, step: Step) {
+        charge_step(&mut self.machine, &self.cost, core, step);
+    }
+
+    /// A physical interrupt taken on `core`: the kernel's IRQ entry and
+    /// the GIC acknowledge.
+    fn physical_irq(&mut self, core: CoreId) {
+        self.step(core, Step::HostIrq);
+        self.step(core, Step::GicPhysAck);
     }
 }
 
@@ -77,7 +79,7 @@ impl Hypervisor for Native {
     }
 
     fn set_virq_policy(&mut self, policy: VirqPolicy) {
-        self.policy = policy;
+        self.irq.policy = policy;
     }
 
     /// Natively there is no hypervisor to call; the operation is free.
@@ -118,20 +120,7 @@ impl Hypervisor for Native {
         );
         let arrival = self.machine.signal(from_core, to_core, self.cost.ipi_wire);
         self.machine.wait_until(to_core, arrival);
-        self.machine.charge_as(
-            to_core,
-            "host:irq",
-            TraceKind::Host,
-            self.cost.native_irq,
-            TransitionId::HostIrq,
-        );
-        self.machine.charge_as(
-            to_core,
-            "gic:phys-ack",
-            TraceKind::Host,
-            self.cost.gic_phys_access,
-            TransitionId::GicAccess,
-        );
+        self.physical_irq(to_core);
         self.machine.now(to_core) - t0
     }
 
@@ -185,35 +174,16 @@ impl Hypervisor for Native {
             c.stack_tx_per_packet + c.stack_bytes(len),
             TransitionId::HostStack,
         );
-        self.machine.charge_as(
-            core,
-            "nic:dma",
-            TraceKind::Io,
-            c.nic_dma,
-            TransitionId::NicDma,
-        );
+        self.step(core, Step::NicDma);
         self.machine.now(core)
     }
 
     fn receive(&mut self, len: usize, arrival: Cycles) -> (Cycles, usize) {
         let c = self.cost;
-        let target = self.pick_irq_core();
+        let target = self.next_irq_vcpu();
         let core = self.machine.topology().guest_core(target);
         self.machine.wait_until(core, arrival);
-        self.machine.charge_as(
-            core,
-            "host:irq",
-            TraceKind::Host,
-            c.native_irq,
-            TransitionId::HostIrq,
-        );
-        self.machine.charge_as(
-            core,
-            "gic:phys-ack",
-            TraceKind::Host,
-            c.gic_phys_access,
-            TransitionId::GicAccess,
-        );
+        self.physical_irq(core);
         self.machine.charge_as(
             core,
             "native:net-stack-rx",
@@ -228,25 +198,13 @@ impl Hypervisor for Native {
     fn deliver_virq(&mut self, vcpu: usize) -> Cycles {
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.machine.charge_as(
-            core,
-            "host:irq",
-            TraceKind::Host,
-            self.cost.native_irq,
-            TransitionId::HostIrq,
-        );
-        self.machine.charge_as(
-            core,
-            "gic:phys-ack",
-            TraceKind::Host,
-            self.cost.gic_phys_access,
-            TransitionId::GicAccess,
-        );
+        self.physical_irq(core);
         self.machine.now(core) - t0
     }
 
     fn next_irq_vcpu(&mut self) -> usize {
-        self.pick_irq_core()
+        let cores = self.num_vcpus();
+        self.irq.pick(cores)
     }
 
     fn deliver_virq_blocked(&mut self, vcpu: usize) -> Cycles {

@@ -12,8 +12,12 @@
 //! One model implements both; construction selects the software-path
 //! constants. The VMX mechanics ([`hvx_arch::X86Cpu`], [`hvx_arch::Vmcs`])
 //! and the interrupt controller ([`hvx_gic::Lapic`]) are real state.
+//! The VM exit and entry, and the back-end steps KVM x86 shares with
+//! KVM ARM (vhost) and Xen x86 with Xen ARM (netback, grant copy,
+//! event channels), come from the shared step table.
 
-use crate::xen_arm::grant_copy_with_retry;
+use crate::steps::{charge_step, grant_copy_with_retry, guest_compute, guest_stack_rx};
+use crate::steps::{guest_stack_tx, nic_stall, recover, IrqTarget, Recovery, Step};
 use crate::{CostModel, HvKind, Hypervisor, VirqPolicy};
 use hvx_arch::{ExitReason, Vmcs, X86Cpu, X86State};
 use hvx_engine::{CoreId, Cycles, FaultPoint, Machine, Topology, TraceKind, TransitionId};
@@ -40,8 +44,7 @@ pub struct X86Hv {
     alt_vmcs: Vmcs,
     alt_loaded: bool,
     nic: Nic,
-    policy: VirqPolicy,
-    rr_next: usize,
+    irq: IrqTarget,
 }
 
 /// Builds KVM x86 on the paper's topology.
@@ -128,9 +131,24 @@ impl X86Hv {
             alt_vmcs,
             alt_loaded: false,
             nic: Nic::new(hvx_gic::IntId::spi(43)),
-            policy: VirqPolicy::Vcpu0,
-            rr_next: 0,
+            irq: IrqTarget::default(),
         }
+    }
+
+    /// Charges `step` on `core`.
+    fn step(&mut self, core: CoreId, step: Step) {
+        charge_step(&mut self.machine, &self.cost, core, step);
+    }
+
+    /// Xen x86 waking Dom0 out of the idle domain on `core`, at `cost`.
+    fn wake_dom0(&mut self, core: CoreId, cost: Cycles) {
+        self.machine.charge_as(
+            core,
+            "xen:x86-wake-blocked",
+            TraceKind::Sched,
+            cost,
+            TransitionId::Sched,
+        );
     }
 
     fn is_kvm(&self) -> bool {
@@ -142,14 +160,6 @@ impl X86Hv {
             self.cost.kvm_x86_apic_emulate
         } else {
             self.cost.xen_x86_apic_emulate
-        }
-    }
-
-    fn inject_cost(&self) -> Cycles {
-        if self.is_kvm() {
-            self.cost.x86_inject
-        } else {
-            self.cost.xen_x86_inject
         }
     }
 
@@ -169,13 +179,7 @@ impl X86Hv {
     /// state.
     fn exit(&mut self, core: CoreId, vcpu: usize, reason: ExitReason) {
         self.machine.bump("x86.vmexits", 1);
-        self.machine.charge_as(
-            core,
-            "hw:vmexit",
-            TraceKind::Trap,
-            self.cost.vmexit,
-            TransitionId::VmcsWorldSwitch,
-        );
+        self.step(core, Step::VmExit);
         let vmcs = if self.alt_loaded && vcpu == 0 {
             &mut self.alt_vmcs
         } else {
@@ -188,13 +192,7 @@ impl X86Hv {
 
     /// VM entry on `core` for VCPU `vcpu`.
     fn enter(&mut self, core: CoreId, vcpu: usize) {
-        self.machine.charge_as(
-            core,
-            "hw:vmentry",
-            TraceKind::Return,
-            self.cost.vmentry,
-            TransitionId::VmcsWorldSwitch,
-        );
+        self.step(core, Step::VmEntry);
         let vmcs = if self.alt_loaded && vcpu == 0 {
             &mut self.alt_vmcs
         } else {
@@ -210,18 +208,12 @@ impl X86Hv {
     /// the EPT fault and Xen's I/O Latency Out.
     fn exit_to_dispatch(&mut self, core: CoreId, vcpu: usize, reason: ExitReason) {
         self.exit(core, vcpu, reason);
-        let (label, cost) = if self.is_kvm() {
-            ("kvm:x86-dispatch", self.cost.kvm_x86_dispatch)
+        let dispatch = if self.is_kvm() {
+            Step::KvmX86Dispatch
         } else {
-            ("xen:x86-dispatch", self.cost.xen_x86_dispatch)
+            Step::XenX86Dispatch
         };
-        self.machine.charge_as(
-            core,
-            label,
-            TraceKind::Host,
-            cost,
-            TransitionId::HostDispatch,
-        );
+        self.step(core, dispatch);
     }
 
     /// The guest's port-I/O doorbell on the transmit path: the `OUT`
@@ -229,23 +221,12 @@ impl X86Hv {
     /// channel, the guest re-enters, and the kick reaches `backend`.
     fn kick_backend(&mut self, core: CoreId, vcpu: usize, backend: CoreId) {
         self.exit(core, vcpu, ExitReason::IoInstruction);
-        if self.is_kvm() {
-            self.machine.charge_as(
-                core,
-                "kvm:x86-ioeventfd",
-                TraceKind::Io,
-                self.cost.kvm_x86_ioeventfd,
-                TransitionId::VhostKick,
-            );
+        let signal = if self.is_kvm() {
+            Step::X86Ioeventfd
         } else {
-            self.machine.charge_as(
-                core,
-                "xen:evtchn-send",
-                TraceKind::Emulation,
-                self.cost.xen_evtchn_send,
-                TransitionId::EventChannelSignal,
-            );
-        }
+            Step::EvtchnSend
+        };
+        self.step(core, signal);
         let arrival = self
             .machine
             .signal(core, backend, self.cost.x86_doorbell_wire);
@@ -288,17 +269,6 @@ impl X86Hv {
         }
     }
 
-    fn pick_irq_vcpu(&mut self) -> usize {
-        match self.policy {
-            VirqPolicy::Vcpu0 => 0,
-            VirqPolicy::RoundRobin => {
-                let v = self.rr_next % self.num_vcpus();
-                self.rr_next += 1;
-                v
-            }
-        }
-    }
-
     /// Delivers `vector` to a running VCPU: doorbell/IPI, external-
     /// interrupt exit, LAPIC injection, entry. Returns the instant the
     /// guest holds the interrupt (post-ack).
@@ -308,17 +278,12 @@ impl X86Hv {
         self.machine.wait_until(core, arrival);
         self.exit(core, vcpu, ExitReason::ExternalInterrupt);
         self.machine.bump("x86.virq_injections", 1);
-        self.machine.charge_as(
-            core,
-            if self.is_kvm() {
-                "kvm:x86-inject"
-            } else {
-                "xen:x86-inject"
-            },
-            TraceKind::Emulation,
-            self.inject_cost(),
-            TransitionId::VirqInject,
-        );
+        let inject = if self.is_kvm() {
+            Step::KvmX86Inject
+        } else {
+            Step::XenX86Inject
+        };
+        self.step(core, inject);
         self.lapics[vcpu].set_irr(vector).expect("valid vector");
         self.enter(core, vcpu);
         // Hardware injects on entry; the guest's interrupt ack is
@@ -388,7 +353,7 @@ impl Hypervisor for X86Hv {
     }
 
     fn set_virq_policy(&mut self, policy: VirqPolicy) {
-        self.policy = policy;
+        self.irq.policy = policy;
     }
 
     fn hypercall(&mut self, vcpu: usize) -> Cycles {
@@ -503,13 +468,7 @@ impl Hypervisor for X86Hv {
             // The ioeventfd is signalled right in the exit handler — the
             // 560-cycle row of Table II.
             self.exit(core, vcpu, ExitReason::IoInstruction);
-            self.machine.charge_as(
-                core,
-                "kvm:x86-ioeventfd",
-                TraceKind::Io,
-                self.cost.kvm_x86_ioeventfd,
-                TransitionId::VhostKick,
-            );
+            self.step(core, Step::X86Ioeventfd);
             let t1 = self.machine.now(core);
             self.enter(core, vcpu);
             t1 - t0
@@ -517,39 +476,15 @@ impl Hypervisor for X86Hv {
             // Xen: evtchn to Dom0 + idle-domain wake on the backend core.
             let backend = self.machine.topology().backend_core();
             self.exit_to_dispatch(core, vcpu, ExitReason::IoInstruction);
-            self.machine.charge_as(
-                core,
-                "xen:evtchn-send",
-                TraceKind::Emulation,
-                self.cost.xen_evtchn_send,
-                TransitionId::EventChannelSignal,
-            );
+            self.step(core, Step::EvtchnSend);
             let arrival = self
                 .machine
                 .signal(core, backend, self.cost.x86_doorbell_wire);
             self.enter(core, vcpu);
             self.machine.wait_until(backend, arrival);
-            self.machine.charge_as(
-                backend,
-                "xen:x86-wake-blocked",
-                TraceKind::Sched,
-                self.cost.xen_x86_wake_blocked,
-                TransitionId::Sched,
-            );
-            self.machine.charge_as(
-                backend,
-                "hw:vmentry",
-                TraceKind::Return,
-                self.cost.vmentry,
-                TransitionId::VmcsWorldSwitch,
-            );
-            self.machine.charge_as(
-                backend,
-                "xen:event-upcall",
-                TraceKind::Host,
-                self.cost.xen_event_upcall,
-                TransitionId::EventUpcall,
-            );
+            self.wake_dom0(backend, self.cost.xen_x86_wake_blocked);
+            self.step(backend, Step::VmEntry);
+            self.step(backend, Step::EventUpcall);
             self.machine.now(backend) - t0
         }
     }
@@ -579,55 +514,19 @@ impl Hypervisor for X86Hv {
             t_ack - t0
         } else {
             self.machine.bump("x86.vmexits", 1);
-            self.machine.charge_as(
-                backend,
-                "hw:vmexit",
-                TraceKind::Trap,
-                self.cost.vmexit,
-                TransitionId::VmcsWorldSwitch,
-            );
-            self.machine.charge_as(
-                backend,
-                "xen:x86-dispatch",
-                TraceKind::Host,
-                self.cost.xen_x86_dispatch,
-                TransitionId::HostDispatch,
-            );
-            self.machine.charge_as(
-                backend,
-                "xen:evtchn-send",
-                TraceKind::Emulation,
-                self.cost.xen_evtchn_send,
-                TransitionId::EventChannelSignal,
-            );
+            self.step(backend, Step::VmExit);
+            self.step(backend, Step::XenX86Dispatch);
+            self.step(backend, Step::EvtchnSend);
             let core = self.machine.topology().guest_core(vcpu);
             let arrival = self
                 .machine
                 .signal(backend, core, self.cost.x86_doorbell_wire);
             self.machine.wait_until(core, arrival);
-            self.machine.charge_as(
-                core,
-                "xen:x86-wake-domu",
-                TraceKind::Sched,
-                self.cost.xen_x86_wake_domu,
-                TransitionId::Sched,
-            );
+            self.step(core, Step::X86WakeDomu);
             self.machine.bump("x86.virq_injections", 1);
-            self.machine.charge_as(
-                core,
-                "xen:x86-inject",
-                TraceKind::Emulation,
-                self.cost.xen_x86_inject,
-                TransitionId::VirqInject,
-            );
+            self.step(core, Step::XenX86Inject);
             self.lapics[vcpu].set_irr(VIRTIO_VECTOR).expect("vector");
-            self.machine.charge_as(
-                core,
-                "hw:vmentry",
-                TraceKind::Return,
-                self.cost.vmentry,
-                TransitionId::VmcsWorldSwitch,
-            );
+            self.step(core, Step::VmEntry);
             let got = self.lapics[vcpu].ack();
             debug_assert_eq!(got, Some(VIRTIO_VECTOR));
             let t1 = self.machine.now(core);
@@ -637,14 +536,7 @@ impl Hypervisor for X86Hv {
     }
 
     fn guest_compute(&mut self, vcpu: usize, work: Cycles) {
-        let core = self.machine.topology().guest_core(vcpu);
-        self.machine.charge_as(
-            core,
-            "guest:compute",
-            TraceKind::Guest,
-            work,
-            TransitionId::GuestRun,
-        );
+        guest_compute(&mut self.machine, vcpu, work);
     }
 
     fn transmit(&mut self, vcpu: usize, len: usize) -> Cycles {
@@ -652,90 +544,28 @@ impl Hypervisor for X86Hv {
         let c = self.cost;
         let core = self.machine.topology().guest_core(vcpu);
         let backend = self.machine.topology().backend_core();
-        self.machine.charge_as(
-            core,
-            "guest:net-stack-tx",
-            TraceKind::Guest,
-            c.stack_tx_per_packet + c.stack_bytes(len) + self.driver_share(),
-            TransitionId::GuestStack,
-        );
+        let driver = self.driver_share();
+        guest_stack_tx(&mut self.machine, &c, core, len, driver);
         self.kick_backend(core, vcpu, backend);
         if self.is_kvm() {
-            if self.machine.fault(FaultPoint::VhostDelay) {
+            let m = &mut self.machine;
+            if m.fault(FaultPoint::VhostDelay) {
                 // Fault: vhost worker preempted before the kick is
                 // serviced; the driver's TX watchdog re-kicks.
-                self.machine.charge_as(
-                    backend,
-                    "kvm:vhost-delay",
-                    TraceKind::Sched,
-                    c.kvm_x86_sched * 2,
-                    TransitionId::Sched,
-                );
-                self.machine.charge_as(
-                    core,
-                    "virtio:tx-rekick",
-                    TraceKind::Io,
-                    c.kvm_x86_ioeventfd + c.kvm_x86_mmio_decode,
-                    TransitionId::VirtioRekick,
-                );
+                recover(m, backend, Recovery::VhostDelay, c.kvm_x86_sched * 2, None);
+                let rekick = c.kvm_x86_ioeventfd + c.kvm_x86_mmio_decode;
+                recover(m, core, Recovery::TxRekick, rekick, None);
             }
-            self.machine.charge_as(
-                backend,
-                "kvm:vhost-wake",
-                TraceKind::Io,
-                c.kvm_vhost_wake,
-                TransitionId::VhostBackend,
-            );
-            self.machine.charge_as(
-                backend,
-                "kvm:vhost-tx",
-                TraceKind::Io,
-                c.kvm_vhost_per_packet,
-                TransitionId::VhostBackend,
-            );
+            self.step(backend, Step::VhostWake);
+            self.step(backend, Step::VhostTx);
         } else {
-            self.machine.charge_as(
-                backend,
-                "xen:x86-wake-blocked",
-                TraceKind::Sched,
-                c.xen_x86_wake_blocked,
-                TransitionId::Sched,
-            );
-            self.machine.charge_as(
-                backend,
-                "xen:netback-tx",
-                TraceKind::Io,
-                c.xen_net_per_packet,
-                TransitionId::Netback,
-            );
-            grant_copy_with_retry(&mut self.machine, backend, c.xen_grant_copy);
+            self.wake_dom0(backend, c.xen_x86_wake_blocked);
+            self.step(backend, Step::NetbackTx);
+            grant_copy_with_retry(&mut self.machine, &c, backend);
         }
-        self.machine.charge_as(
-            backend,
-            "host:net-stack-tx",
-            TraceKind::Host,
-            c.host_net_tx,
-            TransitionId::HostStack,
-        );
-        if self.machine.fault(FaultPoint::NicStall) {
-            self.nic.record_stall_and_rekick();
-            // Fault: NIC stall before DMA; the driver times out and
-            // re-kicks the ring.
-            self.machine.charge_as(
-                backend,
-                "nic:stall-rekick",
-                TraceKind::Io,
-                c.nic_dma * 4,
-                TransitionId::VirtioRekick,
-            );
-        }
-        self.machine.charge_as(
-            backend,
-            "nic:dma",
-            TraceKind::Io,
-            c.nic_dma,
-            TransitionId::NicDma,
-        );
+        self.step(backend, Step::HostStackTx);
+        nic_stall(&mut self.machine, &mut self.nic, backend, c.nic_dma * 4);
+        self.step(backend, Step::NicDma);
         self.nic.transmit(hvx_vio::Packet::new(0, vec![0u8; len]));
         self.machine.now(backend)
     }
@@ -743,84 +573,34 @@ impl Hypervisor for X86Hv {
     fn receive(&mut self, len: usize, arrival: Cycles) -> (Cycles, usize) {
         self.ensure_primary();
         let c = self.cost;
-        let vcpu = self.pick_irq_vcpu();
+        let vcpu = self.next_irq_vcpu();
         let io = self.machine.topology().io_core();
         self.machine.wait_until(io, arrival);
-        self.machine.charge_as(
-            io,
-            "host:irq",
-            TraceKind::Host,
-            c.native_irq,
-            TransitionId::HostIrq,
-        );
+        self.step(io, Step::HostIrq);
         if self.is_kvm() {
-            self.machine.charge_as(
-                io,
-                "host:net-stack-rx",
-                TraceKind::Host,
-                c.host_net_rx,
-                TransitionId::HostStack,
-            );
-            self.machine.charge_as(
-                io,
-                "kvm:vhost-rx",
-                TraceKind::Io,
-                c.kvm_vhost_per_packet,
-                TransitionId::VhostBackend,
-            );
+            self.step(io, Step::HostStackRx);
+            self.step(io, Step::VhostRx);
         } else {
-            self.machine.charge_as(
-                io,
-                "xen:x86-wake-blocked",
-                TraceKind::Sched,
-                c.xen_x86_wake_blocked / 2,
-                TransitionId::Sched,
-            );
-            self.machine.charge_as(
-                io,
-                "host:net-stack-rx",
-                TraceKind::Host,
-                c.host_net_rx,
-                TransitionId::HostStack,
-            );
-            self.machine.charge_as(
-                io,
-                "xen:netback-rx",
-                TraceKind::Io,
-                c.xen_net_per_packet,
-                TransitionId::Netback,
-            );
-            grant_copy_with_retry(&mut self.machine, io, c.xen_grant_copy);
-            self.machine.charge_as(
-                io,
-                "xen:evtchn-send",
-                TraceKind::Emulation,
-                c.xen_evtchn_send,
-                TransitionId::EventChannelSignal,
-            );
+            self.wake_dom0(io, c.xen_x86_wake_blocked / 2);
+            self.step(io, Step::HostStackRx);
+            self.step(io, Step::NetbackRx);
+            grant_copy_with_retry(&mut self.machine, &c, io);
+            self.step(io, Step::EvtchnSend);
         }
         if self.machine.fault(FaultPoint::VirqDrop) {
             // Fault: the interrupt is lost before the guest observes
             // it; the backend notices the unhandled ring and re-raises
             // the notification. KVM re-signals the irqfd, Xen re-sends
             // the event channel — each charged as its own recovery.
-            if self.is_kvm() {
-                self.machine.charge_as(
-                    io,
-                    "kvm:irqfd-resignal",
-                    TraceKind::Io,
-                    c.kvm_x86_ioeventfd + c.x86_inject,
-                    TransitionId::VirtioRekick,
-                );
+            let (recovery, cost) = if self.is_kvm() {
+                (Recovery::IrqfdResignal, c.kvm_x86_ioeventfd + c.x86_inject)
             } else {
-                self.machine.charge_as(
-                    io,
-                    "xen:evtchn-redeliver",
-                    TraceKind::Emulation,
+                (
+                    Recovery::EvtchnRedeliver,
                     c.xen_evtchn_send + c.xen_x86_inject,
-                    TransitionId::EvtchnRedeliver,
-                );
-            }
+                )
+            };
+            recover(&mut self.machine, io, recovery, cost, None);
         }
         self.inject_running(io, vcpu, VIRTIO_VECTOR, c.x86_doorbell_wire);
         self.guest_eoi(vcpu);
@@ -835,13 +615,8 @@ impl Hypervisor for X86Hv {
                 TransitionId::VirqInject,
             );
         }
-        self.machine.charge_as(
-            core,
-            "guest:net-stack-rx",
-            TraceKind::Guest,
-            c.stack_rx_per_packet + c.stack_bytes(len) + self.driver_share(),
-            TransitionId::GuestStack,
-        );
+        let driver = self.driver_share();
+        guest_stack_rx(&mut self.machine, &c, core, len, driver);
         (self.machine.now(core), vcpu)
     }
 
@@ -855,7 +630,8 @@ impl Hypervisor for X86Hv {
     }
 
     fn next_irq_vcpu(&mut self) -> usize {
-        self.pick_irq_vcpu()
+        let vcpus = self.num_vcpus();
+        self.irq.pick(vcpus)
     }
 
     fn deliver_virq_blocked(&mut self, vcpu: usize) -> Cycles {
@@ -864,13 +640,7 @@ impl Hypervisor for X86Hv {
         let t0 = self.machine.now(core);
         if !self.is_kvm() {
             // Xen x86 wakes the blocked DomU on its own core.
-            self.machine.charge_as(
-                core,
-                "xen:x86-wake-domu",
-                TraceKind::Sched,
-                self.cost.xen_x86_wake_domu,
-                TransitionId::Sched,
-            );
+            self.step(core, Step::X86WakeDomu);
         }
         self.inject_running(core, vcpu, VIRTIO_VECTOR, Cycles::ZERO);
         self.guest_eoi(vcpu);
@@ -886,73 +656,25 @@ impl Hypervisor for X86Hv {
         self.ensure_primary();
         let c = self.cost;
         let total = chunks * chunk_len;
-        let vcpu = self.pick_irq_vcpu();
+        let vcpu = self.next_irq_vcpu();
         let io = self.machine.topology().io_core();
         self.machine.wait_until(io, arrival);
-        self.machine.charge_as(
-            io,
-            "host:irq",
-            TraceKind::Host,
-            c.native_irq,
-            TransitionId::HostIrq,
-        );
+        self.step(io, Step::HostIrq);
+        self.step(io, Step::HostStackRx);
         if self.is_kvm() {
-            self.machine.charge_as(
-                io,
-                "host:net-stack-rx",
-                TraceKind::Host,
-                c.host_net_rx,
-                TransitionId::HostStack,
-            );
-            self.machine.charge_as(
-                io,
-                "kvm:vhost-rx",
-                TraceKind::Io,
-                c.kvm_vhost_per_packet,
-                TransitionId::VhostBackend,
-            );
+            self.step(io, Step::VhostRx);
         } else {
-            self.machine.charge_as(
-                io,
-                "host:net-stack-rx",
-                TraceKind::Host,
-                c.host_net_rx,
-                TransitionId::HostStack,
-            );
-            self.machine.charge_as(
-                io,
-                "xen:netback-rx",
-                TraceKind::Io,
-                c.xen_net_per_packet,
-                TransitionId::Netback,
-            );
+            self.step(io, Step::NetbackRx);
             for _ in 0..chunks {
-                self.machine.charge_as(
-                    io,
-                    "xen:grant-copy",
-                    TraceKind::Copy,
-                    c.xen_grant_copy,
-                    TransitionId::GrantCopy,
-                );
+                self.step(io, Step::GrantCopy);
             }
-            self.machine.charge_as(
-                io,
-                "xen:evtchn-send",
-                TraceKind::Emulation,
-                c.xen_evtchn_send,
-                TransitionId::EventChannelSignal,
-            );
+            self.step(io, Step::EvtchnSend);
         }
         self.inject_running(io, vcpu, VIRTIO_VECTOR, c.x86_doorbell_wire);
         self.guest_eoi(vcpu);
         let core = self.machine.topology().guest_core(vcpu);
-        self.machine.charge_as(
-            core,
-            "guest:net-stack-rx",
-            TraceKind::Guest,
-            c.stack_rx_per_packet + c.stack_bytes(total) + self.driver_share(),
-            TransitionId::GuestStack,
-        );
+        let driver = self.driver_share();
+        guest_stack_rx(&mut self.machine, &c, core, total, driver);
         (self.machine.now(core), vcpu)
     }
 
@@ -962,68 +684,21 @@ impl Hypervisor for X86Hv {
         let total = chunks * chunk_len;
         let core = self.machine.topology().guest_core(vcpu);
         let backend = self.machine.topology().backend_core();
-        self.machine.charge_as(
-            core,
-            "guest:net-stack-tx",
-            TraceKind::Guest,
-            c.stack_tx_per_packet + c.stack_bytes(total) + self.driver_share(),
-            TransitionId::GuestStack,
-        );
+        let driver = self.driver_share();
+        guest_stack_tx(&mut self.machine, &c, core, total, driver);
         self.kick_backend(core, vcpu, backend);
         if self.is_kvm() {
-            self.machine.charge_as(
-                backend,
-                "kvm:vhost-wake",
-                TraceKind::Io,
-                c.kvm_vhost_wake,
-                TransitionId::VhostBackend,
-            );
-            self.machine.charge_as(
-                backend,
-                "kvm:vhost-tx",
-                TraceKind::Io,
-                c.kvm_vhost_per_packet,
-                TransitionId::VhostBackend,
-            );
+            self.step(backend, Step::VhostWake);
+            self.step(backend, Step::VhostTx);
         } else {
-            self.machine.charge_as(
-                backend,
-                "xen:x86-wake-blocked",
-                TraceKind::Sched,
-                c.xen_x86_wake_blocked,
-                TransitionId::Sched,
-            );
-            self.machine.charge_as(
-                backend,
-                "xen:netback-tx",
-                TraceKind::Io,
-                c.xen_net_per_packet,
-                TransitionId::Netback,
-            );
+            self.wake_dom0(backend, c.xen_x86_wake_blocked);
+            self.step(backend, Step::NetbackTx);
             for _ in 0..chunks {
-                self.machine.charge_as(
-                    backend,
-                    "xen:grant-copy",
-                    TraceKind::Copy,
-                    c.xen_grant_copy,
-                    TransitionId::GrantCopy,
-                );
+                self.step(backend, Step::GrantCopy);
             }
         }
-        self.machine.charge_as(
-            backend,
-            "host:net-stack-tx",
-            TraceKind::Host,
-            c.host_net_tx,
-            TransitionId::HostStack,
-        );
-        self.machine.charge_as(
-            backend,
-            "nic:dma",
-            TraceKind::Io,
-            c.nic_dma,
-            TransitionId::NicDma,
-        );
+        self.step(backend, Step::HostStackTx);
+        self.step(backend, Step::NicDma);
         self.machine.now(backend)
     }
 }

@@ -17,18 +17,25 @@
 //!   I/O-heavy application benchmarks (Figure 4) despite its fast
 //!   transitions. Every packet also pays a grant copy (§V): Dom0 cannot
 //!   DMA into DomU memory it cannot see.
+//!
+//! The hardware steps (the trap, the ERET, the register classes, the
+//! vGIC accesses and the kick SGI) are the ARM layer's, shared with
+//! KVM ARM; the netback, grant-copy and event-channel steps Xen x86
+//! also takes come from the shared step table. This file is the
+//! software: Xen's trap frame and dispatch, the domains and the idle
+//! domain, and the Dom0 I/O paths.
 
+use crate::arm::{ArmHw, Motion, RegClass, GICD_IPA, GUEST_IPI_SGI, GUEST_RAM_IPA};
+use crate::arm::{GUEST_RAM_PAGES, NIC_SPI};
 use crate::context::ArmGuestContext;
+use crate::steps::{grant_copy_with_retry, guest_compute, guest_stack_rx, guest_stack_tx};
+use crate::steps::{nic_stall, recover, Recovery, Step};
 use crate::{CostModel, HvKind, Hypervisor, VirqPolicy};
-use hvx_arch::{ArchVersion, ArmCpu, ExceptionLevel, Syndrome, TrapCause};
-use hvx_engine::{
-    CoreId, Cycles, FaultPoint, FlowId, FlowKind, Machine, Topology, TraceKind, TransitionId,
-};
-use hvx_gic::{dist_reg, Distributor, IntId, VgicCpuInterface};
-use hvx_mem::{DomId, GrantTable, Ipa, Pa, PhysMemory, S2Perms, Stage2Tables, PAGE_SIZE};
-use hvx_vio::{EventChannels, NetBack, NetFront, Nic, Port, XenNetRing};
-
-use crate::kvm_arm::{GUEST_IPI_SGI, GUEST_RAM_IPA, GUEST_RAM_PAGES, NIC_SPI};
+use hvx_arch::{ArchVersion, Syndrome, TrapCause};
+use hvx_engine::{CoreId, Cycles, FaultPoint, FlowId, FlowKind, Machine, TraceKind, TransitionId};
+use hvx_gic::{dist_reg, Distributor, IntId};
+use hvx_mem::{DomId, GrantTable, Ipa, Pa, S2Perms, Stage2Tables, PAGE_SIZE};
+use hvx_vio::{EventChannels, NetBack, NetFront, Port, XenNetRing};
 
 /// The event-channel virtual interrupt presented to domains.
 pub const EVTCHN_VIRQ: IntId = IntId::ppi(0);
@@ -40,6 +47,10 @@ const DOMU_RAM_PA: u64 = 0x0100_0000;
 const DOM0_RAM_PA: u64 = 0x0400_0000;
 /// Base machine address of the alternate DomU (VM Switch benchmark).
 const ALT_RAM_PA: u64 = 0x0700_0000;
+/// The physical SGI Xen pokes a running DomU VCPU with.
+const POKE_SGI: IntId = IntId::sgi(2);
+/// Xen's trap counter.
+const TRAPS: &str = "xen.traps";
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Running {
@@ -86,12 +97,7 @@ impl Domain {
 /// runnable.
 #[derive(Debug)]
 pub struct XenArm {
-    machine: Machine,
-    cost: CostModel,
-    cpus: Vec<ArmCpu>,
-    vgics: Vec<VgicCpuInterface>,
-    phys_gic: Distributor,
-    mem: PhysMemory,
+    hw: ArmHw,
     domu: Domain,
     dom0: Domain,
     alt_ctx: ArmGuestContext,
@@ -101,11 +107,8 @@ pub struct XenArm {
     ring: XenNetRing,
     front: NetFront,
     back: NetBack,
-    nic: Nic,
     running: Vec<Running>,
     io_port: Port,
-    policy: VirqPolicy,
-    rr_next: usize,
     next_rx_buf: usize,
 }
 
@@ -118,24 +121,11 @@ impl XenArm {
 
     /// Builds with an explicit cost model.
     pub fn with_cost(cost: CostModel) -> Self {
-        let topo = Topology::paper_default();
-        let num_cores = topo.num_cores();
-        let num_vcpus = topo.guest_cores().len();
-        let mut cpus: Vec<ArmCpu> = (0..num_cores)
-            .map(|_| ArmCpu::new(ArchVersion::V8_0))
-            .collect();
-        let mut phys_gic = Distributor::new(num_cores, 64);
-        for c in 0..num_cores {
-            phys_gic.enable(GUEST_IPI_SGI, c).expect("core in range");
-            phys_gic.enable(IntId::sgi(2), c).expect("core in range");
-        }
-        phys_gic.enable(NIC_SPI, 0).expect("spi in range");
-        phys_gic
-            .set_target(NIC_SPI, topo.io_core().index())
-            .expect("io core");
-
+        let mut hw = ArmHw::new(cost, ArchVersion::V8_0, POKE_SGI, 256 << 20);
+        let num_vcpus = hw.machine.topology().guest_cores().len();
         let domu = Domain::new(num_vcpus, DOMU_RAM_PA, 0x2000);
-        let dom0 = Domain::new(topo.host_cores().len(), DOM0_RAM_PA, 0x3000);
+        let num_dom0_vcpus = hw.machine.topology().host_cores().len();
+        let dom0 = Domain::new(num_dom0_vcpus, DOM0_RAM_PA, 0x3000);
         let mut alt_ctx = ArmGuestContext::pattern(0x4000);
         alt_ctx.vttbr = ALT_RAM_PA;
         alt_ctx.vgic.hcr = hvx_gic::GICH_HCR_EN;
@@ -147,29 +137,18 @@ impl XenArm {
         let tx_bufs = (0..8)
             .map(|i| Ipa::new(GUEST_RAM_IPA + i * PAGE_SIZE))
             .collect();
-        let front = NetFront::new(DOMU, tx_bufs);
-        let back = NetBack::new(Pa::new(DOM0_RAM_PA + 0x10_0000), 16);
 
-        let mut running = vec![Running::Idle; num_cores];
-        let mut vgics: Vec<VgicCpuInterface> =
-            (0..num_cores).map(|_| VgicCpuInterface::new()).collect();
+        let mut running = vec![Running::Idle; hw.cpus.len()];
         // Install DomU VCPUs on guest cores; Dom0 starts idle (it blocks
         // waiting for I/O, as in the paper's I/O-latency analysis).
-        for v in 0..num_vcpus {
-            let core = topo.guest_core(v);
-            let idx = core.index();
-            domu.ctxs[v].install(&mut cpus[idx], &mut vgics[idx]);
-            cpus[idx].start_at(ExceptionLevel::El1);
-            running[idx] = Running::DomU(v);
+        for (v, ctx) in domu.ctxs.iter().enumerate() {
+            let core = hw.machine.topology().guest_core(v);
+            hw.install(core, ctx);
+            running[core.index()] = Running::DomU(v);
         }
 
         XenArm {
-            machine: Machine::new(topo),
-            cost,
-            cpus,
-            vgics,
-            phys_gic,
-            mem: PhysMemory::new(256 << 20),
+            hw,
             domu,
             dom0,
             alt_ctx,
@@ -177,34 +156,22 @@ impl XenArm {
             grants: GrantTable::new(128),
             evtchn,
             ring: XenNetRing::new(),
-            front,
-            back,
-            nic: Nic::new(NIC_SPI),
+            front: NetFront::new(DOMU, tx_bufs),
+            back: NetBack::new(Pa::new(DOM0_RAM_PA + 0x10_0000), 16),
             running,
             io_port,
-            policy: VirqPolicy::Vcpu0,
-            rr_next: 0,
             next_rx_buf: 0,
         }
     }
 
     /// Trap into Xen (EL2) and push the GP trap frame.
     fn xen_trap(&mut self, core: CoreId, cause: TrapCause) {
-        self.machine.bump("xen.traps", 1);
-        self.machine.charge_as(
-            core,
-            "hw:trap-el2",
-            TraceKind::Trap,
-            self.cost.hw_trap,
-            TransitionId::TrapToEl2,
-        );
-        let to = self.cpus[core.index()].take_exception(cause);
-        debug_assert_eq!(to, ExceptionLevel::El2);
-        self.machine.charge_as(
+        self.hw.trap(core, cause, TRAPS);
+        self.hw.machine.charge_as(
             core,
             "xen:frame-save",
             TraceKind::ContextSave,
-            self.cost.xen_frame.save,
+            self.hw.cost.xen_frame.save,
             TransitionId::ContextSave,
         );
     }
@@ -214,137 +181,76 @@ impl XenArm {
     /// event-channel send.
     fn trap_to_dispatch(&mut self, core: CoreId, cause: TrapCause) {
         self.xen_trap(core, cause);
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "xen:dispatch",
             TraceKind::Emulation,
-            self.cost.xen_dispatch,
+            self.hw.cost.xen_dispatch,
             TransitionId::HostDispatch,
         );
     }
 
     /// Pop the frame and return to the interrupted guest.
     fn xen_return(&mut self, core: CoreId) {
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "xen:frame-restore",
             TraceKind::ContextRestore,
-            self.cost.xen_frame.restore,
+            self.hw.cost.xen_frame.restore,
             TransitionId::ContextRestore,
         );
-        self.machine.charge_as(
-            core,
-            "hw:eret",
-            TraceKind::Return,
-            self.cost.hw_eret,
-            TransitionId::Eret,
-        );
-        self.cpus[core.index()].eret().expect("return to guest");
+        self.hw.eret(core);
+    }
+
+    /// The saved context of domain VCPU `r` on core `idx`: the alternate
+    /// DomU's while a `vm_switch` has it on PCPU0.
+    fn ctx_slot(&mut self, idx: usize, r: Running) -> &mut ArmGuestContext {
+        match r {
+            Running::DomU(_) if self.alt_loaded && idx == 0 => &mut self.alt_ctx,
+            Running::DomU(v) => &mut self.domu.ctxs[v],
+            Running::Dom0(v) => &mut self.dom0.ctxs[v],
+            Running::Idle => unreachable!("the idle domain carries no guest state"),
+        }
     }
 
     /// Full EL1 context switch on `core` between domains, charging
     /// Table III save+restore (both Type 1 and Type 2 pay this for VM
-    /// switches, §IV). Saves into `save_into` unless switching away from
-    /// idle (the idle domain carries no guest state).
+    /// switches, §IV). Switching away from idle saves nothing, and
+    /// switching to idle restores nothing (the idle domain carries no
+    /// guest state).
     fn domain_switch(&mut self, core: CoreId, to: Running) {
         let idx = core.index();
         let from = self.running[idx];
-        let c = self.cost;
-        // Save the outgoing domain's full context.
         if from != Running::Idle {
-            self.machine.span_enter(TransitionId::ContextSave);
-            self.machine
-                .charge(core, "save:gp", TraceKind::ContextSave, c.gp.save);
-            self.machine
-                .charge(core, "save:fp", TraceKind::ContextSave, c.fp.save);
-            self.machine
-                .charge(core, "save:el1-sys", TraceKind::ContextSave, c.el1_sys.save);
-            self.machine.charge_as(
-                core,
-                "save:vgic",
-                TraceKind::ContextSave,
-                c.vgic.save,
-                TransitionId::VgicLrSave,
-            );
-            self.machine
-                .charge(core, "save:timer", TraceKind::ContextSave, c.timer.save);
-            self.machine.charge(
-                core,
-                "save:el2-config",
-                TraceKind::ContextSave,
-                c.el2_config.save,
-            );
-            self.machine
-                .charge(core, "save:el2-vm", TraceKind::ContextSave, c.el2_vm.save);
-            self.machine.span_exit(TransitionId::ContextSave);
-            let ctx = ArmGuestContext::capture(&self.cpus[idx], &self.vgics[idx]);
-            match from {
-                Running::DomU(v) => {
-                    if self.alt_loaded && idx == 0 {
-                        self.alt_ctx = ctx;
-                    } else {
-                        self.domu.ctxs[v] = ctx;
-                    }
-                }
-                Running::Dom0(v) => self.dom0.ctxs[v] = ctx,
-                Running::Idle => unreachable!(),
-            }
+            self.hw.move_classes(core, Motion::Save, false);
+            let ctx = self.hw.capture(core);
+            *self.ctx_slot(idx, from) = ctx;
         }
-        // Restore the incoming domain's context.
         if to != Running::Idle {
-            self.machine.span_enter(TransitionId::ContextRestore);
-            self.machine
-                .charge(core, "restore:gp", TraceKind::ContextRestore, c.gp.restore);
-            self.machine
-                .charge(core, "restore:fp", TraceKind::ContextRestore, c.fp.restore);
-            self.machine.charge(
-                core,
-                "restore:el1-sys",
-                TraceKind::ContextRestore,
-                c.el1_sys.restore,
-            );
-            self.machine.charge_as(
-                core,
-                "restore:vgic",
-                TraceKind::ContextRestore,
-                c.vgic.restore,
-                TransitionId::VgicLrRestore,
-            );
-            self.machine.charge(
-                core,
-                "restore:timer",
-                TraceKind::ContextRestore,
-                c.timer.restore,
-            );
-            self.machine.charge(
-                core,
-                "restore:el2-config",
-                TraceKind::ContextRestore,
-                c.el2_config.restore,
-            );
-            self.machine.charge(
-                core,
-                "restore:el2-vm",
-                TraceKind::ContextRestore,
-                c.el2_vm.restore,
-            );
-            self.machine.span_exit(TransitionId::ContextRestore);
-            let ctx = match to {
-                Running::DomU(v) => {
-                    if self.alt_loaded && idx == 0 {
-                        self.alt_ctx
-                    } else {
-                        self.domu.ctxs[v]
-                    }
-                }
-                Running::Dom0(v) => self.dom0.ctxs[v],
-                Running::Idle => unreachable!(),
-            };
-            ctx.install(&mut self.cpus[idx], &mut self.vgics[idx]);
-            let cpu = &mut self.cpus[idx];
-            cpu.start_at(ExceptionLevel::El2);
-            cpu.el2.spsr_el2 = 0b0101;
-            cpu.el2.elr_el2 = ctx.gp.pc;
+            self.hw.move_classes(core, Motion::Restore, false);
+            let ctx = *self.ctx_slot(idx, to);
+            self.hw.load_for_eret(core, &ctx);
+        }
+        self.running[idx] = to;
+    }
+
+    /// Domain switch without cost charges — benchmark scaffolding that
+    /// returns cores to their resting state between iterations (the real
+    /// benchmark's inter-iteration idle time, which the measurement
+    /// window excludes).
+    fn domain_switch_silent(&mut self, core: CoreId, to: Running) {
+        let idx = core.index();
+        let from = self.running[idx];
+        if from == to {
+            return;
+        }
+        if from != Running::Idle {
+            let ctx = self.hw.capture(core);
+            *self.ctx_slot(idx, from) = ctx;
+        }
+        if to != Running::Idle {
+            let ctx = *self.ctx_slot(idx, to);
+            self.hw.install(core, &ctx);
         }
         self.running[idx] = to;
     }
@@ -353,66 +259,31 @@ impl XenArm {
     /// credit-scheduler pick, context restore, event-interrupt injection,
     /// ERET into the domain. Charges the §IV idle-domain-switch path.
     fn wake_into(&mut self, core: CoreId, target: Running, extra_wake: bool, charge_upcall: bool) {
-        let c = self.cost;
-        self.machine.charge_as(
-            core,
-            "gic:phys-ack",
-            TraceKind::Host,
-            c.gic_phys_access,
-            TransitionId::GicAccess,
-        );
-        self.machine.charge_as(
-            core,
-            "xen:sched",
-            TraceKind::Sched,
-            c.xen_sched,
-            TransitionId::Sched,
-        );
+        self.hw.phys_ack(core, None);
+        self.hw.step(core, Step::XenSched);
         self.domain_switch(core, target);
-        self.machine.bump("xen.virq_injections", 1);
-        self.machine.charge_as(
-            core,
-            "xen:vgic-inject",
-            TraceKind::Emulation,
-            c.xen_vgic_inject,
-            TransitionId::VirqInject,
-        );
+        self.hw.machine.bump("xen.virq_injections", 1);
+        self.hw.step(core, Step::XenVgicInject);
         let idx = core.index();
-        let _ = self.vgics[idx].inject(EVTCHN_VIRQ.raw(), 0x40);
-        self.machine.charge_as(
-            core,
-            "hw:eret",
-            TraceKind::Return,
-            c.hw_eret,
-            TransitionId::Eret,
-        );
-        self.cpus[idx].eret().expect("enter domain");
+        let _ = self.hw.vgics[idx].inject(EVTCHN_VIRQ.raw(), 0x40);
+        self.hw.eret(core);
         if charge_upcall {
-            self.machine.charge_as(
-                core,
-                "xen:event-upcall",
-                TraceKind::Host,
-                c.xen_event_upcall,
-                TransitionId::EventUpcall,
-            );
+            self.hw.step(core, Step::EventUpcall);
         }
-        let _ = self.vgics[idx].guest_ack();
-        let _ = self.vgics[idx].guest_eoi(EVTCHN_VIRQ.raw());
+        let _ = self.hw.vgics[idx].guest_ack();
+        let _ = self.hw.vgics[idx].guest_eoi(EVTCHN_VIRQ.raw());
         if extra_wake {
-            self.machine.charge_as(
-                core,
-                "xen:wake-blocked",
-                TraceKind::Sched,
-                c.xen_wake_blocked,
-                TransitionId::Sched,
-            );
+            self.hw.step(core, Step::XenWakeBlocked);
         }
     }
 
     /// Injects a virtual interrupt into a DomU VCPU that is running in
     /// guest mode: physical poke SGI, trap, list-register sync (Xen
     /// reads the VGIC state back to merge the new interrupt), return,
-    /// guest acknowledge. Returns the instant after the guest ack.
+    /// guest acknowledge and EOI. Returns the instant after the guest
+    /// ack. `flow` (when tracing) links the injection into the causal
+    /// chain that produced it — e.g. the IRQ-delivery chain opened when
+    /// the physical NIC interrupt landed on the I/O core.
     fn inject_virq_running(
         &mut self,
         from: CoreId,
@@ -420,104 +291,37 @@ impl XenArm {
         virq: IntId,
         flow: Option<FlowId>,
     ) -> Cycles {
-        if self.machine.fault(FaultPoint::VirqDrop) {
+        let c = self.hw.cost;
+        let m = &mut self.hw.machine;
+        if m.fault(FaultPoint::VirqDrop) {
             // Fault: the upcall is lost before DomU observes it. Xen's
             // event-channel pending bit survives, so the next scan
             // re-notifies — charged as recovery before the injection
             // that actually lands.
-            let c = self.cost;
-            let rec = self
-                .machine
-                .flow_begin(FlowKind::FaultRecovery, from, "fault:upcall-lost");
-            self.machine.charge_as(
-                from,
-                "xen:evtchn-redeliver",
-                TraceKind::Emulation,
-                c.xen_evtchn_send + c.xen_event_upcall,
-                TransitionId::EvtchnRedeliver,
-            );
-            self.machine.flow_end(rec, from, "xen:evtchn-redeliver");
+            let rec = m.flow_begin(FlowKind::FaultRecovery, from, "fault:upcall-lost");
+            let redeliver = c.xen_evtchn_send + c.xen_event_upcall;
+            recover(m, from, Recovery::EvtchnRedeliver, redeliver, rec);
         }
-        self.inject_virq_running_reliable(from, vcpu, virq, flow)
-    }
-
-    /// The always-delivered tail of [`Self::inject_virq_running`].
-    /// `flow` (when tracing) links the injection into the causal chain
-    /// that produced it — e.g. the IRQ-delivery chain opened when the
-    /// physical NIC interrupt landed on the I/O core.
-    fn inject_virq_running_reliable(
-        &mut self,
-        from: CoreId,
-        vcpu: usize,
-        virq: IntId,
-        flow: Option<FlowId>,
-    ) -> Cycles {
-        let c = self.cost;
-        let core = self.machine.topology().guest_core(vcpu);
-        self.phys_gic
-            .raise(IntId::sgi(2), core.index())
-            .expect("core in range");
-        let arrival = self.machine.signal(from, core, c.ipi_wire);
-        self.machine.wait_until(core, arrival);
+        let core = m.topology().guest_core(vcpu);
+        let idx = core.index();
+        self.hw.kick(from, core);
         self.xen_trap(core, TrapCause::Irq);
-        self.machine.charge_as(
-            core,
-            "gic:phys-ack",
-            TraceKind::Host,
-            c.gic_phys_access,
-            TransitionId::GicAccess,
-        );
-        self.phys_gic.acknowledge(core.index()).expect("core");
-        self.phys_gic
-            .complete(core.index(), IntId::sgi(2))
-            .expect("active");
+        self.hw.phys_ack(core, Some(POKE_SGI));
         // Xen syncs the LR state from the hardware before merging the new
         // virtual interrupt, then writes it back.
-        self.machine.charge_as(
-            core,
-            "save:vgic",
-            TraceKind::ContextSave,
-            c.vgic.save,
-            TransitionId::VgicLrSave,
-        );
-        self.machine.bump("xen.virq_injections", 1);
-        self.machine.flow_step(flow, core, "virq:inject");
-        self.machine.charge_as(
-            core,
-            "xen:vgic-inject",
-            TraceKind::Emulation,
-            c.xen_vgic_inject,
-            TransitionId::VirqInject,
-        );
-        let _ = self.vgics[core.index()].inject(virq.raw(), 0x80);
-        debug_assert_eq!(self.vgics[core.index()].last_injected(), Some(virq.raw()));
-        self.machine.charge_as(
-            core,
-            "restore:vgic",
-            TraceKind::ContextRestore,
-            c.vgic.restore,
-            TransitionId::VgicLrRestore,
-        );
+        self.hw.move_class(core, RegClass::Vgic, Motion::Save);
+        self.hw.machine.bump("xen.virq_injections", 1);
+        self.hw.machine.flow_step(flow, core, "virq:inject");
+        self.hw.step(core, Step::XenVgicInject);
+        let _ = self.hw.vgics[idx].inject(virq.raw(), 0x80);
+        debug_assert_eq!(self.hw.vgics[idx].last_injected(), Some(virq.raw()));
+        self.hw.move_class(core, RegClass::Vgic, Motion::Restore);
         self.xen_return(core);
-        self.machine.charge_as(
-            core,
-            "gic:vif-ack",
-            TraceKind::Guest,
-            c.gic_vif_access,
-            TransitionId::GicAccess,
-        );
-        let acked = self.vgics[core.index()].guest_ack();
+        let acked = self.hw.vif_ack(core);
         debug_assert_eq!(acked, Some(virq.raw()));
-        self.machine.flow_end(flow, core, "guest:ack");
-        let t_ack = self.machine.now(core);
-        self.machine.charge_as(
-            core,
-            "gic:vif-eoi",
-            TraceKind::Guest,
-            c.gic_vif_access,
-            TransitionId::GicAccess,
-        );
-        let _ = self.vgics[core.index()].guest_eoi(virq.raw());
+        self.hw.machine.flow_end(flow, core, "guest:ack");
+        let t_ack = self.hw.machine.now(core);
+        let _ = self.hw.vif_eoi(core, virq);
         t_ack
     }
 
@@ -527,9 +331,9 @@ impl XenArm {
     /// KVM's.
     pub fn stage2_fault(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
+        let core = self.hw.machine.topology().guest_core(vcpu);
         let ipa = Ipa::new(GUEST_RAM_IPA + self.domu.s2.mapped_pages() * PAGE_SIZE);
-        let t0 = self.machine.now(core);
+        let t0 = self.hw.machine.now(core);
         self.trap_to_dispatch(
             core,
             TrapCause::Sync(Syndrome::DataAbort {
@@ -537,11 +341,11 @@ impl XenArm {
                 write: true,
             }),
         );
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "xen:page-alloc",
             TraceKind::Host,
-            self.cost.page_alloc,
+            self.hw.cost.page_alloc,
             TransitionId::HostDispatch,
         );
         let pa = Pa::new(DOMU_RAM_PA + self.domu.s2.mapped_pages() * PAGE_SIZE);
@@ -550,40 +354,27 @@ impl XenArm {
             .map_page(ipa, pa, S2Perms::RWX)
             .expect("fresh page maps");
         self.xen_return(core);
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     /// Restores DomU VCPU0 onto PCPU0 if a `vm_switch` left the
     /// alternate domain loaded (uncharged scaffolding).
     fn ensure_primary(&mut self) {
         if self.alt_loaded {
-            let core = self.machine.topology().guest_core(0);
-            let idx = core.index();
-            self.alt_ctx = ArmGuestContext::capture(&self.cpus[idx], &self.vgics[idx]);
+            let core = self.hw.machine.topology().guest_core(0);
+            self.alt_ctx = self.hw.capture(core);
             self.alt_loaded = false;
             let ctx = self.domu.ctxs[0];
-            ctx.install(&mut self.cpus[idx], &mut self.vgics[idx]);
-            self.cpus[idx].start_at(ExceptionLevel::El1);
-            self.running[idx] = Running::DomU(0);
-        }
-    }
-
-    fn pick_irq_vcpu(&mut self) -> usize {
-        match self.policy {
-            VirqPolicy::Vcpu0 => 0,
-            VirqPolicy::RoundRobin => {
-                let v = self.rr_next % self.num_vcpus();
-                self.rr_next += 1;
-                v
-            }
+            self.hw.install(core, &ctx);
+            self.running[core.index()] = Running::DomU(0);
         }
     }
 
     /// The Dom0 VCPU (and its core) that runs the netback backend.
     fn backend(&self) -> (CoreId, usize) {
-        let core = self.machine.topology().backend_core();
-        let vcpu = core.index() - self.machine.topology().guest_cores().len();
-        (core, vcpu)
+        let topo = self.hw.machine.topology();
+        let core = topo.backend_core();
+        (core, core.index() - topo.guest_cores().len())
     }
 
     /// The guest's event-channel doorbell: DomU's `EVTCHNOP_send`
@@ -593,24 +384,19 @@ impl XenArm {
     /// (or, for I/O Latency Out, ends) at Dom0's wake. I/O Latency Out
     /// is exactly this.
     fn kick_dom0(&mut self, core: CoreId) -> Option<FlowId> {
-        let c = self.cost;
         let (backend_core, b) = self.backend();
         self.trap_to_dispatch(core, TrapCause::HYPERCALL);
         let flow = self
+            .hw
             .machine
             .flow_begin(FlowKind::EvtchnSignal, core, "evtchn:send");
-        self.machine.charge_as(
-            core,
-            "xen:evtchn-send",
-            TraceKind::Emulation,
-            c.xen_evtchn_send,
-            TransitionId::EventChannelSignal,
-        );
+        self.hw.step(core, Step::EvtchnSend);
         let peer = self.evtchn.notify(self.io_port, DOMU).expect("bound port");
         debug_assert_eq!(peer, DomId::DOM0);
-        let arrival = self.machine.signal(core, backend_core, c.ipi_wire);
+        let wire = self.hw.cost.ipi_wire;
+        let arrival = self.hw.machine.signal(core, backend_core, wire);
         self.xen_return(core);
-        self.machine.wait_until(backend_core, arrival);
+        self.hw.machine.wait_until(backend_core, arrival);
         if self.running[backend_core.index()] != Running::Dom0(b) {
             self.wake_into(backend_core, Running::Dom0(b), true, true);
         }
@@ -623,14 +409,8 @@ impl XenArm {
     /// and returns to Dom0.
     fn dom0_send(&mut self, core: CoreId, flow: Option<FlowId>) {
         self.trap_to_dispatch(core, TrapCause::HYPERCALL);
-        self.machine.flow_step(flow, core, "evtchn:send");
-        self.machine.charge_as(
-            core,
-            "xen:evtchn-send",
-            TraceKind::Emulation,
-            self.cost.xen_evtchn_send,
-            TransitionId::EventChannelSignal,
-        );
+        self.hw.machine.flow_step(flow, core, "evtchn:send");
+        self.hw.step(core, Step::EvtchnSend);
         self.evtchn
             .notify(self.io_port, DomId::DOM0)
             .expect("bound port");
@@ -654,14 +434,18 @@ impl XenArm {
     /// I/O-Latency-In receiver path of §IV).
     fn wake_blocked_domu(&mut self, core: CoreId, vcpu: usize) {
         self.domain_switch_silent(core, Running::Idle);
-        self.machine.charge_as(
-            core,
-            "xen:wake-blocked",
-            TraceKind::Sched,
-            self.cost.xen_wake_blocked,
-            TransitionId::Sched,
-        );
+        self.hw.step(core, Step::XenWakeBlocked);
         self.wake_into(core, Running::DomU(vcpu), false, false);
+    }
+
+    /// The physical NIC interrupt on the I/O core, where Dom0 holds the
+    /// NIC driver: Xen wakes Dom0 there unless it is already running
+    /// (IRQ-driven: no event-channel kthread wake on this side).
+    fn wake_dom0_for_irq(&mut self, io: CoreId) {
+        let dom0_vcpu = Running::Dom0(io.index() - self.num_vcpus());
+        if self.running[io.index()] != dom0_vcpu {
+            self.wake_into(io, dom0_vcpu, false, true);
+        }
     }
 
     /// A trapped access to the emulated GIC distributor register `reg`:
@@ -671,22 +455,22 @@ impl XenArm {
         self.trap_to_dispatch(
             core,
             TrapCause::Sync(Syndrome::DataAbort {
-                ipa: crate::GICD_IPA + reg,
+                ipa: GICD_IPA + reg,
                 write,
             }),
         );
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "xen:mmio-decode",
             TraceKind::Emulation,
-            self.cost.xen_mmio_decode,
+            self.hw.cost.xen_mmio_decode,
             TransitionId::MmioDecode,
         );
-        self.machine.charge_as(
+        self.hw.machine.charge_as(
             core,
             "xen:gicd-emulate",
             TraceKind::Emulation,
-            self.cost.xen_gicd_emulate,
+            self.hw.cost.xen_gicd_emulate,
             TransitionId::GicdEmulate,
         );
     }
@@ -704,69 +488,51 @@ impl Hypervisor for XenArm {
     }
 
     fn machine(&self) -> &Machine {
-        &self.machine
+        &self.hw.machine
     }
 
     fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
+        &mut self.hw.machine
     }
 
     fn cost(&self) -> &CostModel {
-        &self.cost
+        &self.hw.cost
     }
 
     fn num_vcpus(&self) -> usize {
-        self.machine.topology().guest_cores().len()
+        self.hw.machine.topology().guest_cores().len()
     }
 
     fn set_virq_policy(&mut self, policy: VirqPolicy) {
-        self.policy = policy;
+        self.hw.irq.policy = policy;
     }
 
     fn sample_metrics(&mut self) {
-        let notifications = self.evtchn.notification_count();
-        let copies = self.grants.copy_count();
-        let injected: u64 = self.vgics.iter().map(|v| v.injected_count()).sum();
-        let completed: u64 = self.vgics.iter().map(|v| v.completed_count()).sum();
-        self.machine.bump("vio.evtchn_notifications", notifications);
-        self.machine.bump("vio.grant_copies", copies);
-        self.machine.bump("gic.virq_injected", injected);
-        self.machine.bump("gic.virq_completed", completed);
-        // Fault-recovery counters register only when faults actually
-        // fired, keeping the fault-free profile output unchanged.
-        let stalls = self.nic.stall_count();
-        if stalls > 0 {
-            self.machine.bump("vio.nic_stalls", stalls);
-            self.machine
-                .bump("vio.nic_rekicks", self.nic.rekick_count());
-        }
+        let m = &mut self.hw.machine;
+        m.bump("vio.evtchn_notifications", self.evtchn.notification_count());
+        m.bump("vio.grant_copies", self.grants.copy_count());
         // Device-side flow correlators register only under event tracing
         // so the committed baseline profiles stay byte-identical.
-        if self.machine.event_tracing() {
+        if m.event_tracing() {
             let port = self.evtchn.last_signal().map_or(0, |p| u64::from(p.0) + 1);
-            self.machine.bump("vio.evtchn_last_port", port);
-            self.machine.bump("vio.nic_irq_seq", self.nic.irq_count());
-            let cores: Vec<CoreId> = self.machine.topology().all_cores().collect();
-            for core in cores {
-                let permille = (self.machine.utilization(core) * 1000.0).round() as u64;
-                self.machine.observe("machine.util_permille", permille);
-            }
+            m.bump("vio.evtchn_last_port", port);
         }
+        self.hw.sample_metrics();
     }
 
     fn hypercall(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
-        let t0 = self.machine.now(core);
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let t0 = self.hw.machine.now(core);
         self.trap_to_dispatch(core, TrapCause::HYPERCALL);
         self.xen_return(core);
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     fn gicd_trap(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
-        let t0 = self.machine.now(core);
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let t0 = self.hw.machine.now(core);
         self.gicd_access(core, dist_reg::GICD_ISENABLER, false);
         let _ = self
             .domu
@@ -774,14 +540,14 @@ impl Hypervisor for XenArm {
             .mmio_read(dist_reg::GICD_ISENABLER, vcpu)
             .expect("register modelled");
         self.xen_return(core);
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     fn virtual_ipi(&mut self, from: usize, to: usize) -> Cycles {
         self.ensure_primary();
         assert_ne!(from, to, "virtual IPI requires two VCPUs");
-        let from_core = self.machine.topology().guest_core(from);
-        let t0 = self.machine.now(from_core);
+        let from_core = self.hw.machine.topology().guest_core(from);
+        let t0 = self.hw.machine.now(from_core);
         self.gicd_access(from_core, dist_reg::GICD_SGIR, true);
         let effect = self
             .domu
@@ -799,63 +565,34 @@ impl Hypervisor for XenArm {
     }
 
     fn virq_complete(&mut self, vcpu: usize) -> Cycles {
-        let core = self.machine.topology().guest_core(vcpu);
-        let vgic = &mut self.vgics[core.index()];
-        vgic.inject(GUEST_IPI_SGI.raw(), 0x80)
-            .expect("LR available");
-        vgic.guest_ack().expect("pending virq");
-        let t0 = self.machine.now(core);
-        self.machine.charge_as(
-            core,
-            "gic:vif-eoi",
-            TraceKind::Guest,
-            self.cost.gic_vif_access,
-            TransitionId::GicAccess,
-        );
-        self.vgics[core.index()]
-            .guest_eoi(GUEST_IPI_SGI.raw())
-            .expect("active virq");
-        self.machine.now(core) - t0
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        self.hw.virq_complete(core, GUEST_IPI_SGI)
     }
 
     fn vm_switch(&mut self) -> Cycles {
-        let core = self.machine.topology().guest_core(0);
-        let t0 = self.machine.now(core);
+        let core = self.hw.machine.topology().guest_core(0);
+        let t0 = self.hw.machine.now(core);
         self.xen_trap(core, TrapCause::HYPERCALL);
-        self.machine.charge_as(
-            core,
-            "xen:sched",
-            TraceKind::Sched,
-            self.cost.xen_sched,
-            TransitionId::Sched,
-        );
+        self.hw.step(core, Step::XenSched);
         // Unlike the hypercall path, switching VMs forces Xen to move the
         // full EL1 state (§IV: "in this case both KVM and Xen ARM need to
         // do this").
-        let to = Running::DomU(0);
         self.alt_loaded = !self.alt_loaded;
-        self.domain_switch(core, to);
-        self.machine.charge_as(
-            core,
-            "hw:eret",
-            TraceKind::Return,
-            self.cost.hw_eret,
-            TransitionId::Eret,
-        );
-        self.cpus[core.index()].eret().expect("enter domain");
-        self.machine.now(core) - t0
+        self.domain_switch(core, Running::DomU(0));
+        self.hw.eret(core);
+        self.hw.machine.now(core) - t0
     }
 
     fn io_latency_out(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
+        let core = self.hw.machine.topology().guest_core(vcpu);
         let (backend_core, _) = self.backend();
-        let t0 = self.machine.now(core);
+        let t0 = self.hw.machine.now(core);
         let flow = self.kick_dom0(core);
-        self.machine.flow_end(flow, backend_core, "dom0:wake");
+        self.hw.machine.flow_end(flow, backend_core, "dom0:wake");
         // Dom0 now returns to idle so the next iteration starts cold, as
         // in the benchmark (uncharged bookkeeping).
-        let t1 = self.machine.now(backend_core);
+        let t1 = self.hw.machine.now(backend_core);
         self.domain_switch_silent(backend_core, Running::Idle);
         t1 - t0
     }
@@ -863,118 +600,81 @@ impl Hypervisor for XenArm {
     fn io_latency_in(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
         let (backend_core, b) = self.backend();
-        let core = self.machine.topology().guest_core(vcpu);
+        let core = self.hw.machine.topology().guest_core(vcpu);
         // Dom0 runs the backend for this measurement.
         self.domain_switch_silent(backend_core, Running::Dom0(b));
-        let t0 = self.machine.now(backend_core);
+        let t0 = self.hw.machine.now(backend_core);
         self.dom0_send(backend_core, None);
-        let arrival = self.machine.signal(backend_core, core, self.cost.ipi_wire);
+        let wire = self.hw.cost.ipi_wire;
+        let arrival = self.hw.machine.signal(backend_core, core, wire);
         self.xen_return(backend_core);
         // The receiving DomU VCPU blocked in WFI; Xen switched its core
         // to the idle domain ("switching from the idle domain to the
         // receiving VM in EL1", §IV).
-        self.machine.wait_until(core, arrival);
+        self.hw.machine.wait_until(core, arrival);
         self.wake_blocked_domu(core, vcpu);
         self.evtchn.clear_pending(DOMU, self.io_port);
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     fn guest_compute(&mut self, vcpu: usize, work: Cycles) {
-        let core = self.machine.topology().guest_core(vcpu);
-        self.machine.charge_as(
-            core,
-            "guest:compute",
-            TraceKind::Guest,
-            work,
-            TransitionId::GuestRun,
-        );
+        guest_compute(&mut self.hw.machine, vcpu, work);
     }
 
     fn transmit(&mut self, vcpu: usize, len: usize) -> Cycles {
         self.ensure_primary();
-        let c = self.cost;
-        let core = self.machine.topology().guest_core(vcpu);
+        let c = self.hw.cost;
+        let core = self.hw.machine.topology().guest_core(vcpu);
         let (backend_core, _) = self.backend();
         // Guest stack + netfront (grant issue) — §V guest-side PV cost.
-        self.machine.charge_as(
-            core,
-            "guest:net-stack-tx",
-            TraceKind::Guest,
-            c.stack_tx_per_packet + c.stack_bytes(len) + c.xen_guest_pv / 2,
-            TransitionId::GuestStack,
-        );
+        guest_stack_tx(&mut self.hw.machine, &c, core, len, c.xen_guest_pv / 2);
         let payload = vec![0xABu8; len.min(PAGE_SIZE as usize)];
         self.front
             .post_tx(
                 &mut self.ring,
                 &mut self.grants,
                 &self.domu.s2,
-                &mut self.mem,
+                &mut self.hw.mem,
                 &payload,
             )
             .expect("TX pool has room");
         // Kick Dom0 through the event channel; netback grant-copies and
         // transmits.
         let flow = self.kick_dom0(core);
-        self.machine.flow_step(flow, backend_core, "dom0:wake");
-        self.machine.charge_as(
-            backend_core,
-            "xen:netback-tx",
-            TraceKind::Io,
-            c.xen_net_per_packet,
-            TransitionId::Netback,
-        );
-        grant_copy_with_retry(&mut self.machine, backend_core, c.xen_grant_copy);
+        self.hw.machine.flow_step(flow, backend_core, "dom0:wake");
+        self.hw.step(backend_core, Step::NetbackTx);
+        grant_copy_with_retry(&mut self.hw.machine, &c, backend_core);
         let pkts = self
             .back
-            .process_tx(&mut self.ring, &mut self.grants, &mut self.mem)
+            .process_tx(&mut self.ring, &mut self.grants, &mut self.hw.mem)
             .expect("granted TX frame");
         debug_assert_eq!(pkts.len(), 1);
-        self.machine.charge_as(
+        self.hw.step(backend_core, Step::HostStackTx);
+        // A NIC stall costs KVM's recovery minus the ioeventfd: Dom0's
+        // doorbell is a plain MMIO write.
+        nic_stall(
+            &mut self.hw.machine,
+            &mut self.hw.nic,
             backend_core,
-            "host:net-stack-tx",
-            TraceKind::Host,
-            c.host_net_tx,
-            TransitionId::HostStack,
+            c.nic_dma * 4,
         );
-        if self.machine.fault(FaultPoint::NicStall) {
-            self.nic.record_stall_and_rekick();
-            // Fault: NIC stall before DMA — Dom0's driver times out and
-            // re-kicks the ring (same recovery shape as KVM's, minus
-            // the ioeventfd; the doorbell is a plain MMIO write).
-            self.machine.charge_as(
-                backend_core,
-                "nic:stall-rekick",
-                TraceKind::Io,
-                c.nic_dma * 4,
-                TransitionId::VirtioRekick,
-            );
-        }
-        self.machine.charge_as(
-            backend_core,
-            "nic:dma",
-            TraceKind::Io,
-            c.nic_dma,
-            TransitionId::NicDma,
-        );
+        self.hw.nic_dma(backend_core, flow);
         for p in pkts {
-            self.nic.transmit(p);
+            self.hw.nic.transmit(p);
         }
-        self.machine.flow_end(flow, backend_core, "nic:dma");
         self.front
             .reap_tx(&mut self.ring, &mut self.grants)
             .expect("grants end cleanly");
         // Dom0 blocks again awaiting the next event.
         self.domain_switch_silent(backend_core, Running::Idle);
-        self.machine.now(backend_core)
+        self.hw.machine.now(backend_core)
     }
 
     fn receive(&mut self, len: usize, arrival: Cycles) -> (Cycles, usize) {
         self.ensure_primary();
-        let c = self.cost;
-        let vcpu = self.pick_irq_vcpu();
-        let io = self.machine.topology().io_core();
-        let (_, io_dom0_vcpu) = (io, io.index() - self.num_vcpus());
+        let c = self.hw.cost;
+        let vcpu = self.next_irq_vcpu();
+        let io = self.hw.machine.topology().io_core();
         // DomU must have posted an RX grant (netfront keeps the ring
         // stocked; the guest-side cost is folded into stack-rx below).
         let rx_buf = Ipa::new(GUEST_RAM_IPA + (16 + (self.next_rx_buf % 8) as u64) * PAGE_SIZE);
@@ -982,69 +682,47 @@ impl Hypervisor for XenArm {
         self.front
             .post_rx(&mut self.ring, &mut self.grants, &self.domu.s2, rx_buf)
             .expect("RX grant issued");
-        self.nic
+        self.hw
+            .nic
             .receive_from_wire(hvx_vio::Packet::new(0, vec![0xCDu8; len]));
-        self.phys_gic.raise(NIC_SPI, io.index()).expect("spi");
-        self.nic.note_irq();
-        self.machine.wait_until(io, arrival);
-        // Physical IRQ lands in Xen; Dom0 holds the NIC driver, so Xen
-        // wakes Dom0 on the I/O core (IRQ-driven: no event-channel
-        // kthread wake on this side).
-        let flow = self
-            .machine
-            .flow_begin(FlowKind::IrqDelivery, io, "host:irq");
-        self.machine.charge_as(
-            io,
-            "host:irq",
-            TraceKind::Host,
-            c.native_irq,
-            TransitionId::HostIrq,
-        );
-        self.phys_gic.acknowledge(io.index()).expect("core");
-        self.phys_gic.complete(io.index(), NIC_SPI).expect("active");
-        if self.running[io.index()] != Running::Dom0(io_dom0_vcpu) {
-            self.wake_into(io, Running::Dom0(io_dom0_vcpu), false, true);
-        }
+        self.hw.phys_gic.raise(NIC_SPI, io.index()).expect("spi");
+        self.hw.nic.note_irq();
+        self.hw.machine.wait_until(io, arrival);
+        let flow = self.hw.nic_irq(io);
+        self.hw.phys_gic.acknowledge(io.index()).expect("core");
+        self.hw
+            .phys_gic
+            .complete(io.index(), NIC_SPI)
+            .expect("active");
+        self.wake_dom0_for_irq(io);
         // Dom0's Linux stack up to netback, then the grant copy into the
         // DomU frame.
-        self.machine.charge_as(
-            io,
-            "host:net-stack-rx",
-            TraceKind::Host,
-            c.host_net_rx,
-            TransitionId::HostStack,
-        );
-        self.machine.charge_as(
-            io,
-            "xen:netback-rx",
-            TraceKind::Io,
-            c.xen_net_per_packet,
-            TransitionId::Netback,
-        );
-        grant_copy_with_retry(&mut self.machine, io, c.xen_grant_copy);
-        let pkt = self.nic.take_rx().expect("packet queued");
+        self.hw.step(io, Step::HostStackRx);
+        self.hw.step(io, Step::NetbackRx);
+        grant_copy_with_retry(&mut self.hw.machine, &c, io);
+        let pkt = self.hw.nic.take_rx().expect("packet queued");
         self.back
-            .deliver_rx(&mut self.ring, &mut self.grants, &mut self.mem, &pkt)
+            .deliver_rx(&mut self.ring, &mut self.grants, &mut self.hw.mem, &pkt)
             .expect("RX grant posted");
         // Signal DomU; Dom0 returns to idle.
         self.notify_domu(io, vcpu, flow);
         // DomU: netfront reaps the filled frame; guest stack.
-        let core = self.machine.topology().guest_core(vcpu);
+        let core = self.hw.machine.topology().guest_core(vcpu);
         let got = self
             .front
             .reap_rx(
                 &mut self.ring,
                 &mut self.grants,
                 &self.domu.s2,
-                &mut self.mem,
+                &mut self.hw.mem,
             )
             .expect("response ring valid");
         debug_assert_eq!(got.len(), 1);
         debug_assert_eq!(got[0].len(), len);
-        if self.machine.fault(FaultPoint::VirqSpurious) {
+        if self.hw.machine.fault(FaultPoint::VirqSpurious) {
             // Fault: a spurious event upcall — DomU scans the pending
             // bitmap, finds nothing, and returns.
-            self.machine.charge_as(
+            self.hw.machine.charge_as(
                 core,
                 "guest:spurious-upcall",
                 TraceKind::Guest,
@@ -1052,34 +730,29 @@ impl Hypervisor for XenArm {
                 TransitionId::EventUpcall,
             );
         }
-        self.machine.charge_as(
-            core,
-            "guest:net-stack-rx",
-            TraceKind::Guest,
-            c.stack_rx_per_packet + c.stack_bytes(len) + c.xen_guest_pv / 2,
-            TransitionId::GuestStack,
-        );
-        (self.machine.now(core), vcpu)
+        guest_stack_rx(&mut self.hw.machine, &c, core, len, c.xen_guest_pv / 2);
+        (self.hw.machine.now(core), vcpu)
     }
 
     fn deliver_virq(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
-        let t0 = self.machine.now(core);
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let t0 = self.hw.machine.now(core);
         self.inject_virq_running(core, vcpu, IntId::VTIMER, None);
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     fn next_irq_vcpu(&mut self) -> usize {
-        self.pick_irq_vcpu()
+        let vcpus = self.num_vcpus();
+        self.hw.irq.pick(vcpus)
     }
 
     fn deliver_virq_blocked(&mut self, vcpu: usize) -> Cycles {
         self.ensure_primary();
-        let core = self.machine.topology().guest_core(vcpu);
-        let t0 = self.machine.now(core);
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let t0 = self.hw.machine.now(core);
         self.wake_blocked_domu(core, vcpu);
-        self.machine.now(core) - t0
+        self.hw.machine.now(core) - t0
     }
 
     fn receive_burst(
@@ -1089,191 +762,48 @@ impl Hypervisor for XenArm {
         arrival: Cycles,
     ) -> (Cycles, usize) {
         self.ensure_primary();
-        let c = self.cost;
-        let total = chunks * chunk_len;
-        let vcpu = self.pick_irq_vcpu();
-        let io = self.machine.topology().io_core();
-        let io_dom0_vcpu = io.index() - self.num_vcpus();
-        self.nic.note_irq();
-        self.machine.wait_until(io, arrival);
-        let flow = self
-            .machine
-            .flow_begin(FlowKind::IrqDelivery, io, "host:irq");
-        self.machine.charge_as(
-            io,
-            "host:irq",
-            TraceKind::Host,
-            c.native_irq,
-            TransitionId::HostIrq,
-        );
-        if self.running[io.index()] != Running::Dom0(io_dom0_vcpu) {
-            self.wake_into(io, Running::Dom0(io_dom0_vcpu), false, true);
-        }
-        self.machine.charge_as(
-            io,
-            "host:net-stack-rx",
-            TraceKind::Host,
-            c.host_net_rx,
-            TransitionId::HostStack,
-        );
-        self.machine.charge_as(
-            io,
-            "xen:netback-rx",
-            TraceKind::Io,
-            c.xen_net_per_packet,
-            TransitionId::Netback,
-        );
+        let c = self.hw.cost;
+        let vcpu = self.next_irq_vcpu();
+        let io = self.hw.machine.topology().io_core();
+        self.hw.nic.note_irq();
+        self.hw.machine.wait_until(io, arrival);
+        let flow = self.hw.nic_irq(io);
+        self.wake_dom0_for_irq(io);
+        self.hw.step(io, Step::HostStackRx);
+        self.hw.step(io, Step::NetbackRx);
         // THE Xen cost: one grant copy per page of the burst — "Dom0
         // cannot configure the network device to DMA the data directly
         // into guest buffers, because Dom0 does not have access to the
         // VM's memory" (§V).
         for _ in 0..chunks {
-            self.machine.charge_as(
-                io,
-                "xen:grant-copy",
-                TraceKind::Copy,
-                c.xen_grant_copy,
-                TransitionId::GrantCopy,
-            );
+            self.hw.step(io, Step::GrantCopy);
         }
         self.notify_domu(io, vcpu, flow);
-        let core = self.machine.topology().guest_core(vcpu);
-        self.machine.charge_as(
-            core,
-            "guest:net-stack-rx",
-            TraceKind::Guest,
-            c.stack_rx_per_packet + c.stack_bytes(total) + c.xen_guest_pv / 2,
-            TransitionId::GuestStack,
-        );
-        (self.machine.now(core), vcpu)
+        let core = self.hw.machine.topology().guest_core(vcpu);
+        let total = chunks * chunk_len;
+        guest_stack_rx(&mut self.hw.machine, &c, core, total, c.xen_guest_pv / 2);
+        (self.hw.machine.now(core), vcpu)
     }
 
     fn transmit_burst(&mut self, vcpu: usize, chunks: usize, chunk_len: usize) -> Cycles {
         self.ensure_primary();
-        let c = self.cost;
-        let total = chunks * chunk_len;
-        let core = self.machine.topology().guest_core(vcpu);
+        let c = self.hw.cost;
+        let core = self.hw.machine.topology().guest_core(vcpu);
         let (backend_core, _) = self.backend();
-        self.machine.charge_as(
-            core,
-            "guest:net-stack-tx",
-            TraceKind::Guest,
-            c.stack_tx_per_packet + c.stack_bytes(total) + c.xen_guest_pv / 2,
-            TransitionId::GuestStack,
-        );
+        let total = chunks * chunk_len;
+        guest_stack_tx(&mut self.hw.machine, &c, core, total, c.xen_guest_pv / 2);
         // One kick for the burst.
         let flow = self.kick_dom0(core);
-        self.machine.flow_step(flow, backend_core, "dom0:wake");
-        self.machine.charge_as(
-            backend_core,
-            "xen:netback-tx",
-            TraceKind::Io,
-            c.xen_net_per_packet,
-            TransitionId::Netback,
-        );
+        self.hw.machine.flow_step(flow, backend_core, "dom0:wake");
+        self.hw.step(backend_core, Step::NetbackTx);
         for _ in 0..chunks {
-            self.machine.charge_as(
-                backend_core,
-                "xen:grant-copy",
-                TraceKind::Copy,
-                c.xen_grant_copy,
-                TransitionId::GrantCopy,
-            );
+            self.hw.step(backend_core, Step::GrantCopy);
         }
-        self.machine.charge_as(
-            backend_core,
-            "host:net-stack-tx",
-            TraceKind::Host,
-            c.host_net_tx,
-            TransitionId::HostStack,
-        );
-        self.machine.charge_as(
-            backend_core,
-            "nic:dma",
-            TraceKind::Io,
-            c.nic_dma,
-            TransitionId::NicDma,
-        );
-        self.machine.flow_end(flow, backend_core, "nic:dma");
+        self.hw.step(backend_core, Step::HostStackTx);
+        self.hw.nic_dma(backend_core, flow);
         self.domain_switch_silent(backend_core, Running::Idle);
-        self.machine.now(backend_core)
+        self.hw.machine.now(backend_core)
     }
-}
-
-impl XenArm {
-    /// Domain switch without cost charges — benchmark scaffolding that
-    /// returns cores to their resting state between iterations (the real
-    /// benchmark's inter-iteration idle time, which the measurement
-    /// window excludes).
-    fn domain_switch_silent(&mut self, core: CoreId, to: Running) {
-        let idx = core.index();
-        let from = self.running[idx];
-        if from == to {
-            return;
-        }
-        if from != Running::Idle {
-            let ctx = ArmGuestContext::capture(&self.cpus[idx], &self.vgics[idx]);
-            match from {
-                Running::DomU(v) => {
-                    if self.alt_loaded && idx == 0 {
-                        self.alt_ctx = ctx;
-                    } else {
-                        self.domu.ctxs[v] = ctx;
-                    }
-                }
-                Running::Dom0(v) => self.dom0.ctxs[v] = ctx,
-                Running::Idle => unreachable!(),
-            }
-        }
-        if to != Running::Idle {
-            let ctx = match to {
-                Running::DomU(v) => {
-                    if self.alt_loaded && idx == 0 {
-                        self.alt_ctx
-                    } else {
-                        self.domu.ctxs[v]
-                    }
-                }
-                Running::Dom0(v) => self.dom0.ctxs[v],
-                Running::Idle => unreachable!(),
-            };
-            ctx.install(&mut self.cpus[idx], &mut self.vgics[idx]);
-            self.cpus[idx].start_at(ExceptionLevel::El1);
-        }
-        self.running[idx] = to;
-    }
-}
-
-/// Charges one grant copy, then consults the [`FaultPoint::GrantCopyFail`]
-/// plan: each transient failure charges a retry — backoff plus a fresh
-/// copy — with the backoff doubling, bounded at three retries (netback's
-/// real recovery shape). With no fault plan installed this is exactly
-/// one charge and one branch.
-pub(crate) fn grant_copy_with_retry(machine: &mut Machine, core: CoreId, copy: Cycles) {
-    let flow = machine.flow_begin(FlowKind::GrantCopy, core, "grant:copy");
-    machine.charge_as(
-        core,
-        "xen:grant-copy",
-        TraceKind::Copy,
-        copy,
-        TransitionId::GrantCopy,
-    );
-    let mut backoff = copy / 2;
-    for _ in 0..3 {
-        if !machine.fault(FaultPoint::GrantCopyFail) {
-            break;
-        }
-        machine.flow_step(flow, core, "grant:retry");
-        machine.charge_as(
-            core,
-            "xen:grant-retry",
-            TraceKind::Copy,
-            backoff + copy,
-            TransitionId::GrantRetry,
-        );
-        backoff = backoff * 2;
-    }
-    machine.flow_end(flow, core, "grant:done");
 }
 
 #[cfg(test)]
@@ -1366,7 +896,7 @@ mod tests {
         let mut xen = XenArm::new();
         xen.transmit(0, 1200);
         assert_eq!(xen.grants.copy_count(), 1);
-        assert_eq!(xen.nic.tx_count(), 1);
+        assert_eq!(xen.hw.nic.tx_count(), 1);
         xen.transmit(0, 1200);
         assert_eq!(xen.grants.copy_count(), 2);
         assert_eq!(xen.grants.live_entries(), 0, "grants retired");
@@ -1388,9 +918,9 @@ mod tests {
         let mut xen = XenArm::new();
         let before = xen.domu.ctxs[0].el1;
         xen.io_latency_in(0);
-        let core = xen.machine.topology().guest_core(0);
+        let core = xen.hw.machine.topology().guest_core(0);
         assert_eq!(xen.running[core.index()], Running::DomU(0));
-        assert_eq!(xen.cpus[core.index()].el1, before);
+        assert_eq!(xen.hw.cpus[core.index()].el1, before);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The paper instruments KVM ARM's world switch to attribute the
 //! hypercall cost to register classes; hvx regenerates the table from
 //! the transition trace — each `save:*` / `restore:*` step the world
-//! switch charged during one hypercall.
+//! switch charged during one hypercall, read by the labels of
+//! [`hvx_core::RegClass`], the class table the ARM models charge from.
 
 use crate::paper;
-use hvx_core::{Error, HvKind, SimBuilder};
+use hvx_core::{Error, HvKind, RegClass, SimBuilder};
 use serde::{Deserialize, Serialize};
 
 /// One row of the reproduced Table III.
@@ -33,17 +34,6 @@ pub struct Table3 {
     pub hypercall_total: u64,
 }
 
-/// The trace labels corresponding to each Table III class.
-const CLASS_LABELS: [(&str, &str, &str); 7] = [
-    ("GP Regs", "save:gp", "restore:gp"),
-    ("FP Regs", "save:fp", "restore:fp"),
-    ("EL1 System Regs", "save:el1-sys", "restore:el1-sys"),
-    ("VGIC Regs", "save:vgic", "restore:vgic"),
-    ("Timer Regs", "save:timer", "restore:timer"),
-    ("EL2 Config Regs", "save:el2-config", "restore:el2-config"),
-    ("EL2 Virtual Memory Regs", "save:el2-vm", "restore:el2-vm"),
-];
-
 impl Table3 {
     /// Runs one traced hypercall on KVM ARM and decomposes it.
     ///
@@ -57,13 +47,16 @@ impl Table3 {
         let total = kvm.hypercall(0);
         let trace = kvm.machine().trace();
         let mut rows = Vec::new();
-        for (i, (class, save_label, restore_label)) in CLASS_LABELS.iter().enumerate() {
+        for (class, (name, paper_save, paper_restore)) in
+            RegClass::ALL.into_iter().zip(paper::TABLE3)
+        {
+            let (save_label, restore_label) = class.labels();
             rows.push(BreakdownRow {
-                class,
+                class: name,
                 save: trace.total_by_label(save_label).as_u64(),
                 restore: trace.total_by_label(restore_label).as_u64(),
-                paper_save: paper::TABLE3[i].1,
-                paper_restore: paper::TABLE3[i].2,
+                paper_save,
+                paper_restore,
             });
         }
         Ok(Table3 {

@@ -2,9 +2,11 @@
 # Golden-baseline regression gate: a clean `check` against the committed
 # baseline (with the loop compiler on and off), a cache-smoke pass
 # proving warm reruns skip every cell, and a drift drill proving a
-# perturbed cost model is caught with a span delta report, plus a
-# doorbell drill proving one cost field moves Table II and Figure 4
-# together. Run from the repository root.
+# perturbed cost model is caught with a span delta report, a doorbell
+# drill proving one cost field moves Table II and Figure 4 together, and
+# a 2x2 drill proving a hardware cost field moves exactly its
+# architecture's Figure 4 columns and a back-end field exactly its
+# design's. Run from the repository root.
 set -eu
 
 cargo build -q --release -p hvx-suite
@@ -82,8 +84,31 @@ for artifact in table2 fig4; do
 done
 echo "doorbell drill moved table2 and fig4 together (exit 4)"
 
+echo "== 2x2 drill: hardware fields move an architecture, back-end fields a design =="
+# Figure 4's columns are the paper's 2x2: {KVM, Xen} x {ARM, x86}. A
+# hardware field must drift both hypervisors on its architecture and no
+# other column; a back-end field must drift its design on both
+# architectures and no other column.
+for drill in "hw_eret:KVM ARM,Xen ARM" "vmentry:KVM x86,Xen x86" \
+    "kvm_vhost_per_packet:KVM ARM,KVM x86" "xen_net_per_packet:Xen ARM,Xen x86"; do
+    field=${drill%%:*}
+    want=${drill#*:}
+    status=0
+    out=$(HVX_COST_PERTURB="$field=+97" "$repro" check fig4 2>&1) || status=$?
+    if [ "$status" -ne 4 ]; then
+        echo "baseline_check: expected exit 4 under $field=+97, got $status" >&2
+        exit 1
+    fi
+    got=$(echo "$out" | sed -n 's/^ *fig4\[[^/]*\/\([^]]*\)\]:.*/\1/p' | LC_ALL=C sort -u | paste -sd, -)
+    if [ "$got" != "$want" ]; then
+        echo "baseline_check: $field=+97 drifted Figure 4 columns '$got', want '$want'" >&2
+        exit 1
+    fi
+    echo "$field=+97 drifted exactly the $want columns (exit 4)"
+done
+
 echo "== the drill must not have poisoned the cache =="
 "$repro" check --cache "$cache_dir" >/dev/null
 
 rm -rf "$cache_dir"
-echo "baseline_check: gate, cache, drift and doorbell drills all pass"
+echo "baseline_check: gate, cache, drift, doorbell and 2x2 drills all pass"

@@ -273,3 +273,106 @@ fn native_bursts_charge_their_per_packet_paths() {
     let tx = records(HvKind::Native, |hv| single = Some(hv.transmit(0, 4096)));
     assert_eq!((burst_tx, burst), (tx, single));
 }
+
+/// Runs every `Hypervisor` operation once on `hv`.
+fn drive_every_operation(hv: &mut dyn Hypervisor) {
+    hv.hypercall(0);
+    hv.gicd_trap(0);
+    hv.virtual_ipi(0, 1);
+    hv.virq_complete(0);
+    hv.vm_switch();
+    hv.vm_switch();
+    hv.io_latency_out(0);
+    hv.io_latency_in(0);
+    hv.guest_compute(0, Cycles::new(1_000));
+    hv.transmit(0, 1_400);
+    hv.receive(1_400, Cycles::ZERO);
+    hv.deliver_virq(1);
+    let vcpu = hv.next_irq_vcpu();
+    hv.deliver_virq_blocked(vcpu);
+    hv.receive_burst(4, 1_024, Cycles::ZERO);
+    hv.transmit_burst(0, 4, 1_024);
+}
+
+/// A hardware step's trace label and the `CostModel` field it costs.
+type HardwareField = (&'static str, fn(&CostModel) -> Cycles);
+
+/// Checks every record of `hv` whose label `fields` names against the
+/// cost that label's field has in `hv`'s own cost model, and returns
+/// the labels it saw.
+fn check_hardware_records(hv: &dyn Hypervisor, fields: &[HardwareField]) -> Vec<&'static str> {
+    let mut seen = Vec::new();
+    for e in hv.machine().trace().events() {
+        if let Some((label, field)) = fields.iter().find(|(l, _)| *l == e.label) {
+            assert_eq!(e.duration, field(hv.cost()), "{}: {label}", hv.kind());
+            if !seen.contains(label) {
+                seen.push(*label);
+            }
+        }
+    }
+    seen
+}
+
+#[test]
+fn hardware_steps_cost_the_same_under_every_hypervisor_on_an_architecture() {
+    // The paper's 2×2: a hardware transition costs its architecture's
+    // figure whichever hypervisor takes it. Only which steps a path
+    // takes may differ (VHE moves no register class; Xen moves them
+    // only on a VM switch).
+    let arm: [HardwareField; 19] = [
+        ("hw:trap-el2", |m| m.hw_trap),
+        ("hw:eret", |m| m.hw_eret),
+        ("save:gp", |m| m.gp.save),
+        ("restore:gp", |m| m.gp.restore),
+        ("save:fp", |m| m.fp.save),
+        ("restore:fp", |m| m.fp.restore),
+        ("save:el1-sys", |m| m.el1_sys.save),
+        ("restore:el1-sys", |m| m.el1_sys.restore),
+        ("save:vgic", |m| m.vgic.save),
+        ("restore:vgic", |m| m.vgic.restore),
+        ("save:timer", |m| m.timer.save),
+        ("restore:timer", |m| m.timer.restore),
+        ("save:el2-config", |m| m.el2_config.save),
+        ("restore:el2-config", |m| m.el2_config.restore),
+        ("save:el2-vm", |m| m.el2_vm.save),
+        ("restore:el2-vm", |m| m.el2_vm.restore),
+        ("gic:vif-ack", |m| m.gic_vif_access),
+        ("gic:vif-eoi", |m| m.gic_vif_access),
+        ("gic:phys-ack", |m| m.gic_phys_access),
+    ];
+    let mut kvm = KvmArm::new();
+    drive_every_operation(&mut kvm);
+    kvm.stage2_fault(0);
+    let mut vhe = KvmArm::new_vhe();
+    drive_every_operation(&mut vhe);
+    vhe.stage2_fault(0);
+    let mut xen = XenArm::new();
+    drive_every_operation(&mut xen);
+    xen.stage2_fault(0);
+    for hv in [&kvm as &dyn Hypervisor, &vhe, &xen] {
+        let seen = check_hardware_records(hv, &arm);
+        // Each design traps, returns and touches both GIC interfaces;
+        // all but VHE move every register class somewhere.
+        let moved = seen
+            .iter()
+            .filter(|l| l.contains("save:") || l.contains("restore:"));
+        let classes = if hv.kind() == HvKind::KvmArmVhe {
+            0
+        } else {
+            14
+        };
+        assert_eq!(moved.count(), classes, "{}: {seen:?}", hv.kind());
+        assert_eq!(seen.len(), 5 + classes, "{}: {seen:?}", hv.kind());
+    }
+
+    let x86: [HardwareField; 2] = [("hw:vmexit", |m| m.vmexit), ("hw:vmentry", |m| m.vmentry)];
+    let mut kvm_x86 = KvmX86::new();
+    drive_every_operation(&mut kvm_x86);
+    kvm_x86.ept_fault(0);
+    let mut xen_x86 = XenX86::new();
+    drive_every_operation(&mut xen_x86);
+    xen_x86.ept_fault(0);
+    for hv in [&kvm_x86 as &dyn Hypervisor, &xen_x86] {
+        assert_eq!(check_hardware_records(hv, &x86).len(), 2, "{}", hv.kind());
+    }
+}
