@@ -18,7 +18,7 @@
 use crate::steps::{charge_step, IrqTarget, Step};
 use crate::{ArmGuestContext, ClassCosts, CostModel};
 use hvx_arch::{ArchVersion, ArmCpu, ExceptionLevel, TrapCause};
-use hvx_engine::{CoreId, Cycles, FlowId, FlowKind, Machine, Topology, TraceKind, TransitionId};
+use hvx_engine::{CoreId, Cycles, Machine, Topology, TraceKind, TransitionId};
 use hvx_gic::{Distributor, IntId, VgicCpuInterface, VgicError};
 use hvx_mem::PhysMemory;
 use hvx_vio::Nic;
@@ -156,23 +156,6 @@ impl ArmHw {
     /// Charges `step` on `core`.
     pub(crate) fn step(&mut self, core: CoreId, step: Step) {
         charge_step(&mut self.machine, &self.cost, core, step);
-    }
-
-    /// The NIC's interrupt on the I/O core `io`: opens the IRQ-delivery
-    /// chain there and charges the host's IRQ entry.
-    pub(crate) fn nic_irq(&mut self, io: CoreId) -> Option<FlowId> {
-        let flow = self
-            .machine
-            .flow_begin(FlowKind::IrqDelivery, io, "host:irq");
-        self.step(io, Step::HostIrq);
-        flow
-    }
-
-    /// The NIC's DMA of a transmitted frame on `core`, which ends the
-    /// transmit chain `flow`.
-    pub(crate) fn nic_dma(&mut self, core: CoreId, flow: Option<FlowId>) {
-        self.step(core, Step::NicDma);
-        self.machine.flow_end(flow, core, "nic:dma");
     }
 
     /// The trap to EL2 on `core`, counted under the hypervisor's

@@ -5,9 +5,13 @@
 //! compose (§V). Each operation executes the hypervisor's *actual*
 //! modelled path on the shared [`Machine`] — mutating architectural
 //! state, charging calibrated costs per step — and returns the elapsed
-//! cycles or completion instant.
+//! cycles or completion instant. The two application back ends (a served
+//! request, a block request) are provided once here, on the shared step
+//! table, for every model: the suite's drivers say what runs, the models
+//! say what it costs.
 
-use crate::{CostModel, HvKind, VirqPolicy};
+use crate::steps::{charge_step, percent, pv_driver, Step};
+use crate::{CostModel, HvKind, HvType, VirqPolicy};
 use hvx_engine::{Cycles, Machine};
 
 /// A simulated hypervisor (or the native baseline) driving one modelled
@@ -17,6 +21,11 @@ use hvx_engine::{Cycles, Machine};
 /// [`crate::KvmX86`], [`crate::XenX86`], KVM ARM + VHE via
 /// [`crate::KvmArm::new_vhe`], and [`crate::Native`]) share this trait so
 /// the benchmark suite is generic over the configuration under test.
+/// Each implements the Table I microbenchmarks and the packet-level
+/// workload primitives; the application back ends
+/// ([`Hypervisor::serve_request`], [`Hypervisor::block_request`]) are
+/// provided once, from the design ([`HvKind::hv_type`]) and the shared
+/// steps, and no model overrides them.
 pub trait Hypervisor {
     /// Which configuration this is.
     fn kind(&self) -> HvKind;
@@ -133,4 +142,95 @@ pub trait Hypervisor {
     /// one kick and one completion. Returns the wire-departure instant of
     /// the last byte.
     fn transmit_burst(&mut self, vcpu: usize, chunks: usize, chunk_len: usize) -> Cycles;
+
+    // ------------------------------------------------------------------
+    // Application back ends (§V request servers, the storage ablation)
+    // ------------------------------------------------------------------
+
+    /// Serves one request whose application runs on `vcpu` (Apache,
+    /// Memcached, MySQL). Virtualized, the host or Dom0 stack takes
+    /// `stack_pct` percent of a packet's stack cost on the request
+    /// (I/O core) and on the response (backend core), around the back
+    /// end: vhost moves one packet each way under KVM; under Xen,
+    /// netback does, with a grant copy for the request and one per
+    /// 4 KiB page of the `response_chunks`-page response. The NIC then
+    /// DMAs the response. The application runs `app_work` plus the
+    /// response's guest stack and half the paravirtual driver; natively
+    /// only that runs, and the NIC DMAs from its core. The request's
+    /// device interrupts are the caller's.
+    fn serve_request(
+        &mut self,
+        vcpu: usize,
+        app_work: Cycles,
+        stack_pct: u32,
+        response_chunks: u32,
+    ) {
+        let c = *self.cost();
+        let kind = self.kind();
+        let m = self.machine_mut();
+        let (io, backend) = (m.topology().io_core(), m.topology().backend_core());
+        if let Some(design) = kind.hv_type() {
+            charge_step(m, &c, io, Step::HostRequestRx(stack_pct));
+            if design == HvType::Type1 {
+                charge_step(m, &c, io, Step::NetbackRx);
+                charge_step(m, &c, io, Step::GrantCopy);
+                for _ in 0..response_chunks {
+                    charge_step(m, &c, backend, Step::GrantCopy);
+                }
+                charge_step(m, &c, backend, Step::NetbackTx);
+            } else {
+                charge_step(m, &c, io, Step::VhostRx);
+                charge_step(m, &c, backend, Step::VhostTx);
+            }
+            charge_step(m, &c, backend, Step::HostRequestTx(stack_pct));
+            charge_step(m, &c, backend, Step::NicDma);
+        }
+        let response = percent(c.stack_tx_per_packet, stack_pct)
+            + c.stack_bytes(response_chunks as usize * 4_096);
+        self.guest_compute(vcpu, app_work + response + pv_driver(kind, &c) / 2);
+        if kind.hv_type().is_none() {
+            let m = self.machine_mut();
+            let core = m.topology().guest_core(vcpu);
+            charge_step(m, &c, core, Step::NicDma);
+        }
+    }
+
+    /// One block request from `vcpu`, which blocks until it completes
+    /// (a closed-loop random read): the guest block layer's `block_work`
+    /// plus a quarter of the paravirtual driver, then the device's
+    /// `service` time. Virtualized, the guest kicks its back end (one
+    /// VM-to-hypervisor round trip), which starts on the I/O core once
+    /// the submission reaches it — vhost-blk under KVM, blkback and a
+    /// grant copy under Xen — and the disk's completion wakes the
+    /// blocked VCPU with a virtual interrupt. Natively the disk serves
+    /// the issuing core, which takes the completion interrupt.
+    fn block_request(&mut self, vcpu: usize, block_work: Cycles, service: Cycles) {
+        let c = *self.cost();
+        let kind = self.kind();
+        self.guest_compute(vcpu, block_work + pv_driver(kind, &c) / 4);
+        let guest = self.machine().topology().guest_core(vcpu);
+        let Some(design) = kind.hv_type() else {
+            charge_step(self.machine_mut(), &c, guest, Step::DiskService(service));
+            self.deliver_virq(vcpu);
+            return;
+        };
+        self.hypercall(vcpu);
+        let m = self.machine_mut();
+        let io = m.topology().io_core();
+        // The back end cannot start before the submission reaches it.
+        let submitted = m.now(guest);
+        m.wait_until(io, submitted);
+        if design == HvType::Type1 {
+            charge_step(m, &c, io, Step::Blkback);
+            charge_step(m, &c, io, Step::GrantCopy);
+        } else {
+            charge_step(m, &c, io, Step::VhostBlk);
+        }
+        charge_step(m, &c, io, Step::DiskService(service));
+        // The completion interrupt reaches the VCPU blocked on the
+        // request.
+        let done = m.now(io);
+        m.wait_until(guest, done);
+        self.deliver_virq_blocked(vcpu);
+    }
 }

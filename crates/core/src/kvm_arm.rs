@@ -36,8 +36,8 @@
 
 use crate::arm::{ArmHw, Motion, GICD_IPA, GUEST_IPI_SGI, GUEST_RAM_IPA, GUEST_RAM_PAGES, NIC_SPI};
 use crate::context::{ArmGuestContext, ArmHostContext};
-use crate::steps::{guest_compute, guest_stack_rx, guest_stack_tx, nic_stall, recover};
-use crate::steps::{Recovery, Step};
+use crate::steps::{guest_compute, guest_stack_rx, guest_stack_tx, nic_dma, nic_irq, nic_stall};
+use crate::steps::{recover, Recovery, Step};
 use crate::{CostModel, HvKind, Hypervisor, VirqPolicy};
 use hvx_arch::{ArchVersion, ExceptionLevel, HcrEl2, Syndrome, TrapCause};
 use hvx_engine::{CoreId, Cycles, FaultPoint, FlowId, FlowKind, Machine, TraceKind, TransitionId};
@@ -705,7 +705,7 @@ impl Hypervisor for KvmArm {
         self.hw.step(backend, Step::HostStackTx);
         let rekick = c.nic_dma * 4 + c.kvm_ioeventfd;
         nic_stall(&mut self.hw.machine, &mut self.hw.nic, backend, rekick);
-        self.hw.nic_dma(backend, flow);
+        nic_dma(&mut self.hw.machine, &c, backend, flow);
         for p in pkts {
             self.hw.nic.transmit(p);
         }
@@ -725,7 +725,7 @@ impl Hypervisor for KvmArm {
         self.hw.phys_gic.raise(NIC_SPI, io.index()).expect("spi");
         self.hw.nic.note_irq();
         self.hw.machine.wait_until(io, arrival);
-        let flow = self.hw.nic_irq(io);
+        let flow = nic_irq(&mut self.hw.machine, &c, io);
         self.hw.phys_ack(io, Some(NIC_SPI));
         // Host stack up to the TAP device, then vhost writes straight
         // into the guest RX buffer (zero copy).
@@ -815,11 +815,11 @@ impl Hypervisor for KvmArm {
         // buffers (zero copy — no per-chunk charge beyond the byte cost
         // already in the guest stack term).
         self.hw.nic.note_irq();
-        let flow = self.hw.nic_irq(io);
+        let flow = nic_irq(&mut self.hw.machine, &c, io);
         self.hw.phys_ack(io, None);
         self.hw.step(io, Step::HostStackRx);
-        self.hw.step(io, Step::VhostRx);
         self.hw.machine.flow_step(flow, io, "vhost:rx");
+        self.hw.step(io, Step::VhostRx);
         self.inject_virq_running(io, vcpu, VIRTIO_NET_VIRQ, flow);
         let core = self.hw.machine.topology().guest_core(vcpu);
         let total = chunks * chunk_len;
@@ -852,7 +852,7 @@ impl Hypervisor for KvmArm {
         self.hw.step(backend, Step::VhostWake);
         self.hw.step(backend, Step::VhostTx);
         self.hw.step(backend, Step::HostStackTx);
-        self.hw.nic_dma(backend, flow);
+        nic_dma(&mut self.hw.machine, &c, backend, flow);
         self.hw.machine.now(backend)
     }
 }

@@ -10,7 +10,7 @@
 //! declared here and the caller passes the cost. Which steps a path
 //! takes, and in what order, stays with the path.
 
-use crate::{CostModel, VirqPolicy};
+use crate::{CostModel, HvKind, HvType, VirqPolicy};
 use hvx_engine::{CoreId, Cycles, FaultPoint, FlowId, FlowKind, Machine, TraceKind, TransitionId};
 use hvx_vio::Nic;
 
@@ -38,6 +38,8 @@ pub(crate) enum Step {
     VhostTx,
     /// vhost moving one received packet.
     VhostRx,
+    /// vhost-blk moving one block request (half a packet's work).
+    VhostBlk,
     /// KVM x86 signalling vhost's ioeventfd.
     X86Ioeventfd,
     /// KVM x86's exit-handler dispatch.
@@ -48,6 +50,16 @@ pub(crate) enum Step {
     NetbackTx,
     /// netback moving one received packet.
     NetbackRx,
+    /// blkback moving one block request (half a packet's work).
+    Blkback,
+    /// The host or Dom0 stack receiving a served request, at the given
+    /// percentage of a packet's stack cost.
+    HostRequestRx(u32),
+    /// The host or Dom0 stack sending a served response, at the given
+    /// percentage of a packet's stack cost.
+    HostRequestTx(u32),
+    /// The disk servicing one request, for the device's service time.
+    DiskService(Cycles),
     /// One page copied through the grant table.
     GrantCopy,
     /// `EVTCHNOP_send`.
@@ -94,6 +106,12 @@ impl Step {
                 c.kvm_vhost_per_packet,
                 T::VhostBackend,
             ),
+            Step::VhostBlk => (
+                "kvm:vhost-blk",
+                K::Io,
+                c.kvm_vhost_per_packet / 2,
+                T::VhostBackend,
+            ),
             Step::X86Ioeventfd => (
                 "kvm:x86-ioeventfd",
                 K::Io,
@@ -109,6 +127,20 @@ impl Step {
             Step::KvmX86Inject => ("kvm:x86-inject", K::Emulation, c.x86_inject, T::VirqInject),
             Step::NetbackTx => ("xen:netback-tx", K::Io, c.xen_net_per_packet, T::Netback),
             Step::NetbackRx => ("xen:netback-rx", K::Io, c.xen_net_per_packet, T::Netback),
+            Step::Blkback => ("xen:blkback", K::Io, c.xen_net_per_packet / 2, T::Netback),
+            Step::HostRequestRx(pct) => (
+                "host:request-rx",
+                K::Host,
+                percent(c.host_net_rx, pct),
+                T::HostStack,
+            ),
+            Step::HostRequestTx(pct) => (
+                "host:request-tx",
+                K::Host,
+                percent(c.host_net_tx, pct),
+                T::HostStack,
+            ),
+            Step::DiskService(service) => ("disk:service", K::Io, service, T::DeviceService),
             Step::GrantCopy => ("xen:grant-copy", K::Copy, c.xen_grant_copy, T::GrantCopy),
             Step::EvtchnSend => (
                 "xen:evtchn-send",
@@ -147,10 +179,41 @@ impl Step {
     }
 }
 
+/// `pct` percent of `x`, rounded down.
+pub(crate) fn percent(x: Cycles, pct: u32) -> Cycles {
+    Cycles::new(x.as_u64() * u64::from(pct) / 100)
+}
+
+/// The guest's paravirtual driver cost under `kind`'s design: virtio's
+/// under KVM, netfront's under Xen, nothing natively. Each path charges
+/// its direction's share of it.
+pub(crate) fn pv_driver(kind: HvKind, c: &CostModel) -> Cycles {
+    match kind.hv_type() {
+        Some(HvType::Type2) => c.kvm_guest_virtio,
+        Some(HvType::Type1) => c.xen_guest_pv,
+        None => Cycles::ZERO,
+    }
+}
+
 /// Charges `step` on `core` at its cost under `cost`.
 pub(crate) fn charge_step(m: &mut Machine, cost: &CostModel, core: CoreId, step: Step) {
     let (label, kind, cycles, id) = step.spec(cost);
     m.charge_as(core, label, kind, cycles, id);
+}
+
+/// The NIC's interrupt on the I/O core `io`: opens the IRQ-delivery
+/// chain there and charges the host's IRQ entry.
+pub(crate) fn nic_irq(m: &mut Machine, c: &CostModel, io: CoreId) -> Option<FlowId> {
+    let flow = m.flow_begin(FlowKind::IrqDelivery, io, "host:irq");
+    charge_step(m, c, io, Step::HostIrq);
+    flow
+}
+
+/// The NIC's DMA of a transmitted frame on `core`, which ends the
+/// transmit chain `flow`.
+pub(crate) fn nic_dma(m: &mut Machine, c: &CostModel, core: CoreId, flow: Option<FlowId>) {
+    charge_step(m, c, core, Step::NicDma);
+    m.flow_end(flow, core, "nic:dma");
 }
 
 /// A fault-recovery step whose cost depends on the architecture, so

@@ -17,10 +17,12 @@
 //! event channels), come from the shared step table.
 
 use crate::steps::{charge_step, grant_copy_with_retry, guest_compute, guest_stack_rx};
-use crate::steps::{guest_stack_tx, nic_stall, recover, IrqTarget, Recovery, Step};
+use crate::steps::{guest_stack_tx, nic_dma, nic_irq, nic_stall, pv_driver, recover, IrqTarget};
+use crate::steps::{Recovery, Step};
 use crate::{CostModel, HvKind, Hypervisor, VirqPolicy};
 use hvx_arch::{ExitReason, Vmcs, X86Cpu, X86State};
-use hvx_engine::{CoreId, Cycles, FaultPoint, Machine, Topology, TraceKind, TransitionId};
+use hvx_engine::{CoreId, Cycles, FaultPoint, FlowId, FlowKind, Machine, Topology};
+use hvx_engine::{TraceKind, TransitionId};
 use hvx_gic::Lapic;
 use hvx_vio::Nic;
 
@@ -163,16 +165,6 @@ impl X86Hv {
         }
     }
 
-    /// The guest driver's share of the paravirtual I/O cost on each
-    /// packet direction: half of virtio's (KVM) or netfront's (Xen).
-    fn driver_share(&self) -> Cycles {
-        if self.is_kvm() {
-            self.cost.kvm_guest_virtio / 2
-        } else {
-            self.cost.xen_guest_pv / 2
-        }
-    }
-
     /// VM exit on `core` for VCPU `vcpu`: the hardware bulk-moves the
     /// live state into the VMCS ("switching a substantial portion of the
     /// CPU register state to the VMCS in memory", §IV) and loads host
@@ -219,19 +211,23 @@ impl X86Hv {
     /// The guest's port-I/O doorbell on the transmit path: the `OUT`
     /// exits, KVM signals vhost's ioeventfd or Xen sends on the event
     /// channel, the guest re-enters, and the kick reaches `backend`.
-    fn kick_backend(&mut self, core: CoreId, vcpu: usize, backend: CoreId) {
+    /// Returns the kick's flow chain, which the caller steps at the
+    /// backend's wake and ends at the NIC's DMA.
+    fn kick_backend(&mut self, core: CoreId, vcpu: usize, backend: CoreId) -> Option<FlowId> {
         self.exit(core, vcpu, ExitReason::IoInstruction);
-        let signal = if self.is_kvm() {
-            Step::X86Ioeventfd
+        let (chain, label, signal) = if self.is_kvm() {
+            (FlowKind::VirtioKick, "virtio:kick", Step::X86Ioeventfd)
         } else {
-            Step::EvtchnSend
+            (FlowKind::EvtchnSignal, "evtchn:send", Step::EvtchnSend)
         };
+        let flow = self.machine.flow_begin(chain, core, label);
         self.step(core, signal);
         let arrival = self
             .machine
             .signal(core, backend, self.cost.x86_doorbell_wire);
         self.enter(core, vcpu);
         self.machine.wait_until(backend, arrival);
+        flow
     }
 
     /// Extension benchmark: an EPT violation (the x86 analog of a
@@ -271,13 +267,22 @@ impl X86Hv {
 
     /// Delivers `vector` to a running VCPU: doorbell/IPI, external-
     /// interrupt exit, LAPIC injection, entry. Returns the instant the
-    /// guest holds the interrupt (post-ack).
-    fn inject_running(&mut self, from: CoreId, vcpu: usize, vector: u8, wire: Cycles) -> Cycles {
+    /// guest holds the interrupt (post-ack), where it ends the
+    /// IRQ-delivery chain `flow` (when tracing) that produced it.
+    fn inject_running(
+        &mut self,
+        from: CoreId,
+        vcpu: usize,
+        vector: u8,
+        wire: Cycles,
+        flow: Option<FlowId>,
+    ) -> Cycles {
         let core = self.machine.topology().guest_core(vcpu);
         let arrival = self.machine.signal(from, core, wire);
         self.machine.wait_until(core, arrival);
         self.exit(core, vcpu, ExitReason::ExternalInterrupt);
         self.machine.bump("x86.virq_injections", 1);
+        self.machine.flow_step(flow, core, "virq:inject");
         let inject = if self.is_kvm() {
             Step::KvmX86Inject
         } else {
@@ -291,6 +296,7 @@ impl X86Hv {
         let got = self.lapics[vcpu].ack();
         debug_assert_eq!(got, Some(vector));
         let t_ack = self.machine.now(core);
+        self.machine.flow_end(flow, core, "guest:ack");
         // EOI later: traps unless vAPIC (charged where the workload path
         // needs it, via `virq_complete`-equivalent costs).
         t_ack
@@ -418,7 +424,8 @@ impl Hypervisor for X86Hv {
             .icr_write(to, RESCHED_VECTOR)
             .expect("valid vector");
         debug_assert_eq!(effect.ipis, vec![(to, RESCHED_VECTOR)]);
-        let t_ack = self.inject_running(from_core, to, RESCHED_VECTOR, self.cost.x86_ipi_wire);
+        let wire = self.cost.x86_ipi_wire;
+        let t_ack = self.inject_running(from_core, to, RESCHED_VECTOR, wire, None);
         self.enter(from_core, from);
         // Receiver's EOI happens after the measured handling point.
         self.guest_eoi(to);
@@ -508,8 +515,8 @@ impl Hypervisor for X86Hv {
                 self.cost.kvm_x86_io_in_host,
                 TransitionId::HostDispatch,
             );
-            let t_ack =
-                self.inject_running(backend, vcpu, VIRTIO_VECTOR, self.cost.x86_doorbell_wire);
+            let wire = self.cost.x86_doorbell_wire;
+            let t_ack = self.inject_running(backend, vcpu, VIRTIO_VECTOR, wire, None);
             self.guest_eoi(vcpu);
             t_ack - t0
         } else {
@@ -544,28 +551,31 @@ impl Hypervisor for X86Hv {
         let c = self.cost;
         let core = self.machine.topology().guest_core(vcpu);
         let backend = self.machine.topology().backend_core();
-        let driver = self.driver_share();
+        let driver = pv_driver(self.kind, &c) / 2;
         guest_stack_tx(&mut self.machine, &c, core, len, driver);
-        self.kick_backend(core, vcpu, backend);
+        let flow = self.kick_backend(core, vcpu, backend);
         if self.is_kvm() {
             let m = &mut self.machine;
             if m.fault(FaultPoint::VhostDelay) {
                 // Fault: vhost worker preempted before the kick is
                 // serviced; the driver's TX watchdog re-kicks.
+                let rec = m.flow_begin(FlowKind::FaultRecovery, backend, "fault:vhost-delay");
                 recover(m, backend, Recovery::VhostDelay, c.kvm_x86_sched * 2, None);
                 let rekick = c.kvm_x86_ioeventfd + c.kvm_x86_mmio_decode;
-                recover(m, core, Recovery::TxRekick, rekick, None);
+                recover(m, core, Recovery::TxRekick, rekick, rec);
             }
+            m.flow_step(flow, backend, "vhost:wake");
             self.step(backend, Step::VhostWake);
             self.step(backend, Step::VhostTx);
         } else {
             self.wake_dom0(backend, c.xen_x86_wake_blocked);
+            self.machine.flow_step(flow, backend, "dom0:wake");
             self.step(backend, Step::NetbackTx);
             grant_copy_with_retry(&mut self.machine, &c, backend);
         }
         self.step(backend, Step::HostStackTx);
         nic_stall(&mut self.machine, &mut self.nic, backend, c.nic_dma * 4);
-        self.step(backend, Step::NicDma);
+        nic_dma(&mut self.machine, &c, backend, flow);
         self.nic.transmit(hvx_vio::Packet::new(0, vec![0u8; len]));
         self.machine.now(backend)
     }
@@ -576,33 +586,39 @@ impl Hypervisor for X86Hv {
         let vcpu = self.next_irq_vcpu();
         let io = self.machine.topology().io_core();
         self.machine.wait_until(io, arrival);
-        self.step(io, Step::HostIrq);
+        let flow = nic_irq(&mut self.machine, &c, io);
         if self.is_kvm() {
             self.step(io, Step::HostStackRx);
+            self.machine.flow_step(flow, io, "vhost:rx");
             self.step(io, Step::VhostRx);
         } else {
             self.wake_dom0(io, c.xen_x86_wake_blocked / 2);
             self.step(io, Step::HostStackRx);
             self.step(io, Step::NetbackRx);
             grant_copy_with_retry(&mut self.machine, &c, io);
+            self.machine.flow_step(flow, io, "evtchn:send");
             self.step(io, Step::EvtchnSend);
         }
-        if self.machine.fault(FaultPoint::VirqDrop) {
+        let kvm = self.is_kvm();
+        let m = &mut self.machine;
+        if m.fault(FaultPoint::VirqDrop) {
             // Fault: the interrupt is lost before the guest observes
             // it; the backend notices the unhandled ring and re-raises
-            // the notification. KVM re-signals the irqfd, Xen re-sends
-            // the event channel — each charged as its own recovery.
-            let (recovery, cost) = if self.is_kvm() {
-                (Recovery::IrqfdResignal, c.kvm_x86_ioeventfd + c.x86_inject)
+            // the notification. KVM re-signals the irqfd (opening no
+            // chain, as on ARM), Xen re-sends the event channel,
+            // ending the chain the lost upcall opened — each charged
+            // as its own recovery.
+            let (recovery, cost, rec) = if kvm {
+                let cost = c.kvm_x86_ioeventfd + c.x86_inject;
+                (Recovery::IrqfdResignal, cost, None)
             } else {
-                (
-                    Recovery::EvtchnRedeliver,
-                    c.xen_evtchn_send + c.xen_x86_inject,
-                )
+                let rec = m.flow_begin(FlowKind::FaultRecovery, io, "fault:upcall-lost");
+                let cost = c.xen_evtchn_send + c.xen_x86_inject;
+                (Recovery::EvtchnRedeliver, cost, rec)
             };
-            recover(&mut self.machine, io, recovery, cost, None);
+            recover(m, io, recovery, cost, rec);
         }
-        self.inject_running(io, vcpu, VIRTIO_VECTOR, c.x86_doorbell_wire);
+        self.inject_running(io, vcpu, VIRTIO_VECTOR, c.x86_doorbell_wire, flow);
         self.guest_eoi(vcpu);
         let core = self.machine.topology().guest_core(vcpu);
         if self.machine.fault(FaultPoint::VirqSpurious) {
@@ -615,7 +631,7 @@ impl Hypervisor for X86Hv {
                 TransitionId::VirqInject,
             );
         }
-        let driver = self.driver_share();
+        let driver = pv_driver(self.kind, &c) / 2;
         guest_stack_rx(&mut self.machine, &c, core, len, driver);
         (self.machine.now(core), vcpu)
     }
@@ -624,7 +640,7 @@ impl Hypervisor for X86Hv {
         self.ensure_primary();
         let core = self.machine.topology().guest_core(vcpu);
         let t0 = self.machine.now(core);
-        self.inject_running(core, vcpu, RESCHED_VECTOR, Cycles::ZERO);
+        self.inject_running(core, vcpu, RESCHED_VECTOR, Cycles::ZERO, None);
         self.guest_eoi(vcpu);
         self.machine.now(core) - t0
     }
@@ -642,7 +658,7 @@ impl Hypervisor for X86Hv {
             // Xen x86 wakes the blocked DomU on its own core.
             self.step(core, Step::X86WakeDomu);
         }
-        self.inject_running(core, vcpu, VIRTIO_VECTOR, Cycles::ZERO);
+        self.inject_running(core, vcpu, VIRTIO_VECTOR, Cycles::ZERO, None);
         self.guest_eoi(vcpu);
         self.machine.now(core) - t0
     }
@@ -659,21 +675,23 @@ impl Hypervisor for X86Hv {
         let vcpu = self.next_irq_vcpu();
         let io = self.machine.topology().io_core();
         self.machine.wait_until(io, arrival);
-        self.step(io, Step::HostIrq);
+        let flow = nic_irq(&mut self.machine, &c, io);
         self.step(io, Step::HostStackRx);
         if self.is_kvm() {
+            self.machine.flow_step(flow, io, "vhost:rx");
             self.step(io, Step::VhostRx);
         } else {
             self.step(io, Step::NetbackRx);
             for _ in 0..chunks {
                 self.step(io, Step::GrantCopy);
             }
+            self.machine.flow_step(flow, io, "evtchn:send");
             self.step(io, Step::EvtchnSend);
         }
-        self.inject_running(io, vcpu, VIRTIO_VECTOR, c.x86_doorbell_wire);
+        self.inject_running(io, vcpu, VIRTIO_VECTOR, c.x86_doorbell_wire, flow);
         self.guest_eoi(vcpu);
         let core = self.machine.topology().guest_core(vcpu);
-        let driver = self.driver_share();
+        let driver = pv_driver(self.kind, &c) / 2;
         guest_stack_rx(&mut self.machine, &c, core, total, driver);
         (self.machine.now(core), vcpu)
     }
@@ -684,21 +702,23 @@ impl Hypervisor for X86Hv {
         let total = chunks * chunk_len;
         let core = self.machine.topology().guest_core(vcpu);
         let backend = self.machine.topology().backend_core();
-        let driver = self.driver_share();
+        let driver = pv_driver(self.kind, &c) / 2;
         guest_stack_tx(&mut self.machine, &c, core, total, driver);
-        self.kick_backend(core, vcpu, backend);
+        let flow = self.kick_backend(core, vcpu, backend);
         if self.is_kvm() {
+            self.machine.flow_step(flow, backend, "vhost:wake");
             self.step(backend, Step::VhostWake);
             self.step(backend, Step::VhostTx);
         } else {
             self.wake_dom0(backend, c.xen_x86_wake_blocked);
+            self.machine.flow_step(flow, backend, "dom0:wake");
             self.step(backend, Step::NetbackTx);
             for _ in 0..chunks {
                 self.step(backend, Step::GrantCopy);
             }
         }
         self.step(backend, Step::HostStackTx);
-        self.step(backend, Step::NicDma);
+        nic_dma(&mut self.machine, &c, backend, flow);
         self.machine.now(backend)
     }
 }

@@ -29,7 +29,7 @@ use crate::arm::{ArmHw, Motion, RegClass, GICD_IPA, GUEST_IPI_SGI, GUEST_RAM_IPA
 use crate::arm::{GUEST_RAM_PAGES, NIC_SPI};
 use crate::context::ArmGuestContext;
 use crate::steps::{grant_copy_with_retry, guest_compute, guest_stack_rx, guest_stack_tx};
-use crate::steps::{nic_stall, recover, Recovery, Step};
+use crate::steps::{nic_dma, nic_irq, nic_stall, recover, Recovery, Step};
 use crate::{CostModel, HvKind, Hypervisor, VirqPolicy};
 use hvx_arch::{ArchVersion, Syndrome, TrapCause};
 use hvx_engine::{CoreId, Cycles, FaultPoint, FlowId, FlowKind, Machine, TraceKind, TransitionId};
@@ -658,7 +658,7 @@ impl Hypervisor for XenArm {
             backend_core,
             c.nic_dma * 4,
         );
-        self.hw.nic_dma(backend_core, flow);
+        nic_dma(&mut self.hw.machine, &c, backend_core, flow);
         for p in pkts {
             self.hw.nic.transmit(p);
         }
@@ -688,7 +688,7 @@ impl Hypervisor for XenArm {
         self.hw.phys_gic.raise(NIC_SPI, io.index()).expect("spi");
         self.hw.nic.note_irq();
         self.hw.machine.wait_until(io, arrival);
-        let flow = self.hw.nic_irq(io);
+        let flow = nic_irq(&mut self.hw.machine, &c, io);
         self.hw.phys_gic.acknowledge(io.index()).expect("core");
         self.hw
             .phys_gic
@@ -767,7 +767,7 @@ impl Hypervisor for XenArm {
         let io = self.hw.machine.topology().io_core();
         self.hw.nic.note_irq();
         self.hw.machine.wait_until(io, arrival);
-        let flow = self.hw.nic_irq(io);
+        let flow = nic_irq(&mut self.hw.machine, &c, io);
         self.wake_dom0_for_irq(io);
         self.hw.step(io, Step::HostStackRx);
         self.hw.step(io, Step::NetbackRx);
@@ -800,7 +800,7 @@ impl Hypervisor for XenArm {
             self.hw.step(backend_core, Step::GrantCopy);
         }
         self.hw.step(backend_core, Step::HostStackTx);
-        self.hw.nic_dma(backend_core, flow);
+        nic_dma(&mut self.hw.machine, &c, backend_core, flow);
         self.domain_switch_silent(backend_core, Running::Idle);
         self.hw.machine.now(backend_core)
     }

@@ -4,14 +4,16 @@
 //! begins on a guest core must end on the backend core, and an
 //! interrupt-delivery chain that begins on the I/O core must end with
 //! the guest's acknowledge on a VCPU core. These tests drive the real
-//! KVM ARM and Xen ARM I/O paths with tracing enabled and assert the
-//! chains exist, are complete, span machines (core groups), and that
-//! the derived end-to-end latencies reproduce the paper's Figure 4
-//! asymmetry: Xen routes delivery through Dom0 (wake, netback, grant
-//! copy, event channel), so its chain latency must be the larger one.
+//! I/O paths of all four measured hypervisors with tracing enabled and
+//! assert the chains exist, are complete, span machines (core groups),
+//! and that the derived end-to-end latencies reproduce the paper's
+//! Figure 4 asymmetry: Xen routes delivery through Dom0 (wake,
+//! netback, grant copy, event channel), so its chain latency must be
+//! the larger one.
 
 use hvx_core::{HvKind, SimBuilder, Workload};
-use hvx_engine::{EventTracer, FlowKind, MetricsRegistry};
+use hvx_engine::MetricsRegistry;
+use hvx_engine::{Cycles, EventTracer, FaultPlan, FaultPoint, FlowChain, FlowKind};
 
 /// Runs one TX kick and one RX delivery with tracing on, returning the
 /// captured tracer.
@@ -145,4 +147,122 @@ fn off_mode_charges_identical_cycles() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(false), run(true));
+}
+
+/// The labels of `chain`'s points, in order.
+fn hops(chain: &FlowChain) -> Vec<&'static str> {
+    chain.points.iter().map(|p| p.label).collect()
+}
+
+#[test]
+fn x86_kick_and_delivery_chains_cross_machines() {
+    // The port-I/O doorbell opens the kick chain on the guest core; it
+    // steps at the backend's wake and ends at the NIC's DMA. The NIC
+    // interrupt opens the delivery chain on the I/O core; it ends at
+    // the guest's acknowledge after the injection.
+    for (kind, kick_kind, kick) in [
+        (
+            HvKind::KvmX86,
+            FlowKind::VirtioKick,
+            ["virtio:kick", "vhost:wake", "nic:dma"],
+        ),
+        (
+            HvKind::XenX86,
+            FlowKind::EvtchnSignal,
+            ["evtchn:send", "dom0:wake", "nic:dma"],
+        ),
+    ] {
+        let tracer = traced_round_trip(kind);
+        let chains = tracer.chains();
+        let tx = chains
+            .iter()
+            .find(|c| c.kind == kick_kind && c.complete)
+            .unwrap_or_else(|| panic!("{kind}: no complete kick chain"));
+        assert_eq!(hops(tx), kick, "{kind}");
+        assert!(tx.track_span() >= 2, "{kind}: kick chain must cross cores");
+        let irq = chains
+            .iter()
+            .find(|c| c.kind == FlowKind::IrqDelivery && c.complete)
+            .unwrap_or_else(|| panic!("{kind}: no complete irq-delivery chain"));
+        let irq_hops = hops(irq);
+        assert_eq!(irq_hops.first(), Some(&"host:irq"), "{kind}");
+        assert!(irq_hops.contains(&"virq:inject"), "{kind}: {irq_hops:?}");
+        assert_eq!(irq_hops.last(), Some(&"guest:ack"), "{kind}");
+        assert!(irq.track_span() >= 2, "{kind}: delivery must cross cores");
+    }
+}
+
+#[test]
+fn xen_x86_interrupt_delivery_is_slower_than_kvm_x86_end_to_end() {
+    // The same Figure 4 direction on x86: Xen x86's delivery runs
+    // through Dom0's wake, netback, a grant copy and an event channel.
+    let kvm = complete_chain_latency(&traced_round_trip(HvKind::KvmX86), FlowKind::IrqDelivery);
+    let xen = complete_chain_latency(&traced_round_trip(HvKind::XenX86), FlowKind::IrqDelivery);
+    assert!(
+        xen > kvm,
+        "paper direction violated: xen {xen} <= kvm {kvm}"
+    );
+}
+
+#[test]
+fn x86_fault_recoveries_end_the_chains_their_faults_open() {
+    // As on ARM: a delayed vhost worker opens a recovery chain that the
+    // driver's re-kick ends, and a lost Xen upcall one that the
+    // event-channel redelivery ends.
+    for (kind, point, want) in [
+        (
+            HvKind::KvmX86,
+            FaultPoint::VhostDelay,
+            ["fault:vhost-delay", "virtio:tx-rekick"],
+        ),
+        (
+            HvKind::XenX86,
+            FaultPoint::VirqDrop,
+            ["fault:upcall-lost", "xen:evtchn-redeliver"],
+        ),
+    ] {
+        let mut sim = SimBuilder::new(kind)
+            .event_tracing(true)
+            .fault_plan(FaultPlan::new(1).with_rate(point, 1.0))
+            .build()
+            .expect("paper config");
+        sim.transmit(0, 1024);
+        let arrival = sim.machine().now(sim.machine().topology().io_core());
+        sim.receive(1024, arrival);
+        let tracer = sim.machine_mut().take_event_tracer().expect("tracing");
+        let chains = tracer.chains();
+        let recovery = chains
+            .iter()
+            .find(|c| c.kind == FlowKind::FaultRecovery && c.complete)
+            .unwrap_or_else(|| panic!("{kind}: no complete recovery chain"));
+        assert_eq!(hops(recovery), want, "{kind}");
+    }
+}
+
+#[test]
+fn kvm_arm_burst_steps_vhost_rx_where_receive_does() {
+    // The delivery chain's vhost hop precedes vhost's charge on both
+    // receive paths, so a one-chunk burst and a packet arriving alike
+    // record it at the same instant.
+    let vhost_rx = |burst: bool| {
+        let mut sim = SimBuilder::new(HvKind::KvmArm)
+            .event_tracing(true)
+            .build()
+            .expect("paper config");
+        let arrival = Cycles::new(1_000);
+        if burst {
+            sim.receive_burst(1, 1024, arrival);
+        } else {
+            sim.receive(1024, arrival);
+        }
+        let tracer = sim.machine_mut().take_event_tracer().expect("tracing");
+        let chains = tracer.chains();
+        let irq = chains
+            .iter()
+            .find(|c| c.kind == FlowKind::IrqDelivery)
+            .expect("delivery chain");
+        let hop = irq.points.iter().find(|p| p.label == "vhost:rx");
+        hop.expect("vhost hop").ts
+    };
+    assert_eq!(vhost_rx(true), vhost_rx(false));
 }

@@ -14,6 +14,7 @@
 //! Every model is built through [`SimBuilder`], so a cost override or
 //! `HVX_COST_PERTURB` reaches each ablation as it reaches the tables.
 
+use crate::fig4::overhead;
 use crate::netperf::{self, RrFaultStats};
 use crate::workloads::{self, DiskDevice, Mix};
 use hvx_core::{CostModel, Error, HvKind, Hypervisor, KvmX86, Sim, SimBuilder, VirqPolicy};
@@ -24,17 +25,6 @@ use serde::{Deserialize, Serialize};
 /// Builds `kind` with the default paper configuration.
 fn sim(kind: HvKind) -> Result<Sim, Error> {
     SimBuilder::new(kind).build()
-}
-
-/// The Figure 4 normalized overhead of `mix` on `hv` against the ARM
-/// native baseline.
-fn overhead(hv: SimBuilder, mix: Mix, policy: VirqPolicy) -> Result<f64, Error> {
-    workloads::overhead(
-        hv.build()?.as_dyn_mut(),
-        sim(HvKind::Native)?.as_dyn_mut(),
-        mix,
-        policy,
-    )
 }
 
 /// [`overhead`] on the ARM pair every I/O ablation compares: (KVM ARM,

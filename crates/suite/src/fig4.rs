@@ -2,8 +2,8 @@
 //! configurations.
 
 use crate::paper::{self, TargetSource};
-use crate::workloads::{self, Workload};
-use hvx_core::{CostModel, Error, HvKind, Hypervisor, Sim, SimBuilder, VirqPolicy};
+use crate::workloads::{self, Mix, Workload};
+use hvx_core::{CostModel, Error, HvKind, Platform, SimBuilder, VirqPolicy};
 use serde::{Deserialize, Serialize};
 
 /// One reproduced Figure 4 bar.
@@ -35,17 +35,26 @@ pub struct Figure4 {
     pub groups: Vec<BarGroup>,
 }
 
-fn build(kind: HvKind) -> Result<Box<dyn Hypervisor>, Error> {
-    Ok(SimBuilder::new(kind).build()?.into_inner())
-}
-
-fn native_for(kind: HvKind) -> Result<Sim, Error> {
-    let builder = SimBuilder::new(HvKind::Native);
-    match kind.platform() {
-        hvx_core::Platform::X86 => builder.cost_model(CostModel::x86()),
-        _ => builder,
-    }
-    .build()
+/// The Figure 4 normalized overhead of `mix` on the configuration `hv`
+/// builds, against native on the same platform (native x86 costs for
+/// an x86 configuration, native ARM otherwise). Figure 4's bars and
+/// every ablation measure through here.
+///
+/// # Errors
+///
+/// Propagates configuration and workload failures.
+pub fn overhead(hv: SimBuilder, mix: Mix, policy: VirqPolicy) -> Result<f64, Error> {
+    let native = SimBuilder::new(HvKind::Native);
+    let native = match hv.spec().hypervisor.platform() {
+        Platform::X86 => native.cost_model(CostModel::x86()),
+        Platform::Arm | Platform::ArmVhe => native,
+    };
+    workloads::overhead(
+        hv.build()?.as_dyn_mut(),
+        native.build()?.as_dyn_mut(),
+        mix,
+        policy,
+    )
 }
 
 /// Whether the paper has a bar for `workload` (its catalog name) on
@@ -71,14 +80,7 @@ pub fn measure_bar(
     if !runs(workload.name, kind) {
         return Ok(None);
     }
-    let mut hv = build(kind)?;
-    let mut native = native_for(kind)?;
-    Ok(Some(workloads::overhead(
-        hv.as_mut(),
-        native.as_dyn_mut(),
-        workload.mix,
-        policy,
-    )?))
+    overhead(SimBuilder::new(kind), workload.mix, policy).map(Some)
 }
 
 impl Figure4 {

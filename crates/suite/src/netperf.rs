@@ -67,27 +67,33 @@ impl RrFaultStats {
     }
 }
 
-/// Runs the guest TCP retransmit state machine over one transaction's
-/// reply leg.
+/// One closed-loop 1-byte TCP_RR transaction whose request reaches the
+/// server's NIC at `nic_arrival`: the receive path, the server's
+/// [`APP_WORK`], the reply's transmit path, then the guest TCP
+/// retransmit state machine over the reply. Table V, its loss sweep and
+/// Figure 4's TCP_RR all run this.
 ///
-/// Consults [`FaultPoint::WireDrop`] and [`FaultPoint::WireCorrupt`]
-/// once per flight of the response segment: a drop waits out the full
-/// (doubling) RTO before the timer fires; corruption is detected by the
-/// client's checksum and recovered within one RTT. Each recovery
-/// charges guest work as a [`TransitionId::TcpRetransmit`] span and
-/// re-sends through the hypervisor's real transmit path, so retry
-/// traffic pays the same virtualization costs as first-try traffic.
+/// The state machine consults [`FaultPoint::WireDrop`] and
+/// [`FaultPoint::WireCorrupt`] once per flight of the response segment:
+/// a drop waits out the full (doubling) RTO before the timer fires;
+/// corruption is detected by the client's checksum and recovered within
+/// one RTT. Each recovery charges guest work as a
+/// [`TransitionId::TcpRetransmit`] span and re-sends through the
+/// hypervisor's real transmit path, so retry traffic pays the same
+/// virtualization costs as first-try traffic; `stats` counts it.
 ///
 /// Returns the cycle at which a response last left the server. With no
-/// fault plan installed this returns `t_send` untouched and charges
-/// nothing, keeping fault-free runs byte-identical.
-pub fn tcp_reply_with_retransmits(
+/// fault plan installed there are no retransmits and `stats` is left
+/// untouched, keeping fault-free runs byte-identical.
+pub fn transaction(
     hv: &mut dyn Hypervisor,
-    vcpu: usize,
-    mut t_send: Cycles,
+    nic_arrival: Cycles,
     freq: Frequency,
     mut stats: Option<&mut RrFaultStats>,
 ) -> Cycles {
+    let (_, vcpu) = hv.receive(1, nic_arrival);
+    hv.guest_compute(vcpu, APP_WORK);
+    let mut t_send = hv.transmit(vcpu, 1);
     if !hv.machine().faults_enabled() {
         return t_send;
     }
@@ -180,10 +186,7 @@ pub fn run_rr_lossy(
             hv.machine_mut().trace_mut().clear();
         }
         let nic_arrival = t_send + client_rtt;
-        let (_vm_done, vcpu) = hv.receive(1, nic_arrival);
-        hv.guest_compute(vcpu, APP_WORK);
-        let sent = hv.transmit(vcpu, 1);
-        let send_done = tcp_reply_with_retransmits(hv, vcpu, sent, freq, Some(&mut stats));
+        let send_done = transaction(hv, nic_arrival, freq, Some(&mut stats));
         if trace_this {
             last = TransactionInstants::extract(hv, nic_arrival, send_done);
         }

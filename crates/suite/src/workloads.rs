@@ -7,14 +7,27 @@
 //! interrupt concentration, and backend saturation all emerging from the
 //! per-core clocks.
 //!
+//! The drivers here say what runs — how many operations, on which VCPU,
+//! arriving when — and the models say what each operation costs: every
+//! host, back-end and device charge, down to a served request's and a
+//! block request's ([`Hypervisor::serve_request`],
+//! [`Hypervisor::block_request`]), is the model's. The drivers charge
+//! only guest work of the workload's own, through
+//! [`Hypervisor::guest_compute`].
+//!
 //! Mix parameters are calibrated from the paper where it quantifies them
 //! (Table V's decomposition for netperf; §V prose for the interrupt
 //! analysis) and otherwise chosen to represent the benchmark's
 //! documented character (Table IV).
 
+use crate::netperf;
 use hvx_core::{Error, HvType, Hypervisor, VirqPolicy};
-use hvx_engine::{Cycles, TraceMode, TransitionId};
+use hvx_engine::{Cycles, Frequency, TraceMode};
 use serde::{Deserialize, Serialize};
+
+/// Guest block-layer work per block request (the driver's share comes
+/// on top, from the model).
+const BLOCK_WORK: Cycles = Cycles::new(2_500);
 
 /// Storage device class of the paper's testbeds (§III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,80 +153,20 @@ impl Mix {
     /// per-scenario setup stops dominating and parallel workers have
     /// something to chew on.
     #[must_use]
-    pub fn scaled(self, factor: u32) -> Mix {
-        let mul = |n: u32| n.saturating_mul(factor);
+    pub fn scaled(mut self, factor: u32) -> Mix {
+        let count = self.count_mut();
+        *count = count.saturating_mul(factor);
+        self
+    }
+
+    /// The iteration count: the field the mix's steady-state loop runs
+    /// over.
+    fn count_mut(&mut self) -> &mut u32 {
         match self {
-            Mix::CpuBound {
-                unit_work,
-                ticks_per_unit,
-                units,
-            } => Mix::CpuBound {
-                unit_work,
-                ticks_per_unit,
-                units: mul(units),
-            },
-            Mix::IpiBound {
-                unit_work,
-                ipis_per_unit,
-                units,
-            } => Mix::IpiBound {
-                unit_work,
-                ipis_per_unit,
-                units: mul(units),
-            },
-            Mix::NetRr { transactions } => Mix::NetRr {
-                transactions: mul(transactions),
-            },
-            Mix::StreamRx {
-                chunks,
-                chunk_len,
-                bursts,
-                link_mbit,
-            } => Mix::StreamRx {
-                chunks,
-                chunk_len,
-                bursts: mul(bursts),
-                link_mbit,
-            },
-            Mix::StreamTx {
-                chunks,
-                chunk_len,
-                bursts,
-                tso_capped_chunks,
-                link_mbit,
-            } => Mix::StreamTx {
-                chunks,
-                chunk_len,
-                bursts: mul(bursts),
-                tso_capped_chunks,
-                link_mbit,
-            },
-            Mix::DiskIo {
-                requests,
-                sectors,
-                device,
-            } => Mix::DiskIo {
-                requests: mul(requests),
-                sectors,
-                device,
-            },
-            Mix::RequestServer {
-                app_work,
-                request_bytes,
-                response_chunks,
-                events_x2,
-                stack_scale_pct,
-                type1_extra_events_x2,
-                requests,
-            } => Mix::RequestServer {
-                app_work,
-                request_bytes,
-                response_chunks,
-                events_x2,
-                stack_scale_pct,
-                type1_extra_events_x2,
-                requests: mul(requests),
-            },
+            Mix::CpuBound { units, .. } | Mix::IpiBound { units, .. } => units,
+            Mix::NetRr { transactions } => transactions,
+            Mix::StreamRx { bursts, .. } | Mix::StreamTx { bursts, .. } => bursts,
+            Mix::DiskIo { requests, .. } | Mix::RequestServer { requests, .. } => requests,
         }
     }
 }
@@ -488,10 +441,8 @@ pub fn run_with(
             })?;
         }
         Mix::NetRr { transactions } => {
-            let client_rtt = Cycles::from_micros(
-                crate::netperf::CLIENT_RTT_US,
-                hvx_engine::Frequency::ARM_M400,
-            );
+            let freq = Frequency::ARM_M400;
+            let client_rtt = Cycles::from_micros(netperf::CLIENT_RTT_US, freq);
             // The next send instant is loop-carried (register 0), so
             // compiled replay reconstructs it across skipped transactions.
             steady_loop(
@@ -499,17 +450,7 @@ pub fn run_with(
                 u64::from(transactions),
                 &mut [start],
                 |hv, _, t_send| {
-                    let arrival = t_send[0] + client_rtt;
-                    let (_, vcpu) = hv.receive(1, arrival);
-                    hv.guest_compute(vcpu, crate::netperf::APP_WORK);
-                    let sent = hv.transmit(vcpu, 1);
-                    t_send[0] = crate::netperf::tcp_reply_with_retransmits(
-                        hv,
-                        vcpu,
-                        sent,
-                        hvx_engine::Frequency::ARM_M400,
-                        None,
-                    );
+                    t_send[0] = netperf::transaction(hv, t_send[0] + client_rtt, freq, None);
                     Ok(())
                 },
             )?;
@@ -523,7 +464,7 @@ pub fn run_with(
             // The wire delivers bursts at line rate; a server that can't
             // drain them falls behind and its makespan grows.
             let burst_bytes = chunks as u64 * chunk_len as u64;
-            let wire = hvx_vio::Wire::from_link(link_mbit, 10.0, hvx_engine::Frequency::ARM_M400);
+            let wire = hvx_vio::Wire::from_link(link_mbit, 10.0, Frequency::ARM_M400);
             let spacing = Cycles::new((burst_bytes as f64 * wire.cycles_per_byte).round() as u64);
             steady_loop(hv, u64::from(bursts), &mut [], |hv, b, _| {
                 let arrival = start + spacing * b;
@@ -552,7 +493,7 @@ pub fn run_with(
             // The 10 GbE wire drains at line rate; a sender faster than
             // the wire is wire-bound (the paper's native/KVM case), a
             // slower one is CPU-bound (Xen).
-            let wire = hvx_vio::Wire::from_link(link_mbit, 10.0, hvx_engine::Frequency::ARM_M400);
+            let wire = hvx_vio::Wire::from_link(link_mbit, 10.0, Frequency::ARM_M400);
             let burst_wire = Cycles::new(
                 (per_burst as f64 * chunk_len as f64 * wire.cycles_per_byte).round() as u64,
             );
@@ -591,17 +532,55 @@ pub fn run_with(
             type1_extra_events_x2,
             requests,
         } => {
-            run_request_server(
-                hv,
-                policy,
-                app_work,
-                request_bytes,
-                response_chunks,
-                events_x2,
-                stack_scale_pct,
-                type1_extra_events_x2,
-                requests,
-            )?;
+            let design = hv.kind().hv_type();
+            let type1 = design == Some(HvType::Type1);
+            // Hardware RSS spreads native flows regardless of the
+            // requested virtual-interrupt policy (§V: native performance
+            // was insensitive to interrupt placement).
+            if design.is_none() {
+                hv.set_virq_policy(VirqPolicy::RoundRobin);
+            }
+            let blocked_delivery = policy == VirqPolicy::Vcpu0 && type1;
+            let events = events_x2 + if type1 { type1_extra_events_x2 } else { 0 };
+            let c = *hv.cost();
+            let rx_stack =
+                Cycles::new(c.stack_rx_per_packet.as_u64() * u64::from(stack_scale_pct) / 100);
+            let request_stack = rx_stack + c.stack_bytes(request_bytes as usize);
+            // `event_acc` is always 0 or 1 after the `%= 2` below, and
+            // over one congruent block its net change is zero (a
+            // drifting parity would alter the charge stream and break
+            // congruence), so the accumulator stays correct across
+            // compiled skips without a loop register.
+            let mut event_acc = 0u32;
+            steady_loop(hv, u64::from(requests), &mut [], |hv, r, _| {
+                // Device events, the virtualization-sensitive part:
+                // softirq-side packet processing runs on the interrupt
+                // CPU, the request packet on the first event and light
+                // ACK/completion processing on the rest.
+                event_acc += events;
+                let n_events = event_acc / 2;
+                event_acc %= 2;
+                for e in 0..n_events {
+                    let target = hv.next_irq_vcpu();
+                    if blocked_delivery {
+                        hv.deliver_virq_blocked(target);
+                    } else {
+                        hv.deliver_virq(target);
+                    }
+                    let stack = if e == 0 { request_stack } else { rx_stack / 4 };
+                    hv.guest_compute(target, stack);
+                }
+                // The host side and the application's reply (syscall
+                // side), spread over the VCPUs.
+                let app_vcpu = r as usize % vcpus;
+                hv.serve_request(
+                    app_vcpu,
+                    Cycles::new(app_work),
+                    stack_scale_pct,
+                    response_chunks,
+                );
+                Ok(())
+            })?;
         }
     }
     hv.machine_mut().loop_end();
@@ -625,23 +604,17 @@ pub fn overhead(
     Ok(virt.as_f64() / base.as_f64())
 }
 
-/// The DiskIo engine: a closed-loop random-read benchmark through the
-/// block stack. Per request: guest block-layer work, a kick (one
-/// VM-to-hypervisor transition), backend + device service on the I/O
-/// core, and a completion interrupt back to the issuing VCPU. Natively
-/// the device interrupts the issuing core directly.
+/// The DiskIo engine: a closed-loop random-read benchmark (fio
+/// `numjobs=1`, `iodepth=1`) through the block stack. The issuing
+/// thread blocks on every request, so device service serializes with
+/// submission in every configuration; the model charges each request
+/// ([`Hypervisor::block_request`]) at the device's service time.
 fn run_disk_io(
     hv: &mut dyn Hypervisor,
     requests: u32,
     sectors: u32,
     device: DiskDevice,
 ) -> Result<(), Error> {
-    use hvx_core::{HvKind, HvType};
-    use hvx_engine::TraceKind;
-    let c = *hv.cost();
-    let kind = hv.kind();
-    let is_native = kind == HvKind::Native;
-    let type1 = kind.hv_type() == Some(HvType::Type1);
     let mut disk = match device {
         DiskDevice::Ssd => hvx_vio::Disk::ssd_m400(1 << 30),
         DiskDevice::Raid5 => hvx_vio::Disk::raid5_r320(1 << 30),
@@ -661,241 +634,11 @@ fn run_disk_io(
     // `[0, capacity - span]` keeps the whole request in range, however
     // many requests the mix issues.
     let wrap = capacity - span + 1;
-    let io_core = hv.machine().topology().io_core();
+    let service = disk.service_time(sectors);
     steady_loop(hv, u64::from(requests), &mut [], |hv, r, _| {
-        let vcpu = 0;
-        // Guest block layer + driver. Single-threaded closed loop (fio
-        // numjobs=1, iodepth=1): the issuing thread blocks on every
-        // request, so device service serializes with submission in
-        // every configuration.
-        let driver_extra = match kind {
-            HvKind::KvmArm | HvKind::KvmArmVhe | HvKind::KvmX86 => c.kvm_guest_virtio / 4,
-            HvKind::XenArm | HvKind::XenX86 => c.xen_guest_pv / 4,
-            HvKind::Native => Cycles::ZERO,
-        };
-        hv.guest_compute(vcpu, Cycles::new(2_500) + driver_extra);
-        let service = disk.service_time(sectors);
         let data = disk.read_sectors(r * span % wrap, sectors as usize * hvx_vio::SECTOR_SIZE)?;
         debug_assert_eq!(data.len(), sectors as usize * hvx_vio::SECTOR_SIZE);
-        if is_native {
-            let m = hv.machine_mut();
-            let core = m.topology().guest_core(vcpu);
-            m.charge_as(
-                core,
-                "disk:service",
-                TraceKind::Io,
-                service,
-                TransitionId::DeviceService,
-            );
-            hv.deliver_virq(vcpu); // completion IRQ
-        } else {
-            // Kick: one VM-to-hypervisor transition round trip.
-            hv.hypercall(vcpu);
-            let m = hv.machine_mut();
-            // The backend cannot start before the submission reaches it.
-            let submitted = m.now(m.topology().guest_core(vcpu));
-            m.wait_until(io_core, submitted);
-            if type1 {
-                m.charge_as(
-                    io_core,
-                    "xen:blkback",
-                    TraceKind::Io,
-                    c.xen_net_per_packet / 2,
-                    TransitionId::Netback,
-                );
-                m.charge_as(
-                    io_core,
-                    "xen:grant-copy",
-                    TraceKind::Copy,
-                    c.xen_grant_copy,
-                    TransitionId::GrantCopy,
-                );
-            } else {
-                m.charge_as(
-                    io_core,
-                    "kvm:vhost-blk",
-                    TraceKind::Io,
-                    c.kvm_vhost_per_packet / 2,
-                    TransitionId::VhostBackend,
-                );
-            }
-            m.charge_as(
-                io_core,
-                "disk:service",
-                TraceKind::Io,
-                service,
-                TransitionId::DeviceService,
-            );
-            // The completion interrupt reaches the issuing VCPU, which
-            // blocked on the request.
-            let done = m.now(io_core);
-            let core = m.topology().guest_core(vcpu);
-            m.wait_until(core, done);
-            hv.deliver_virq_blocked(vcpu);
-        }
-        Ok(())
-    })
-}
-
-/// The RequestServer engine — see [`Mix::RequestServer`] for the model.
-#[allow(clippy::too_many_arguments)]
-fn run_request_server(
-    hv: &mut dyn Hypervisor,
-    policy: VirqPolicy,
-    app_work: u64,
-    request_bytes: u32,
-    response_chunks: u32,
-    events_x2: u32,
-    stack_scale_pct: u32,
-    type1_extra_events_x2: u32,
-    requests: u32,
-) -> Result<(), Error> {
-    use hvx_core::HvKind;
-    use hvx_engine::TraceKind;
-    let c = *hv.cost();
-    let kind = hv.kind();
-    let vcpus = hv.num_vcpus();
-    let is_native = kind == HvKind::Native;
-    let type1 = kind.hv_type() == Some(HvType::Type1);
-    // Hardware RSS spreads native flows regardless of the requested
-    // virtual-interrupt policy (§V: native performance was insensitive
-    // to interrupt placement).
-    if is_native {
-        hv.set_virq_policy(VirqPolicy::RoundRobin);
-    }
-    let blocked_delivery = policy == VirqPolicy::Vcpu0 && type1;
-    let driver_extra = match kind {
-        HvKind::KvmArm | HvKind::KvmArmVhe | HvKind::KvmX86 => c.kvm_guest_virtio,
-        HvKind::XenArm | HvKind::XenX86 => c.xen_guest_pv,
-        HvKind::Native => Cycles::ZERO,
-    };
-    let scale = |x: Cycles| Cycles::new(x.as_u64() * stack_scale_pct as u64 / 100);
-    let response_bytes = response_chunks as usize * 4_096;
-    let io_core = hv.machine().topology().io_core();
-    let backend_core = hv.machine().topology().backend_core();
-    // `event_acc` is always 0 or 1 after the `%= 2` below, and over
-    // one congruent block its net change is zero (a drifting parity
-    // would alter the charge stream and break congruence), so the
-    // accumulator stays correct across compiled skips without a loop
-    // register.
-    let mut event_acc = 0u32;
-    steady_loop(hv, u64::from(requests), &mut [], |hv, r, _| {
-        // --- device events (the virtualization-sensitive part) ---
-        event_acc += events_x2;
-        if type1 {
-            event_acc += type1_extra_events_x2;
-        }
-        let n_events = event_acc / 2;
-        event_acc %= 2;
-        for e in 0..n_events {
-            let target = hv.next_irq_vcpu();
-            if blocked_delivery {
-                hv.deliver_virq_blocked(target);
-            } else {
-                hv.deliver_virq(target);
-            }
-            // Softirq-side packet processing runs on the interrupt CPU:
-            // the request packet on the first event, light ACK/completion
-            // processing on the rest.
-            let stack = if e == 0 {
-                scale(c.stack_rx_per_packet) + c.stack_bytes(request_bytes as usize)
-            } else {
-                scale(c.stack_rx_per_packet) / 4
-            };
-            hv.guest_compute(target, stack);
-        }
-        // --- host/Dom0 per-request work (virtualized only) ---
-        if !is_native {
-            let m = hv.machine_mut();
-            m.charge_as(
-                io_core,
-                "host:request-rx",
-                TraceKind::Host,
-                scale(c.host_net_rx),
-                TransitionId::HostStack,
-            );
-            if type1 {
-                m.charge_as(
-                    io_core,
-                    "xen:netback-rx",
-                    TraceKind::Io,
-                    c.xen_net_per_packet,
-                    TransitionId::Netback,
-                );
-                m.charge_as(
-                    io_core,
-                    "xen:grant-copy",
-                    TraceKind::Copy,
-                    c.xen_grant_copy,
-                    TransitionId::GrantCopy,
-                );
-                for _ in 0..response_chunks {
-                    m.charge_as(
-                        backend_core,
-                        "xen:grant-copy",
-                        TraceKind::Copy,
-                        c.xen_grant_copy,
-                        TransitionId::GrantCopy,
-                    );
-                }
-                m.charge_as(
-                    backend_core,
-                    "xen:netback-tx",
-                    TraceKind::Io,
-                    c.xen_net_per_packet,
-                    TransitionId::Netback,
-                );
-            } else {
-                m.charge_as(
-                    io_core,
-                    "kvm:vhost-rx",
-                    TraceKind::Io,
-                    c.kvm_vhost_per_packet,
-                    TransitionId::VhostBackend,
-                );
-                m.charge_as(
-                    backend_core,
-                    "kvm:vhost-tx",
-                    TraceKind::Io,
-                    c.kvm_vhost_per_packet,
-                    TransitionId::VhostBackend,
-                );
-            }
-            m.charge_as(
-                backend_core,
-                "host:request-tx",
-                TraceKind::Host,
-                scale(c.host_net_tx),
-                TransitionId::HostStack,
-            );
-            m.charge_as(
-                backend_core,
-                "nic:dma",
-                TraceKind::Io,
-                c.nic_dma,
-                TransitionId::NicDma,
-            );
-        }
-        // --- application + response build (syscall side) ---
-        let app_vcpu = r as usize % vcpus;
-        hv.guest_compute(
-            app_vcpu,
-            Cycles::new(app_work)
-                + scale(c.stack_tx_per_packet)
-                + c.stack_bytes(response_bytes)
-                + driver_extra / 2,
-        );
-        if is_native {
-            let m = hv.machine_mut();
-            let core = m.topology().guest_core(app_vcpu);
-            m.charge_as(
-                core,
-                "nic:dma",
-                TraceKind::Io,
-                c.nic_dma,
-                TransitionId::NicDma,
-            );
-        }
+        hv.block_request(0, BLOCK_WORK, service);
         Ok(())
     })
 }

@@ -6,7 +6,8 @@
 # drill proving one cost field moves Table II and Figure 4 together, and
 # a 2x2 drill proving a hardware cost field moves exactly its
 # architecture's Figure 4 columns and a back-end field exactly its
-# design's. Run from the repository root.
+# design's, and a storage drill proving the block back ends read each
+# design's back-end cost. Run from the repository root.
 set -eu
 
 cargo build -q --release -p hvx-suite
@@ -107,8 +108,25 @@ for drill in "hw_eret:KVM ARM,Xen ARM" "vmentry:KVM x86,Xen x86" \
     echo "$field=+97 drifted exactly the $want columns (exit 4)"
 done
 
+echo "== storage drill: the block back ends read each design's back-end cost =="
+# vhost-blk charges half of vhost's per-packet cost and blkback half of
+# netback's, so perturbing either field must drift the storage ablation.
+for field in kvm_vhost_per_packet xen_net_per_packet; do
+    status=0
+    out=$(HVX_COST_PERTURB="$field=+97" "$repro" check storage 2>&1) || status=$?
+    if [ "$status" -ne 4 ]; then
+        echo "baseline_check: expected exit 4 under $field=+97 check storage, got $status" >&2
+        exit 1
+    fi
+    if ! echo "$out" | grep -q '^storage  *DRIFT'; then
+        echo "baseline_check: $field=+97 did not drift storage" >&2
+        exit 1
+    fi
+    echo "$field=+97 drifted storage (exit 4)"
+done
+
 echo "== the drill must not have poisoned the cache =="
 "$repro" check --cache "$cache_dir" >/dev/null
 
 rm -rf "$cache_dir"
-echo "baseline_check: gate, cache, drift, doorbell and 2x2 drills all pass"
+echo "baseline_check: gate, cache, drift, doorbell, 2x2 and storage drills all pass"

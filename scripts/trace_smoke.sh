@@ -1,9 +1,10 @@
 #!/bin/sh
-# Event-tracing smoke test: a traced TCP_RR cell on both ARM
+# Event-tracing smoke test: a traced TCP_RR cell on all four measured
 # hypervisors, structural validation of the exported Chrome trace
 # (well-formed events, a complete kick->delivery flow chain, monotone
-# per-track timestamps), ring-buffer drops, and off-mode byte-identity
-# against the committed baselines. Run from the repository root.
+# per-track timestamps), the Fig. 4 delivery direction on ARM,
+# ring-buffer drops, and off-mode byte-identity against the committed
+# baselines. Run from the repository root.
 set -eu
 
 cargo build -q --release -p hvx-suite
@@ -12,8 +13,8 @@ tmp="${TMPDIR:-/tmp}/hvx-trace-smoke-$$"
 mkdir -p "$tmp"
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== traced TCP_RR exports a valid Chrome trace on both ARM hypervisors =="
-for hv in kvm-arm xen-arm; do
+echo "== traced TCP_RR exports a valid Chrome trace on all four measured hypervisors =="
+for hv in kvm-arm xen-arm kvm-x86 xen-x86; do
     "$repro" trace tcp_rr --hypervisor "$hv" --out "$tmp/$hv.json" >"$tmp/$hv.txt"
     out=$("$repro" trace query "$tmp/$hv.json" --validate)
     echo "$hv: $out"

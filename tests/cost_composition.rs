@@ -3,8 +3,10 @@
 //! cost model against silent drift — if a constant or a path changes,
 //! the identity that justified it fails by name.
 
-use hvx::core::{CostModel, HvKind, Hypervisor, KvmArm, KvmX86, SimBuilder, XenArm, XenX86};
-use hvx::engine::{CoreId, Cycles, TraceMode};
+use hvx::core::{
+    CostModel, HvKind, HvType, Hypervisor, KvmArm, KvmX86, SimBuilder, XenArm, XenX86,
+};
+use hvx::engine::{CoreId, Cycles, TraceKind, TraceMode};
 
 fn c() -> CostModel {
     CostModel::arm()
@@ -175,10 +177,10 @@ fn uncalibrated_model_still_drives_every_path() {
 }
 
 /// One trace record as the shared-sequence tests compare it.
-type Record = (&'static str, CoreId, Cycles);
+type Record = (&'static str, CoreId, Cycles, TraceKind);
 
 /// Runs `op` on a fresh `kind` machine with the log in full mode and
-/// returns the (label, core, cost) records it left, in order.
+/// returns the (label, core, cost, kind) records it left, in order.
 fn records(kind: HvKind, op: impl FnOnce(&mut dyn Hypervisor)) -> Vec<Record> {
     let mut sim = SimBuilder::new(kind)
         .tracing(TraceMode::Full)
@@ -189,8 +191,116 @@ fn records(kind: HvKind, op: impl FnOnce(&mut dyn Hypervisor)) -> Vec<Record> {
         .trace()
         .events()
         .iter()
-        .map(|e| (e.label, e.core, e.duration))
+        .map(|e| (e.label, e.core, e.duration, e.kind))
         .collect()
+}
+
+/// The resolved cost model and the (I/O, backend, VCPU `vcpu`) cores
+/// of a fresh `kind` machine.
+fn cost_and_cores(kind: HvKind, vcpu: usize) -> (CostModel, CoreId, CoreId, CoreId) {
+    let sim = SimBuilder::new(kind)
+        .build()
+        .expect("the paper configuration builds");
+    let topo = sim.machine().topology();
+    let cores = (topo.io_core(), topo.backend_core(), topo.guest_core(vcpu));
+    (*sim.cost(), cores.0, cores.1, cores.2)
+}
+
+/// The paravirtual driver cost of `kind`'s design.
+fn driver(kind: HvKind, m: &CostModel) -> Cycles {
+    match kind.hv_type() {
+        Some(HvType::Type2) => m.kvm_guest_virtio,
+        Some(HvType::Type1) => m.xen_guest_pv,
+        None => Cycles::ZERO,
+    }
+}
+
+#[test]
+fn a_served_request_charges_its_back_end_steps_in_order() {
+    // Apache/Memcached/MySQL's host side: the host stack's share of
+    // the request, the back end's packet each way (Xen: a grant copy
+    // for the request and one per response page), the host stack's
+    // share of the response and the NIC's DMA; then the application
+    // with the response stack and half the driver.
+    let (work, pct, pages) = (Cycles::new(10_000), 50, 3);
+    let share = |x: Cycles| Cycles::new(x.as_u64() * u64::from(pct) / 100);
+    for kind in HvKind::ALL {
+        let (m, io, backend, guest) = cost_and_cores(kind, 1);
+        let app = work + share(m.stack_tx_per_packet) + m.stack_bytes(pages as usize * 4_096);
+        let mut want = Vec::new();
+        match kind.hv_type() {
+            None => {
+                want.push(("native:compute", guest, app, TraceKind::Guest));
+                want.push(("nic:dma", guest, m.nic_dma, TraceKind::Io));
+            }
+            Some(design) => {
+                want.push(("host:request-rx", io, share(m.host_net_rx), TraceKind::Host));
+                if design == HvType::Type1 {
+                    let (net, copy) = (m.xen_net_per_packet, m.xen_grant_copy);
+                    want.push(("xen:netback-rx", io, net, TraceKind::Io));
+                    want.push(("xen:grant-copy", io, copy, TraceKind::Copy));
+                    for _ in 0..pages {
+                        want.push(("xen:grant-copy", backend, copy, TraceKind::Copy));
+                    }
+                    want.push(("xen:netback-tx", backend, net, TraceKind::Io));
+                } else {
+                    let vhost = m.kvm_vhost_per_packet;
+                    want.push(("kvm:vhost-rx", io, vhost, TraceKind::Io));
+                    want.push(("kvm:vhost-tx", backend, vhost, TraceKind::Io));
+                }
+                let tx = share(m.host_net_tx);
+                want.push(("host:request-tx", backend, tx, TraceKind::Host));
+                want.push(("nic:dma", backend, m.nic_dma, TraceKind::Io));
+                let app = app + driver(kind, &m) / 2;
+                want.push(("guest:compute", guest, app, TraceKind::Guest));
+            }
+        }
+        let got = records(kind, |hv| hv.serve_request(1, work, pct, pages));
+        assert_eq!(got, want, "{kind}");
+    }
+}
+
+#[test]
+fn a_block_request_is_the_kick_the_back_end_and_the_blocked_wake() {
+    // The storage ablation's request: the guest block layer plus a
+    // quarter of the driver; virtualized, a hypercall's round trip, the
+    // back end on the I/O core (vhost-blk, or blkback and a grant copy),
+    // the disk, and the wake every blocked VCPU takes; natively the
+    // disk serves the issuing core and a plain interrupt completes it.
+    let (work, service) = (Cycles::new(2_500), Cycles::new(40_000));
+    for kind in HvKind::ALL {
+        let (m, io, _, guest) = cost_and_cores(kind, 0);
+        let mut want = Vec::new();
+        match kind.hv_type() {
+            None => {
+                want.push(("native:compute", guest, work, TraceKind::Guest));
+                want.push(("disk:service", guest, service, TraceKind::Io));
+                want.extend(records(kind, |hv| {
+                    hv.deliver_virq(0);
+                }));
+            }
+            Some(design) => {
+                let work = work + driver(kind, &m) / 4;
+                want.push(("guest:compute", guest, work, TraceKind::Guest));
+                want.extend(records(kind, |hv| {
+                    hv.hypercall(0);
+                }));
+                if design == HvType::Type1 {
+                    want.push(("xen:blkback", io, m.xen_net_per_packet / 2, TraceKind::Io));
+                    want.push(("xen:grant-copy", io, m.xen_grant_copy, TraceKind::Copy));
+                } else {
+                    let blk = m.kvm_vhost_per_packet / 2;
+                    want.push(("kvm:vhost-blk", io, blk, TraceKind::Io));
+                }
+                want.push(("disk:service", io, service, TraceKind::Io));
+                want.extend(records(kind, |hv| {
+                    hv.deliver_virq_blocked(0);
+                }));
+            }
+        }
+        let got = records(kind, |hv| hv.block_request(0, work, service));
+        assert_eq!(got, want, "{kind}");
+    }
 }
 
 #[test]

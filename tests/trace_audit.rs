@@ -2,7 +2,7 @@
 //! for by trace events, and every label must come from the documented
 //! vocabulary (catching typo'd or undocumented charge sites).
 
-use hvx::core::{Hypervisor, KvmArm, KvmX86, XenArm, XenX86};
+use hvx::core::{Hypervisor, KvmArm, KvmX86, Native, XenArm, XenX86};
 use hvx::engine::Cycles;
 use std::collections::BTreeSet;
 
@@ -116,6 +116,8 @@ fn drive_everything(hv: &mut dyn Hypervisor) {
     hv.deliver_virq_blocked(3);
     hv.receive_burst(4, 1024, Cycles::ZERO);
     hv.transmit_burst(0, 4, 1024);
+    hv.serve_request(1, Cycles::new(10_000), 50, 2);
+    hv.block_request(0, Cycles::new(2_500), Cycles::new(40_000));
 }
 
 #[test]
@@ -214,5 +216,44 @@ fn vocabulary_has_no_unused_entries_for_arm_paths() {
         "signal:in-flight",
     ] {
         assert!(seen.contains(must_see), "never charged: {must_see}");
+    }
+}
+
+#[test]
+fn application_back_ends_charge_documented_labels_on_every_kind() {
+    // The request-server and block back ends charge labels no other
+    // operation does; each design must reach its own, and native's
+    // back ends too must stay inside the vocabulary.
+    let vocab: BTreeSet<&str> = VOCABULARY.iter().copied().collect();
+    let kvm: &[&str] = &[
+        "host:request-rx",
+        "host:request-tx",
+        "kvm:vhost-blk",
+        "disk:service",
+    ];
+    let xen: &[&str] = &[
+        "host:request-rx",
+        "host:request-tx",
+        "xen:blkback",
+        "disk:service",
+    ];
+    let cases: Vec<(Box<dyn Hypervisor>, &[&str])> = vec![
+        (Box::new(KvmArm::new()), kvm),
+        (Box::new(KvmArm::new_vhe()), kvm),
+        (Box::new(XenArm::new()), xen),
+        (Box::new(KvmX86::new()), kvm),
+        (Box::new(XenX86::new()), xen),
+        (Box::new(Native::new()), &["disk:service"]),
+    ];
+    for (mut hv, own) in cases {
+        let kind = hv.kind();
+        drive_everything(hv.as_mut());
+        let labels = hv.machine().trace().labels();
+        for label in &labels {
+            assert!(vocab.contains(label), "{kind}: undocumented label {label}");
+        }
+        for label in own {
+            assert!(labels.contains(label), "{kind}: never charged {label}");
+        }
     }
 }
