@@ -747,19 +747,16 @@ impl Hypervisor for KvmArm {
                 device_writes: true,
             }]);
         }
-        if self.hw.machine.fault(FaultPoint::VirqDrop) {
+        let m = &mut self.hw.machine;
+        if m.fault(FaultPoint::VirqDrop) {
             // Fault: the virtio interrupt is lost before the guest sees
             // it. vhost's resample path notices the unhandled ring and
             // re-signals the irqfd — recovery charged before the real
-            // injection below.
+            // injection below, ending the chain the lost interrupt
+            // opened.
+            let rec = m.flow_begin(FlowKind::FaultRecovery, io, "fault:irq-lost");
             let resignal = c.kvm_ioeventfd + c.kvm_vgic_inject;
-            recover(
-                &mut self.hw.machine,
-                io,
-                Recovery::IrqfdResignal,
-                resignal,
-                None,
-            );
+            recover(m, io, Recovery::IrqfdResignal, resignal, rec);
         }
         // Inject the virtio interrupt into the running VCPU.
         self.inject_virq_running(io, vcpu, VIRTIO_NET_VIRQ, flow);

@@ -85,7 +85,7 @@ impl Workload {
     }
 
     /// The workload's name in the Figure 4 catalog.
-    pub fn catalog_name(self) -> &'static str {
+    pub const fn catalog_name(self) -> &'static str {
         match self {
             Workload::Kernbench => "Kernbench",
             Workload::Hackbench => "Hackbench",

@@ -604,18 +604,17 @@ impl Hypervisor for X86Hv {
         if m.fault(FaultPoint::VirqDrop) {
             // Fault: the interrupt is lost before the guest observes
             // it; the backend notices the unhandled ring and re-raises
-            // the notification. KVM re-signals the irqfd (opening no
-            // chain, as on ARM), Xen re-sends the event channel,
-            // ending the chain the lost upcall opened — each charged
-            // as its own recovery.
-            let (recovery, cost, rec) = if kvm {
+            // the notification. KVM re-signals the irqfd, Xen re-sends
+            // the event channel, as on ARM — each charged as its own
+            // recovery, ending the chain the lost interrupt opened.
+            let (lost, recovery, cost) = if kvm {
                 let cost = c.kvm_x86_ioeventfd + c.x86_inject;
-                (Recovery::IrqfdResignal, cost, None)
+                ("fault:irq-lost", Recovery::IrqfdResignal, cost)
             } else {
-                let rec = m.flow_begin(FlowKind::FaultRecovery, io, "fault:upcall-lost");
                 let cost = c.xen_evtchn_send + c.xen_x86_inject;
-                (Recovery::EvtchnRedeliver, cost, rec)
+                ("fault:upcall-lost", Recovery::EvtchnRedeliver, cost)
             };
+            let rec = m.flow_begin(FlowKind::FaultRecovery, io, lost);
             recover(m, io, recovery, cost, rec);
         }
         self.inject_running(io, vcpu, VIRTIO_VECTOR, c.x86_doorbell_wire, flow);

@@ -205,21 +205,23 @@ fn xen_x86_interrupt_delivery_is_slower_than_kvm_x86_end_to_end() {
 }
 
 #[test]
-fn x86_fault_recoveries_end_the_chains_their_faults_open() {
-    // As on ARM: a delayed vhost worker opens a recovery chain that the
-    // driver's re-kick ends, and a lost Xen upcall one that the
-    // event-channel redelivery ends.
+fn fault_recoveries_end_the_chains_their_faults_open() {
+    // On both architectures: a delayed vhost worker opens a recovery
+    // chain that the driver's re-kick ends, a lost KVM interrupt one
+    // that vhost's irqfd re-signal ends, and a lost Xen upcall one that
+    // the event-channel redelivery ends.
+    let kvm_lost = ["fault:irq-lost", "kvm:irqfd-resignal"];
+    let xen_lost = ["fault:upcall-lost", "xen:evtchn-redeliver"];
     for (kind, point, want) in [
         (
             HvKind::KvmX86,
             FaultPoint::VhostDelay,
             ["fault:vhost-delay", "virtio:tx-rekick"],
         ),
-        (
-            HvKind::XenX86,
-            FaultPoint::VirqDrop,
-            ["fault:upcall-lost", "xen:evtchn-redeliver"],
-        ),
+        (HvKind::KvmArm, FaultPoint::VirqDrop, kvm_lost),
+        (HvKind::KvmX86, FaultPoint::VirqDrop, kvm_lost),
+        (HvKind::XenArm, FaultPoint::VirqDrop, xen_lost),
+        (HvKind::XenX86, FaultPoint::VirqDrop, xen_lost),
     ] {
         let mut sim = SimBuilder::new(kind)
             .event_tracing(true)
@@ -234,8 +236,8 @@ fn x86_fault_recoveries_end_the_chains_their_faults_open() {
         let recovery = chains
             .iter()
             .find(|c| c.kind == FlowKind::FaultRecovery && c.complete)
-            .unwrap_or_else(|| panic!("{kind}: no complete recovery chain"));
-        assert_eq!(hops(recovery), want, "{kind}");
+            .unwrap_or_else(|| panic!("{kind} {point:?}: no complete recovery chain"));
+        assert_eq!(hops(recovery), want, "{kind} {point:?}");
     }
 }
 

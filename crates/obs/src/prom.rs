@@ -8,9 +8,9 @@
 //! followed by `_p50` / `_p95` / `_p99` gauges so dashboards get
 //! quantiles without running histogram_quantile.
 //!
-//! Metric names are sanitized to `[a-zA-Z0-9_:]` (dots in registry
-//! names become underscores), so [`MetricsRegistry`] contents can be
-//! exported directly.
+//! Metric names are sanitized to `[a-zA-Z0-9_:]` (dots in
+//! [`MetricsRegistry`](crate::MetricsRegistry) names become
+//! underscores).
 //!
 //! ```
 //! use hvx_obs::PromText;
@@ -22,7 +22,7 @@
 //! assert!(text.contains("# TYPE hvx_serve_accepted_total counter"));
 //! ```
 
-use crate::metrics::{HistogramSketch, MetricsRegistry};
+use crate::metrics::HistogramSketch;
 use std::fmt::Write as _;
 
 /// Incremental Prometheus text-exposition builder.
@@ -121,25 +121,6 @@ impl PromText {
         }
     }
 
-    /// Appends every counter and histogram in a registry, name-sorted,
-    /// each prefixed with `prefix` (registry dots become underscores).
-    pub fn registry(&mut self, prefix: &str, m: &MetricsRegistry) {
-        for (name, v) in m.counters_sorted() {
-            self.counter(
-                &format!("{prefix}{name}"),
-                "Registry counter (see hvx-obs)",
-                v,
-            );
-        }
-        for (name, h) in m.histograms_sorted() {
-            self.histogram(
-                &format!("{prefix}{name}"),
-                "Registry histogram (see hvx-obs)",
-                h,
-            );
-        }
-    }
-
     /// The rendered exposition text.
     pub fn finish(self) -> String {
         self.out
@@ -231,21 +212,6 @@ mod tests {
             .map(|s| s.value)
             .collect();
         assert!(buckets.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn registry_exports_name_sorted_families() {
-        let mut m = MetricsRegistry::new();
-        m.bump("z.total", 1);
-        m.bump("a.total", 2);
-        m.observe("lat", 5);
-        let mut t = PromText::new();
-        t.registry("hvx_", &m);
-        let text = t.finish();
-        let a = text.find("hvx_a_total").unwrap();
-        let z = text.find("hvx_z_total").unwrap();
-        assert!(a < z, "counters are name-sorted");
-        assert!(text.contains("hvx_lat_count 1"));
     }
 
     #[test]

@@ -107,14 +107,9 @@ fn parse_query(q: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Writes one `Connection: close` response with a JSON body.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    write_response_typed(stream, status, "application/json", body)
-}
-
 /// Writes one `Connection: close` response with an explicit content
-/// type — the Prometheus `/metrics` endpoint serves
-/// `text/plain; version=0.0.4` instead of JSON.
+/// type: `application/json` for the job API, `text/plain;
+/// version=0.0.4` for the Prometheus `/metrics` endpoint.
 pub fn write_response_typed(
     stream: &mut TcpStream,
     status: u16,
@@ -229,7 +224,7 @@ mod tests {
             assert_eq!(req.path, "/jobs");
             assert_eq!(req.query_value("client"), Some("alice"));
             assert_eq!(req.body, "{\"x\":1}");
-            write_response(&mut stream, 202, "{\"ok\":true}").unwrap();
+            write_response_typed(&mut stream, 202, "application/json", "{\"ok\":true}").unwrap();
         });
         let (status, body) =
             request(&addr, "POST", "/jobs?client=alice", Some("{\"x\":1}")).unwrap();

@@ -17,7 +17,9 @@
 use crate::fig4::overhead;
 use crate::netperf::{self, RrFaultStats};
 use crate::workloads::{self, DiskDevice, Mix};
-use hvx_core::{CostModel, Error, HvKind, Hypervisor, KvmX86, Sim, SimBuilder, VirqPolicy};
+use hvx_core::{
+    CostModel, Error, HvKind, Hypervisor, KvmX86, Sim, SimBuilder, VirqPolicy, Workload,
+};
 use hvx_engine::{Cycles, FaultPlan, FaultPoint, Frequency, TransitionId};
 use hvx_mem::{Ipa, ShootdownMethod, TlbModel};
 use serde::{Deserialize, Serialize};
@@ -60,12 +62,12 @@ pub struct IrqDistributionRow {
 pub fn irq_distribution() -> Result<Vec<IrqDistributionRow>, Error> {
     let mut rows = Vec::new();
     for (workload, hv_kind, before, after) in crate::paper::IRQ_DISTRIBUTION {
-        let mix = workloads::mix_named(workload)?;
+        let mix = workloads::mix(workload);
         let run = |policy: VirqPolicy| -> Result<f64, Error> {
             Ok(overhead(SimBuilder::new(hv_kind), mix, policy)? - 1.0)
         };
         rows.push(IrqDistributionRow {
-            workload,
+            workload: workload.catalog_name(),
             hv: hv_kind,
             concentrated: run(VirqPolicy::Vcpu0)?,
             distributed: run(VirqPolicy::RoundRobin)?,
@@ -132,13 +134,18 @@ pub fn vhe() -> Result<VheProjection, Error> {
         let xen = m.run(sim(HvKind::XenArm)?.as_dyn_mut(), 3).as_u64();
         micro.push((m.name(), classic, vhe, xen));
     }
-    let io_workloads = ["TCP_RR", "Apache", "Memcached", "TCP_STREAM"];
+    let io_workloads = [
+        Workload::TcpRr,
+        Workload::Apache,
+        Workload::Memcached,
+        Workload::TcpStream,
+    ];
     let mut wl = Vec::new();
-    for name in io_workloads {
-        let mix = workloads::mix_named(name)?;
+    for workload in io_workloads {
+        let mix = workloads::mix(workload);
         let (classic, xen) = arm_overheads(mix)?;
         let vhe = overhead(SimBuilder::new(HvKind::KvmArmVhe), mix, VirqPolicy::Vcpu0)?;
-        wl.push((name, classic, vhe, xen));
+        wl.push((workload.catalog_name(), classic, vhe, xen));
     }
     Ok(VheProjection {
         micro,

@@ -1,12 +1,12 @@
 //! The iteration scale of the benchmark grid.
 //!
 //! The paper-default suite is deliberately small (it reproduces tables,
-//! not load), so per-scenario setup dominates and neither compiled
-//! replay nor worker fan-out has anything to chew on. The benchmark in
-//! `perfbench/` therefore runs the Figure 4 matrix (plus consolidation
-//! and rack cells) with every mix's iteration count multiplied by
-//! [`DEFAULT_SCALE`] ([`Mix::scaled`]), and keys its golden results on
-//! that scale.
+//! not load): `run --jobs N` fans its scenarios out, but per-scenario
+//! setup dominates each one and compiled replay has little to chew on.
+//! The benchmark in `perfbench/` therefore runs the Figure 4 matrix
+//! (plus consolidation and rack cells) with every mix's iteration count
+//! multiplied by [`DEFAULT_SCALE`] ([`Mix::scaled`]), fans that grid out
+//! itself, and keys its golden results on that scale.
 //!
 //! [`Mix::scaled`]: crate::workloads::Mix::scaled
 

@@ -130,7 +130,7 @@ fn usage() -> String {
          \x20      hvx-repro check [--baseline DIR] [--jobs N] [--cache DIR] [ARTIFACT...]\n\
          \x20      hvx-repro serve [--addr HOST:PORT] [--workers N] [--cache DIR]\n\
          \x20                [--journal FILE | --no-journal] [--max-queue-weight N]\n\
-         \x20                [--client-cap N] [--max-results N] [--retries N]\n\
+         \x20                [--client-cap N] [--max-results N]\n\
          \x20      hvx-repro serve submit --addr A (--spec FILE | --chaos KIND)\n\
          \x20                [--client NAME] [--wait SECS]\n\
          \x20      hvx-repro serve sweep --addr A --template FILE [--client NAME]\n\
@@ -485,10 +485,6 @@ fn parse_serve_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, Stri
             "--max-results" => {
                 cfg.max_results = usize::try_from(parse_u64("--max-results", it)?)
                     .map_err(|_| "--max-results out of range".to_string())?;
-            }
-            "--retries" => {
-                cfg.max_retries = u32::try_from(parse_u64("--retries", it)?)
-                    .map_err(|_| "--retries out of range".to_string())?;
             }
             "--help" | "-h" => return Ok(Parsed::Help),
             other => return Err(format!("serve: unexpected argument '{other}'; try --help")),

@@ -36,8 +36,10 @@
 //! # Ok::<(), hvx_core::Error>(())
 //! ```
 
-use crate::runner::{Output, RunnerConfig, Scenario};
-use crate::{paper, workloads};
+use crate::runner::{
+    ArtifactId, Output, RunnerConfig, Scenario, TABLE2_ITERS, TABLE5_TRANSACTIONS,
+};
+use crate::workloads;
 use hvx_core::{CostModel, Error};
 use hvx_engine::{Fingerprint, FingerprintHasher, Topology};
 use hvx_obs::LogValue;
@@ -53,8 +55,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const SCHEMA_VERSION: u32 = 5;
 
 /// Computes the content fingerprint of one scenario under one runner
-/// configuration, or `None` for scenarios that must never be cached
-/// (chaos injections and out-of-catalog indices).
+/// configuration, or `None` for chaos injections, which must never be
+/// cached.
 pub fn scenario_fingerprint(scenario: Scenario, cfg: &RunnerConfig) -> Option<Fingerprint> {
     let mut h = FingerprintHasher::new();
     h.write_str("hvx-scenario");
@@ -77,29 +79,29 @@ pub fn scenario_fingerprint(scenario: Scenario, cfg: &RunnerConfig) -> Option<Fi
     }
     cfg.watchdog.fingerprint_into(&mut h);
     match scenario {
-        Scenario::Table2 { iters } => {
+        Scenario::Artifact(ArtifactId::Table2) => {
             h.write_str("table2");
-            h.write_u64(iters as u64);
+            h.write_u64(TABLE2_ITERS as u64);
         }
-        Scenario::Table3 => h.write_str("table3"),
-        Scenario::Table5 { transactions } => {
+        Scenario::Artifact(ArtifactId::Table3) => h.write_str("table3"),
+        Scenario::Artifact(ArtifactId::Table5) => {
             h.write_str("table5");
-            h.write_u64(transactions as u64);
+            h.write_u64(TABLE5_TRANSACTIONS as u64);
         }
-        Scenario::Fig4Cell { workload, column } => {
+        Scenario::Artifact(a) => {
+            h.write_str("ablation");
+            h.write_str(a.cli_name());
+        }
+        Scenario::Fig4Cell { workload, kind } => {
             h.write_str("fig4-cell");
             // The whole workload definition (name, request mix, sector
             // counts), not just its name: growing a mix must miss.
-            h.write_serialize(workloads::catalog().get(workload)?);
-            h.write_str(&paper::COLUMNS.get(column)?.to_string());
+            h.write_serialize(&workloads::entry(workload));
+            h.write_str(&kind.to_string());
         }
-        Scenario::ConsolidationCell {
-            column,
-            ratio,
-            sched,
-        } => {
+        Scenario::ConsolidationCell { kind, ratio, sched } => {
             h.write_str("consolidation-cell");
-            h.write_str(&crate::paper::COLUMNS.get(column)?.to_string());
+            h.write_str(&kind.to_string());
             h.write_u64(u64::from(ratio));
             h.write_str(sched.name());
             h.write_u64(u64::from(crate::consolidation::TRANSACTIONS_PER_VM));
@@ -110,10 +112,6 @@ pub fn scenario_fingerprint(scenario: Scenario, cfg: &RunnerConfig) -> Option<Fi
             h.write_str(composition.name());
             h.write_u64(u64::from(crate::rack::VMS_PER_HOST));
             h.write_u64(u64::from(crate::rack::ROUNDS));
-        }
-        Scenario::Ablation(a) => {
-            h.write_str("ablation");
-            h.write_str(a.cli_name());
         }
         Scenario::Chaos(_) => return None,
     }
@@ -396,6 +394,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use crate::runner::ChaosKind;
+    use hvx_core::{HvKind, Workload};
     use hvx_engine::{FaultPlan, FaultPoint, Watchdog};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -404,30 +403,32 @@ mod tests {
         dir
     }
 
+    const TABLE3: Scenario = Scenario::Artifact(ArtifactId::Table3);
+    const CELL: Scenario = Scenario::Fig4Cell {
+        workload: Workload::Kernbench,
+        kind: HvKind::KvmArm,
+    };
+
     #[test]
     fn fingerprints_are_stable_and_scenario_specific() {
         let cfg = RunnerConfig::default();
-        let a = scenario_fingerprint(Scenario::Table3, &cfg).unwrap();
-        let b = scenario_fingerprint(Scenario::Table3, &cfg).unwrap();
+        let a = scenario_fingerprint(TABLE3, &cfg).unwrap();
+        let b = scenario_fingerprint(TABLE3, &cfg).unwrap();
         assert_eq!(a, b, "same inputs, same fingerprint");
-        let c = scenario_fingerprint(Scenario::Table2 { iters: 10 }, &cfg).unwrap();
+        let c = scenario_fingerprint(Scenario::Artifact(ArtifactId::Table2), &cfg).unwrap();
         assert_ne!(a, c);
-        let d = scenario_fingerprint(Scenario::Table2 { iters: 11 }, &cfg).unwrap();
-        assert_ne!(c, d, "iteration count is part of the closure");
+        let d = scenario_fingerprint(Scenario::Artifact(ArtifactId::Vhe), &cfg).unwrap();
+        assert_ne!(c, d);
     }
 
     #[test]
     fn fingerprint_tracks_every_input_dimension() {
         let base = RunnerConfig::default();
-        let cell = Scenario::Fig4Cell {
-            workload: 0,
-            column: 0,
-        };
-        let fp = scenario_fingerprint(cell, &base).unwrap();
-        // Different column → different fingerprint.
+        let fp = scenario_fingerprint(CELL, &base).unwrap();
+        // Different hypervisor → different fingerprint.
         let other = Scenario::Fig4Cell {
-            workload: 0,
-            column: 1,
+            workload: Workload::Kernbench,
+            kind: HvKind::XenArm,
         };
         assert_ne!(fp, scenario_fingerprint(other, &base).unwrap());
         // A fault plan changes the closure.
@@ -435,15 +436,15 @@ mod tests {
             fault_plan: Some(FaultPlan::new(7).with_rate(FaultPoint::WireDrop, 0.05)),
             ..RunnerConfig::default()
         };
-        assert_ne!(fp, scenario_fingerprint(cell, &faulted).unwrap());
+        assert_ne!(fp, scenario_fingerprint(CELL, &faulted).unwrap());
         // So does the seed alone.
         let reseeded = RunnerConfig {
             fault_plan: Some(FaultPlan::new(8).with_rate(FaultPoint::WireDrop, 0.05)),
             ..RunnerConfig::default()
         };
         assert_ne!(
-            scenario_fingerprint(cell, &faulted).unwrap(),
-            scenario_fingerprint(cell, &reseeded).unwrap()
+            scenario_fingerprint(CELL, &faulted).unwrap(),
+            scenario_fingerprint(CELL, &reseeded).unwrap()
         );
         // And the watchdog budgets.
         let budgeted = RunnerConfig {
@@ -453,18 +454,17 @@ mod tests {
             },
             ..RunnerConfig::default()
         };
-        assert_ne!(fp, scenario_fingerprint(cell, &budgeted).unwrap());
+        assert_ne!(fp, scenario_fingerprint(CELL, &budgeted).unwrap());
     }
 
     #[test]
-    fn chaos_and_out_of_range_scenarios_are_uncacheable() {
+    fn only_chaos_scenarios_are_uncacheable() {
         let cfg = RunnerConfig::default();
         assert!(scenario_fingerprint(Scenario::Chaos(ChaosKind::Panic), &cfg).is_none());
-        let bogus = Scenario::Fig4Cell {
-            workload: 999,
-            column: 0,
-        };
-        assert!(scenario_fingerprint(bogus, &cfg).is_none());
+        let plan = crate::runner::plan(&ArtifactId::ALL);
+        assert!(plan
+            .iter()
+            .all(|s| scenario_fingerprint(*s, &cfg).is_some()));
     }
 
     #[test]
@@ -473,19 +473,15 @@ mod tests {
         let cache = ResultCache::open(&dir).unwrap();
         let cfg = RunnerConfig::default();
         // A cheap scalar payload and a structurally rich one.
-        let cell = Scenario::Fig4Cell {
-            workload: 0,
-            column: 0,
-        };
-        cache.store(cell, &cfg, &Output::Fig4Cell(Some(1.25)));
+        cache.store(CELL, &cfg, &Output::Fig4Cell(Some(1.25)));
         let t3 = crate::table3::Table3::measure().unwrap();
-        cache.store(Scenario::Table3, &cfg, &Output::Table3(t3.clone()));
+        cache.store(TABLE3, &cfg, &Output::Table3(t3.clone()));
 
-        match cache.lookup(cell, &cfg) {
+        match cache.lookup(CELL, &cfg) {
             Some(Output::Fig4Cell(Some(v))) => assert_eq!(v, 1.25),
             other => panic!("unexpected cache payload: {other:?}"),
         }
-        match cache.lookup(Scenario::Table3, &cfg) {
+        match cache.lookup(TABLE3, &cfg) {
             Some(Output::Table3(got)) => {
                 assert_eq!(
                     serde_json::to_string_pretty(&got).unwrap(),
@@ -521,12 +517,8 @@ mod tests {
         let dir = tmpdir("store-errors");
         let cache = ResultCache::open(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
-        let cell = Scenario::Fig4Cell {
-            workload: 0,
-            column: 0,
-        };
         cache.store(
-            cell,
+            CELL,
             &RunnerConfig::default(),
             &Output::Fig4Cell(Some(1.25)),
         );
@@ -551,9 +543,9 @@ mod tests {
         let dir = tmpdir("corrupt");
         let cache = ResultCache::open(&dir).unwrap();
         let cfg = RunnerConfig::default();
-        let fp = scenario_fingerprint(Scenario::Table3, &cfg).unwrap();
+        let fp = scenario_fingerprint(TABLE3, &cfg).unwrap();
         std::fs::write(cache.entry_path(&fp.to_hex()), "{ not json").unwrap();
-        assert!(cache.lookup(Scenario::Table3, &cfg).is_none());
+        assert!(cache.lookup(TABLE3, &cfg).is_none());
         assert_eq!(cache.stats().misses, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -28,7 +28,7 @@ use crate::cache::{scenario_fingerprint, ResultCache, SCHEMA_VERSION};
 use crate::runner::{self, ArtifactId, RunnerConfig};
 use crate::spec_run::{paper_name, paper_workload};
 use crate::{fig4, paper, profile};
-use hvx_core::{Error, HvKind, ScenarioSpec};
+use hvx_core::{Error, HvKind, ScenarioSpec, Workload};
 use hvx_engine::ProfileSnapshot;
 use serde::{Deserialize, Value};
 use std::path::{Path, PathBuf};
@@ -59,9 +59,9 @@ fn runner_config(cache: Option<Arc<ResultCache>>) -> RunnerConfig {
 /// specs.
 fn span_profile_cells() -> Vec<ScenarioSpec> {
     let mut out = Vec::new();
-    for workload in hvx_core::Workload::ALL {
+    for workload in Workload::ALL {
         for kind in paper::COLUMNS {
-            if fig4::runs(workload.catalog_name(), kind) {
+            if fig4::runs(workload, kind) {
                 out.push(ScenarioSpec::paper(kind).with_workload(workload));
             }
         }
@@ -363,10 +363,14 @@ fn fig4_drilldown(
     let mut out = String::new();
     let mut moved = Vec::new();
     if let (Some(base), Some(cur)) = (parse(baseline_json), parse(current_json)) {
-        for (bg, cg) in base.groups.iter().zip(&cur.groups) {
+        // Both figures hold their groups in Figure 4 order.
+        let groups = Workload::ALL
+            .into_iter()
+            .zip(base.groups.iter().zip(&cur.groups));
+        for (workload, (bg, cg)) in groups {
             for (bb, cb) in bg.bars.iter().zip(&cg.bars) {
                 if bb.measured != cb.measured {
-                    moved.push((bg.workload.name, bb.hv, bb.measured, cb.measured));
+                    moved.push((workload, bb.hv, bb.measured, cb.measured));
                 }
             }
         }
@@ -374,8 +378,8 @@ fn fig4_drilldown(
         out.push_str("    (fig4 JSON unparsable; no per-cell overhead comparison)\n");
     }
     let fmt = |v: &Option<f64>| v.map_or("n/a".to_string(), |x| format!("{x:.4}"));
-    let is_cell = |spec: &ScenarioSpec, workload: &str, kind: HvKind| {
-        paper_workload(spec).catalog_name() == workload && spec.hypervisor == kind
+    let is_cell = |spec: &ScenarioSpec, workload: Workload, kind: HvKind| {
+        paper_workload(spec) == workload && spec.hypervisor == kind
     };
     for (workload, kind, was, now) in &moved {
         out.push_str(&format!(
@@ -383,16 +387,16 @@ fn fig4_drilldown(
             fmt(was),
             fmt(now)
         ));
-        match spans.iter().find(|(sc, _)| is_cell(sc, workload, *kind)) {
+        match spans.iter().find(|(sc, _)| is_cell(sc, *workload, *kind)) {
             Some((_, deltas)) => out.push_str(deltas),
             None => out.push_str("    (span breakdown unchanged)\n"),
         }
     }
     for (spec, deltas) in spans {
-        if !moved.iter().any(|(w, k, ..)| is_cell(spec, w, *k)) {
+        if !moved.iter().any(|(w, k, ..)| is_cell(spec, *w, *k)) {
             out.push_str(&format!(
                 "  fig4[{}/{}]: overhead unchanged, span profile changed\n{deltas}",
-                paper_workload(spec).catalog_name(),
+                paper_workload(spec),
                 spec.hypervisor
             ));
         }

@@ -2,8 +2,8 @@
 //! configurations.
 
 use crate::paper::{self, TargetSource};
-use crate::workloads::{self, Mix, Workload};
-use hvx_core::{CostModel, Error, HvKind, Platform, SimBuilder, VirqPolicy};
+use crate::workloads::{self, CatalogEntry, Mix};
+use hvx_core::{CostModel, Error, HvKind, Platform, SimBuilder, VirqPolicy, Workload};
 use serde::{Deserialize, Serialize};
 
 /// One reproduced Figure 4 bar.
@@ -22,8 +22,8 @@ pub struct Bar {
 /// One bar group (a workload).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BarGroup {
-    /// The workload.
-    pub workload: Workload,
+    /// The workload's catalog entry.
+    pub workload: CatalogEntry,
     /// The four bars in column order.
     pub bars: Vec<Bar>,
 }
@@ -57,11 +57,11 @@ pub fn overhead(hv: SimBuilder, mix: Mix, policy: VirqPolicy) -> Result<f64, Err
     )
 }
 
-/// Whether the paper has a bar for `workload` (its catalog name) on
-/// `kind`: every combination runs except Apache on Xen x86, whose Dom0
-/// kernel panicked (§V).
-pub(crate) fn runs(workload: &str, kind: HvKind) -> bool {
-    !(workload == "Apache" && kind == HvKind::XenX86)
+/// Whether the paper has a bar for `workload` on `kind`: every
+/// combination runs except Apache on Xen x86, whose Dom0 kernel
+/// panicked (§V).
+pub(crate) fn runs(workload: Workload, kind: HvKind) -> bool {
+    !(workload == Workload::Apache && kind == HvKind::XenX86)
 }
 
 /// Measures one workload on one configuration (against its platform's
@@ -73,14 +73,14 @@ pub(crate) fn runs(workload: &str, kind: HvKind) -> bool {
 /// Propagates configuration and workload failures so the hardened
 /// runner can degrade the cell instead of unwinding.
 pub fn measure_bar(
-    workload: &Workload,
+    workload: Workload,
     kind: HvKind,
     policy: VirqPolicy,
 ) -> Result<Option<f64>, Error> {
-    if !runs(workload.name, kind) {
+    if !runs(workload, kind) {
         return Ok(None);
     }
-    overhead(SimBuilder::new(kind), workload.mix, policy).map(Some)
+    overhead(SimBuilder::new(kind), workloads::mix(workload), policy).map(Some)
 }
 
 impl Figure4 {
@@ -90,11 +90,10 @@ impl Figure4 {
     ///
     /// Propagates the first cell failure.
     pub fn measure() -> Result<Figure4, Error> {
-        let cat = workloads::catalog();
-        let mut cells = Vec::with_capacity(cat.len() * paper::COLUMNS.len());
-        for w in &cat {
+        let mut cells = Vec::with_capacity(Workload::ALL.len() * paper::COLUMNS.len());
+        for workload in Workload::ALL {
             for kind in paper::COLUMNS {
-                cells.push(measure_bar(w, kind, VirqPolicy::Vcpu0)?);
+                cells.push(measure_bar(workload, kind, VirqPolicy::Vcpu0)?);
             }
         }
         Ok(Figure4::from_cells(&cells))
@@ -110,26 +109,28 @@ impl Figure4 {
     ///
     /// Panics unless exactly 36 cells are supplied.
     pub fn from_cells(cells: &[Option<f64>]) -> Figure4 {
-        let cat = workloads::catalog();
         assert_eq!(
             cells.len(),
-            cat.len() * paper::COLUMNS.len(),
+            paper::FIG4.len() * paper::COLUMNS.len(),
             "need one cell per (workload, column)"
         );
-        let mut groups = Vec::new();
-        for (wi, w) in cat.iter().enumerate() {
-            let targets = paper::FIG4[wi];
-            debug_assert_eq!(targets.workload, w.name);
-            let mut bars = Vec::new();
-            for (ci, kind) in paper::COLUMNS.into_iter().enumerate() {
-                bars.push(Bar {
-                    hv: kind,
-                    measured: cells[wi * paper::COLUMNS.len() + ci],
-                    paper: targets.bars[ci],
-                });
-            }
-            groups.push(BarGroup { workload: *w, bars });
-        }
+        let groups = paper::FIG4
+            .iter()
+            .zip(cells.chunks(paper::COLUMNS.len()))
+            .map(|(target, row)| BarGroup {
+                workload: workloads::entry(target.workload),
+                bars: paper::COLUMNS
+                    .into_iter()
+                    .zip(target.bars)
+                    .zip(row)
+                    .map(|((hv, paper), &measured)| Bar {
+                        hv,
+                        measured,
+                        paper,
+                    })
+                    .collect(),
+            })
+            .collect();
         Figure4 { groups }
     }
 
@@ -204,14 +205,11 @@ mod tests {
 
     #[test]
     fn apache_xen_x86_is_unavailable_like_the_paper() {
-        let w = workloads::catalog()
-            .into_iter()
-            .find(|w| w.name == "Apache")
-            .unwrap();
-        assert!(measure_bar(&w, HvKind::XenX86, VirqPolicy::Vcpu0)
+        let w = Workload::Apache;
+        assert!(measure_bar(w, HvKind::XenX86, VirqPolicy::Vcpu0)
             .unwrap()
             .is_none());
-        assert!(measure_bar(&w, HvKind::KvmX86, VirqPolicy::Vcpu0)
+        assert!(measure_bar(w, HvKind::KvmX86, VirqPolicy::Vcpu0)
             .unwrap()
             .is_some());
     }

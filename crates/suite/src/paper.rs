@@ -8,7 +8,7 @@
 //!   numeric values for most application results); these carry wider
 //!   tolerance and are labelled `est.` in reports.
 
-use hvx_core::HvKind;
+use hvx_core::{HvKind, Workload};
 
 /// Table II, in the paper's row and column order (KVM ARM, Xen ARM,
 /// KVM x86, Xen x86). Cycle counts, verbatim.
@@ -117,13 +117,13 @@ pub enum TargetSource {
 /// native performance).
 #[derive(Debug, Clone, Copy)]
 pub struct Fig4Target {
-    /// Workload name as printed under the bars.
-    pub workload: &'static str,
+    /// The workload under the bars.
+    pub workload: Workload,
     /// (overhead, source) per hypervisor in Table II column order.
     pub bars: [(f64, TargetSource); 4],
 }
 
-/// Figure 4 reproduction targets.
+/// Figure 4 reproduction targets, in [`Workload::ALL`] order.
 ///
 /// Verbatim anchors from §V: Apache 35 % (KVM ARM) and 84 % (Xen ARM);
 /// Memcached 26 % and 32 %; Hackbench Xen-vs-KVM gap ≈ 5 % of native;
@@ -132,7 +132,7 @@ pub struct Fig4Target {
 /// more than 250% overhead". Everything else estimated from the figure.
 pub const FIG4: [Fig4Target; 9] = [
     Fig4Target {
-        workload: "Kernbench",
+        workload: Workload::Kernbench,
         bars: [
             (1.05, TargetSource::Estimated),
             (1.07, TargetSource::Estimated),
@@ -141,7 +141,7 @@ pub const FIG4: [Fig4Target; 9] = [
         ],
     },
     Fig4Target {
-        workload: "Hackbench",
+        workload: Workload::Hackbench,
         bars: [
             (1.10, TargetSource::Estimated),
             (1.05, TargetSource::Verbatim), // "only 5% of native performance"
@@ -150,7 +150,7 @@ pub const FIG4: [Fig4Target; 9] = [
         ],
     },
     Fig4Target {
-        workload: "SPECjvm2008",
+        workload: Workload::SpecJvm2008,
         bars: [
             (1.02, TargetSource::Estimated),
             (1.03, TargetSource::Estimated),
@@ -159,7 +159,7 @@ pub const FIG4: [Fig4Target; 9] = [
         ],
     },
     Fig4Target {
-        workload: "TCP_RR",
+        workload: Workload::TcpRr,
         bars: [
             (2.06, TargetSource::Verbatim), // Table V ratio
             (2.33, TargetSource::Verbatim),
@@ -168,7 +168,7 @@ pub const FIG4: [Fig4Target; 9] = [
         ],
     },
     Fig4Target {
-        workload: "TCP_STREAM",
+        workload: Workload::TcpStream,
         bars: [
             (1.02, TargetSource::Verbatim), // "almost no overhead"
             (2.65, TargetSource::Verbatim), // "more than 250% overhead"
@@ -177,7 +177,7 @@ pub const FIG4: [Fig4Target; 9] = [
         ],
     },
     Fig4Target {
-        workload: "TCP_MAERTS",
+        workload: Workload::TcpMaerts,
         bars: [
             (1.05, TargetSource::Estimated),
             (2.20, TargetSource::Estimated), // "substantially higher overhead"
@@ -186,7 +186,7 @@ pub const FIG4: [Fig4Target; 9] = [
         ],
     },
     Fig4Target {
-        workload: "Apache",
+        workload: Workload::Apache,
         bars: [
             (1.35, TargetSource::Verbatim), // "from 35% to 14%"
             (1.84, TargetSource::Verbatim), // "from 84% to 16%"
@@ -195,7 +195,7 @@ pub const FIG4: [Fig4Target; 9] = [
         ],
     },
     Fig4Target {
-        workload: "Memcached",
+        workload: Workload::Memcached,
         bars: [
             (1.26, TargetSource::Verbatim), // "from 26% to 8%"
             (1.32, TargetSource::Verbatim), // "from 32% to 9%"
@@ -204,7 +204,7 @@ pub const FIG4: [Fig4Target; 9] = [
         ],
     },
     Fig4Target {
-        workload: "MySQL",
+        workload: Workload::Mysql,
         bars: [
             (1.10, TargetSource::Estimated),
             (1.15, TargetSource::Estimated),
@@ -216,11 +216,11 @@ pub const FIG4: [Fig4Target; 9] = [
 
 /// §V virtual-interrupt distribution ablation, verbatim: overhead before
 /// → after distributing virqs across all VCPUs.
-pub const IRQ_DISTRIBUTION: [(&str, HvKind, f64, f64); 4] = [
-    ("Apache", HvKind::KvmArm, 0.35, 0.14),
-    ("Apache", HvKind::XenArm, 0.84, 0.16),
-    ("Memcached", HvKind::KvmArm, 0.26, 0.08),
-    ("Memcached", HvKind::XenArm, 0.32, 0.09),
+pub const IRQ_DISTRIBUTION: [(Workload, HvKind, f64, f64); 4] = [
+    (Workload::Apache, HvKind::KvmArm, 0.35, 0.14),
+    (Workload::Apache, HvKind::XenArm, 0.84, 0.16),
+    (Workload::Memcached, HvKind::KvmArm, 0.26, 0.08),
+    (Workload::Memcached, HvKind::XenArm, 0.32, 0.09),
 ];
 
 /// The hypervisor order of every table's columns.
@@ -248,20 +248,25 @@ mod tests {
 
     #[test]
     fn tcp_rr_targets_match_table5_ratio() {
-        let rr = FIG4.iter().find(|f| f.workload == "TCP_RR").unwrap();
+        let rr = FIG4.iter().find(|f| f.workload == Workload::TcpRr).unwrap();
         assert!((rr.bars[0].0 - 86.3 / 41.8).abs() < 0.01);
         assert!((rr.bars[1].0 - 97.5 / 41.8).abs() < 0.01);
     }
 
     #[test]
     fn apache_xen_x86_is_unavailable() {
-        let apache = FIG4.iter().find(|f| f.workload == "Apache").unwrap();
+        let apache = FIG4
+            .iter()
+            .find(|f| f.workload == Workload::Apache)
+            .unwrap();
         assert_eq!(apache.bars[3].1, TargetSource::Unavailable);
     }
 
     #[test]
     fn fig4_covers_all_table_iv_workloads() {
-        // Table IV lists 7 entries; netperf expands to 3 modes -> 9 bars.
-        assert_eq!(FIG4.len(), 9);
+        // Table IV lists 7 entries; netperf expands to 3 modes -> 9 bars,
+        // in Figure 4 order.
+        let order: Vec<Workload> = FIG4.iter().map(|f| f.workload).collect();
+        assert_eq!(order, Workload::ALL);
     }
 }

@@ -32,7 +32,9 @@
 //! ```
 
 use crate::{ablations, consolidation, fig4, micro, netperf, paper, rack, table3, workloads};
-use hvx_core::{Error, Hypervisor, KvmArm, ScenarioFailureKind, SchedPolicy, VirqPolicy};
+use hvx_core::{
+    Error, HvKind, Hypervisor, KvmArm, ScenarioFailureKind, SchedPolicy, VirqPolicy, Workload,
+};
 use hvx_engine::{fault, Cycles, EventQueue, FaultPlan, TraceKind, Watchdog};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -133,34 +135,27 @@ const NAMES: [[&str; 3]; 13] = [
     ["rack",     "rack",             "== Rack: multi-host TCP_RR on the sharded engine =="],
 ];
 
-/// One independent unit of measurement work.
+/// One independent unit of measurement work. A cell is named as a spec
+/// names it: by its workload and its hypervisor kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
-    /// The whole Table II microbenchmark sweep.
-    Table2 {
-        /// Iterations per microbenchmark.
-        iters: usize,
-    },
-    /// The Table III breakdown extraction.
-    Table3,
-    /// The Table V netperf decomposition.
-    Table5 {
-        /// TCP_RR transactions to simulate.
-        transactions: usize,
-    },
-    /// One Figure 4 cell: `workloads::catalog()[workload]` on
-    /// `paper::COLUMNS[column]`.
+    /// A single-scenario artifact: a table or an ablation (for
+    /// [`ArtifactId::Oversub`], its analytic sweep; the simulated grid
+    /// is one [`Scenario::ConsolidationCell`] per cell). Tables run at
+    /// [`TABLE2_ITERS`] and [`TABLE5_TRANSACTIONS`].
+    Artifact(ArtifactId),
+    /// One Figure 4 cell: `workload` on `kind`.
     Fig4Cell {
-        /// Workload index into [`workloads::catalog`].
-        workload: usize,
-        /// Column index into [`paper::COLUMNS`].
-        column: usize,
+        /// The workload.
+        workload: Workload,
+        /// The hypervisor configuration.
+        kind: HvKind,
     },
-    /// One consolidation-sweep cell: `paper::COLUMNS[column]` at
-    /// `ratio`:1 vCPU:pCPU oversubscription under `sched`.
+    /// One consolidation-sweep cell: `kind` at `ratio`:1 vCPU:pCPU
+    /// oversubscription under `sched`.
     ConsolidationCell {
-        /// Column index into [`paper::COLUMNS`].
-        column: usize,
+        /// The hypervisor configuration.
+        kind: HvKind,
         /// vCPU:pCPU ratio (= VMs sharing the pCPU pair).
         ratio: u32,
         /// The hypervisor vCPU scheduler.
@@ -174,8 +169,6 @@ pub enum Scenario {
         /// Per-host hypervisor assignment.
         composition: rack::Composition,
     },
-    /// One ablation study.
-    Ablation(ArtifactId),
     /// A deliberately misbehaving scenario for exercising the runner's
     /// isolation machinery. Never emitted by [`plan`]; injected only via
     /// [`RunnerConfig::chaos`] (the CLI's `--chaos`) and tests.
@@ -218,18 +211,17 @@ impl Scenario {
     /// stragglers don't serialize the tail of a parallel run.
     fn weight(self) -> u64 {
         match self {
-            Scenario::Table2 { iters } => 40 + iters as u64,
-            Scenario::Table3 => 5,
-            Scenario::Table5 { transactions } => 10 + transactions as u64 / 5,
+            Scenario::Artifact(ArtifactId::Table2) => 40 + TABLE2_ITERS as u64,
+            Scenario::Artifact(ArtifactId::Table5) => 10 + TABLE5_TRANSACTIONS as u64 / 5,
+            Scenario::Artifact(ArtifactId::Oversub) => 15,
+            Scenario::Artifact(ArtifactId::FaultRec) => 20,
+            Scenario::Artifact(_) => 5,
             Scenario::Fig4Cell { .. } => 25,
             // Contended cells interpret 2×ratio vCPUs; cost scales
             // roughly with the ratio.
             Scenario::ConsolidationCell { ratio, .. } => 5 + u64::from(ratio) / 2,
             // Work grows with hosts² (each of H×N tokens laps H hosts).
             Scenario::RackCell { hosts, .. } => 10 + u64::from(hosts) * u64::from(hosts),
-            Scenario::Ablation(ArtifactId::Oversub) => 15,
-            Scenario::Ablation(ArtifactId::FaultRec) => 20,
-            Scenario::Ablation(_) => 5,
             Scenario::Chaos(_) => 1,
         }
     }
@@ -237,31 +229,14 @@ impl Scenario {
     /// A short human-readable name for failure reports.
     pub fn label(self) -> String {
         match self {
-            Scenario::Table2 { .. } => "table2".to_string(),
-            Scenario::Table3 => "table3".to_string(),
-            Scenario::Table5 { .. } => "table5".to_string(),
-            Scenario::Fig4Cell { workload, column } => {
-                let cat = workloads::catalog();
-                let w = cat.get(workload).map_or("?", |w| w.name);
-                let hv = paper::COLUMNS
-                    .get(column)
-                    .map_or_else(|| "?".to_string(), |k| k.to_string());
-                format!("fig4[{w}/{hv}]")
-            }
-            Scenario::ConsolidationCell {
-                column,
-                ratio,
-                sched,
-            } => {
-                let hv = paper::COLUMNS
-                    .get(column)
-                    .map_or_else(|| "?".to_string(), |k| k.to_string());
-                format!("oversub[{hv}/{ratio}:1/{sched}]")
+            Scenario::Artifact(a) => a.cli_name().to_string(),
+            Scenario::Fig4Cell { workload, kind } => format!("fig4[{workload}/{kind}]"),
+            Scenario::ConsolidationCell { kind, ratio, sched } => {
+                format!("oversub[{kind}/{ratio}:1/{sched}]")
             }
             Scenario::RackCell { hosts, composition } => {
                 format!("rack[{hosts}h/{}]", composition.name())
             }
-            Scenario::Ablation(a) => a.cli_name().to_string(),
             Scenario::Chaos(k) => format!("chaos-{}", k.name()),
         }
     }
@@ -273,50 +248,47 @@ impl Scenario {
     /// # Errors
     ///
     /// A malformed configuration or workload surfaces as a typed
-    /// [`Error`] instead of a panic; [`run_scenarios`] degrades it to a
-    /// marked failed cell.
+    /// [`Error`] instead of a panic ([`Error::UnknownScenario`] for
+    /// `Artifact(Fig4)` and `Artifact(Rack)`, which are cells, not one
+    /// scenario); [`run_scenarios`] degrades it to a marked failed
+    /// cell.
     pub fn execute(self) -> Result<Output, Error> {
         Ok(match self {
-            Scenario::Table2 { iters } => Output::Table2(micro::Table2::measure(iters)?),
-            Scenario::Table3 => Output::Table3(table3::Table3::measure()?),
-            Scenario::Table5 { transactions } => {
-                Output::Table5(Box::new(netperf::Table5::measure(transactions)?))
+            Scenario::Artifact(id) => match id {
+                ArtifactId::Table2 => Output::Table2(micro::Table2::measure(TABLE2_ITERS)?),
+                ArtifactId::Table3 => Output::Table3(table3::Table3::measure()?),
+                ArtifactId::Table5 => {
+                    Output::Table5(Box::new(netperf::Table5::measure(TABLE5_TRANSACTIONS)?))
+                }
+                ArtifactId::Irq => Output::Irq(ablations::irq_distribution()?),
+                ArtifactId::Vhe => Output::Vhe(ablations::vhe()?),
+                ArtifactId::ZeroCopy => Output::ZeroCopy(ablations::zero_copy()?),
+                ArtifactId::Link => Output::Link(ablations::link_speed()?),
+                ArtifactId::Vapic => Output::Vapic(ablations::vapic()?),
+                ArtifactId::Storage => Output::Storage(ablations::storage()?),
+                ArtifactId::Oversub => Output::Oversub(ablations::oversubscription()),
+                ArtifactId::FaultRec => Output::FaultRec(ablations::fault_recovery()?),
+                ArtifactId::Fig4 | ArtifactId::Rack => {
+                    return Err(Error::UnknownScenario {
+                        name: id.cli_name().to_string(),
+                    })
+                }
+            },
+            Scenario::Fig4Cell { workload, kind } => {
+                Output::Fig4Cell(fig4::measure_bar(workload, kind, VirqPolicy::Vcpu0)?)
             }
-            Scenario::Fig4Cell { workload, column } => {
-                let cat = workloads::catalog();
-                Output::Fig4Cell(fig4::measure_bar(
-                    &cat[workload],
-                    paper::COLUMNS[column],
-                    VirqPolicy::Vcpu0,
+            Scenario::ConsolidationCell { kind, ratio, sched } => {
+                Output::Consolidation(consolidation::run_cell(
+                    kind,
+                    ratio,
+                    sched,
+                    consolidation::TRANSACTIONS_PER_VM,
+                    workloads::compile_enabled(),
                 )?)
             }
-            Scenario::ConsolidationCell {
-                column,
-                ratio,
-                sched,
-            } => Output::Consolidation(consolidation::run_cell(
-                paper::COLUMNS[column],
-                ratio,
-                sched,
-                consolidation::TRANSACTIONS_PER_VM,
-                workloads::compile_enabled(),
-            )?),
             Scenario::RackCell { hosts, composition } => {
                 Output::Rack(rack::run_cell(composition, hosts)?)
             }
-            Scenario::Ablation(ArtifactId::Irq) => Output::Irq(ablations::irq_distribution()?),
-            Scenario::Ablation(ArtifactId::Vhe) => Output::Vhe(ablations::vhe()?),
-            Scenario::Ablation(ArtifactId::ZeroCopy) => Output::ZeroCopy(ablations::zero_copy()?),
-            Scenario::Ablation(ArtifactId::Link) => Output::Link(ablations::link_speed()?),
-            Scenario::Ablation(ArtifactId::Vapic) => Output::Vapic(ablations::vapic()?),
-            Scenario::Ablation(ArtifactId::Storage) => Output::Storage(ablations::storage()?),
-            Scenario::Ablation(ArtifactId::Oversub) => {
-                Output::Oversub(ablations::oversubscription())
-            }
-            Scenario::Ablation(ArtifactId::FaultRec) => {
-                Output::FaultRec(ablations::fault_recovery()?)
-            }
-            Scenario::Ablation(other) => unreachable!("{other:?} is not an ablation"),
             Scenario::Chaos(ChaosKind::Panic) => {
                 panic!("chaos: deliberate panic for isolation testing")
             }
@@ -455,20 +427,12 @@ pub struct RunnerConfig {
 /// fans out into one scenario per cell.
 pub fn plan(artifacts: &[ArtifactId]) -> Vec<Scenario> {
     let mut out = Vec::new();
-    for a in artifacts {
+    for &a in artifacts {
         match a {
-            ArtifactId::Table2 => out.push(Scenario::Table2 {
-                iters: TABLE2_ITERS,
-            }),
-            ArtifactId::Table3 => out.push(Scenario::Table3),
-            ArtifactId::Table5 => out.push(Scenario::Table5 {
-                transactions: TABLE5_TRANSACTIONS,
-            }),
             ArtifactId::Fig4 => {
-                let workloads = workloads::catalog().len();
-                for workload in 0..workloads {
-                    for column in 0..paper::COLUMNS.len() {
-                        out.push(Scenario::Fig4Cell { workload, column });
+                for workload in Workload::ALL {
+                    for kind in paper::COLUMNS {
+                        out.push(Scenario::Fig4Cell { workload, kind });
                     }
                 }
             }
@@ -476,15 +440,11 @@ pub fn plan(artifacts: &[ArtifactId]) -> Vec<Scenario> {
                 // The analytic sweep first, then the simulated
                 // consolidation grid: scheduler × hypervisor × ratio,
                 // in render order.
-                out.push(Scenario::Ablation(ArtifactId::Oversub));
+                out.push(Scenario::Artifact(a));
                 for sched in SchedPolicy::ALL {
-                    for column in 0..paper::COLUMNS.len() {
+                    for kind in paper::COLUMNS {
                         for ratio in consolidation::RATIOS {
-                            out.push(Scenario::ConsolidationCell {
-                                column,
-                                ratio,
-                                sched,
-                            });
+                            out.push(Scenario::ConsolidationCell { kind, ratio, sched });
                         }
                     }
                 }
@@ -497,7 +457,7 @@ pub fn plan(artifacts: &[ArtifactId]) -> Vec<Scenario> {
                     }
                 }
             }
-            ablation => out.push(Scenario::Ablation(*ablation)),
+            single => out.push(Scenario::Artifact(single)),
         }
     }
     out
@@ -642,18 +602,6 @@ pub fn run_scenarios_with(
     jobs: usize,
     cfg: &RunnerConfig,
 ) -> Result<Vec<ScenarioResult>, Error> {
-    // Thread spawn + queue/slot locking costs real time; a plan lighter
-    // than this runs faster inline than fanned out, so `--jobs N` on a
-    // small plan is break-even instead of a regression. The full paper
-    // suite weighs ~1k; the iteration-scaled benchmark grid (which is
-    // where parallelism pays) weighs well past this cutoff.
-    const PARALLEL_MIN_WEIGHT: u64 = 4_000;
-    let total_weight: u64 = plan.iter().map(|s| s.weight()).sum();
-    let jobs = if total_weight < PARALLEL_MIN_WEIGHT {
-        jobs.min(1)
-    } else {
-        jobs
-    };
     pool(plan, jobs, |s| s.weight(), |s| run_one(*s, cfg))
 }
 
@@ -1087,13 +1035,14 @@ mod tests {
     fn plan_fans_fig4_into_cells() {
         let p = plan(&[ArtifactId::Fig4]);
         assert_eq!(p.len(), 36);
-        assert!(matches!(
+        assert_eq!(
             p[0],
             Scenario::Fig4Cell {
-                workload: 0,
-                column: 0
+                workload: Workload::Kernbench,
+                kind: HvKind::KvmArm
             }
-        ));
+        );
+        assert_eq!(p[0].label(), "fig4[Kernbench/KVM ARM]");
         let p = plan(&[ArtifactId::Table2, ArtifactId::Vhe]);
         assert_eq!(p.len(), 2);
     }
@@ -1113,12 +1062,7 @@ mod tests {
         let artifacts = [ArtifactId::Table3, ArtifactId::Vhe, ArtifactId::Link];
         let p = plan(&artifacts);
         let serial = assemble(&artifacts, &run_scenarios(&p, 1).unwrap()).unwrap();
-        // This plan is light enough that run_scenarios(.., 3) would
-        // short-circuit to the inline path; call the pool directly so
-        // the worker machinery stays covered.
-        let cfg = RunnerConfig::default();
-        let results = pool(&p, 3, |s| s.weight(), |s| run_one(*s, &cfg)).unwrap();
-        let pooled = assemble(&artifacts, &results).unwrap();
+        let pooled = assemble(&artifacts, &run_scenarios(&p, 3).unwrap()).unwrap();
         for (s, q) in serial.iter().zip(&pooled) {
             assert_eq!(s.json, q.json, "{:?} diverged", s.id);
             assert_eq!(s.text, q.text, "{:?} text diverged", s.id);
@@ -1128,15 +1072,11 @@ mod tests {
     }
 
     #[test]
-    fn light_plans_run_inline_even_with_many_jobs() {
-        // The whole paper suite weighs under the parallel cutoff, so a
-        // multi-job run of a small plan must behave exactly like jobs=1
-        // (the 0.86x fan-out regression this cutoff removes).
-        let p = plan(&[ArtifactId::Vhe]);
-        let many = run_scenarios(&p, 4).unwrap();
-        let one = run_scenarios(&p, 1).unwrap();
-        assert_eq!(many.len(), one.len());
-        assert_eq!(many[0].transitions, one[0].transitions);
+    fn cell_artifacts_are_not_one_scenario() {
+        for id in [ArtifactId::Fig4, ArtifactId::Rack] {
+            let err = Scenario::Artifact(id).execute().unwrap_err();
+            assert!(matches!(err, Error::UnknownScenario { .. }), "{err}");
+        }
     }
 
     #[test]
@@ -1172,9 +1112,9 @@ mod tests {
     #[test]
     fn a_panicking_scenario_does_not_prevent_its_siblings() {
         let p = [
-            Scenario::Table3,
+            Scenario::Artifact(ArtifactId::Table3),
             Scenario::Chaos(ChaosKind::Panic),
-            Scenario::Ablation(ArtifactId::Vhe),
+            Scenario::Artifact(ArtifactId::Vhe),
         ];
         for jobs in [1, 3] {
             let results = run_scenarios(&p, jobs).unwrap();
@@ -1226,7 +1166,8 @@ mod tests {
             wall_timeout: Some(Duration::ZERO),
             ..RunnerConfig::default()
         };
-        let results = run_scenarios_with(&[Scenario::Table3], 1, &cfg).unwrap();
+        let results =
+            run_scenarios_with(&[Scenario::Artifact(ArtifactId::Table3)], 1, &cfg).unwrap();
         let failure = results[0].outcome.as_ref().unwrap_err();
         assert_eq!(failure.kind, ScenarioFailureKind::TimedOut);
         assert!(failure.detail.contains("wall clock"));

@@ -315,14 +315,15 @@ impl JobExecutor for SuiteExecutor {
     }
 }
 
-/// A failed attempt as the server classifies it. Panics are plausibly
-/// transient (a host-side resource blip) and retry; watchdog trips and
-/// typed errors are deterministic under a fixed spec and fail fast.
+/// A failed attempt as the server classifies it: never transient. A
+/// spec run is a pure function of its spec (a chaos probe of its kind),
+/// so a retry would fail the same way; panics, watchdog trips and typed
+/// errors alike fail fast and feed the circuit breaker.
 fn job_failure(f: ScenarioFailure) -> JobFailure {
     JobFailure {
-        transient: f.kind == ScenarioFailureKind::Panicked,
         kind: f.kind,
         detail: f.detail,
+        transient: false,
     }
 }
 
@@ -538,7 +539,7 @@ mod tests {
         let job = exec.prepare("{\"chaos\": \"panic\"}").unwrap();
         let failure = exec.run(&job).unwrap_err();
         assert_eq!(failure.kind, ScenarioFailureKind::Panicked);
-        assert!(failure.transient, "panics retry before quarantine");
+        assert!(!failure.transient, "a deterministic panic fails fast");
         assert!(exec.lookup(&job).is_none(), "chaos is never cached");
     }
 

@@ -182,7 +182,7 @@ pub fn run_paper_sim(
             detail: format!("{} is not a paper-shape spec", label(spec)),
         });
     }
-    let mix = workloads::mix_named(paper_workload(spec).catalog_name())?;
+    let mix = workloads::mix(paper_workload(spec));
     let mut sim = observe(SimBuilder::from_spec(spec.clone())).build()?;
     let makespan = workloads::run(sim.as_dyn_mut(), mix, spec.virq_policy)?;
     Ok((sim, makespan))
@@ -341,7 +341,7 @@ mod tests {
             .unwrap();
         let makespan = workloads::run(
             sim.as_dyn_mut(),
-            workloads::mix_named("TCP_RR").unwrap(),
+            workloads::mix(Workload::TcpRr),
             VirqPolicy::Vcpu0,
         )
         .unwrap();

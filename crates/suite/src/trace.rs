@@ -673,8 +673,8 @@ fn bench_cell(spec: &ScenarioSpec, tracing: Option<Option<usize>>) -> Result<f64
 /// Runs the Fig. 4 sweep (nine workloads × the four measured
 /// configurations) three times — tracing off, unbounded, and ring —
 /// and reports the wall-clock comparison. Off-mode runs are exactly
-/// the builder configuration the Figure 4 artifact uses, so its total
-/// is comparable with `BENCH.json`.
+/// the builder configuration the Figure 4 artifact uses, so the
+/// off-mode total is the untraced cost of Figure 4's cells.
 ///
 /// # Errors
 ///

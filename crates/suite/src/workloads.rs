@@ -21,7 +21,7 @@
 //! documented character (Table IV).
 
 use crate::netperf;
-use hvx_core::{Error, HvType, Hypervisor, VirqPolicy};
+use hvx_core::{Error, HvType, Hypervisor, VirqPolicy, Workload};
 use hvx_engine::{Cycles, Frequency, TraceMode};
 use serde::{Deserialize, Serialize};
 
@@ -171,9 +171,10 @@ impl Mix {
     }
 }
 
-/// A named workload: Table IV's description plus its mix.
+/// A Figure 4 catalog entry: Table IV's description plus the workload's
+/// calibrated mix.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Workload {
+pub struct CatalogEntry {
     /// Name as printed in Figure 4.
     pub name: &'static str,
     /// Table IV's description.
@@ -182,74 +183,67 @@ pub struct Workload {
     pub mix: Mix,
 }
 
-/// The nine Figure 4 workloads with calibrated mixes.
-pub fn catalog() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "Kernbench",
-            description: "Compilation of the Linux 3.17.0 kernel using the \
-                          allnoconfig for ARM using GCC 4.8.2.",
-            mix: Mix::CpuBound {
+/// The catalog entry of `workload` (the `Netperf` alias is TCP_RR's).
+pub(crate) const fn entry(workload: Workload) -> CatalogEntry {
+    let (description, mix) = match workload {
+        Workload::Kernbench => (
+            "Compilation of the Linux 3.17.0 kernel using the \
+             allnoconfig for ARM using GCC 4.8.2.",
+            Mix::CpuBound {
                 unit_work: 1_000_000,
                 ticks_per_unit: 8,
                 units: 64,
             },
-        },
-        Workload {
-            name: "Hackbench",
-            description: "hackbench using Unix domain sockets and 100 process \
-                          groups running with 500 loops.",
-            mix: Mix::IpiBound {
+        ),
+        Workload::Hackbench => (
+            "hackbench using Unix domain sockets and 100 process \
+             groups running with 500 loops.",
+            Mix::IpiBound {
                 unit_work: 200_000,
                 ipis_per_unit: 2,
                 units: 64,
             },
-        },
-        Workload {
-            name: "SPECjvm2008",
-            description: "SPECjvm2008 benchmark running several real life \
-                          applications and benchmarks chosen to benchmark the \
-                          Java Runtime Environment.",
-            mix: Mix::CpuBound {
+        ),
+        Workload::SpecJvm2008 => (
+            "SPECjvm2008 benchmark running several real life \
+             applications and benchmarks chosen to benchmark the \
+             Java Runtime Environment.",
+            Mix::CpuBound {
                 unit_work: 2_000_000,
                 ticks_per_unit: 4,
                 units: 64,
             },
-        },
-        Workload {
-            name: "TCP_RR",
-            description: "netperf TCP_RR: 1-byte round trips between client \
-                          and server, measuring latency.",
-            mix: Mix::NetRr { transactions: 40 },
-        },
-        Workload {
-            name: "TCP_STREAM",
-            description: "netperf TCP_STREAM: bulk data from client to the \
-                          server in the VM, measuring receive throughput.",
-            mix: Mix::StreamRx {
+        ),
+        Workload::Netperf | Workload::TcpRr => (
+            "netperf TCP_RR: 1-byte round trips between client \
+             and server, measuring latency.",
+            Mix::NetRr { transactions: 40 },
+        ),
+        Workload::TcpStream => (
+            "netperf TCP_STREAM: bulk data from client to the \
+             server in the VM, measuring receive throughput.",
+            Mix::StreamRx {
                 chunks: 44,
                 chunk_len: 1_490,
                 bursts: 48,
                 link_mbit: 10_000,
             },
-        },
-        Workload {
-            name: "TCP_MAERTS",
-            description: "netperf TCP_MAERTS: bulk data from the VM to the \
-                          client, measuring transmit throughput.",
-            mix: Mix::StreamTx {
+        ),
+        Workload::TcpMaerts => (
+            "netperf TCP_MAERTS: bulk data from the VM to the \
+             client, measuring transmit throughput.",
+            Mix::StreamTx {
                 chunks: 16,
                 chunk_len: 4_096,
                 bursts: 48,
                 tso_capped_chunks: 4,
                 link_mbit: 10_000,
             },
-        },
-        Workload {
-            name: "Apache",
-            description: "Apache v2.4.7 serving the 41 KB index file of the \
-                          GCC manual to 100 concurrent ApacheBench requests.",
-            mix: Mix::RequestServer {
+        ),
+        Workload::Apache => (
+            "Apache v2.4.7 serving the 41 KB index file of the \
+             GCC manual to 100 concurrent ApacheBench requests.",
+            Mix::RequestServer {
                 app_work: 240_000,
                 request_bytes: 170,
                 response_chunks: 10,
@@ -258,12 +252,11 @@ pub fn catalog() -> Vec<Workload> {
                 type1_extra_events_x2: 2,
                 requests: 64,
             },
-        },
-        Workload {
-            name: "Memcached",
-            description: "memcached v1.4.14 driven by the memtier benchmark \
-                          with default parameters.",
-            mix: Mix::RequestServer {
+        ),
+        Workload::Memcached => (
+            "memcached v1.4.14 driven by the memtier benchmark \
+             with default parameters.",
+            Mix::RequestServer {
                 app_work: 120_000,
                 request_bytes: 64,
                 response_chunks: 1,
@@ -272,12 +265,11 @@ pub fn catalog() -> Vec<Workload> {
                 type1_extra_events_x2: 0,
                 requests: 96,
             },
-        },
-        Workload {
-            name: "MySQL",
-            description: "MySQL v5.5.41 running SysBench with 200 parallel \
-                          transactions.",
-            mix: Mix::RequestServer {
+        ),
+        Workload::Mysql => (
+            "MySQL v5.5.41 running SysBench with 200 parallel \
+             transactions.",
+            Mix::RequestServer {
                 app_work: 900_000,
                 request_bytes: 256,
                 response_chunks: 2,
@@ -286,22 +278,36 @@ pub fn catalog() -> Vec<Workload> {
                 type1_extra_events_x2: 2,
                 requests: 48,
             },
-        },
-    ]
+        ),
+    };
+    CatalogEntry {
+        name: workload.catalog_name(),
+        description,
+        mix,
+    }
 }
 
-/// The operation mix of the catalog workload named `name` (its
-/// Figure 4 catalog spelling, e.g. `TCP_RR`).
-///
-/// # Errors
-///
-/// [`Error::UnknownWorkload`] when no catalog entry has that name.
-pub fn mix_named(name: &str) -> Result<Mix, Error> {
-    catalog()
-        .into_iter()
-        .find(|w| w.name == name)
-        .map(|w| w.mix)
-        .ok_or_else(|| Error::UnknownWorkload { name: name.into() })
+/// The calibrated operation mix of `workload`.
+pub fn mix(workload: Workload) -> Mix {
+    entry(workload).mix
+}
+
+/// Every entry, in [`Workload::ALL`] order, built once at compile time
+/// so [`catalog`] is one copy.
+const CATALOG: [CatalogEntry; Workload::ALL.len()] = {
+    let mut out = [entry(Workload::ALL[0]); Workload::ALL.len()];
+    let mut i = 1;
+    while i < out.len() {
+        out[i] = entry(Workload::ALL[i]);
+        i += 1;
+    }
+    out
+};
+
+/// The nine Figure 4 workloads with calibrated mixes, in Figure 4
+/// ([`Workload::ALL`]) order.
+pub fn catalog() -> Vec<CatalogEntry> {
+    CATALOG.to_vec()
 }
 
 /// Renders Table IV: the application benchmark descriptions.
@@ -676,9 +682,11 @@ mod tests {
         assert_eq!(c.len(), 9);
         assert_eq!(c[0].name, "Kernbench");
         assert_eq!(c[8].name, "MySQL");
-        for w in &c {
-            assert!(!w.description.is_empty());
+        for (w, e) in Workload::ALL.into_iter().zip(&c) {
+            assert_eq!(e.name, w.catalog_name());
+            assert!(!e.description.is_empty());
         }
+        assert_eq!(mix(Workload::Netperf), mix(Workload::TcpRr));
     }
 
     #[test]

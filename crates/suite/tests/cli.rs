@@ -25,7 +25,10 @@ fn help_exits_zero_with_usage_on_stdout() {
 
 /// Unknown artifacts are still a usage error: message on stderr, exit 2.
 /// So are `bench`, `run --bench` and `serve bench`: benchmarking lives
-/// in `perfbench/`, and these reach the ordinary parse errors.
+/// in `perfbench/`, and these reach the ordinary parse errors. So is
+/// `serve --retries`: no suite job is transient, so none is retried
+/// (the trailing `--help` keeps a reinstated flag from starting a
+/// server).
 #[test]
 fn unknown_artifact_exits_two() {
     for (args, message) in [
@@ -36,6 +39,10 @@ fn unknown_artifact_exits_two() {
         (&["run", "--bench", "b.json"], "unknown artifact '--bench'"),
         (&["bench", "--out", "b.json"], "no-subcommand interface"),
         (&["serve", "bench"], "unexpected argument 'bench'"),
+        (
+            &["serve", "--retries", "2", "--help"],
+            "unexpected argument '--retries'",
+        ),
     ] {
         let out = hvx_repro().args(args).output().expect("run hvx-repro");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

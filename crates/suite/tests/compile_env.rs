@@ -4,7 +4,7 @@
 //! `HVX_COST_PERTURB`, so this test has a test binary, and therefore a
 //! process, to itself.
 
-use hvx_core::{HvKind, VirqPolicy};
+use hvx_core::{HvKind, VirqPolicy, Workload};
 use hvx_engine::thread_replayed_transitions;
 use hvx_suite::{fig4, workloads};
 
@@ -26,12 +26,8 @@ fn only_hvx_compile_disables_compilation() {
     // A perturbed cost model is as steady as the calibrated one: a
     // perturbed Figure 4 cell still replays its steady state, and the
     // perturbation still reaches its number.
-    let tcp_rr = workloads::catalog()
-        .into_iter()
-        .find(|w| w.name == "TCP_RR")
-        .unwrap();
     let cell = || {
-        fig4::measure_bar(&tcp_rr, HvKind::KvmArm, VirqPolicy::Vcpu0)
+        fig4::measure_bar(Workload::TcpRr, HvKind::KvmArm, VirqPolicy::Vcpu0)
             .unwrap()
             .unwrap()
     };

@@ -137,7 +137,6 @@ fn chaos_panic_is_typed_quarantined_and_leaves_the_server_alive() {
     let r = start(
         ServerConfig {
             journal: Some(dir.join("journal.jsonl")),
-            max_retries: 0,
             breaker: BreakerConfig {
                 threshold: 1,
                 cooldown: Duration::from_secs(3600),
@@ -154,6 +153,8 @@ fn chaos_panic_is_typed_quarantined_and_leaves_the_server_alive() {
     assert_eq!(str_of(&done, "state"), "failed");
     let failure = done.get("failure").unwrap();
     assert_eq!(str_of(failure, "kind"), "panicked");
+    // A spec run is deterministic, so its panic is never retried.
+    assert_eq!(done.get("retries").and_then(Value::as_u64), Some(0));
     assert_eq!(done.get("quarantined").unwrap(), &Value::Bool(true));
 
     // The fingerprint is now quarantined: resubmission is refused with

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Golden-baseline regression gate: a clean `check` against the committed
-# baseline (with the loop compiler on and off), a cache-smoke pass
+# baseline (with the loop compiler on and off) that must report byte
+# identity, not a schema bump (a bump rewrites baselines/ in the same
+# change, so a committed tree always checks byte-identical), a cache-smoke pass
 # proving warm reruns skip every cell, and a drift drill proving a
 # perturbed cost model is caught with a span delta report, a doorbell
 # drill proving one cost field moves Table II and Figure 4 together, and
@@ -15,16 +17,33 @@ repro="target/release/hvx-repro"
 cache_dir="target/baseline-check-cache"
 rm -rf "$cache_dir"
 
+# Runs a check command that must come out clean. `check` also exits 0
+# when input fingerprints moved but no byte did ("schema bump
+# detected"), so a clean check must report byte identity as well: a
+# refactor that silently moves a fingerprint fails here. Leaves the
+# command's stdout and stderr in $out.
+clean_check() {
+    out=$("$@" 2>&1)
+    echo "$out"
+    case "$out" in
+    *"byte-identical to the baseline"*) ;;
+    *)
+        echo "baseline_check: '$*' is not byte-identical to the baseline" >&2
+        exit 1
+        ;;
+    esac
+}
+
 echo "== check against the committed baseline (cold cache) =="
-"$repro" check --cache "$cache_dir"
+clean_check "$repro" check --cache "$cache_dir"
 
 echo "== check with the loop compiler off: results must not depend on the tier =="
-HVX_COMPILE=off "$repro" check
+clean_check env HVX_COMPILE=off "$repro" check
 
 echo "== cache smoke: a warm check serves every cell from the cache =="
-err=$("$repro" check --cache "$cache_dir" 2>&1 >/dev/null)
-echo "$err" | grep "cache:"
-case "$err" in
+clean_check "$repro" check --cache "$cache_dir" >/dev/null
+echo "$out" | grep "cache:"
+case "$out" in
 *"0 misses, 0 stores"*) ;;
 *)
     echo "baseline_check: warm check re-ran scenarios instead of hitting the cache" >&2
@@ -126,7 +145,7 @@ for field in kvm_vhost_per_packet xen_net_per_packet; do
 done
 
 echo "== the drill must not have poisoned the cache =="
-"$repro" check --cache "$cache_dir" >/dev/null
+clean_check "$repro" check --cache "$cache_dir" >/dev/null
 
 rm -rf "$cache_dir"
 echo "baseline_check: gate, cache, drift, doorbell, 2x2 and storage drills all pass"

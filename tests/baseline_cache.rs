@@ -3,10 +3,10 @@
 //! `hvx-repro` binary uses.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use hvx::suite::cache::ResultCache;
+use hvx::suite::cache::{self, ResultCache};
 use hvx::suite::diff;
 use hvx::suite::runner::{self, ArtifactId, RunnerConfig};
 
@@ -110,6 +110,31 @@ fn baseline_write_then_cached_check_is_clean() {
 
     let _ = fs::remove_dir_all(&baseline_dir);
     let _ = fs::remove_dir_all(&cache_dir);
+}
+
+/// The committed manifest records today's fingerprints: every scenario
+/// of the baselined artifacts hashes to the bytes `baselines/` holds, so
+/// a change that moves a fingerprint without rewriting the baseline
+/// fails here instead of checking clean as a schema bump.
+#[test]
+fn committed_fingerprints_are_current() {
+    let manifest = diff::BaselineManifest::load(Path::new(diff::DEFAULT_DIR)).unwrap();
+    assert_eq!(manifest.schema, cache::SCHEMA_VERSION);
+    let cfg = RunnerConfig::default();
+    let current: Vec<(String, String)> = runner::plan(&manifest.artifacts)
+        .into_iter()
+        .map(|s| {
+            let fingerprint = cache::scenario_fingerprint(s, &cfg).expect("cacheable");
+            (s.label(), fingerprint.to_hex())
+        })
+        .collect();
+    assert_eq!(current.len(), manifest.fingerprints.len());
+    let moved: Vec<_> = current
+        .iter()
+        .zip(&manifest.fingerprints)
+        .filter(|(now, committed)| now != committed)
+        .collect();
+    assert!(moved.is_empty(), "(current, committed): {moved:?}");
 }
 
 /// Tampering with committed baseline bytes while fingerprints stay put

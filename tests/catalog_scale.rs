@@ -18,15 +18,6 @@ const KINDS: [HvKind; 6] = [
     HvKind::Native,
 ];
 
-/// The calibrated mix of a catalog workload, by Figure 4 name.
-fn catalog_mix(workload: Workload) -> Mix {
-    workloads::catalog()
-        .into_iter()
-        .find(|w| w.name == workload.catalog_name())
-        .map(|w| w.mix)
-        .unwrap_or_else(|| panic!("{workload} missing from the catalog"))
-}
-
 /// Scales the closed-loop request count of a mix, leaving per-request
 /// parameters untouched.
 fn scaled(mix: Mix, scale: u32) -> Mix {
@@ -112,7 +103,7 @@ proptest! {
     #[test]
     fn catalog_completes_on_every_kind_at_scale(scale in 1u32..11) {
         for workload in Workload::ALL {
-            let mix = scaled(catalog_mix(workload), scale);
+            let mix = scaled(workloads::mix(workload), scale);
             for kind in KINDS {
                 let mut sim = SimBuilder::new(kind)
                     .workload(workload)

@@ -6,7 +6,7 @@
 use hvx::core::{
     CostModel, HvKind, HvType, Hypervisor, KvmArm, KvmX86, SimBuilder, XenArm, XenX86,
 };
-use hvx::engine::{CoreId, Cycles, TraceKind, TraceMode};
+use hvx::engine::{CoreId, Cycles, TraceEvent, TraceKind, TraceMode, TransitionId};
 
 fn c() -> CostModel {
     CostModel::arm()
@@ -180,16 +180,19 @@ fn uncalibrated_model_still_drives_every_path() {
 type Record = (&'static str, CoreId, Cycles, TraceKind);
 
 /// Runs `op` on a fresh `kind` machine with the log in full mode and
-/// returns the (label, core, cost, kind) records it left, in order.
-fn records(kind: HvKind, op: impl FnOnce(&mut dyn Hypervisor)) -> Vec<Record> {
+/// returns every record it left, in order.
+fn events(kind: HvKind, op: impl FnOnce(&mut dyn Hypervisor)) -> Vec<TraceEvent> {
     let mut sim = SimBuilder::new(kind)
         .tracing(TraceMode::Full)
         .build()
         .expect("the paper configuration builds");
     op(sim.as_dyn_mut());
-    sim.machine()
-        .trace()
-        .events()
+    sim.machine().trace().events().to_vec()
+}
+
+/// [`events`] as (label, core, cost, kind) records.
+fn records(kind: HvKind, op: impl FnOnce(&mut dyn Hypervisor)) -> Vec<Record> {
+    events(kind, op)
         .iter()
         .map(|e| (e.label, e.core, e.duration, e.kind))
         .collect()
@@ -299,6 +302,55 @@ fn a_block_request_is_the_kick_the_back_end_and_the_blocked_wake() {
             }
         }
         let got = records(kind, |hv| hv.block_request(0, work, service));
+        assert_eq!(got, want, "{kind}");
+    }
+}
+
+#[test]
+fn the_block_back_ends_charge_their_own_transitions() {
+    // No span profile covers the storage ablation (`check` re-profiles
+    // only Figure 4's cells), so a block back end charged as another
+    // transition would move no committed byte. Pin each back-end
+    // record's order, label, kind and transition here.
+    const BACK_END: [&str; 4] = [
+        "kvm:vhost-blk",
+        "xen:blkback",
+        "xen:grant-copy",
+        "disk:service",
+    ];
+    let disk = (
+        "disk:service",
+        TraceKind::Io,
+        Some(TransitionId::DeviceService),
+    );
+    for kind in HvKind::ALL {
+        let want = match kind.hv_type() {
+            None => vec![disk],
+            Some(HvType::Type2) => vec![
+                (
+                    "kvm:vhost-blk",
+                    TraceKind::Io,
+                    Some(TransitionId::VhostBackend),
+                ),
+                disk,
+            ],
+            Some(HvType::Type1) => vec![
+                ("xen:blkback", TraceKind::Io, Some(TransitionId::Netback)),
+                (
+                    "xen:grant-copy",
+                    TraceKind::Copy,
+                    Some(TransitionId::GrantCopy),
+                ),
+                disk,
+            ],
+        };
+        let got: Vec<_> = events(kind, |hv| {
+            hv.block_request(0, Cycles::new(2_500), Cycles::new(40_000));
+        })
+        .into_iter()
+        .filter(|e| BACK_END.contains(&e.label))
+        .map(|e| (e.label, e.kind, e.transition))
+        .collect();
         assert_eq!(got, want, "{kind}");
     }
 }

@@ -2,10 +2,12 @@
 //! matrix across worker threads produces byte-for-byte the same text and
 //! JSON as a serial run.
 
+use hvx::engine::thread_transitions;
 use hvx::suite::runner::{self, ArtifactId};
 
 /// Full Figure 4 matrix (36 cell scenarios) plus every table and
-/// ablation: `--jobs 4` output is byte-identical to `--jobs 1`.
+/// ablation: `--jobs 4` fans out to worker threads, and its output is
+/// byte-identical to `--jobs 1`.
 #[test]
 fn parallel_artifacts_are_byte_identical_to_serial() {
     let artifacts = ArtifactId::ALL;
@@ -14,7 +16,13 @@ fn parallel_artifacts_are_byte_identical_to_serial() {
     assert!(plan.len() >= 36 + artifacts.len() - 1);
 
     let serial = runner::assemble(&artifacts, &runner::run_scenarios(&plan, 1).unwrap()).unwrap();
-    let parallel = runner::assemble(&artifacts, &runner::run_scenarios(&plan, 4).unwrap()).unwrap();
+    // Every scenario runs on a worker: the calling thread charges
+    // nothing while the workers' results carry the simulation.
+    let before = thread_transitions();
+    let results = runner::run_scenarios(&plan, 4).unwrap();
+    assert_eq!(thread_transitions() - before, 0, "a scenario ran inline");
+    assert!(results.iter().map(|r| r.transitions).sum::<u64>() > 0);
+    let parallel = runner::assemble(&artifacts, &results).unwrap();
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
