@@ -15,7 +15,28 @@
 //! [`CONFIRM_BLOCKS`] blocks of `p` iterations are *congruent*:
 //! identical op streams (ignoring variable fields such as wait targets
 //! and signal arrivals) with identical per-core block-start clock
-//! deltas. Once confirmed, the variable fields are classified:
+//! deltas.
+//!
+//! # Recording and detection
+//!
+//! The recorder keeps one flat op log, a table of iteration bounds and
+//! one arena of clock snapshots (taken at every iteration start, wait
+//! and register update); ops and iterations refer to snapshots by
+//! offset. A session therefore allocates only when one of those three
+//! vectors grows. Closing an iteration folds the congruence key of each
+//! of its ops (exactly the fields congruence compares) into a
+//! polynomial hash and keeps it with `B^len`, so the hash of `p`
+//! consecutive iterations is a fold of `p` pairs. After every
+//! iteration each candidate period is *screened* first: its blocks must
+//! have equal lengths and equal hashes, which costs
+//! `O(CONFIRM_BLOCKS · p)` integer operations. Congruent blocks always
+//! hash equally, so the screen never rejects a period the exact test
+//! would accept. A candidate that passes has its clock deltas checked,
+//! then is compared op by op, then built. Every check must pass, so
+//! their order decides nothing: the smallest period wins, exactly as
+//! without the screen.
+//!
+//! Once confirmed, the variable fields are classified:
 //!
 //! - a wait target that always equals a signal arrival held in a
 //!   *slot* (covering both same-block signal→wait and cross-block
@@ -67,6 +88,7 @@
 //! pays next to nothing for the attempts. Fewer than three remaining
 //! blocks are always stepped.
 
+use crate::fault::splitmix64;
 use crate::TraceKind;
 use std::cmp::Ordering;
 
@@ -85,7 +107,7 @@ pub const GIVE_UP_ITERS: usize = MAX_PERIOD * CONFIRM_BLOCKS * 2;
 /// One machine-level operation captured while recording a loop.
 /// Variable fields (arrivals, targets, clock snapshots, register
 /// values) are excluded from congruence and classified separately.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum RawOp {
     /// A cost charge on one core (one simulated transition).
     Charge {
@@ -100,18 +122,36 @@ pub(crate) enum RawOp {
         latency: u64,
         arrival: u64,
     },
-    /// A wait; `clocks` snapshots every core clock *before* the max.
-    Wait {
-        core: u8,
-        target: u64,
-        clocks: Box<[u64]>,
-    },
+    /// A wait; `snap` is the offset of the snapshot of every core clock
+    /// taken *before* the max (see [`Recorder::snapshot`]).
+    Wait { core: u8, target: u64, snap: usize },
     /// Suite-side loop register update, with a clock snapshot.
-    Reg {
-        idx: u8,
-        value: u64,
-        clocks: Box<[u64]>,
-    },
+    Reg { idx: u8, value: u64, snap: usize },
+}
+
+impl RawOp {
+    /// A digest of exactly the fields [`congruent`] compares, so
+    /// congruent ops always share a key.
+    fn key(&self) -> u64 {
+        let (tag, fields, wide) = match *self {
+            RawOp::Charge { core, kind, cost } => (0, u64::from(core) | ((kind as u64) << 8), cost),
+            RawOp::Signal {
+                from, to, latency, ..
+            } => (1, u64::from(from) | (u64::from(to) << 8), latency),
+            RawOp::Wait { core, .. } => (2, u64::from(core), 0),
+            RawOp::Reg { idx, .. } => (3, u64::from(idx), 0),
+        };
+        splitmix64(splitmix64((fields << 2) | tag) ^ wide)
+    }
+}
+
+/// Whether the blocks are op-for-op congruent: equal lengths and
+/// structurally equal ops.
+fn congruent_blocks(blocks: &[&[RawOp]; CONFIRM_BLOCKS]) -> bool {
+    let first = blocks[0];
+    blocks[1..]
+        .iter()
+        .all(|b| b.len() == first.len() && first.iter().zip(b.iter()).all(|(x, y)| congruent(x, y)))
 }
 
 /// Structural equality ignoring variable fields.
@@ -153,7 +193,7 @@ fn congruent(a: &RawOp, b: &RawOp) -> bool {
 /// A pre-resolved compiled operation. No HashMap lookups, no cost
 /// model, no tracer branches — just index arithmetic over `clocks`,
 /// `slots`, and `lin` arrays.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     /// `clocks[core] += cost`.
     Charge { core: u8, cost: u64 },
@@ -208,7 +248,7 @@ pub(crate) struct Program {
 }
 
 /// A program's live state besides the clocks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Live {
     /// Signal-arrival slots (cross-block pipelining state).
     slots: Vec<u64>,
@@ -418,43 +458,107 @@ impl Program {
     }
 }
 
-/// A recording loop session: raw op streams per iteration plus the
-/// clock snapshot taken at each iteration start.
-#[derive(Debug, Clone, Default)]
+/// Multiplier of the per-iteration polynomial hash (odd, so every
+/// power of it is odd and no key is ever multiplied away).
+const HASH_BASE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One closed iteration: its ops in the flat log, its start-clock
+/// snapshot, and the congruence hash of its ops.
+#[derive(Debug, Clone, Copy)]
+struct Iter {
+    /// Offset of the iteration's first op in [`Recorder::ops`].
+    start: usize,
+    /// One past the offset of its last op.
+    end: usize,
+    /// Offset of the iteration-start snapshot in [`Recorder::snaps`].
+    snap: usize,
+    /// `Σ key(op_i) · B^(len-1-i)` over the iteration's ops.
+    hash: u64,
+    /// `B^len`.
+    pow: u64,
+}
+
+/// A recording loop session: one flat op log with iteration bounds,
+/// and one arena of clock snapshots (see the module doc).
+#[derive(Debug, Clone)]
 pub(crate) struct Recorder {
-    iters: Vec<Vec<RawOp>>,
-    starts: Vec<Box<[u64]>>,
-    cur: Vec<RawOp>,
-    pub(crate) iter_open: bool,
+    /// Clock words per snapshot.
+    cores: usize,
+    /// Every op recorded in the session, iteration after iteration.
+    ops: Vec<RawOp>,
+    /// The closed iterations, in order.
+    iters: Vec<Iter>,
+    /// Clock snapshots, `cores` words each.
+    snaps: Vec<u64>,
+    /// The open iteration's first op and start snapshot.
+    open: Option<(usize, usize)>,
 }
 
 impl Recorder {
+    /// An empty recording for a machine with `cores` cores.
+    pub(crate) fn new(cores: usize) -> Recorder {
+        Recorder {
+            cores,
+            ops: Vec::new(),
+            iters: Vec::new(),
+            snaps: Vec::new(),
+            open: None,
+        }
+    }
+
     /// Records one op. Returns `false` (→ abort the session) when an
     /// op arrives outside an open iteration: the loop body is then not
     /// the only thing charging the machine and skipping is unsound.
     pub(crate) fn record(&mut self, op: RawOp) -> bool {
-        if !self.iter_open {
+        if self.open.is_none() {
             return false;
         }
-        self.cur.push(op);
+        self.ops.push(op);
         true
     }
 
-    /// Opens iteration `n` with the machine's current clocks.
-    pub(crate) fn begin_iter(&mut self, clocks: Box<[u64]>) {
-        if self.iter_open {
-            self.iters.push(std::mem::take(&mut self.cur));
-        }
-        self.starts.push(clocks);
-        self.iter_open = true;
+    /// Appends a snapshot of the clocks and returns its offset, for a
+    /// [`RawOp::Wait`] or [`RawOp::Reg`] to refer to.
+    pub(crate) fn snapshot(&mut self, clocks: impl IntoIterator<Item = u64>) -> usize {
+        let at = self.snaps.len();
+        self.snaps.extend(clocks);
+        at
     }
 
-    /// Closes the current iteration, if one is open.
-    pub(crate) fn close_iter(&mut self) {
-        if self.iter_open {
-            self.iters.push(std::mem::take(&mut self.cur));
-            self.iter_open = false;
-        }
+    /// The snapshot at `offset`.
+    fn snap(&self, offset: usize) -> &[u64] {
+        &self.snaps[offset..offset + self.cores]
+    }
+
+    /// Opens the next iteration with the machine's current clocks,
+    /// closing the open one first. Returns whether one was open.
+    pub(crate) fn begin_iter(&mut self, clocks: impl IntoIterator<Item = u64>) -> bool {
+        let closed = self.close_iter();
+        let snap = self.snapshot(clocks);
+        self.open = Some((self.ops.len(), snap));
+        closed
+    }
+
+    /// Closes the current iteration, if one is open, and hashes its
+    /// ops. Returns whether one was open.
+    pub(crate) fn close_iter(&mut self) -> bool {
+        let Some((start, snap)) = self.open.take() else {
+            return false;
+        };
+        let (hash, pow) = self.ops[start..].iter().fold((0u64, 1u64), |(h, pow), op| {
+            (
+                h.wrapping_mul(HASH_BASE).wrapping_add(op.key()),
+                pow.wrapping_mul(HASH_BASE),
+            )
+        });
+        self.iters.push(Iter {
+            start,
+            end: self.ops.len(),
+            snap,
+            hash,
+            pow,
+        });
+        true
     }
 
     pub(crate) fn recorded_iters(&self) -> usize {
@@ -463,54 +567,71 @@ impl Recorder {
 
     /// Attempts to compile: smallest period wins. `current` must be
     /// the machine's clocks at the end of the last closed iteration.
-    pub(crate) fn try_compile(&self, current: &[u64]) -> Option<Program> {
+    /// A candidate period runs the checks from the cheapest up: the
+    /// hash screen, the per-core clock deltas, the exact op-by-op
+    /// congruence check (each one reached adds to `checks`), then the
+    /// build and its self-check. All four must pass, so their order
+    /// decides nothing.
+    pub(crate) fn try_compile(&self, current: &[u64], checks: &mut u64) -> Option<Program> {
         for p in 1..=MAX_PERIOD {
             if CONFIRM_BLOCKS * p > self.iters.len() {
                 break;
             }
-            if let Some(prog) = self.try_period(p, current) {
-                return Some(prog);
+            let base = self.iters.len() - CONFIRM_BLOCKS * p;
+            if !self.screen(base, p) || !self.steady_clocks(base, p, current) {
+                continue;
+            }
+            *checks += 1;
+            let blocks = self.blocks(base, p);
+            if congruent_blocks(&blocks) {
+                if let Some(prog) = self.build(&blocks, p, base, current) {
+                    return Some(prog);
+                }
             }
         }
         None
     }
 
-    fn try_period(&self, p: usize, current: &[u64]) -> Option<Program> {
+    /// The iterations of block `b` of the `p`-blocks starting at
+    /// iteration `base`.
+    fn block_iters(&self, base: usize, p: usize, b: usize) -> &[Iter] {
+        &self.iters[base + b * p..base + (b + 1) * p]
+    }
+
+    /// The ops of each `p`-block starting at iteration `base`: each
+    /// block is one contiguous run of the log.
+    fn blocks(&self, base: usize, p: usize) -> [&[RawOp]; CONFIRM_BLOCKS] {
+        std::array::from_fn(|b| {
+            let iters = self.block_iters(base, p, b);
+            &self.ops[iters[0].start..iters[p - 1].end]
+        })
+    }
+
+    /// The hash screen: whether every `p`-block has block 0's length
+    /// and concatenation hash. Congruent blocks always pass.
+    fn screen(&self, base: usize, p: usize) -> bool {
+        let digest = |b: usize| {
+            let iters = self.block_iters(base, p, b);
+            let hash = iters
+                .iter()
+                .fold(0u64, |h, it| h.wrapping_mul(it.pow).wrapping_add(it.hash));
+            (iters[p - 1].end - iters[0].start, hash)
+        };
+        let first = digest(0);
+        (1..CONFIRM_BLOCKS).all(|b| digest(b) == first)
+    }
+
+    /// Whether the block-start clock deltas are identical between every
+    /// consecutive block pair, per core, with the current clocks acting
+    /// as the final block's end.
+    fn steady_clocks(&self, base: usize, p: usize, current: &[u64]) -> bool {
         let w = CONFIRM_BLOCKS;
-        let base = self.iters.len() - w * p;
-        let block: Vec<Vec<&RawOp>> = (0..w)
-            .map(|b| {
-                self.iters[base + b * p..base + (b + 1) * p]
-                    .iter()
-                    .flatten()
-                    .collect()
-            })
-            .collect();
-        let len = block[0].len();
-        if block.iter().any(|b| b.len() != len) {
-            return None;
-        }
-        for (k, &op0) in block[0].iter().enumerate() {
-            if (1..w).any(|b| !congruent(op0, block[b][k])) {
-                return None;
-            }
-        }
-        // Block-start clock deltas must be identical between every
-        // consecutive block pair, per core, with the current clocks
-        // acting as the final block's end.
-        let start = |b: usize| &self.starts[base + b * p];
-        for (c, &cur) in current.iter().enumerate() {
+        let start = |b: usize| self.snap(self.iters[base + b * p].snap);
+        current.iter().enumerate().all(|(c, &cur)| {
             let d0 = start(1)[c].wrapping_sub(start(0)[c]);
-            for b in 1..w - 1 {
-                if start(b + 1)[c].wrapping_sub(start(b)[c]) != d0 {
-                    return None;
-                }
-            }
-            if cur.wrapping_sub(start(w - 1)[c]) != d0 {
-                return None;
-            }
-        }
-        self.build(&block, p, base, current)
+            (1..w - 1).all(|b| start(b + 1)[c].wrapping_sub(start(b)[c]) == d0)
+                && cur.wrapping_sub(start(w - 1)[c]) == d0
+        })
     }
 
     /// Classifies variable fields and assembles the program, then
@@ -518,7 +639,7 @@ impl Recorder {
     #[allow(clippy::too_many_lines)]
     fn build(
         &self,
-        block: &[Vec<&RawOp>],
+        block: &[&[RawOp]; CONFIRM_BLOCKS],
         p: usize,
         base: usize,
         current: &[u64],
@@ -533,7 +654,7 @@ impl Recorder {
             return None;
         }
         let arrival = |b: usize, k: usize| match block[b][k] {
-            RawOp::Signal { arrival, .. } => *arrival,
+            RawOp::Signal { arrival, .. } => arrival,
             _ => unreachable!("slot positions are signals"),
         };
         // For each variable value (wait target / reg value), pick a
@@ -609,14 +730,11 @@ impl Recorder {
                     kind: _,
                     cost,
                 } => {
-                    ops.push(Op::Charge {
-                        core: *core,
-                        cost: *cost,
-                    });
-                    busy_delta[*core as usize] += cost;
+                    ops.push(Op::Charge { core, cost });
+                    busy_delta[core as usize] += cost;
                     charged_delta += cost;
                     charges += 1;
-                    if *cost == 0 {
+                    if cost == 0 {
                         tail_zero += 1;
                     } else {
                         tail_zero = 0;
@@ -626,31 +744,29 @@ impl Recorder {
                 RawOp::Signal { from, latency, .. } => {
                     ops.push(Op::Signal {
                         slot: next_slot,
-                        from: *from,
-                        latency: *latency,
+                        from,
+                        latency,
                     });
                     next_slot += 1;
                 }
                 RawOp::Wait { core, .. } => {
                     let targets = |b: usize| match block[b][k] {
-                        RawOp::Wait { target, .. } => *target,
+                        RawOp::Wait { target, .. } => target,
                         _ => unreachable!(),
                     };
                     let snaps = |b: usize, src: usize| -> u64 {
                         match block[b][k] {
-                            RawOp::Wait { clocks, .. } => clocks[src],
+                            RawOp::Wait { snap, .. } => self.snaps[snap + src],
                             _ => unreachable!(),
                         }
                     };
                     match classify(k, true, &targets, &snaps, &mut lin_seed)? {
-                        Classified::Slot(slot) => ops.push(Op::WaitSlot { core: *core, slot }),
-                        Classified::Now { src, offset } => ops.push(Op::WaitNow {
-                            core: *core,
-                            src,
-                            offset,
-                        }),
+                        Classified::Slot(slot) => ops.push(Op::WaitSlot { core, slot }),
+                        Classified::Now { src, offset } => {
+                            ops.push(Op::WaitNow { core, src, offset });
+                        }
                         Classified::Lin { idx, step } => ops.push(Op::WaitLin {
-                            core: *core,
+                            core,
                             lin: idx,
                             step,
                         }),
@@ -658,42 +774,38 @@ impl Recorder {
                 }
                 RawOp::Reg { idx, .. } => {
                     let targets = |b: usize| match block[b][k] {
-                        RawOp::Reg { value, .. } => *value,
+                        RawOp::Reg { value, .. } => value,
                         _ => unreachable!(),
                     };
                     let snaps = |b: usize, src: usize| -> u64 {
                         match block[b][k] {
-                            RawOp::Reg { clocks, .. } => clocks[src],
+                            RawOp::Reg { snap, .. } => self.snaps[snap + src],
                             _ => unreachable!(),
                         }
                     };
-                    max_reg = max_reg.max(*idx as usize);
+                    max_reg = max_reg.max(idx as usize);
                     has_reg = true;
                     match classify(k, false, &targets, &snaps, &mut lin_seed)? {
                         Classified::Slot(_) => unreachable!("regs never classify as slots"),
-                        Classified::Now { src, offset } => ops.push(Op::RegNow {
-                            idx: *idx,
-                            src,
-                            offset,
-                        }),
-                        Classified::Lin { idx: lin, step } => ops.push(Op::RegLin {
-                            idx: *idx,
-                            lin,
-                            step,
-                        }),
+                        Classified::Now { src, offset } => {
+                            ops.push(Op::RegNow { idx, src, offset });
+                        }
+                        Classified::Lin { idx: lin, step } => {
+                            ops.push(Op::RegLin { idx, lin, step });
+                        }
                     }
                 }
             }
         }
         // Live state seeded from the *second-to-last* block so the
         // self-check replay of the last block starts from truth.
-        let start = |b: usize| &self.starts[base + b * p];
+        let start = |b: usize| self.snap(self.iters[base + b * p].snap);
         let slots_at = |b: usize| -> Vec<u64> { sig_pos.iter().map(|&s| arrival(b, s)).collect() };
         let regs_at = |b: usize| -> Vec<u64> {
             let mut regs = vec![0u64; if has_reg { max_reg + 1 } else { 0 }];
-            for op in &block[b] {
-                if let RawOp::Reg { idx, value, .. } = op {
-                    regs[*idx as usize] = *value;
+            for op in block[b] {
+                if let RawOp::Reg { idx, value, .. } = *op {
+                    regs[idx as usize] = value;
                 }
             }
             regs
@@ -766,4 +878,270 @@ pub(crate) enum LoopState {
     Recording(Recorder),
     /// Compiled; iterations replay in bulk.
     Ready(Program),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl Recorder {
+        /// The detector without its hash screen, its checks in their
+        /// original order: equal block lengths, op-by-op congruence,
+        /// clock deltas, build. The reference the screened
+        /// [`Recorder::try_compile`] must match.
+        fn try_compile_unscreened(&self, current: &[u64]) -> Option<Program> {
+            for p in 1..=MAX_PERIOD {
+                if CONFIRM_BLOCKS * p > self.iters.len() {
+                    break;
+                }
+                let base = self.iters.len() - CONFIRM_BLOCKS * p;
+                let blocks = self.blocks(base, p);
+                if congruent_blocks(&blocks) && self.steady_clocks(base, p, current) {
+                    if let Some(prog) = self.build(&blocks, p, base, current) {
+                        return Some(prog);
+                    }
+                }
+            }
+            None
+        }
+    }
+
+    /// One step of a generated loop body.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Charge {
+            core: u8,
+            kind: TraceKind,
+            cost: u64,
+        },
+        /// A signal whose arrival lands in mailbox `slot`.
+        Send {
+            from: u8,
+            to: u8,
+            latency: u64,
+            slot: usize,
+        },
+        /// A wait for mailbox `slot`'s latest arrival.
+        Recv { core: u8, slot: usize },
+        /// A wait for `lead + iteration · stride`.
+        Paced { core: u8, lead: u64, stride: u64 },
+        /// A loop register set to a core's clock plus `offset`.
+        Reg { idx: u8, core: u8, offset: u64 },
+    }
+
+    /// Deterministic generator (counter-based splitmix64).
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(1);
+            splitmix64(self.0) % n
+        }
+    }
+
+    const KINDS: [TraceKind; 3] = [TraceKind::Guest, TraceKind::Trap, TraceKind::Io];
+
+    fn body(g: &mut Gen, cores: u64) -> Vec<Step> {
+        let core = |g: &mut Gen| g.below(cores) as u8;
+        (0..2 + g.below(7))
+            .map(|_| match g.below(6) {
+                0 | 1 => Step::Charge {
+                    core: core(g),
+                    kind: KINDS[g.below(3) as usize],
+                    cost: 1 + g.below(4) * 500,
+                },
+                2 => Step::Send {
+                    from: core(g),
+                    to: core(g),
+                    latency: 100 + g.below(3) * 300,
+                    slot: g.below(2) as usize,
+                },
+                3 => Step::Recv {
+                    core: core(g),
+                    slot: g.below(2) as usize,
+                },
+                4 => Step::Paced {
+                    core: core(g),
+                    lead: g.below(5_000),
+                    stride: 500 + g.below(4) * 1_000,
+                },
+                _ => Step::Reg {
+                    idx: g.below(2) as u8,
+                    core: core(g),
+                    offset: g.below(1_000),
+                },
+            })
+            .collect()
+    }
+
+    /// The machine semantics of each op, recorded as the machine
+    /// records them.
+    struct Rig {
+        clocks: Vec<u64>,
+        mail: [u64; 2],
+        rec: Recorder,
+    }
+
+    impl Rig {
+        fn step(&mut self, step: Step, iteration: u64) {
+            let op = match step {
+                Step::Charge { core, kind, cost } => {
+                    self.clocks[core as usize] += cost;
+                    RawOp::Charge { core, kind, cost }
+                }
+                Step::Send {
+                    from,
+                    to,
+                    latency,
+                    slot,
+                } => {
+                    let arrival = self.clocks[from as usize] + latency;
+                    self.mail[slot] = arrival;
+                    RawOp::Signal {
+                        from,
+                        to,
+                        latency,
+                        arrival,
+                    }
+                }
+                Step::Recv { core, slot } => self.wait(core, self.mail[slot]),
+                Step::Paced { core, lead, stride } => self.wait(core, lead + iteration * stride),
+                Step::Reg { idx, core, offset } => {
+                    let snap = self.rec.snapshot(self.clocks.iter().copied());
+                    RawOp::Reg {
+                        idx,
+                        value: self.clocks[core as usize] + offset,
+                        snap,
+                    }
+                }
+            };
+            assert!(self.rec.record(op));
+        }
+
+        fn wait(&mut self, core: u8, target: u64) -> RawOp {
+            let snap = self.rec.snapshot(self.clocks.iter().copied());
+            let clock = &mut self.clocks[core as usize];
+            *clock = (*clock).max(target);
+            RawOp::Wait { core, target, snap }
+        }
+    }
+
+    /// What both detectors must agree on.
+    fn outcome(program: Option<Program>) -> Option<(u64, Vec<Op>, Live)> {
+        program.map(|p| (p.period, p.ops, p.live))
+    }
+
+    /// How a generated case departs from a clean periodic loop.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum Twist {
+        None,
+        /// One op of one iteration has its cost moved by a cycle.
+        NearMissCost,
+        /// One paced wait of one iteration has its target moved.
+        NearMissTarget,
+        /// One iteration boundary moves by one op.
+        ShiftedBoundary,
+    }
+
+    /// Runs one generated case through both detectors after every
+    /// iteration. Returns the twist and whether the loop compiled.
+    fn run_case(seed: u64) -> (Twist, bool) {
+        let mut g = Gen(seed << 20);
+        let cores = 2 + g.below(3);
+        let period = 1 + g.below(4) as usize;
+        let bodies: Vec<Vec<Step>> = (0..period).map(|_| body(&mut g, cores)).collect();
+        let warm = g.below(6) as usize;
+        let warm_body = body(&mut g, cores);
+        let mut iters: Vec<Vec<(Step, u64)>> = (0..GIVE_UP_ITERS)
+            .map(|i| {
+                let steps = if i < warm {
+                    &warm_body
+                } else {
+                    &bodies[i % period]
+                };
+                steps.iter().map(|&s| (s, i as u64)).collect()
+            })
+            .collect();
+        let twist = [
+            Twist::None,
+            Twist::NearMissCost,
+            Twist::NearMissTarget,
+            Twist::ShiftedBoundary,
+        ][g.below(4) as usize];
+        let at = warm + g.below(12) as usize;
+        match twist {
+            Twist::None => {}
+            Twist::NearMissCost | Twist::NearMissTarget => {
+                for (step, _) in &mut iters[at] {
+                    match step {
+                        Step::Charge { cost, .. } if twist == Twist::NearMissCost => {
+                            *cost += 1;
+                            break;
+                        }
+                        Step::Paced { lead, .. } if twist == Twist::NearMissTarget => {
+                            *lead += 1 + g.below(3_000);
+                            break;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            Twist::ShiftedBoundary => {
+                // Iteration `at` ends one op early or one op late.
+                if g.below(2) == 0 {
+                    if let Some(last) = iters[at].pop() {
+                        iters[at + 1].insert(0, last);
+                    }
+                } else if !iters[at + 1].is_empty() {
+                    let first = iters[at + 1].remove(0);
+                    iters[at].push(first);
+                }
+            }
+        }
+        let mut rig = Rig {
+            clocks: (0..cores).map(|c| c * 7_000).collect(),
+            mail: [0; 2],
+            rec: Recorder::new(cores as usize),
+        };
+        for steps in &iters {
+            rig.rec.begin_iter(rig.clocks.iter().copied());
+            for &(step, i) in steps {
+                rig.step(step, i);
+            }
+            assert!(rig.rec.close_iter());
+            let mut checks = 0;
+            let screened = outcome(rig.rec.try_compile(&rig.clocks, &mut checks));
+            let reference = outcome(rig.rec.try_compile_unscreened(&rig.clocks));
+            assert_eq!(
+                screened,
+                reference,
+                "seed {seed} ({twist:?}) after {} iterations",
+                rig.rec.recorded_iters()
+            );
+            if screened.is_some() {
+                assert!(checks >= 1, "seed {seed}: compiled without an exact check");
+                return (twist, true);
+            }
+        }
+        (twist, false)
+    }
+
+    #[test]
+    fn screened_detection_matches_the_unscreened_detector() {
+        let mut compiled = std::collections::HashMap::new();
+        for seed in 0..600 {
+            let (twist, ok) = run_case(seed);
+            let entry = compiled.entry(twist).or_insert((0, 0));
+            entry.0 += u32::from(ok);
+            entry.1 += 1;
+        }
+        // Every kind of case compiles often enough to compare programs,
+        // not only refusals.
+        for (twist, (ok, all)) in compiled {
+            assert!(
+                ok * 3 >= all,
+                "{twist:?}: only {ok} of {all} cases compiled"
+            );
+        }
+    }
 }

@@ -333,7 +333,7 @@ impl FaultState {
 
 /// splitmix64 — the finalizer is a strong 64-bit mixer, used here as a
 /// counter-based deterministic hash (no RNG state to share or lock).
-fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

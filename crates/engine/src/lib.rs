@@ -71,6 +71,6 @@ pub use hvx_obs::{
     FlowPhase, FlowPoint, HistogramSketch, HistogramSnapshot, MetricsRegistry, ProfileSnapshot,
     SpanDelta, SpanRow, SpanSnapshotRow, SpanTracer, TransitionId,
 };
-pub use machine::{thread_replayed_transitions, thread_transitions, Machine};
+pub use machine::{thread_replayed_transitions, thread_transitions, LoopRefusal, Machine};
 pub use topology::{CoreId, Topology};
 pub use trace::{TraceEvent, TraceKind, TraceLog, TraceMode, SIGNAL_LABEL};

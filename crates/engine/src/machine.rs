@@ -61,6 +61,29 @@ struct Profiler {
     metrics: MetricsRegistry,
 }
 
+/// Why [`Machine::loop_begin`] refused to open a loop session. Each
+/// reason names machinery that observes every transition, which a bulk
+/// replay would skip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoopRefusal {
+    /// The trace log is not [`TraceMode::Off`].
+    TraceLog,
+    /// Span profiling is enabled.
+    Profiling,
+    /// Causal event tracing is on (its trace log is on too).
+    EventTracing,
+    /// A fault plan is installed.
+    FaultPlan,
+    /// A finite watchdog (cycle budget or livelock limit) is set.
+    Watchdog,
+    /// The machine has more than 256 cores, more than a recorded op can
+    /// name.
+    TooManyCores,
+    /// A session was already open. Nested sessions are unsupported, so
+    /// the open one is dropped too.
+    Nested,
+}
+
 /// A simulated multi-core machine.
 ///
 /// # Examples
@@ -115,6 +138,15 @@ pub struct Machine {
     iters_replayed: u64,
     /// Of those, the blocks replay stepped op by op instead of jumping.
     blocks_stepped: u64,
+    /// Iterations loop sessions recorded (interpreted while hunting for
+    /// a period) since construction.
+    iters_recorded: u64,
+    /// Candidate periods that reached the detector's exact op-by-op
+    /// congruence check since construction.
+    congruence_checks: u64,
+    /// The clocks as plain words, for the loop compiler: one buffer,
+    /// reused by every [`Machine::loop_replay`].
+    loop_clocks: Vec<u64>,
 }
 
 impl Machine {
@@ -141,6 +173,9 @@ impl Machine {
             loop_state: None,
             iters_replayed: 0,
             blocks_stepped: 0,
+            iters_recorded: 0,
+            congruence_checks: 0,
+            loop_clocks: Vec::new(),
         };
         if let Some(plan) = plan {
             m.set_fault_plan(plan);
@@ -303,11 +338,10 @@ impl Machine {
     /// discovering, when it next looks, that the signal already arrived.
     pub fn wait_until(&mut self, core: CoreId, instant: Cycles) -> Cycles {
         if self.loop_recording() {
-            let clocks = self.clock_snapshot();
-            self.loop_record(RawOp::Wait {
+            self.loop_record_snapshot(|snap| RawOp::Wait {
                 core: core.index() as u8,
                 target: instant.as_u64(),
-                clocks,
+                snap,
             });
         }
         let clock = &mut self.clocks[core.index()];
@@ -532,42 +566,52 @@ impl Machine {
     /// once a steady-state period is confirmed — replays the compiled
     /// block in bulk, skipping iterations wholesale.
     ///
-    /// Returns `false` (and records nothing) when the machine is not
-    /// eligible: the trace log not [`TraceMode::Off`], profiling
-    /// enabled, a fault plan installed, event tracing on, or a finite
-    /// watchdog — in every such case the per-transition machinery
-    /// observes state a bulk replay cannot reproduce, so the loop stays
-    /// interpreted. All other `loop_*` calls are cheap no-ops after a
-    /// `false` here, so drivers need no separate code path.
-    pub fn loop_begin(&mut self) -> bool {
+    /// # Errors
+    ///
+    /// Records nothing and returns why when the machine is not
+    /// eligible (see [`LoopRefusal`]): in every such case the
+    /// per-transition machinery observes state a bulk replay cannot
+    /// reproduce, so the loop stays interpreted. All other `loop_*`
+    /// calls are cheap no-ops after a refusal, so drivers need no
+    /// separate code path.
+    pub fn loop_begin(&mut self) -> Result<(), LoopRefusal> {
         if self.loop_state.is_some() {
             // Nested sessions are unsupported; drop the outer one
             // rather than corrupt its iteration structure.
             self.loop_state = None;
-            return false;
+            return Err(LoopRefusal::Nested);
         }
-        let eligible = self.trace.mode() == TraceMode::Off
-            && self.profiler.is_none()
-            && self.faults.is_none()
-            && self.events.is_none()
-            && self.cycle_budget == u64::MAX
-            && self.livelock_limit == u64::MAX
-            && self.clocks.len() <= usize::from(u8::MAX) + 1;
-        if eligible {
-            self.loop_state = Some(Box::new(LoopState::Recording(Recorder::default())));
+        // Event tracing first: it turns the trace log on too.
+        if self.events.is_some() {
+            return Err(LoopRefusal::EventTracing);
         }
-        eligible
+        if self.trace.mode() != TraceMode::Off {
+            return Err(LoopRefusal::TraceLog);
+        }
+        if self.profiler.is_some() {
+            return Err(LoopRefusal::Profiling);
+        }
+        if self.faults.is_some() {
+            return Err(LoopRefusal::FaultPlan);
+        }
+        if self.cycle_budget != u64::MAX || self.livelock_limit != u64::MAX {
+            return Err(LoopRefusal::Watchdog);
+        }
+        if self.clocks.len() > usize::from(u8::MAX) + 1 {
+            return Err(LoopRefusal::TooManyCores);
+        }
+        let recorder = Recorder::new(self.clocks.len());
+        self.loop_state = Some(Box::new(LoopState::Recording(recorder)));
+        Ok(())
     }
 
     /// Marks the start of one loop iteration (clock snapshot while
     /// recording; no-op otherwise).
     pub fn loop_iter_begin(&mut self) {
-        if !self.loop_recording() {
-            return;
-        }
-        let clocks = self.clock_snapshot();
         if let Some(LoopState::Recording(rec)) = self.loop_state.as_deref_mut() {
-            rec.begin_iter(clocks);
+            if rec.begin_iter(self.clocks.iter().map(|c| c.as_u64())) {
+                self.iters_recorded += 1;
+            }
         }
     }
 
@@ -581,11 +625,17 @@ impl Machine {
         let Some(mut state) = self.loop_state.take() else {
             return 0;
         };
+        self.loop_clocks.clear();
+        self.loop_clocks
+            .extend(self.clocks.iter().map(|c| c.as_u64()));
         match &mut *state {
             LoopState::Recording(rec) => {
-                rec.close_iter();
-                let clocks: Vec<u64> = self.clocks.iter().map(|c| c.as_u64()).collect();
-                if let Some(mut program) = rec.try_compile(&clocks) {
+                if rec.close_iter() {
+                    self.iters_recorded += 1;
+                }
+                if let Some(mut program) =
+                    rec.try_compile(&self.loop_clocks, &mut self.congruence_checks)
+                {
                     let skipped = self.replay(&mut program, remaining);
                     *state = LoopState::Ready(program);
                     self.loop_state = Some(state);
@@ -617,11 +667,10 @@ impl Machine {
             self.loop_state = None;
             return;
         }
-        let clocks = self.clock_snapshot();
-        self.loop_record(RawOp::Reg {
+        self.loop_record_snapshot(|snap| RawOp::Reg {
             idx: idx as u8,
             value: value.as_u64(),
-            clocks,
+            snap,
         });
     }
 
@@ -651,13 +700,29 @@ impl Machine {
         self.iters_replayed
     }
 
+    /// Of [`Machine::iters_replayed`]'s blocks, those replay stepped op
+    /// by op rather than jumped over in closed form.
+    pub fn blocks_stepped(&self) -> u64 {
+        self.blocks_stepped
+    }
+
+    /// Iterations loop sessions recorded and closed since construction:
+    /// those a compiled loop interpreted before its period was proved,
+    /// and those of sessions that gave up or ended uncompiled.
+    pub fn iters_recorded(&self) -> u64 {
+        self.iters_recorded
+    }
+
+    /// Candidate periods that passed the detector's hash screen and
+    /// clock-delta check and so reached its exact op-by-op congruence
+    /// check, since construction.
+    pub fn congruence_checks(&self) -> u64 {
+        self.congruence_checks
+    }
+
     #[inline]
     fn loop_recording(&self) -> bool {
         matches!(self.loop_state.as_deref(), Some(LoopState::Recording(_)))
-    }
-
-    fn clock_snapshot(&self) -> Box<[u64]> {
-        self.clocks.iter().map(|c| c.as_u64()).collect()
     }
 
     /// Feeds one recorded op to the session; aborts the session when
@@ -671,15 +736,26 @@ impl Machine {
         }
     }
 
-    /// Applies `blocks × program` to the machine's aggregate state.
+    /// [`Machine::loop_record`] for an op that carries a snapshot of
+    /// the clocks: `op` gets the snapshot's offset.
+    fn loop_record_snapshot(&mut self, op: impl FnOnce(usize) -> RawOp) {
+        if let Some(LoopState::Recording(rec)) = self.loop_state.as_deref_mut() {
+            let snap = rec.snapshot(self.clocks.iter().map(|c| c.as_u64()));
+            if !rec.record(op(snap)) {
+                self.loop_state = None;
+            }
+        }
+    }
+
+    /// Applies `blocks × program` to the machine's aggregate state,
+    /// starting from the clocks in `loop_clocks`.
     fn replay(&mut self, program: &mut Program, remaining: u64) -> u64 {
         let blocks = remaining / program.period;
         if blocks == 0 {
             return 0;
         }
-        let mut clocks: Vec<u64> = self.clocks.iter().map(|c| c.as_u64()).collect();
-        self.blocks_stepped += program.run_blocks(&mut clocks, blocks);
-        for (c, v) in self.clocks.iter_mut().zip(&clocks) {
+        self.blocks_stepped += program.run_blocks(&mut self.loop_clocks, blocks);
+        for (c, v) in self.clocks.iter_mut().zip(&self.loop_clocks) {
             *c = Cycles::new(*v);
         }
         for (b, d) in self.busy.iter_mut().zip(&program.busy_delta) {
@@ -1178,7 +1254,8 @@ mod tests {
     /// Runs `iters` iterations of `body` under a loop session, the way
     /// suite drivers do.
     fn drive(m: &mut Machine, iters: u64, mut body: impl FnMut(&mut Machine, u64)) {
-        m.loop_begin();
+        // A refused session leaves every loop_* call a no-op.
+        let _ = m.loop_begin();
         let mut i = 0;
         while i < iters {
             let skipped = m.loop_replay(iters - i);
@@ -1419,7 +1496,7 @@ mod tests {
             let mut m = Machine::without_tracing(Topology::split(2, 1));
             let mut t_send = Cycles::ZERO;
             if use_loop {
-                m.loop_begin();
+                m.loop_begin().expect("eligible");
             }
             let iters = 600u64;
             let mut i = 0;
@@ -1455,7 +1532,7 @@ mod tests {
     fn loop_begin_refuses_profiled_machines() {
         let mut m = Machine::without_tracing(Topology::split(2, 1));
         m.enable_profiling();
-        assert!(!m.loop_begin());
+        assert_eq!(m.loop_begin(), Err(LoopRefusal::Profiling));
         drive(&mut m, 100, ping_pong);
         assert_eq!(m.iters_replayed(), 0);
     }
@@ -1464,22 +1541,36 @@ mod tests {
     fn ineligible_machines_stay_interpreted() {
         // Tracing on.
         let mut m = Machine::new(Topology::split(2, 1));
-        assert!(!m.loop_begin());
+        assert_eq!(m.loop_begin(), Err(LoopRefusal::TraceLog));
         // Fault plan installed.
         let mut m = Machine::without_tracing(Topology::split(2, 1));
         m.set_fault_plan(FaultPlan::new(7).with_occurrence(FaultPoint::VirqDrop, 3));
-        assert!(!m.loop_begin());
-        // Finite watchdog.
+        assert_eq!(m.loop_begin(), Err(LoopRefusal::FaultPlan));
+        // Finite watchdog, either limit.
         let mut m = Machine::without_tracing(Topology::split(2, 1));
         m.set_watchdog(Watchdog {
             cycle_budget: Some(u64::MAX - 1),
             livelock_threshold: None,
         });
-        assert!(!m.loop_begin());
-        // Event tracing on.
+        assert_eq!(m.loop_begin(), Err(LoopRefusal::Watchdog));
+        m.set_watchdog(Watchdog {
+            cycle_budget: None,
+            livelock_threshold: Some(1 << 20),
+        });
+        assert_eq!(m.loop_begin(), Err(LoopRefusal::Watchdog));
+        // Event tracing on (which turns the trace log on as well).
         let mut m = Machine::without_tracing(Topology::split(2, 1));
         m.enable_event_tracing();
-        assert!(!m.loop_begin());
+        assert_eq!(m.loop_begin(), Err(LoopRefusal::EventTracing));
+        // More cores than a recorded op can name.
+        let mut m = Machine::without_tracing(Topology::split(257, 1));
+        assert_eq!(m.loop_begin(), Err(LoopRefusal::TooManyCores));
+        // A nested session drops the open one.
+        let mut m = Machine::without_tracing(Topology::split(2, 1));
+        assert_eq!(m.loop_begin(), Ok(()));
+        assert_eq!(m.loop_begin(), Err(LoopRefusal::Nested));
+        assert!(m.loop_state.is_none());
+        assert_eq!(m.loop_begin(), Ok(()));
         // Even with a session refused, the loop still runs correctly.
         let mut refused = Machine::without_tracing(Topology::split(2, 1));
         refused.enable_event_tracing();
@@ -1496,7 +1587,7 @@ mod tests {
     #[test]
     fn config_changes_abort_an_open_session() {
         let mut m = Machine::without_tracing(Topology::split(2, 1));
-        assert!(m.loop_begin());
+        assert_eq!(m.loop_begin(), Ok(()));
         m.loop_iter_begin();
         ping_pong(&mut m, 0);
         m.set_watchdog(Watchdog {

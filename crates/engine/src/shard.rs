@@ -101,6 +101,7 @@
 use crate::machine::{credit_thread_transitions, thread_transitions};
 use crate::{Cycles, EventQueue};
 use hvx_obs::HistogramSketch;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -362,13 +363,18 @@ impl<M: HostModel> ShardSim<M> {
     /// [`ShardSim::run_parallel`], so both produce identical state.
     pub fn run(&mut self) -> ShardStats {
         let (hosts, lookahead) = (self.shards.len(), self.lookahead);
-        let mut shards: Vec<&mut Shard<M>> = self.shards.iter_mut().collect();
+        let mut chunk = Chunk {
+            first: 0,
+            shards: &mut self.shards,
+            horizon: None,
+        };
+        let mut all = [&mut chunk];
         let mut stats = ShardStats::default();
-        while let Some(horizon) = open_window(&shards, lookahead, &mut stats) {
-            for (host, shard) in shards.iter_mut().enumerate() {
+        while let Some(horizon) = open_window(&all, lookahead, &mut stats) {
+            for (host, shard) in all[0].shards.iter_mut().enumerate() {
                 drain_window(shard, host, hosts, horizon, lookahead);
             }
-            close_window(&mut shards, &mut stats);
+            close_window(&mut all, &mut stats);
         }
         stats
     }
@@ -449,16 +455,17 @@ impl<M: HostModel> ShardSim<M> {
 /// window's horizon, or `None` once every calendar is empty. Also
 /// counts the hosts that stall in it — calendar non-empty but nothing
 /// below the horizon. Evaluated before any drain, so both executors
-/// count identically.
-fn open_window<M: HostModel>(
-    shards: &[&mut Shard<M>],
+/// count identically. `chunks` hold every shard, in host order: the
+/// serial executor's one chunk or the parallel one's locked chunks.
+fn open_window<'a, M: HostModel + 'a, C: Deref<Target = Chunk<'a, M>>>(
+    chunks: &[C],
     lookahead: Cycles,
     stats: &mut ShardStats,
 ) -> Option<Cycles> {
-    let start = shards.iter().filter_map(|s| s.queue.peek_when()).min()?;
+    let shards = || chunks.iter().flat_map(|c| c.shards.iter());
+    let start = shards().filter_map(|s| s.queue.peek_when()).min()?;
     let horizon = start + lookahead;
-    stats.lookahead_stalls += shards
-        .iter()
+    stats.lookahead_stalls += shards()
         .filter(|s| s.queue.peek_when().is_some_and(|w| w >= horizon))
         .count() as u64;
     Some(horizon)
@@ -508,24 +515,46 @@ fn drain_window<M: HostModel>(
 /// delivers every outbox in sender-index order, each in emission
 /// order, so the insertion sequence into every destination queue — and
 /// with it the FIFO tie-break among equal arrival instants — is
-/// canonical.
-fn close_window<M: HostModel>(shards: &mut [&mut Shard<M>], stats: &mut ShardStats) {
-    stats.record_window(shards.iter().map(|s| s.drained));
-    for from in 0..shards.len() {
-        let mut outbox = std::mem::take(&mut shards[from].outbox);
+/// canonical. `chunks` are as for [`open_window`].
+fn close_window<'a, M: HostModel + 'a, C: DerefMut<Target = Chunk<'a, M>>>(
+    chunks: &mut [C],
+    stats: &mut ShardStats,
+) {
+    stats.record_window(
+        chunks
+            .iter()
+            .flat_map(|c| c.shards.iter())
+            .map(|s| s.drained),
+    );
+    let hosts = chunks.iter().map(|c| c.shards.len()).sum();
+    for from in 0..hosts {
+        let mut outbox = std::mem::take(&mut shard_mut(chunks, from).outbox);
         stats.wires += outbox.len() as u64;
         for wire in outbox.drain(..) {
-            shards[wire.to].queue.schedule(wire.arrival, wire.payload);
+            shard_mut(chunks, wire.to)
+                .queue
+                .schedule(wire.arrival, wire.payload);
         }
-        shards[from].outbox = outbox;
+        shard_mut(chunks, from).outbox = outbox;
     }
+}
+
+/// Host `host`'s shard among `chunks`, which all hold as many shards as
+/// the first except perhaps the last.
+fn shard_mut<'s, 'a: 's, M: HostModel + 'a, C: DerefMut<Target = Chunk<'a, M>>>(
+    chunks: &'s mut [C],
+    host: usize,
+) -> &'s mut Shard<M> {
+    let size = chunks[0].shards.len();
+    &mut chunks[host / size].shards[host % size]
 }
 
 /// One participant's fixed share of a parallel run: a contiguous run
 /// of shards starting at host `first`, and the horizon of the window
 /// to drain next (`None` once the run is over). It sits behind a mutex
 /// only so the caller can reach every shard between windows; the
-/// barrier orders every lock, so none is ever contended.
+/// barrier orders every lock, so none is ever contended. The serial
+/// executor runs all shards as one chunk.
 struct Chunk<'a, M: HostModel> {
     first: usize,
     shards: &'a mut [Shard<M>],
@@ -548,34 +577,35 @@ fn lead<M: HostModel>(
     lookahead: Cycles,
     stats: &mut ShardStats,
 ) -> Result<(), Poisoned> {
-    between_windows(chunks, lookahead, stats, false);
+    // Every chunk's lock, held between windows: one buffer for the run.
+    let mut guards = Vec::with_capacity(chunks.len());
+    between_windows(chunks, &mut guards, lookahead, stats, false);
     while take_turn(&chunks[0], barrier, hosts, lookahead)? {
-        between_windows(chunks, lookahead, stats, true);
+        between_windows(chunks, &mut guards, lookahead, stats, true);
     }
     Ok(())
 }
 
 /// The serial section between windows, run by the caller while every
-/// worker waits at the barrier: closes the window just drained (step 4,
-/// when `close`), then opens the next one (steps 1–2) on every chunk.
-fn between_windows<M: HostModel>(
-    chunks: &[Mutex<Chunk<'_, M>>],
+/// worker waits at the barrier: locks every chunk into `guards`, closes
+/// the window just drained (step 4, when `close`), opens the next one
+/// (steps 1–2) on every chunk, and unlocks them all again.
+fn between_windows<'c, 'a, M: HostModel>(
+    chunks: &'c [Mutex<Chunk<'a, M>>],
+    guards: &mut Vec<MutexGuard<'c, Chunk<'a, M>>>,
     lookahead: Cycles,
     stats: &mut ShardStats,
     close: bool,
 ) {
-    let mut guards: Vec<_> = chunks.iter().map(lock).collect();
-    let mut shards: Vec<&mut Shard<M>> = guards
-        .iter_mut()
-        .flat_map(|chunk| chunk.shards.iter_mut())
-        .collect();
+    guards.extend(chunks.iter().map(lock));
     if close {
-        close_window(&mut shards, stats);
+        close_window(guards, stats);
     }
-    let horizon = open_window(&shards, lookahead, stats);
-    for chunk in &mut guards {
+    let horizon = open_window(guards, lookahead, stats);
+    for chunk in guards.iter_mut() {
         chunk.horizon = horizon;
     }
+    guards.clear();
 }
 
 /// One participant's turn in a window: wait for the caller to open it,

@@ -853,7 +853,7 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
     // with the two loop-carried instants — next arrival and the
     // in-flight SGI — in loop registers). loop_begin() itself declines
     // profiled or fault-armed machines; everything else interprets.
-    let session = cfg.compile && cfg.ratio == 1 && m.loop_begin();
+    let session = cfg.compile && cfg.ratio == 1 && m.loop_begin().is_ok();
     if session {
         let total = u64::from(cfg.txns_per_vm);
         // Counter snapshot at the start of the most recent live

@@ -207,21 +207,39 @@ impl ChaosKind {
 }
 
 impl Scenario {
-    /// Rough relative cost, used to schedule heavier scenarios first so
-    /// stragglers don't serialize the tail of a parallel run.
+    /// Serial host time in tens of microseconds, used to schedule
+    /// heavier scenarios first so stragglers don't serialize the tail of
+    /// a parallel run. Measured as the median of nine serial passes of
+    /// `plan(&ArtifactId::ALL)` on a shared 2-vCPU VM; only the order
+    /// matters, so the figures need not track the host.
     fn weight(self) -> u64 {
         match self {
-            Scenario::Artifact(ArtifactId::Table2) => 40 + TABLE2_ITERS as u64,
-            Scenario::Artifact(ArtifactId::Table5) => 10 + TABLE5_TRANSACTIONS as u64 / 5,
-            Scenario::Artifact(ArtifactId::Oversub) => 15,
-            Scenario::Artifact(ArtifactId::FaultRec) => 20,
-            Scenario::Artifact(_) => 5,
-            Scenario::Fig4Cell { .. } => 25,
-            // Contended cells interpret 2×ratio vCPUs; cost scales
-            // roughly with the ratio.
-            Scenario::ConsolidationCell { ratio, .. } => 5 + u64::from(ratio) / 2,
-            // Work grows with hosts² (each of H×N tokens laps H hosts).
-            Scenario::RackCell { hosts, .. } => 10 + u64::from(hosts) * u64::from(hosts),
+            Scenario::Artifact(a) => match a {
+                ArtifactId::FaultRec => 290,
+                ArtifactId::Vhe => 110,
+                ArtifactId::Irq => 85,
+                ArtifactId::Table5 => 57,
+                ArtifactId::Table2 => 18,
+                ArtifactId::Storage | ArtifactId::Link => 16,
+                ArtifactId::Oversub => 13,
+                ArtifactId::ZeroCopy => 9,
+                ArtifactId::Table3 | ArtifactId::Vapic => 4,
+                // Cell artifacts fail at once as a single scenario.
+                ArtifactId::Fig4 | ArtifactId::Rack => 1,
+            },
+            // Every Figure 4 cell replays after 5–19 interpreted
+            // iterations on the hypervisor and on native: 20–220 µs,
+            // 64 µs on average.
+            Scenario::Fig4Cell { .. } => 6,
+            // Interpreted at about 0.9 µs per TCP_RR transaction,
+            // whatever the ratio: the work is ratio × transactions per
+            // VM.
+            Scenario::ConsolidationCell { ratio, .. } => {
+                u64::from(ratio) * u64::from(consolidation::TRANSACTIONS_PER_VM) / 10
+            }
+            // Work grows with hosts² (each of H×N tokens laps H hosts),
+            // over a fixed set-up.
+            Scenario::RackCell { hosts, .. } => 5 + u64::from(hosts) * u64::from(hosts) / 5,
             Scenario::Chaos(_) => 1,
         }
     }

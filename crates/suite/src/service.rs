@@ -46,7 +46,8 @@ fn trace_key(fingerprint: &str) -> String {
 }
 
 /// Admission weight of a paper-shape spec (a full Figure-4-style
-/// workload run), on the same scale as the runner's scenario weights.
+/// workload run), in the units of the server's queue-weight bound
+/// (`ServerConfig::max_queue_weight`).
 const PAPER_WEIGHT: u64 = 25;
 
 /// Watchdog for chaos probes: spin/livelock probes must trip a limit

@@ -413,7 +413,7 @@ pub fn run_with(
     if compile {
         // May refuse (tracing/faults/profiling/watchdog); every loop_*
         // call below is then a no-op and the mix runs interpreted.
-        hv.machine_mut().loop_begin();
+        let _ = hv.machine_mut().loop_begin();
     }
     let vcpus = hv.num_vcpus();
     match mix {

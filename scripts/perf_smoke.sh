@@ -10,7 +10,12 @@
 #   jumps each steady regime of a loop in one step and reads over
 #   1,000x; replay that walks every block again reads 6-9x, and
 #   with the loop compiler off (HVX_COMPILE=off) both layers
-#   interpret and the ratio falls to about 1x. Either fails the gate;
+#   interpret and the ratio falls to about 1x. Either fails the gate.
+#   Its count twin is the tier-1 test tests/compile_counts.rs
+#   (figure4_cells_enter_replay_with_one_exact_check_and_two_stepped_blocks),
+#   which holds on any host: every Figure 4 cell at DEFAULT_SCALE
+#   steps exactly two blocks and reaches the detector's exact check
+#   once;
 # - leaves at most 10% of the grid's and of the paper suite's wall
 #   time outside the named layers (unattributed_pct and
 #   suite.unattributed_pct);
