@@ -17,7 +17,12 @@
 //! Both schedulers keep their runnable vCPUs in an indexed binary heap,
 //! so a decision costs O(log n) host time in the n vCPUs of a pCPU and
 //! a consolidation cell's host cost per transaction hardly grows with
-//! the ratio it simulates. Nothing allocates after registration.
+//! the ratio it simulates. Nothing allocates after registration. A sift
+//! moves a hole, not the entry: each level costs one entry write and
+//! one slot write. The consolidation cell is generic over its
+//! scheduler, and the operations it calls per step carry `#[inline]`,
+//! so they inline into its step loop across the crate boundary (no
+//! build of this workspace enables cross-crate LTO).
 
 use crate::Error;
 use core::fmt;
@@ -62,15 +67,6 @@ impl SchedPolicy {
             .into_iter()
             .find(|p| p.name() == s)
             .ok_or_else(|| Error::UnknownScheduler { name: s.into() })
-    }
-
-    /// Constructs the scheduler this policy names, as a trait object
-    /// ready to have vCPUs registered.
-    pub fn make(self) -> Box<dyn VcpuScheduler> {
-        match self {
-            SchedPolicy::Credit => Box::new(CreditVcpuSched::new()),
-            SchedPolicy::Cfs => Box::new(CfsScheduler::new()),
-        }
     }
 }
 
@@ -145,6 +141,7 @@ impl CreditVcpuSched {
 }
 
 impl VcpuScheduler for CreditVcpuSched {
+    #[inline]
     fn add_vcpu(&mut self, id: usize, weight: u32) {
         self.inner.add_vcpu(id, weight);
         if self.acc.len() <= id {
@@ -155,12 +152,15 @@ impl VcpuScheduler for CreditVcpuSched {
         // boost-on-wake (which needs credit) never engages.
         self.inner.account();
     }
+    #[inline]
     fn current(&self) -> Option<usize> {
         self.inner.current()
     }
+    #[inline]
     fn pick(&mut self) -> Option<usize> {
         self.inner.pick()
     }
+    #[inline]
     fn charge_cycles(&mut self, id: usize, cycles: u64) {
         let total = self.acc[id] + cycles;
         self.acc[id] = total % CYCLES_PER_CREDIT;
@@ -169,18 +169,23 @@ impl VcpuScheduler for CreditVcpuSched {
             self.inner.charge(id, credits);
         }
     }
+    #[inline]
     fn block(&mut self, id: usize) {
         self.inner.block(id);
     }
+    #[inline]
     fn wake(&mut self, id: usize) -> bool {
         self.inner.wake(id)
     }
+    #[inline]
     fn yield_current(&mut self) {
         self.inner.yield_current();
     }
+    #[inline]
     fn tick(&mut self) {
         self.inner.account();
     }
+    #[inline]
     fn switch_count(&self) -> u64 {
         self.inner.switch_count()
     }
@@ -243,13 +248,20 @@ impl IndexedHeap {
         self.slot[id] != ABSENT
     }
 
+    /// The key `id` is queued under, if it is in the heap.
+    fn key(&self, id: usize) -> Option<u128> {
+        match self.slot[id] {
+            ABSENT => None,
+            i => Some(self.heap[i as usize].0),
+        }
+    }
+
     /// Inserts `id` under `key`, or moves it there if present.
     fn set(&mut self, id: usize, key: u128) {
         match self.slot[id] {
             ABSENT => {
                 let i = self.heap.len();
                 self.heap.push((key, id as u32));
-                self.slot[id] = i as u32;
                 self.sift_up(i);
             }
             i => {
@@ -270,7 +282,6 @@ impl IndexedHeap {
         let i = i as usize;
         if i < self.heap.len() {
             self.heap[i] = last;
-            self.slot[last.1 as usize] = i as u32;
             self.restore(i);
         }
     }
@@ -283,18 +294,26 @@ impl IndexedHeap {
         }
     }
 
+    /// Moves the entry at `i` up to its place. The entries it passes
+    /// each move down one level into the hole it leaves, so every level
+    /// costs one entry write and one slot write.
     fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.heap[parent].0 <= self.heap[i].0 {
+            if self.heap[parent].0 <= entry.0 {
                 break;
             }
-            self.swap(i, parent);
+            self.fill(i, self.heap[parent]);
             i = parent;
         }
+        self.fill(i, entry);
     }
 
+    /// Moves the entry at `i` down to its place, as [`Self::sift_up`]
+    /// moves one up.
     fn sift_down(&mut self, mut i: usize) {
+        let entry = self.heap[i];
         loop {
             let left = 2 * i + 1;
             let Some(&(left_key, _)) = self.heap.get(left) else {
@@ -304,18 +323,19 @@ impl IndexedHeap {
                 Some(&(right_key, _)) if right_key < left_key => left + 1,
                 _ => left,
             };
-            if self.heap[i].0 <= self.heap[child].0 {
+            if entry.0 <= self.heap[child].0 {
                 break;
             }
-            self.swap(i, child);
+            self.fill(i, self.heap[child]);
             i = child;
         }
+        self.fill(i, entry);
     }
 
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.slot[self.heap[a].1 as usize] = a as u32;
-        self.slot[self.heap[b].1 as usize] = b as u32;
+    /// Writes `entry` into slot `i` and points its id there.
+    fn fill(&mut self, i: usize, entry: (u128, u32)) {
+        self.heap[i] = entry;
+        self.slot[entry.1 as usize] = i as u32;
     }
 }
 
@@ -492,16 +512,19 @@ impl CfsScheduler {
 }
 
 impl VcpuScheduler for CfsScheduler {
+    #[inline]
     fn add_vcpu(&mut self, id: usize, weight: u32) {
         assert!(weight > 0, "weight must be positive");
         let vruntime = self.min_vruntime;
         self.rq.add(id, CfsEntry { weight, vruntime });
     }
 
+    #[inline]
     fn current(&self) -> Option<usize> {
         self.rq.current
     }
 
+    #[inline]
     fn pick(&mut self) -> Option<usize> {
         let picked = self.rq.pick();
         if let Some(id) = picked {
@@ -511,16 +534,19 @@ impl VcpuScheduler for CfsScheduler {
         picked
     }
 
+    #[inline]
     fn charge_cycles(&mut self, id: usize, cycles: u64) {
         let e = self.rq.entry_mut(id);
         e.vruntime += cycles * NICE0_WEIGHT / u64::from(e.weight);
         self.rq.requeue(id);
     }
 
+    #[inline]
     fn block(&mut self, id: usize) {
         self.rq.block(id);
     }
 
+    #[inline]
     fn wake(&mut self, id: usize) -> bool {
         if self.rq.is_runnable(id) {
             return false;
@@ -539,15 +565,18 @@ impl VcpuScheduler for CfsScheduler {
         }
     }
 
+    #[inline]
     fn yield_current(&mut self) {
         self.rq.yield_current();
     }
 
+    #[inline]
     fn tick(&mut self) {
         // CFS accounts continuously in charge_cycles; the periodic tick
         // has no batch refill to perform.
     }
 
+    #[inline]
     fn switch_count(&self) -> u64 {
         self.rq.switches
     }
@@ -725,10 +754,18 @@ impl CreditScheduler {
     }
 
     /// Files (or withdraws) the accounting pass at which `id`'s class
-    /// will change.
+    /// will change. A pass that is already filed leaves the heap alone.
     fn schedule_flip(&mut self, id: usize) {
-        match self.rq.entry(id).flip_pass() {
-            Some(pass) => self.flips.set(id, pack(pass, id as u64)),
+        let key = self
+            .rq
+            .entry(id)
+            .flip_pass()
+            .map(|pass| pack(pass, id as u64));
+        if key == self.flips.key(id) {
+            return;
+        }
+        match key {
+            Some(key) => self.flips.set(id, key),
             None => self.flips.remove(id),
         }
     }
@@ -745,12 +782,14 @@ impl CreditScheduler {
 
     /// Picks the next VCPU to run: highest priority class first, FIFO
     /// within a class; `None` means the idle domain runs.
+    #[inline]
     pub fn pick(&mut self) -> Option<usize> {
         self.rq.pick()
     }
 
     /// Charges `credits` of runtime to a VCPU; it drops to OVER when its
     /// credit is exhausted (and loses any boost the moment it runs).
+    #[inline]
     pub fn charge(&mut self, id: usize, credits: i64) {
         let pass = self.passes;
         let e = self.rq.entry_mut(id);
@@ -766,6 +805,7 @@ impl CreditScheduler {
 
     /// The VCPU blocks (WFI / waiting for I/O): it leaves the runqueue
     /// until woken. If it was current, the CPU goes idle.
+    #[inline]
     pub fn block(&mut self, id: usize) {
         self.rq.block(id);
     }
@@ -774,6 +814,7 @@ impl CreditScheduler {
     /// latency hack that lets I/O domains preempt batch work, central to
     /// Dom0's behaviour in the paper's I/O paths. Returns `true` if the
     /// woken VCPU should preempt the current one.
+    #[inline]
     pub fn wake(&mut self, id: usize) -> bool {
         if self.rq.is_runnable(id) {
             return false;
@@ -796,6 +837,7 @@ impl CreditScheduler {
 
     /// The current VCPU voluntarily yields: it moves to the back of the
     /// queue.
+    #[inline]
     pub fn yield_current(&mut self) {
         if let Some(id) = self.rq.current {
             self.rq.entry_mut(id).stamp = self.next_stamp;
@@ -809,6 +851,7 @@ impl CreditScheduler {
     /// period's worth) and restoring UNDER to everyone with positive
     /// credit. Balances settle lazily; only the VCPUs whose class this
     /// pass changes are touched.
+    #[inline]
     pub fn account(&mut self) {
         self.passes += 1;
         while let Some((key, id)) = self.flips.min() {

@@ -79,6 +79,7 @@ impl VCpu {
 
     /// Marks the vCPU runnable at time `now` (an event arrived). No-op
     /// unless it was blocked.
+    #[inline]
     pub fn wake(&mut self, now: u64) {
         if self.state == VcpuState::Blocked {
             self.state = VcpuState::Runnable;
@@ -94,6 +95,7 @@ impl VCpu {
     ///
     /// Panics if the vCPU is not runnable — dispatching a blocked or
     /// already-running vCPU is a scheduler bug.
+    #[inline]
     pub fn schedule_in(&mut self, now: u64) {
         assert_eq!(
             self.state,
@@ -109,6 +111,7 @@ impl VCpu {
 
     /// The scheduler takes the pCPU away at time `now`; the vCPU stays
     /// runnable and starts accruing steal again.
+    #[inline]
     pub fn preempt(&mut self, now: u64) {
         assert_eq!(self.state, VcpuState::Running);
         self.ran += now.saturating_sub(self.running_since);
@@ -118,6 +121,7 @@ impl VCpu {
     }
 
     /// The vCPU executes WFI (or completes its work) at time `now`.
+    #[inline]
     pub fn block(&mut self, now: u64) {
         if self.state == VcpuState::Running {
             self.ran += now.saturating_sub(self.running_since);

@@ -244,6 +244,7 @@ impl Machine {
     /// e.g. a register write that is free but architecturally significant).
     ///
     /// Returns the instant the work completed.
+    #[inline]
     pub fn charge(
         &mut self,
         core: CoreId,
@@ -254,6 +255,7 @@ impl Machine {
         self.charge_inner(core, label, kind, cost, None)
     }
 
+    #[inline]
     fn charge_inner(
         &mut self,
         core: CoreId,
@@ -316,6 +318,7 @@ impl Machine {
     /// Spends `cost` cycles attributed to transition `id`: shorthand
     /// for a single-charge span (`span_enter(id)`, [`Machine::charge`],
     /// `span_exit(id)`).
+    #[inline]
     pub fn charge_as(
         &mut self,
         core: CoreId,
@@ -336,6 +339,7 @@ impl Machine {
     ///
     /// This models a core blocking until a cross-core signal arrives — or
     /// discovering, when it next looks, that the signal already arrived.
+    #[inline]
     pub fn wait_until(&mut self, core: CoreId, instant: Cycles) -> Cycles {
         if self.loop_recording() {
             self.loop_record_snapshot(|snap| RawOp::Wait {
@@ -355,6 +359,7 @@ impl Machine {
     /// separately); the returned instant is when the signal becomes visible
     /// at `to`. The receiving core's clock is *not* advanced — pair with
     /// [`Machine::wait_until`] on the receive path.
+    #[inline]
     pub fn signal(&mut self, from: CoreId, to: CoreId, latency: Cycles) -> Cycles {
         let depart = self.now(from);
         let arrival = depart + latency;

@@ -204,6 +204,7 @@ impl VgicCpuInterface {
     /// interrupt is still queued in software and will be moved into an LR
     /// by [`VgicCpuInterface::refill_from_overflow`]);
     /// [`VgicError::AlreadyListed`] when `virq` is already Pending.
+    #[inline]
     pub fn inject(&mut self, virq: u32, priority: u8) -> Result<usize, VgicError> {
         // Re-raise of an interrupt the guest is handling.
         for (i, lr) in self.regs.lrs.iter_mut().enumerate() {
@@ -258,6 +259,7 @@ impl VgicCpuInterface {
 
     /// Guest-side: highest-priority pending virtual interrupt, if any —
     /// what the VCPU sees asserted.
+    #[inline]
     pub fn pending_virq(&self) -> Option<u32> {
         if self.regs.hcr & GICH_HCR_EN == 0 {
             return None;
@@ -272,6 +274,7 @@ impl VgicCpuInterface {
 
     /// Guest-side acknowledge (read of virtual `GICC_IAR`): takes the
     /// highest pending virtual interrupt, marking it active. **No trap.**
+    #[inline]
     pub fn guest_ack(&mut self) -> Option<u32> {
         let virq = self.pending_virq()?;
         let lr = self
@@ -298,6 +301,7 @@ impl VgicCpuInterface {
     /// # Errors
     ///
     /// [`VgicError::NotActive`] if `virq` is not active in any LR.
+    #[inline]
     pub fn guest_eoi(&mut self, virq: u32) -> Result<Option<u32>, VgicError> {
         let lr = self
             .regs

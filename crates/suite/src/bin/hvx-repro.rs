@@ -20,10 +20,10 @@
 //! describes instead of an artifact matrix. `--jobs N` fans
 //! independent scenarios across N OS threads; output is byte-identical
 //! to `--jobs 1`.
-//! `--timing` reports per-artifact wall-clock on stderr. Throughput and
-//! per-layer timing are measured by the benchmark package in
-//! `perfbench/` (`BENCHMARK.json` declares its workloads and metrics),
-//! not by this binary.
+//! `--timing` reports each artifact's summed scenario time on stderr,
+//! in microseconds. Throughput and per-layer timing are measured by the
+//! benchmark package in `perfbench/` (`BENCHMARK.json` declares its
+//! workloads and metrics), not by this binary.
 //!
 //! `profile` runs paper-shape scenarios, named `<workload>-<hypervisor>`,
 //! with the observability layer enabled and prints a Table-3-style
@@ -993,17 +993,19 @@ fn run(args: &RunArgs) -> Result<(), Error> {
         }
         if args.timing {
             eprintln!(
-                "[timing] {:<10} {:>9.3}s",
+                "[timing] {:<10} {:>12.1} us",
                 r.id.cli_name(),
-                r.wall.as_secs_f64()
+                r.wall.as_secs_f64() * 1e6
             );
         }
     }
     if args.timing {
         let total: f64 = reports.iter().map(|r| r.wall.as_secs_f64()).sum();
         eprintln!(
-            "[timing] {:<10} {total:>9.3}s (sum over scenarios, --jobs {})",
-            "total", args.jobs
+            "[timing] {:<10} {:>12.1} us (sum over scenarios, --jobs {})",
+            "total",
+            total * 1e6,
+            args.jobs
         );
         // Self-telemetry: worker utilization distinguishes a warm run
         // (cache hits, workers mostly idle) from a cold one. stderr
@@ -1015,8 +1017,9 @@ fn run(args: &RunArgs) -> Result<(), Error> {
             0.0
         };
         eprintln!(
-            "[timing] {:<10} {elapsed:>9.3}s wall, worker utilization {utilization:.1}%",
-            "run"
+            "[timing] {:<10} {:>12.1} us wall, worker utilization {utilization:.1}%",
+            "run",
+            elapsed * 1e6
         );
         if let Some(cache) = &cache {
             let s = cache.stats();

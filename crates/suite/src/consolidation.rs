@@ -51,6 +51,14 @@
 //! `GICD_SGIR` write is a `Copy` value (`tests/alloc_steady_state.rs`
 //! counts).
 //!
+//! The cell is generic over its scheduler, and [`run_cell_machine`]
+//! matches [`SchedPolicy`] once, so every scheduler call in a step is
+//! a direct call rather than a virtual one. Together with the
+//! `#[inline]` on the engine's charge path, the schedulers, [`VCpu`]
+//! and the vGIC interface, the whole step compiles into one loop: no
+//! build of this workspace enables cross-crate LTO, so a non-generic
+//! function of another crate inlines only when it says so.
+//!
 //! [`VcpuScheduler`]: hvx_core::VcpuScheduler
 //! [`SchedPolicy`]: hvx_core::SchedPolicy
 //! [`Distributor::mmio_write`]: hvx_gic::Distributor::mmio_write
@@ -61,6 +69,7 @@
 
 use std::collections::VecDeque;
 
+use hvx_core::sched::{CfsScheduler, CreditVcpuSched};
 use hvx_core::{Error, HvKind, Hypervisor, SchedPolicy, SimBuilder, VCpu, VcpuScheduler};
 use hvx_engine::{CoreId, Cycles, FaultPlan, FaultPoint, Machine, TraceKind, TransitionId};
 use hvx_gic::{dist_reg, Distributor, VgicCpuInterface, VgicError};
@@ -261,9 +270,9 @@ struct Side {
 
 /// One physical CPU: the vCPUs pinned to it, its scheduler, and its
 /// dispatch state.
-struct Pcpu {
+struct Pcpu<S> {
     core: CoreId,
-    sched: Box<dyn VcpuScheduler>,
+    sched: S,
     /// Every VM's vCPU on this pCPU, by VM index: the primaries (A) on
     /// pCPU0, the siblings (B) on pCPU1.
     sides: Vec<Side>,
@@ -280,7 +289,7 @@ struct Pcpu {
     quantum_left: u64,
 }
 
-impl Pcpu {
+impl<S: VcpuScheduler> Pcpu<S> {
     /// Earliest undelivered wake (`u64::MAX`: none).
     fn next_wake(&self) -> u64 {
         self.wakes.front().map_or(u64::MAX, |&(at, _)| at)
@@ -361,22 +370,17 @@ impl Counters {
     }
 }
 
-struct Cell {
+/// A cell whose two pCPUs each run an `S` scheduler.
+struct Cell<S> {
     vms: Vec<VmState>,
-    p: [Pcpu; 2],
+    p: [Pcpu<S>; 2],
     costs: Costs,
     txns_per_vm: u32,
     n: Counters,
 }
 
-impl Cell {
-    fn new(
-        kind_costs: Costs,
-        ratio: u32,
-        policy: SchedPolicy,
-        txns: u32,
-        topo: [CoreId; 2],
-    ) -> Cell {
+impl<S: VcpuScheduler + Default> Cell<S> {
+    fn new(kind_costs: Costs, ratio: u32, txns: u32, topo: [CoreId; 2]) -> Cell<S> {
         let r = ratio as usize;
         let mut vms = Vec::with_capacity(r);
         for _ in 0..r {
@@ -395,7 +399,7 @@ impl Cell {
             });
         }
         let mk_pcpu = |p: usize| {
-            let mut sched = policy.make();
+            let mut sched = S::default();
             for v in 0..r {
                 sched.add_vcpu(v, 256);
                 // Guests boot into WFI; the first request wakes them.
@@ -845,9 +849,22 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
         let t = hv.machine().topology();
         [t.guest_core(0), t.guest_core(1)]
     };
-    let mut cell = Cell::new(costs, cfg.ratio, cfg.policy, cfg.txns_per_vm, topo);
     let m = hv.machine_mut();
+    let result = match cfg.policy {
+        SchedPolicy::Credit => simulate::<CreditVcpuSched>(&cfg, costs, topo, m),
+        SchedPolicy::Cfs => simulate::<CfsScheduler>(&cfg, costs, topo, m),
+    };
+    Ok((result, hv))
+}
 
+/// Runs `cfg`'s cell on `m` under scheduler `S`.
+fn simulate<S: VcpuScheduler + Default>(
+    cfg: &CellConfig,
+    costs: Costs,
+    topo: [CoreId; 2],
+    m: &mut Machine,
+) -> CellResult {
+    let mut cell = Cell::<S>::new(costs, cfg.ratio, cfg.txns_per_vm, topo);
     // Compile eligibility: only the uncontended 1:1 cell is provably
     // periodic per-pCPU (one transaction = one machine-level iteration,
     // with the two loop-carried instants — next arrival and the
@@ -910,7 +927,7 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
             m.observe("consolidation.vcpu_ran", side.vcpu.ran_cycles());
         }
     }
-    let result = CellResult {
+    CellResult {
         column: cfg.kind.to_string(),
         ratio: cfg.ratio,
         sched: cfg.policy.name().to_string(),
@@ -927,8 +944,7 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
         ipis_dropped: cell.n.ipis_dropped,
         ipis_resent: cell.n.ipis_resent,
         makespan_cycles: m.global_now().as_u64(),
-    };
-    Ok((result, hv))
+    }
 }
 
 /// Renders consolidation cells as the oversubscription sweep table.

@@ -231,11 +231,12 @@ impl Scenario {
             // iterations on the hypervisor and on native: 20–220 µs,
             // 64 µs on average.
             Scenario::Fig4Cell { .. } => 6,
-            // Interpreted at about 0.9 µs per TCP_RR transaction,
-            // whatever the ratio: the work is ratio × transactions per
-            // VM.
+            // Contended cells interpret at about 0.8 µs per TCP_RR
+            // transaction at any ratio, and 1:1 cells, which record
+            // before they replay, at about 1.2 µs: the work is ratio ×
+            // transactions per VM.
             Scenario::ConsolidationCell { ratio, .. } => {
-                u64::from(ratio) * u64::from(consolidation::TRANSACTIONS_PER_VM) / 10
+                u64::from(ratio) * u64::from(consolidation::TRANSACTIONS_PER_VM) / 12
             }
             // Work grows with hosts² (each of H×N tokens laps H hosts),
             // over a fixed set-up.

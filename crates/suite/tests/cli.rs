@@ -68,7 +68,9 @@ fn invalid_jobs_exits_two() {
 }
 
 /// A parallel run of a cheap artifact prints the same stdout as serial,
-/// and `--timing` lines go to stderr only.
+/// and `--timing` lines go to stderr only. Each artifact's line reads a
+/// positive figure in microseconds: whole seconds rounded the cheap
+/// artifacts to zero.
 #[test]
 fn jobs_and_timing_leave_stdout_byte_identical() {
     let serial = hvx_repro()
@@ -85,7 +87,17 @@ fn jobs_and_timing_leave_stdout_byte_identical() {
         "stdout must not depend on --jobs/--timing"
     );
     let stderr = String::from_utf8(parallel.stderr).unwrap();
-    assert!(stderr.contains("[timing]"), "stderr: {stderr}");
+    for artifact in ["table3", "vhe", "total"] {
+        let line = stderr
+            .lines()
+            .find(|l| l.split_whitespace().nth(1) == Some(artifact))
+            .unwrap_or_else(|| panic!("no [timing] line for {artifact}: {stderr}"));
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(fields[0], "[timing]", "{line}");
+        assert_eq!(fields[3], "us", "{line}");
+        let micros: f64 = fields[2].parse().expect(line);
+        assert!(micros > 0.0, "{line}");
+    }
 }
 
 /// The pre-subcommand interface is retired: a first token that is not a

@@ -116,9 +116,9 @@ echo "== flood sheds with 429, accept loop stays live =="
 # Distinct heavy 16:1 cells (transaction counts never repeat) flood a
 # freshly drained queue; the weight bound must shed some with 429.
 # "Heavy" means a cell runs far longer than one submission takes (about
-# 50 ms at 16 VMs x 8,000 transactions), or the two workers drain the
-# queue as fast as the flood fills it and nothing is left to recover
-# after the kill below.
+# 85 ms for a whole `run --spec` at 16 VMs x 8,000 transactions on a
+# shared 2-vCPU VM), or the two workers drain the queue as fast as the
+# flood fills it and nothing is left to recover after the kill below.
 shed=0
 n=0
 while [ "$n" -lt 40 ]; do
