@@ -11,30 +11,37 @@
 //! # Layout
 //!
 //! The heap is a *flat four-ary* array rather than `BinaryHeap`'s binary
-//! layout: sift-down touches one cache line of children per level and the
-//! tree is half as deep, which measurably cuts pop cost in the simulation
-//! hot loop (see `benches/` and DESIGN.md §5). Entries store `(when, seq)`
-//! inline next to the payload, so ordering never chases a pointer, and
-//! [`EventQueue::clear`] retains the allocation so scenario resets in the
-//! parallel runner are allocation-free.
+//! layout: sift-down scans four adjacent children per level and the tree
+//! is half as deep. Each entry packs its instant and sequence number into
+//! one `u128` key, instant in the high word, so a single integer compare
+//! orders two entries exactly as the tuple `(when, seq)` would, over the
+//! whole `u64` range of both. A sift reads the moving entry's key once
+//! and compares keys only; [`EventQueue::pop`] moves the last entry into
+//! the root and sifts it down, so each level costs one swap.
+//! [`EventQueue::clear`] retains the allocation so scenario resets in
+//! the parallel runner are allocation-free.
 
 use crate::Cycles;
 
 const ARITY: usize = 4;
 
-/// A heap slot: key fields inline, compared as the tuple `(when, seq)`.
+/// A heap slot: the packed `(when, seq)` key next to the payload.
 #[derive(Debug, Clone)]
 struct Entry<T> {
-    when: Cycles,
-    seq: u64,
+    key: u128,
     payload: T,
 }
 
-impl<T> Entry<T> {
-    #[inline]
-    fn key(&self) -> (Cycles, u64) {
-        (self.when, self.seq)
-    }
+/// `(when, seq)` as one integer that orders like the tuple.
+#[inline]
+fn pack(when: Cycles, seq: u64) -> u128 {
+    (u128::from(when.as_u64()) << 64) | u128::from(seq)
+}
+
+/// The instant half of a packed key.
+#[inline]
+fn when_of(key: u128) -> Cycles {
+    Cycles::new((key >> 64) as u64)
 }
 
 /// A future-event calendar ordered by instant, FIFO among equal instants.
@@ -98,9 +105,9 @@ impl<T> EventQueue<T> {
 
     /// Schedules `payload` to occur at `when`.
     pub fn schedule(&mut self, when: Cycles, payload: T) {
-        let seq = self.next_seq;
+        let key = pack(when, self.next_seq);
         self.next_seq += 1;
-        self.slots.push(Entry { when, seq, payload });
+        self.slots.push(Entry { key, payload });
         self.sift_up(self.slots.len() - 1);
     }
 
@@ -115,21 +122,22 @@ impl<T> EventQueue<T> {
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Cycles, T)> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let last = self.slots.len() - 1;
-        self.slots.swap(0, last);
-        let entry = self.slots.pop().expect("checked non-empty");
-        if !self.slots.is_empty() {
-            self.sift_down(0);
-        }
-        Some((entry.when, entry.payload))
+        let last = self.slots.pop()?;
+        let entry = match self.slots.first_mut() {
+            Some(root) => {
+                let entry = std::mem::replace(root, last);
+                self.sift_down(0);
+                entry
+            }
+            None => last,
+        };
+        Some((when_of(entry.key), entry.payload))
     }
 
     /// The instant of the earliest event without removing it.
+    #[inline]
     pub fn peek_when(&self) -> Option<Cycles> {
-        self.slots.first().map(|e| e.when)
+        self.slots.first().map(|e| when_of(e.key))
     }
 
     /// Removes the earliest event only if it occurs at or before `now`.
@@ -152,9 +160,10 @@ impl<T> EventQueue<T> {
 
     #[inline]
     fn sift_up(&mut self, mut idx: usize) {
+        let key = self.slots[idx].key;
         while idx > 0 {
             let parent = (idx - 1) / ARITY;
-            if self.slots[idx].key() >= self.slots[parent].key() {
+            if key >= self.slots[parent].key {
                 break;
             }
             self.slots.swap(idx, parent);
@@ -165,6 +174,7 @@ impl<T> EventQueue<T> {
     #[inline]
     fn sift_down(&mut self, mut idx: usize) {
         let len = self.slots.len();
+        let key = self.slots[idx].key;
         loop {
             let first_child = idx * ARITY + 1;
             if first_child >= len {
@@ -173,13 +183,14 @@ impl<T> EventQueue<T> {
             let last_child = (first_child + ARITY).min(len);
             // The four children are adjacent, so this scan is one cache
             // line in the common case.
-            let mut smallest = first_child;
+            let (mut smallest, mut smallest_key) = (first_child, self.slots[first_child].key);
             for child in first_child + 1..last_child {
-                if self.slots[child].key() < self.slots[smallest].key() {
-                    smallest = child;
+                let child_key = self.slots[child].key;
+                if child_key < smallest_key {
+                    (smallest, smallest_key) = (child, child_key);
                 }
             }
-            if self.slots[smallest].key() >= self.slots[idx].key() {
+            if smallest_key >= key {
                 break;
             }
             self.slots.swap(idx, smallest);

@@ -14,13 +14,13 @@
 //! own [`EventQueue`]. Execution proceeds in windows:
 //!
 //! 1. `window_start` = the minimum next-event instant across all
-//!    shards (the global virtual-time floor);
+//!    shards and all wires in flight (the global virtual-time floor);
 //! 2. `horizon` = `window_start + lookahead` (exclusive);
 //! 3. every shard independently drains its local events with
 //!    `when < horizon` — including local follow-ups they schedule —
-//!    collecting cross-host sends into a per-shard outbox;
-//! 4. a single-threaded barrier delivers every outbox in (sender
-//!    index, emission order), then the next window begins.
+//!    collecting its cross-host sends in emission order;
+//! 4. every destination calendar receives the window's wires in
+//!    (sender index, emission order), then the next window begins.
 //!
 //! Step 3 is safe to run on parallel OS threads because a send's
 //! arrival is `depart + latency ≥ window_start + lookahead = horizon`
@@ -29,25 +29,43 @@
 //! parallel execution **byte-identical** to the serial one: delivery
 //! order into each destination queue — and therefore the FIFO sequence
 //! numbers that break timestamp ties — is a pure function of (sender
-//! index, emission order), never of thread completion order. The
-//! window statistics are built from the canonical per-host event
-//! counts, so they match too. [`ShardSim::run`] and
-//! [`ShardSim::run_parallel`] share one function per step; they differ
-//! only in whether step 3's loop runs on one thread or many.
+//! index, emission order), never of thread completion order. Each
+//! calendar is fed by the one participant that owns it, which takes
+//! its mail from every sender participant in participant order; chunks
+//! are contiguous and ascending, so that is sender host order. The
+//! window statistics are folded from sums, maxima and minima of the
+//! per-host event counts, so how the hosts are split cannot show in
+//! them either.
 //!
 //! # Parallel execution
 //!
-//! [`ShardSim::run_parallel`] opens one [`std::thread::scope`] for the
-//! whole run. The shards are split into fixed, contiguous chunks, one
-//! per participant: the calling thread owns the first chunk and
-//! `workers - 1` spawned threads own the rest until the run ends. No
-//! thread is spawned or joined per window. A reusable barrier separates
-//! the phases of each window:
+//! [`ShardSim::run`] and [`ShardSim::run_parallel`] run one participant
+//! loop: `run` with one participant that owns every shard,
+//! `run_parallel` with `min(jobs, hosts)` of them. The shards are split
+//! into fixed, contiguous chunks whose lengths differ by at most one;
+//! each participant owns its chunk by `&mut` until the run ends. The
+//! calling thread is participant 0, and `run_parallel` opens one
+//! [`std::thread::scope`] and spawns the others once, so no thread is
+//! spawned or joined per window. In each window, every participant:
 //!
-//! * the caller closes the previous window (step 4) and opens the next
-//!   (steps 1–2) while every worker waits at the barrier;
-//! * every participant, the caller included, drains its own chunk
-//!   (step 3) and waits until the last one arrives.
+//! * drains its own chunk (step 3);
+//! * routes the chunk's wires into a mailbox per receiving
+//!   participant, in host order, then emission order;
+//! * publishes its floor — the earliest of its shards' next events and
+//!   of the arrivals it sent — and the window's per-host event sum,
+//!   maximum and minimum;
+//! * crosses the window's one barrier;
+//! * computes the next horizon from every floor, as every peer does,
+//!   delivers its own inbound mail in sender order (step 4), and counts
+//!   its own lookahead stalls.
+//!
+//! Participant 0 also folds every summary into the [`ShardStats`].
+//! Floors, summaries and mailboxes are kept twice and indexed by the
+//! window's parity, so a participant can fill the next window's while
+//! a slower peer still reads the last one's; the one barrier in between
+//! keeps them two windows apart. No step runs on one thread while the
+//! others wait, and a run allocates nothing per window once its buffers
+//! have grown.
 //!
 //! A window holds microseconds of work, so a waiter first spins for a
 //! bounded number of iterations; only a longer wait falls back to
@@ -101,8 +119,7 @@
 use crate::machine::{credit_thread_transitions, thread_transitions};
 use crate::{Cycles, EventQueue};
 use hvx_obs::HistogramSketch;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Per-host behaviour plugged into a [`ShardSim`].
@@ -210,17 +227,10 @@ impl<E> HostCtx<'_, E> {
     }
 }
 
-/// One host's shard: its model, its private calendar, and the buffers
-/// a window's drain fills, kept and reused from window to window.
+/// One host's shard: its model and its private calendar.
 struct Shard<M: HostModel> {
     model: M,
     queue: EventQueue<M::Event>,
-    /// Cross-host sends of the window being drained, in emission order.
-    outbox: Vec<Outgoing<M::Event>>,
-    /// Local follow-ups of the event being handled, in emission order.
-    local: Vec<(Cycles, M::Event)>,
-    /// Events handled in the window last drained.
-    drained: u64,
 }
 
 impl<M: HostModel> std::fmt::Debug for Shard<M> {
@@ -261,16 +271,16 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Folds one completed window into the stats: `per_host` yields
-    /// the events each host drained this window, in host-index order.
-    /// Both executors call this with identical inputs — the counts are
-    /// a pure function of the window, never of thread scheduling.
-    fn record_window(&mut self, per_host: impl Iterator<Item = u64>) {
+    /// Folds one completed window into the stats from every
+    /// participant's summary of it. The summaries are sums, maxima and
+    /// minima of per-host counts, so how the hosts were split between
+    /// participants cannot show in the result.
+    fn record_window(&mut self, summaries: &[Slot]) {
         let (mut total, mut max, mut min) = (0, 0, u64::MAX);
-        for events in per_host {
-            total += events;
-            max = max.max(events);
-            min = min.min(events);
+        for slot in summaries {
+            total += slot.events.load(Ordering::Relaxed);
+            max = max.max(slot.max.load(Ordering::Relaxed));
+            min = min.min(slot.min.load(Ordering::Relaxed));
         }
         self.windows += 1;
         self.events += total;
@@ -317,9 +327,6 @@ impl<M: HostModel> ShardSim<M> {
         self.shards.push(Shard {
             model,
             queue: EventQueue::new(),
-            outbox: Vec::new(),
-            local: Vec::new(),
-            drained: 0,
         });
         self.shards.len() - 1
     }
@@ -359,32 +366,25 @@ impl<M: HostModel> ShardSim<M> {
     }
 
     /// Runs to completion on the calling thread — the serial reference
-    /// execution. Uses the exact window/delivery steps of
-    /// [`ShardSim::run_parallel`], so both produce identical state.
+    /// execution: the participant loop of [`ShardSim::run_parallel`]
+    /// with one participant owning every shard.
     pub fn run(&mut self) -> ShardStats {
-        let (hosts, lookahead) = (self.shards.len(), self.lookahead);
-        let mut chunk = Chunk {
-            first: 0,
-            shards: &mut self.shards,
-            horizon: None,
-        };
-        let mut all = [&mut chunk];
+        let exchange = Exchange::new(self.shards.len(), 1, self.lookahead);
+        let horizon = first_horizon(&self.shards, self.lookahead);
         let mut stats = ShardStats::default();
-        while let Some(horizon) = open_window(&all, lookahead, &mut stats) {
-            for (host, shard) in all[0].shards.iter_mut().enumerate() {
-                drain_window(shard, host, hosts, horizon, lookahead);
-            }
-            close_window(&mut all, &mut stats);
-        }
+        let mut lone = Participant::new(0, 0, &mut self.shards);
+        lone.run(&exchange, horizon, Some(&mut stats))
+            .expect("a lone participant has no peer to poison the barrier");
+        lone.tally(&mut stats);
         stats
     }
 
-    /// Runs to completion on up to `jobs` threads: the calling thread
-    /// plus `workers - 1` spawned ones, each owning a fixed chunk of
-    /// shards for the whole run (see the [module docs](self)). Every
-    /// shard is drained by exactly one thread, and delivery runs on the
-    /// calling thread in sender order, so the final state and stats are
-    /// byte-identical to [`ShardSim::run`]. The workers' simulated
+    /// Runs to completion on `min(jobs, hosts)` threads: the calling
+    /// thread plus spawned ones, each owning a fixed, contiguous chunk
+    /// of shards for the whole run (see the [module docs](self)). Every
+    /// shard is drained by exactly one thread, and every calendar
+    /// receives its wires in sender order, so the final state and stats
+    /// are byte-identical to [`ShardSim::run`]. The workers' simulated
     /// transitions are credited to the calling thread.
     ///
     /// # Panics
@@ -396,47 +396,48 @@ impl<M: HostModel> ShardSim<M> {
         M: Send,
         M::Event: Send,
     {
-        let (hosts, lookahead) = (self.shards.len(), self.lookahead);
-        let workers = jobs.min(hosts).max(1);
-        if workers <= 1 {
+        let hosts = self.shards.len();
+        let parties = jobs.min(hosts);
+        if parties <= 1 {
             return self.run();
         }
-        let size = hosts.div_ceil(workers);
-        let chunks: Vec<Mutex<Chunk<'_, M>>> = self
-            .shards
-            .chunks_mut(size)
-            .enumerate()
-            .map(|(i, shards)| {
-                Mutex::new(Chunk {
-                    first: i * size,
-                    shards,
-                    horizon: None,
-                })
-            })
-            .collect();
-        let barrier = WindowBarrier::new(chunks.len());
+        let exchange = Exchange::new(hosts, parties, self.lookahead);
+        let horizon = first_horizon(&self.shards, self.lookahead);
         let mut stats = ShardStats::default();
+        let mut participants = Vec::with_capacity(parties);
+        let mut rest = &mut self.shards[..];
+        for me in 0..parties {
+            let first = hosts - rest.len();
+            let (chunk, tail) = rest.split_at_mut(exchange.chunk_len(me));
+            participants.push(Participant::new(me, first, chunk));
+            rest = tail;
+        }
+        let mut participants = participants.into_iter();
+        let mut lead = participants.next().expect("parties >= 2");
         std::thread::scope(|scope| {
             // Armed before the first spawn, so a failed spawn releases
             // the workers already waiting, too.
-            let _poison = PoisonOnUnwind(&barrier);
-            let crew: Vec<_> = chunks[1..]
-                .iter()
-                .map(|chunk| {
-                    let barrier = &barrier;
+            let _poison = PoisonOnUnwind(&exchange.barrier);
+            let workers: Vec<_> = participants
+                .map(|mut part| {
+                    let exchange = &exchange;
                     scope.spawn(move || {
-                        let _poison = PoisonOnUnwind(barrier);
+                        let _poison = PoisonOnUnwind(&exchange.barrier);
                         let before = thread_transitions();
-                        while let Ok(true) = take_turn(chunk, barrier, hosts, lookahead) {}
-                        thread_transitions().wrapping_sub(before)
+                        part.run(exchange, horizon, None).ok()?;
+                        Some((part, thread_transitions().wrapping_sub(before)))
                     })
                 })
                 .collect();
-            let led = lead(&chunks, &barrier, hosts, lookahead, &mut stats);
+            let led = lead.run(&exchange, horizon, Some(&mut stats));
             let mut panicked = None;
-            for worker in crew {
+            for worker in workers {
                 match worker.join() {
-                    Ok(transitions) => credit_thread_transitions(transitions),
+                    Ok(Some((part, transitions))) => {
+                        credit_thread_transitions(transitions);
+                        part.tally(&mut stats);
+                    }
+                    Ok(None) => {}
                     Err(payload) => {
                         panicked.get_or_insert(payload);
                     }
@@ -447,189 +448,248 @@ impl<M: HostModel> ShardSim<M> {
             }
             led.expect("only an unwinding thread poisons the barrier");
         });
+        lead.tally(&mut stats);
         stats
     }
 }
 
-/// Steps 1–2 over every shard, in host order: returns the next
-/// window's horizon, or `None` once every calendar is empty. Also
-/// counts the hosts that stall in it — calendar non-empty but nothing
-/// below the horizon. Evaluated before any drain, so both executors
-/// count identically. `chunks` hold every shard, in host order: the
-/// serial executor's one chunk or the parallel one's locked chunks.
-fn open_window<'a, M: HostModel + 'a, C: Deref<Target = Chunk<'a, M>>>(
-    chunks: &[C],
-    lookahead: Cycles,
-    stats: &mut ShardStats,
-) -> Option<Cycles> {
-    let shards = || chunks.iter().flat_map(|c| c.shards.iter());
-    let start = shards().filter_map(|s| s.queue.peek_when()).min()?;
-    let horizon = start + lookahead;
-    stats.lookahead_stalls += shards()
-        .filter(|s| s.queue.peek_when().is_some_and(|w| w >= horizon))
-        .count() as u64;
-    Some(horizon)
+/// The first window's horizon: the earliest seeded event across every
+/// shard plus the lookahead, or `None` when every calendar is empty.
+fn first_horizon<M: HostModel>(shards: &[Shard<M>], lookahead: Cycles) -> Option<Cycles> {
+    let start = shards.iter().filter_map(|s| s.queue.peek_when()).min()?;
+    Some(start + lookahead)
 }
 
-/// Step 3 for one shard: drain every local event below `horizon`
-/// (follow-ups included) into the shard's outbox. Shared by the serial
-/// and parallel executors — this function *is* the semantics.
-fn drain_window<M: HostModel>(
-    shard: &mut Shard<M>,
-    host: usize,
+/// Floor value of a participant with nothing pending anywhere. An
+/// event at `Cycles::MAX` could open no window anyway: its horizon
+/// would overflow.
+const IDLE: u64 = u64::MAX;
+
+/// One participant's report of a window, published before the barrier
+/// into the slot of that window's parity: its floor (the earliest of
+/// its shards' next events and of the arrivals it sent, [`IDLE`] if
+/// none) and the sum, maximum and minimum of its hosts' event counts.
+/// The barrier orders the relaxed stores before every peer's relaxed
+/// loads; the next store into the same slot comes two windows later,
+/// after every peer has crossed the barrier in between.
+#[derive(Default)]
+#[repr(align(64))]
+struct Slot {
+    floor: AtomicU64,
+    events: AtomicU64,
+    max: AtomicU64,
+    min: AtomicU64,
+}
+
+/// What the participants of one run share: the barrier, two windows'
+/// worth of [`Slot`]s, and two windows' worth of mailboxes, all indexed
+/// by window parity so that a participant can fill the next window's
+/// while a slower peer still reads the last one's.
+struct Exchange<E> {
+    barrier: WindowBarrier,
+    parties: usize,
+    lookahead: Cycles,
     hosts: usize,
-    horizon: Cycles,
-    lookahead: Cycles,
-) {
-    let Shard {
-        model,
-        queue,
-        outbox,
-        local,
-        drained,
-    } = shard;
-    let mut events = 0;
-    while queue.peek_when().is_some_and(|when| when < horizon) {
-        let (when, event) = queue.pop().expect("peeked event exists");
-        events += 1;
-        let mut ctx = HostCtx {
-            now: when,
-            host,
-            hosts,
+    /// The participant owning each host.
+    owner: Vec<usize>,
+    /// `[parity][participant]`.
+    slots: Vec<Slot>,
+    /// `[parity][from][to]`: the wires participant `from` sent in a
+    /// window of that parity to hosts that participant `to` owns, in
+    /// sender host order, then emission order. Each is written by its
+    /// sender before the barrier and emptied by its receiver after it,
+    /// so its lock is never contended.
+    mail: Vec<Mutex<Vec<Outgoing<E>>>>,
+}
+
+impl<E> Exchange<E> {
+    /// The exchange of a run splitting `hosts` into `parties` contiguous
+    /// chunks whose lengths differ by at most one, longer chunks first.
+    fn new(hosts: usize, parties: usize, lookahead: Cycles) -> Exchange<E> {
+        let mut exchange = Exchange {
+            barrier: WindowBarrier::new(parties),
+            parties,
             lookahead,
-            local,
-            sends: outbox,
+            hosts,
+            owner: Vec::with_capacity(hosts),
+            slots: (0..2 * parties).map(|_| Slot::default()).collect(),
+            mail: (0..2 * parties * parties)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
         };
-        model.handle(when, event, &mut ctx);
-        // Emission order feeds the queue's FIFO sequence numbers, so
-        // follow-ups among equal instants replay in the order the
-        // model produced them.
-        for (at, ev) in local.drain(..) {
-            queue.schedule(at, ev);
+        for me in 0..parties {
+            let len = exchange.chunk_len(me);
+            exchange.owner.extend(std::iter::repeat_n(me, len));
         }
+        exchange
     }
-    *drained = events;
-}
 
-/// Step 4, on one thread: records the window just drained, then
-/// delivers every outbox in sender-index order, each in emission
-/// order, so the insertion sequence into every destination queue — and
-/// with it the FIFO tie-break among equal arrival instants — is
-/// canonical. `chunks` are as for [`open_window`].
-fn close_window<'a, M: HostModel + 'a, C: DerefMut<Target = Chunk<'a, M>>>(
-    chunks: &mut [C],
-    stats: &mut ShardStats,
-) {
-    stats.record_window(
-        chunks
-            .iter()
-            .flat_map(|c| c.shards.iter())
-            .map(|s| s.drained),
-    );
-    let hosts = chunks.iter().map(|c| c.shards.len()).sum();
-    for from in 0..hosts {
-        let mut outbox = std::mem::take(&mut shard_mut(chunks, from).outbox);
-        stats.wires += outbox.len() as u64;
-        for wire in outbox.drain(..) {
-            shard_mut(chunks, wire.to)
-                .queue
-                .schedule(wire.arrival, wire.payload);
-        }
-        shard_mut(chunks, from).outbox = outbox;
+    /// Hosts owned by participant `me`.
+    fn chunk_len(&self, me: usize) -> usize {
+        self.hosts / self.parties + usize::from(me < self.hosts % self.parties)
     }
-}
 
-/// Host `host`'s shard among `chunks`, which all hold as many shards as
-/// the first except perhaps the last.
-fn shard_mut<'s, 'a: 's, M: HostModel + 'a, C: DerefMut<Target = Chunk<'a, M>>>(
-    chunks: &'s mut [C],
-    host: usize,
-) -> &'s mut Shard<M> {
-    let size = chunks[0].shards.len();
-    &mut chunks[host / size].shards[host % size]
-}
+    /// Every participant's slot for windows of `parity`.
+    fn slots(&self, parity: usize) -> &[Slot] {
+        &self.slots[parity * self.parties..][..self.parties]
+    }
 
-/// One participant's fixed share of a parallel run: a contiguous run
-/// of shards starting at host `first`, and the horizon of the window
-/// to drain next (`None` once the run is over). It sits behind a mutex
-/// only so the caller can reach every shard between windows; the
-/// barrier orders every lock, so none is ever contended. The serial
-/// executor runs all shards as one chunk.
-struct Chunk<'a, M: HostModel> {
-    first: usize,
-    shards: &'a mut [Shard<M>],
-    horizon: Option<Cycles>,
+    /// Participant `from`'s mailboxes for windows of `parity`, one per
+    /// receiving participant.
+    fn outgoing(&self, parity: usize, from: usize) -> &[Mutex<Vec<Outgoing<E>>>] {
+        &self.mail[(parity * self.parties + from) * self.parties..][..self.parties]
+    }
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A poisoned lock means its holder panicked mid-drain; that panic
-    // is re-raised by `run_parallel`, and the barrier keeps everyone
-    // else from touching the chunk again.
-    mutex.lock().expect("shard chunk lock poisoned")
+    // A poisoned mailbox means its holder panicked while routing; that
+    // panic is re-raised by `run_parallel`, and the poisoned barrier
+    // keeps everyone else from reaching the mailbox again.
+    mutex.lock().expect("shard mailbox lock poisoned")
 }
 
-/// The calling thread's part in a parallel run: the serial steps
-/// between windows, and its own chunk's turn in each.
-fn lead<M: HostModel>(
-    chunks: &[Mutex<Chunk<'_, M>>],
-    barrier: &WindowBarrier,
-    hosts: usize,
-    lookahead: Cycles,
-    stats: &mut ShardStats,
-) -> Result<(), Poisoned> {
-    // Every chunk's lock, held between windows: one buffer for the run.
-    let mut guards = Vec::with_capacity(chunks.len());
-    between_windows(chunks, &mut guards, lookahead, stats, false);
-    while take_turn(&chunks[0], barrier, hosts, lookahead)? {
-        between_windows(chunks, &mut guards, lookahead, stats, true);
-    }
-    Ok(())
+/// One participant of a run: a contiguous chunk of shards starting at
+/// host `first`, owned by `&mut` until the run ends, and the buffers
+/// its drains share.
+struct Participant<'a, M: HostModel> {
+    me: usize,
+    first: usize,
+    shards: &'a mut [Shard<M>],
+    /// The chunk's wires of the window being drained, in host order,
+    /// then emission order.
+    outbox: Vec<Outgoing<M::Event>>,
+    /// Local follow-ups of the event being handled, in emission order.
+    local: Vec<(Cycles, M::Event)>,
+    /// Stalls counted on this chunk's shards (see
+    /// [`ShardStats::lookahead_stalls`]).
+    stalls: u64,
+    /// Wires this chunk sent.
+    wires: u64,
 }
 
-/// The serial section between windows, run by the caller while every
-/// worker waits at the barrier: locks every chunk into `guards`, closes
-/// the window just drained (step 4, when `close`), opens the next one
-/// (steps 1–2) on every chunk, and unlocks them all again.
-fn between_windows<'c, 'a, M: HostModel>(
-    chunks: &'c [Mutex<Chunk<'a, M>>],
-    guards: &mut Vec<MutexGuard<'c, Chunk<'a, M>>>,
-    lookahead: Cycles,
-    stats: &mut ShardStats,
-    close: bool,
-) {
-    guards.extend(chunks.iter().map(lock));
-    if close {
-        close_window(guards, stats);
-    }
-    let horizon = open_window(guards, lookahead, stats);
-    for chunk in guards.iter_mut() {
-        chunk.horizon = horizon;
-    }
-    guards.clear();
-}
-
-/// One participant's turn in a window: wait for the caller to open it,
-/// drain the chunk (step 3), and wait for every other chunk to finish.
-/// Returns `Ok(false)` once the run is over.
-fn take_turn<M: HostModel>(
-    chunk: &Mutex<Chunk<'_, M>>,
-    barrier: &WindowBarrier,
-    hosts: usize,
-    lookahead: Cycles,
-) -> Result<bool, Poisoned> {
-    barrier.wait()?;
-    {
-        let mut chunk = lock(chunk);
-        let Some(horizon) = chunk.horizon else {
-            return Ok(false);
-        };
-        let first = chunk.first;
-        for (i, shard) in chunk.shards.iter_mut().enumerate() {
-            drain_window(shard, first + i, hosts, horizon, lookahead);
+impl<'a, M: HostModel> Participant<'a, M> {
+    fn new(me: usize, first: usize, shards: &'a mut [Shard<M>]) -> Self {
+        Participant {
+            me,
+            first,
+            shards,
+            outbox: Vec::new(),
+            local: Vec::new(),
+            stalls: 0,
+            wires: 0,
         }
     }
-    barrier.wait()?;
-    Ok(true)
+
+    /// The participant loop, from the window `horizon` opens until no
+    /// event is left anywhere. Each window it counts its own stalls,
+    /// drains its chunk, routes the chunk's wires into mailboxes,
+    /// publishes its floor and summary, and crosses the barrier once;
+    /// then it derives the next horizon from every floor, as every peer
+    /// does, and delivers its own inbound mail in sender order. `stats`
+    /// is participant 0's: it folds every summary into the run's
+    /// window telemetry.
+    fn run(
+        &mut self,
+        exchange: &Exchange<M::Event>,
+        mut horizon: Option<Cycles>,
+        mut stats: Option<&mut ShardStats>,
+    ) -> Result<(), Poisoned> {
+        let mut routes = Vec::with_capacity(exchange.parties);
+        let mut parity = 0;
+        while let Some(end) = horizon {
+            self.stalls += self
+                .shards
+                .iter()
+                .filter(|s| s.queue.peek_when().is_some_and(|w| w >= end))
+                .count() as u64;
+            let slot = &exchange.slots(parity)[self.me];
+            self.drain(exchange, end, slot);
+
+            let mut floor = self.floor();
+            self.wires += self.outbox.len() as u64;
+            routes.extend(exchange.outgoing(parity, self.me).iter().map(lock));
+            for wire in self.outbox.drain(..) {
+                floor = floor.min(wire.arrival.as_u64());
+                routes[exchange.owner[wire.to]].push(wire);
+            }
+            routes.clear();
+            slot.floor.store(floor, Ordering::Relaxed);
+
+            exchange.barrier.wait()?;
+
+            let slots = exchange.slots(parity);
+            let start = slots.iter().map(|s| s.floor.load(Ordering::Relaxed)).min();
+            horizon = start
+                .filter(|&start| start != IDLE)
+                .map(|start| Cycles::new(start) + exchange.lookahead);
+            if let Some(stats) = stats.as_deref_mut() {
+                stats.record_window(slots);
+            }
+            for from in 0..exchange.parties {
+                let mut mail = lock(&exchange.outgoing(parity, from)[self.me]);
+                for wire in mail.drain(..) {
+                    self.shards[wire.to - self.first]
+                        .queue
+                        .schedule(wire.arrival, wire.payload);
+                }
+            }
+            parity ^= 1;
+        }
+        Ok(())
+    }
+
+    /// Drains every local event below `horizon` (follow-ups included)
+    /// on each of the chunk's shards, in host order, collecting their
+    /// wires in the outbox, and writes the window's event summary into
+    /// `slot`. This function *is* the semantics of a window.
+    fn drain(&mut self, exchange: &Exchange<M::Event>, horizon: Cycles, slot: &Slot) {
+        let (mut total, mut max, mut min) = (0, 0, u64::MAX);
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            let Shard { model, queue } = shard;
+            let mut events = 0;
+            while queue.peek_when().is_some_and(|when| when < horizon) {
+                let (when, event) = queue.pop().expect("peeked event exists");
+                events += 1;
+                let mut ctx = HostCtx {
+                    now: when,
+                    host: self.first + i,
+                    hosts: exchange.hosts,
+                    lookahead: exchange.lookahead,
+                    local: &mut self.local,
+                    sends: &mut self.outbox,
+                };
+                model.handle(when, event, &mut ctx);
+                // Emission order feeds the queue's FIFO sequence
+                // numbers, so follow-ups among equal instants replay in
+                // the order the model produced them.
+                for (at, ev) in self.local.drain(..) {
+                    queue.schedule(at, ev);
+                }
+            }
+            total += events;
+            max = max.max(events);
+            min = min.min(events);
+        }
+        slot.events.store(total, Ordering::Relaxed);
+        slot.max.store(max, Ordering::Relaxed);
+        slot.min.store(min, Ordering::Relaxed);
+    }
+
+    /// The earliest pending event on the chunk's calendars ([`IDLE`] if
+    /// none).
+    fn floor(&self) -> u64 {
+        self.shards
+            .iter()
+            .filter_map(|s| s.queue.peek_when())
+            .min()
+            .map_or(IDLE, Cycles::as_u64)
+    }
+
+    /// Adds this participant's counters into the run's stats.
+    fn tally(&self, stats: &mut ShardStats) {
+        stats.lookahead_stalls += self.stalls;
+        stats.wires += self.wires;
+    }
 }
 
 /// Iterations a waiter spins at the barrier before it starts yielding
@@ -643,9 +703,10 @@ const SPIN_LIMIT: u32 = 1 << 10;
 #[derive(Debug)]
 struct Poisoned;
 
-/// The reusable barrier between window phases: the last of `parties`
-/// arrivals resets the count and bumps the generation every waiter
-/// watches. Waiters spin up to [`SPIN_LIMIT`] times, then yield.
+/// The reusable barrier every participant crosses once per window: the
+/// last of `parties` arrivals resets the count and bumps the generation
+/// every waiter watches. Waiters spin up to [`SPIN_LIMIT`] times, then
+/// yield.
 struct WindowBarrier {
     parties: usize,
     arrived: AtomicUsize,

@@ -211,14 +211,14 @@ struct Costs {
     eoi: u64,
 }
 
-fn probe_costs(kind: HvKind) -> Result<Costs, Error> {
-    let mut sim = SimBuilder::new(kind).without_tracing().build()?;
-    Ok(Costs {
-        switch: sim.vm_switch().as_u64(),
-        ipi_send: sim.virtual_ipi(0, 1).as_u64(),
-        virq_recv: sim.deliver_virq(1).as_u64(),
-        eoi: sim.virq_complete(1).as_u64(),
-    })
+/// Reads the cell's costs by charging them on `hv`'s own machine.
+fn probe_costs(hv: &mut dyn Hypervisor) -> Costs {
+    Costs {
+        switch: hv.vm_switch().as_u64(),
+        ipi_send: hv.virtual_ipi(0, 1).as_u64(),
+        virq_recv: hv.deliver_virq(1).as_u64(),
+        eoi: hv.virq_complete(1).as_u64(),
+    }
 }
 
 /// What a vCPU is doing, guest-side.
@@ -830,31 +830,31 @@ pub fn run_cell_with(cfg: CellConfig) -> Result<CellResult, Error> {
 
 /// [`run_cell_with`], also returning the machine the cell ran on (for
 /// conservation and metrics assertions).
-pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervisor>), Error> {
+pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Machine), Error> {
     assert!(cfg.ratio >= 1, "ratio must be at least 1:1");
-    let costs = probe_costs(cfg.kind)?;
-    let mut hv = SimBuilder::new(cfg.kind)
-        .without_tracing()
-        .profiling(cfg.profiling)
-        .build()?
-        .into_inner();
+    let mut sim = SimBuilder::new(cfg.kind).without_tracing().build()?;
+    // One model serves both the probe and the cell: the cell runs on a
+    // copy of the model's machine as built (topology, tracing off, the
+    // thread's ambient fault plan and watchdog), taken before the
+    // probe's charges advance the original's clocks.
+    let mut m = sim.machine().clone();
+    let costs = probe_costs(sim.as_dyn_mut());
+    if cfg.profiling {
+        m.enable_profiling();
+    }
     if let Some(plan) = cfg.fault.clone() {
         // Arming the plan clears loop-compiler state, so a fault-armed
         // cell structurally cannot compile: loop_begin() below sees
         // faults installed and declines (fault sweeps must really
         // execute every consult, never replay around it).
-        hv.machine_mut().set_fault_plan(plan);
+        m.set_fault_plan(plan);
     }
-    let topo = {
-        let t = hv.machine().topology();
-        [t.guest_core(0), t.guest_core(1)]
-    };
-    let m = hv.machine_mut();
+    let topo = [m.topology().guest_core(0), m.topology().guest_core(1)];
     let result = match cfg.policy {
-        SchedPolicy::Credit => simulate::<CreditVcpuSched>(&cfg, costs, topo, m),
-        SchedPolicy::Cfs => simulate::<CfsScheduler>(&cfg, costs, topo, m),
+        SchedPolicy::Credit => simulate::<CreditVcpuSched>(&cfg, costs, topo, &mut m),
+        SchedPolicy::Cfs => simulate::<CfsScheduler>(&cfg, costs, topo, &mut m),
     };
-    Ok((result, hv))
+    Ok((result, m))
 }
 
 /// Runs `cfg`'s cell on `m` under scheduler `S`.
@@ -986,7 +986,7 @@ mod tests {
     /// Runs a clean cell and returns its result together with the
     /// iterations the loop compiler replayed on its machine.
     fn run_replayed(kind: HvKind, ratio: u32, policy: SchedPolicy, txns: u32) -> (CellResult, u64) {
-        let (r, hv) = run_cell_machine(CellConfig {
+        let (r, m) = run_cell_machine(CellConfig {
             kind,
             ratio,
             policy,
@@ -996,7 +996,7 @@ mod tests {
             fault: None,
         })
         .unwrap();
-        (r, hv.machine().iters_replayed())
+        (r, m.iters_replayed())
     }
 
     #[test]
@@ -1075,7 +1075,7 @@ mod tests {
 
     #[test]
     fn profiled_cells_conserve_spans_and_surface_metrics() {
-        let (r, hv) = run_cell_machine(CellConfig {
+        let (r, m) = run_cell_machine(CellConfig {
             kind: HvKind::KvmArm,
             ratio: 8,
             policy: SchedPolicy::Credit,
@@ -1085,7 +1085,6 @@ mod tests {
             fault: None,
         })
         .unwrap();
-        let m = hv.machine();
         assert_eq!(m.iters_replayed(), 0);
         m.assert_conservation();
         let spans = m.spans().expect("profiled");
@@ -1145,9 +1144,9 @@ mod tests {
 
     #[test]
     fn fault_armed_cells_interpret_never_compile() {
-        let (c, hv) = run_cell_machine(faulted_cfg(1, 0.2, true)).unwrap();
+        let (c, m) = run_cell_machine(faulted_cfg(1, 0.2, true)).unwrap();
         assert_eq!(
-            hv.machine().iters_replayed(),
+            m.iters_replayed(),
             0,
             "a fault-armed 1:1 cell must decline the loop compiler"
         );

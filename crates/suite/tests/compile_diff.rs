@@ -156,7 +156,7 @@ fn run_cell_both(
     txns: u32,
 ) -> (consolidation::CellResult, consolidation::CellResult, u64) {
     let run = |compile| {
-        let (r, hv) = consolidation::run_cell_machine(consolidation::CellConfig {
+        let (r, m) = consolidation::run_cell_machine(consolidation::CellConfig {
             kind,
             ratio,
             policy,
@@ -166,7 +166,7 @@ fn run_cell_both(
             fault: None,
         })
         .expect("consolidation cell");
-        (r, hv.machine().iters_replayed())
+        (r, m.iters_replayed())
     };
     let (c, replayed) = run(true);
     let (i, interpreted_replays) = run(false);

@@ -22,7 +22,12 @@
 # - runs the sharded rack cell at no less than 0.3x the serial one
 #   (rack_sharded_ratio). A host with one core runs the serial
 #   executor for both and reads about 1x; spawning threads every
-#   shard window instead of once per run reads about 0.1x.
+#   shard window instead of once per run reads about 0.1x. Its count
+#   twin is the tier-1 test tests/shard_threads.rs
+#   (a_sharded_run_uses_min_jobs_hosts_threads_whatever_its_window_count),
+#   which holds on any host: a sharded run uses exactly
+#   min(jobs, hosts) threads and hands each host to one of them, at
+#   two run lengths whose window counts differ at least twofold.
 #
 # General slowdowns are caught by running the benchmark
 # (BENCHMARK.json) on a change and its parent side by side.

@@ -64,6 +64,45 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
+    /// The calendar's packed `(when, seq)` key orders the whole `u64`
+    /// range of instants: interleaved schedules and pops, with instants
+    /// near zero, at and above 2^63, near `u64::MAX` (where the runner's
+    /// pool schedules, at `u64::MAX - weight`) and anywhere, pop exactly
+    /// as a `BTreeMap` keyed by `(when, seq)` does, FIFO among equal
+    /// instants.
+    #[test]
+    fn event_queue_orders_the_full_instant_range(
+        ops in prop::collection::vec((0u8..3, 0u8..4, 0u64..4, any::<u64>()), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference = BTreeMap::new();
+        let mut seq = 0u64;
+        let reference_pop = |reference: &mut BTreeMap<(u64, u64), u64>| {
+            reference
+                .pop_first()
+                .map(|((when, _), payload)| (Cycles::new(when), payload))
+        };
+        for (op, band, near, anywhere) in ops {
+            if op == 0 {
+                prop_assert_eq!(q.pop(), reference_pop(&mut reference));
+                continue;
+            }
+            let when = match band {
+                0 => near,
+                1 => (1 << 63) + near,
+                2 => u64::MAX - near,
+                _ => anywhere,
+            };
+            q.schedule(Cycles::new(when), seq);
+            reference.insert((when, seq), seq);
+            seq += 1;
+        }
+        while !reference.is_empty() {
+            prop_assert_eq!(q.pop(), reference_pop(&mut reference));
+        }
+        prop_assert_eq!(q.pop(), None);
+    }
+
     /// The span tracer's call-path tree agrees with a naive reference
     /// that keeps an explicit stack and credits every open span on each
     /// charge: random balanced programs (depth <= 6, four transitions,
