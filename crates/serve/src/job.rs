@@ -1,4 +1,4 @@
-//! The job model: what the server admits, runs, retries, and reports.
+//! The job model: what the server admits, runs, and reports.
 //!
 //! `hvx-serve` is deliberately ignorant of scenario semantics — it
 //! never parses a `ScenarioSpec` or touches the runner. Everything
@@ -17,16 +17,17 @@ use serde::{Deserialize, Serialize};
 /// Produced by [`JobExecutor::prepare`] before the server decides
 /// whether to admit, dedupe, or shed — so a malformed body is rejected
 /// with a 400 before it can occupy queue weight, and the fingerprint
-/// is available for warm-cache dedupe and circuit breaking at
-/// admission time.
+/// is available at admission time to answer a re-submission from the
+/// warm cache or from the server's record of failed runs.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PreparedJob {
     /// Display name for logs, `/stats`, and status responses.
     pub label: String,
-    /// Content fingerprint. For cacheable jobs this is the cache key
-    /// (hex of the spec fingerprint); for uncacheable jobs (chaos
-    /// probes) a stable synthetic key like `chaos-panic` so the
-    /// circuit breaker can still group failures by kind.
+    /// Content fingerprint: everything that decides the job's outcome.
+    /// For cacheable jobs this is the cache key (hex of the spec
+    /// fingerprint); for uncacheable jobs (chaos probes) a stable
+    /// synthetic key like `chaos-panic`, so the server still records
+    /// their failures by kind.
     pub fingerprint: String,
     /// Whether results may be served from / stored to the cache.
     pub cacheable: bool,
@@ -48,18 +49,15 @@ pub struct JobOutput {
     pub cell: CellReport,
 }
 
-/// Why a job attempt failed, and whether retrying could help.
+/// Why a job's run failed. A run is deterministic, so this is the
+/// job's result: the server records it under the job's fingerprint
+/// and answers every re-submission with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobFailure {
     /// The classified failure.
     pub kind: ScenarioFailureKind,
     /// Human-readable detail (panic message, budget numbers, ...).
     pub detail: String,
-    /// `true` when the failure is plausibly transient and the server
-    /// should retry with backoff before giving up. Deterministic
-    /// failures (validation, watchdog trips) must set `false` so a
-    /// doomed job fails fast and feeds the circuit breaker.
-    pub transient: bool,
 }
 
 /// Lifecycle of an admitted job.
@@ -67,11 +65,12 @@ pub struct JobFailure {
 pub enum JobState {
     /// Admitted and waiting for a worker.
     Queued,
-    /// A worker is executing it (possibly in a retry attempt).
+    /// A worker is executing it.
     Running,
     /// Finished successfully; output is available.
     Done,
-    /// Exhausted retries (or failed non-transiently).
+    /// Its run failed, or a run of the same fingerprint already had;
+    /// the failure is available.
     Failed,
 }
 
@@ -112,13 +111,18 @@ pub trait JobExecutor: Send + Sync {
     /// answered without ever entering the worker pool.
     fn lookup(&self, job: &PreparedJob) -> Option<JobOutput>;
 
-    /// Executes one attempt of the job, storing the result in the
-    /// cache on success when the job is cacheable.
+    /// Executes the job, storing the result in the cache on success
+    /// when the job is cacheable.
+    ///
+    /// A run must be a pure function of the job's fingerprint: the
+    /// server runs a fingerprint that fails once, records the failure,
+    /// and serves it to every re-submission of that fingerprint for as
+    /// long as it retains the failed job.
     ///
     /// # Errors
     ///
-    /// A classified [`JobFailure`]; the server retries transient ones
-    /// with bounded exponential backoff.
+    /// A classified [`JobFailure`]; it is the job's result, never
+    /// retried.
     fn run(&self, job: &PreparedJob) -> Result<JobOutput, JobFailure>;
 
     /// Expands a sweep template body into individual job bodies, for

@@ -1,8 +1,7 @@
 //! Crash-safe job journal: append-only JSON lines.
 //!
 //! Every admitted job is journaled *before* the client sees a 202, and
-//! every terminal transition (`done`, `failed`, `quarantined`) is
-//! journaled after. On startup, [`recover`] replays the log: accepted
+//! every terminal transition (`done` or `failed`) is journaled after. On startup, [`recover`] replays the log: accepted
 //! jobs with no terminal record are the work the previous process died
 //! holding, and the server re-admits each **exactly once** — recovered
 //! jobs keep their original ids and are not re-journaled as accepted,
@@ -107,8 +106,7 @@ impl Journal {
         self.append(rec, true)
     }
 
-    /// Journals a terminal transition (`"done"`, `"failed"`, or
-    /// `"quarantined"`).
+    /// Journals a terminal transition (`"done"` or `"failed"`).
     ///
     /// # Errors
     ///
@@ -194,6 +192,9 @@ pub fn recover(path: &Path) -> std::io::Result<Recovery> {
                     },
                 );
             }
+            // This server writes only `done` and `failed`; `quarantined`
+            // is still read, since another process may have written the
+            // journal.
             "done" | "failed" | "quarantined" => {
                 accepted.remove(&id);
             }

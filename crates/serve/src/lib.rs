@@ -15,11 +15,12 @@
 //!   in-flight caps, oldest-idle eviction of finished results, and a
 //!   drain path that finishes running cells, refuses new ones, and
 //!   exits cleanly.
-//! * **Failure containment** ([`breaker`]) — transient failures retry
-//!   with bounded exponential backoff; a fingerprint that keeps
-//!   failing is quarantined by a three-state circuit breaker
-//!   (closed → open → half-open probe) so one poisoned spec cannot
-//!   monopolize the worker pool.
+//! * **Failure containment** ([`server`]) — a run is a pure function
+//!   of its fingerprint, so a failed run is the job's result: the
+//!   server records it, and a re-submission of that fingerprint is
+//!   answered `failed` from the record at admission, as a warm hit is
+//!   answered `done`. One poisoned spec costs one worker run, not one
+//!   per submission.
 //! * **Crash safety** ([`journal`]) — every acceptance is fsynced to
 //!   an append-only JSON-lines journal before the client sees 202;
 //!   startup replays accepted-minus-terminal and re-admits the
@@ -47,13 +48,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod breaker;
 pub mod http;
 pub mod job;
 pub mod journal;
 pub mod server;
 
-pub use breaker::{Breaker, BreakerConfig, BreakerVerdict};
 pub use job::{JobExecutor, JobFailure, JobOutput, JobState, PreparedJob};
 pub use journal::{recover, Journal, Recovery};
 pub use server::{client, Server, ServerConfig};

@@ -1,5 +1,5 @@
 //! The sweep server: accept loop, worker pool, admission control,
-//! backpressure, retry, circuit breaking, and journal recovery.
+//! backpressure, the failure record, and journal recovery.
 //!
 //! ## Threading model
 //!
@@ -8,20 +8,30 @@
 //! only touch the shared state under a mutex and never execute jobs,
 //! so the accept path stays live no matter what the workers are doing.
 //! A fixed pool of worker threads drains the admitted queue; every
-//! job attempt runs through the executor's own `catch_unwind`
-//! isolation, so a panicking scenario costs one attempt, not a worker.
+//! job runs once, through the executor's own `catch_unwind`
+//! isolation, so a panicking scenario costs one run, not a worker.
 //!
 //! ## Admission pipeline (one lock hold, in order)
 //!
 //! 1. drain check — a draining server refuses new work with 503;
-//! 2. circuit breaker — quarantined fingerprints get 409 + retry-after;
-//! 3. per-client in-flight cap — 429 `client-cap`;
-//! 4. warm-cache dedupe — a cache hit is journaled and answered
-//!    `done` immediately, never touching the queue;
-//! 5. queue-weight bound — over budget is shed with 429 carrying the
+//! 2. per-client in-flight cap — 429 `client-cap`;
+//! 3. answers at admission — a fingerprint whose run already failed
+//!    is answered `failed` from the server's failure record, and a
+//!    cache hit `done`; both are journaled and never touch the queue;
+//! 4. queue-weight bound — over budget is shed with 429 carrying the
 //!    queue depth and a retry-after hint;
-//! 6. journal `accepted` (fsynced), then enqueue. A journal write
+//! 5. journal `accepted` (fsynced), then enqueue. A journal write
 //!    failure refuses the job — acceptance is never un-journaled.
+//!
+//! ## The failure record
+//!
+//! A run is a pure function of its job's fingerprint
+//! ([`JobExecutor::run`]), so a failed run is the result of every
+//! submission of that fingerprint. The server keeps, per fingerprint,
+//! the id of a retained failed job and answers re-submissions from it.
+//! The record lives in memory beside the jobs it points at: eviction
+//! drops an entry with its last failed job, and a restart forgets it,
+//! so a failing fingerprint costs at most one run per process.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -35,7 +45,6 @@ use hvx_obs::log::{self as olog, LogValue};
 use hvx_obs::{HistogramSketch, PromText};
 use serde_json::Value;
 
-use crate::breaker::{Breaker, BreakerConfig, BreakerVerdict};
 use crate::http::{read_request, request as http_request, write_response_typed, Request};
 use crate::job::{JobExecutor, JobFailure, JobOutput, JobState, PreparedJob};
 use crate::journal::{recover, Journal};
@@ -56,14 +65,9 @@ pub struct ServerConfig {
     pub max_queue_weight: u64,
     /// Per-client cap on non-terminal jobs.
     pub client_inflight_cap: usize,
-    /// Finished results retained before oldest-idle eviction.
+    /// Finished results retained before oldest-idle eviction; this
+    /// also bounds the failure record.
     pub max_results: usize,
-    /// Retries for transient failures (0 = single attempt).
-    pub max_retries: u32,
-    /// Base backoff between retries; doubles per attempt, capped at 1s.
-    pub retry_backoff: Duration,
-    /// Circuit-breaker tuning.
-    pub breaker: BreakerConfig,
     /// Journal path; `None` disables crash safety (tests only).
     pub journal: Option<PathBuf>,
 }
@@ -76,9 +80,6 @@ impl Default for ServerConfig {
             max_queue_weight: 120,
             client_inflight_cap: 8,
             max_results: 256,
-            max_retries: 2,
-            retry_backoff: Duration::from_millis(50),
-            breaker: BreakerConfig::default(),
             journal: None,
         }
     }
@@ -90,13 +91,48 @@ struct Job {
     client: String,
     prepared: PreparedJob,
     state: JobState,
-    retries: u32,
+    /// Answered at admission (or at recovery) without a run.
     cached: bool,
-    output: Option<JobOutput>,
-    failure: Option<(String, String)>, // (kind, detail)
-    quarantined: bool,
+    /// The terminal result, once there is one.
+    outcome: Option<Result<JobOutput, JobFailure>>,
     last_touch: Instant,
     accepted_at: Instant,
+}
+
+impl Job {
+    fn queued(client: String, prepared: PreparedJob, now: Instant) -> Job {
+        Job {
+            client,
+            prepared,
+            state: JobState::Queued,
+            cached: false,
+            outcome: None,
+            last_touch: now,
+            accepted_at: now,
+        }
+    }
+
+    /// A job born terminal: a warm cache hit or a recorded failure.
+    fn answered(
+        client: String,
+        prepared: PreparedJob,
+        outcome: Result<JobOutput, JobFailure>,
+        now: Instant,
+    ) -> Job {
+        Job {
+            state: terminal_state(&outcome),
+            cached: true,
+            outcome: Some(outcome),
+            ..Job::queued(client, prepared, now)
+        }
+    }
+}
+
+fn terminal_state(outcome: &Result<JobOutput, JobFailure>) -> JobState {
+    match outcome {
+        Ok(_) => JobState::Done,
+        Err(_) => JobState::Failed,
+    }
 }
 
 #[derive(Debug, Default)]
@@ -106,7 +142,9 @@ struct Inner {
     next_id: u64,
     queued_weight: u64,
     running: usize,
-    breaker: Breaker,
+    /// The failure record: fingerprint → id of a retained job whose
+    /// run failed.
+    failed: HashMap<String, u64>,
 }
 
 #[derive(Debug, Default)]
@@ -117,8 +155,6 @@ struct Counters {
     evicted: AtomicU64,
     recovered: AtomicU64,
     journal_errors: AtomicU64,
-    breaker_opened: AtomicU64,
-    retries: AtomicU64,
 }
 
 /// Per-request latency decomposition, recorded at job completion and
@@ -232,27 +268,14 @@ impl Server {
             inner.next_id = recovery.next_id;
             for rec in recovery.incomplete {
                 let now = Instant::now();
-                let mut job = Job {
-                    client: rec.client,
-                    prepared: rec.job,
-                    state: JobState::Queued,
-                    retries: 0,
-                    cached: false,
-                    output: None,
-                    failure: None,
-                    quarantined: false,
-                    last_touch: now,
-                    accepted_at: now,
-                };
-                if let Some(output) = exec.lookup(&job.prepared) {
-                    job.state = JobState::Done;
-                    job.cached = true;
-                    job.output = Some(output);
+                let job = if let Some(output) = exec.lookup(&rec.job) {
                     journal_terminal(&counters, &j, rec.id, "done");
+                    Job::answered(rec.client, rec.job, Ok(output), now)
                 } else {
-                    inner.queued_weight += job.prepared.weight;
+                    inner.queued_weight += rec.job.weight;
                     inner.queue.push_back(rec.id);
-                }
+                    Job::queued(rec.client, rec.job, now)
+                };
                 olog::info(
                     "serve",
                     "job_recovered",
@@ -412,150 +435,54 @@ fn worker_loop(shared: &Shared) {
         );
 
         let run_started = Instant::now();
-        let mut retries = 0u32;
-        let outcome = loop {
-            match shared.exec.run(&prepared) {
-                Ok(output) => break Ok(output),
-                Err(failure) => {
-                    if failure.transient && retries < shared.cfg.max_retries {
-                        let backoff = shared
-                            .cfg
-                            .retry_backoff
-                            .saturating_mul(1 << retries.min(10))
-                            .min(Duration::from_secs(1));
-                        retries += 1;
-                        olog::info(
-                            "serve",
-                            "job_retry",
-                            &[
-                                ("job", LogValue::from(id)),
-                                ("attempt", LogValue::from(u64::from(retries))),
-                                ("backoff_ms", LogValue::from(backoff.as_millis() as u64)),
-                                ("kind", LogValue::from(failure.kind.to_string())),
-                                ("detail", LogValue::from(failure.detail.as_str())),
-                            ],
-                        );
-                        if backoff_or_abort(shared, backoff) {
-                            continue;
-                        }
-                        // Drain/shutdown arrived mid-backoff: give up
-                        // on the retry and record the pending failure
-                        // so the drain idle check can pass.
-                    }
-                    break Err(failure);
-                }
-            }
-        };
+        let outcome = shared.exec.run(&prepared);
         let run_dur = run_started.elapsed();
 
-        record_outcome(shared, id, retries, outcome, queue_wait, run_dur);
-    }
-}
-
-/// Waits out a retry backoff, waking early if a drain or shutdown
-/// begins. Returns `true` when the full backoff elapsed (retry), or
-/// `false` when the server stopped accepting work mid-wait — a worker
-/// asleep in an exponential backoff must not hold up `POST /drain`,
-/// which only completes once `running == 0`.
-fn backoff_or_abort(shared: &Shared, backoff: Duration) -> bool {
-    let deadline = Instant::now() + backoff;
-    let mut inner = lock(&shared.state);
-    loop {
-        if shared.draining.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst) {
-            return false;
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return true;
-        }
-        // `/drain` notifies the cvar, so the wait ends promptly; an
-        // unrelated wakeup (job enqueued) just re-waits the remainder.
-        inner = shared
-            .cvar
-            .wait_timeout(inner, left)
-            .unwrap_or_else(PoisonError::into_inner)
-            .0;
+        record_outcome(shared, id, outcome, queue_wait, run_dur);
     }
 }
 
 fn record_outcome(
     shared: &Shared,
     id: u64,
-    retries: u32,
     outcome: Result<JobOutput, JobFailure>,
     queue_wait: Duration,
     run_dur: Duration,
 ) {
-    let now = Instant::now();
-    shared
-        .counters
-        .retries
-        .fetch_add(u64::from(retries), Ordering::Relaxed);
+    match &outcome {
+        Ok(_) => olog::debug(
+            "serve",
+            "job_done",
+            &[
+                ("job", LogValue::from(id)),
+                ("run_us", LogValue::from(as_micros(run_dur))),
+            ],
+        ),
+        Err(failure) => olog::info(
+            "serve",
+            "job_failed",
+            &[
+                ("job", LogValue::from(id)),
+                ("kind", LogValue::from(failure.kind.to_string())),
+                ("detail", LogValue::from(failure.detail.as_str())),
+            ],
+        ),
+    }
+    let state = terminal_state(&outcome);
     let mut inner = lock(&shared.state);
     inner.running -= 1;
-    let fingerprint = inner.jobs[&id].prepared.fingerprint.clone();
-    let (event, quarantined) = match outcome {
-        Ok(_) => {
-            inner.breaker.on_success(&fingerprint);
-            ("done", false)
-        }
-        Err(_) => {
-            let opened = inner
-                .breaker
-                .on_failure(&shared.cfg.breaker, &fingerprint, now);
-            if opened {
-                shared
-                    .counters
-                    .breaker_opened
-                    .fetch_add(1, Ordering::Relaxed);
-                olog::info(
-                    "serve",
-                    "breaker_opened",
-                    &[("fingerprint", LogValue::from(fingerprint.as_str()))],
-                );
-            }
-            ("failed", opened)
-        }
-    };
     let job = inner.jobs.get_mut(&id).expect("running job exists");
-    job.retries = retries;
-    job.last_touch = now;
-    job.quarantined = quarantined;
-    match outcome {
-        Ok(output) => {
-            job.state = JobState::Done;
-            job.output = Some(output);
-            olog::debug(
-                "serve",
-                "job_done",
-                &[
-                    ("job", LogValue::from(id)),
-                    ("retries", LogValue::from(u64::from(retries))),
-                    ("run_us", LogValue::from(as_micros(run_dur))),
-                ],
-            );
-        }
-        Err(failure) => {
-            olog::info(
-                "serve",
-                "job_failed",
-                &[
-                    ("job", LogValue::from(id)),
-                    ("kind", LogValue::from(failure.kind.to_string())),
-                    ("detail", LogValue::from(failure.detail.as_str())),
-                    ("transient", LogValue::from(failure.transient)),
-                    ("retries", LogValue::from(u64::from(retries))),
-                    ("quarantined", LogValue::from(quarantined)),
-                ],
-            );
-            job.state = JobState::Failed;
-            job.failure = Some((failure.kind.to_string(), failure.detail));
-        }
+    job.state = state;
+    job.outcome = Some(outcome);
+    job.last_touch = Instant::now();
+    if state == JobState::Failed {
+        let fingerprint = job.prepared.fingerprint.clone();
+        inner.failed.insert(fingerprint, id);
     }
     let journal_write = shared
         .journal
         .as_ref()
-        .map(|j| journal_terminal(&shared.counters, j, id, event));
+        .map(|j| journal_terminal(&shared.counters, j, id, state.as_str()));
     evict_locked(shared, &mut inner);
     drop(inner);
     // Latency decomposition: recorded outside the state lock (the
@@ -574,7 +501,9 @@ fn record_outcome(
 }
 
 /// Oldest-idle eviction: finished results beyond `max_results`, least
-/// recently touched first. Queued/running jobs are never evicted.
+/// recently touched first. Queued/running jobs are never evicted. The
+/// failure record follows its jobs: an entry whose job goes moves to
+/// another retained failed job of the fingerprint, or goes too.
 fn evict_locked(shared: &Shared, inner: &mut Inner) {
     let terminal = inner.jobs.values().filter(|j| j.state.terminal()).count();
     if terminal <= shared.cfg.max_results {
@@ -589,8 +518,22 @@ fn evict_locked(shared: &Shared, inner: &mut Inner) {
     idle.sort();
     let excess = terminal - shared.cfg.max_results;
     for (_, id) in idle.into_iter().take(excess) {
-        inner.jobs.remove(&id);
+        let fingerprint = inner
+            .jobs
+            .remove(&id)
+            .expect("idle job")
+            .prepared
+            .fingerprint;
         shared.counters.evicted.fetch_add(1, Ordering::Relaxed);
+        if inner.failed.get(&fingerprint) == Some(&id) {
+            let heir = inner.jobs.iter().find(|(_, j)| {
+                j.state == JobState::Failed && j.prepared.fingerprint == fingerprint
+            });
+            match heir.map(|(&heir, _)| heir) {
+                Some(heir) => inner.failed.insert(fingerprint, heir),
+                None => inner.failed.remove(&fingerprint),
+            };
+        }
     }
 }
 
@@ -747,7 +690,7 @@ fn metrics_body(shared: &Shared) -> String {
     );
     t.counter(
         "hvx_serve_warm_hits_total",
-        "Admissions answered from the result cache",
+        "Admissions answered without a run (result cache or failure record)",
         c.warm_hits.load(Ordering::Relaxed),
     );
     t.counter(
@@ -771,14 +714,9 @@ fn metrics_body(shared: &Shared) -> String {
         shared.exec.cache_store_errors(),
     );
     t.counter(
-        "hvx_serve_breaker_opened_total",
-        "Circuit-breaker open transitions",
-        c.breaker_opened.load(Ordering::Relaxed),
-    );
-    t.counter(
         "hvx_serve_retries_total",
-        "Transient-failure retry attempts",
-        c.retries.load(Ordering::Relaxed),
+        "Retried runs: always 0, a failed run is the job's result",
+        0,
     );
 
     {
@@ -807,11 +745,6 @@ fn metrics_body(shared: &Shared) -> String {
             "hvx_serve_worker_occupancy",
             "Fraction of the worker pool currently busy",
             inner.running as f64 / shared.cfg.workers.max(1) as f64,
-        );
-        t.gauge(
-            "hvx_serve_breaker_open",
-            "Fingerprints currently quarantined",
-            inner.breaker.quarantined() as f64,
         );
         let mut per_client: Vec<(String, f64)> = Vec::new();
         for job in inner.jobs.values() {
@@ -853,7 +786,7 @@ fn metrics_body(shared: &Shared) -> String {
     );
     t.histogram(
         "hvx_serve_run_us",
-        "Microseconds executing a job (all attempts and backoffs)",
+        "Microseconds executing a job",
         &tel.run_us,
     );
     t.histogram(
@@ -873,10 +806,6 @@ fn stats_body(shared: &Shared) -> String {
         ("done", Value::U64(count(JobState::Done))),
         ("failed", Value::U64(count(JobState::Failed))),
         ("queued_weight", Value::U64(inner.queued_weight)),
-        (
-            "breaker_open",
-            Value::U64(inner.breaker.quarantined() as u64),
-        ),
         (
             "accepted_total",
             Value::U64(shared.counters.accepted.load(Ordering::Relaxed)),
@@ -969,38 +898,6 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
     let now = Instant::now();
     let mut inner = lock(&shared.state);
 
-    // Circuit breaker: any quarantined fingerprint refuses the batch.
-    for p in &prepared {
-        match inner
-            .breaker
-            .admit(&shared.cfg.breaker, &p.fingerprint, now)
-        {
-            BreakerVerdict::Admit | BreakerVerdict::Probe => {}
-            BreakerVerdict::Quarantined(left) => {
-                olog::info(
-                    "serve",
-                    "admission_quarantined",
-                    &[
-                        ("client", LogValue::from(client.as_str())),
-                        ("fingerprint", LogValue::from(p.fingerprint.as_str())),
-                        ("retry_after_ms", LogValue::from(left.as_millis() as u64)),
-                    ],
-                );
-                return (
-                    409,
-                    error_body(
-                        "quarantined",
-                        &format!("fingerprint {} is quarantined", p.fingerprint),
-                        vec![
-                            ("fingerprint", Value::Str(p.fingerprint.clone())),
-                            ("retry_after_ms", Value::U64(left.as_millis() as u64)),
-                        ],
-                    ),
-                );
-            }
-        }
-    }
-
     // Per-client in-flight cap.
     let inflight = inner
         .jobs
@@ -1030,17 +927,20 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
         );
     }
 
-    // Warm-cache dedupe, then weight-bounded admission for the rest.
-    let mut warm = Vec::new();
+    // Answers at admission — a recorded failure, else a warm cache
+    // hit — then weight-bounded admission for the rest.
+    let mut answered = Vec::new();
     let mut cold = Vec::new();
     for p in prepared {
-        if p.cacheable {
-            if let Some(output) = shared.exec.lookup(&p) {
-                warm.push((p, output));
-                continue;
-            }
+        let answer = match inner.failed.get(&p.fingerprint) {
+            Some(id) => inner.jobs[id].outcome.clone(),
+            None if p.cacheable => shared.exec.lookup(&p).map(Ok),
+            None => None,
+        };
+        match answer {
+            Some(answer) => answered.push((p, answer)),
+            None => cold.push(p),
         }
-        cold.push(p);
     }
     let cold_weight: u64 = cold.iter().map(|p| p.weight).sum();
     if !cold.is_empty() && inner.queued_weight + cold_weight > shared.cfg.max_queue_weight {
@@ -1076,15 +976,16 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
 
     // Point of no return: journal, then admit.
     let mut accepted = Vec::new();
-    for (p, output) in warm {
+    for (p, answer) in answered {
         let id = inner.next_id;
         inner.next_id += 1;
+        let state = terminal_state(&answer);
         if let Some(j) = &shared.journal {
             if let Err(e) = j.accepted(id, &client, &p) {
                 inner.next_id -= 1;
                 return (500, error_body("journal", &e.to_string(), vec![]));
             }
-            journal_terminal(&shared.counters, j, id, "done");
+            journal_terminal(&shared.counters, j, id, state.as_str());
         }
         olog::debug(
             "serve",
@@ -1093,26 +994,15 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
                 ("job", LogValue::from(id)),
                 ("client", LogValue::from(client.as_str())),
                 ("fingerprint", LogValue::from(p.fingerprint.as_str())),
+                ("state", LogValue::from(state.as_str())),
             ],
         );
-        inner.jobs.insert(
-            id,
-            Job {
-                client: client.clone(),
-                prepared: p,
-                state: JobState::Done,
-                retries: 0,
-                cached: true,
-                output: Some(output),
-                failure: None,
-                quarantined: false,
-                last_touch: now,
-                accepted_at: now,
-            },
-        );
+        inner
+            .jobs
+            .insert(id, Job::answered(client.clone(), p, answer, now));
         shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
         shared.counters.warm_hits.fetch_add(1, Ordering::Relaxed);
-        accepted.push((id, JobState::Done, true));
+        accepted.push((id, state, true));
     }
     for p in cold {
         let id = inner.next_id;
@@ -1134,21 +1024,7 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
                 ("weight", LogValue::from(p.weight)),
             ],
         );
-        inner.jobs.insert(
-            id,
-            Job {
-                client: client.clone(),
-                prepared: p,
-                state: JobState::Queued,
-                retries: 0,
-                cached: false,
-                output: None,
-                failure: None,
-                quarantined: false,
-                last_touch: now,
-                accepted_at: now,
-            },
-        );
+        inner.jobs.insert(id, Job::queued(client.clone(), p, now));
         inner.queue.push_back(id);
         shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
         accepted.push((id, JobState::Queued, false));
@@ -1169,7 +1045,7 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
         )
     } else {
         let (id, state, cached) = accepted[0];
-        let status = if state == JobState::Done { 200 } else { 202 };
+        let status = if state.terminal() { 200 } else { 202 };
         (
             status,
             obj(vec![
@@ -1196,25 +1072,24 @@ fn job_status(shared: &Shared, id: u64) -> (u16, String) {
         ("label", Value::Str(job.prepared.label.clone())),
         ("state", Value::Str(job.state.as_str().into())),
         ("fingerprint", Value::Str(job.prepared.fingerprint.clone())),
-        ("retries", Value::U64(job.retries as u64)),
         ("cached", Value::Bool(job.cached)),
     ];
-    if let Some(output) = &job.output {
-        pairs.push(("report", Value::Str(output.report.clone())));
-        pairs.push((
-            "cell",
-            serde_json::to_value(&output.cell).expect("cell serializes"),
-        ));
-    }
-    if let Some((kind, detail)) = &job.failure {
-        pairs.push((
+    match &job.outcome {
+        Some(Ok(output)) => {
+            pairs.push(("report", Value::Str(output.report.clone())));
+            pairs.push((
+                "cell",
+                serde_json::to_value(&output.cell).expect("cell serializes"),
+            ));
+        }
+        Some(Err(failure)) => pairs.push((
             "failure",
             Value::Object(vec![
-                ("kind".into(), Value::Str(kind.clone())),
-                ("detail".into(), Value::Str(detail.clone())),
+                ("kind".into(), Value::Str(failure.kind.to_string())),
+                ("detail".into(), Value::Str(failure.detail.clone())),
             ]),
-        ));
-        pairs.push(("quarantined", Value::Bool(job.quarantined)));
+        )),
+        None => {}
     }
     (200, obj(pairs))
 }
@@ -1358,57 +1233,5 @@ mod tests {
         journal_terminal(&counters, &journal, 7, "done");
         journal_terminal(&counters, &journal, 8, "failed");
         assert_eq!(counters.journal_errors.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn backoff_elapses_in_full_when_nothing_is_draining() {
-        let shared = test_shared();
-        let start = Instant::now();
-        assert!(backoff_or_abort(&shared, Duration::from_millis(30)));
-        assert!(start.elapsed() >= Duration::from_millis(30));
-    }
-
-    #[test]
-    fn backoff_aborts_immediately_when_already_draining() {
-        let shared = test_shared();
-        shared.draining.store(true, Ordering::SeqCst);
-        let start = Instant::now();
-        assert!(!backoff_or_abort(&shared, Duration::from_secs(30)));
-        assert!(start.elapsed() < Duration::from_secs(1));
-    }
-
-    fn test_shared() -> Shared {
-        struct NoExec;
-        impl JobExecutor for NoExec {
-            fn prepare(&self, _: &str) -> Result<PreparedJob, String> {
-                Err("test executor".into())
-            }
-            fn lookup(&self, _: &PreparedJob) -> Option<JobOutput> {
-                None
-            }
-            fn run(&self, _: &PreparedJob) -> Result<JobOutput, JobFailure> {
-                Err(JobFailure {
-                    kind: hvx_core::ScenarioFailureKind::Panicked,
-                    detail: "test executor".into(),
-                    transient: false,
-                })
-            }
-            fn expand(&self, _: &str) -> Result<Vec<String>, String> {
-                Err("test executor".into())
-            }
-        }
-        Shared {
-            cfg: ServerConfig::default(),
-            exec: Arc::new(NoExec),
-            state: Mutex::new(Inner::default()),
-            cvar: Condvar::new(),
-            journal: None,
-            draining: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            counters: Counters::default(),
-            telemetry: Mutex::new(Telemetry::default()),
-            started: Instant::now(),
-            conn_inflight: AtomicU64::new(0),
-        }
     }
 }

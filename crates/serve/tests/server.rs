@@ -2,18 +2,15 @@
 //! with a mock executor so every failure mode is scriptable.
 //!
 //! The mock's body protocol: `ok:<name>` succeeds; `slow:<name>`
-//! succeeds after a delay; `fail:<name>` always fails (non-transient);
-//! `flaky:<n>:<name>` fails the first `n` run attempts, then
-//! succeeds; `chaos:<name>` succeeds but is uncacheable; `bad`
-//! refuses to prepare. `sweep=` bodies expand to comma-separated
-//! sub-bodies. `retryable:<n>:<name>` fails the first `n` attempts
-//! *transiently* (exercises in-worker retry, not the breaker).
+//! succeeds after a delay; `fail:<name>` always fails; `chaos:<name>`
+//! succeeds but is uncacheable; `bad` refuses to prepare. `sweep=`
+//! bodies expand to comma-separated sub-bodies. Like a real executor,
+//! every run is a pure function of its body.
 
 use hvx_core::report::CellReport;
 use hvx_core::ScenarioFailureKind;
 use hvx_serve::{
-    client, BreakerConfig, JobExecutor, JobFailure, JobOutput, Journal, PreparedJob, Server,
-    ServerConfig,
+    client, JobExecutor, JobFailure, JobOutput, Journal, PreparedJob, Server, ServerConfig,
 };
 use serde_json::Value;
 use std::collections::HashMap;
@@ -24,20 +21,19 @@ use std::time::Duration;
 #[derive(Default)]
 struct MockExec {
     run_calls: AtomicU64,
-    attempts: Mutex<HashMap<String, u32>>,
     cache: Mutex<HashMap<String, JobOutput>>,
     traces: Mutex<HashMap<String, String>>,
     run_delay: Duration,
 }
 
 impl MockExec {
-    fn output(body: &str, retries: u32) -> JobOutput {
+    fn output(body: &str) -> JobOutput {
         JobOutput {
             report: format!("report for {body}"),
             cell: CellReport {
                 scenario: body.to_string(),
                 fingerprint: Some(format!("fp-{body}")),
-                retries,
+                retries: 0,
                 cached: false,
                 failure: None,
             },
@@ -76,25 +72,9 @@ impl JobExecutor for MockExec {
             return Err(JobFailure {
                 kind: ScenarioFailureKind::Panicked,
                 detail: format!("scripted failure for {}", job.body),
-                transient: false,
             });
         }
-        for (prefix, transient) in [("flaky:", false), ("retryable:", true)] {
-            if let Some(rest) = job.body.strip_prefix(prefix) {
-                let n: u32 = rest.split(':').next().unwrap().parse().unwrap();
-                let mut attempts = self.attempts.lock().unwrap();
-                let seen = attempts.entry(job.body.clone()).or_insert(0);
-                *seen += 1;
-                if *seen <= n {
-                    return Err(JobFailure {
-                        kind: ScenarioFailureKind::Panicked,
-                        detail: format!("attempt {seen} of {} fails", job.body),
-                        transient,
-                    });
-                }
-            }
-        }
-        let out = Self::output(&job.body, 0);
+        let out = Self::output(&job.body);
         if job.cacheable {
             self.cache
                 .lock()
@@ -228,67 +208,62 @@ fn per_client_inflight_cap_is_enforced() {
 }
 
 #[test]
-fn transient_failures_retry_with_backoff_and_report_the_count() {
+fn a_failing_fingerprint_runs_once_until_eviction_drops_its_record() {
     let cfg = ServerConfig {
-        max_retries: 3,
-        retry_backoff: Duration::from_millis(5),
+        max_results: 3,
         ..ServerConfig::default()
     };
     let (addr, handle, exec) = start(cfg, Arc::default());
-    let (_, v) = client::submit(&addr, "alice", "retryable:2:x").unwrap();
-    let done = client::wait(&addr, u64_of(&v, "job"), Duration::from_secs(5)).unwrap();
-    assert_eq!(str_of(&done, "state"), "done");
-    assert_eq!(u64_of(&done, "retries"), 2);
-    assert_eq!(exec.run_calls.load(Ordering::SeqCst), 3);
-    stop(&addr, handle);
-}
+    let runs = || exec.run_calls.load(Ordering::SeqCst);
 
-#[test]
-fn breaker_opens_after_threshold_then_half_open_probe_closes_it() {
-    let cfg = ServerConfig {
-        max_retries: 0,
-        breaker: BreakerConfig {
-            threshold: 2,
-            cooldown: Duration::from_millis(200),
-        },
-        ..ServerConfig::default()
-    };
-    let (addr, handle, _exec) = start(cfg, Arc::default());
-
-    // flaky:2 fails its first two runs non-transiently: each failure
-    // feeds the breaker, and the second opens it.
-    for expect_quarantined in [false, true] {
-        let (_, v) = client::submit(&addr, "alice", "flaky:2:fp").unwrap();
-        let done = client::wait(&addr, u64_of(&v, "job"), Duration::from_secs(5)).unwrap();
-        assert_eq!(str_of(&done, "state"), "failed");
-        assert_eq!(str_of(done.get("failure").unwrap(), "kind"), "panicked");
-        assert_eq!(
-            done.get("quarantined"),
-            Some(&Value::Bool(expect_quarantined))
-        );
-    }
-    // Open: submissions for that fingerprint are refused with 409.
-    let (status, v) = client::submit(&addr, "alice", "flaky:2:fp").unwrap();
-    assert_eq!(status, 409);
-    assert_eq!(str_of(&v, "error"), "quarantined");
-    assert!(u64_of(&v, "retry_after_ms") > 0);
-    let stats = client::stats(&addr).unwrap();
-    assert_eq!(u64_of(&stats, "breaker_open"), 1);
-    // Other fingerprints still run.
-    assert_eq!(
-        client::submit(&addr, "alice", "ok:bystander").unwrap().0,
-        202
-    );
-
-    // After the cooldown the breaker half-opens; the probe (third run
-    // of flaky:2) succeeds and closes it.
-    std::thread::sleep(Duration::from_millis(250));
-    let (status, v) = client::submit(&addr, "alice", "flaky:2:fp").unwrap();
+    let (status, v) = client::submit(&addr, "alice", "fail:fp").unwrap();
     assert_eq!(status, 202);
-    let done = client::wait(&addr, u64_of(&v, "job"), Duration::from_secs(5)).unwrap();
-    assert_eq!(str_of(&done, "state"), "done");
-    let stats = client::stats(&addr).unwrap();
-    assert_eq!(u64_of(&stats, "breaker_open"), 0);
+    let first_id = u64_of(&v, "job");
+    let first = client::wait(&addr, first_id, Duration::from_secs(5)).unwrap();
+    assert_eq!(str_of(&first, "state"), "failed");
+    assert_eq!(first.get("cached"), Some(&Value::Bool(false)));
+    let failure = first.get("failure").unwrap().clone();
+    assert_eq!(str_of(&failure, "kind"), "panicked");
+
+    // Re-submissions from other clients are answered from the record
+    // at admission: 200, failed, cached, the first run's failure.
+    for who in ["bob", "carol"] {
+        let (status, v) = client::submit(&addr, who, "fail:fp").unwrap();
+        assert_eq!(status, 200, "{v:?}");
+        assert_eq!(str_of(&v, "state"), "failed");
+        assert_eq!(v.get("cached"), Some(&Value::Bool(true)));
+        let (_, polled) = client::poll(&addr, u64_of(&v, "job")).unwrap();
+        assert_eq!(polled.get("failure"), Some(&failure));
+    }
+    assert_eq!(runs(), 1, "three submissions, one run");
+    assert_eq!(u64_of(&client::stats(&addr).unwrap(), "warm_hits"), 2);
+
+    // A bystander fingerprint still runs; its result evicts the first
+    // failed job, and the record moves to a retained one.
+    let (status, v) = client::submit(&addr, "alice", "ok:bystander").unwrap();
+    assert_eq!(status, 202);
+    client::wait(&addr, u64_of(&v, "job"), Duration::from_secs(5)).unwrap();
+    assert_eq!(runs(), 2);
+    assert_eq!(client::poll(&addr, first_id).unwrap().0, 404);
+    let (status, v) = client::submit(&addr, "dave", "fail:fp").unwrap();
+    assert_eq!(status, 200, "{v:?}");
+    assert_eq!(str_of(&v, "state"), "failed");
+    assert_eq!(runs(), 2);
+
+    // Three newer results evict every retained failed job of the
+    // fingerprint, and with the last of them its record: it runs again.
+    for i in 0..3 {
+        let (_, v) = client::submit(&addr, "alice", &format!("ok:flush{i}")).unwrap();
+        client::wait(&addr, u64_of(&v, "job"), Duration::from_secs(5)).unwrap();
+    }
+    assert_eq!(runs(), 5);
+    let (status, v) = client::submit(&addr, "erin", "fail:fp").unwrap();
+    assert_eq!(status, 202, "{v:?}");
+    let again = client::wait(&addr, u64_of(&v, "job"), Duration::from_secs(5)).unwrap();
+    assert_eq!(str_of(&again, "state"), "failed");
+    assert_eq!(again.get("cached"), Some(&Value::Bool(false)));
+    assert_eq!(again.get("failure"), Some(&failure));
+    assert_eq!(runs(), 6);
     stop(&addr, handle);
 }
 
@@ -348,7 +323,7 @@ fn journal_recovery_readmits_incomplete_work_exactly_once() {
     exec.cache
         .lock()
         .unwrap()
-        .insert("fp-ok:cached".into(), MockExec::output("ok:cached", 0));
+        .insert("fp-ok:cached".into(), MockExec::output("ok:cached"));
 
     let cfg = ServerConfig {
         journal: Some(path.clone()),
@@ -426,41 +401,6 @@ fn drain_finishes_running_work_and_refuses_new_submissions() {
 }
 
 #[test]
-fn drain_completes_promptly_while_a_worker_is_mid_retry_backoff() {
-    // A job that fails transiently forever keeps a worker cycling
-    // through 1s-capped exponential backoffs for ~100 attempts. Drain
-    // must not wait out those sleeps: the retry backoff is
-    // interruptible, and a drain converts the pending transient
-    // failure into a terminal one so `running` reaches 0 promptly.
-    let cfg = ServerConfig {
-        workers: 1,
-        max_retries: 100,
-        retry_backoff: Duration::from_secs(1),
-        ..ServerConfig::default()
-    };
-    let (addr, handle, exec) = start(cfg, Arc::default());
-    let (status, _) = client::submit(&addr, "alice", "retryable:1000:hang").unwrap();
-    assert_eq!(status, 202);
-    // Let the first attempt fail and the worker enter its backoff.
-    while exec.run_calls.load(Ordering::SeqCst) == 0 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let t0 = std::time::Instant::now();
-    client::drain(&addr).unwrap();
-    handle.join().unwrap();
-    // Without the interruptible backoff this takes minutes (the
-    // remaining retries × capped backoff); with it, milliseconds.
-    assert!(
-        t0.elapsed() < Duration::from_secs(5),
-        "drain stalled {:?} behind a retry backoff",
-        t0.elapsed()
-    );
-    // The worker recorded the outcome rather than abandoning the job:
-    // only the attempts that ran before the drain are counted.
-    assert!(exec.run_calls.load(Ordering::SeqCst) < 100);
-}
-
-#[test]
 fn torn_terminal_write_costs_one_cached_replay_not_duplicate_work() {
     // A terminal record is flushed but not fsynced, so a crash can
     // tear it off the journal tail. Recovery must treat the job as
@@ -481,7 +421,7 @@ fn torn_terminal_write_costs_one_cached_replay_not_duplicate_work() {
     exec.cache
         .lock()
         .unwrap()
-        .insert("fp-ok:torn".into(), MockExec::output("ok:torn", 0));
+        .insert("fp-ok:torn".into(), MockExec::output("ok:torn"));
     {
         use std::io::Write;
         let mut f = std::fs::OpenOptions::new()
@@ -558,7 +498,6 @@ fn metrics_exposition_has_stable_families_and_parses() {
         "hvx_serve_shed_total",
         "hvx_serve_warm_hits_total",
         "hvx_serve_retries_total",
-        "hvx_serve_breaker_opened_total",
         "hvx_serve_journal_errors_total",
         "hvx_serve_cache_store_errors_total",
         "hvx_serve_queue_depth",
@@ -587,17 +526,17 @@ fn metrics_exposition_has_stable_families_and_parses() {
 }
 
 #[test]
-fn metrics_counters_stay_monotone_across_retry_and_drain() {
+fn metrics_counters_stay_monotone_across_a_failure_and_drain() {
     let (addr, handle, _exec) = start(ServerConfig::default(), Arc::default());
 
     let (_, v) = client::submit(&addr, "alice", "ok:mono").unwrap();
     client::wait(&addr, u64_of(&v, "job"), Duration::from_secs(5)).unwrap();
     let before = scrape(&addr);
 
-    // A transiently failing job retries in-worker and a warm
-    // resubmission hits the cache: accepted, retries, and warm-hit
-    // counters must all move forward, never backward.
-    let (_, v) = client::submit(&addr, "alice", "retryable:2:mono").unwrap();
+    // A failing job runs once and a warm resubmission hits the cache:
+    // accepted, run and warm-hit counters must all move forward, never
+    // backward, and nothing is retried.
+    let (_, v) = client::submit(&addr, "alice", "fail:mono").unwrap();
     client::wait(&addr, u64_of(&v, "job"), Duration::from_secs(5)).unwrap();
     let (status, _) = client::submit(&addr, "bob", "ok:mono").unwrap();
     assert_eq!(status, 200);
@@ -620,7 +559,8 @@ fn metrics_counters_stay_monotone_across_retry_and_drain() {
     }
     // Warm-dedupe admissions count as accepted too: 3 submits total.
     assert_eq!(after["hvx_serve_accepted_total"], 3.0);
-    assert_eq!(after["hvx_serve_retries_total"], 2.0);
+    assert_eq!(after["hvx_serve_retries_total"], 0.0);
+    assert_eq!(after["hvx_serve_run_us_count"], 2.0);
     assert_eq!(after["hvx_serve_warm_hits_total"], 1.0);
     stop(&addr, handle);
 }

@@ -50,7 +50,8 @@
 //!
 //! `serve` starts the crash-safe sweep server (`hvx-serve`): clients
 //! POST spec bodies and poll results over HTTP/JSON while the server
-//! sheds overload, quarantines failing fingerprints, and journals
+//! sheds overload, runs a failing fingerprint once and answers its
+//! re-submissions from that failure, and journals
 //! every acceptance for exactly-once crash recovery. The `serve
 //! submit/sweep/poll/stats/drain` subcommands are a built-in client
 //! (responses print as JSON envelopes carrying the HTTP `status`).
@@ -1070,18 +1071,26 @@ fn run(args: &RunArgs) -> Result<(), Error> {
 
 /// `run --spec FILE`: load the scenario spec, run the one scenario it
 /// describes, print its report — as text, or (`--out json`) as the
-/// structured `{report, cell}` record.
+/// structured `{report, cell}` record. The spec runs as the sweep
+/// server runs it: a spec the server refuses at admission exits 1, and
+/// a failed run exits 3 with the failure kind and detail the server
+/// answers with.
 fn run_spec_file(path: &Path, out_json: bool) -> Result<(), Error> {
     let spec = spec_run::load(path)?;
+    spec_run::validate(&spec)?;
+    let run = spec_run::run_isolated(&spec).map_err(|f| Error::Scenario {
+        scenario: spec_run::label(&spec),
+        kind: f.kind,
+        detail: f.detail,
+    })?;
     if out_json {
-        let run = spec_run::run_spec_report(&spec)?;
         let v = Value::Object(vec![
             ("report".into(), Value::Str(run.report)),
             ("cell".into(), Serialize::serialize(&run.cell)),
         ]);
         println!("{}", pretty(&v)?);
     } else {
-        print!("{}", spec_run::run_spec(&spec)?);
+        print!("{}", run.report);
     }
     Ok(())
 }
@@ -1095,9 +1104,9 @@ fn pretty(v: &Value) -> Result<String, Error> {
 
 /// Prints an HTTP client response as a JSON envelope: the response
 /// body's fields with a `status` field prepended. The process exits 0
-/// whenever the round trip succeeded — error *statuses* (shed,
-/// quarantined, draining) are data for the caller to inspect, exactly
-/// like `curl`.
+/// whenever the round trip succeeded — error *statuses* (shed, client
+/// cap, draining) and failed jobs are data for the caller to inspect,
+/// exactly like `curl`.
 fn print_envelope(status: u16, body: Value) -> Result<(), Error> {
     let mut pairs = vec![("status".to_string(), Value::U64(u64::from(status)))];
     match body {

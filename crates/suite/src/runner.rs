@@ -509,8 +509,9 @@ fn classify_panic(payload: &(dyn std::any::Any + Send)) -> ScenarioFailure {
 /// watchdog trip as timed out or livelocked, anything else as
 /// panicked) and a typed error as [`ScenarioFailureKind::Failed`]. The
 /// ambient guard restores on unwind, so a tripped run cannot leak its
-/// plan into the next one on the same thread. Every runner scenario and
-/// every sweep-server job ([`crate::service`]) runs through it.
+/// plan into the next one on the same thread. Every runner scenario,
+/// every `run --spec` and every sweep-server job
+/// ([`crate::spec_run::run_isolated`]) runs through it.
 pub(crate) fn isolate<T>(
     fault_plan: Option<FaultPlan>,
     watchdog: Watchdog,

@@ -1,7 +1,7 @@
 //! The suite side of the sweep server: a [`JobExecutor`] over the spec
 //! runner and the content-addressed cache.
 //!
-//! `hvx-serve` is domain-agnostic — it admits, queues, retries, and
+//! `hvx-serve` is domain-agnostic — it admits, queues, runs, and
 //! journals opaque job bodies. [`SuiteExecutor`] supplies the domain:
 //!
 //! * **prepare** parses a body as either a [`ScenarioSpec`] or a chaos
@@ -10,10 +10,12 @@
 //! * **lookup** consults the [`ResultCache`] by spec fingerprint, so
 //!   warm submissions are answered at admission time without touching
 //!   the worker pool;
-//! * **run** executes one attempt through the runner's isolation guard
-//!   (`runner::isolate`: ambient watchdog plus `catch_unwind`), so a
-//!   poisoned spec becomes a typed [`JobFailure`] instead of a dead
-//!   worker;
+//! * **run** executes the job through the runner's isolation guard
+//!   ([`spec_run::run_isolated`], as `run --spec` does: ambient
+//!   watchdog plus `catch_unwind`), so a poisoned spec becomes a typed
+//!   [`JobFailure`] instead of a dead worker. A run is a pure function
+//!   of its fingerprint, so the server records that failure and serves
+//!   it to every re-submission;
 //! * **expand** turns a sweep template into individual spec bodies for
 //!   all-or-nothing batched admission.
 //!
@@ -167,8 +169,9 @@ impl JobExecutor for SuiteExecutor {
             return Ok(PreparedJob {
                 label: format!("chaos-{}", kind.name()),
                 // A synthetic stable fingerprint: chaos probes are
-                // uncacheable but the circuit breaker still groups
-                // their failures by kind.
+                // uncacheable, but a probe's outcome depends only on
+                // its kind (its watchdog is `CHAOS_WATCHDOG`), so the
+                // server records its failure under this key.
                 fingerprint: format!("chaos-{}", kind.name()),
                 cacheable: false,
                 weight: 1,
@@ -176,9 +179,8 @@ impl JobExecutor for SuiteExecutor {
             });
         }
         let spec = spec_run::parse(body).map_err(|e| e.to_string())?;
-        let shape = spec.shape().map_err(|e| e.to_string())?;
-        // Reject malformed fault plans at admission, not on a worker.
-        spec.fault_plan().map_err(|e| e.to_string())?;
+        // Reject bad shapes and fault plans at admission, not on a worker.
+        let shape = spec_run::validate(&spec).map_err(|e| e.to_string())?;
         Ok(PreparedJob {
             label: spec_run::label(&spec),
             fingerprint: cache::spec_fingerprint(&spec).to_hex(),
@@ -205,20 +207,13 @@ impl JobExecutor for SuiteExecutor {
             return run_chaos(chaos.map_err(|detail| JobFailure {
                 kind: ScenarioFailureKind::Failed,
                 detail,
-                transient: false,
             })?);
         }
         let spec = spec_run::parse(&job.body).map_err(|e| JobFailure {
             kind: ScenarioFailureKind::Failed,
             detail: e.to_string(),
-            transient: false,
         })?;
-        // The spec's own watchdog guards the run; the ambient fault plan
-        // stays empty because spec faults are applied by the engine the
-        // spec dispatches to (run_consolidation installs them on the
-        // cell machine directly).
-        let run = runner::isolate(None, spec.watchdog, || spec_run::run_spec_report(&spec))
-            .map_err(job_failure)?;
+        let run = spec_run::run_isolated(&spec).map_err(job_failure)?;
         if job.cacheable {
             if let Some(cache) = &self.cache {
                 cache.store_raw(
@@ -316,15 +311,13 @@ impl JobExecutor for SuiteExecutor {
     }
 }
 
-/// A failed attempt as the server classifies it: never transient. A
-/// spec run is a pure function of its spec (a chaos probe of its kind),
-/// so a retry would fail the same way; panics, watchdog trips and typed
-/// errors alike fail fast and feed the circuit breaker.
+/// A failed run as the server records it. A spec run is a pure
+/// function of its spec (a chaos probe of its kind), so panics,
+/// watchdog trips and typed errors alike are the job's result.
 fn job_failure(f: ScenarioFailure) -> JobFailure {
     JobFailure {
         kind: f.kind,
         detail: f.detail,
-        transient: false,
     }
 }
 
@@ -540,7 +533,11 @@ mod tests {
         let job = exec.prepare("{\"chaos\": \"panic\"}").unwrap();
         let failure = exec.run(&job).unwrap_err();
         assert_eq!(failure.kind, ScenarioFailureKind::Panicked);
-        assert!(!failure.transient, "a deterministic panic fails fast");
+        assert_eq!(
+            exec.run(&job).unwrap_err(),
+            failure,
+            "a probe fails the same way on every run"
+        );
         assert!(exec.lookup(&job).is_none(), "chaos is never cached");
     }
 

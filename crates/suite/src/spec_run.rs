@@ -14,6 +14,10 @@
 //! * **Consolidation** shape → [`consolidation::run_cell`], the SMP
 //!   oversubscription cell with the spec's vCPU scheduler.
 //!
+//! `run --spec` and the sweep server run a spec through one entry
+//! point, [`run_isolated`], so both answer a failing spec with the
+//! same classified failure.
+//!
 //! Neither the rendered report nor the cell result records loop-compiler
 //! internals, so output is byte-identical whether the engine compiled
 //! the steady state or interpreted it — the differential tests already
@@ -21,6 +25,7 @@
 
 use crate::consolidation::{self, TRANSACTIONS_PER_VM};
 use crate::rack;
+use crate::runner::{self, ScenarioFailure};
 use crate::workloads;
 use hvx_core::report::CellReport;
 use hvx_core::{Error, HvKind, ScenarioSpec, Sim, SimBuilder, SpecShape, Workload};
@@ -91,6 +96,34 @@ pub struct SpecRun {
     pub report: String,
     /// The structured record: label, content fingerprint, failure.
     pub cell: CellReport,
+}
+
+/// Checks what a spec can be refused for before it runs: its topology
+/// shape and its fault plan. The sweep server refuses such a spec at
+/// admission and `run --spec` with exit 1, before either runs it.
+///
+/// # Errors
+///
+/// [`Error::InvalidSpec`] for a shape no model implements or a
+/// malformed fault plan.
+pub fn validate(spec: &ScenarioSpec) -> Result<SpecShape, Error> {
+    let shape = spec.shape()?;
+    spec.fault_plan()?;
+    Ok(shape)
+}
+
+/// Runs a spec under the runner's isolation guard with the spec's own
+/// watchdog ambient, so a watchdog trip, a panic or a typed error comes
+/// back as a classified [`ScenarioFailure`] instead of unwinding. The
+/// ambient fault plan stays empty: the engine a spec dispatches to
+/// installs the spec's faults itself. `run --spec` and the sweep
+/// server's executor both run specs here.
+///
+/// # Errors
+///
+/// The run's [`ScenarioFailure`].
+pub fn run_isolated(spec: &ScenarioSpec) -> Result<SpecRun, ScenarioFailure> {
+    runner::isolate(None, spec.watchdog, || run_spec_report(spec))
 }
 
 /// A short human-readable label for a spec (`"KVM ARM consolidation

@@ -26,9 +26,9 @@ fn help_exits_zero_with_usage_on_stdout() {
 /// Unknown artifacts are still a usage error: message on stderr, exit 2.
 /// So are `bench`, `run --bench` and `serve bench`: benchmarking lives
 /// in `perfbench/`, and these reach the ordinary parse errors. So is
-/// `serve --retries`: no suite job is transient, so none is retried
-/// (the trailing `--help` keeps a reinstated flag from starting a
-/// server).
+/// `serve --retries`: no job is retried, because a failed run is the
+/// job's result (the trailing `--help` keeps a reinstated flag from
+/// starting a server).
 #[test]
 fn unknown_artifact_exits_two() {
     for (args, message) in [
@@ -169,6 +169,44 @@ fn run_spec_runs_a_consolidation_scenario() {
         "stdout: {stdout}"
     );
     assert!(stdout.contains("scheduler:    credit"), "stdout: {stdout}");
+}
+
+/// `run --spec` answers a spec that trips its watchdog the way the
+/// sweep server does: every shape exits 3 (a scenario failure) with
+/// the kind and detail `SuiteExecutor::run` gives for the same body,
+/// in text and in `--out json` mode.
+#[test]
+fn run_spec_reports_a_watchdog_trip_as_the_server_does() {
+    use hvx_serve::JobExecutor;
+    let dir = std::env::temp_dir().join(format!("hvx-spec-trip-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let exec = hvx_suite::service::SuiteExecutor::new(None);
+    for name in ["consolidation-8to1", "rack-8x4", "paper-kvm"] {
+        let shipped = format!("{}/../../specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let mut spec = hvx_suite::spec_run::load(std::path::Path::new(&shipped)).unwrap();
+        spec.watchdog.cycle_budget = Some(1000);
+        let body = hvx_suite::spec_run::to_json(&spec);
+        let failure = exec.run(&exec.prepare(&body).unwrap()).unwrap_err();
+        assert_eq!(failure.kind.to_string(), "timed out", "{name}: {failure:?}");
+
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, &body).unwrap();
+        for extra in [&[][..], &["--out", "json"][..]] {
+            let out = hvx_repro()
+                .args(["run", "--spec", path.to_str().unwrap()])
+                .args(extra)
+                .output()
+                .expect("run hvx-repro");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(3), "{name} {extra:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} {extra:?}: no report");
+            assert!(
+                stderr.contains(&format!("timed out: {}", failure.detail)),
+                "{name} {extra:?}: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `--spec` refuses to combine with other run knobs and a missing file

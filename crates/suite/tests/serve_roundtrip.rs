@@ -6,13 +6,14 @@
 //!   `spec_run::run_spec` of the same body;
 //! * a warm resubmission is answered from the cache at admission time
 //!   (the job is born `done`, no worker runs);
-//! * a panicking chaos probe becomes a typed failure and quarantines
-//!   its fingerprint while the server keeps answering;
+//! * a failing spec or chaos probe runs once: its typed failure is
+//!   recorded under its fingerprint and answers every re-submission,
+//!   while the server keeps answering;
 //! * a result the cache fails to store is counted in `/stats` and
 //!   `/metrics` while its job still succeeds.
 
 use hvx_core::{HvKind, ScenarioSpec, SchedPolicy};
-use hvx_serve::{client, BreakerConfig, Server, ServerConfig};
+use hvx_serve::{client, Server, ServerConfig};
 use hvx_suite::cache::ResultCache;
 use hvx_suite::service::SuiteExecutor;
 use hvx_suite::spec_run;
@@ -131,43 +132,105 @@ fn sweep_admits_all_or_nothing_and_serves_every_cell() {
     stop(r);
 }
 
+/// Completed runs so far, read from `/metrics`: one per worker run,
+/// none for a submission answered at admission.
+fn runs(addr: &str) -> f64 {
+    client::metrics(addr)
+        .unwrap()
+        .lines()
+        .find_map(|l| l.strip_prefix("hvx_serve_run_us_count "))
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap()
+}
+
+/// Submits `body` and waits for its terminal status.
+fn finish(addr: &str, body: &str) -> (u16, Value) {
+    let (status, v) = client::submit(addr, "it", body).unwrap();
+    let id = v.get("job").and_then(Value::as_u64).unwrap();
+    (
+        status,
+        client::wait(addr, id, Duration::from_secs(60)).unwrap(),
+    )
+}
+
 #[test]
-fn chaos_panic_is_typed_quarantined_and_leaves_the_server_alive() {
+fn a_spec_that_trips_its_watchdog_runs_once_and_answers_from_its_record() {
+    let dir = temp_dir("tripped");
+    let cache = Arc::new(ResultCache::open(&dir.join("cache")).unwrap());
+    let r = start(ServerConfig::default(), Some(cache));
+
+    let mut spec = ScenarioSpec::consolidation(HvKind::KvmArm, 8, SchedPolicy::Credit);
+    spec.watchdog.cycle_budget = Some(1000);
+    let body = serde_json::to_string(Serialize::serialize(&spec)).unwrap();
+    let mut details = Vec::new();
+    for (round, expect_status) in [(0, 202), (1, 200), (2, 200)] {
+        let (status, done) = finish(&r.addr, &body);
+        assert_eq!(status, expect_status, "round {round}: {done:?}");
+        assert_eq!(str_of(&done, "state"), "failed");
+        assert_eq!(
+            done.get("cached").unwrap(),
+            &Value::Bool(round > 0),
+            "round {round}"
+        );
+        let failure = done.get("failure").unwrap();
+        assert_eq!(str_of(failure, "kind"), "timed out");
+        details.push(str_of(failure, "detail").to_string());
+    }
+    assert_eq!(runs(&r.addr), 1.0, "three submissions, one run");
+    assert!(details.iter().all(|d| *d == details[0]), "{details:?}");
+
+    // The watchdog is part of the fingerprint: without the budget the
+    // same cell is another key, and it runs to `done`.
+    spec.watchdog.cycle_budget = None;
+    let body = serde_json::to_string(Serialize::serialize(&spec)).unwrap();
+    let (status, done) = finish(&r.addr, &body);
+    assert_eq!(status, 202, "{done:?}");
+    assert_eq!(str_of(&done, "state"), "done");
+    assert_eq!(runs(&r.addr), 2.0);
+
+    stop(r);
+}
+
+#[test]
+fn chaos_probes_are_typed_recorded_per_kind_and_leave_the_server_alive() {
     let dir = temp_dir("chaos");
     let r = start(
         ServerConfig {
             journal: Some(dir.join("journal.jsonl")),
-            breaker: BreakerConfig {
-                threshold: 1,
-                cooldown: Duration::from_secs(3600),
-            },
             ..ServerConfig::default()
         },
         None,
     );
 
-    let (status, v) = client::submit(&r.addr, "it", "{\"chaos\": \"panic\"}").unwrap();
-    assert_eq!(status, 202, "{v:?}");
-    let id = v.get("job").and_then(Value::as_u64).unwrap();
-    let done = client::wait(&r.addr, id, Duration::from_secs(60)).unwrap();
+    let panic = "{\"chaos\": \"panic\"}";
+    let (status, done) = finish(&r.addr, panic);
+    assert_eq!(status, 202, "{done:?}");
     assert_eq!(str_of(&done, "state"), "failed");
-    let failure = done.get("failure").unwrap();
-    assert_eq!(str_of(failure, "kind"), "panicked");
-    // A spec run is deterministic, so its panic is never retried.
-    assert_eq!(done.get("retries").and_then(Value::as_u64), Some(0));
-    assert_eq!(done.get("quarantined").unwrap(), &Value::Bool(true));
+    assert_eq!(str_of(done.get("failure").unwrap(), "kind"), "panicked");
+    assert_eq!(done.get("cached").unwrap(), &Value::Bool(false));
 
-    // The fingerprint is now quarantined: resubmission is refused with
-    // 409 without occupying the queue.
-    let (status, v) = client::submit(&r.addr, "it", "{\"chaos\": \"panic\"}").unwrap();
-    assert_eq!(status, 409, "{v:?}");
-    assert_eq!(str_of(&v, "error"), "quarantined");
+    // A probe's outcome depends only on its kind: a re-submission is
+    // answered from the record without a run...
+    let (status, again) = finish(&r.addr, panic);
+    assert_eq!(status, 200, "{again:?}");
+    assert_eq!(again.get("cached").unwrap(), &Value::Bool(true));
+    assert_eq!(again.get("failure"), done.get("failure"));
+    assert_eq!(runs(&r.addr), 1.0);
+
+    // ...and each kind is its own key: a spin probe still runs, and
+    // then its own failure is recorded.
+    let spin = "{\"chaos\": \"spin\"}";
+    let (status, spun) = finish(&r.addr, spin);
+    assert_eq!(status, 202, "{spun:?}");
+    assert_eq!(str_of(spun.get("failure").unwrap(), "kind"), "timed out");
+    let (status, again) = finish(&r.addr, spin);
+    assert_eq!(status, 200, "{again:?}");
+    assert_eq!(again.get("failure"), spun.get("failure"));
+    assert_eq!(runs(&r.addr), 2.0);
 
     // And the server is fully alive: a real spec still round-trips.
-    let (status, v) = client::submit(&r.addr, "it", &spec_body(2, 4)).unwrap();
-    assert_eq!(status, 202, "{v:?}");
-    let id = v.get("job").and_then(Value::as_u64).unwrap();
-    let done = client::wait(&r.addr, id, Duration::from_secs(60)).unwrap();
+    let (status, done) = finish(&r.addr, &spec_body(2, 4));
+    assert_eq!(status, 202, "{done:?}");
     assert_eq!(str_of(&done, "state"), "done");
 
     stop(r);

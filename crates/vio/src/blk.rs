@@ -1,46 +1,18 @@
-//! Paravirtual block I/O: virtio-blk and Xen blkfront/blkback.
+//! The disk behind the storage ablation.
 //!
 //! The paper's configuration (§III): KVM "with `cache=none` for its
 //! block storage devices", Xen "with its in-kernel block and network
-//! backend drivers". The quantified experiments are network-centric, but
-//! the block stacks exercise the same structural difference — direct
-//! guest-memory access for the KVM backend versus grant-mediated access
-//! for Xen — so hvx models them over the same substrate: a virtio
-//! request queue carrying IPA buffers, and a Xen ring carrying grant
-//! references, both ending at a [`Disk`].
+//! backend drivers". The quantified experiments are network-centric.
+//! The storage ablation charges each design's block path through
+//! `hvx-core`'s `Hypervisor::block_request` and reads each request's
+//! data from a [`Disk`]: a sparse sector store with a seek-plus-transfer
+//! service time.
 
-use crate::{VioError, Virtqueue};
+use crate::VioError;
 use hvx_engine::Cycles;
-use hvx_mem::{Access, DomId, GrantRef, GrantTable, Ipa, PhysMemory, Stage2Tables, PAGE_SIZE};
-use std::collections::VecDeque;
 
 /// Bytes per disk sector.
 pub const SECTOR_SIZE: usize = 512;
-
-/// A block-device operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlkOp {
-    /// Read `sectors` starting at `sector` into the request's buffer.
-    Read,
-    /// Write the request's buffer to `sectors` starting at `sector`.
-    Write,
-    /// Barrier/flush (no data).
-    Flush,
-}
-
-/// A virtio-blk request header, as the guest driver lays it out ahead of
-/// the data buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlkRequest {
-    /// Operation.
-    pub op: BlkOp,
-    /// Starting sector.
-    pub sector: u64,
-    /// Number of sectors.
-    pub sectors: u32,
-    /// Guest buffer (IPA, page-aligned for Xen).
-    pub buffer: Ipa,
-}
 
 /// The disk backing a VM: a sparse sector store with a simple service
 /// time model (seek + per-sector transfer).
@@ -48,7 +20,7 @@ pub struct BlkRequest {
 /// # Examples
 ///
 /// ```
-/// use hvx_vio::{Disk, BlkOp};
+/// use hvx_vio::Disk;
 ///
 /// let mut disk = Disk::ssd_m400(1 << 20);
 /// disk.write_sectors(8, b"hello-disk")?;
@@ -164,158 +136,9 @@ impl Disk {
     }
 }
 
-/// The KVM virtio-blk backend: like vhost-net, it resolves guest buffers
-/// through Stage-2 and moves data directly between guest memory and the
-/// disk — `cache=none` means no host page-cache copy either.
-#[derive(Debug, Default)]
-pub struct VirtioBlkBackend {
-    completed: u64,
-}
-
-impl VirtioBlkBackend {
-    /// Creates an idle backend.
-    pub fn new() -> Self {
-        VirtioBlkBackend::default()
-    }
-
-    /// Drains the request queue against `disk`. Returns the serviced
-    /// requests' total disk time (the caller charges it on the I/O
-    /// core).
-    ///
-    /// # Errors
-    ///
-    /// Translation/memory/disk errors propagate; the queue position of a
-    /// failed request is lost (as a real backend would report an I/O
-    /// error completion).
-    pub fn process(
-        &mut self,
-        vq: &mut Virtqueue,
-        requests: &mut VecDeque<BlkRequest>,
-        s2: &Stage2Tables,
-        mem: &mut PhysMemory,
-        disk: &mut Disk,
-    ) -> Result<Cycles, VioError> {
-        let mut disk_time = Cycles::ZERO;
-        while let Some(chain) = vq.pop_avail() {
-            let req = requests.pop_front().ok_or(VioError::EmptyChain)?;
-            let len = req.sectors as usize * SECTOR_SIZE;
-            match req.op {
-                BlkOp::Read => {
-                    let data = disk.read_sectors(req.sector, len)?;
-                    let pa = s2.translate(req.buffer, Access::Write)?.pa;
-                    mem.write(pa, &data)?;
-                }
-                BlkOp::Write => {
-                    let pa = s2.translate(req.buffer, Access::Read)?.pa;
-                    let mut data = vec![0u8; len];
-                    mem.read(pa, &mut data)?;
-                    disk.write_sectors(req.sector, &data)?;
-                }
-                BlkOp::Flush => {}
-            }
-            disk_time += disk.service_time(req.sectors);
-            vq.push_used(chain, 0)?;
-            self.completed += 1;
-        }
-        Ok(disk_time)
-    }
-
-    /// Requests completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-}
-
-/// A Xen block-ring request: the buffer arrives as a grant, not an
-/// address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct XenBlkRequest {
-    /// Operation.
-    pub op: BlkOp,
-    /// Starting sector.
-    pub sector: u64,
-    /// Number of sectors (at most a page's worth per request, as in the
-    /// classic blkif protocol).
-    pub sectors: u32,
-    /// Grant of the data frame.
-    pub gref: GrantRef,
-}
-
-/// The Dom0 blkback: every data transfer crosses the grant table.
-/// (blkback historically *maps* grants; hvx models the persistent-grant
-/// copy variant the measured Xen 4.5 used by default.)
-#[derive(Debug)]
-pub struct XenBlkBackend {
-    /// Dom0 bounce buffer for grant copies.
-    bounce: hvx_mem::Pa,
-    completed: u64,
-}
-
-impl XenBlkBackend {
-    /// Creates a backend with a page-aligned Dom0 bounce buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounce` is not page-aligned.
-    pub fn new(bounce: hvx_mem::Pa) -> Self {
-        assert!(bounce.is_page_aligned());
-        XenBlkBackend {
-            bounce,
-            completed: 0,
-        }
-    }
-
-    /// Services one request: grant-copies between the DomU frame and the
-    /// Dom0 bounce buffer, then between the bounce buffer and the disk.
-    /// Returns the disk service time.
-    ///
-    /// # Errors
-    ///
-    /// Grant/memory/disk errors propagate.
-    pub fn process_one(
-        &mut self,
-        req: XenBlkRequest,
-        grants: &mut GrantTable,
-        mem: &mut PhysMemory,
-        disk: &mut Disk,
-    ) -> Result<Cycles, VioError> {
-        let len = (req.sectors as usize * SECTOR_SIZE).min(PAGE_SIZE as usize);
-        match req.op {
-            BlkOp::Read => {
-                let data = disk.read_sectors(req.sector, len)?;
-                mem.write(self.bounce, &data)?;
-                grants.grant_copy(mem, req.gref, DomId::DOM0, 0, self.bounce, len, true)?;
-            }
-            BlkOp::Write => {
-                grants.grant_copy(mem, req.gref, DomId::DOM0, 0, self.bounce, len, false)?;
-                let mut data = vec![0u8; len];
-                mem.read(self.bounce, &mut data)?;
-                disk.write_sectors(req.sector, &data)?;
-            }
-            BlkOp::Flush => {}
-        }
-        self.completed += 1;
-        Ok(disk.service_time(req.sectors))
-    }
-
-    /// Requests completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Descriptor;
-    use hvx_mem::{Pa, S2Perms};
-
-    fn setup() -> (PhysMemory, Stage2Tables) {
-        let mut s2 = Stage2Tables::new();
-        s2.map_range(Ipa::new(0x8000_0000), Pa::new(0x10_0000), 16, S2Perms::RW)
-            .unwrap();
-        (PhysMemory::new(8 << 20), s2)
-    }
 
     #[test]
     fn disk_round_trip_and_zero_fill() {
@@ -336,134 +159,5 @@ mod tests {
         assert!(hdd.service_time(8) > ssd.service_time(8) * 10);
         // Transfer term grows with size.
         assert!(ssd.service_time(64) > ssd.service_time(8));
-    }
-
-    #[test]
-    fn virtio_blk_write_then_read_through_guest_memory() {
-        let (mut mem, s2) = setup();
-        let mut vq = Virtqueue::new(16).unwrap();
-        let mut reqs = VecDeque::new();
-        let mut disk = Disk::ssd_m400(1 << 20);
-        let mut backend = VirtioBlkBackend::new();
-
-        // Guest writes data into its buffer and posts a WRITE.
-        let buf = Ipa::new(0x8000_0000);
-        let pa = s2.translate(buf, Access::Write).unwrap().pa;
-        mem.write(pa, b"filesystem-block").unwrap();
-        vq.add_chain(&[Descriptor {
-            addr: buf,
-            len: 512,
-            device_writes: false,
-        }])
-        .unwrap();
-        reqs.push_back(BlkRequest {
-            op: BlkOp::Write,
-            sector: 10,
-            sectors: 1,
-            buffer: buf,
-        });
-        backend
-            .process(&mut vq, &mut reqs, &s2, &mut mem, &mut disk)
-            .unwrap();
-        assert_eq!(disk.write_count(), 1);
-
-        // Then a READ into a different buffer.
-        let rbuf = Ipa::new(0x8000_1000);
-        vq.add_chain(&[Descriptor {
-            addr: rbuf,
-            len: 512,
-            device_writes: true,
-        }])
-        .unwrap();
-        reqs.push_back(BlkRequest {
-            op: BlkOp::Read,
-            sector: 10,
-            sectors: 1,
-            buffer: rbuf,
-        });
-        let t = backend
-            .process(&mut vq, &mut reqs, &s2, &mut mem, &mut disk)
-            .unwrap();
-        assert!(t >= disk.seek);
-        let rpa = s2.translate(rbuf, Access::Read).unwrap().pa;
-        let mut got = [0u8; 16];
-        mem.read(rpa, &mut got).unwrap();
-        assert_eq!(&got, b"filesystem-block");
-        assert_eq!(backend.completed(), 2);
-    }
-
-    #[test]
-    fn xen_blk_pays_grant_copies_both_directions() {
-        let (mut mem, s2) = setup();
-        let mut grants = GrantTable::new(16);
-        let mut disk = Disk::ssd_m400(1 << 20);
-        let mut backend = XenBlkBackend::new(Pa::new(0x40_0000));
-
-        // DomU grants its data frame for a WRITE.
-        let frame = s2
-            .translate(Ipa::new(0x8000_0000), Access::Read)
-            .unwrap()
-            .pa;
-        mem.write(frame, b"xen-block-data").unwrap();
-        let gref = grants.grant_access(DomId::DOM0, frame, false).unwrap();
-        backend
-            .process_one(
-                XenBlkRequest {
-                    op: BlkOp::Write,
-                    sector: 3,
-                    sectors: 1,
-                    gref,
-                },
-                &mut grants,
-                &mut mem,
-                &mut disk,
-            )
-            .unwrap();
-        assert_eq!(grants.copy_count(), 1);
-        assert_eq!(disk.read_sectors(3, 14).unwrap(), b"xen-block-data");
-
-        // READ back into a granted frame: second copy.
-        backend
-            .process_one(
-                XenBlkRequest {
-                    op: BlkOp::Read,
-                    sector: 3,
-                    sectors: 1,
-                    gref,
-                },
-                &mut grants,
-                &mut mem,
-                &mut disk,
-            )
-            .unwrap();
-        assert_eq!(grants.copy_count(), 2);
-        assert_eq!(backend.completed(), 2);
-    }
-
-    #[test]
-    fn flush_moves_no_data() {
-        let (mut mem, s2) = setup();
-        let mut vq = Virtqueue::new(8).unwrap();
-        let mut reqs = VecDeque::new();
-        let mut disk = Disk::ssd_m400(1 << 20);
-        let mut backend = VirtioBlkBackend::new();
-        vq.add_chain(&[Descriptor {
-            addr: Ipa::new(0x8000_0000),
-            len: 0,
-            device_writes: false,
-        }])
-        .unwrap();
-        reqs.push_back(BlkRequest {
-            op: BlkOp::Flush,
-            sector: 0,
-            sectors: 0,
-            buffer: Ipa::new(0x8000_0000),
-        });
-        let before = mem.bytes_written();
-        backend
-            .process(&mut vq, &mut reqs, &s2, &mut mem, &mut disk)
-            .unwrap();
-        assert_eq!(mem.bytes_written(), before);
-        assert_eq!(disk.read_count() + disk.write_count(), 0);
     }
 }

@@ -10,10 +10,10 @@
 //!   path.
 //! * **Xen PV**: [`EventChannels`] for notification, plus
 //!   [`NetFront`]/[`NetBack`] shared-ring networking over grant tables —
-//!   one mandatory data copy per packet in each direction, or a
-//!   TLB-shootdown-per-packet mapped variant.
+//!   one mandatory data copy per packet in each direction.
 //!
-//! Plus the hardware at the edges: [`Nic`] and the 10 GbE [`Wire`].
+//! Plus the hardware at the edges: [`Nic`], the 10 GbE [`Wire`] and the
+//! storage ablation's [`Disk`].
 //! All state is functional; costs are charged by `hvx-core`.
 //!
 //! ## Observability
@@ -40,13 +40,11 @@ mod vhost;
 mod virtqueue;
 mod xen_net;
 
-pub use blk::{
-    BlkOp, BlkRequest, Disk, VirtioBlkBackend, XenBlkBackend, XenBlkRequest, SECTOR_SIZE,
-};
+pub use blk::{Disk, SECTOR_SIZE};
 pub use error::VioError;
 pub use event_channel::{EventChannels, Port};
 pub use nic::Nic;
 pub use packet::{Packet, Wire};
-pub use vhost::{translate_guest_buffer, VhostNet};
+pub use vhost::VhostNet;
 pub use virtqueue::{DescChain, Descriptor, Virtqueue};
 pub use xen_net::{NetBack, NetFront, RxRequest, RxResponse, TxRequest, TxResponse, XenNetRing};

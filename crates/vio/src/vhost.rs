@@ -13,7 +13,7 @@
 //! exactly as EPT/Stage-2 would.
 
 use crate::{Packet, VioError, Virtqueue};
-use hvx_mem::{Access, Pa, PhysMemory, Stage2Tables};
+use hvx_mem::{Access, PhysMemory, Stage2Tables};
 
 /// The vhost-net backend for one VM's TX/RX queue pair.
 ///
@@ -164,24 +164,11 @@ impl VhostNet {
     }
 }
 
-/// Convenience: translate-and-check a guest buffer, returning its PA.
-///
-/// # Errors
-///
-/// [`VioError::Translation`] when Stage-2 rejects the access.
-pub fn translate_guest_buffer(
-    s2: &Stage2Tables,
-    addr: hvx_mem::Ipa,
-    access: Access,
-) -> Result<Pa, VioError> {
-    Ok(s2.translate(addr, access)?.pa)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Descriptor;
-    use hvx_mem::{Ipa, S2Perms};
+    use hvx_mem::{Ipa, Pa, S2Perms};
 
     fn setup() -> (PhysMemory, Stage2Tables, Virtqueue, VhostNet) {
         let mut s2 = Stage2Tables::new();

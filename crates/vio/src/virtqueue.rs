@@ -78,16 +78,6 @@ pub struct Virtqueue {
     /// Event suppression: when set, the guest asked not to be notified of
     /// used-ring updates (`VIRTQ_AVAIL_F_NO_INTERRUPT`).
     suppress_interrupts: bool,
-    /// `VIRTIO_F_EVENT_IDX` negotiated: interrupt only when the used
-    /// counter crosses the guest-programmed `used_event`.
-    event_idx: bool,
-    /// Monotonic count of completions pushed to the used ring.
-    used_total: u64,
-    /// The guest's interrupt threshold (absolute completion count): "tell
-    /// me when completion number `used_event + 1` lands".
-    used_event: u64,
-    /// `used_total` at the last interrupt decision, for the crossing test.
-    last_signaled: u64,
 }
 
 impl Virtqueue {
@@ -108,10 +98,6 @@ impl Virtqueue {
             avail: VecDeque::new(),
             used: VecDeque::new(),
             suppress_interrupts: false,
-            event_idx: false,
-            used_total: 0,
-            used_event: 0,
-            last_signaled: 0,
         })
     }
 
@@ -187,7 +173,6 @@ impl Virtqueue {
             cursor = next;
         }
         self.used.push_back((chain.head, written));
-        self.used_total += 1;
         Ok(())
     }
 
@@ -212,48 +197,10 @@ impl Virtqueue {
         self.suppress_interrupts = suppress;
     }
 
-    /// Negotiates `VIRTIO_F_EVENT_IDX`: interrupt decisions switch from
-    /// the plain suppress flag to the `used_event` threshold — the
-    /// mechanism that lets a virtio guest take one completion interrupt
-    /// per batch instead of one per buffer (and what keeps KVM's
-    /// completion-event count below Xen's in the request-server
-    /// workloads).
-    pub fn set_event_idx(&mut self, enabled: bool) {
-        self.event_idx = enabled;
-        self.last_signaled = self.used_total;
-    }
-
-    /// Guest-side (EVENT_IDX mode): request an interrupt when completion
-    /// number `count + 1` is pushed (i.e. once `used_total > count`).
-    pub fn set_used_event(&mut self, count: u64) {
-        self.used_event = count;
-    }
-
-    /// Monotonic count of completions pushed so far.
-    pub fn used_total(&self) -> u64 {
-        self.used_total
-    }
-
     /// Device-side: whether pushing used entries should raise a guest
     /// interrupt.
     pub fn interrupts_enabled(&self) -> bool {
         !self.suppress_interrupts
-    }
-
-    /// Device-side: evaluates (and consumes) the interrupt decision for
-    /// the completions pushed since the last call. Plain mode follows the
-    /// suppress flag; EVENT_IDX mode interrupts iff the `used_event`
-    /// threshold was crossed in the window (the spec's `vring_need_event`
-    /// test).
-    pub fn take_interrupt_decision(&mut self) -> bool {
-        let old = self.last_signaled;
-        let new = self.used_total;
-        self.last_signaled = new;
-        if !self.event_idx {
-            return !self.suppress_interrupts && new > old;
-        }
-        // need_event: event in [old, new)
-        self.used_event >= old && self.used_event < new
     }
 }
 
@@ -342,54 +289,6 @@ mod tests {
             vq.push_used(chain, 0),
             Err(VioError::BadDescriptor { .. })
         ));
-    }
-
-    #[test]
-    fn event_idx_interrupts_once_per_batch() {
-        let mut vq = Virtqueue::new(16).unwrap();
-        vq.set_event_idx(true);
-        // Guest: "interrupt me after the 4th completion" (count > 3).
-        vq.set_used_event(3);
-        for _ in 0..6 {
-            vq.add_chain(&[desc(0x1000, 1, true)]).unwrap();
-        }
-        // Device completes 2 -> below threshold, no interrupt.
-        for _ in 0..2 {
-            let chain = vq.pop_avail().unwrap();
-            vq.push_used(chain, 1).unwrap();
-        }
-        assert!(!vq.take_interrupt_decision());
-        // Completes 3 more, crossing used_event=3 -> one interrupt.
-        for _ in 0..3 {
-            let chain = vq.pop_avail().unwrap();
-            vq.push_used(chain, 1).unwrap();
-        }
-        assert!(vq.take_interrupt_decision());
-        // Further completions past the threshold stay silent until the
-        // guest re-arms.
-        let chain = vq.pop_avail().unwrap();
-        vq.push_used(chain, 1).unwrap();
-        assert!(!vq.take_interrupt_decision());
-        vq.set_used_event(vq.used_total()); // re-arm for the next one
-        vq.add_chain(&[desc(0x2000, 1, true)]).unwrap();
-        let chain = vq.pop_avail().unwrap();
-        vq.push_used(chain, 1).unwrap();
-        assert!(vq.take_interrupt_decision());
-    }
-
-    #[test]
-    fn plain_mode_decision_follows_suppress_flag() {
-        let mut vq = Virtqueue::new(4).unwrap();
-        vq.add_chain(&[desc(0x1000, 1, true)]).unwrap();
-        let chain = vq.pop_avail().unwrap();
-        vq.push_used(chain, 1).unwrap();
-        assert!(vq.take_interrupt_decision());
-        assert!(!vq.take_interrupt_decision(), "no new completions");
-        vq.set_suppress_interrupts(true);
-        vq.add_chain(&[desc(0x1000, 1, true)]).unwrap();
-        let chain = vq.pop_avail().unwrap();
-        vq.push_used(chain, 1).unwrap();
-        assert!(!vq.take_interrupt_decision());
     }
 
     #[test]

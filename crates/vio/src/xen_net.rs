@@ -9,16 +9,14 @@
 //!
 //! Every TX and RX therefore moves bytes **twice** through physical
 //! memory (DMA buffer ↔ granted frame), in contrast to the vhost path of
-//! [`crate::VhostNet`]. The [`NetBack::process_tx_mapped`] variant models
-//! the historical map-based zero-copy approach whose TLB-shootdown cost
-//! led to its abandonment on x86 (§V) — the zero-copy ablation bench runs
-//! both and prices them.
+//! [`crate::VhostNet`]. The historical map-based zero-copy approach,
+//! abandoned on x86 for its TLB-shootdown cost (§V), has no data path
+//! here: the zero-copy ablation (`hvx-suite`'s `ablations::zero_copy`)
+//! prices its map and unmap as a constant plus an `hvx_mem::TlbModel`
+//! shootdown plan.
 
 use crate::{Packet, VioError};
-use hvx_mem::{
-    Access, DomId, GrantRef, GrantTable, Ipa, Pa, PhysMemory, ShootdownPlan, Stage2Tables,
-    TlbModel, PAGE_SIZE,
-};
+use hvx_mem::{Access, DomId, GrantRef, GrantTable, Ipa, Pa, PhysMemory, Stage2Tables, PAGE_SIZE};
 use std::collections::{HashMap, VecDeque};
 
 /// A transmit request on the shared ring: "send the bytes in my granted
@@ -317,44 +315,6 @@ impl NetBack {
         Ok(out)
     }
 
-    /// Processes TX requests the *mapped* (would-be zero-copy) way:
-    /// maps each granted frame into Dom0, reads the payload directly,
-    /// unmaps — and each unmap costs a TLB shootdown, returned alongside
-    /// the packets so the cost model can price the trade the paper
-    /// describes ("signaling all physical CPUs to locally invalidate
-    /// TLBs ... proved more expensive than simply copying the data").
-    ///
-    /// # Errors
-    ///
-    /// Grant/memory errors are propagated.
-    pub fn process_tx_mapped(
-        &mut self,
-        ring: &mut XenNetRing,
-        grants: &mut GrantTable,
-        mem: &mut PhysMemory,
-        tlb: &mut TlbModel,
-        dom0_cpu: usize,
-    ) -> Result<(Vec<Packet>, Vec<ShootdownPlan>), VioError> {
-        let mut out = Vec::new();
-        let mut plans = Vec::new();
-        while let Some(req) = ring.tx_req.pop_front() {
-            let frame = grants.map(req.gref, DomId::DOM0)?;
-            // Dom0 maps the frame at some VA; the TLB caches that
-            // translation (modelled by the frame's address as key).
-            let key = Ipa::new(frame.value());
-            tlb.fill(dom0_cpu, key);
-            let mut data = vec![0u8; req.len as usize];
-            mem.read(Pa::new(frame.value() + req.offset as u64), &mut data)?;
-            grants.unmap(req.gref, DomId::DOM0)?;
-            plans.push(tlb.shootdown(dom0_cpu, key));
-            let id = self.next_packet_id;
-            self.next_packet_id += 1;
-            out.push(Packet::new(id, data));
-            ring.tx_rsp.push_back(TxResponse { id: req.id });
-        }
-        Ok((out, plans))
-    }
-
     /// Delivers a received packet: the NIC has DMA'd it into a Dom0
     /// bounce buffer; netback grant-copies it into the next posted DomU
     /// RX frame and pushes a response. One copy per packet.
@@ -391,7 +351,7 @@ impl NetBack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hvx_mem::{S2Perms, ShootdownMethod};
+    use hvx_mem::S2Perms;
 
     const DOMU: DomId = DomId(1);
 
@@ -495,28 +455,6 @@ mod tests {
             .front
             .post_tx(&mut r.ring, &mut r.grants, &r.s2, &mut r.mem, b"x")
             .is_ok());
-    }
-
-    #[test]
-    fn mapped_tx_requires_shootdown_per_packet() {
-        let mut r = rig();
-        let mut tlb = TlbModel::new(8, ShootdownMethod::IpiFlush);
-        for _ in 0..3 {
-            r.front
-                .post_tx(&mut r.ring, &mut r.grants, &r.s2, &mut r.mem, b"zc")
-                .unwrap();
-        }
-        let (pkts, plans) = r
-            .back
-            .process_tx_mapped(&mut r.ring, &mut r.grants, &mut r.mem, &mut tlb, 4)
-            .unwrap();
-        assert_eq!(pkts.len(), 3);
-        assert_eq!(plans.len(), 3, "one shootdown per unmapped grant");
-        assert!(plans.iter().all(|p| p.ipis == 7));
-        assert_eq!(r.grants.copy_count(), 0, "mapped path copies nothing");
-        assert_eq!(r.grants.unmap_count(), 3);
-        // Frontend can still end access because backend unmapped.
-        r.front.reap_tx(&mut r.ring, &mut r.grants).unwrap();
     }
 
     #[test]

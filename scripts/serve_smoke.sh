@@ -3,8 +3,9 @@
 # Checks the ISSUE-level guarantees end to end:
 #   1. a served spec report is byte-identical to a direct `run --spec`;
 #   2. a warm resubmission dedupes against the cache (no worker run);
-#   3. a panicking chaos probe fails typed, quarantines its
-#      fingerprint, and leaves the server answering;
+#   3. a panicking chaos probe runs once and fails typed; its failure
+#      answers every re-submission without a run, and the server keeps
+#      answering;
 #   4. a flood of distinct heavy cells is shed with 429 while the
 #      accept loop stays live;
 #   5. kill -9 + restart on the same journal re-admits incomplete work
@@ -81,34 +82,51 @@ if [ "$hits" != "1" ]; then
     exit 1
 fi
 
-echo "== chaos panic: typed failure, quarantine, server stays alive =="
-# Each failed job charges the breaker once; the default threshold is 3
-# failures, so three panicking probes open it.
+echo "== chaos panic: typed failure, run once, answered from the record =="
+runs() {
+    "$repro" serve metrics --addr "$addr" | sed -n 's/^hvx_serve_run_us_count //p'
+}
+chaos=$("$repro" serve submit --addr "$addr" --chaos panic --wait 60)
+if [ "$(field "$chaos" state)" != "failed" ] || [ "$(field "$chaos" cached)" != "false" ]; then
+    echo "serve_smoke: chaos probe did not run and fail: $chaos" >&2
+    exit 1
+fi
+case "$chaos" in
+*'"kind": "panicked"'*) ;;
+*)
+    echo "serve_smoke: chaos failure not typed as panicked: $chaos" >&2
+    exit 1
+    ;;
+esac
+# A run is deterministic, so the failure is the probe's result: each
+# re-submission is answered from the record at admission, and no
+# worker runs again.
+runs_before=$(runs)
+if [ "$runs_before" != "2" ]; then
+    # One run for the cold spec above and one for the probe.
+    echo "serve_smoke: expected 2 runs so far, /metrics says '$runs_before'" >&2
+    exit 1
+fi
 k=0
 while [ "$k" -lt 3 ]; do
     k=$((k + 1))
-    chaos=$("$repro" serve submit --addr "$addr" --chaos panic --wait 60)
-    if [ "$(field "$chaos" state)" != "failed" ]; then
-        echo "serve_smoke: chaos probe $k did not fail: $chaos" >&2
+    again=$("$repro" serve submit --addr "$addr" --chaos panic)
+    if [ "$(field "$again" status)" != "200" ] || [ "$(field "$again" state)" != "failed" ] ||
+        [ "$(field "$again" cached)" != "true" ]; then
+        echo "serve_smoke: re-submission $k not answered from the record: $again" >&2
         exit 1
     fi
-    case "$chaos" in
+    polled=$("$repro" serve poll --addr "$addr" "$(field "$again" job)")
+    case "$polled" in
     *'"kind": "panicked"'*) ;;
     *)
-        echo "serve_smoke: chaos failure not typed as panicked: $chaos" >&2
+        echo "serve_smoke: re-submission $k lost the recorded failure: $polled" >&2
         exit 1
         ;;
     esac
 done
-# Threshold reached: the fingerprint is quarantined now.
-again=$("$repro" serve submit --addr "$addr" --chaos panic)
-if [ "$(field "$again" status)" != "409" ]; then
-    echo "serve_smoke: quarantined fingerprint not refused with 409: $again" >&2
-    exit 1
-fi
-alive=$("$repro" serve stats --addr "$addr")
-if [ "$(field "$alive" breaker_open)" != "1" ]; then
-    echo "serve_smoke: breaker not open after chaos: $alive" >&2
+if [ "$(runs)" != "$runs_before" ]; then
+    echo "serve_smoke: re-submissions ran again ($runs_before -> $(runs) runs)" >&2
     exit 1
 fi
 
