@@ -1,15 +1,14 @@
-//! The ARMv8 CPU model: exception entry/return and system-register access.
+//! The ARMv8 CPU model: exception entry and return.
 //!
 //! [`ArmCpu`] is a *functional* model — it owns the register files of
 //! [`crate::regs`]/[`crate::el2`] and implements the transition semantics
 //! the paper's analysis is built on (trap to EL2, ERET, exception routing,
-//! VHE redirection). It deliberately charges no cycles: timing lives in
-//! `hvx-core`'s cost model, so that correctness of the mechanism and
-//! calibration of its cost are independently testable.
+//! the VHE host's `E2H` bit). It deliberately charges no cycles: timing
+//! lives in `hvx-core`'s cost model, so that correctness of the mechanism
+//! and calibration of its cost are independently testable.
 
 use crate::{
-    resolve, El1SysRegs, El2Regs, ExceptionLevel, FpRegs, GpRegs, HcrEl2, PhysReg, Syndrome,
-    SysReg, SysRegError, TimerRegs, TrapCause,
+    El1SysRegs, El2Regs, ExceptionLevel, FpRegs, GpRegs, HcrEl2, Syndrome, TimerRegs, TrapCause,
 };
 use core::fmt;
 
@@ -172,31 +171,6 @@ impl ArmCpu {
         self.el2.hcr_el2.vhe_enabled()
     }
 
-    /// Returns `true` if PSTATE.I masks IRQs at the current level.
-    pub fn irqs_masked(&self) -> bool {
-        self.gp.pstate & PSTATE_I != 0
-    }
-
-    /// Sets PSTATE.I (the guest/host kernel masking interrupts).
-    pub fn mask_irqs(&mut self) {
-        self.gp.pstate |= PSTATE_I;
-    }
-
-    /// Clears PSTATE.I.
-    pub fn unmask_irqs(&mut self) {
-        self.gp.pstate &= !PSTATE_I;
-    }
-
-    /// Whether a physical IRQ would be taken right now: an IRQ routed to
-    /// a *higher* exception level is taken regardless of PSTATE.I (this
-    /// is how the hypervisor stays in control of "all physical
-    /// interrupts ... when running in a VM", §II, even when the guest
-    /// masks); an IRQ handled at the current level honours the mask.
-    pub fn should_take_irq(&self) -> bool {
-        let target = self.route_exception(TrapCause::Irq);
-        target > self.current_el || !self.irqs_masked()
-    }
-
     /// Places execution at `el`, modelling boot-time hand-off (firmware
     /// dropping into a kernel, or a hypervisor model installing a guest
     /// context). PSTATE mode bits are kept consistent.
@@ -225,38 +199,19 @@ impl ArmCpu {
     /// Computes where an exception raised at the current level routes,
     /// without taking it.
     ///
-    /// Routing rules modelled (ARM ARM D1.13, restricted to the cases the
-    /// paper exercises):
+    /// Routing rules modelled (ARM ARM D1.13, restricted to the causes the
+    /// models raise):
     ///
-    /// * `HVC` always targets EL2.
-    /// * Stage-2 aborts, trapped `WFI`, trapped sysreg and FP accesses
-    ///   target EL2.
-    /// * Physical IRQ/FIQ target EL2 iff `HCR_EL2.IMO`/`FMO` is set and
-    ///   execution is below EL2 (or at EL2 already — then handled there);
-    ///   otherwise EL1.
-    /// * `SVC` from EL0 targets EL1, or EL2 when `E2H && TGE` (the VHE
-    ///   host-syscall fast path of §VI).
+    /// * `HVC` and Stage-2 data aborts always target EL2.
+    /// * A physical IRQ targets EL2 iff `HCR_EL2.IMO` is set and execution
+    ///   is below EL2 (or at EL2 already — then handled there); otherwise
+    ///   EL1.
     pub fn route_exception(&self, cause: TrapCause) -> ExceptionLevel {
-        let hcr = self.el2.hcr_el2;
         match cause {
-            TrapCause::Sync(Syndrome::Hvc { .. }) => ExceptionLevel::El2,
-            TrapCause::Sync(Syndrome::Svc { .. }) => {
-                if hcr.vhe_enabled() && hcr.contains(HcrEl2::TGE) {
-                    ExceptionLevel::El2
-                } else {
-                    ExceptionLevel::El1
-                }
-            }
             TrapCause::Sync(_) => ExceptionLevel::El2,
             TrapCause::Irq => {
-                if hcr.contains(HcrEl2::IMO) || self.current_el == ExceptionLevel::El2 {
-                    ExceptionLevel::El2
-                } else {
-                    ExceptionLevel::El1
-                }
-            }
-            TrapCause::Fiq => {
-                if hcr.contains(HcrEl2::FMO) || self.current_el == ExceptionLevel::El2 {
+                if self.el2.hcr_el2.contains(HcrEl2::IMO) || self.current_el == ExceptionLevel::El2
+                {
                     ExceptionLevel::El2
                 } else {
                     ExceptionLevel::El1
@@ -283,16 +238,6 @@ impl ArmCpu {
         );
         let ret_pc = self.gp.pc;
         let ret_pstate = self.gp.pstate;
-        let (esr, far) = match cause {
-            TrapCause::Sync(s) => {
-                let far = match s {
-                    Syndrome::DataAbort { ipa, .. } | Syndrome::InstrAbort { ipa } => ipa,
-                    _ => 0,
-                };
-                (s.encode(), far)
-            }
-            TrapCause::Irq | TrapCause::Fiq => (0, 0),
-        };
         let from_lower = target > self.current_el;
         let sync = matches!(cause, TrapCause::Sync(_));
         let offset = match (from_lower, sync) {
@@ -305,22 +250,21 @@ impl ArmCpu {
             ExceptionLevel::El2 => {
                 self.el2.elr_el2 = ret_pc;
                 self.el2.spsr_el2 = ret_pstate;
-                if sync {
-                    self.el2.esr_el2 = esr;
-                    self.el2.far_el2 = far;
-                    if let TrapCause::Sync(Syndrome::DataAbort { ipa, .. }) = cause {
+                if let TrapCause::Sync(s) = cause {
+                    self.el2.esr_el2 = s.encode();
+                    self.el2.far_el2 = 0;
+                    if let Syndrome::DataAbort { ipa, .. } = s {
+                        self.el2.far_el2 = ipa;
                         self.el2.hpfar_el2 = ipa >> 8; // architected: IPA[47:12] in HPFAR[39:4]
                     }
                 }
                 self.gp.pc = self.el2.vbar_el2.wrapping_add(offset);
             }
             ExceptionLevel::El1 => {
+                // Only an IRQ with `HCR_EL2.IMO` clear lands here, and an
+                // IRQ carries no syndrome.
                 self.el1.elr_el1 = ret_pc;
                 self.el1.spsr_el1 = ret_pstate;
-                if sync {
-                    self.el1.esr_el1 = esr;
-                    self.el1.far_el1 = far;
-                }
                 self.gp.pc = self.el1.vbar_el1.wrapping_add(offset);
             }
             ExceptionLevel::El0 => unreachable!("exceptions never target EL0"),
@@ -356,93 +300,6 @@ impl ArmCpu {
         self.gp.pstate = spsr;
         self.current_el = target;
         Ok(target)
-    }
-
-    /// Reads a system register by encoding, applying VHE redirection.
-    ///
-    /// # Errors
-    ///
-    /// See [`resolve`] for the UNDEFINED cases.
-    pub fn read_sysreg(&self, reg: SysReg) -> Result<u64, SysRegError> {
-        let phys = resolve(reg, self.current_el, self.e2h(), self.version.has_vhe())?;
-        Ok(self.phys_read(phys))
-    }
-
-    /// Writes a system register by encoding, applying VHE redirection.
-    ///
-    /// # Errors
-    ///
-    /// See [`resolve`] for the UNDEFINED cases.
-    pub fn write_sysreg(&mut self, reg: SysReg, value: u64) -> Result<(), SysRegError> {
-        let phys = resolve(reg, self.current_el, self.e2h(), self.version.has_vhe())?;
-        self.phys_write(phys, value);
-        Ok(())
-    }
-
-    fn phys_read(&self, phys: PhysReg) -> u64 {
-        match phys {
-            PhysReg::SctlrEl1 => self.el1.sctlr_el1,
-            PhysReg::Ttbr0El1 => self.el1.ttbr0_el1,
-            PhysReg::Ttbr1El1 => self.el1.ttbr1_el1,
-            PhysReg::TcrEl1 => self.el1.tcr_el1,
-            PhysReg::MairEl1 => self.el1.mair_el1,
-            PhysReg::VbarEl1 => self.el1.vbar_el1,
-            PhysReg::CpacrEl1 => self.el1.cpacr_el1,
-            PhysReg::EsrEl1 => self.el1.esr_el1,
-            PhysReg::FarEl1 => self.el1.far_el1,
-            PhysReg::ElrEl1 => self.el1.elr_el1,
-            PhysReg::SpsrEl1 => self.el1.spsr_el1,
-            PhysReg::CntkctlEl1 => self.el1.cntkctl_el1,
-            PhysReg::HcrEl2 => self.el2.hcr_el2.bits(),
-            PhysReg::VttbrEl2 => self.el2.vttbr_el2,
-            PhysReg::VtcrEl2 => self.el2.vtcr_el2,
-            PhysReg::SctlrEl2 => self.el2.sctlr_el2,
-            PhysReg::Ttbr0El2 => self.el2.ttbr0_el2,
-            PhysReg::Ttbr1El2 => self.el2.ttbr1_el2,
-            PhysReg::TcrEl2 => self.el2.tcr_el2,
-            PhysReg::MairEl2 => self.el2.mair_el2,
-            PhysReg::VbarEl2 => self.el2.vbar_el2,
-            PhysReg::CptrEl2 => self.el2.cpacr_el2,
-            PhysReg::EsrEl2 => self.el2.esr_el2,
-            PhysReg::ElrEl2 => self.el2.elr_el2,
-            PhysReg::SpsrEl2 => self.el2.spsr_el2,
-            PhysReg::FarEl2 => self.el2.far_el2,
-            PhysReg::TpidrEl2 => self.el2.tpidr_el2,
-            PhysReg::CnthctlEl2 => self.el2.cnthctl_el2,
-        }
-    }
-
-    fn phys_write(&mut self, phys: PhysReg, v: u64) {
-        match phys {
-            PhysReg::SctlrEl1 => self.el1.sctlr_el1 = v,
-            PhysReg::Ttbr0El1 => self.el1.ttbr0_el1 = v,
-            PhysReg::Ttbr1El1 => self.el1.ttbr1_el1 = v,
-            PhysReg::TcrEl1 => self.el1.tcr_el1 = v,
-            PhysReg::MairEl1 => self.el1.mair_el1 = v,
-            PhysReg::VbarEl1 => self.el1.vbar_el1 = v,
-            PhysReg::CpacrEl1 => self.el1.cpacr_el1 = v,
-            PhysReg::EsrEl1 => self.el1.esr_el1 = v,
-            PhysReg::FarEl1 => self.el1.far_el1 = v,
-            PhysReg::ElrEl1 => self.el1.elr_el1 = v,
-            PhysReg::SpsrEl1 => self.el1.spsr_el1 = v,
-            PhysReg::CntkctlEl1 => self.el1.cntkctl_el1 = v,
-            PhysReg::HcrEl2 => self.el2.hcr_el2 = HcrEl2::from_bits(v),
-            PhysReg::VttbrEl2 => self.el2.vttbr_el2 = v,
-            PhysReg::VtcrEl2 => self.el2.vtcr_el2 = v,
-            PhysReg::SctlrEl2 => self.el2.sctlr_el2 = v,
-            PhysReg::Ttbr0El2 => self.el2.ttbr0_el2 = v,
-            PhysReg::Ttbr1El2 => self.el2.ttbr1_el2 = v,
-            PhysReg::TcrEl2 => self.el2.tcr_el2 = v,
-            PhysReg::MairEl2 => self.el2.mair_el2 = v,
-            PhysReg::VbarEl2 => self.el2.vbar_el2 = v,
-            PhysReg::CptrEl2 => self.el2.cpacr_el2 = v,
-            PhysReg::EsrEl2 => self.el2.esr_el2 = v,
-            PhysReg::ElrEl2 => self.el2.elr_el2 = v,
-            PhysReg::SpsrEl2 => self.el2.spsr_el2 = v,
-            PhysReg::FarEl2 => self.el2.far_el2 = v,
-            PhysReg::TpidrEl2 => self.el2.tpidr_el2 = v,
-            PhysReg::CnthctlEl2 => self.el2.cnthctl_el2 = v,
-        }
     }
 }
 
@@ -511,25 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn svc_from_el0_routes_to_el1_normally_el2_with_vhe_tge() {
-        let mut cpu = ArmCpu::new(ArchVersion::V8_1);
-        cpu.enable_vhe().unwrap();
-        cpu.el2.hcr_el2.insert(HcrEl2::TGE);
-        cpu.start_at(El0);
-        assert_eq!(
-            cpu.route_exception(TrapCause::Sync(Syndrome::Svc { imm: 0 })),
-            El2,
-            "VHE host syscalls go straight from EL0 to EL2 (Figure 5)"
-        );
-        let mut classic = ArmCpu::new(ArchVersion::V8_0);
-        classic.start_at(El0);
-        assert_eq!(
-            classic.route_exception(TrapCause::Sync(Syndrome::Svc { imm: 0 })),
-            El1
-        );
-    }
-
-    #[test]
     fn stage2_abort_records_ipa_in_hpfar() {
         let mut cpu = guest_cpu();
         cpu.take_exception(TrapCause::Sync(Syndrome::DataAbort {
@@ -570,57 +408,12 @@ mod tests {
     }
 
     #[test]
-    fn sysreg_access_routes_through_vhe_redirection() {
-        // The §VI worked example, end to end on the CPU.
-        let mut cpu = ArmCpu::new(ArchVersion::V8_1);
-        cpu.enable_vhe().unwrap();
-        cpu.el2.ttbr1_el2 = 0;
-        cpu.el1.ttbr1_el1 = 0xAAAA;
-        // Host kernel at EL2 executes `msr ttbr1_el1, 0xBBBB` — lands in EL2.
-        cpu.write_sysreg(SysReg::Ttbr1El1, 0xBBBB).unwrap();
-        assert_eq!(cpu.el2.ttbr1_el2, 0xBBBB);
-        assert_eq!(cpu.el1.ttbr1_el1, 0xAAAA, "guest state untouched");
-        // `mrs x1, ttbr1_el12` reaches the guest's register.
-        assert_eq!(cpu.read_sysreg(SysReg::Ttbr1El12).unwrap(), 0xAAAA);
-    }
-
-    #[test]
-    fn sysreg_access_is_direct_without_vhe() {
-        let mut cpu = ArmCpu::new(ArchVersion::V8_0);
-        cpu.write_sysreg(SysReg::Ttbr1El1, 0x77).unwrap();
-        assert_eq!(cpu.el1.ttbr1_el1, 0x77);
-        assert_eq!(cpu.el2.ttbr1_el2, 0);
-        assert!(cpu.read_sysreg(SysReg::Ttbr1El12).is_err());
-    }
-
-    #[test]
-    fn guest_el1_sysreg_access_unaffected_by_host_e2h() {
-        let mut cpu = ArmCpu::new(ArchVersion::V8_1);
-        cpu.enable_vhe().unwrap();
-        cpu.start_at(El1); // guest running
-        cpu.write_sysreg(SysReg::SctlrEl1, 0x1).unwrap();
-        assert_eq!(cpu.el1.sctlr_el1, 0x1);
-        assert_ne!(cpu.el2.sctlr_el2, 0x1);
-    }
-
-    #[test]
-    fn hcr_accessible_as_sysreg() {
-        let mut cpu = ArmCpu::new(ArchVersion::V8_0);
-        cpu.write_sysreg(SysReg::HcrEl2, HcrEl2::guest_running().bits())
-            .unwrap();
-        assert!(cpu.el2.hcr_el2.stage2_enabled());
-        assert_eq!(
-            cpu.read_sysreg(SysReg::HcrEl2).unwrap(),
-            HcrEl2::guest_running().bits()
-        );
-    }
-
-    #[test]
     fn nested_trap_and_return_preserves_pstate_mode() {
         let mut cpu = guest_cpu();
         cpu.start_at(El0);
         assert_eq!(cpu.gp.pstate & 0xF, 0b0000);
-        cpu.take_exception(TrapCause::Sync(Syndrome::Svc { imm: 0 }));
+        cpu.el2.hcr_el2 = HcrEl2::new(); // IRQs handled by the kernel
+        cpu.take_exception(TrapCause::Irq);
         assert_eq!(cpu.current_el(), El1);
         assert_eq!(cpu.gp.pstate & 0xF, 0b0101);
         cpu.eret().unwrap();
@@ -631,28 +424,15 @@ mod tests {
     #[test]
     fn exception_entry_masks_irqs_and_eret_restores_the_mask() {
         let mut cpu = guest_cpu();
-        assert!(!cpu.irqs_masked());
+        assert_eq!(cpu.gp.pstate & PSTATE_I, 0);
         cpu.take_exception(TrapCause::HYPERCALL);
-        assert!(cpu.irqs_masked(), "hardware sets PSTATE.I on entry");
+        assert_ne!(
+            cpu.gp.pstate & PSTATE_I,
+            0,
+            "hardware sets PSTATE.I on entry"
+        );
         cpu.eret().unwrap();
-        assert!(!cpu.irqs_masked(), "SPSR restore clears it");
-    }
-
-    #[test]
-    fn guest_irq_mask_cannot_block_the_hypervisor() {
-        // §II: "all physical interrupts are taken to EL2 when running in
-        // a VM" — even a guest running with IRQs masked.
-        let mut cpu = guest_cpu();
-        cpu.mask_irqs();
-        assert!(cpu.irqs_masked());
-        assert!(cpu.should_take_irq(), "EL2-routed IRQ ignores guest mask");
-        // Natively (no IMO), the mask works.
-        let mut native = ArmCpu::new(ArchVersion::V8_0);
-        native.start_at(El1);
-        native.mask_irqs();
-        assert!(!native.should_take_irq());
-        native.unmask_irqs();
-        assert!(native.should_take_irq());
+        assert_eq!(cpu.gp.pstate & PSTATE_I, 0, "SPSR restore clears it");
     }
 
     #[test]

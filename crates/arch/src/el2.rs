@@ -98,7 +98,7 @@ impl HcrEl2 {
         self.contains(HcrEl2::VM)
     }
 
-    /// Returns `true` if VHE redirection is active.
+    /// Returns `true` if the host kernel runs in EL2 (VHE).
     pub const fn vhe_enabled(self) -> bool {
         self.contains(HcrEl2::E2H)
     }
@@ -154,8 +154,7 @@ pub struct El2Regs {
     /// EL2 stage-1 translation table base, upper range. **ARMv8.1 VHE
     /// only** — "with VHE, EL2 gets a second page table base register,
     /// TTBR1_EL2, making it possible to support split VA space in EL2"
-    /// (§VI). Pre-VHE hardware treats accesses to it as UNDEFINED; the
-    /// model enforces that in [`crate::ArmCpu`].
+    /// (§VI).
     pub ttbr1_el2: u64,
     /// EL2 stage-1 translation control.
     pub tcr_el2: u64,

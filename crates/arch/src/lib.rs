@@ -7,9 +7,9 @@
 //! * **ARMv8** ([`ArmCpu`]): exception levels EL0/EL1/EL2, the register
 //!   classes of the paper's Table III ([`GpRegs`], [`FpRegs`],
 //!   [`El1SysRegs`], [`TimerRegs`], [`El2Regs`]), trap and ERET semantics
-//!   ([`TrapCause`], [`Syndrome`]), and the ARMv8.1 **VHE** extension:
-//!   the `E2H` bit with transparent EL1→EL2 system-register redirection
-//!   and `*_EL12` aliases ([`SysReg`], [`resolve`]).
+//!   ([`TrapCause`], [`Syndrome`]), and the ARMv8.1 **VHE** extension's
+//!   `E2H` bit ([`HcrEl2::E2H`], [`ArmCpu::enable_vhe`]), which KVM reads
+//!   to know whether its host kernel runs in EL2.
 //! * **x86 VMX** ([`X86Cpu`]): root/non-root modes orthogonal to the
 //!   privilege rings, with every transition bulk-moving state through an
 //!   in-memory [`Vmcs`].
@@ -43,7 +43,6 @@ mod cpu;
 mod el;
 mod el2;
 pub(crate) mod regs;
-mod sysreg;
 mod trap;
 mod x86;
 
@@ -54,6 +53,5 @@ pub use cpu::{
 pub use el::ExceptionLevel;
 pub use el2::{El2Regs, HcrEl2};
 pub use regs::{El1SysRegs, FpRegs, GpRegs, TimerRegs};
-pub use sysreg::{resolve, PhysReg, SysReg, SysRegError};
 pub use trap::{Syndrome, TrapCause};
 pub use x86::{ExitReason, Ring, Vmcs, VmcsControls, VmxError, VmxMode, X86Cpu, X86State};

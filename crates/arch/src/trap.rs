@@ -10,15 +10,13 @@ use core::fmt;
 /// Why an exception was taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum TrapCause {
-    /// Synchronous exception described by a [`Syndrome`] (HVC, trapped
-    /// instruction, stage-2 abort, ...).
+    /// Synchronous exception described by a [`Syndrome`] (a hypercall or
+    /// a stage-2 data abort).
     Sync(Syndrome),
     /// Asynchronous physical IRQ. With `HCR_EL2.IMO` set this is taken to
     /// EL2 even while the VM runs — "all physical interrupts are taken to
     /// EL2 when running in a VM" (§II).
     Irq,
-    /// Asynchronous physical FIQ.
-    Fiq,
 }
 
 impl TrapCause {
@@ -26,25 +24,14 @@ impl TrapCause {
     pub const HYPERCALL: TrapCause = TrapCause::Sync(Syndrome::Hvc { imm: 0 });
 }
 
-/// Synchronous exception syndrome — the modelled subset of `ESR_ELx`.
+/// Synchronous exception syndrome — the subset of `ESR_ELx` classes the
+/// hypervisor models raise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Syndrome {
     /// `HVC` instruction executed (hypercall from EL1).
     Hvc {
         /// The 16-bit immediate of the HVC instruction.
         imm: u16,
-    },
-    /// `SVC` instruction executed (system call from EL0).
-    Svc {
-        /// The 16-bit immediate of the SVC instruction.
-        imm: u16,
-    },
-    /// `WFI`/`WFE` trapped because `HCR_EL2.TWI`/`TWE` is set.
-    WfiWfe,
-    /// Trapped `MRS`/`MSR` system-register access.
-    SysRegTrap {
-        /// `true` for a write (`MSR`), `false` for a read (`MRS`).
-        write: bool,
     },
     /// Stage-2 data abort: the VM touched an IPA with no (or insufficient)
     /// Stage-2 mapping. MMIO emulation (e.g. GIC distributor access) and
@@ -55,25 +42,13 @@ pub enum Syndrome {
         /// `true` if the access was a write.
         write: bool,
     },
-    /// Stage-2 instruction abort.
-    InstrAbort {
-        /// Faulting intermediate physical address.
-        ipa: u64,
-    },
-    /// SIMD/FP access trapped by `CPTR_EL2` (lazy FP switching).
-    FpAccess,
 }
 
 impl Syndrome {
     /// The architected exception-class (EC) value, ESR bits \[31:26\].
     pub fn exception_class(self) -> u8 {
         match self {
-            Syndrome::WfiWfe => 0b000001,
-            Syndrome::FpAccess => 0b000111,
-            Syndrome::Svc { .. } => 0b010101,
             Syndrome::Hvc { .. } => 0b010110,
-            Syndrome::SysRegTrap { .. } => 0b011000,
-            Syndrome::InstrAbort { .. } => 0b100000,
             Syndrome::DataAbort { .. } => 0b100100,
         }
     }
@@ -84,10 +59,8 @@ impl Syndrome {
         let ec = (self.exception_class() as u64) << 26;
         let il = 1 << 25;
         let iss: u64 = match self {
-            Syndrome::Hvc { imm } | Syndrome::Svc { imm } => imm as u64,
-            Syndrome::SysRegTrap { write } => write as u64,
+            Syndrome::Hvc { imm } => imm as u64,
             Syndrome::DataAbort { write, .. } => (write as u64) << 6,
-            _ => 0,
         };
         ec | il | iss
     }
@@ -102,10 +75,6 @@ impl fmt::Display for Syndrome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Syndrome::Hvc { imm } => write!(f, "HVC #{imm}"),
-            Syndrome::Svc { imm } => write!(f, "SVC #{imm}"),
-            Syndrome::WfiWfe => write!(f, "WFI/WFE trap"),
-            Syndrome::SysRegTrap { write: true } => write!(f, "MSR trap"),
-            Syndrome::SysRegTrap { write: false } => write!(f, "MRS trap"),
             Syndrome::DataAbort { ipa, write } => {
                 write!(
                     f,
@@ -113,8 +82,6 @@ impl fmt::Display for Syndrome {
                     if *write { "W" } else { "R" }
                 )
             }
-            Syndrome::InstrAbort { ipa } => write!(f, "stage-2 instr abort @{ipa:#x}"),
-            Syndrome::FpAccess => write!(f, "FP/SIMD access trap"),
         }
     }
 }
@@ -126,7 +93,6 @@ mod tests {
     #[test]
     fn exception_classes_are_architected() {
         assert_eq!(Syndrome::Hvc { imm: 0 }.exception_class(), 0x16);
-        assert_eq!(Syndrome::Svc { imm: 0 }.exception_class(), 0x15);
         assert_eq!(
             Syndrome::DataAbort {
                 ipa: 0,
@@ -135,17 +101,12 @@ mod tests {
             .exception_class(),
             0x24
         );
-        assert_eq!(Syndrome::WfiWfe.exception_class(), 0x01);
-        assert_eq!(Syndrome::SysRegTrap { write: true }.exception_class(), 0x18);
-        assert_eq!(Syndrome::InstrAbort { ipa: 0 }.exception_class(), 0x20);
-        assert_eq!(Syndrome::FpAccess.exception_class(), 0x07);
     }
 
     #[test]
     fn encode_decode_class_round_trip() {
         for s in [
             Syndrome::Hvc { imm: 42 },
-            Syndrome::WfiWfe,
             Syndrome::DataAbort {
                 ipa: 0x800_0000,
                 write: true,

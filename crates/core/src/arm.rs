@@ -153,6 +153,12 @@ impl ArmHw {
         }
     }
 
+    /// Whether the host kernel runs in EL2 on `core` (VHE): the CPU's
+    /// `HCR_EL2.E2H`, set once at boot by [`ArmCpu::enable_vhe`].
+    pub(crate) fn host_at_el2(&self, core: CoreId) -> bool {
+        self.cpus[core.index()].e2h()
+    }
+
     /// Charges `step` on `core`.
     pub(crate) fn step(&mut self, core: CoreId, step: Step) {
         charge_step(&mut self.machine, &self.cost, core, step);
@@ -290,7 +296,7 @@ impl ArmHw {
 
     /// The guest's EOI of `virq` on its virtual CPU interface on `core`
     /// — no trap.
-    pub(crate) fn vif_eoi(&mut self, core: CoreId, virq: IntId) -> Result<Option<u32>, VgicError> {
+    pub(crate) fn vif_eoi(&mut self, core: CoreId, virq: IntId) -> Result<(), VgicError> {
         self.machine.charge_as(
             core,
             "gic:vif-eoi",

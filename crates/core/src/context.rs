@@ -24,7 +24,9 @@ pub struct ArmGuestContext {
     pub timer: TimerRegs,
     /// VGIC control-interface state (list registers etc.).
     pub vgic: VgicSnapshot,
-    /// Per-VM EL2 configuration (HCR with guest trap bits).
+    /// Per-VM EL2 configuration (HCR with guest trap bits). Its `E2H`
+    /// bit is not the guest's: [`ArmGuestContext::install`] keeps the
+    /// CPU's.
     pub hcr: HcrEl2,
     /// Per-VM EL2 virtual-memory state (VTTBR: Stage-2 root + VMID).
     pub vttbr: u64,
@@ -50,7 +52,7 @@ impl ArmGuestContext {
         cpu.fp = self.fp;
         cpu.el1 = self.el1;
         cpu.timer = self.timer;
-        cpu.el2.hcr_el2 = self.hcr;
+        cpu.el2.hcr_el2 = keep_e2h(self.hcr, cpu.el2.hcr_el2);
         cpu.el2.vttbr_el2 = self.vttbr;
         vgic.restore(self.vgic);
     }
@@ -68,6 +70,14 @@ impl ArmGuestContext {
             vttbr: seed << 48 | 0x4000_0000,
         }
     }
+}
+
+/// `hcr` with `live`'s `E2H` bit. E2H is host configuration, set once
+/// at boot on a VHE host (§VI), so no context install changes it — as
+/// KVM's VHE world switch keeps it on hardware.
+fn keep_e2h(hcr: HcrEl2, live: HcrEl2) -> HcrEl2 {
+    let e2h = HcrEl2::E2H.bits();
+    HcrEl2::from_bits(hcr.bits() & !e2h | live.bits() & e2h)
 }
 
 /// The host's EL1 execution context (for split-mode KVM, what must be
@@ -96,12 +106,12 @@ impl ArmHostContext {
 
     /// Installs the host context and disables guest virtualization
     /// features (the host needs "full access to the hardware from EL1",
-    /// §II).
+    /// §II); `E2H` stays as it was.
     pub fn install(&self, cpu: &mut ArmCpu) {
         cpu.gp = self.gp;
         cpu.fp = self.fp;
         cpu.el1 = self.el1;
-        cpu.el2.hcr_el2 = hvx_arch::HcrEl2::new();
+        cpu.el2.hcr_el2 = keep_e2h(HcrEl2::new(), cpu.el2.hcr_el2);
         cpu.el2.vttbr_el2 = 0;
     }
 
@@ -161,6 +171,23 @@ mod tests {
         ArmHostContext::pattern(2).install(&mut cpu);
         assert!(!cpu.el2.hcr_el2.stage2_enabled());
         assert_eq!(cpu.el2.vttbr_el2, 0);
+    }
+
+    #[test]
+    fn installs_keep_the_cpus_e2h() {
+        let mut cpu = ArmCpu::new(ArchVersion::V8_1);
+        cpu.enable_vhe().unwrap();
+        let mut vgic = VgicCpuInterface::new();
+        ArmGuestContext::pattern(1).install(&mut cpu, &mut vgic);
+        assert!(cpu.e2h() && cpu.el2.hcr_el2.stage2_enabled());
+        ArmHostContext::pattern(2).install(&mut cpu);
+        assert!(cpu.e2h() && !cpu.el2.hcr_el2.stage2_enabled());
+        // A context captured on a VHE host carries E2H; a v8.0 part
+        // does not take it.
+        let captured = ArmGuestContext::capture(&cpu, &vgic);
+        let mut classic = ArmCpu::new(ArchVersion::V8_0);
+        captured.install(&mut classic, &mut vgic);
+        assert!(!classic.e2h());
     }
 
     #[test]

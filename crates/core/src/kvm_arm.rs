@@ -25,7 +25,9 @@
 //! EL2 (`E2H` set), so a trap lands *in* the hypervisor-cum-host with the
 //! guest's EL1 state still live — no class save/restore, no toggles, no
 //! double trap. The >10× transition-cost collapse of §VI falls out of the
-//! removed steps, not a different constant. The paper's Figure 5:
+//! removed steps, not a different constant. The model keeps no VHE mode
+//! of its own: each path asks the hardware layer whether the host runs
+//! at EL2, and the CPUs' `HCR_EL2.E2H` answers. The paper's Figure 5:
 //!
 //! ```text
 //!    Type 1: E2H clear              Type 2: E2H set
@@ -131,7 +133,6 @@ impl VmState {
 #[derive(Debug)]
 pub struct KvmArm {
     hw: ArmHw,
-    vhe: bool,
     vm: VmState,
     /// Second single-VCPU VM for the VM Switch microbenchmark, pinned to
     /// PCPU0 alongside the primary VM's VCPU0.
@@ -169,7 +170,9 @@ impl KvmArm {
         let mut hw = ArmHw::new(cost, version, HOST_KICK_SGI, 64 << 20);
         let mut host_ctxs = Vec::new();
         for (i, cpu) in hw.cpus.iter_mut().enumerate() {
-            if vhe {
+            // The host kernel stays in EL2 as a VHE host on a part that
+            // has E2H (§VI).
+            if cpu.version().has_vhe() {
                 cpu.enable_vhe().expect("v8.1 at EL2");
                 cpu.el2.hcr_el2.insert(HcrEl2::TGE);
             } else {
@@ -182,23 +185,17 @@ impl KvmArm {
         let mut kvm = KvmArm {
             guest_loaded: vec![None; hw.cpus.len()],
             hw,
-            vhe,
             vm: VmState::new(num_vcpus, 0x0100_0000),
             alt_vm: VmState::new(1, 0x0400_0000),
             alt_loaded: false,
             host_ctxs,
         };
-        // Install each VCPU on its pinned core, running in the VM.
+        // Install each VCPU on its pinned core, running in the VM. The
+        // install keeps the boot-time E2H.
         for vcpu in 0..num_vcpus {
             let core = kvm.hw.machine.topology().guest_core(vcpu);
             let ctx = kvm.vm.ctxs[vcpu];
             kvm.hw.install(core, &ctx);
-            if vhe {
-                // The VHE host keeps E2H; guest trap routing needs IMO etc.
-                let hcr = &mut kvm.hw.cpus[core.index()].el2.hcr_el2;
-                *hcr = HcrEl2::guest_running();
-                hcr.insert(HcrEl2::E2H);
-            }
             kvm.guest_loaded[core.index()] = Some(vcpu);
         }
         kvm
@@ -215,7 +212,7 @@ impl KvmArm {
         let c = self.hw.cost;
         let idx = core.index();
         self.guest_loaded[idx] = None;
-        if self.vhe {
+        if self.hw.host_at_el2(core) {
             // Host == hypervisor: already running in EL2; nothing else.
             self.hw.machine.charge_as(
                 core,
@@ -265,7 +262,7 @@ impl KvmArm {
     fn switch_in(&mut self, core: CoreId, vcpu: usize, lazy_fp: bool) {
         let c = self.hw.cost;
         let idx = core.index();
-        if self.vhe {
+        if self.hw.host_at_el2(core) {
             self.hw.machine.charge_as(
                 core,
                 "vhe:frame-restore",
@@ -407,7 +404,9 @@ impl KvmArm {
         // Completion happens in the guest later; keep the LR active until
         // `virq_complete`-style EOI. For workload paths we complete
         // immediately at vIF cost.
-        let _ = self.hw.vif_eoi(target_core, virq);
+        self.hw
+            .vif_eoi(target_core, virq)
+            .expect("the acked vIRQ is active");
         self.hw.machine.now(target_core)
     }
 
@@ -443,16 +442,20 @@ impl KvmArm {
             self.hw.cost.kvm_vgic_inject,
             TransitionId::VirqInject,
         );
-        if self.vhe {
+        if self.hw.host_at_el2(target_core) {
             // The VHE host runs in EL2 and programs the list register
             // directly — no memory image round trip (§VI).
-            let _ = self.hw.vgics[idx].inject(virq.raw(), 0x80);
+            self.hw.vgics[idx]
+                .inject(virq.raw(), 0x80)
+                .expect("a free list register");
         } else {
             // Program the LR through the saved context (the hypervisor
             // writes the memory image it will restore from).
             let mut vgic_tmp = VgicCpuInterface::new();
             vgic_tmp.restore(self.vm.ctxs[target_vcpu].vgic);
-            let _ = vgic_tmp.inject(virq.raw(), 0x80);
+            vgic_tmp
+                .inject(virq.raw(), 0x80)
+                .expect("a free list register");
             self.vm.ctxs[target_vcpu].vgic = vgic_tmp.save();
             self.hw.vgics[idx].absorb_counters(&vgic_tmp);
         }
@@ -499,7 +502,8 @@ impl Default for KvmArm {
 
 impl Hypervisor for KvmArm {
     fn kind(&self) -> HvKind {
-        if self.vhe {
+        // Every core boots with the same E2H.
+        if self.hw.host_at_el2(CoreId::new(0)) {
             HvKind::KvmArmVhe
         } else {
             HvKind::KvmArm
@@ -648,7 +652,9 @@ impl Hypervisor for KvmArm {
         let core = self.inject_to_ack(backend, vcpu, VIRTIO_NET_VIRQ, None);
         let t1 = self.hw.machine.now(core);
         // Clean up the LR so repeated runs start fresh.
-        let _ = self.hw.vgics[core.index()].guest_eoi(VIRTIO_NET_VIRQ.raw());
+        self.hw.vgics[core.index()]
+            .guest_eoi(VIRTIO_NET_VIRQ.raw())
+            .expect("the acked vIRQ is active");
         t1 - t0
     }
 
@@ -997,6 +1003,24 @@ mod tests {
             vhe.machine().trace().total_by_label("save:el1-sys"),
             Cycles::ZERO
         );
+    }
+
+    #[test]
+    fn vhe_is_the_cpus_e2h_on_every_path() {
+        let mut vhe = KvmArm::new_vhe();
+        let e2h = |kvm: &KvmArm| kvm.hw.cpus.iter().map(|c| c.e2h()).collect::<Vec<_>>();
+        assert_eq!(e2h(&vhe), vec![true; 8], "after build");
+        assert_eq!(vhe.kind(), HvKind::KvmArmVhe);
+        vhe.vm_switch();
+        assert_eq!(e2h(&vhe), vec![true; 8], "after a VM switch");
+        // The next operation puts the primary VM back on PCPU0.
+        vhe.hypercall(0);
+        assert_eq!(e2h(&vhe), vec![true; 8], "after the primary returns");
+        let mut classic = KvmArm::new();
+        classic.vm_switch();
+        classic.hypercall(0);
+        assert_eq!(e2h(&classic), vec![false; 8]);
+        assert_eq!(classic.kind(), HvKind::KvmArm);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! A degraded cell used to be visible only as an `n/a` gap in a
 //! rendered table. [`CellReport`] is the structured counterpart: one
-//! record per scenario carrying the typed failure kind, the retry
-//! count the runner spent on it, and the cell's content fingerprint —
+//! record per scenario carrying the typed failure kind, whether the
+//! cache answered it, and the cell's content fingerprint —
 //! exactly what a client polling `hvx-serve` (or a script parsing
 //! `hvx-repro run --out json`) needs to triage a sweep without
 //! scraping table text. The JSON encoding is the workspace serde
@@ -24,8 +24,9 @@ pub struct CellReport {
     /// Hex content fingerprint of the cell's full input closure, or
     /// `None` for uncacheable scenarios (chaos injections).
     pub fingerprint: Option<String>,
-    /// Transient-failure retries the runner spent before this outcome
-    /// (0 = first attempt stood).
+    /// Always 0: neither the runner nor the sweep server retries a run.
+    /// The field goes with the next change to the benchmark in
+    /// `perfbench/`, whose expected records carry it.
     pub retries: u32,
     /// Whether the result was served from the content-addressed cache
     /// instead of being simulated.

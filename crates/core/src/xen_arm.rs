@@ -265,13 +265,19 @@ impl XenArm {
         self.hw.machine.bump("xen.virq_injections", 1);
         self.hw.step(core, Step::XenVgicInject);
         let idx = core.index();
-        let _ = self.hw.vgics[idx].inject(EVTCHN_VIRQ.raw(), 0x40);
+        self.hw.vgics[idx]
+            .inject(EVTCHN_VIRQ.raw(), 0x40)
+            .expect("a free list register");
         self.hw.eret(core);
         if charge_upcall {
             self.hw.step(core, Step::EventUpcall);
         }
-        let _ = self.hw.vgics[idx].guest_ack();
-        let _ = self.hw.vgics[idx].guest_eoi(EVTCHN_VIRQ.raw());
+        self.hw.vgics[idx]
+            .guest_ack()
+            .expect("the event vIRQ is pending");
+        self.hw.vgics[idx]
+            .guest_eoi(EVTCHN_VIRQ.raw())
+            .expect("the acked vIRQ is active");
         if extra_wake {
             self.hw.step(core, Step::XenWakeBlocked);
         }
@@ -313,7 +319,9 @@ impl XenArm {
         self.hw.machine.bump("xen.virq_injections", 1);
         self.hw.machine.flow_step(flow, core, "virq:inject");
         self.hw.step(core, Step::XenVgicInject);
-        let _ = self.hw.vgics[idx].inject(virq.raw(), 0x80);
+        self.hw.vgics[idx]
+            .inject(virq.raw(), 0x80)
+            .expect("a free list register");
         debug_assert_eq!(self.hw.vgics[idx].last_injected(), Some(virq.raw()));
         self.hw.move_class(core, RegClass::Vgic, Motion::Restore);
         self.xen_return(core);
@@ -321,7 +329,9 @@ impl XenArm {
         debug_assert_eq!(acked, Some(virq.raw()));
         self.hw.machine.flow_end(flow, core, "guest:ack");
         let t_ack = self.hw.machine.now(core);
-        let _ = self.hw.vif_eoi(core, virq);
+        self.hw
+            .vif_eoi(core, virq)
+            .expect("the acked vIRQ is active");
         t_ack
     }
 

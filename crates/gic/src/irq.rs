@@ -33,10 +33,6 @@ impl IntId {
     /// virtual interrupt" (§II).
     pub const VTIMER: IntId = IntId(27);
 
-    /// The maintenance interrupt PPI (INTID 25): raised by the GIC virtual
-    /// interface to notify the hypervisor of list-register conditions.
-    pub const MAINTENANCE: IntId = IntId(25);
-
     /// Creates an SGI (IPI) identifier.
     ///
     /// # Panics

@@ -32,6 +32,5 @@ pub use distributor::{dist_reg, Distributor, GicError, MmioEffect, SgiFilter, Sg
 pub use irq::IntId;
 pub use lapic::{Lapic, LapicEffect, LapicError};
 pub use vgic::{
-    ListRegister, LrState, VgicCpuInterface, VgicError, VgicSnapshot, GICH_HCR_EN, GICH_HCR_UIE,
-    NUM_LRS,
+    ListRegister, LrState, VgicCpuInterface, VgicError, VgicSnapshot, GICH_HCR_EN, NUM_LRS,
 };

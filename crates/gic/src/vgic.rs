@@ -45,9 +45,6 @@ pub struct ListRegister {
     pub state: LrState,
     /// Virtual priority.
     pub priority: u8,
-    /// For hardware-mapped interrupts, the physical INTID to deactivate
-    /// when the guest completes the virtual one.
-    pub hw_intid: Option<u32>,
 }
 
 /// The register state of one virtual CPU interface — the "VGIC Regs" row
@@ -55,8 +52,7 @@ pub struct ListRegister {
 /// Xen ARM only on VM switches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct VgicSnapshot {
-    /// `GICH_HCR` — virtual interface control (global enable, underflow
-    /// maintenance-interrupt enable).
+    /// `GICH_HCR` — virtual interface control (global enable).
     pub hcr: u32,
     /// `GICH_VMCR` — the guest's view of its CPU-interface controls
     /// (priority mask, binary point, group enables).
@@ -70,9 +66,7 @@ pub struct VgicSnapshot {
 /// Errors from virtual-interface operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VgicError {
-    /// All list registers are occupied; the hypervisor must queue the
-    /// interrupt in software and enable the underflow maintenance
-    /// interrupt.
+    /// All list registers are occupied; nothing was injected.
     NoFreeLr {
         /// The virtual INTID that could not be injected.
         virq: u32,
@@ -107,8 +101,6 @@ impl std::error::Error for VgicError {}
 
 /// `GICH_HCR` global-enable bit.
 pub const GICH_HCR_EN: u32 = 1 << 0;
-/// `GICH_HCR` underflow maintenance-interrupt enable.
-pub const GICH_HCR_UIE: u32 = 1 << 1;
 
 /// One VCPU's virtual CPU interface.
 ///
@@ -129,10 +121,7 @@ pub const GICH_HCR_UIE: u32 = 1 << 1;
 #[derive(Debug, Clone, Default)]
 pub struct VgicCpuInterface {
     regs: VgicSnapshot,
-    /// Software overflow queue: interrupts the hypervisor wanted to
-    /// inject while all LRs were busy (KVM's `vgic_cpu->ap_list`).
-    overflow: Vec<(u32, u8)>,
-    /// Lifetime count of successful injections (LR or overflow queue).
+    /// Lifetime count of successful injections.
     injected: u64,
     /// Lifetime count of guest completions ([`VgicCpuInterface::guest_eoi`]).
     completed: u64,
@@ -149,7 +138,6 @@ impl VgicCpuInterface {
                 hcr: GICH_HCR_EN,
                 ..VgicSnapshot::default()
             },
-            overflow: Vec::new(),
             injected: 0,
             completed: 0,
             last_injected: None,
@@ -165,8 +153,7 @@ impl VgicCpuInterface {
     }
 
     /// Lifetime number of virtual interrupts injected through this
-    /// interface (including those parked in the overflow queue). Sampled
-    /// by the observability layer's metrics registry.
+    /// interface. Sampled by the observability layer's metrics registry.
     pub fn injected_count(&self) -> u64 {
         self.injected
     }
@@ -194,15 +181,12 @@ impl VgicCpuInterface {
 
     /// Hypervisor-side: injects virtual interrupt `virq` with `priority`.
     /// Finds a free list register; if the interrupt is already listed
-    /// Active it becomes PendingActive; if no LR is free the interrupt
-    /// goes to the software overflow queue and `Err(NoFreeLr)` tells the
-    /// caller to enable the underflow maintenance interrupt.
+    /// Active it becomes PendingActive.
     ///
     /// # Errors
     ///
     /// [`VgicError::NoFreeLr`] when all list registers are occupied (the
-    /// interrupt is still queued in software and will be moved into an LR
-    /// by [`VgicCpuInterface::refill_from_overflow`]);
+    /// interrupt is not injected);
     /// [`VgicError::AlreadyListed`] when `virq` is already Pending.
     #[inline]
     pub fn inject(&mut self, virq: u32, priority: u8) -> Result<usize, VgicError> {
@@ -226,35 +210,13 @@ impl VgicCpuInterface {
                     virq,
                     state: LrState::Pending,
                     priority,
-                    hw_intid: None,
                 };
                 self.injected += 1;
                 self.last_injected = Some(virq);
                 return Ok(i);
             }
         }
-        self.injected += 1;
-        self.last_injected = Some(virq);
-        self.overflow.push((virq, priority));
-        self.regs.hcr |= GICH_HCR_UIE;
         Err(VgicError::NoFreeLr { virq })
-    }
-
-    /// Hypervisor-side: injects a hardware-mapped virtual interrupt; the
-    /// guest's completion will also deactivate physical `hw_intid`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`VgicCpuInterface::inject`].
-    pub fn inject_hw(
-        &mut self,
-        virq: u32,
-        priority: u8,
-        hw_intid: u32,
-    ) -> Result<usize, VgicError> {
-        let idx = self.inject(virq, priority)?;
-        self.regs.lrs[idx].hw_intid = Some(hw_intid);
-        Ok(idx)
     }
 
     /// Guest-side: highest-priority pending virtual interrupt, if any —
@@ -295,57 +257,30 @@ impl VgicCpuInterface {
 
     /// Guest-side completion (write of virtual `GICC_EOIR`): deactivates
     /// an acknowledged virtual interrupt. **No trap** — this is the
-    /// 71-cycle row of Table II. Returns the physical INTID to deactivate
-    /// for hardware-mapped interrupts.
+    /// 71-cycle row of Table II. An interrupt re-raised while the guest
+    /// handled it (PendingActive) deactivates to Pending, as GICv2 does,
+    /// and the guest's next ack takes it again.
     ///
     /// # Errors
     ///
     /// [`VgicError::NotActive`] if `virq` is not active in any LR.
     #[inline]
-    pub fn guest_eoi(&mut self, virq: u32) -> Result<Option<u32>, VgicError> {
+    pub fn guest_eoi(&mut self, virq: u32) -> Result<(), VgicError> {
         let lr = self
             .regs
             .lrs
             .iter_mut()
-            .find(|lr| lr.virq == virq && lr.state == LrState::Active)
+            .find(|lr| {
+                lr.virq == virq && matches!(lr.state, LrState::Active | LrState::PendingActive)
+            })
             .ok_or(VgicError::NotActive { virq })?;
-        let hw = lr.hw_intid;
-        *lr = ListRegister::default();
+        if lr.state == LrState::PendingActive {
+            lr.state = LrState::Pending;
+        } else {
+            *lr = ListRegister::default();
+        }
         self.completed += 1;
-        Ok(hw)
-    }
-
-    /// Hypervisor-side: moves software-queued interrupts into freed list
-    /// registers (the maintenance-interrupt handler's job). Returns how
-    /// many were moved; clears the underflow enable when the queue drains.
-    pub fn refill_from_overflow(&mut self) -> usize {
-        let mut moved = 0;
-        while !self.overflow.is_empty() {
-            let free = self
-                .regs
-                .lrs
-                .iter()
-                .position(|lr| lr.state == LrState::Invalid);
-            let Some(i) = free else { break };
-            let (virq, priority) = self.overflow.remove(0);
-            self.regs.lrs[i] = ListRegister {
-                virq,
-                state: LrState::Pending,
-                priority,
-                hw_intid: None,
-            };
-            moved += 1;
-        }
-        if self.overflow.is_empty() {
-            self.regs.hcr &= !GICH_HCR_UIE;
-        }
-        moved
-    }
-
-    /// Returns `true` if a maintenance interrupt is warranted: underflow
-    /// enabled and at most one list register still occupied.
-    pub fn maintenance_needed(&self) -> bool {
-        self.regs.hcr & GICH_HCR_UIE != 0 && self.occupied() <= 1
+        Ok(())
     }
 
     /// Number of occupied list registers.
@@ -355,11 +290,6 @@ impl VgicCpuInterface {
             .iter()
             .filter(|lr| lr.state != LrState::Invalid)
             .count()
-    }
-
-    /// Number of interrupts waiting in the software overflow queue.
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
     }
 
     /// `GICH_ELRSR`: bitmask of *empty* list registers.
@@ -373,9 +303,9 @@ impl VgicCpuInterface {
         v
     }
 
-    /// Returns `true` if no virtual interrupts are listed or queued.
+    /// Returns `true` if no virtual interrupts are listed.
     pub fn is_idle(&self) -> bool {
-        self.occupied() == 0 && self.overflow.is_empty()
+        self.occupied() == 0
     }
 
     /// Hypervisor-side (EL2 only on real hardware): reads the full
@@ -410,7 +340,7 @@ mod tests {
         assert_eq!(v.pending_virq(), Some(75));
         assert_eq!(v.guest_ack(), Some(75));
         assert_eq!(v.pending_virq(), None, "active, not pending");
-        assert_eq!(v.guest_eoi(75).unwrap(), None);
+        v.guest_eoi(75).unwrap();
         assert!(v.is_idle());
     }
 
@@ -426,22 +356,23 @@ mod tests {
     }
 
     #[test]
-    fn lr_exhaustion_overflows_to_software_queue() {
+    fn lr_exhaustion_refuses_the_injection() {
         let mut v = VgicCpuInterface::new();
         for i in 0..NUM_LRS as u32 {
             v.inject(100 + i, 0x80).unwrap();
         }
         let err = v.inject(200, 0x80).unwrap_err();
         assert_eq!(err, VgicError::NoFreeLr { virq: 200 });
-        assert_eq!(v.overflow_len(), 1);
-        assert_eq!(v.regs().hcr & GICH_HCR_UIE, GICH_HCR_UIE);
-        // Guest drains one, hypervisor refills on maintenance.
+        assert_eq!(v.occupied(), NUM_LRS);
+        assert_eq!(
+            v.injected_count(),
+            NUM_LRS as u64,
+            "a refusal is not counted"
+        );
+        // Once the guest completes one, the LR is free again.
         v.guest_ack().unwrap();
         v.guest_eoi(100).unwrap();
-        assert!(v.maintenance_needed() || v.occupied() > 1);
-        assert_eq!(v.refill_from_overflow(), 1);
-        assert_eq!(v.overflow_len(), 0);
-        assert_eq!(v.regs().hcr & GICH_HCR_UIE, 0);
+        assert_eq!(v.inject(200, 0x80), Ok(0));
     }
 
     #[test]
@@ -475,11 +406,18 @@ mod tests {
     }
 
     #[test]
-    fn hw_mapped_completion_returns_physical_intid() {
+    fn eoi_of_a_reraised_virq_leaves_it_pending() {
         let mut v = VgicCpuInterface::new();
-        v.inject_hw(75, 0x80, 75).unwrap();
+        v.inject(27, 0x80).unwrap();
         v.guest_ack().unwrap();
-        assert_eq!(v.guest_eoi(75).unwrap(), Some(75));
+        v.inject(27, 0x80).unwrap(); // re-raised before the guest's EOI
+        v.guest_eoi(27).unwrap();
+        assert_eq!(v.regs().lrs[0].state, LrState::Pending);
+        assert_eq!(v.pending_virq(), Some(27));
+        assert_eq!(v.guest_ack(), Some(27));
+        v.guest_eoi(27).unwrap();
+        assert!(v.is_idle());
+        assert_eq!(v.completed_count(), 2);
     }
 
     #[test]
@@ -498,10 +436,10 @@ mod tests {
     #[test]
     fn lifetime_counters_track_inject_and_eoi() {
         let mut v = VgicCpuInterface::new();
-        for i in 0..NUM_LRS as u32 + 1 {
-            let _ = v.inject(100 + i, 0x80); // last one overflows; still counted
+        for i in 0..NUM_LRS as u32 {
+            v.inject(100 + i, 0x80).unwrap();
         }
-        assert_eq!(v.injected_count(), NUM_LRS as u64 + 1);
+        assert_eq!(v.injected_count(), NUM_LRS as u64);
         v.guest_ack().unwrap();
         v.guest_eoi(100).unwrap();
         assert_eq!(v.completed_count(), 1);

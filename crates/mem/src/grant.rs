@@ -6,9 +6,10 @@
 //! therefore goes through this table, and §V measures the consequence:
 //! "each data copy incurs more than 3 µs of additional latency because of
 //! the complexities of establishing and utilizing the shared page via the
-//! grant mechanism" — and unmapping a granted page requires TLB shootdown
-//! on all CPUs, which is why zero-copy was abandoned on Xen x86 and never
-//! built for ARM.
+//! grant mechanism". The table models the copy path netback uses; mapping
+//! a grant instead (zero copy, abandoned on Xen x86 for its TLB-shootdown
+//! cost and never built for ARM) is priced, not executed, by the zero-copy
+//! ablation.
 
 use crate::{MemError, Pa, PhysMemory};
 use core::fmt;
@@ -45,8 +46,6 @@ struct GrantEntry {
     frame: Pa,
     /// Grantee may only read.
     readonly: bool,
-    /// Number of active foreign mappings of this grant.
-    map_count: u32,
     /// Entry is live.
     in_use: bool,
 }
@@ -66,14 +65,6 @@ pub enum GrantError {
     },
     /// Write access requested on a read-only grant.
     ReadOnly,
-    /// `end_access` while foreign mappings remain — the guest must wait
-    /// (or the hypervisor must shoot down the mappings).
-    StillMapped {
-        /// Outstanding mapping count.
-        mappings: u32,
-    },
-    /// Unmap of a grant that is not mapped.
-    NotMapped,
     /// Underlying memory error during a grant copy.
     Mem(MemError),
     /// The grant table is full.
@@ -86,10 +77,6 @@ impl fmt::Display for GrantError {
             GrantError::BadRef { gref } => write!(f, "bad grant reference {}", gref.0),
             GrantError::NotGrantee { dom } => write!(f, "{dom} is not the grantee"),
             GrantError::ReadOnly => write!(f, "grant is read-only"),
-            GrantError::StillMapped { mappings } => {
-                write!(f, "grant still has {mappings} foreign mapping(s)")
-            }
-            GrantError::NotMapped => write!(f, "grant is not mapped"),
             GrantError::Mem(e) => write!(f, "grant copy failed: {e}"),
             GrantError::TableFull => write!(f, "grant table full"),
         }
@@ -108,17 +95,16 @@ impl From<MemError> for GrantError {
 ///
 /// # Examples
 ///
-/// The netfront TX flow: DomU grants a frame, Dom0 maps it, copies, and
-/// the grant is ended after unmap:
+/// The netfront TX flow: DomU grants a frame read-only, Dom0 copies out
+/// of it, and DomU ends the grant:
 ///
 /// ```
-/// use hvx_mem::{DomId, GrantTable, Pa};
+/// use hvx_mem::{DomId, GrantTable, Pa, PhysMemory};
 ///
+/// let mut mem = PhysMemory::new(1 << 20);
 /// let mut gt = GrantTable::new(32);
 /// let gref = gt.grant_access(DomId::DOM0, Pa::new(0x4000), true)?;
-/// gt.map(gref, DomId::DOM0)?;
-/// // ... Dom0 reads the frame ...
-/// gt.unmap(gref, DomId::DOM0)?;
+/// gt.grant_copy(&mut mem, gref, DomId::DOM0, 0, Pa::new(0x9000), 64, false)?;
 /// gt.end_access(gref)?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -127,10 +113,6 @@ pub struct GrantTable {
     entries: Vec<GrantEntry>,
     /// Cumulative count of grant-copy operations (per-op cost ≈ 3 µs, §V).
     copies: u64,
-    /// Cumulative count of map/unmap pairs (each unmap implies TLB
-    /// maintenance).
-    maps: u64,
-    unmaps: u64,
 }
 
 impl GrantTable {
@@ -142,14 +124,11 @@ impl GrantTable {
                     grantee: DomId(0),
                     frame: Pa::new(0),
                     readonly: false,
-                    map_count: 0,
                     in_use: false,
                 };
                 capacity
             ],
             copies: 0,
-            maps: 0,
-            unmaps: 0,
         }
     }
 
@@ -185,53 +164,14 @@ impl GrantTable {
             grantee,
             frame: frame.page_base(),
             readonly,
-            map_count: 0,
             in_use: true,
         };
         Ok(GrantRef(idx as u32))
     }
 
-    /// Maps the granted frame into `dom`'s address space, returning the
-    /// machine frame. The mapping must later be removed with
-    /// [`GrantTable::unmap`], which is where the TLB-shootdown cost bites.
-    ///
-    /// # Errors
-    ///
-    /// [`GrantError::BadRef`] / [`GrantError::NotGrantee`].
-    pub fn map(&mut self, gref: GrantRef, dom: DomId) -> Result<Pa, GrantError> {
-        let e = self.entry_mut(gref)?;
-        if e.grantee != dom {
-            return Err(GrantError::NotGrantee { dom });
-        }
-        e.map_count += 1;
-        let frame = e.frame;
-        self.maps += 1;
-        Ok(frame)
-    }
-
-    /// Removes a foreign mapping. The caller (hypervisor model) must
-    /// perform TLB maintenance for the unmapped VA on every CPU that
-    /// might have cached it — see [`crate::TlbModel::shootdown`].
-    ///
-    /// # Errors
-    ///
-    /// [`GrantError::NotMapped`] if no mapping is outstanding.
-    pub fn unmap(&mut self, gref: GrantRef, dom: DomId) -> Result<(), GrantError> {
-        let e = self.entry_mut(gref)?;
-        if e.grantee != dom {
-            return Err(GrantError::NotGrantee { dom });
-        }
-        if e.map_count == 0 {
-            return Err(GrantError::NotMapped);
-        }
-        e.map_count -= 1;
-        self.unmaps += 1;
-        Ok(())
-    }
-
     /// Hypervisor-mediated copy between a granted frame and another
     /// machine address (`GNTTABOP_copy`) — Xen's alternative to mapping,
-    /// and what netback actually uses on the RX path.
+    /// and what netback uses on both paths.
     ///
     /// # Errors
     ///
@@ -265,37 +205,19 @@ impl GrantTable {
         Ok(())
     }
 
-    /// Revokes a grant. Fails while foreign mappings remain — the
-    /// isolation property that forces Xen to choose between waiting and
-    /// global TLB shootdown.
+    /// Revokes a grant; its reference is free for reuse.
     ///
     /// # Errors
     ///
-    /// [`GrantError::StillMapped`] when `map`s outnumber `unmap`s.
+    /// [`GrantError::BadRef`] on an unknown or already revoked reference.
     pub fn end_access(&mut self, gref: GrantRef) -> Result<(), GrantError> {
-        let e = self.entry_mut(gref)?;
-        if e.map_count > 0 {
-            return Err(GrantError::StillMapped {
-                mappings: e.map_count,
-            });
-        }
-        e.in_use = false;
+        self.entry_mut(gref)?.in_use = false;
         Ok(())
     }
 
     /// Cumulative grant-copy operations (the §V ≈3 µs-each cost driver).
     pub fn copy_count(&self) -> u64 {
         self.copies
-    }
-
-    /// Cumulative map operations.
-    pub fn map_count(&self) -> u64 {
-        self.maps
-    }
-
-    /// Cumulative unmap operations (each implying TLB maintenance).
-    pub fn unmap_count(&self) -> u64 {
-        self.unmaps
     }
 
     /// Number of live entries.
@@ -309,32 +231,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grant_map_unmap_end_lifecycle() {
+    fn grant_copy_end_lifecycle() {
         let mut gt = GrantTable::new(4);
+        let mut mem = PhysMemory::new(1 << 20);
+        mem.write(Pa::new(0x5010), b"frame").unwrap();
         let gref = gt
             .grant_access(DomId::DOM0, Pa::new(0x5123), false)
             .unwrap();
-        let frame = gt.map(gref, DomId::DOM0).unwrap();
-        assert_eq!(frame, Pa::new(0x5000), "grants are frame-granular");
-        assert_eq!(
-            gt.end_access(gref),
-            Err(GrantError::StillMapped { mappings: 1 })
-        );
-        gt.unmap(gref, DomId::DOM0).unwrap();
+        // Grants are frame-granular: offset 0x10 of the frame at 0x5000.
+        gt.grant_copy(&mut mem, gref, DomId::DOM0, 0x10, Pa::new(0x9000), 5, false)
+            .unwrap();
+        let mut buf = [0u8; 5];
+        mem.read(Pa::new(0x9000), &mut buf).unwrap();
+        assert_eq!(&buf, b"frame");
         gt.end_access(gref).unwrap();
         assert_eq!(gt.live_entries(), 0);
-        assert_eq!(gt.map(gref, DomId::DOM0), Err(GrantError::BadRef { gref }));
+        assert_eq!(gt.end_access(gref), Err(GrantError::BadRef { gref }));
     }
 
     #[test]
-    fn only_grantee_may_map() {
+    fn only_grantee_may_copy() {
         let mut gt = GrantTable::new(4);
+        let mut mem = PhysMemory::new(1 << 20);
         let gref = gt.grant_access(DomId(3), Pa::new(0x1000), false).unwrap();
         assert_eq!(
-            gt.map(gref, DomId::DOM0),
+            gt.grant_copy(&mut mem, gref, DomId::DOM0, 0, Pa::new(0x9000), 8, false),
             Err(GrantError::NotGrantee { dom: DomId::DOM0 })
         );
-        assert!(gt.map(gref, DomId(3)).is_ok());
+        assert!(gt
+            .grant_copy(&mut mem, gref, DomId(3), 0, Pa::new(0x9000), 8, false)
+            .is_ok());
     }
 
     #[test]
@@ -392,15 +318,6 @@ mod tests {
             gt.grant_access(DomId::DOM0, Pa::new(0x3000), false),
             Err(GrantError::TableFull)
         );
-    }
-
-    #[test]
-    fn unmap_without_map_is_error() {
-        let mut gt = GrantTable::new(2);
-        let gref = gt
-            .grant_access(DomId::DOM0, Pa::new(0x1000), false)
-            .unwrap();
-        assert_eq!(gt.unmap(gref, DomId::DOM0), Err(GrantError::NotMapped));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`PhysMemory`] — sparse byte-addressable machine memory, so the
 //!   zero-copy-vs-grant-copy distinction is observable on actual bytes;
 //! * [`GrantTable`] — Xen's isolation-preserving sharing mechanism, with
-//!   map/unmap accounting and hypervisor-mediated `grant_copy`;
-//! * [`TlbModel`] — per-core TLBs with the two shootdown disciplines the
-//!   paper contrasts: ARM broadcast `TLBI` vs x86 IPI flushes.
+//!   grantee checks and hypervisor-mediated `grant_copy`;
+//! * [`TlbModel`] — the two shootdown disciplines the paper contrasts:
+//!   ARM broadcast `TLBI` vs x86 IPI flushes.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

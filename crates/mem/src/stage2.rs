@@ -112,11 +112,6 @@ pub enum MapError {
         /// The conflicting IPA.
         ipa: Ipa,
     },
-    /// Attempt to unmap a hole.
-    NotMapped {
-        /// The offending IPA.
-        ipa: Ipa,
-    },
 }
 
 impl fmt::Display for MapError {
@@ -124,7 +119,6 @@ impl fmt::Display for MapError {
         match self {
             MapError::Unaligned { ipa } => write!(f, "{ipa} is not granule-aligned"),
             MapError::AlreadyMapped { ipa } => write!(f, "{ipa} is already mapped"),
-            MapError::NotMapped { ipa } => write!(f, "{ipa} is not mapped"),
         }
     }
 }
@@ -312,44 +306,6 @@ impl Stage2Tables {
         Ok(())
     }
 
-    /// Removes the mapping covering `ipa` (page or block).
-    ///
-    /// # Errors
-    ///
-    /// [`MapError::NotMapped`] if no mapping covers `ipa`.
-    ///
-    /// Unmapping requires TLB maintenance — see `hvx-mem`'s
-    /// [`crate::TlbModel`].
-    pub fn unmap(&mut self, ipa: Ipa) -> Result<(), MapError> {
-        let mut table = &mut self.root;
-        for level in 0..3u8 {
-            let idx = index(ipa, level);
-            match &table.entries[idx] {
-                Entry::Invalid => return Err(MapError::NotMapped { ipa }),
-                Entry::Leaf { .. } => {
-                    debug_assert_eq!(level, 2, "blocks only exist at level 2");
-                    table.entries[idx] = Entry::Invalid;
-                    self.mapped_pages -= ENTRIES as u64;
-                    return Ok(());
-                }
-                Entry::Table(_) => {}
-            }
-            table = match &mut table.entries[idx] {
-                Entry::Table(t) => t,
-                _ => unreachable!(),
-            };
-        }
-        let idx = index(ipa, 3);
-        match table.entries[idx] {
-            Entry::Leaf { .. } => {
-                table.entries[idx] = Entry::Invalid;
-                self.mapped_pages -= 1;
-                Ok(())
-            }
-            _ => Err(MapError::NotMapped { ipa }),
-        }
-    }
-
     /// Walks the tree, translating `ipa` for an access of kind `access`.
     ///
     /// # Errors
@@ -501,26 +457,6 @@ mod tests {
         assert!(s2
             .map_block(Ipa::new(0x4000_0000), Pa::new(0), S2Perms::RWX)
             .is_err());
-    }
-
-    #[test]
-    fn unmap_page_and_block() {
-        let mut s2 = Stage2Tables::new();
-        s2.map_page(Ipa::new(0x1000), Pa::new(0x1000), S2Perms::RWX)
-            .unwrap();
-        s2.unmap(Ipa::new(0x1000)).unwrap();
-        assert_eq!(s2.mapped_pages(), 0);
-        assert!(s2.translate(Ipa::new(0x1000), Access::Read).is_err());
-        assert_eq!(
-            s2.unmap(Ipa::new(0x1000)),
-            Err(MapError::NotMapped {
-                ipa: Ipa::new(0x1000)
-            })
-        );
-        s2.map_block(Ipa::new(0x4000_0000), Pa::new(0), S2Perms::RWX)
-            .unwrap();
-        s2.unmap(Ipa::new(0x4000_0000)).unwrap();
-        assert_eq!(s2.mapped_pages(), 0);
     }
 
     #[test]

@@ -9,9 +9,6 @@
 //! which the paper flags as the open question for Xen ARM zero-copy; the
 //! zero-copy ablation bench explores exactly that trade.
 
-use crate::Ipa;
-use std::collections::HashSet;
-
 /// How a multi-core TLB invalidation is carried out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum ShootdownMethod {
@@ -36,33 +33,31 @@ pub struct ShootdownPlan {
     pub local_invalidates: u32,
 }
 
-/// A per-core TLB: a set of cached IPA-page translations, plus the
-/// machine-wide shootdown policy.
+/// The machine-wide TLB shootdown policy of `num_cores` cores: what
+/// invalidating one page everywhere costs in IPIs, remote handlers and
+/// local invalidates.
 ///
 /// # Examples
 ///
 /// ```
-/// use hvx_mem::{Ipa, ShootdownMethod, TlbModel};
+/// use hvx_mem::{ShootdownMethod, TlbModel};
 ///
 /// let mut tlb = TlbModel::new(4, ShootdownMethod::IpiFlush);
-/// tlb.fill(0, Ipa::new(0x8000_0000));
-/// assert!(tlb.hit(0, Ipa::new(0x8000_0123)));
-/// let plan = tlb.shootdown(0, Ipa::new(0x8000_0000));
+/// let plan = tlb.shootdown();
 /// assert_eq!(plan.ipis, 3, "x86 interrupts every other core");
-/// assert!(!tlb.hit(0, Ipa::new(0x8000_0000)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TlbModel {
-    per_core: Vec<HashSet<u64>>,
+    num_cores: u32,
     method: ShootdownMethod,
     shootdowns: u64,
 }
 
 impl TlbModel {
-    /// Creates TLBs for `num_cores` cores with the given shootdown policy.
-    pub fn new(num_cores: usize, method: ShootdownMethod) -> Self {
+    /// Creates the policy for `num_cores` cores.
+    pub fn new(num_cores: u32, method: ShootdownMethod) -> Self {
         TlbModel {
-            per_core: vec![HashSet::new(); num_cores],
+            num_cores,
             method,
             shootdowns: 0,
         }
@@ -73,31 +68,11 @@ impl TlbModel {
         self.method
     }
 
-    /// Caches the translation for `ipa`'s page on `core`.
-    pub fn fill(&mut self, core: usize, ipa: Ipa) {
-        self.per_core[core].insert(ipa.page());
-    }
-
-    /// Returns `true` if `core` has `ipa`'s page cached.
-    pub fn hit(&self, core: usize, ipa: Ipa) -> bool {
-        self.per_core[core].contains(&ipa.page())
-    }
-
-    /// Entries cached on `core`.
-    pub fn entries(&self, core: usize) -> usize {
-        self.per_core[core].len()
-    }
-
-    /// Invalidates `ipa`'s page everywhere, initiated by `initiator`.
-    /// Returns the work plan whose components the cost model prices.
-    pub fn shootdown(&mut self, initiator: usize, ipa: Ipa) -> ShootdownPlan {
-        let page = ipa.page();
-        let others = self.per_core.len() as u32 - 1;
-        for core in &mut self.per_core {
-            core.remove(&page);
-        }
+    /// Invalidates one page on every core. Returns the work plan whose
+    /// components the cost model prices.
+    pub fn shootdown(&mut self) -> ShootdownPlan {
+        let others = self.num_cores - 1;
         self.shootdowns += 1;
-        let _ = initiator;
         match self.method {
             ShootdownMethod::BroadcastTlbi => ShootdownPlan {
                 method: self.method,
@@ -114,13 +89,6 @@ impl TlbModel {
         }
     }
 
-    /// Invalidates everything on every core (e.g. VMID rollover).
-    pub fn flush_all(&mut self) {
-        for core in &mut self.per_core {
-            core.clear();
-        }
-    }
-
     /// Cumulative shootdowns performed.
     pub fn shootdown_count(&self) -> u64 {
         self.shootdowns
@@ -132,53 +100,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fill_hit_within_page_granularity() {
-        let mut t = TlbModel::new(2, ShootdownMethod::BroadcastTlbi);
-        t.fill(0, Ipa::new(0x5000));
-        assert!(t.hit(0, Ipa::new(0x5FFF)));
-        assert!(!t.hit(0, Ipa::new(0x6000)));
-        assert!(!t.hit(1, Ipa::new(0x5000)), "TLBs are per-core");
-    }
-
-    #[test]
     fn broadcast_plan_needs_no_ipis() {
         let mut t = TlbModel::new(8, ShootdownMethod::BroadcastTlbi);
-        for c in 0..8 {
-            t.fill(c, Ipa::new(0x7000));
-        }
-        let plan = t.shootdown(2, Ipa::new(0x7000));
+        let plan = t.shootdown();
         assert_eq!(plan.ipis, 0);
         assert_eq!(plan.remote_handlers, 0);
         assert_eq!(plan.local_invalidates, 1);
-        for c in 0..8 {
-            assert!(!t.hit(c, Ipa::new(0x7000)));
-        }
     }
 
     #[test]
     fn ipi_plan_scales_with_core_count() {
         let mut t = TlbModel::new(8, ShootdownMethod::IpiFlush);
-        let plan = t.shootdown(0, Ipa::new(0x7000));
+        let plan = t.shootdown();
         assert_eq!(plan.ipis, 7);
         assert_eq!(plan.remote_handlers, 7);
         let mut t2 = TlbModel::new(2, ShootdownMethod::IpiFlush);
-        assert_eq!(t2.shootdown(0, Ipa::new(0)).ipis, 1);
-    }
-
-    #[test]
-    fn flush_all_clears_everything() {
-        let mut t = TlbModel::new(2, ShootdownMethod::BroadcastTlbi);
-        t.fill(0, Ipa::new(0x1000));
-        t.fill(1, Ipa::new(0x2000));
-        t.flush_all();
-        assert_eq!(t.entries(0) + t.entries(1), 0);
+        assert_eq!(t2.shootdown().ipis, 1);
     }
 
     #[test]
     fn shootdown_counter_accumulates() {
         let mut t = TlbModel::new(2, ShootdownMethod::IpiFlush);
-        t.shootdown(0, Ipa::new(0x1000));
-        t.shootdown(0, Ipa::new(0x2000));
+        t.shootdown();
+        t.shootdown();
         assert_eq!(t.shootdown_count(), 2);
     }
 }

@@ -15,23 +15,29 @@
 //!
 //! 1. drain check — a draining server refuses new work with 503;
 //! 2. per-client in-flight cap — 429 `client-cap`;
-//! 3. answers at admission — a fingerprint whose run already failed
-//!    is answered `failed` from the server's failure record, and a
+//! 3. answers at admission — a fingerprint with a queued or running job
+//!    is answered by that job's id and adds nothing; one whose run
+//!    already failed is answered `failed` from that job's record, and a
 //!    cache hit `done`; both are journaled and never touch the queue;
 //! 4. queue-weight bound — over budget is shed with 429 carrying the
 //!    queue depth and a retry-after hint;
 //! 5. journal `accepted` (fsynced), then enqueue. A journal write
 //!    failure refuses the job — acceptance is never un-journaled.
 //!
-//! ## The failure record
+//! ## One job per fingerprint
 //!
 //! A run is a pure function of its job's fingerprint
-//! ([`JobExecutor::run`]), so a failed run is the result of every
-//! submission of that fingerprint. The server keeps, per fingerprint,
-//! the id of a retained failed job and answers re-submissions from it.
-//! The record lives in memory beside the jobs it points at: eviction
-//! drops an entry with its last failed job, and a restart forgets it,
-//! so a failing fingerprint costs at most one run per process.
+//! ([`JobExecutor::run`]), so one run answers every submission of that
+//! fingerprint. The server keeps, per fingerprint, the id of the
+//! retained job that answers it: a queued or running job, which takes
+//! every concurrent submission (a repeat within one sweep included),
+//! or a failed one, whose failure is the result of every later
+//! submission. A success drops its entry, and the result cache answers
+//! from then on. The map lives in memory beside the jobs it points at:
+//! eviction drops a failed entry with its last failed job, journal
+//! recovery re-enters the queued jobs it re-admits, and a restart
+//! forgets failures, so a fingerprint costs at most one run per
+//! process.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -142,9 +148,9 @@ struct Inner {
     next_id: u64,
     queued_weight: u64,
     running: usize,
-    /// The failure record: fingerprint → id of a retained job whose
-    /// run failed.
-    failed: HashMap<String, u64>,
+    /// Fingerprint → id of the retained job that answers it: queued,
+    /// running, or failed.
+    owners: HashMap<String, u64>,
 }
 
 #[derive(Debug, Default)]
@@ -274,6 +280,7 @@ impl Server {
                 } else {
                     inner.queued_weight += rec.job.weight;
                     inner.queue.push_back(rec.id);
+                    inner.owners.insert(rec.job.fingerprint.clone(), rec.id);
                     Job::queued(rec.client, rec.job, now)
                 };
                 olog::info(
@@ -475,9 +482,11 @@ fn record_outcome(
     job.state = state;
     job.outcome = Some(outcome);
     job.last_touch = Instant::now();
+    let fingerprint = job.prepared.fingerprint.clone();
     if state == JobState::Failed {
-        let fingerprint = job.prepared.fingerprint.clone();
-        inner.failed.insert(fingerprint, id);
+        inner.owners.insert(fingerprint, id);
+    } else if inner.owners.get(&fingerprint) == Some(&id) {
+        inner.owners.remove(&fingerprint);
     }
     let journal_write = shared
         .journal
@@ -501,9 +510,10 @@ fn record_outcome(
 }
 
 /// Oldest-idle eviction: finished results beyond `max_results`, least
-/// recently touched first. Queued/running jobs are never evicted. The
-/// failure record follows its jobs: an entry whose job goes moves to
-/// another retained failed job of the fingerprint, or goes too.
+/// recently touched first. Queued/running jobs are never evicted. A
+/// failed fingerprint's entry follows its jobs: an entry whose job goes
+/// moves to another retained failed job of the fingerprint, or goes
+/// too.
 fn evict_locked(shared: &Shared, inner: &mut Inner) {
     let terminal = inner.jobs.values().filter(|j| j.state.terminal()).count();
     if terminal <= shared.cfg.max_results {
@@ -525,13 +535,13 @@ fn evict_locked(shared: &Shared, inner: &mut Inner) {
             .prepared
             .fingerprint;
         shared.counters.evicted.fetch_add(1, Ordering::Relaxed);
-        if inner.failed.get(&fingerprint) == Some(&id) {
+        if inner.owners.get(&fingerprint) == Some(&id) {
             let heir = inner.jobs.iter().find(|(_, j)| {
                 j.state == JobState::Failed && j.prepared.fingerprint == fingerprint
             });
             match heir.map(|(&heir, _)| heir) {
-                Some(heir) => inner.failed.insert(fingerprint, heir),
-                None => inner.failed.remove(&fingerprint),
+                Some(heir) => inner.owners.insert(fingerprint, heir),
+                None => inner.owners.remove(&fingerprint),
             };
         }
     }
@@ -898,13 +908,36 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
     let now = Instant::now();
     let mut inner = lock(&shared.state);
 
+    // One job per fingerprint: a body whose fingerprint has a queued or
+    // running job, or repeats an earlier body of this batch, is answered
+    // by that job and adds no journal record, queue entry or in-flight
+    // charge. `slots` maps each body to its answer, in body order.
+    let mut slots = Vec::with_capacity(prepared.len());
+    let mut fresh: Vec<PreparedJob> = Vec::new();
+    let mut firsts: HashMap<String, usize> = HashMap::new();
+    for p in prepared {
+        let live = inner
+            .owners
+            .get(&p.fingerprint)
+            .filter(|id| !inner.jobs[*id].state.terminal());
+        if let Some(&id) = live {
+            slots.push(Slot::Live(id));
+        } else if let Some(&first) = firsts.get(&p.fingerprint) {
+            slots.push(Slot::Fresh(first));
+        } else {
+            firsts.insert(p.fingerprint.clone(), fresh.len());
+            slots.push(Slot::Fresh(fresh.len()));
+            fresh.push(p);
+        }
+    }
+
     // Per-client in-flight cap.
     let inflight = inner
         .jobs
         .values()
         .filter(|j| j.client == client && !j.state.terminal())
         .count();
-    if inflight + prepared.len() > shared.cfg.client_inflight_cap {
+    if inflight + fresh.len() > shared.cfg.client_inflight_cap {
         olog::info(
             "serve",
             "admission_client_cap",
@@ -929,21 +962,22 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
 
     // Answers at admission — a recorded failure, else a warm cache
     // hit — then weight-bounded admission for the rest.
-    let mut answered = Vec::new();
-    let mut cold = Vec::new();
-    for p in prepared {
-        let answer = match inner.failed.get(&p.fingerprint) {
+    let answers: Vec<Option<Result<JobOutput, JobFailure>>> = fresh
+        .iter()
+        .map(|p| match inner.owners.get(&p.fingerprint) {
             Some(id) => inner.jobs[id].outcome.clone(),
-            None if p.cacheable => shared.exec.lookup(&p).map(Ok),
+            None if p.cacheable => shared.exec.lookup(p).map(Ok),
             None => None,
-        };
-        match answer {
-            Some(answer) => answered.push((p, answer)),
-            None => cold.push(p),
-        }
-    }
-    let cold_weight: u64 = cold.iter().map(|p| p.weight).sum();
-    if !cold.is_empty() && inner.queued_weight + cold_weight > shared.cfg.max_queue_weight {
+        })
+        .collect();
+    let cold_weight: u64 = fresh
+        .iter()
+        .zip(&answers)
+        .filter(|(_, a)| a.is_none())
+        .map(|(p, _)| p.weight)
+        .sum();
+    let any_cold = answers.iter().any(Option::is_none);
+    if any_cold && inner.queued_weight + cold_weight > shared.cfg.max_queue_weight {
         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         let depth = inner.queue.len() as u64;
         let retry_ms = 100 + 10 * inner.queued_weight.min(1000);
@@ -975,36 +1009,8 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
     }
 
     // Point of no return: journal, then admit.
-    let mut accepted = Vec::new();
-    for (p, answer) in answered {
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let state = terminal_state(&answer);
-        if let Some(j) = &shared.journal {
-            if let Err(e) = j.accepted(id, &client, &p) {
-                inner.next_id -= 1;
-                return (500, error_body("journal", &e.to_string(), vec![]));
-            }
-            journal_terminal(&shared.counters, j, id, state.as_str());
-        }
-        olog::debug(
-            "serve",
-            "admission_warm_hit",
-            &[
-                ("job", LogValue::from(id)),
-                ("client", LogValue::from(client.as_str())),
-                ("fingerprint", LogValue::from(p.fingerprint.as_str())),
-                ("state", LogValue::from(state.as_str())),
-            ],
-        );
-        inner
-            .jobs
-            .insert(id, Job::answered(client.clone(), p, answer, now));
-        shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        shared.counters.warm_hits.fetch_add(1, Ordering::Relaxed);
-        accepted.push((id, state, true));
-    }
-    for p in cold {
+    let mut ids = Vec::with_capacity(fresh.len());
+    for (p, answer) in fresh.into_iter().zip(answers) {
         let id = inner.next_id;
         inner.next_id += 1;
         if let Some(j) = &shared.journal {
@@ -1013,22 +1019,57 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
                 return (500, error_body("journal", &e.to_string(), vec![]));
             }
         }
-        inner.queued_weight += p.weight;
-        olog::debug(
-            "serve",
-            "admission_accepted",
-            &[
-                ("job", LogValue::from(id)),
-                ("client", LogValue::from(client.as_str())),
-                ("fingerprint", LogValue::from(p.fingerprint.as_str())),
-                ("weight", LogValue::from(p.weight)),
-            ],
-        );
-        inner.jobs.insert(id, Job::queued(client.clone(), p, now));
-        inner.queue.push_back(id);
         shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        accepted.push((id, JobState::Queued, false));
+        let job = match answer {
+            Some(answer) => {
+                let state = terminal_state(&answer);
+                if let Some(j) = &shared.journal {
+                    journal_terminal(&shared.counters, j, id, state.as_str());
+                }
+                olog::debug(
+                    "serve",
+                    "admission_warm_hit",
+                    &[
+                        ("job", LogValue::from(id)),
+                        ("client", LogValue::from(client.as_str())),
+                        ("fingerprint", LogValue::from(p.fingerprint.as_str())),
+                        ("state", LogValue::from(state.as_str())),
+                    ],
+                );
+                shared.counters.warm_hits.fetch_add(1, Ordering::Relaxed);
+                Job::answered(client.clone(), p, answer, now)
+            }
+            None => {
+                olog::debug(
+                    "serve",
+                    "admission_accepted",
+                    &[
+                        ("job", LogValue::from(id)),
+                        ("client", LogValue::from(client.as_str())),
+                        ("fingerprint", LogValue::from(p.fingerprint.as_str())),
+                        ("weight", LogValue::from(p.weight)),
+                    ],
+                );
+                inner.queued_weight += p.weight;
+                inner.queue.push_back(id);
+                inner.owners.insert(p.fingerprint.clone(), id);
+                Job::queued(client.clone(), p, now)
+            }
+        };
+        inner.jobs.insert(id, job);
+        ids.push(id);
     }
+    let accepted: Vec<(u64, JobState, bool)> = slots
+        .into_iter()
+        .map(|slot| {
+            let id = match slot {
+                Slot::Live(id) => id,
+                Slot::Fresh(i) => ids[i],
+            };
+            let job = &inner.jobs[&id];
+            (id, job.state, job.cached)
+        })
+        .collect();
     evict_locked(shared, &mut inner);
     drop(inner);
     shared.cvar.notify_all();
@@ -1055,6 +1096,14 @@ fn submit(shared: &Shared, req: &Request, sweep: bool) -> (u16, String) {
             ]),
         )
     }
+}
+
+/// Which job answers one submitted body.
+enum Slot {
+    /// A queued or running job of the body's fingerprint.
+    Live(u64),
+    /// The batch's `i`-th newly admitted job.
+    Fresh(usize),
 }
 
 fn job_status(shared: &Shared, id: u64) -> (u16, String) {

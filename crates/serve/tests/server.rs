@@ -268,6 +268,70 @@ fn a_failing_fingerprint_runs_once_until_eviction_drops_its_record() {
 }
 
 #[test]
+fn concurrent_submissions_of_one_fingerprint_run_once() {
+    let exec = Arc::new(MockExec {
+        run_delay: Duration::from_millis(600),
+        ..MockExec::default()
+    });
+    let (addr, handle, exec) = start(ServerConfig::default(), exec);
+    // Three clients race one slow body; whoever is admitted first owns
+    // the run, and the others are answered by its job.
+    let responses: Vec<(u16, Value)> = {
+        let handles: Vec<_> = ["alice", "bob", "carol"]
+            .into_iter()
+            .map(|who| {
+                let addr = addr.clone();
+                std::thread::spawn(move || client::submit(&addr, who, "slow:shared").unwrap())
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    };
+    let ids: Vec<u64> = responses.iter().map(|(_, v)| u64_of(v, "job")).collect();
+    for (status, v) in &responses {
+        assert_eq!(*status, 202, "{v:?}");
+        assert_eq!(v.get("cached"), Some(&Value::Bool(false)));
+    }
+    assert!(
+        ids.iter().all(|id| *id == ids[0]),
+        "one job answers all: {ids:?}"
+    );
+    let done = client::wait(&addr, ids[0], Duration::from_secs(5)).unwrap();
+    assert_eq!(str_of(&done, "state"), "done");
+    assert_eq!(
+        exec.run_calls.load(Ordering::SeqCst),
+        1,
+        "three submissions, one run"
+    );
+    let stats = client::stats(&addr).unwrap();
+    assert_eq!(u64_of(&stats, "accepted_total"), 1);
+    stop(&addr, handle);
+}
+
+#[test]
+fn a_sweep_naming_one_cell_twice_runs_it_once() {
+    let (addr, handle, exec) = start(ServerConfig::default(), Arc::default());
+    let (status, v) = client::sweep(&addr, "alice", "sweep=slow:a,ok:b,slow:a").unwrap();
+    assert_eq!(status, 202, "{v:?}");
+    let jobs: Vec<u64> = v
+        .get("jobs")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|j| j.as_u64().unwrap())
+        .collect();
+    assert_eq!(jobs.len(), 3, "one id per body, in body order");
+    assert_eq!(jobs[0], jobs[2]);
+    assert_ne!(jobs[0], jobs[1]);
+    for id in [jobs[0], jobs[1]] {
+        let done = client::wait(&addr, id, Duration::from_secs(5)).unwrap();
+        assert_eq!(str_of(&done, "state"), "done");
+    }
+    assert_eq!(exec.run_calls.load(Ordering::SeqCst), 2);
+    stop(&addr, handle);
+}
+
+#[test]
 fn sweep_admission_is_all_or_nothing() {
     let cfg = ServerConfig {
         workers: 1,

@@ -21,7 +21,7 @@ use hvx_core::{
     CostModel, Error, HvKind, Hypervisor, KvmX86, Sim, SimBuilder, VirqPolicy, Workload,
 };
 use hvx_engine::{Cycles, FaultPlan, FaultPoint, Frequency, TransitionId};
-use hvx_mem::{Ipa, ShootdownMethod, TlbModel};
+use hvx_mem::{ShootdownMethod, TlbModel};
 use serde::{Deserialize, Serialize};
 
 /// Builds `kind` with the default paper configuration.
@@ -216,12 +216,12 @@ pub fn zero_copy() -> Result<ZeroCopyAnalysis, Error> {
     // maintenance the unmap requires.
     let map_unmap = Cycles::new(900); // hypercall + grant-table updates
     let mut ipi_tlb = TlbModel::new(cores, ShootdownMethod::IpiFlush);
-    let plan = ipi_tlb.shootdown(0, Ipa::new(0x1000));
+    let plan = ipi_tlb.shootdown();
     let ipi_cost = map_unmap
         + Cycles::new(plan.ipis as u64 * (cost.ipi_wire.as_u64() + 500))
         + Cycles::new(150);
     let mut bcast_tlb = TlbModel::new(cores, ShootdownMethod::BroadcastTlbi);
-    let plan_b = bcast_tlb.shootdown(0, Ipa::new(0x1000));
+    let plan_b = bcast_tlb.shootdown();
     debug_assert_eq!(plan_b.ipis, 0);
     let bcast_cost = map_unmap + Cycles::new(150);
 

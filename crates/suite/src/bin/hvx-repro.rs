@@ -155,7 +155,6 @@ fn usage() -> String {
          \x20 --keep-going         report failed scenarios on stderr but exit 0\n\
          \x20 --cycle-budget N     abort any scenario past N simulated cycles (timed out)\n\
          \x20 --livelock-limit N   abort after N consecutive zero-progress charges\n\
-         \x20 --wall-timeout SECS  classify scenarios over SECS wall seconds as timed out\n\
          \x20 --chaos KIND         append a chaos scenario: panic, spin, or livelock\n\
          observability:\n\
          \x20 --log-level LEVEL    structured JSON logs on stderr: off, error, info,\n\
@@ -273,7 +272,6 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
     let mut keep_going = false;
     let mut cycle_budget = None;
     let mut livelock_limit = None;
-    let mut wall_timeout = None;
     let mut chaos = Vec::new();
     let mut cache_dir = None;
     let mut out_json = false;
@@ -309,17 +307,6 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
             "--keep-going" => keep_going = true,
             "--cycle-budget" => cycle_budget = Some(parse_u64("--cycle-budget", it)?),
             "--livelock-limit" => livelock_limit = Some(parse_u64("--livelock-limit", it)?),
-            "--wall-timeout" => {
-                let secs = it.next().ok_or("--wall-timeout requires seconds")?;
-                let secs = secs
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| s.is_finite() && *s >= 0.0)
-                    .ok_or_else(|| {
-                        format!("--wall-timeout needs non-negative seconds, got '{secs}'")
-                    })?;
-                wall_timeout = Some(Duration::from_secs_f64(secs));
-            }
             "--chaos" => {
                 let kind = it.next().ok_or("--chaos requires a kind")?;
                 chaos.push(ChaosKind::parse(&kind).ok_or_else(|| {
@@ -356,9 +343,6 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
         if livelock_limit.is_some() {
             extra.push("--livelock-limit");
         }
-        if wall_timeout.is_some() {
-            extra.push("--wall-timeout");
-        }
         if !chaos.is_empty() {
             extra.push("--chaos");
         }
@@ -390,7 +374,6 @@ fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
             cycle_budget,
             livelock_threshold: livelock_limit,
         },
-        wall_timeout,
         chaos,
         cache: None,
     };

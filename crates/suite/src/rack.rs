@@ -301,8 +301,13 @@ impl HostModel for RackHost {
 /// `tests/rack_diff.rs` pins.
 pub fn run_cell_with(cfg: &CellConfig) -> Result<CellResult, Error> {
     assert!(cfg.hosts >= 1, "a rack needs at least one host");
-    let kvm = probe_costs(HvKind::KvmArm)?;
-    let xen = probe_costs(HvKind::XenArm)?;
+    // Probe each hypervisor the composition puts on some host, once.
+    let mut probed = Vec::with_capacity(2);
+    for kind in [HvKind::KvmArm, HvKind::XenArm] {
+        if (0..cfg.hosts as usize).any(|h| cfg.composition.kind_for(h) == kind) {
+            probed.push((kind, probe_costs(kind)?));
+        }
+    }
 
     let mut sim = ShardSim::new(Cycles::new(RACK_WIRE));
     for h in 0..cfg.hosts as usize {
@@ -310,10 +315,11 @@ pub fn run_cell_with(cfg: &CellConfig) -> Result<CellResult, Error> {
         if let Some(plan) = &cfg.fault {
             machine.set_fault_plan(plan.clone());
         }
-        let costs = match cfg.composition.kind_for(h) {
-            HvKind::XenArm => xen,
-            _ => kvm,
-        };
+        let kind = cfg.composition.kind_for(h);
+        let (_, costs) = *probed
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .expect("every host's kind is probed");
         sim.add_host(RackHost {
             machine,
             costs,

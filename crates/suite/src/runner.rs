@@ -389,8 +389,8 @@ pub struct ScenarioResult {
     ///
     /// [`Machine::charge`]: hvx_engine::Machine::charge
     pub transitions: u64,
-    /// Always 0: the runner runs each scenario once (the sweep server
-    /// retries jobs itself and reports its own count). The field stays
+    /// Always 0: neither the runner nor the sweep server retries a run,
+    /// because a failed run is its scenario's result. The field stays
     /// only because the benchmark in `perfbench/` builds this literal; it
     /// goes with the next change to that benchmark.
     pub retries: u32,
@@ -417,19 +417,15 @@ impl ScenarioResult {
 }
 
 /// Shared configuration for one runner invocation: the fault plan and
-/// watchdog installed around every scenario, an optional wall-clock
-/// budget, and any chaos scenarios to inject. The default is inert —
-/// no faults, no limits — and leaves every artifact byte-identical.
+/// watchdog installed around every scenario, any chaos scenarios to
+/// inject, and the result cache. The default is inert — no faults, no
+/// limits — and leaves every artifact byte-identical.
 #[derive(Debug, Clone, Default)]
 pub struct RunnerConfig {
     /// Deterministic fault plan ambient during every scenario.
     pub fault_plan: Option<FaultPlan>,
     /// Simulated-cycle budget and livelock detector.
     pub watchdog: Watchdog,
-    /// Host wall-clock budget per scenario. The simulation itself is
-    /// aborted by the (in-band) cycle budget; this classifies scenarios
-    /// that exceeded the wall allowance as timed out after the fact.
-    pub wall_timeout: Option<Duration>,
     /// Chaos scenarios appended to the plan (isolation smoke tests).
     pub chaos: Vec<ChaosKind>,
     /// Content-addressed result cache. When set, every cacheable
@@ -503,22 +499,52 @@ fn classify_panic(payload: &(dyn std::any::Any + Send)) -> ScenarioFailure {
     ScenarioFailure { kind, detail }
 }
 
+thread_local! {
+    /// How many [`isolate`] guards this thread is inside.
+    static ISOLATED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Installs, once per process, a panic hook that stays silent for a
+/// watchdog trip raised inside [`isolate`], whose typed failure line is
+/// the whole report, and hands every other panic to the hook it
+/// replaced: a genuine bug inside a scenario, and a trip outside the
+/// guard, still report in full.
+fn quiet_caught_watchdog_trips() {
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+    INSTALL.call_once(|| {
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let trip =
+                payload.is::<fault::CycleBudgetExceeded>() || payload.is::<fault::Livelocked>();
+            if !(trip && ISOLATED.try_with(|d| d.get() > 0).unwrap_or(false)) {
+                report(info);
+            }
+        }));
+    });
+}
+
 /// The harness's one isolation guard. Runs `f` with `fault_plan` and
 /// `watchdog` ambient, so machines built anywhere inside it pick them
 /// up, and under `catch_unwind`. A panic comes back classified (a
 /// watchdog trip as timed out or livelocked, anything else as
-/// panicked) and a typed error as [`ScenarioFailureKind::Failed`]. The
-/// ambient guard restores on unwind, so a tripped run cannot leak its
-/// plan into the next one on the same thread. Every runner scenario,
-/// every `run --spec` and every sweep-server job
-/// ([`crate::spec_run::run_isolated`]) runs through it.
+/// panicked) and a typed error as [`ScenarioFailureKind::Failed`]; a
+/// watchdog trip prints nothing on its way. The ambient guard restores
+/// on unwind, so a tripped run cannot leak its plan into the next one
+/// on the same thread. Every runner scenario, every `run --spec` and
+/// every sweep-server job ([`crate::spec_run::run_isolated`]) runs
+/// through it.
 pub(crate) fn isolate<T>(
     fault_plan: Option<FaultPlan>,
     watchdog: Watchdog,
     f: impl FnOnce() -> Result<T, Error>,
 ) -> Result<T, ScenarioFailure> {
+    quiet_caught_watchdog_trips();
     let _ambient = fault::install_ambient(fault_plan, watchdog);
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+    ISOLATED.with(|d| d.set(d.get() + 1));
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    ISOLATED.with(|d| d.set(d.get() - 1));
+    match caught {
         Ok(Ok(value)) => Ok(value),
         Ok(Err(e)) => Err(ScenarioFailure {
             kind: ScenarioFailureKind::Failed,
@@ -546,21 +572,6 @@ fn run_one(scenario: Scenario, cfg: &RunnerConfig) -> ScenarioResult {
     let outcome = isolate(cfg.fault_plan.clone(), cfg.watchdog, || scenario.execute());
     let wall = start.elapsed();
     let transitions = hvx_engine::thread_transitions() - before;
-    // A scenario that returned (a value or a typed error) rather than
-    // unwound, but past the wall budget, is classified as timed out
-    // after the fact.
-    let unwound = matches!(&outcome, Err(f) if f.kind != ScenarioFailureKind::Failed);
-    let outcome = match cfg.wall_timeout {
-        Some(limit) if !unwound && wall > limit => Err(ScenarioFailure {
-            kind: ScenarioFailureKind::TimedOut,
-            detail: format!(
-                "wall clock {:.3}s exceeded the {:.3}s budget",
-                wall.as_secs_f64(),
-                limit.as_secs_f64()
-            ),
-        }),
-        _ => outcome,
-    };
     if let Err(failure) = &outcome {
         if matches!(
             failure.kind,
@@ -1178,19 +1189,6 @@ mod tests {
         let results = run_scenarios_with(&[Scenario::Chaos(ChaosKind::Livelock)], 1, &cfg).unwrap();
         let failure = results[0].outcome.as_ref().unwrap_err();
         assert_eq!(failure.kind, ScenarioFailureKind::Livelocked);
-    }
-
-    #[test]
-    fn wall_timeout_classifies_after_the_fact() {
-        let cfg = RunnerConfig {
-            wall_timeout: Some(Duration::ZERO),
-            ..RunnerConfig::default()
-        };
-        let results =
-            run_scenarios_with(&[Scenario::Artifact(ArtifactId::Table3)], 1, &cfg).unwrap();
-        let failure = results[0].outcome.as_ref().unwrap_err();
-        assert_eq!(failure.kind, ScenarioFailureKind::TimedOut);
-        assert!(failure.detail.contains("wall clock"));
     }
 
     #[test]

@@ -28,7 +28,8 @@ fn help_exits_zero_with_usage_on_stdout() {
 /// in `perfbench/`, and these reach the ordinary parse errors. So is
 /// `serve --retries`: no job is retried, because a failed run is the
 /// job's result (the trailing `--help` keeps a reinstated flag from
-/// starting a server).
+/// starting a server). So is `run --wall-timeout`: the cycle budget is
+/// what bounds a run.
 #[test]
 fn unknown_artifact_exits_two() {
     for (args, message) in [
@@ -42,6 +43,10 @@ fn unknown_artifact_exits_two() {
         (
             &["serve", "--retries", "2", "--help"],
             "unexpected argument '--retries'",
+        ),
+        (
+            &["run", "--wall-timeout", "1", "table3"],
+            "unknown artifact '--wall-timeout'",
         ),
     ] {
         let out = hvx_repro().args(args).output().expect("run hvx-repro");
@@ -207,6 +212,33 @@ fn run_spec_reports_a_watchdog_trip_as_the_server_does() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A watchdog trip the runner catches prints only its typed line; any
+/// other panic inside a scenario still gets the full panic report.
+#[test]
+fn a_caught_watchdog_trip_prints_only_its_typed_line() {
+    let out = hvx_repro()
+        .args(["run", "--cycle-budget", "1000", "table2"])
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("run hvx-repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("scenario 'table2' timed out: simulated-cycle budget exceeded"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    assert!(!stderr.contains("stack backtrace"), "{stderr}");
+
+    let out = hvx_repro()
+        .args(["run", "table2", "--chaos", "panic", "--keep-going"])
+        .output()
+        .expect("run hvx-repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("panicked at"), "{stderr}");
 }
 
 /// `--spec` refuses to combine with other run knobs and a missing file

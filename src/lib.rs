@@ -11,10 +11,11 @@
 //! The facade re-exports every crate of the workspace:
 //!
 //! * [`engine`] — cycles, per-core clocks, traces, event queues;
-//! * [`arch`] — ARMv8 exception levels / registers / traps / VHE and the
-//!   x86 VMX model;
+//! * [`arch`] — ARMv8 exception levels / registers / traps / the VHE
+//!   host's `E2H` bit and the x86 VMX model;
 //! * [`gic`] — GICv2 with virtualization extensions, plus a LAPIC;
-//! * [`mem`] — Stage-2 tables, physical memory, grant tables, TLBs;
+//! * [`mem`] — Stage-2 tables, physical memory, grant copies, TLB
+//!   shootdown plans;
 //! * [`vio`] — virtio/vhost and Xen PV I/O;
 //! * [`core`] — the hypervisor models and the calibrated cost model;
 //! * [`suite`] — microbenchmarks, workloads, and every table/figure

@@ -14,8 +14,8 @@
 //!
 //! The counting allocator keeps a per-thread tally, so tests running
 //! in parallel on other threads do not disturb each other's counts. A
-//! parallel rack cell's tally is its calling thread's: the serial
-//! section between windows and the caller's own chunk of hosts.
+//! parallel rack cell's tally is its calling thread's: the cell's set-up
+//! and the participant loop over the caller's own chunk of hosts.
 
 use hvx::core::{HvKind, SchedPolicy};
 use hvx::engine::{CoreId, Cycles, Machine, Topology, TraceKind};
